@@ -269,74 +269,211 @@ func sortByWeightDesc(order []int, weights []int) {
 // of local optimum monotonically. Swapping whole slices preserves the
 // number of distinct processors in every slice of every dimension. owners
 // is modified in place; the return value is the number of swaps applied.
+//
+// Each iteration scans the slice pairs in the order dimension, then i, then
+// j > i, and applies the first pair with the strictly lowest score. Scoring
+// is incremental (see swapTable), with exact integer arithmetic as long as
+// the absolute cell counts sum below 2^30.
 func Rebalance(owners []int, dims []int, counts []int, p, maxIters int) int {
 	if len(owners) != len(counts) {
 		panic("core: owners/counts length mismatch")
 	}
-	loads := ProcessorLoads(owners, counts, p)
-
-	// Per-dimension slice views: sliceCells[d][i] lists the flat indices of
-	// slice i of dimension d, in a fixed "rest" order shared by all slices
-	// of d so that position r in two slices refers to the same rest-coord.
-	sliceCells := make([][][]int, len(dims))
-	for d := range dims {
-		sliceCells[d] = make([][]int, dims[d])
+	if maxIters <= 0 {
+		return 0
 	}
-	forEachCell(dims, func(flat int, coord []int) {
-		for d := range dims {
-			sliceCells[d][coord[d]] = append(sliceCells[d][coord[d]], flat)
-		}
-	})
-
-	delta := make([]int64, p)
-	var touched []int
+	t := newSwapTable(owners, dims, counts, p)
 	swaps := 0
-	for iter := 0; iter < maxIters; iter++ {
-		var bestPhi int64 // must be strictly negative to accept
-		bestD, bestI, bestJ := -1, 0, 0
-		for d := range dims {
-			for i := 0; i < dims[d]; i++ {
-				for j := i + 1; j < dims[d]; j++ {
-					si, sj := sliceCells[d][i], sliceCells[d][j]
-					touched = touched[:0]
-					for r := range si {
-						ci, cj := counts[si[r]], counts[sj[r]]
-						if ci == cj {
-							continue
-						}
-						oi, oj := owners[si[r]], owners[sj[r]]
-						if delta[oi] == 0 {
-							touched = append(touched, oi)
-						}
-						delta[oi] += int64(cj - ci)
-						if delta[oj] == 0 {
-							touched = append(touched, oj)
-						}
-						delta[oj] += int64(ci - cj)
-					}
-					var phi int64
-					for _, q := range touched {
-						l := int64(loads[q])
-						phi += (l+delta[q])*(l+delta[q]) - l*l
-						delta[q] = 0
-					}
-					if phi < bestPhi {
-						bestPhi, bestD, bestI, bestJ = phi, d, i, j
-					}
+	for ; swaps < maxIters; swaps++ {
+		k := t.best()
+		if k < 0 {
+			break // no swap improves the balance: local optimum
+		}
+		t.swap(k)
+	}
+	return swaps
+}
+
+// swapTable scores slice swaps for Rebalance. Swapping slices i and j of a
+// dimension moves, at every rest coordinate r, cell (i,r)'s count from its
+// owner to (j,r)'s owner and back, so the pair's per-processor load delta
+// δ depends only on owners and counts, never on the current loads. The
+// table keeps δ for every pair, and a swap's change to Σ load² is
+//
+//	Σ_q δ_q(2·l_q + δ_q) = 2·(δ·l) + Σ_q δ_q²
+//
+// with both δ·l and Σδ² cached per pair. Applying a swap changes the
+// owners of the cells of two slices; a cell x sits in one slice per
+// dimension, and an owner change of x alters only the δ of the pairs that
+// include that slice, in two entries each (see setOwner). The swap also
+// moves the loads of a few processors, which the next scan folds into
+// every pair's δ·l (see best).
+type swapTable struct {
+	owners, dims, counts []int
+	p                    int
+	loads                []int64
+	synced               []int64 // the loads dot reflects
+	strides              []int   // row-major stride of each dimension
+	first                []int   // first pair index of each dimension; the last entry is the pair count
+	pairs                int
+	delta                []int64 // delta[q*pairs+k]: processor q's load change if pair k swaps
+	sq                   []int64 // sq[k] = Σ_q delta[q*pairs+k]²
+	dot                  []int64 // dot[k] = Σ_q delta[q*pairs+k]·synced[q]
+}
+
+func newSwapTable(owners, dims, counts []int, p int) *swapTable {
+	t := &swapTable{
+		owners:  owners,
+		dims:    dims,
+		counts:  counts,
+		p:       p,
+		loads:   make([]int64, p),
+		synced:  make([]int64, p),
+		strides: make([]int, len(dims)),
+		first:   make([]int, len(dims)+1),
+	}
+	cells := 1
+	for d := len(dims) - 1; d >= 0; d-- {
+		t.strides[d] = cells
+		cells *= dims[d]
+	}
+	if cells != len(owners) {
+		panic(fmt.Sprintf("core: %d owners for directory dimensions %v", len(owners), dims))
+	}
+	for d, n := range dims {
+		t.first[d+1] = t.first[d] + n*(n-1)/2
+	}
+	pairs := t.first[len(dims)]
+	t.pairs = pairs
+	t.delta = make([]int64, p*pairs)
+	t.sq = make([]int64, pairs)
+	t.dot = make([]int64, pairs)
+	for x, o := range owners {
+		t.loads[o] += int64(counts[x])
+	}
+	copy(t.synced, t.loads)
+	// At rest coordinate r, pair (a, b) moves count(b,r) - count(a,r) onto
+	// owner(a,r) and the opposite onto owner(b,r). The pairs of a dimension
+	// are tabulated from slice-major copies of its counts and owners, which
+	// keep each slice's cells contiguous.
+	row := make([]int64, p)
+	sc, so := make([]int, cells), make([]int, cells)
+	for d, n := range dims {
+		s, rest := t.strides[d], cells/n
+		for x := range owners {
+			i := x/s%n*rest + x/(n*s)*s + x%s // slice, then rest coordinate
+			sc[i], so[i] = counts[x], owners[x]
+		}
+		k := t.first[d]
+		for a := 0; a < n; a++ {
+			ca, oa := sc[a*rest:(a+1)*rest], so[a*rest:(a+1)*rest]
+			for b := a + 1; b < n; b, k = b+1, k+1 {
+				cb, ob := sc[b*rest:(b+1)*rest], so[b*rest:(b+1)*rest]
+				clear(row)
+				for r, c := range ca {
+					w := int64(cb[r] - c)
+					row[oa[r]] += w
+					row[ob[r]] -= w
+				}
+				for q, v := range row {
+					t.delta[q*pairs+k] = v
+					t.sq[k] += v * v
+					t.dot[k] += v * t.loads[q]
 				}
 			}
 		}
-		if bestD == -1 {
-			break // no swap improves the balance: local optimum
-		}
-		si, sj := sliceCells[bestD][bestI], sliceCells[bestD][bestJ]
-		for r := range si {
-			oi, oj := owners[si[r]], owners[sj[r]]
-			loads[oi] += counts[sj[r]] - counts[si[r]]
-			loads[oj] += counts[si[r]] - counts[sj[r]]
-			owners[si[r]], owners[sj[r]] = oj, oi
-		}
-		swaps++
 	}
-	return swaps
+	return t
+}
+
+// pair returns the index of slice pair (i, j), i < j, of dimension d.
+func (t *swapTable) pair(d, i, j int) int {
+	return t.first[d] + i*(2*t.dims[d]-i-1)/2 + j - i - 1
+}
+
+// best returns the first pair in scan order whose swap lowers Σ load² the
+// most, or -1 when no swap lowers it. It first brings every pair's δ·l up
+// to date with the loads the last swap moved.
+func (t *swapTable) best() int {
+	for q, l := range t.loads {
+		if by := l - t.synced[q]; by != 0 {
+			dot := t.dot
+			for k, v := range t.delta[q*t.pairs : (q+1)*t.pairs] {
+				dot[k] += v * by
+			}
+			t.synced[q] = l
+		}
+	}
+	var bestPhi int64 // must be strictly negative to accept
+	bestK := -1
+	for k, s := range t.sq {
+		if s == 0 {
+			continue // every δ_q is zero: the swap changes no load
+		}
+		if phi := 2*t.dot[k] + s; phi < bestPhi {
+			bestPhi, bestK = phi, k
+		}
+	}
+	return bestK
+}
+
+// swap exchanges the owners of the two slices of pair k.
+func (t *swapTable) swap(k int) {
+	d := 0
+	for k >= t.first[d+1] {
+		d++
+	}
+	n, i, r := t.dims[d], 0, k-t.first[d]
+	for r >= n-1-i {
+		r -= n - 1 - i
+		i++
+	}
+	j := i + 1 + r
+	s := t.strides[d]
+	// Slice i of dimension d is one run of s consecutive cells per block of
+	// n*s cells.
+	for block := i * s; block < len(t.owners); block += n * s {
+		for x := block; x < block+s; x++ {
+			y := x + (j-i)*s
+			if ox, oy := t.owners[x], t.owners[y]; ox != oy {
+				t.setOwner(x, oy)
+				t.setOwner(y, ox)
+			}
+		}
+	}
+}
+
+// setOwner moves cell x to processor v, patching the loads and every pair
+// that includes x's slice in some dimension. For such a pair, x's term at
+// its rest coordinate is w = count(partner) - count(x) on x's owner (the
+// partner's term does not depend on x's owner), so moving x from u to v
+// subtracts w from δ_u and adds it to δ_v.
+func (t *swapTable) setOwner(x, v int) {
+	u, c := t.owners[x], t.counts[x]
+	t.owners[x] = v
+	t.loads[u] -= int64(c)
+	t.loads[v] += int64(c)
+	for d, n := range t.dims {
+		s := t.strides[d]
+		a := x / s % n
+		y := x - a*s
+		for b := 0; b < n; b, y = b+1, y+s {
+			w := int64(t.counts[y] - c)
+			if w == 0 {
+				continue // also skips b == a, where y == x
+			}
+			k := t.pair(d, min(a, b), max(a, b))
+			t.bump(k, u, -w)
+			t.bump(k, v, w)
+		}
+	}
+}
+
+// bump adds w to pair k's delta for processor q, keeping sq[k] and dot[k]
+// current.
+func (t *swapTable) bump(k, q int, w int64) {
+	i := q*t.pairs + k
+	old := t.delta[i]
+	t.delta[i] = old + w
+	t.sq[k] += w * (2*old + w)
+	t.dot[k] += w * t.synced[q]
 }

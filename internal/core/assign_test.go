@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -156,8 +159,10 @@ func TestRebalanceWorstCaseSpread(t *testing.T) {
 	}
 }
 
-// Swapping slices must never change the distinct-processor count of any
-// slice in any dimension (the property the paper relies on).
+// Swapping two slices of a dimension permutes that dimension's per-slice
+// distinct-processor counts and leaves every other dimension's unchanged, so
+// each dimension's multiset of counts must survive rebalancing (the property
+// the paper relies on).
 func TestRebalancePreservesSliceDistinct(t *testing.T) {
 	dims := []int{16, 16}
 	counts := make([]int, 16*16)
@@ -166,20 +171,20 @@ func TestRebalancePreservesSliceDistinct(t *testing.T) {
 		counts[i*16+(i+1)%16] = 25
 	}
 	owners := AssignOwners(dims, 8, []float64{3, 3})
-	before0 := SliceDistinct(owners, dims, 0)
-	before1 := SliceDistinct(owners, dims, 1)
-	Rebalance(owners, dims, counts, 8, 100)
-	after0 := SliceDistinct(owners, dims, 0)
-	after1 := SliceDistinct(owners, dims, 1)
-	sum := func(xs []int) int {
-		s := 0
-		for _, x := range xs {
-			s += x
-		}
-		return s
+	multiset := func(d int) []int {
+		xs := SliceDistinct(owners, dims, d)
+		sort.Ints(xs)
+		return xs
 	}
-	if sum(before0) != sum(after0) || sum(before1) != sum(after1) {
-		t.Fatal("rebalance changed per-slice distinct processor counts")
+	before := [][]int{multiset(0), multiset(1)}
+	if swaps := Rebalance(owners, dims, counts, 8, 100); swaps == 0 {
+		t.Fatal("test premise wrong: no swaps applied")
+	}
+	for d := range dims {
+		if after := multiset(d); !reflect.DeepEqual(before[d], after) {
+			t.Fatalf("dimension %d: sorted per-slice distinct counts %v before, %v after",
+				d, before[d], after)
+		}
 	}
 }
 
@@ -234,10 +239,216 @@ func TestAssignOwnersValidation(t *testing.T) {
 }
 
 func TestRebalanceMismatchedLengthsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched lengths did not panic")
+	for i, fn := range []func(){
+		func() { Rebalance([]int{0, 1}, []int{2}, []int{1}, 2, 10) },
+		func() { Rebalance([]int{0, 1}, []int{3}, []int{1, 1}, 2, 10) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d: mismatched lengths did not panic", i)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// rebalanceReference is the original, non-incremental Rebalance: every
+// iteration rescans every slice pair of every dimension against every cell.
+// Rebalance must reproduce its swap sequence exactly.
+func rebalanceReference(owners []int, dims []int, counts []int, p, maxIters int) int {
+	if len(owners) != len(counts) {
+		panic("core: owners/counts length mismatch")
+	}
+	loads := ProcessorLoads(owners, counts, p)
+
+	// Per-dimension slice views: sliceCells[d][i] lists the flat indices of
+	// slice i of dimension d, in a fixed "rest" order shared by all slices
+	// of d so that position r in two slices refers to the same rest-coord.
+	sliceCells := make([][][]int, len(dims))
+	for d := range dims {
+		sliceCells[d] = make([][]int, dims[d])
+	}
+	forEachCell(dims, func(flat int, coord []int) {
+		for d := range dims {
+			sliceCells[d][coord[d]] = append(sliceCells[d][coord[d]], flat)
 		}
-	}()
-	Rebalance([]int{0, 1}, []int{2}, []int{1}, 2, 10)
+	})
+
+	delta := make([]int64, p)
+	var touched []int
+	swaps := 0
+	for iter := 0; iter < maxIters; iter++ {
+		var bestPhi int64 // must be strictly negative to accept
+		bestD, bestI, bestJ := -1, 0, 0
+		for d := range dims {
+			for i := 0; i < dims[d]; i++ {
+				for j := i + 1; j < dims[d]; j++ {
+					si, sj := sliceCells[d][i], sliceCells[d][j]
+					touched = touched[:0]
+					for r := range si {
+						ci, cj := counts[si[r]], counts[sj[r]]
+						if ci == cj {
+							continue
+						}
+						oi, oj := owners[si[r]], owners[sj[r]]
+						if delta[oi] == 0 {
+							touched = append(touched, oi)
+						}
+						delta[oi] += int64(cj - ci)
+						if delta[oj] == 0 {
+							touched = append(touched, oj)
+						}
+						delta[oj] += int64(ci - cj)
+					}
+					var phi int64
+					for _, q := range touched {
+						l := int64(loads[q])
+						phi += (l+delta[q])*(l+delta[q]) - l*l
+						delta[q] = 0
+					}
+					if phi < bestPhi {
+						bestPhi, bestD, bestI, bestJ = phi, d, i, j
+					}
+				}
+			}
+		}
+		if bestD == -1 {
+			break // no swap improves the balance: local optimum
+		}
+		si, sj := sliceCells[bestD][bestI], sliceCells[bestD][bestJ]
+		for r := range si {
+			oi, oj := owners[si[r]], owners[sj[r]]
+			loads[oi] += counts[sj[r]] - counts[si[r]]
+			loads[oj] += counts[si[r]] - counts[sj[r]]
+			owners[si[r]], owners[sj[r]] = oj, oi
+		}
+		swaps++
+	}
+	return swaps
+}
+
+// checkRebalanceMatchesReference runs Rebalance and rebalanceReference on
+// copies of owners and fails unless both apply the same number of swaps
+// and leave identical owners.
+func checkRebalanceMatchesReference(t *testing.T, dims []int, p int, counts, owners []int, maxIters int) int {
+	t.Helper()
+	got := append([]int(nil), owners...)
+	want := append([]int(nil), owners...)
+	gotSwaps := Rebalance(got, dims, counts, p, maxIters)
+	wantSwaps := rebalanceReference(want, dims, counts, p, maxIters)
+	if gotSwaps != wantSwaps || !reflect.DeepEqual(got, want) {
+		t.Fatalf("dims %v p=%d maxIters=%d counts %v owners %v: Rebalance made %d swaps -> %v, reference %d -> %v",
+			dims, p, maxIters, counts, owners, gotSwaps, got, wantSwaps, want)
+	}
+	return gotSwaps
+}
+
+// initialOwners builds the assignment a property test starts from, by
+// mode: the tiled and skew-aware tilings BuildMAGIC uses, the
+// RoundRobinAssign ablation's i mod p, or arbitrary owners drawn with pick
+// (which may break the tiling's slice-distinct structure).
+func initialOwners(mode int, dims []int, p int, mi []float64, counts []int, pick func(n int) int) []int {
+	switch mode % 4 {
+	case 0:
+		return AssignOwners(dims, p, mi)
+	case 1:
+		return AssignOwnersBalanced(dims, p, mi, counts)
+	}
+	owners := make([]int, len(counts))
+	for i := range owners {
+		if mode%4 == 2 {
+			owners[i] = i % p
+		} else {
+			owners[i] = pick(p)
+		}
+	}
+	return owners
+}
+
+// Property: the incremental scorer reproduces the reference swap sequence
+// on random 1-, 2- and 3-D directories, including the edge cases where
+// the table degenerates: no iterations, a single processor, uniform
+// counts, and single-slice dimensions (no pairs to score). The trial index
+// cycles through every combination of dimensionality, count pattern, owner
+// mode and iteration bound.
+func TestRebalanceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	swaps := 0
+	for trial := 0; trial < 768; trial++ {
+		dims := make([]int, 1+trial%3)
+		mi := make([]float64, len(dims))
+		cells := 1
+		for d := range dims {
+			dims[d] = 1 + rng.Intn(12)
+			if trial%5 == 0 && d == 0 {
+				dims[d] = 1
+			}
+			mi[d] = float64(1 + rng.Intn(6))
+			cells *= dims[d]
+		}
+		p := []int{1, 2, 3, 4, 8, 16}[rng.Intn(6)]
+		counts := make([]int, cells)
+		switch (trial / 3) % 4 {
+		case 0: // all equal: no swap can change a load
+			for i := range counts {
+				counts[i] = 7
+			}
+		case 1: // sparse, diagonal-like skew
+			for i := range counts {
+				if rng.Intn(4) == 0 {
+					counts[i] = rng.Intn(200)
+				}
+			}
+		default:
+			for i := range counts {
+				counts[i] = rng.Intn(60)
+			}
+		}
+		owners := initialOwners(trial/12, dims, p, mi, counts, rng.Intn)
+		maxIters := []int{0, 1, 2, 200}[(trial/48)%4]
+		swaps += checkRebalanceMatchesReference(t, dims, p, counts, owners, maxIters)
+	}
+	if swaps < 300 {
+		t.Fatalf("only %d swaps over all trials: the inputs barely exercise the climber", swaps)
+	}
+}
+
+// FuzzRebalance checks the incremental scorer against the reference on
+// directories decoded from the fuzz input: shape holds up to three
+// dimension sizes (1-9 slices) whose high nibbles give the planned Mi,
+// mode picks the initial assignment, and data supplies cell counts and,
+// for arbitrary owners, the owner choices.
+func FuzzRebalance(f *testing.F) {
+	f.Add([]byte{3, 4}, uint8(4), uint8(200), uint8(0), []byte{5, 0, 9, 1})
+	f.Add([]byte{8}, uint8(3), uint8(1), uint8(2), []byte{0, 40, 0, 0, 3})
+	f.Fuzz(func(t *testing.T, shape []byte, p, iters, mode uint8, data []byte) {
+		if len(shape) == 0 || len(shape) > 3 {
+			return
+		}
+		dims := make([]int, len(shape))
+		mi := make([]float64, len(shape))
+		cells := 1
+		for d, b := range shape {
+			dims[d] = 1 + int(b&0xf)%9
+			mi[d] = float64(1 + b>>4)
+			cells *= dims[d]
+		}
+		procs := 1 + int(p)%16
+		counts := make([]int, cells)
+		next := 0
+		pick := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			next++
+			return int(data[next%len(data)]) % n
+		}
+		for i := range counts {
+			counts[i] = pick(256)
+		}
+		owners := initialOwners(int(mode), dims, procs, mi, counts, pick)
+		checkRebalanceMatchesReference(t, dims, procs, counts, owners, int(iters))
+	})
 }

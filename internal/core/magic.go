@@ -33,7 +33,7 @@ type MagicOptions struct {
 	// DisableRebalance skips the Section 4 hill-climbing rebalancing
 	// (ablation: shows the skew correlated data causes without it).
 	DisableRebalance bool
-	// RebalanceMaxIters bounds the hill climber (default 60).
+	// RebalanceMaxIters bounds the hill climber (default 200).
 	RebalanceMaxIters int
 	// MaxCells overrides the directory-size cap (default
 	// max(16*P, 4*Cardinality/FC); see gridfile.SetMaxCells for why highly
@@ -117,7 +117,7 @@ func BuildMAGIC(rel *storage.Relation, attrs []int, queries []QuerySpec, pp Plan
 	stride := coprimeStride(n)
 	point := make([]int64, len(attrs))
 	for i := 0; i < n; i++ {
-		t := rel.Tuples[(i*stride)%n]
+		t := &rel.Tuples[(i*stride)%n]
 		for d, a := range attrs {
 			point[d] = t.Attrs[a]
 		}

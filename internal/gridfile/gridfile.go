@@ -259,21 +259,24 @@ func (g *Grid) insertBoundary(d, at int, v int64) {
 	s[at] = v
 	g.scales[d] = s
 
-	oldDims := append([]int(nil), g.dims...)
+	// Re-map every old cell into the grown directory. In row-major order the
+	// cells form blocks of n slices of dimension d, each slice a run of
+	// `inner` consecutive cells; growing dimension d only shifts the slices
+	// after `at` one run further within each block.
+	n := g.dims[d]
+	inner := 1
+	for _, m := range g.dims[d+1:] {
+		inner *= m
+	}
 	g.dims[d]++
-	newCells := make([][]int, len(g.cells)/oldDims[d]*g.dims[d])
-
-	// Re-map every old cell into the grown directory.
-	for flat, ids := range g.cells {
-		coord := coordOf(flat, oldDims)
-		switch {
-		case coord[d] < at:
-			newCells[flatOf(coord, g.dims)] = ids
-		case coord[d] > at:
-			coord[d]++
-			newCells[flatOf(coord, g.dims)] = ids
-		default:
-			// The split slice: partition ids by the new boundary.
+	newCells := make([][]int, len(g.cells)/n*g.dims[d])
+	for block := 0; block*n*inner < len(g.cells); block++ {
+		src := g.cells[block*n*inner : (block+1)*n*inner]
+		dst := newCells[block*(n+1)*inner : (block+1)*(n+1)*inner]
+		copy(dst, src[:at*inner])
+		copy(dst[(at+2)*inner:], src[(at+1)*inner:])
+		// The split slice: partition ids by the new boundary.
+		for r, ids := range src[at*inner : (at+1)*inner] {
 			var left, right []int
 			for _, id := range ids {
 				if g.points[id][d] < v {
@@ -282,29 +285,11 @@ func (g *Grid) insertBoundary(d, at int, v int64) {
 					right = append(right, id)
 				}
 			}
-			newCells[flatOf(coord, g.dims)] = left
-			coord[d]++
-			newCells[flatOf(coord, g.dims)] = right
+			dst[at*inner+r] = left
+			dst[(at+1)*inner+r] = right
 		}
 	}
 	g.cells = newCells
-}
-
-func coordOf(flat int, dims []int) []int {
-	coord := make([]int, len(dims))
-	for d := len(dims) - 1; d >= 0; d-- {
-		coord[d] = flat % dims[d]
-		flat /= dims[d]
-	}
-	return coord
-}
-
-func flatOf(coord, dims []int) int {
-	idx := 0
-	for d := 0; d < len(dims); d++ {
-		idx = idx*dims[d] + coord[d]
-	}
-	return idx
 }
 
 // CellsCovering returns the flat indices of all cells intersecting the

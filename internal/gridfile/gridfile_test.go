@@ -321,3 +321,36 @@ func TestThreeDimensionalGrid(t *testing.T) {
 		t.Fatalf("3D slab covers %d cells, want %d", len(cells), dims[0]*dims[2])
 	}
 }
+
+// Splits move whole cells and partition the split slice stably, so after
+// every insertion each cell must hold exactly the ids locating to it, in
+// insertion order — which pins the directory contents split by split.
+func TestSplitsKeepCellsInInsertionOrder(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		weights := []float64{1, 2, 0.5}[:k]
+		bounds := make([][2]int64, k)
+		for d := range bounds {
+			bounds[d] = [2]int64{0, 63}
+		}
+		g := New(3, weights, bounds)
+		src := rng.NewSource("order", int64(k))
+		for id := 0; id < 400; id++ {
+			point := make([]int64, k)
+			for d := range point {
+				point[d] = int64(src.Intn(64))
+			}
+			g.Insert(point, id)
+			if err := g.Validate(); err != nil {
+				t.Fatalf("k=%d after %d inserts: %v", k, id+1, err)
+			}
+			for flat := 0; flat < g.NumCells(); flat++ {
+				ids := g.Cell(flat)
+				for i := 1; i < len(ids); i++ {
+					if ids[i-1] >= ids[i] {
+						t.Fatalf("k=%d after %d inserts: cell %d holds ids %v out of order", k, id+1, flat, ids)
+					}
+				}
+			}
+		}
+	}
+}
