@@ -72,7 +72,8 @@ func (b *BERDPlacement) Processors() int { return b.p }
 // PrimaryAttr reports the primary partitioning attribute.
 func (b *BERDPlacement) PrimaryAttr() int { return b.primary.attr }
 
-// SecondaryAttrs reports the secondary partitioning attributes.
+// SecondaryAttrs reports the secondary partitioning attributes in
+// ascending order — the order the machine lays out their auxiliary trees.
 func (b *BERDPlacement) SecondaryAttrs() []int {
 	out := make([]int, 0, len(b.auxCuts))
 	for a := range b.auxCuts {

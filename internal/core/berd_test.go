@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/storage"
@@ -24,6 +25,19 @@ func TestBERDMetadata(t *testing.T) {
 	sec := b.SecondaryAttrs()
 	if len(sec) != 1 || sec[0] != storage.Unique2 {
 		t.Fatalf("secondary attrs = %v", sec)
+	}
+}
+
+// SecondaryAttrs is ascending whatever order the attributes were given in
+// and however the placement's map iterates.
+func TestBERDSecondaryAttrsAscending(t *testing.T) {
+	rel := testRelation(t, 500, 0)
+	b := NewBERDForRelation(rel, storage.Unique1, []int{storage.Unique3, storage.Ten, storage.Unique2}, 4)
+	want := []int{storage.Unique2, storage.Ten, storage.Unique3}
+	for i := 0; i < 20; i++ {
+		if got := b.SecondaryAttrs(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("secondary attrs = %v, want %v", got, want)
+		}
 	}
 }
 

@@ -77,27 +77,22 @@ func (io elasticIO) WritePage(p *sim.Proc, node, page int) error {
 	return io.nodes[node].Disk.Write(p, page)
 }
 
-// stagedRelation is one relation's next-generation layout, computed at
-// Prepare and committed at Cutover.
-type stagedRelation struct {
-	placement  core.Placement
-	fragTuples map[int][]storage.Tuple
-	auxByAttr  map[int]map[int][]storage.AuxEntry
-}
-
 // elasticExec implements rebalance.Executor over the machine: Prepare
 // stages the complete next-generation layout on the member nodes (old
 // generation keeps serving) and returns the minimal page-move plan;
 // Cutover atomically installs it everywhere. Both run on the controller's
-// process between sim yields.
+// process between sim yields. All of its state is per run: a generation's
+// fragments live on that run's nodes and its placements on that run's
+// host, so the machine's storage image is never touched and the next run
+// starts again from the built layout.
 type elasticExec struct {
 	m *Machine
 	// topo maps placement slot -> physical node for the serving
 	// generation; starts as the identity over the initial membership.
 	topo []int
-	// staged holds each relation's next-generation layout between Prepare
-	// and Cutover, keyed by relation name.
-	staged map[string]*stagedRelation
+	// staged holds each relation's next-generation placement between
+	// Prepare and Cutover, keyed by relation name.
+	staged map[string]core.Placement
 }
 
 // Prepare rebuilds every relation's placement at the new membership size,
@@ -111,33 +106,30 @@ func (x *elasticExec) Prepare(t rebalance.Transition) (rebalance.Plan, error) {
 	m := x.m
 	cfg := m.Cfg
 	nNew := len(t.Members)
-	x.staged = make(map[string]*stagedRelation, len(m.relations))
+	x.staged = make(map[string]core.Placement, len(m.relations))
 	var plan rebalance.Plan
 	for _, entry := range m.relations {
+		name := entry.rel.Name
 		newPl, err := cfg.Elastic.Rebuild(entry.rel, nNew)
 		if err != nil {
-			return rebalance.Plan{}, fmt.Errorf("gamma: rebuild %s at %d nodes: %w", entry.rel.Name, nNew, err)
+			return rebalance.Plan{}, fmt.Errorf("gamma: rebuild %s at %d nodes: %w", name, nNew, err)
 		}
 		if newPl.Processors() != nNew {
 			return rebalance.Plan{}, fmt.Errorf("gamma: rebuild %s returned a %d-processor placement, want %d",
-				entry.rel.Name, newPl.Processors(), nNew)
+				name, newPl.Processors(), nNew)
 		}
-		ne, err := distribute(entry.rel, newPl)
+		d, err := distribute(entry.rel, newPl)
 		if err != nil {
 			return rebalance.Plan{}, err
 		}
-		x.staged[entry.rel.Name] = &stagedRelation{
-			placement:  newPl,
-			fragTuples: ne.fragTuples,
-			auxByAttr:  ne.auxByAttr,
-		}
+		x.staged[name] = newPl
 
 		// Locate every tuple's serving copy: old slot -> physical node via
 		// the current topology, page via the fragment layout.
 		type loc struct{ node, page int }
 		oldLoc := make(map[int64]loc, len(entry.rel.Tuples))
 		for _, phys := range x.topo {
-			frag := m.Nodes[phys].Fragment(entry.rel.Name)
+			frag := m.Nodes[phys].Fragment(name)
 			if frag == nil {
 				continue
 			}
@@ -147,37 +139,33 @@ func (x *elasticExec) Prepare(t rebalance.Transition) (rebalance.Plan, error) {
 		}
 
 		// Stage the next generation's primary fragments and collect the
-		// tuples whose physical home changes.
+		// tuples whose physical home changes. The staged fragments are new
+		// objects on the run's allocators, laid out after the image.
 		var moves []rebalance.TupleMove
 		newFrags := make([]*storage.Fragment, nNew)
 		for slot := 0; slot < nNew; slot++ {
 			phys := t.Members[slot]
-			alloc := m.allocs[phys]
-			frag := storage.BuildFragment(slot, ne.fragTuples[slot], cfg.ClusteredAttr, cfg.Layout, alloc)
-			frag.AddIndex(cfg.ClusteredAttr, alloc)
-			for _, a := range cfg.NonClusteredAttrs {
-				frag.AddIndex(a, alloc)
-			}
-			m.Nodes[phys].StageFragment(entry.rel.Name, frag)
-			m.attachFragHeat(entry.rel.Name, phys, frag, false)
-			newFrags[slot] = frag
-			for i, tup := range frag.Tuples {
+			n := m.Nodes[phys]
+			s := d.buildSlot(&cfg, slot, m.allocs[phys])
+			n.StageFragment(name, s.frag)
+			m.attachFragHeat(n, name, s.frag, false)
+			newFrags[slot] = s.frag
+			for i, tup := range s.frag.Tuples {
 				old, ok := oldLoc[tup.TID]
 				if !ok {
-					return rebalance.Plan{}, fmt.Errorf("gamma: tuple %d of %s has no serving copy", tup.TID, entry.rel.Name)
+					return rebalance.Plan{}, fmt.Errorf("gamma: tuple %d of %s has no serving copy", tup.TID, name)
 				}
 				if old.node == phys {
 					continue // same-node re-layout: no cross-node I/O
 				}
 				moves = append(moves, rebalance.TupleMove{
 					Src: old.node, Dst: phys,
-					SrcPage: old.page, DstPage: frag.DataPageOfSlot(i),
+					SrcPage: old.page, DstPage: s.frag.DataPageOfSlot(i),
 				})
 			}
-			for attr, perProc := range ne.auxByAttr {
-				aux := storage.BuildAux(slot, perProc[slot], cfg.Layout, alloc)
-				m.Nodes[phys].StageAux(entry.rel.Name, attr, aux)
-				m.attachAuxHeat(entry.rel.Name, phys, aux)
+			for k, attr := range d.auxAttrs {
+				n.StageAux(name, attr, s.aux[k])
+				m.attachAuxHeat(n, name, s.aux[k])
 			}
 		}
 		plan.Merge(rebalance.BuildPlan(moves))
@@ -195,26 +183,21 @@ func (x *elasticExec) Prepare(t rebalance.Transition) (rebalance.Plan, error) {
 					continue
 				}
 				phys := t.Members[b]
-				alloc := m.allocs[phys]
-				frag := storage.BuildFragment(slot, ne.fragTuples[slot], cfg.ClusteredAttr, cfg.Layout, alloc)
-				frag.AddIndex(cfg.ClusteredAttr, alloc)
-				for _, a := range cfg.NonClusteredAttrs {
-					frag.AddIndex(a, alloc)
-				}
-				m.Nodes[phys].StageBackupFragment(entry.rel.Name, frag)
-				m.attachFragHeat(entry.rel.Name, phys, frag, true)
+				n := m.Nodes[phys]
+				s := d.buildSlot(&cfg, slot, m.allocs[phys])
+				n.StageBackupFragment(name, s.frag)
+				m.attachFragHeat(n, name, s.frag, true)
 				src := t.Members[slot]
 				primary := newFrags[slot]
-				for i := range frag.Tuples {
+				for i := range s.frag.Tuples {
 					repl = append(repl, rebalance.TupleMove{
 						Src: src, Dst: phys,
-						SrcPage: primary.DataPageOfSlot(i), DstPage: frag.DataPageOfSlot(i),
+						SrcPage: primary.DataPageOfSlot(i), DstPage: s.frag.DataPageOfSlot(i),
 					})
 				}
-				for attr, perProc := range ne.auxByAttr {
-					aux := storage.BuildAux(slot, perProc[slot], cfg.Layout, alloc)
-					m.Nodes[phys].StageBackupAux(entry.rel.Name, attr, aux)
-					m.attachAuxHeat(entry.rel.Name, phys, aux)
+				for k, attr := range d.auxAttrs {
+					n.StageBackupAux(name, attr, s.aux[k])
+					m.attachAuxHeat(n, name, s.aux[k])
 				}
 			}
 			plan.Merge(rebalance.BuildPlan(repl))
@@ -224,32 +207,31 @@ func (x *elasticExec) Prepare(t rebalance.Transition) (rebalance.Plan, error) {
 }
 
 // Cutover installs the staged generation: every node flips its placement
-// maps, the host repoints each relation at its new placement and adopts
-// the new slot->node topology, and the machine's relation entries advance
-// so a subsequent Prepare plans from the new layout.
+// maps, and the host repoints each relation at its new placement and
+// adopts the new slot->node topology, so a subsequent Prepare plans from
+// the new layout. The machine's relation entries keep the built placement
+// and image for the next run.
 func (x *elasticExec) Cutover(t rebalance.Transition) {
 	m := x.m
 	for _, n := range m.Nodes {
 		n.CutoverPlacement(t.Gen)
 	}
 	for _, entry := range m.relations {
-		ne := x.staged[entry.rel.Name]
-		entry.placement = ne.placement
-		entry.fragTuples = ne.fragTuples
-		entry.auxByAttr = ne.auxByAttr
-		m.Host.SetPlacement(entry.rel.Name, ne.placement)
+		m.Host.SetPlacement(entry.rel.Name, x.staged[entry.rel.Name])
 	}
 	m.Host.SetTopology(append([]int(nil), t.Members...), t.Gen)
 	x.topo = append([]int(nil), t.Members...)
 	x.staged = nil
 }
 
-// attachFragHeat wires a staged fragment into the heat map (no-op when
-// heat accounting is off). The accumulator is keyed by physical node, so
+// attachFragHeat wires a fragment held by node n (its primary, or with
+// backup its chain replica) into the heat map (no-op when heat accounting
+// is off). The accumulator is keyed by the physical node whose disk holds
+// the fragment, so a replica's heat sums into its holder's disk totals and
 // a fragment migrating between nodes shows up as heat moving with it —
 // which is what keeps querytrace -frags and plan explain in agreement
 // mid-rebalance.
-func (m *Machine) attachFragHeat(relation string, phys int, frag *storage.Fragment, backup bool) {
+func (m *Machine) attachFragHeat(n *exec.Node, relation string, frag *storage.Fragment, backup bool) {
 	if m.Heat == nil {
 		return
 	}
@@ -257,19 +239,21 @@ func (m *Machine) attachFragHeat(relation string, phys int, frag *storage.Fragme
 	if backup {
 		kind = obs.FragBackup
 	}
-	fh := m.Heat.Frag(relation, phys, kind)
+	fh := m.Heat.Frag(relation, n.ID, kind)
 	fh.AddSize(int64(frag.FootprintPages()))
-	m.Nodes[phys].AttachHeat(relation, kind, fh)
+	n.AttachHeat(relation, kind, fh)
 }
 
-// attachAuxHeat does the same for a staged BERD auxiliary.
-func (m *Machine) attachAuxHeat(relation string, phys int, aux *storage.AuxFragment) {
+// attachAuxHeat does the same for a BERD auxiliary tree. Primary and
+// backup auxiliaries on one node share its aux accumulator: both live on
+// the same disk and serve the same trees.
+func (m *Machine) attachAuxHeat(n *exec.Node, relation string, aux *storage.AuxFragment) {
 	if m.Heat == nil {
 		return
 	}
-	ah := m.Heat.Frag(relation, phys, obs.FragAux)
+	ah := m.Heat.Frag(relation, n.ID, obs.FragAux)
 	ah.AddSize(int64(aux.FootprintPages()))
-	m.Nodes[phys].AttachHeat(relation, obs.FragAux, ah)
+	n.AttachHeat(relation, obs.FragAux, ah)
 }
 
 // registerRebalanceSeries adds migration telemetry to the sampler: the

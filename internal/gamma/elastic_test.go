@@ -132,6 +132,30 @@ func TestElasticRunDeterministic(t *testing.T) {
 	}
 }
 
+// A join moves the serving generation to nine slots for the rest of that
+// run only: the next run starts again from the built eight-slot placement
+// and storage image, so it replays the first run exactly.
+func TestElasticRunTwiceAfterJoin(t *testing.T) {
+	rel := elasticRelation(t)
+	m := buildRange(t, rel, elasticConfig(rebalance.Event{At: 100 * sim.Millisecond, Kind: rebalance.Join}))
+	mix := workload.LowLow(rel.Cardinality())
+	spec := RunSpec{MPL: 4, WarmupQueries: 5, MeasureQueries: 400}
+	a, err := m.Run(mix, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Rebalance == nil || len(a.Rebalance.Tasks) != 1 || a.Rebalance.Tasks[0].Err != "" {
+		t.Fatalf("first run's rebalance report = %+v, want one clean join", a.Rebalance)
+	}
+	b, err := m.Run(mix, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("second run after a join diverges:\n%+v\n%+v", a, b)
+	}
+}
+
 // Post-rebalance placement equals a from-scratch build at the new node
 // count: each member's fragment holds exactly the tuples a fresh range
 // partitioning over the surviving membership would assign to its slot.

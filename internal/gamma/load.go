@@ -89,8 +89,9 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 		// Shipping: every tuple crosses the network to its home (tuples
 		// landing on node 0 stay local). Modeled as the bulk packet count
 		// per destination rather than per-tuple sends.
+		info, _ := m.Catalog.Lookup(m.Relation.Name)
 		for node := 1; node < len(m.Nodes); node++ { // fixed order: determinism
-			bytes := params.TupleBytes(len(m.relations[0].fragTuples[node]))
+			bytes := params.TupleBytes(info.Nodes[node].Tuples)
 			if bytes == 0 {
 				continue
 			}
@@ -101,7 +102,6 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 		// Each node writes its data, index and auxiliary pages. The writes
 		// proceed in parallel across nodes; the loader waits for all.
 		gate := sim.NewGate(eng, len(m.Nodes))
-		info, _ := m.Catalog.Lookup(m.Relation.Name)
 		for i, n := range m.Nodes {
 			node := n
 			pages := info.Nodes[i].TotalPages()

@@ -111,12 +111,39 @@ func DefaultConfig() Config {
 	}
 }
 
-// relationEntry is one declustered relation of the machine.
+// relationEntry is one declustered relation of the machine together with
+// its storage image: every fragment, index and auxiliary tree, laid out
+// once by Build or AddRelation and shared read-only by every run.
 type relationEntry struct {
-	rel        *storage.Relation
-	placement  core.Placement
-	fragTuples map[int][]storage.Tuple
-	auxByAttr  map[int]map[int][]storage.AuxEntry
+	rel       *storage.Relation
+	placement core.Placement
+	// info is the relation's System Catalog entry, registered into each
+	// run's fresh catalog.
+	info *catalog.RelationInfo
+	// auxAttrs are the BERD secondary attributes in ascending order; every
+	// slotImage.aux is indexed like it.
+	auxAttrs []int
+	// primary[i] is placement slot i's storage on node i. backup[i] is the
+	// same slot's chain replica on node core.ChainBackup(i, p); backup is
+	// empty without ChainedReplicas.
+	primary []slotImage
+	backup  []slotImage
+}
+
+// slotImage is one placement slot's laid-out storage: the fragment with its
+// indexes, and one BERD auxiliary tree per relationEntry.auxAttrs.
+type slotImage struct {
+	frag *storage.Fragment
+	aux  []*storage.AuxFragment
+}
+
+// declustered is a relation split by placement slot: each slot's tuples in
+// relation order and, for BERD, each secondary attribute's auxiliary
+// entries per slot.
+type declustered struct {
+	tuples   [][]storage.Tuple
+	auxAttrs []int
+	aux      map[int]map[int][]storage.AuxEntry
 }
 
 // Machine is one assembled simulation instance: build it with Build (and
@@ -153,60 +180,176 @@ type Machine struct {
 	Rebalancer *rebalance.Controller
 
 	relations []*relationEntry
-	// allocs are the per-physical-node page allocators, retained so
-	// elastic transitions can stage next-generation fragments on the same
-	// disks the build laid out.
+	// imagePages is each node's page count after the storage image: the
+	// next relation's layout, and each run's allocators, start there.
+	imagePages []int
+	// allocs are the per-physical-node page allocators of the current run,
+	// retained so elastic transitions can stage next-generation fragments
+	// on the same disks, after the image's pages.
 	allocs []*storage.Allocator
 }
 
-// distribute assigns every tuple its home processor and builds the BERD
-// auxiliary assignments when applicable.
-func distribute(rel *storage.Relation, placement core.Placement) (*relationEntry, error) {
+// distribute assigns every tuple its home processor — one HomeOf call per
+// tuple, counted first so every slot's slice is allocated at its exact
+// size — and builds the BERD auxiliary assignments when applicable.
+func distribute(rel *storage.Relation, placement core.Placement) (*declustered, error) {
 	p := placement.Processors()
-	e := &relationEntry{
-		rel:        rel,
-		placement:  placement,
-		fragTuples: make(map[int][]storage.Tuple, p),
-	}
-	for _, t := range rel.Tuples {
-		home := placement.HomeOf(t)
+	homes := make([]int, len(rel.Tuples))
+	counts := make([]int, p)
+	for i := range rel.Tuples {
+		home := placement.HomeOf(rel.Tuples[i])
 		if home < 0 || home >= p {
 			return nil, fmt.Errorf("gamma: placement sent tuple %d to processor %d of %d",
-				t.TID, home, p)
+				rel.Tuples[i].TID, home, p)
 		}
-		e.fragTuples[home] = append(e.fragTuples[home], t)
+		homes[i] = home
+		counts[home]++
+	}
+	d := &declustered{tuples: make([][]storage.Tuple, p)}
+	for slot, n := range counts {
+		d.tuples[slot] = make([]storage.Tuple, 0, n)
+	}
+	for i, home := range homes {
+		d.tuples[home] = append(d.tuples[home], rel.Tuples[i])
 	}
 	if berd, ok := placement.(*core.BERDPlacement); ok {
-		e.auxByAttr = berd.AuxAssignments(rel)
+		d.auxAttrs = berd.SecondaryAttrs()
+		d.aux = berd.AuxAssignments(rel)
 	}
-	return e, nil
+	return d, nil
 }
 
-// Build declusters the relation according to the placement and constructs
-// the machine. The expensive parts (tuple distribution, BERD auxiliary
-// construction) happen once; the simulation engine itself is rebuilt per
-// Run so successive runs are independent.
+// buildSlot lays out one slot's storage on alloc, in the page order every
+// layout uses: the data pages, the clustered index, the non-clustered
+// indexes, then one auxiliary tree per secondary attribute in ascending
+// attribute order.
+func (d *declustered) buildSlot(cfg *Config, slot int, alloc *storage.Allocator) slotImage {
+	frag := storage.BuildFragment(slot, d.tuples[slot], cfg.ClusteredAttr, cfg.Layout, alloc)
+	frag.AddIndex(cfg.ClusteredAttr, alloc)
+	for _, a := range cfg.NonClusteredAttrs {
+		frag.AddIndex(a, alloc)
+	}
+	s := slotImage{frag: frag}
+	for _, attr := range d.auxAttrs {
+		s.aux = append(s.aux, storage.BuildAux(slot, d.aux[attr][slot], cfg.Layout, alloc))
+	}
+	return s
+}
+
+// Build declusters the relation according to the placement, lays out its
+// storage image (fragments, B+-trees, BERD auxiliaries, chain replicas)
+// once, and constructs the machine. Every Run shares that image read-only
+// and rebuilds only the engine, hardware and buffers, so successive runs
+// are independent. The storage-shaping fields of cfg (Layout,
+// ClusteredAttr, NonClusteredAttrs, ChainedReplicas) take effect here;
+// changing them on Machine.Cfg afterwards does not re-lay the image.
 func Build(rel *storage.Relation, placement core.Placement, cfg Config) (*Machine, error) {
 	if err := cfg.Validate(placement.Processors()); err != nil {
 		return nil, err
 	}
-	entry, err := distribute(rel, placement)
-	if err != nil {
-		return nil, err
-	}
 	m := &Machine{
-		Cfg:       cfg,
-		Relation:  rel,
-		Placement: placement,
-		relations: []*relationEntry{entry},
+		Cfg:        cfg,
+		Relation:   rel,
+		Placement:  placement,
+		imagePages: make([]int, placement.Processors()),
+	}
+	if err := m.layout(rel, placement); err != nil {
+		return nil, err
 	}
 	m.reset()
 	return m, nil
 }
 
+// layout distributes a relation and appends its storage image, continuing
+// each node's page numbering after the relations laid out before it. Per
+// node, the pages come in this order: each slot's storage (see buildSlot),
+// then the chain replica the node holds for its predecessor.
+func (m *Machine) layout(rel *storage.Relation, placement core.Placement) error {
+	d, err := distribute(rel, placement)
+	if err != nil {
+		return err
+	}
+	cfg := &m.Cfg
+	p := placement.Processors()
+	allocs := make([]*storage.Allocator, p)
+	for i := range allocs {
+		allocs[i] = m.imageAllocator(i)
+	}
+	e := &relationEntry{
+		rel:       rel,
+		placement: placement,
+		auxAttrs:  d.auxAttrs,
+		primary:   make([]slotImage, p),
+		info: &catalog.RelationInfo{
+			Name:        rel.Name,
+			Cardinality: rel.Cardinality(),
+			Placement:   placement,
+			Nodes:       make(map[int]catalog.NodeStats, p),
+		},
+	}
+	for i := 0; i < p; i++ {
+		e.primary[i] = d.buildSlot(cfg, i, allocs[i])
+		e.info.Nodes[i] = nodeStats(cfg, e.primary[i])
+	}
+	// Chained declustering: mirror slot i's fragment (and auxiliaries) on
+	// its chain successor, laid out on the successor's own disk. The
+	// replica holds the same tuples keyed by the same primary home, so a
+	// rerouted operator returns the identical result.
+	if cfg.ChainedReplicas {
+		e.backup = make([]slotImage, p)
+		for i := 0; i < p; i++ {
+			if b := core.ChainBackup(i, p); b >= 0 {
+				e.backup[i] = d.buildSlot(cfg, i, allocs[b])
+			}
+		}
+	}
+	for i, a := range allocs {
+		m.imagePages[i] = a.Used()
+	}
+	m.relations = append(m.relations, e)
+	return nil
+}
+
+// nodeStats is the catalog's record of one slot's storage: tuple and page
+// counts plus index and auxiliary metadata.
+func nodeStats(cfg *Config, s slotImage) catalog.NodeStats {
+	ns := catalog.NodeStats{
+		Tuples:    s.frag.NumTuples(),
+		DataPages: s.frag.NumDataPages(),
+	}
+	for _, attr := range append([]int{cfg.ClusteredAttr}, cfg.NonClusteredAttrs...) {
+		if ix := s.frag.Index(attr); ix != nil {
+			ns.Indexes = append(ns.Indexes, catalog.IndexInfo{
+				Attr:      attr,
+				Name:      storage.AttrName(attr),
+				Clustered: ix.Clustered,
+				Pages:     ix.Tree.Pages(),
+				Height:    ix.Tree.Height(),
+			})
+		}
+	}
+	for _, aux := range s.aux {
+		ns.AuxEntries += aux.Entries
+		ns.AuxPages += aux.Tree.Pages()
+	}
+	return ns
+}
+
+// imageAllocator returns a page allocator for node's disk positioned just
+// after the storage image's pages (at page 0 on a node the image does not
+// touch, such as an elastic standby).
+func (m *Machine) imageAllocator(node int) *storage.Allocator {
+	a := storage.NewAllocator(m.Cfg.HW.PagesPerDisk())
+	if node < len(m.imagePages) {
+		a.AllocRun(m.imagePages[node])
+	}
+	return a
+}
+
 // AddRelation declusters a further relation onto the same machine (its
-// placement must span the same processors) and rebuilds the simulation
-// state. Relation names must be unique.
+// placement must span the same processors), lays out its storage image
+// after the existing relations' pages, and rebuilds the simulation state.
+// Relation names must be unique.
 func (m *Machine) AddRelation(rel *storage.Relation, placement core.Placement) error {
 	if placement.Processors() != m.Placement.Processors() {
 		return fmt.Errorf("gamma: relation %s declustered over %d processors, machine has %d",
@@ -217,25 +360,28 @@ func (m *Machine) AddRelation(rel *storage.Relation, placement core.Placement) e
 			return fmt.Errorf("gamma: relation %s already on the machine", rel.Name)
 		}
 	}
-	entry, err := distribute(rel, placement)
-	if err != nil {
+	if err := m.layout(rel, placement); err != nil {
 		return err
 	}
-	m.relations = append(m.relations, entry)
 	m.reset()
 	return nil
 }
 
-// Reset rebuilds the simulation engine, hardware, and storage so direct
-// users of Machine.Eng/Host (single-query probes, joins) can start from a
-// cold, deterministic state; Run and RunOpen call it implicitly.
+// Reset rebuilds the simulation engine, hardware and buffer pools, and
+// reattaches the machine's storage image, so direct users of
+// Machine.Eng/Host (single-query probes, joins) can start from a cold,
+// deterministic state; Run and RunOpen call it implicitly.
 func (m *Machine) Reset() { m.reset() }
 
-// reset rebuilds the simulation engine, hardware, and storage so a Run
-// starts from a cold, deterministic state. Server processes of the previous
-// engine (operator managers, NIC receivers) stay parked on the abandoned
-// engine and are reclaimed with it; only their goroutine stacks linger
-// until process exit, which is negligible at experiment scale.
+// reset gives the next run a cold, deterministic machine: a new engine,
+// CPUs, network, disks, buffer pools, operator nodes, host, catalog, heat
+// accumulators, fault injector, sampler and rebalancer. The storage image
+// is not rebuilt: the nodes attach the image's read-only fragments and
+// auxiliary trees, and each disk's allocator resumes after the image's
+// pages. Server processes of the previous engine (operator managers, NIC
+// receivers) stay parked on the abandoned engine; their goroutines are
+// never reclaimed and keep that run's engine, nodes and buffer pools
+// reachable until process exit.
 func (m *Machine) reset() {
 	cfg := m.Cfg
 	p := m.Placement.Processors()
@@ -270,109 +416,45 @@ func (m *Machine) reset() {
 		disk.SetNode(i)
 		pool := buffer.NewPool(eng, fmt.Sprintf("buf%d", i), cfg.BufferPages, disk)
 		nodes[i] = exec.NewNode(eng, i, cfg.HW, cfg.Costs, net, cpus[i], disk, pool)
-		allocs[i] = storage.NewAllocator(cfg.HW.PagesPerDisk())
+		allocs[i] = m.imageAllocator(i)
 	}
 
 	// Fragment heat accounting: one accumulator per physical fragment,
-	// attached as the fragments are built below. Gated so a heat-free
-	// machine attaches nothing and the execution hot path sees only nil
-	// handles (whose increments no-op).
+	// attached with the fragments below. Gated so a heat-free machine
+	// attaches nothing and the execution hot path sees only nil handles
+	// (whose increments no-op).
 	m.Heat = nil
 	if cfg.Heat != nil {
 		m.Heat = obs.NewHeatMap()
 	}
 
-	// Lay out every relation on every node and register each in the System
-	// Catalog (Figure 7): per-disk tuple/page counts and index metadata.
-	for _, entry := range m.relations {
-		info := &catalog.RelationInfo{
-			Name:        entry.rel.Name,
-			Cardinality: entry.rel.Cardinality(),
-			Placement:   entry.placement,
-			Nodes:       make(map[int]catalog.NodeStats, p),
-		}
-		// Standby nodes (index >= p) start empty: they hold no fragments
-		// until a join transition stages a new generation onto them.
-		for i := 0; i < p; i++ {
-			n := nodes[i]
-			alloc := allocs[i]
-			frag := storage.BuildFragment(i, entry.fragTuples[i], cfg.ClusteredAttr, cfg.Layout, alloc)
-			frag.AddIndex(cfg.ClusteredAttr, alloc)
-			for _, a := range cfg.NonClusteredAttrs {
-				frag.AddIndex(a, alloc)
-			}
-			n.AddFragment(entry.rel.Name, frag)
-			if m.Heat != nil {
-				fh := m.Heat.Frag(entry.rel.Name, i, obs.FragPrimary)
-				fh.AddSize(int64(frag.FootprintPages()))
-				n.AttachHeat(entry.rel.Name, obs.FragPrimary, fh)
-			}
-			ns := catalog.NodeStats{
-				Tuples:    frag.NumTuples(),
-				DataPages: frag.NumDataPages(),
-			}
-			for _, attr := range append([]int{cfg.ClusteredAttr}, cfg.NonClusteredAttrs...) {
-				if ix := frag.Index(attr); ix != nil {
-					ns.Indexes = append(ns.Indexes, catalog.IndexInfo{
-						Attr:      attr,
-						Name:      storage.AttrName(attr),
-						Clustered: ix.Clustered,
-						Pages:     ix.Tree.Pages(),
-						Height:    ix.Tree.Height(),
-					})
-				}
-			}
-			for attr, perProc := range entry.auxByAttr {
-				aux := storage.BuildAux(i, perProc[i], cfg.Layout, alloc)
-				n.AddAux(entry.rel.Name, attr, aux)
-				if m.Heat != nil {
-					ah := m.Heat.Frag(entry.rel.Name, i, obs.FragAux)
-					ah.AddSize(int64(aux.FootprintPages()))
-					n.AttachHeat(entry.rel.Name, obs.FragAux, ah)
-				}
-				ns.AuxEntries += aux.Entries
-				ns.AuxPages += aux.Tree.Pages()
-			}
-			info.Nodes[i] = ns
-		}
-		// Chained declustering: mirror node i's fragment (and auxiliaries)
-		// on its chain successor, laid out on the successor's own disk. The
-		// replica holds the same tuples keyed by the same primary home, so a
-		// rerouted operator returns the identical result.
-		if cfg.ChainedReplicas {
-			for i := 0; i < p; i++ {
-				b := core.ChainBackup(i, p)
-				if b < 0 {
-					continue
-				}
-				alloc := allocs[b]
-				frag := storage.BuildFragment(i, entry.fragTuples[i], cfg.ClusteredAttr, cfg.Layout, alloc)
-				frag.AddIndex(cfg.ClusteredAttr, alloc)
-				for _, a := range cfg.NonClusteredAttrs {
-					frag.AddIndex(a, alloc)
-				}
-				nodes[b].AddBackupFragment(entry.rel.Name, frag)
-				if m.Heat != nil {
-					// Keyed by node b: the replica lives on b's disk, so
-					// its heat sums into b's disk totals.
-					bh := m.Heat.Frag(entry.rel.Name, b, obs.FragBackup)
-					bh.AddSize(int64(frag.FootprintPages()))
-					nodes[b].AttachHeat(entry.rel.Name, obs.FragBackup, bh)
-				}
-				for attr, perProc := range entry.auxByAttr {
-					aux := storage.BuildAux(i, perProc[i], cfg.Layout, alloc)
-					nodes[b].AddBackupAux(entry.rel.Name, attr, aux)
-					if m.Heat != nil {
-						// Backup aux shares node b's aux accumulator: both
-						// live on the same disk and serve the same trees.
-						ah := m.Heat.Frag(entry.rel.Name, b, obs.FragAux)
-						ah.AddSize(int64(aux.FootprintPages()))
-						nodes[b].AttachHeat(entry.rel.Name, obs.FragAux, ah)
-					}
-				}
+	// Attach every relation's storage image to its nodes and register it
+	// in the System Catalog (Figure 7). Standby nodes (index >= p) start
+	// empty: they hold no fragments until a join transition stages a new
+	// generation onto them.
+	for _, e := range m.relations {
+		name := e.rel.Name
+		for i, s := range e.primary {
+			nodes[i].AddFragment(name, s.frag)
+			m.attachFragHeat(nodes[i], name, s.frag, false)
+			for k, attr := range e.auxAttrs {
+				nodes[i].AddAux(name, attr, s.aux[k])
+				m.attachAuxHeat(nodes[i], name, s.aux[k])
 			}
 		}
-		if err := cat.Register(info); err != nil {
+		for i, s := range e.backup {
+			b := core.ChainBackup(i, p)
+			if b < 0 {
+				continue
+			}
+			nodes[b].AddBackupFragment(name, s.frag)
+			m.attachFragHeat(nodes[b], name, s.frag, true)
+			for k, attr := range e.auxAttrs {
+				nodes[b].AddBackupAux(name, attr, s.aux[k])
+				m.attachAuxHeat(nodes[b], name, s.aux[k])
+			}
+		}
+		if err := cat.Register(e.info); err != nil {
 			panic(err) // unreachable: names deduplicated in AddRelation
 		}
 	}

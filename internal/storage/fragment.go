@@ -1,8 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/btree"
 )
@@ -97,8 +98,8 @@ func BuildFragment(node int, tuples []Tuple, clusteredAttr int, layout Layout, a
 		panic("storage: layout.TuplesPerPage must be positive")
 	}
 	ts := append([]Tuple(nil), tuples...)
-	sort.SliceStable(ts, func(i, j int) bool {
-		return ts[i].Attrs[clusteredAttr] < ts[j].Attrs[clusteredAttr]
+	slices.SortStableFunc(ts, func(a, b Tuple) int {
+		return cmp.Compare(a.Attrs[clusteredAttr], b.Attrs[clusteredAttr])
 	})
 	pages := (len(ts) + layout.TuplesPerPage - 1) / layout.TuplesPerPage
 	base := 0
@@ -138,7 +139,7 @@ func (f *Fragment) AddIndex(attr int, alloc *Allocator) *Index {
 		entries[slot] = btree.Entry{Key: t.Attrs[attr], Val: val}
 	}
 	if !clustered {
-		sort.SliceStable(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
+		slices.SortStableFunc(entries, func(a, b btree.Entry) int { return cmp.Compare(a.Key, b.Key) })
 	}
 	tree := btree.New(f.layout.IndexFanout, f.layout.IndexLeafCap, alloc.Alloc)
 	tree.Bulk(entries)
@@ -280,7 +281,7 @@ type AuxEntry struct {
 // leaf values encode (proc, tid).
 func BuildAux(node int, entries []AuxEntry, layout Layout, alloc *Allocator) *AuxFragment {
 	es := append([]AuxEntry(nil), entries...)
-	sort.SliceStable(es, func(i, j int) bool { return es[i].Value < es[j].Value })
+	slices.SortStableFunc(es, func(a, b AuxEntry) int { return cmp.Compare(a.Value, b.Value) })
 	bes := make([]btree.Entry, len(es))
 	for i, e := range es {
 		bes[i] = btree.Entry{Key: e.Value, Val: packAux(e.Proc, e.TID)}

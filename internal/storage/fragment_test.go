@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -282,5 +284,127 @@ func TestScanEmptyFragment(t *testing.T) {
 	acc := f.Scan(Ten, 0, 9)
 	if len(acc.Tuples) != 0 || len(acc.DataPages) != 0 {
 		t.Fatal("empty fragment scan returned something")
+	}
+}
+
+// FuzzFragmentBuild checks fragment, index and auxiliary construction on
+// tuples decoded from the fuzz input: three bytes per tuple give its
+// clustered key (unique2), non-clustered key (unique1) and auxiliary value,
+// all reduced into a domain of 1-8 values so keys repeat. The slot order
+// must equal a sort.SliceStable reference, and every access method must
+// return exactly a brute-force filter of that reference, in its order.
+func FuzzFragmentBuild(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 0, 1, 2, 3, 0, 0, 1, 1, 1}, uint8(4), uint8(1), uint8(2))
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7}, uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, domain, lo, width uint8) {
+		const maxTuples = 400
+		dom := 1 + int64(domain)%8
+		n := len(data) / 3
+		if n > maxTuples {
+			n = maxTuples
+		}
+		tuples := make([]Tuple, n)
+		entries := make([]AuxEntry, n)
+		for i := range tuples {
+			b := data[3*i : 3*i+3]
+			tuples[i].TID = int64(i)
+			tuples[i].Attrs[Unique2] = int64(b[0]) % dom
+			tuples[i].Attrs[Unique1] = int64(b[1]) % dom
+			entries[i] = AuxEntry{Value: int64(b[2]) % dom, TID: int64(i), Proc: int(b[2] >> 4)}
+		}
+		// The query range may start below the domain and end above it.
+		qlo := int64(lo)%(dom+2) - 1
+		qhi := qlo + int64(width)%(dom+2)
+
+		layout := smallLayout()
+		alloc := NewAllocator(100000)
+		frag := BuildFragment(0, tuples, Unique2, layout, alloc)
+		frag.AddIndex(Unique2, alloc)
+		frag.AddIndex(Unique1, alloc)
+
+		slots := append([]Tuple(nil), tuples...)
+		sort.SliceStable(slots, func(i, j int) bool { return slots[i].Attrs[Unique2] < slots[j].Attrs[Unique2] })
+		if !reflect.DeepEqual(frag.Tuples, slots) {
+			t.Fatalf("slot order differs from the stable reference")
+		}
+		pageOf := func(slot int) int { return frag.DataPageOfSlot(slot) }
+
+		// Clustered: qualifying slots in slot order, each data page once.
+		var wantTuples []Tuple
+		var wantPages []int
+		for slot, tup := range slots {
+			if k := tup.Attrs[Unique2]; k >= qlo && k <= qhi {
+				wantTuples = append(wantTuples, tup)
+				if len(wantPages) == 0 || wantPages[len(wantPages)-1] != pageOf(slot) {
+					wantPages = append(wantPages, pageOf(slot))
+				}
+			}
+		}
+		acc, err := frag.SearchClustered(qlo, qhi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAccess(t, "clustered", acc, wantTuples, wantPages)
+
+		// Non-clustered: qualifying slots stably ordered by unique1, one
+		// data page per tuple.
+		order := make([]int, len(slots))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(i, j int) bool {
+			return slots[order[i]].Attrs[Unique1] < slots[order[j]].Attrs[Unique1]
+		})
+		wantTuples, wantPages = nil, nil
+		var tids []int64
+		for _, slot := range order {
+			if k := slots[slot].Attrs[Unique1]; k >= qlo && k <= qhi {
+				wantTuples = append(wantTuples, slots[slot])
+				wantPages = append(wantPages, pageOf(slot))
+				tids = append(tids, slots[slot].TID)
+			}
+		}
+		acc, err = frag.SearchNonClustered(Unique1, qlo, qhi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAccess(t, "non-clustered", acc, wantTuples, wantPages)
+
+		// TID fetch returns the requested tuples in request order.
+		acc, err = frag.FetchTIDs(tids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAccess(t, "fetch", acc, wantTuples, wantPages)
+
+		// Auxiliary: qualifying entries stably ordered by value.
+		aux := BuildAux(0, entries, layout, alloc)
+		ref := append([]AuxEntry(nil), entries...)
+		sort.SliceStable(ref, func(i, j int) bool { return ref[i].Value < ref[j].Value })
+		var wantProcs []int
+		var wantTIDs []int64
+		for _, e := range ref {
+			if e.Value >= qlo && e.Value <= qhi {
+				wantProcs = append(wantProcs, e.Proc)
+				wantTIDs = append(wantTIDs, e.TID)
+			}
+		}
+		procs, gotTIDs, _ := aux.Lookup(qlo, qhi)
+		if !reflect.DeepEqual(procs, wantProcs) || !reflect.DeepEqual(gotTIDs, wantTIDs) {
+			t.Fatalf("aux lookup [%d, %d] = procs %v tids %v, want %v %v",
+				qlo, qhi, procs, gotTIDs, wantProcs, wantTIDs)
+		}
+	})
+}
+
+// checkAccess compares an access method's tuples and data pages with the
+// brute-force expectation.
+func checkAccess(t *testing.T, what string, acc Access, tuples []Tuple, pages []int) {
+	t.Helper()
+	if !reflect.DeepEqual(acc.Tuples, tuples) {
+		t.Fatalf("%s: got %d tuples %v, want %d %v", what, len(acc.Tuples), acc.Tuples, len(tuples), tuples)
+	}
+	if !reflect.DeepEqual(acc.DataPages, pages) {
+		t.Fatalf("%s: data pages %v, want %v", what, acc.DataPages, pages)
 	}
 }
