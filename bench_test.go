@@ -25,6 +25,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/gamma"
+	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -366,8 +367,8 @@ func BenchmarkOpenSystem(b *testing.B) {
 				}
 				var resp float64
 				for i := 0; i < b.N; i++ {
-					res, err := machine.RunOpen(mix, gamma.OpenRunSpec{
-						ArrivalRateQPS: rate,
+					res, err := machine.RunServe(mix, gamma.ServeSpec{
+						Arrival:        serve.ArrivalSpec{Kind: serve.Poisson, RateQPS: rate},
 						WarmupQueries:  opts.WarmupQueries / 2,
 						MeasureQueries: opts.MeasureQueries,
 						Seed:           opts.Seed,
@@ -375,7 +376,7 @@ func BenchmarkOpenSystem(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					resp = res.MeanResponseMS
+					resp = res.Serve.SLO.Latency.Mean
 				}
 				b.ReportMetric(resp, strat+"_resp_ms")
 			}

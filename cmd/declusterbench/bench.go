@@ -20,6 +20,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/rebalance"
 	"repro/internal/rng"
 	"repro/internal/serve"
@@ -261,14 +262,13 @@ func benchSharedScanBatch(b *testing.B) {
 	host.AddRelation(rel.Name, placement)
 	host.Start()
 	host.EnableSharing(2 * sim.Millisecond)
-	pred := core.Predicate{Attr: storage.Unique2, Lo: 40, Hi: 79}
-	chooser := func(core.Predicate) exec.AccessKind { return exec.AccessClustered }
+	query := plan.Select(rel.Name, core.Predicate{Attr: storage.Unique2, Lo: 40, Hi: 79}, plan.AccessClustered)
 	eng.Spawn("bench", func(p *sim.Proc) {
 		done := sim.NewMailbox[int](eng, "bench.done")
 		for i := 0; i < b.N; i++ {
 			for k := 0; k < 8; k++ {
 				eng.Spawn("q", func(qp *sim.Proc) {
-					host.Execute(qp, pred, chooser)
+					host.Submit(qp, query)
 					done.Put(1)
 				})
 			}
@@ -326,10 +326,10 @@ func benchMigrationStep(b *testing.B) {
 // accounting) from operator execution.
 type benchServeBackend struct{}
 
-func (benchServeBackend) Execute(p *sim.Proc, pred core.Predicate, access exec.AccessChooser) exec.QueryResult {
+func (benchServeBackend) Submit(p *sim.Proc, n *plan.Node) exec.QueryResult {
 	start := p.Now()
 	p.Hold(sim.Millisecond)
-	return exec.QueryResult{Pred: pred, Submitted: start, Completed: p.Now()}
+	return exec.QueryResult{Pred: n.Pred, Submitted: start, Completed: p.Now()}
 }
 
 // benchOpenArrivals measures the serving layer end to end: one op is one
@@ -344,11 +344,10 @@ func benchOpenArrivals(b *testing.B) {
 		SLOms:          100,
 		MeasureQueries: b.N,
 		MaxSimTime:     sim.Duration(b.N+1000) * sim.Millisecond,
-		Sample: func(src *rng.Source) (core.Predicate, string) {
+		Sample: func(src *rng.Source) (*plan.Node, string) {
 			lo := int64(src.Intn(1000))
-			return core.Predicate{Attr: 1, Lo: lo, Hi: lo}, "bench"
+			return plan.Select("bench", core.Predicate{Attr: 1, Lo: lo, Hi: lo}, plan.AccessClustered), "bench"
 		},
-		Access: func(core.Predicate) exec.AccessKind { return exec.AccessClustered },
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -375,11 +374,10 @@ func benchOpenArrivalsSampled(b *testing.B) {
 		MeasureQueries: b.N,
 		MaxSimTime:     sim.Duration(b.N+1000) * sim.Millisecond,
 		Telemetry:      obs.NewSampler(int64(250*sim.Millisecond), obs.DefaultCapacity),
-		Sample: func(src *rng.Source) (core.Predicate, string) {
+		Sample: func(src *rng.Source) (*plan.Node, string) {
 			lo := int64(src.Intn(1000))
-			return core.Predicate{Attr: 1, Lo: lo, Hi: lo}, "bench"
+			return plan.Select("bench", core.Predicate{Attr: 1, Lo: lo, Hi: lo}, plan.AccessClustered), "bench"
 		},
-		Access: func(core.Predicate) exec.AccessKind { return exec.AccessClustered },
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

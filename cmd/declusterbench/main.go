@@ -79,8 +79,9 @@
 //	-share-window D  batching window in simulated time (default: the gamma
 //	                 default, 5ms)
 //
-// Sharing rides the legacy scheduler, so -share is mutually exclusive with
-// every fault flag and with -open.
+// -share composes with -kill-disk, -kill-node and -mtbf (both runs of each
+// point see the same faults); it is mutually exclusive with -open, -faults
+// and -elastic, which select other campaigns.
 //
 // Elastic membership (DESIGN.md §13): serve an open arrival process while
 // the membership controller joins a standby node and decommissions a member
@@ -104,8 +105,8 @@
 // -lambda's first value is the offered load (default 100). -elastic is
 // mutually exclusive with -open, -share and -faults.
 //
-// Fault injection (all fault flags imply chained replicas and the degraded
-// scheduler; see DESIGN.md §8):
+// Fault injection (all fault flags imply chained replicas and arm the
+// scheduler's fault handling; see DESIGN.md §8):
 //
 //	-faults 0,1,2    run the degraded-mode campaign instead of the figure
 //	                 campaign: for each selected figure, sweep each strategy
@@ -174,7 +175,7 @@ func run() int {
 		plot        = flag.Bool("plot", false, "draw each figure as an ASCII chart")
 		jsonOut     = flag.String("json", "", "write results to a JSON archive")
 		compare     = flag.String("compare", "", "compare against a previous JSON archive")
-		tolerance   = flag.Float64("tolerance", 0.05, "relative drift threshold for -compare")
+		tolerance   = flag.Float64("tolerance", 0.05, "relative drift threshold for -compare (0: exact match)")
 		csv         = flag.Bool("csv", false, "emit CSV")
 		scaleout    = flag.Bool("scaleout", false, "run the machine-size sweep too")
 		nodeStats   = flag.Bool("node-stats", false, "print per-node utilization tables (highest MPL)")
@@ -299,8 +300,8 @@ func run() int {
 	if spec.Enabled() {
 		opts.ArmFaults(spec, true)
 	}
-	if *share && (spec.Enabled() || *faultsKs != "" || *open) {
-		return fail(fmt.Errorf("-share is mutually exclusive with fault flags and -open (sharing rides the legacy scheduler)"))
+	if *share && (*faultsKs != "" || *open) {
+		return fail(fmt.Errorf("-share is mutually exclusive with -open and -faults (one campaign mode per run)"))
 	}
 	if *elastic && (*open || *share || *faultsKs != "") {
 		return fail(fmt.Errorf("-elastic is mutually exclusive with -open, -share and -faults (one campaign mode per run)"))
@@ -311,6 +312,9 @@ func run() int {
 	sizes, err := parseSizes(*sizeList)
 	if err != nil {
 		return fail(err)
+	}
+	if *tolerance < 0 {
+		return fail(fmt.Errorf("negative -tolerance %g", *tolerance))
 	}
 	if *shareWindow < 0 {
 		return fail(fmt.Errorf("negative -share-window %v", *shareWindow))

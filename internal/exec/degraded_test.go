@@ -100,7 +100,7 @@ func (r *degradedRig) execute(t *testing.T) QueryResult {
 	t.Helper()
 	var res QueryResult
 	r.eng.Spawn("probe", func(p *sim.Proc) {
-		res = r.host.Execute(p, bothNodes, chooser)
+		res = r.host.Submit(p, selectOn(r.rel.Name, bothNodes))
 		r.eng.Stop()
 	})
 	if err := r.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
@@ -109,8 +109,8 @@ func (r *degradedRig) execute(t *testing.T) QueryResult {
 	return res
 }
 
-// With nothing broken the degraded scheduler must agree with the legacy
-// path's answer.
+// With nothing broken, the scheduler under an armed retry policy must agree
+// with its answer under the zero policy (no Degraded config).
 func TestDegradedHealthyMatchesLegacy(t *testing.T) {
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
 	legacy := newRig(t, core.NewRangeForRelation(rel, storage.Unique1, 2)).execute(t, bothNodes)

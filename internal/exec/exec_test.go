@@ -6,6 +6,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -70,11 +71,17 @@ func chooser(pred core.Predicate) AccessKind {
 	return AccessClustered
 }
 
+// selectOn is the selection plan a terminal submits: pred against the named
+// relation with the test workload's access method.
+func selectOn(relation string, pred core.Predicate) *plan.Node {
+	return plan.Select(relation, pred, chooser(pred))
+}
+
 func (r *rig) execute(t *testing.T, pred core.Predicate) QueryResult {
 	t.Helper()
 	var res QueryResult
 	r.eng.Spawn("probe", func(p *sim.Proc) {
-		res = r.host.Execute(p, pred, chooser)
+		res = r.host.Submit(p, selectOn(r.rel.Name, pred))
 		r.eng.Stop()
 	})
 	if err := r.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
@@ -139,7 +146,7 @@ func TestQueriesShareNodesConcurrently(t *testing.T) {
 	for q := 0; q < 4; q++ {
 		lo := int64(q * 30)
 		r.eng.Spawn("probe", func(p *sim.Proc) {
-			res := r.host.Execute(p, core.Predicate{Attr: storage.Unique2, Lo: lo, Hi: lo + 9}, chooser)
+			res := r.host.Submit(p, selectOn(rel.Name, core.Predicate{Attr: storage.Unique2, Lo: lo, Hi: lo + 9}))
 			if res.Tuples != 10 {
 				t.Errorf("query got %d tuples", res.Tuples)
 			}

@@ -9,12 +9,10 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sim"
-	"sort"
 )
 
-// Outcome classifies how a query ended under degraded-mode execution. The
-// zero value is OutcomeOK, so the legacy (fault-free) path needs no
-// bookkeeping.
+// Outcome classifies how a query ended. The zero value is OutcomeOK,
+// the outcome of every query on a fault-free machine.
 type Outcome int
 
 const (
@@ -49,7 +47,7 @@ func (o Outcome) String() string {
 func (o Outcome) Succeeded() bool { return o == OutcomeOK || o == OutcomeRetried }
 
 // ServedOp records which node actually served one operator of a query. On
-// the legacy path the serving node is always the fragment's primary home;
+// a fault-free machine the serving node is the fragment's primary home;
 // under degraded-mode execution an operator may be rerouted to the chained
 // backup, and this attribution is what keeps plan explain output and
 // querytrace -frags in agreement.
@@ -93,7 +91,8 @@ type QueryResult struct {
 	// through Submit (zero otherwise).
 	Value int64
 
-	// Degraded-mode accounting (zero values on the legacy path).
+	// Fault accounting (zero values when every operator answered on its
+	// first attempt).
 	Outcome Outcome
 	Retries int   // operator redispatches (retries + reroutes)
 	Err     error // why the query timed out or failed
@@ -119,8 +118,7 @@ type Host struct {
 	params hw.Params
 	costs  Costs
 
-	placements  map[string]core.Placement
-	defaultName string
+	placements map[string]core.Placement
 
 	// Elastic-membership routing state (zero/nil when elasticity is off).
 	// Placements route predicates to slots [0, n); topo maps each slot to
@@ -139,16 +137,17 @@ type Host struct {
 	// saves the index probe but costs one random I/O per tuple.
 	BERDFetchByTID bool
 
-	// Degraded switches the scheduler to degraded-mode execution: per-query
-	// deadlines, per-operator timeouts, bounded jittered retry, and
-	// chained-replica rerouting. Nil (the default) keeps the legacy
-	// scheduling path, byte-identical to a build without fault support.
+	// Degraded arms the scheduler's fault handling: per-query deadlines,
+	// per-operator timeouts, bounded jittered retry, and chained-replica
+	// rerouting. Nil (the default) schedules under the zero policy — untimed
+	// waits, and the first operator error fails the query — and makes a
+	// reply for an unknown query a panic rather than an orphan.
 	Degraded *Degraded
 
 	// Shared is the shared-scan manager (nil = sharing off, the default):
 	// when armed via EnableSharing, concurrent selections targeting the
 	// same fragment within the batching window are predicate-grouped into
-	// one disk pass. Mutually exclusive with Degraded.
+	// one disk pass.
 	Shared *SharedScans
 
 	// accessPolicy resolves plan.AccessAuto scans per relation (set via
@@ -176,7 +175,7 @@ type Host struct {
 }
 
 // NewHost wires the scheduler node. Relations are attached with
-// AddRelation; the first becomes the default for Execute.
+// AddRelation.
 func NewHost(eng *sim.Engine, id int, params hw.Params, net *hw.Network, costs Costs) *Host {
 	h := &Host{
 		ID: id, net: net, eng: eng,
@@ -205,9 +204,6 @@ func (h *Host) AddRelation(name string, pl core.Placement) {
 		panic(fmt.Sprintf("exec: relation %q already registered", name))
 	}
 	h.placements[name] = pl
-	if h.defaultName == "" {
-		h.defaultName = name
-	}
 }
 
 // SetPlacement replaces a relation's placement at a rebalance cutover.
@@ -239,21 +235,6 @@ func physOf(topo []int, slot int) int {
 		return slot
 	}
 	return topo[slot]
-}
-
-// slotOf recovers the placement slot a physical node serves (reverse of
-// physOf under the same captured topology). Linear scan: topologies are
-// small and this runs once per reply.
-func slotOf(topo []int, phys int) int {
-	if topo == nil {
-		return phys
-	}
-	for s, n := range topo {
-		if n == phys {
-			return s
-		}
-	}
-	return phys
 }
 
 // Start launches the host's message dispatcher, which demultiplexes operator
@@ -307,22 +288,6 @@ type AccessChooser func(pred core.Predicate) AccessKind
 // AccessAuto scan of a relation with no policy.
 func (h *Host) SetAccessPolicy(relation string, chooser AccessChooser) {
 	h.accessPolicy[relation] = chooser
-}
-
-// Execute runs one query against the default relation.
-//
-// Deprecated: build a plan with plan.Select and call Submit. Kept for one
-// release as a thin wrapper over the plan API.
-func (h *Host) Execute(p *sim.Proc, pred core.Predicate, access AccessChooser) QueryResult {
-	return h.ExecuteOn(p, h.defaultName, pred, access)
-}
-
-// ExecuteOn runs one query against a named relation.
-//
-// Deprecated: build a plan with plan.Select and call Submit. Kept for one
-// release as a thin wrapper over the plan API.
-func (h *Host) ExecuteOn(p *sim.Proc, relation string, pred core.Predicate, access AccessChooser) QueryResult {
-	return h.Submit(p, plan.Select(relation, pred, access(pred)))
 }
 
 // fullDomain is the predicate a bare (predicate-free) Scan leaf executes:
@@ -397,137 +362,8 @@ func (h *Host) Submit(p *sim.Proc, n *plan.Node) QueryResult {
 		}
 	default:
 		relation, pred, kind := h.resolveSelection(n)
-		return h.submitSelect(p, relation, pred, kind)
+		return h.schedule(p, relation, pred, kind)
 	}
-}
-
-// submitSelect schedules one selection: plan, localize, start (or batch)
-// operators, collect results. It blocks for the query's full lifetime.
-func (h *Host) submitSelect(p *sim.Proc, relation string, pred core.Predicate, kind AccessKind) QueryResult {
-	placement, ok := h.placements[relation]
-	if !ok {
-		panic(fmt.Sprintf("exec: unknown relation %q", relation))
-	}
-	if h.Degraded != nil {
-		return h.executeDegraded(p, relation, placement, pred, kind)
-	}
-	h.nextQID++
-	qid := h.nextQID
-	// Capture the routing generation once: every dispatch of this query —
-	// including the BERD second step — uses the same topology and epoch,
-	// even if a rebalance cutover lands mid-query.
-	topo, epoch := h.topo, h.epoch
-	qspan := h.eng.StartSpan()
-	res := QueryResult{ID: qid, Pred: pred, Submitted: p.Now()}
-	mb := sim.NewMailbox[any](h.eng, fmt.Sprintf("host.q%d", qid))
-	h.pending[qid] = mb
-	defer delete(h.pending, qid)
-	p.SetQID(qid)
-	defer p.SetQID(0)
-
-	// Query Manager: parse and plan (coordination delay, not CPU
-	// contention — see the Host doc comment).
-	p.Hold(h.params.InstrTime(h.costs.PlanInstr))
-	route := placement.Route(pred)
-	if route.EntriesSearched > 0 {
-		// Catalog directory search: CS per examined entry (Equation 1's
-		// search term).
-		p.Hold(sim.Milliseconds(h.costs.CSms * float64(route.EntriesSearched)))
-	}
-
-	used := map[int]bool{}
-	participants := route.Participants
-	tidsByProc := map[int][]int64(nil)
-
-	// BERD two-step: consult the auxiliary relation first.
-	if len(route.Aux) > 0 {
-		auxSpan := h.eng.StartSpan()
-		for _, slot := range route.Aux {
-			node := physOf(topo, slot)
-			used[node] = true
-			h.net.Send(p, nil, hw.Message{
-				From: h.ID, To: node, Bytes: controlBytes,
-				Payload: auxLookup{QueryID: qid, Relation: relation, Pred: pred, ReplyTo: h.ID, Epoch: epoch},
-			})
-		}
-		res.AuxProcessors = len(route.Aux)
-		tidsByProc = make(map[int][]int64)
-		for i := 0; i < len(route.Aux); i++ {
-			ar, err := waitReply[auxResult](p, mb)
-			if err != nil {
-				res.Err = err
-				res.Outcome = OutcomeFailed
-				res.Completed = p.Now()
-				return res
-			}
-			res.ServedBy = append(res.ServedBy, ServedOp{Fragment: slotOf(topo, ar.Node), Node: ar.Node, Aux: true})
-			for proc, tids := range ar.TIDsByProc {
-				tidsByProc[proc] = append(tidsByProc[proc], tids...)
-			}
-		}
-		participants = participants[:0]
-		for proc := range tidsByProc {
-			participants = append(participants, proc)
-		}
-		// Map iteration order is randomized; keep the schedule (and hence
-		// the whole simulation) deterministic.
-		sort.Ints(participants)
-		if auxSpan.Active() {
-			auxSpan.End(obs.NoNode, "query", fmt.Sprintf("q%d aux phase", qid), qid,
-				fmt.Sprintf("%d aux nodes -> %d operators", len(route.Aux), len(participants)))
-		}
-	}
-
-	// Scheduler: start one operator per participant. TID-fetch dispatches
-	// carry per-node TID lists and cannot be predicate-grouped; everything
-	// else is eligible for shared-scan batching when the manager is armed.
-	opSpan := h.eng.StartSpan()
-	share := h.Shared != nil && !(tidsByProc != nil && h.BERDFetchByTID)
-	for _, slot := range participants {
-		node := physOf(topo, slot)
-		used[node] = true
-		if share {
-			h.Shared.enqueue(node, relation, pred, kind, qid, 0, false, epoch)
-			continue
-		}
-		op := startOp{QueryID: qid, Relation: relation, Pred: pred, ReplyTo: h.ID, Access: kind, Epoch: epoch}
-		if tidsByProc != nil && h.BERDFetchByTID {
-			op.Access = AccessTIDFetch
-			op.TIDs = tidsByProc[slot]
-		}
-		h.net.Send(p, nil, hw.Message{
-			From: h.ID, To: node, Bytes: controlBytes,
-			Payload: op,
-		})
-	}
-	for i := 0; i < len(participants); i++ {
-		or, err := waitReply[opResult](p, mb)
-		if err != nil {
-			res.Err = err
-			res.Outcome = OutcomeFailed
-			res.Completed = p.Now()
-			return res
-		}
-		res.Tuples += or.Tuples
-		res.ServedBy = append(res.ServedBy, ServedOp{Fragment: slotOf(topo, or.Node), Node: or.Node, Tuples: or.Tuples})
-	}
-
-	res.ProcessorsUsed = len(used)
-	res.Completed = p.Now()
-	h.QueriesRun++
-	h.completedC.Inc()
-	h.fanoutH.Observe(float64(res.ProcessorsUsed))
-	h.respH.Observe(res.ResponseMS())
-	if opSpan.Active() {
-		opSpan.End(obs.NoNode, "query", fmt.Sprintf("q%d operator phase", qid), qid,
-			fmt.Sprintf("%d participants", len(participants)))
-	}
-	if qspan.Active() {
-		qspan.End(obs.NoNode, "query", fmt.Sprintf("q%d %s", qid, relation), qid,
-			fmt.Sprintf("%d tuples, %d processors (%d aux)",
-				res.Tuples, res.ProcessorsUsed, res.AuxProcessors))
-	}
-	return res
 }
 
 // waitFor reads messages until one of type T arrives.
@@ -535,23 +371,6 @@ func waitFor[T any](p *sim.Proc, mb *sim.Mailbox[any]) T {
 	for {
 		if v, ok := mb.Get(p).(T); ok {
 			return v
-		}
-	}
-}
-
-// waitReply is waitFor plus error surfacing: an opError reply (e.g. a
-// node refusing a placement epoch outside its dual-read window) fails the
-// query instead of being silently discarded — the legacy scheduler has no
-// retry machinery, so a refused operator can never be answered.
-func waitReply[T any](p *sim.Proc, mb *sim.Mailbox[any]) (T, error) {
-	for {
-		v := mb.Get(p)
-		if r, ok := v.(T); ok {
-			return r, nil
-		}
-		if e, ok := v.(opError); ok {
-			var zero T
-			return zero, fmt.Errorf("node %d: %s", e.Node, e.Msg)
 		}
 	}
 }

@@ -226,8 +226,7 @@ func TestSelectsAndJoinsInterleave(t *testing.T) {
 		done++
 	})
 	rig.eng.Spawn("selector", func(p *sim.Proc) {
-		res := rig.host.ExecuteOn(p, "r",
-			core.Predicate{Attr: storage.Unique2, Lo: 100, Hi: 109}, chooser)
+		res := rig.host.Submit(p, selectOn("r", core.Predicate{Attr: storage.Unique2, Lo: 100, Hi: 109}))
 		if res.Tuples != 10 {
 			t.Errorf("select got %d tuples", res.Tuples)
 		}

@@ -42,7 +42,8 @@ type startOp struct {
 	TIDs     []int64 // AccessTIDFetch only: the primary fragment's qualifying TIDs
 	ReplyTo  int     // scheduler node
 	// Attempt tags this dispatch for at-most-once accounting under retries
-	// and message duplication (degraded mode; 0 on the legacy path).
+	// and message duplication: the scheduler's collector matches replies
+	// to their live attempt by it.
 	Attempt int
 	// Backup directs the operator at the node's chained-declustering backup
 	// fragment instead of its primary one.
@@ -101,8 +102,8 @@ type auxResult struct {
 type batchMember struct {
 	QID  int64
 	Pred core.Predicate
-	// Attempt echoes into the member's opResult so the degraded-mode
-	// collector can drop stale batch replies (0 on the legacy path).
+	// Attempt echoes into the member's opResult so the scheduler's
+	// collector can drop stale batch replies.
 	Attempt int
 }
 
@@ -126,7 +127,7 @@ type batchOp struct {
 }
 
 // attemptTagged is implemented by result messages that echo their dispatch
-// attempt, letting the degraded-mode collector drop stale and duplicated
+// attempt, letting the scheduler's collector drop stale and duplicated
 // replies.
 type attemptTagged interface{ attemptID() int }
 

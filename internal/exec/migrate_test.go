@@ -96,7 +96,7 @@ func (r *migrateRig) execute(t *testing.T, pred core.Predicate) QueryResult {
 	t.Helper()
 	var res QueryResult
 	r.eng.Spawn("probe", func(p *sim.Proc) {
-		res = r.host.Execute(p, pred, chooser)
+		res = r.host.Submit(p, selectOn(r.rel.Name, pred))
 		r.eng.Stop()
 	})
 	if err := r.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {

@@ -532,7 +532,7 @@ func accessFor(frag *storage.Fragment, kind AccessKind, pred core.Predicate, tid
 // traces is replayed against the buffer pool reading each distinct page
 // once, and per-member qualification CPU is charged in full — the disk pass
 // is shared, the processing is not. Members are answered in admission
-// order. Under the degraded scheduler a batch may target a backup fragment
+// order. In degraded mode a batch may target a backup fragment
 // or arrive misrouted after a repair, so resolution and page-read failures
 // fan out as one opError per member (each tagged with that member's
 // dispatch attempt) instead of panicking; the collectors then retry or

@@ -1,0 +1,472 @@
+package exec
+
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/hw"
+	"repro/internal/obs"
+	"repro/internal/rng"
+	"repro/internal/sim"
+)
+
+// RetryPolicy tunes the scheduler's fault handling. All durations are
+// simulated time. The zero policy arms nothing: waits are untimed, queries
+// have no deadline, and the first operator error fails the query.
+type RetryPolicy struct {
+	// OpTimeout guards each wait for operator replies: when it expires,
+	// every outstanding operator is redispatched (a lost reply and a dead
+	// node look the same from the scheduler). Zero waits without a timer.
+	OpTimeout sim.Duration
+	// QueryDeadline is the end-to-end budget per query; past it the query
+	// is abandoned with OutcomeTimedOut. Zero means no deadline.
+	QueryDeadline sim.Duration
+	// MaxRetries bounds redispatches per logical operator.
+	MaxRetries int
+	// BackoffBase and BackoffCap shape the exponential backoff between
+	// redispatches: base·2^(attempt-1), capped, jittered ±50%.
+	BackoffBase sim.Duration
+	BackoffCap  sim.Duration
+}
+
+// DefaultRetryPolicy returns conservative defaults: operator timeouts well
+// above any healthy response time at the paper's load levels, and a retry
+// budget that tolerates a fault burst without retrying forever.
+func DefaultRetryPolicy() RetryPolicy {
+	return RetryPolicy{
+		OpTimeout:     2 * sim.Second,
+		QueryDeadline: 20 * sim.Second,
+		MaxRetries:    3,
+		BackoffBase:   5 * sim.Millisecond,
+		BackoffCap:    200 * sim.Millisecond,
+	}
+}
+
+// Degraded configures the scheduler's fault handling.
+type Degraded struct {
+	Policy RetryPolicy
+	// View is the scheduler's picture of node/disk health, kept current by
+	// the fault injector. Nil means "assume everything available".
+	View *fault.View
+	// Backup maps a placement slot to the slot whose node holds its
+	// chained-declustering replica, or -1 when the fragment has no replica.
+	// slots is the slot count of the query's captured topology (0 when no
+	// explicit topology is installed; implementations then use their
+	// build-time node count).
+	Backup func(slot, slots int) int
+	// Jitter randomizes backoff delays (a dedicated rng stream, so enabling
+	// retries perturbs no other stochastic decision in the run).
+	Jitter *rng.Source
+}
+
+// faultFree is the configuration a host without Degraded schedules under:
+// the zero policy, every node available, no replicas.
+var faultFree Degraded
+
+// available consults the health view, defaulting to available.
+func (d *Degraded) available(node int) bool {
+	return d.View == nil || d.View.Available(node)
+}
+
+// call tracks one logical operator (work against one primary fragment)
+// through dispatch, retries, and replica rerouting.
+type call struct {
+	primary   int  // placement slot whose fragment the work targets
+	target    int  // physical node the live attempt was sent to
+	attempt   int  // query-unique id of the live attempt
+	retries   int  // redispatches so far
+	useBackup bool // current replica preference
+	done      bool
+}
+
+// collector is the Scheduler's state for one selection in flight: the
+// query's captured routing, its result so far, and the logical operators
+// of the current phase (BERD's auxiliary step, then the selection
+// operators), driven to completion under the host's policy — per-wait
+// timeouts, bounded jittered exponential backoff, chained-replica
+// rerouting, and at-most-once accounting (stale or duplicated replies are
+// dropped by attempt id).
+type collector struct {
+	h        *Host
+	d        *Degraded
+	p        *sim.Proc
+	mb       *sim.Mailbox[any]
+	deadline sim.Time // zero: no deadline
+	// topo/epoch are the query's captured placement generation: slots
+	// resolve to physical nodes through topo for every dispatch, including
+	// retries that straddle a rebalance cutover.
+	topo  []int
+	epoch int
+
+	qid      int64
+	relation string
+	pred     core.Predicate
+	kind     AccessKind
+	aux      bool // the current phase is BERD's auxiliary step
+	share    bool // selection operators ride shared-scan batches
+	// tidsByProc collects BERD's auxiliary answer: home processor ->
+	// qualifying TIDs (nil without an auxiliary step).
+	tidsByProc map[int][]int64
+
+	calls   []call // the current phase's operators
+	used    map[int]bool
+	retries int
+	res     QueryResult
+}
+
+// backupOf returns the slot whose node replicates c's fragment, or -1.
+func (col *collector) backupOf(slot int) int {
+	if col.d.Backup == nil {
+		return -1
+	}
+	return col.d.Backup(slot, len(col.topo))
+}
+
+// pickTarget chooses the replica to dispatch to, honoring the call's
+// current preference but falling back to whichever copy is available.
+// After it returns true, c.useBackup reports whether the chosen target
+// holds the backup copy.
+func (col *collector) pickTarget(c *call) (int, bool) {
+	prefSlot, altSlot := c.primary, col.backupOf(c.primary)
+	if c.useBackup {
+		prefSlot, altSlot = altSlot, prefSlot
+	}
+	if prefSlot >= 0 {
+		if phys := physOf(col.topo, prefSlot); col.d.available(phys) {
+			return phys, true
+		}
+	}
+	if altSlot >= 0 {
+		if phys := physOf(col.topo, altSlot); col.d.available(phys) {
+			c.useBackup = !c.useBackup
+			return phys, true
+		}
+	}
+	return -1, false
+}
+
+// send dispatches the call's next attempt, reporting false when no replica
+// of the fragment is available.
+func (col *collector) send(c *call) bool {
+	target, ok := col.pickTarget(c)
+	if !ok {
+		return false
+	}
+	c.target = target
+	col.h.nextAttempt++
+	c.attempt = col.h.nextAttempt
+	col.used[target] = true
+	col.dispatch(c)
+	return true
+}
+
+// retry backs off and redispatches, reporting false when the retry budget
+// is exhausted or no replica is available.
+func (col *collector) retry(c *call) bool {
+	if c.retries >= col.d.Policy.MaxRetries {
+		return false
+	}
+	c.retries++
+	col.retries++
+	col.h.retriesC.Inc()
+	col.backoff(c.retries)
+	return col.send(c)
+}
+
+// backoff holds the coordinator for base·2^(nth-1), capped and jittered
+// ±50% from the dedicated retry stream.
+func (col *collector) backoff(nth int) {
+	d := col.d.Policy.BackoffBase
+	for i := 1; i < nth && d < col.d.Policy.BackoffCap; i++ {
+		d *= 2
+	}
+	if d > col.d.Policy.BackoffCap {
+		d = col.d.Policy.BackoffCap
+	}
+	if col.d.Jitter != nil {
+		d = sim.Duration(float64(d) * col.d.Jitter.Uniform(0.5, 1.5))
+	}
+	if d > 0 {
+		col.p.Hold(d)
+	}
+}
+
+// orphan books a reply that no longer matches an outstanding attempt —
+// superseded by a retry, or an interconnect duplicate.
+func (col *collector) orphan() {
+	col.h.Orphans++
+	col.h.orphanC.Inc()
+}
+
+// live returns the call whose outstanding attempt is id, or nil for a reply
+// to a superseded attempt, a duplicate, or a finished call.
+func (col *collector) live(id int) *call {
+	for i := range col.calls {
+		if c := &col.calls[i]; c.attempt == id && !c.done {
+			return c
+		}
+	}
+	return nil
+}
+
+// pastDeadline reports whether the query's deadline (if any) has passed.
+func (col *collector) pastDeadline() bool {
+	return col.deadline > 0 && col.p.Now() >= col.deadline
+}
+
+// receive waits for the next reply, bounded by the operator timeout and the
+// query deadline; ok is false when the wait timed out. With neither armed
+// it is a plain Get, which schedules no timer event.
+func (col *collector) receive() (msg any, ok bool) {
+	wait := col.d.Policy.OpTimeout
+	if col.deadline > 0 {
+		if left := sim.Duration(col.deadline - col.p.Now()); wait == 0 || left < wait {
+			wait = left
+		}
+	}
+	if wait == 0 {
+		return col.mb.Get(col.p), true
+	}
+	return col.mb.GetTimeout(col.p, wait)
+}
+
+// run dispatches one call per primary slot and collects replies until all
+// complete, the deadline passes, or a call runs out of options.
+func (col *collector) run(primaries []int) (Outcome, error) {
+	col.calls = make([]call, len(primaries))
+	for i, slot := range primaries {
+		col.calls[i] = call{primary: slot, target: -1}
+	}
+	for i := range col.calls {
+		if c := &col.calls[i]; !col.send(c) {
+			return OutcomeFailed, fmt.Errorf("exec: no available replica of node %d's fragment", c.primary)
+		}
+	}
+	for remaining := len(col.calls); remaining > 0; {
+		if col.pastDeadline() {
+			return OutcomeTimedOut, fmt.Errorf("exec: query deadline exceeded with %d operators outstanding", remaining)
+		}
+		msg, ok := col.receive()
+		if !ok {
+			if col.pastDeadline() {
+				return OutcomeTimedOut, fmt.Errorf("exec: query deadline exceeded with %d operators outstanding", remaining)
+			}
+			// Operator timeout: redispatch everything outstanding, flipping
+			// each call's replica preference — a silent primary is retried
+			// on its backup and vice versa.
+			for i := range col.calls {
+				c := &col.calls[i]
+				if c.done {
+					continue
+				}
+				c.useBackup = !c.useBackup
+				if !col.retry(c) {
+					return OutcomeFailed, fmt.Errorf("exec: node %d's operator unresponsive after %d attempts", c.primary, c.retries+1)
+				}
+			}
+			continue
+		}
+		switch r := msg.(type) {
+		case opError:
+			c := col.live(r.Attempt)
+			if c == nil {
+				col.orphan() // stale attempt or duplicated error
+				continue
+			}
+			if !r.Transient {
+				// Fail-stop or routing error: this replica is not coming
+				// back; go to the other one.
+				c.useBackup = !c.useBackup
+			}
+			if !col.retry(c) {
+				return OutcomeFailed, fmt.Errorf("exec: operator on node %d failed: %s", r.Node, r.Msg)
+			}
+		case attemptTagged:
+			c := col.live(r.attemptID())
+			if c == nil {
+				col.orphan() // late reply for a superseded attempt, or a duplicate
+				continue
+			}
+			c.done = true
+			remaining--
+			col.accept(c, msg)
+		}
+	}
+	return OutcomeOK, nil
+}
+
+// dispatch sends the request for c's current (target, attempt, backup)
+// state: an auxiliary lookup, a shared-scan batch member, or a lone
+// operator. TID-fetch operators carry per-node TID lists and are never
+// batched; every other attempt rides a batch keyed by its replica role and
+// epoch, and the attempt tag echoed in the batched reply lets run drop
+// stale batch replies exactly as for lone operators.
+func (col *collector) dispatch(c *call) {
+	h := col.h
+	if col.aux {
+		h.net.Send(col.p, nil, hw.Message{
+			From: h.ID, To: c.target, Bytes: controlBytes,
+			Payload: auxLookup{QueryID: col.qid, Relation: col.relation, Pred: col.pred,
+				ReplyTo: h.ID, Attempt: c.attempt, Backup: c.useBackup, Epoch: col.epoch},
+		})
+		return
+	}
+	if col.share {
+		h.Shared.enqueue(c.target, col.relation, col.pred, col.kind, col.qid, c.attempt, c.useBackup, col.epoch)
+		return
+	}
+	op := startOp{QueryID: col.qid, Relation: col.relation, Pred: col.pred, ReplyTo: h.ID,
+		Access: col.kind, Attempt: c.attempt, Backup: c.useBackup, Epoch: col.epoch}
+	if col.tidsByProc != nil && h.BERDFetchByTID {
+		op.Access = AccessTIDFetch
+		op.TIDs = col.tidsByProc[c.primary]
+	}
+	h.net.Send(col.p, nil, hw.Message{
+		From: h.ID, To: c.target, Bytes: controlBytes, Payload: op,
+	})
+}
+
+// accept folds a matched success reply into the query result.
+func (col *collector) accept(c *call, msg any) {
+	switch r := msg.(type) {
+	case auxResult:
+		col.res.ServedBy = append(col.res.ServedBy, ServedOp{
+			Fragment: c.primary, Node: c.target, Backup: c.useBackup, Aux: true,
+		})
+		for proc, tids := range r.TIDsByProc {
+			col.tidsByProc[proc] = append(col.tidsByProc[proc], tids...)
+		}
+	case opResult:
+		col.res.Tuples += r.Tuples
+		col.res.ServedBy = append(col.res.ServedBy, ServedOp{
+			Fragment: c.primary, Node: c.target, Backup: c.useBackup, Tuples: r.Tuples,
+		})
+	}
+}
+
+// finish closes the query with its outcome: statistics, metrics, and the
+// query span, whose detail appends the outcome and retry count only when
+// the query did not finish OK on first attempts.
+func (col *collector) finish(outcome Outcome, err error, qspan sim.Span) QueryResult {
+	h, res := col.h, &col.res
+	res.Outcome = outcome
+	res.Err = err
+	res.Retries = col.retries
+	res.ProcessorsUsed = len(col.used)
+	res.Completed = col.p.Now()
+	h.QueriesRun++
+	h.completedC.Inc()
+	h.fanoutH.Observe(float64(res.ProcessorsUsed))
+	h.respH.Observe(res.ResponseMS())
+	h.countOutcome(outcome)
+	if qspan.Active() {
+		detail := fmt.Sprintf("%d tuples, %d processors (%d aux)",
+			res.Tuples, res.ProcessorsUsed, res.AuxProcessors)
+		if outcome != OutcomeOK {
+			detail += fmt.Sprintf("; %s, %d retries", outcome, res.Retries)
+		}
+		qspan.End(obs.NoNode, "query", fmt.Sprintf("q%d %s", col.qid, col.relation), col.qid, detail)
+	}
+	return *res
+}
+
+// schedule is the Scheduler of Figure 7 for one selection: plan and
+// localize, run BERD's auxiliary step when the route has one, start (or
+// batch) one operator per participant, and collect the results. It blocks
+// for the query's full lifetime. Both phases run on one collector under the
+// host's policy, so with Degraded set every wait is deadlined, operator
+// failures and silences are retried with backoff, and requests reroute to
+// chained backups when a replica is down.
+func (h *Host) schedule(p *sim.Proc, relation string, pred core.Predicate, kind AccessKind) QueryResult {
+	placement, ok := h.placements[relation]
+	if !ok {
+		panic(fmt.Sprintf("exec: unknown relation %q", relation))
+	}
+	d := h.Degraded
+	if d == nil {
+		d = &faultFree
+	}
+	h.nextQID++
+	qid := h.nextQID
+	qspan := h.eng.StartSpan()
+	// Capture the routing generation once: every dispatch of this query —
+	// including the BERD second step and any retry — uses the same topology
+	// and epoch, even if a rebalance cutover lands mid-query.
+	col := &collector{
+		h: h, d: d, p: p, topo: h.topo, epoch: h.epoch,
+		qid: qid, relation: relation, pred: pred, kind: kind,
+		used: map[int]bool{},
+		res:  QueryResult{ID: qid, Pred: pred, Submitted: p.Now()},
+	}
+	col.mb = sim.NewMailbox[any](h.eng, fmt.Sprintf("host.q%d", qid))
+	h.pending[qid] = col.mb
+	defer delete(h.pending, qid)
+	p.SetQID(qid)
+	defer p.SetQID(0)
+
+	// Query Manager: parse and plan (coordination delay, not CPU
+	// contention — see the Host doc comment).
+	p.Hold(h.params.InstrTime(h.costs.PlanInstr))
+	route := placement.Route(pred)
+	if route.EntriesSearched > 0 {
+		// Catalog directory search: CS per examined entry (Equation 1's
+		// search term).
+		p.Hold(sim.Milliseconds(h.costs.CSms * float64(route.EntriesSearched)))
+	}
+	if d.Policy.QueryDeadline > 0 {
+		col.deadline = p.Now() + sim.Time(d.Policy.QueryDeadline)
+	}
+
+	// BERD two-step: consult the auxiliary relation first.
+	participants := route.Participants
+	if len(route.Aux) > 0 {
+		auxSpan := h.eng.StartSpan()
+		col.res.AuxProcessors = len(route.Aux)
+		col.tidsByProc = make(map[int][]int64)
+		col.aux = true
+		if outcome, err := col.run(route.Aux); outcome != OutcomeOK {
+			return col.finish(outcome, err, qspan)
+		}
+		col.aux = false
+		participants = participants[:0]
+		for proc := range col.tidsByProc {
+			participants = append(participants, proc)
+		}
+		sort.Ints(participants) // map order is randomized; the schedule must not be
+		if auxSpan.Active() {
+			auxSpan.End(obs.NoNode, "query", fmt.Sprintf("q%d aux phase", qid), qid,
+				fmt.Sprintf("%d aux nodes -> %d operators", len(route.Aux), len(participants)))
+		}
+	}
+
+	// Scheduler: one operator per participant, collected under the policy.
+	opSpan := h.eng.StartSpan()
+	col.share = h.Shared != nil && !(col.tidsByProc != nil && h.BERDFetchByTID)
+	outcome, err := col.run(participants)
+	if outcome == OutcomeOK {
+		if opSpan.Active() {
+			opSpan.End(obs.NoNode, "query", fmt.Sprintf("q%d operator phase", qid), qid,
+				fmt.Sprintf("%d participants", len(participants)))
+		}
+		if col.retries > 0 {
+			outcome = OutcomeRetried
+		}
+	}
+	return col.finish(outcome, err, qspan)
+}
+
+// countOutcome mirrors a query outcome into the metrics registry.
+func (h *Host) countOutcome(o Outcome) {
+	switch o {
+	case OutcomeOK:
+		h.okC.Inc()
+	case OutcomeRetried:
+		h.retriedC.Inc()
+	case OutcomeTimedOut:
+		h.timedOutC.Inc()
+	case OutcomeFailed:
+		h.failedC.Inc()
+	}
+}

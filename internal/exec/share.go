@@ -62,8 +62,9 @@ func (s SharingStats) String() string {
 // replica role, and the same placement epoch — a backup-rerouted retry or
 // a pre-cutover query must not share a disk pass with operators reading a
 // different physical fragment. Predicates within a group may differ — the
-// disk pass covers their union. backup and epoch stay zero-valued on the
-// legacy fault-free path, leaving its grouping unchanged.
+// disk pass covers their union. backup and epoch stay zero-valued on a
+// fault-free, fixed-membership machine, so its grouping is by fragment and
+// access method alone.
 type shareKey struct {
 	node     int
 	relation string
@@ -92,7 +93,7 @@ type SharedScans struct {
 
 // EnableSharing arms the shared-scan manager with the given batching
 // window: the first selection to open a batch waits at most window before
-// the batch is dispatched. Sharing composes with the degraded scheduler:
+// the batch is dispatched. Sharing composes with degraded mode:
 // dispatches carry their attempt tag into the batch, replies echo it, and
 // the collectors drop stale batch replies exactly as for lone operators.
 func (h *Host) EnableSharing(window sim.Duration) *SharedScans {

@@ -16,14 +16,14 @@ func BenchmarkSharedScanBatch(b *testing.B) {
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
 	r := newRig(b, core.NewRangeForRelation(rel, storage.Unique1, 2))
 	r.host.EnableSharing(2 * sim.Millisecond)
-	pred := core.Predicate{Attr: storage.Unique2, Lo: 40, Hi: 79}
+	query := selectOn(rel.Name, core.Predicate{Attr: storage.Unique2, Lo: 40, Hi: 79})
 
 	r.eng.Spawn("bench", func(p *sim.Proc) {
 		done := sim.NewMailbox[int](r.eng, "bench.done")
 		for i := 0; i < b.N; i++ {
 			for k := 0; k < 8; k++ {
 				r.eng.Spawn("q", func(qp *sim.Proc) {
-					r.host.Execute(qp, pred, chooser)
+					r.host.Submit(qp, query)
 					done.Put(1)
 				})
 			}

@@ -26,7 +26,7 @@ func runConcurrent(t *testing.T, share bool, preds []core.Predicate) ([]QueryRes
 	for i := range preds {
 		i := i
 		r.eng.Spawn("term", func(p *sim.Proc) {
-			results[i] = r.host.Execute(p, preds[i], chooser)
+			results[i] = r.host.Submit(p, selectOn(rel.Name, preds[i]))
 			done++
 			if done == len(preds) {
 				r.eng.Stop()
@@ -151,10 +151,10 @@ func TestSharedBatchDedupsPages(t *testing.T) {
 	}
 }
 
-// TestSubmitMatchesExecute: the deprecated Execute wrapper and an explicit
-// plan submission are the same query — byte-identical results, timing
-// included, because the wrapper is a pure rewrite.
-func TestSubmitMatchesExecute(t *testing.T) {
+// TestSubmitIndexScanMatchesSelect: plan.Select with the workload's access
+// chooser and a hand-built IndexScan are the same query — byte-identical
+// results, timing included, because Select is a pure rewrite.
+func TestSubmitIndexScanMatchesSelect(t *testing.T) {
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
 	pl := core.NewRangeForRelation(rel, storage.Unique1, 2)
 	pred := core.Predicate{Attr: storage.Unique2, Lo: 50, Hi: 69}
@@ -171,7 +171,7 @@ func TestSubmitMatchesExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("Execute and Submit diverged:\n%+v\n%+v", a, b)
+		t.Fatalf("Select and IndexScan diverged:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -78,11 +78,10 @@ func archiveThroughputs(a Archive) map[throughputKey]float64 {
 
 // CompareArchives reports every point whose throughput moved by more than
 // tolerance (a fraction, e.g. 0.05 for 5%) between the two archives, plus
-// points present in only one of them. An empty result means no regressions.
+// points present in only one of them. Tolerance 0 demands exact equality:
+// throughputs round-trip through the JSON archive exactly. An empty result
+// means no regressions.
 func CompareArchives(baseline, current Archive, tolerance float64) []string {
-	if tolerance <= 0 {
-		tolerance = 0.05
-	}
 	base := archiveThroughputs(baseline)
 	cur := archiveThroughputs(current)
 	keys := make([]throughputKey, 0, len(base))

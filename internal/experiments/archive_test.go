@@ -62,6 +62,28 @@ func TestCompareArchivesFlagsRegression(t *testing.T) {
 	}
 }
 
+// TestCompareArchivesZeroToleranceIsExact: tolerance 0 is an exact gate —
+// a 1% throughput drift is reported, and an archive matches itself after a
+// JSON round trip.
+func TestCompareArchivesZeroToleranceIsExact(t *testing.T) {
+	if diffs := CompareArchives(sampleArchive(600), sampleArchive(606), 0); len(diffs) != 1 ||
+		!strings.Contains(diffs[0], "+1.0%") {
+		t.Fatalf("1%% drift at tolerance 0: diffs = %v", diffs)
+	}
+	a := sampleArchive(600.123456789)
+	var buf bytes.Buffer
+	if err := WriteArchive(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadArchive(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diffs := CompareArchives(a, got, 0); len(diffs) != 0 {
+		t.Fatalf("round-tripped archive drifted at tolerance 0: %v", diffs)
+	}
+}
+
 func TestCompareArchivesStructuralChanges(t *testing.T) {
 	baseline := sampleArchive(600)
 	current := sampleArchive(600)

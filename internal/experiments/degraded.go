@@ -2,10 +2,11 @@ package experiments
 
 // Degraded-mode campaign: how does each declustering strategy hold up when
 // k of the machine's disks fail-stop early in the run? Every machine runs
-// with chained replicas and the degraded scheduler, so queries that would
-// have needed a dead disk reroute to the chain successor; the interesting
-// output is the throughput each strategy retains and the outcome tally
-// (ok / retried / timed-out / failed) behind it.
+// with chained replicas and the scheduler's fault handling armed, so
+// queries that would have needed a dead disk reroute to the chain
+// successor; the interesting output is the throughput each strategy
+// retains and the outcome tally (ok / retried / timed-out / failed) behind
+// it.
 
 import (
 	"fmt"

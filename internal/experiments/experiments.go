@@ -151,9 +151,8 @@ type Options struct {
 	// SharingWindowMS arms shared-scan batching on every machine the
 	// experiment builds (batching window in simulated milliseconds; 0 =
 	// gamma.DefaultSharingWindow when armed via ArmSharing, off otherwise).
-	// Mutually exclusive with Faults/ChainedReplicas — sharing rides the
-	// legacy scheduler. Off by default, leaving experiment output
-	// byte-identical to a sharing-free build.
+	// Composes with Faults/ChainedReplicas. Off by default, leaving
+	// experiment output byte-identical to a sharing-free build.
 	SharingWindowMS float64 `json:"SharingWindowMS,omitempty"`
 	sharingArmed    bool
 }

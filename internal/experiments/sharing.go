@@ -53,15 +53,12 @@ type SharingResult struct {
 // RunSharing sweeps the figure's strategies across the MPL sweep, once with
 // sharing off and once with the shared-scan manager armed at windowMS
 // (<= 0 selects the gamma default window), both under the hot-spot overlay.
-// Jobs run on the harness pool exactly like a figure campaign. Sharing
-// requires the legacy scheduler, so fault options are rejected up front.
+// Jobs run on the harness pool exactly like a figure campaign. Fault
+// options in opts apply to both runs: batches are keyed by replica role
+// and placement epoch, so sharing composes with degraded-mode rerouting.
 func RunSharing(fig Figure, windowMS float64, opts Options, copts CampaignOptions) (SharingResult, harness.Manifest, error) {
 	opts = opts.withDefaults()
 	out := SharingResult{Figure: fig, Options: opts, WindowMS: windowMS}
-	if opts.Faults != nil || opts.ChainedReplicas {
-		return out, harness.Manifest{}, fmt.Errorf(
-			"experiments: sharing campaign is mutually exclusive with faults/replicas (legacy scheduler only)")
-	}
 
 	rels := relationCache{}
 	fb, err := buildFigure(fig, rels, opts)

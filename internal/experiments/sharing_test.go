@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/gamma"
 )
 
 // TestRunSharingSavesReads runs the shared-scan campaign at quick scale on
@@ -44,18 +47,44 @@ func TestRunSharingSavesReads(t *testing.T) {
 	}
 }
 
-// TestRunSharingRejectsFaults: the campaign refuses fault options up front
-// rather than failing deep inside gamma.Build.
-func TestRunSharingRejectsFaults(t *testing.T) {
+// TestRunSharingComposesWithFaults: the sharing campaign runs on the same
+// scheduler as degraded mode, so a killed disk under chained replicas
+// reroutes batched operators to their backups — both runs of every point
+// keep answering, and the output is identical at any worker count. Only
+// success is asserted, not zero failures: the campaign's third-size buffer
+// pool loads the backup nodes heavily enough that a few queries fail even
+// with sharing off.
+func TestRunSharingComposesWithFaults(t *testing.T) {
 	fig, err := FigureByID("11a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := QuickScale()
+	opts.MPLs = []int{8}
 	opts.ArmFaults(KillSpec(1, opts.Processors), true)
-	if _, _, err := RunSharing(fig, 0, opts, CampaignOptions{}); err == nil ||
-		!strings.Contains(err.Error(), "legacy scheduler") {
-		t.Fatalf("RunSharing with faults err = %v, want legacy-scheduler error", err)
+	run := func(workers int) SharingResult {
+		sr, _, err := RunSharing(fig, 0, opts, CampaignOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr
+	}
+	serial, parallel := run(1), run(4)
+	if !reflect.DeepEqual(serial.Points, parallel.Points) {
+		t.Fatal("sharing campaign under faults differs between 1 and 4 workers")
+	}
+	for _, p := range serial.Points {
+		for _, r := range []gamma.RunResult{p.Off, p.On} {
+			if len(r.FaultLog) == 0 {
+				t.Errorf("%s: the disk fault was never applied", p.Strategy)
+			}
+			if r.Outcomes.Succeeded() == 0 {
+				t.Errorf("%s: no query succeeded under one dead disk with replicas: %s", p.Strategy, r.Outcomes)
+			}
+		}
+		if p.On.Sharing == nil || p.On.Sharing.Batches == 0 {
+			t.Errorf("%s: on run has no batching evidence: %+v", p.Strategy, p.On.Sharing)
+		}
 	}
 }
 

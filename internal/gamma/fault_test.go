@@ -49,8 +49,8 @@ func TestFaultRunDeterministic(t *testing.T) {
 	}
 }
 
-// An armed-but-empty fault spec and the plain legacy config must produce
-// identical results: the fault plumbing may not perturb a healthy run.
+// An armed-but-empty fault spec and the plain config must produce identical
+// results: the fault plumbing may not perturb a healthy run.
 func TestEmptyFaultSpecMatchesLegacy(t *testing.T) {
 	rel := smallRelation(t, 0)
 	mix := workload.LowLow(rel.Cardinality())
@@ -61,7 +61,7 @@ func TestEmptyFaultSpecMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallConfig()
-	cfg.Faults = &fault.Spec{} // Enabled() == false: stays on the legacy path
+	cfg.Faults = &fault.Spec{} // Enabled() == false: arms no fault handling
 	armed, err := buildRange(t, rel, cfg).Run(mix, spec)
 	if err != nil {
 		t.Fatal(err)

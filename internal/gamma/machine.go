@@ -64,7 +64,7 @@ type Config struct {
 	// carry SharingStats. Nil (the default) leaves the simulation schedule
 	// byte-identical to a build without sharing support. Composes with
 	// Faults/ChainedReplicas: batches are tagged with their members'
-	// attempt epochs, so the degraded scheduler drops stale batch replies
+	// attempt epochs, so the scheduler drops stale batch replies
 	// the same way it drops stale lone-operator replies.
 	Sharing *SharingSpec
 	// Elastic, when non-nil, arms elastic cluster membership: the machine
@@ -370,7 +370,7 @@ func (m *Machine) AddRelation(rel *storage.Relation, placement core.Placement) e
 // Reset rebuilds the simulation engine, hardware and buffer pools, and
 // reattaches the machine's storage image, so direct users of
 // Machine.Eng/Host (single-query probes, joins) can start from a cold,
-// deterministic state; Run and RunOpen call it implicitly.
+// deterministic state; Run and RunServe call it implicitly.
 func (m *Machine) Reset() { m.reset() }
 
 // reset gives the next run a cold, deterministic machine: a new engine,

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -66,7 +67,7 @@ func executeOne(t *testing.T, m *Machine, pred core.Predicate, mix workload.Mix)
 	t.Helper()
 	var res exec.QueryResult
 	m.Eng.Spawn("probe", func(p *sim.Proc) {
-		res = m.Host.Execute(p, pred, mix.AccessChooser())
+		res = m.Host.Submit(p, plan.Select(m.Relation.Name, pred, mix.AccessChooser()(pred)))
 		m.Eng.Stop()
 	})
 	if err := m.Eng.RunUntil(sim.Time(10 * 60 * sim.Second)); err != nil {
@@ -522,59 +523,6 @@ func TestSimulateLoad(t *testing.T) {
 	}
 }
 
-func TestRunOpenSystem(t *testing.T) {
-	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
-	mix := workload.LowLow(rel.Cardinality())
-	// A light offered load completes with response times near the no-load
-	// service time.
-	light, err := m.RunOpen(mix, OpenRunSpec{
-		ArrivalRateQPS: 20, WarmupQueries: 20, MeasureQueries: 150,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if light.ThroughputQPS < 15 || light.ThroughputQPS > 25 {
-		t.Fatalf("open throughput %.1f should track the 20 q/s arrival rate", light.ThroughputQPS)
-	}
-	// A heavier (but sustainable) load has longer response times.
-	heavy, err := m.RunOpen(mix, OpenRunSpec{
-		ArrivalRateQPS: 120, WarmupQueries: 20, MeasureQueries: 150,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if heavy.MeanResponseMS <= light.MeanResponseMS {
-		t.Fatalf("response did not grow with load: %.1fms vs %.1fms",
-			heavy.MeanResponseMS, light.MeanResponseMS)
-	}
-}
-
-func TestRunOpenOverload(t *testing.T) {
-	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
-	mix := workload.LowLow(rel.Cardinality())
-	_, err := m.RunOpen(mix, OpenRunSpec{
-		ArrivalRateQPS: 100000, WarmupQueries: 0, MeasureQueries: 100000,
-		MaxOutstanding: 200,
-	})
-	if err == nil {
-		t.Fatal("gross overload should be reported as an error")
-	}
-}
-
-func TestRunOpenValidation(t *testing.T) {
-	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
-	mix := workload.LowLow(rel.Cardinality())
-	if _, err := m.RunOpen(mix, OpenRunSpec{ArrivalRateQPS: 0, MeasureQueries: 1}); err == nil {
-		t.Error("zero arrival rate accepted")
-	}
-	if _, err := m.RunOpen(mix, OpenRunSpec{ArrivalRateQPS: 1, MeasureQueries: 0}); err == nil {
-		t.Error("zero measurement accepted")
-	}
-}
-
 func TestMultiRelationMachineAndJoin(t *testing.T) {
 	cfg := smallConfig()
 	r := storage.GenerateWisconsin(storage.GenSpec{Name: "stock", Cardinality: 2000, Seed: 11})
@@ -594,8 +542,8 @@ func TestMultiRelationMachineAndJoin(t *testing.T) {
 	var sel exec.QueryResult
 	mix := workload.LowLow(s.Cardinality())
 	m.Eng.Spawn("probe", func(p *sim.Proc) {
-		sel = m.Host.ExecuteOn(p, "trades",
-			core.Predicate{Attr: storage.Unique2, Lo: 100, Hi: 109}, mix.AccessChooser())
+		pred := core.Predicate{Attr: storage.Unique2, Lo: 100, Hi: 109}
+		sel = m.Host.Submit(p, plan.Select("trades", pred, mix.AccessChooser()(pred)))
 		m.Eng.Stop()
 	})
 	if err := m.Eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {

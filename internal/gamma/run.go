@@ -54,7 +54,7 @@ type NodeUtil struct {
 }
 
 // Outcomes tallies per-query outcomes over the measurement window. All
-// zeroes except OK on the fault-free legacy path.
+// zeroes except OK on a fault-free machine.
 type Outcomes struct {
 	OK       int `json:"ok"`
 	Retried  int `json:"retried"`

@@ -3,10 +3,10 @@ package gamma
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/rebalance"
 	"repro/internal/rng"
 	"repro/internal/serve"
@@ -105,7 +105,7 @@ func (m *Machine) RunServe(mix workload.Mix, spec ServeSpec) (ServeResult, error
 		seed = m.Cfg.Seed
 	}
 	m.reset()
-	card := m.Relation.Cardinality()
+	name, card := m.Relation.Name, m.Relation.Cardinality()
 	access := mix.AccessChooser()
 
 	cfg := serve.Config{
@@ -118,11 +118,10 @@ func (m *Machine) RunServe(mix workload.Mix, spec ServeSpec) (ServeResult, error
 		WarmupQueries:  spec.WarmupQueries,
 		MeasureQueries: spec.MeasureQueries,
 		MaxSimTime:     spec.MaxSimTime,
-		Sample: func(src *rng.Source) (core.Predicate, string) {
+		Sample: func(src *rng.Source) (*plan.Node, string) {
 			pred, cls := mix.Sample(src, card)
-			return pred, cls.Name
+			return plan.Select(name, pred, access(pred)), cls.Name
 		},
-		Access: access,
 		OnWarm: func() { m.resetStats() },
 	}
 	if m.Telemetry != nil {

@@ -16,8 +16,9 @@ const DefaultSharingWindow = 5 * sim.Millisecond
 // within the batching window are predicate-grouped and run as one disk
 // pass (see exec.SharedScans). Nil (the default) leaves the simulation
 // schedule byte-identical to a build without sharing support. Sharing
-// requires the legacy scheduling path — Config.Validate rejects it
-// combined with Faults or ChainedReplicas.
+// composes with Faults and ChainedReplicas: batches are keyed by replica
+// role and placement epoch, and stale batch replies are dropped by
+// attempt.
 type SharingSpec struct {
 	// Window is the batching window in simulated time: the first selection
 	// to open a predicate group waits at most this long for others to join

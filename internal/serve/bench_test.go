@@ -3,8 +3,6 @@ package serve
 import (
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -24,11 +22,7 @@ func BenchmarkOpenArrivals(b *testing.B) {
 		SLOms:          100,
 		WarmupQueries:  0,
 		MeasureQueries: b.N,
-		Sample: func(src *rng.Source) (core.Predicate, string) {
-			lo := int64(src.Intn(1000))
-			return core.Predicate{Attr: 1, Lo: lo, Hi: lo}, "bench"
-		},
-		Access: func(core.Predicate) exec.AccessKind { return exec.AccessClustered },
+		Sample:         pointQueries("bench"),
 	}
 	backend := &fakeBackend{service: sim.Millisecond}
 	b.ReportAllocs()
@@ -56,11 +50,7 @@ func BenchmarkOpenArrivalsSampled(b *testing.B) {
 		WarmupQueries:  0,
 		MeasureQueries: b.N,
 		Telemetry:      obs.NewSampler(int64(250*sim.Millisecond), obs.DefaultCapacity),
-		Sample: func(src *rng.Source) (core.Predicate, string) {
-			lo := int64(src.Intn(1000))
-			return core.Predicate{Attr: 1, Lo: lo, Hi: lo}, "bench"
-		},
-		Access: func(core.Predicate) exec.AccessKind { return exec.AccessClustered },
+		Sample:         pointQueries("bench"),
 	}
 	backend := &fakeBackend{service: sim.Millisecond}
 	b.ReportAllocs()

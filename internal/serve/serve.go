@@ -3,18 +3,18 @@ package serve
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
-// Executor executes one query inside the simulation and reports its typed
-// result. exec.Host satisfies it; the indirection keeps this package from
-// importing the machine assembly.
+// Executor executes one query plan inside the simulation and reports its
+// typed result. exec.Host satisfies it; the indirection keeps this package
+// from importing the machine assembly.
 type Executor interface {
-	Execute(p *sim.Proc, pred core.Predicate, access exec.AccessChooser) exec.QueryResult
+	Submit(p *sim.Proc, n *plan.Node) exec.QueryResult
 }
 
 // Config parameterizes one serving run.
@@ -54,11 +54,9 @@ type Config struct {
 	// Default 3600 simulated seconds.
 	MaxSimTime sim.Duration
 
-	// Sample draws one query predicate (and a class label for traces) per
+	// Sample draws one query plan (and a class label for traces) per
 	// admitted arrival, from the given dedicated stream. Required.
-	Sample func(src *rng.Source) (core.Predicate, string)
-	// Access chooses the access method per predicate. Required.
-	Access exec.AccessChooser
+	Sample func(src *rng.Source) (*plan.Node, string)
 	// OnWarm fires once at the warm-up boundary, before the measurement
 	// window opens — the hook the machine uses to reset its own hardware
 	// statistics in step with the tracker.
@@ -114,9 +112,6 @@ func (c Config) Validate() error {
 	}
 	if c.Sample == nil {
 		return fmt.Errorf("serve: Config.Sample is required")
-	}
-	if c.Access == nil {
-		return fmt.Errorf("serve: Config.Access is required")
 	}
 	for i, t := range c.Tenants {
 		if t.Weight < 0 {
@@ -272,12 +267,12 @@ func Run(eng *sim.Engine, streams *rng.Factory, cfg Config, backend Executor) (R
 				continue
 			}
 			f.nextID++
-			pred, class := cfg.Sample(sampleSrc)
+			query, class := cfg.Sample(sampleSrc)
 			f.tracker.Admit(tenant)
 			f.queues.Push(queued{
 				id:       f.nextID,
 				tenant:   tenant,
-				pred:     pred,
+				query:    query,
 				class:    class,
 				arrived:  p.Now(),
 				admitted: p.Now(),
@@ -411,7 +406,7 @@ func (f *frontend) worker(p *sim.Proc) {
 			continue
 		}
 		f.inflight++
-		res := f.backend.Execute(p, item.pred, f.cfg.Access)
+		res := f.backend.Submit(p, item.query)
 		f.inflight--
 		waitMS := sim.Duration(wait).Milliseconds()
 		latencyMS := sim.Duration(p.Now() - item.arrived).Milliseconds()

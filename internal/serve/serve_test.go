@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -16,10 +17,18 @@ type fakeBackend struct {
 	outcome exec.Outcome
 }
 
-func (b *fakeBackend) Execute(p *sim.Proc, pred core.Predicate, access exec.AccessChooser) exec.QueryResult {
+func (b *fakeBackend) Submit(p *sim.Proc, n *plan.Node) exec.QueryResult {
 	start := p.Now()
 	p.Hold(b.service)
-	return exec.QueryResult{Pred: pred, Submitted: start, Completed: p.Now(), Outcome: b.outcome}
+	return exec.QueryResult{Pred: n.Pred, Submitted: start, Completed: p.Now(), Outcome: b.outcome}
+}
+
+// pointQueries samples uniform point selections labelled class.
+func pointQueries(class string) func(src *rng.Source) (*plan.Node, string) {
+	return func(src *rng.Source) (*plan.Node, string) {
+		lo := int64(src.Intn(1000))
+		return plan.Select("r", core.Predicate{Attr: 1, Lo: lo, Hi: lo}, plan.AccessClustered), class
+	}
 }
 
 func testConfig(lambda float64) Config {
@@ -32,11 +41,7 @@ func testConfig(lambda float64) Config {
 		SLOms:          50,
 		WarmupQueries:  50,
 		MeasureQueries: 500,
-		Sample: func(src *rng.Source) (core.Predicate, string) {
-			lo := int64(src.Intn(1000))
-			return core.Predicate{Attr: 1, Lo: lo, Hi: lo}, "fake"
-		},
-		Access: func(core.Predicate) exec.AccessKind { return exec.AccessClustered },
+		Sample:         pointQueries("fake"),
 	}
 }
 
@@ -221,11 +226,6 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Sample = nil
 	if _, err := Run(sim.New(), rng.NewFactory(1), cfg, &fakeBackend{service: 1}); err == nil {
 		t.Fatalf("missing Sample must be rejected")
-	}
-	cfg = testConfig(100)
-	cfg.Access = nil
-	if _, err := Run(sim.New(), rng.NewFactory(1), cfg, &fakeBackend{service: 1}); err == nil {
-		t.Fatalf("missing Access must be rejected")
 	}
 	cfg = testConfig(100)
 	if _, err := Run(sim.New(), rng.NewFactory(1), cfg, nil); err == nil {

@@ -3,7 +3,7 @@ package serve
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/sim"
 )
 
@@ -29,7 +29,7 @@ func DefaultTenants(n int) []Tenant {
 type queued struct {
 	id       int64
 	tenant   int
-	pred     core.Predicate
+	query    *plan.Node
 	class    string
 	arrived  sim.Time
 	admitted sim.Time
