@@ -203,6 +203,7 @@ func BenchmarkAblationAssignment(b *testing.B) {
 				}
 				qps = res.ThroughputQPS
 			}
+			machine.Close()
 			b.ReportMetric(qps, "q/s")
 		})
 	}
@@ -338,6 +339,7 @@ func BenchmarkAblationAccessSkew(b *testing.B) {
 					}
 					qps = res.ThroughputQPS
 				}
+				machine.Close()
 				b.ReportMetric(qps, strat+"_q/s")
 			}
 		})
@@ -378,6 +380,7 @@ func BenchmarkOpenSystem(b *testing.B) {
 					}
 					resp = res.Serve.SLO.Latency.Mean
 				}
+				machine.Close()
 				b.ReportMetric(resp, strat+"_resp_ms")
 			}
 		})
@@ -412,6 +415,7 @@ func BenchmarkDeclusteringLoad(b *testing.B) {
 				}
 				loadS = res.Elapsed.Seconds()
 			}
+			machine.Close()
 			b.ReportMetric(loadS, "load_s")
 		})
 	}
@@ -490,6 +494,7 @@ func BenchmarkJoinColocation(b *testing.B) {
 				ms = res.ResponseMS()
 				machine.Reset() // fresh engine for the next iteration
 			}
+			machine.Close()
 			b.ReportMetric(ms, "join_ms")
 		})
 	}

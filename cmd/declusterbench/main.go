@@ -665,8 +665,8 @@ func run() int {
 		if err := f.Close(); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d jobs, %d workers, %.2fx speedup vs serial)\n",
-			*manifestOut, merged.Jobs, merged.Workers, merged.Speedup)
+		fmt.Fprintf(os.Stderr, "wrote %s (%d jobs, %d workers, %.2fx speedup vs serial, peak RSS %.1f MB)\n",
+			*manifestOut, merged.Jobs, merged.Workers, merged.Speedup, merged.PeakRSSMB)
 	}
 	if hub != nil && *metricsLing > 0 {
 		fmt.Fprintf(os.Stderr, "metrics endpoint lingering %v (%d runs registered)...\n",

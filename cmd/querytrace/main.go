@@ -168,6 +168,7 @@ func main() {
 			fmt.Println()
 			printFragments(coll.Events())
 		}
+		machine.Close()
 	}
 
 	if jsonl != nil {

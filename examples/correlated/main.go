@@ -123,6 +123,7 @@ func main() {
 			res, err := machine.Run(mix, gamma.RunSpec{
 				MPL: 32, WarmupQueries: 100, MeasureQueries: 400,
 			})
+			machine.Close()
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -81,6 +81,7 @@ func main() {
 		if err := machine.Eng.RunUntil(sim.Time(30 * 60 * sim.Second)); err != nil {
 			log.Fatal(err)
 		}
+		machine.Close()
 		mode := "co-located"
 		if res.Repartitioned {
 			mode = "repartitioned"

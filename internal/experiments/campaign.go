@@ -128,6 +128,7 @@ func pointJob(fb figureBuild, strategy string, pl core.Placement, mpl int, cfg g
 			if err != nil {
 				return nil, fmt.Errorf("figure %s/%s: %w", fb.fig.ID, strategy, err)
 			}
+			defer machine.Close()
 			res, err := machine.Run(fb.mix, gamma.RunSpec{
 				MPL:            mpl,
 				WarmupQueries:  opts.WarmupQueries,

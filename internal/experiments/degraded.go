@@ -83,6 +83,7 @@ func RunDegraded(fig Figure, ks []int, opts Options, copts CampaignOptions) (Deg
 						if err != nil {
 							return nil, fmt.Errorf("degraded %s/k%d: %w", name, k, err)
 						}
+						defer machine.Close()
 						res, err := machine.Run(fb.mix, gamma.RunSpec{
 							MPL:            mpl,
 							WarmupQueries:  opts.WarmupQueries,

@@ -230,6 +230,7 @@ func RunElastic(figs []Figure, opts Options, eopts ElasticOptions, copts Campaig
 						if err != nil {
 							return nil, fmt.Errorf("figure %s/%s n=%d: %w", fb.fig.ID, name, size, err)
 						}
+						defer machine.Close()
 						res, err := machine.RunServe(fb.mix, gamma.ServeSpec{
 							Arrival:        serve.ArrivalSpec{Kind: eopts.Arrival, RateQPS: eopts.Lambda},
 							Tenants:        serve.DefaultTenants(eopts.Tenants),

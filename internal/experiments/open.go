@@ -117,6 +117,7 @@ func RunOpenSystem(figs []Figure, opts Options, oopts OpenOptions, copts Campaig
 						if err != nil {
 							return nil, fmt.Errorf("figure %s/%s: %w", fb.fig.ID, name, err)
 						}
+						defer machine.Close()
 						res, err := machine.RunServe(fb.mix, gamma.ServeSpec{
 							Arrival:        serve.ArrivalSpec{Kind: oopts.Arrival, RateQPS: lambda},
 							Tenants:        serve.DefaultTenants(oopts.Tenants),

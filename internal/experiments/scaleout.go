@@ -90,6 +90,7 @@ func RunScaleSweepParallel(sweep ScaleSweep, opts Options, copts CampaignOptions
 					if err != nil {
 						return nil, fmt.Errorf("scale sweep %s/P=%d: %w", name, procs, err)
 					}
+					defer machine.Close()
 					res, err := machine.Run(mix, gamma.RunSpec{
 						MPL:            2 * procs,
 						WarmupQueries:  o.WarmupQueries,

@@ -97,6 +97,7 @@ func RunSharing(fig Figure, windowMS float64, opts Options, copts CampaignOption
 						if err != nil {
 							return nil, fmt.Errorf("sharing %s/%s: %w", name, tag, err)
 						}
+						defer machine.Close()
 						res, err := machine.Run(hot, gamma.RunSpec{
 							MPL:            mpl,
 							WarmupQueries:  opts.WarmupQueries,

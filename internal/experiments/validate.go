@@ -79,6 +79,7 @@ func RunResponseCurve(cls workload.Class, widths []int, opts Options) (ResponseC
 			MeasureQueries: opts.MeasureQueries / 2,
 			Seed:           opts.Seed,
 		})
+		machine.Close()
 		if err != nil {
 			return out, err
 		}

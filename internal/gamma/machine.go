@@ -148,8 +148,9 @@ type declustered struct {
 
 // Machine is one assembled simulation instance: build it with Build (and
 // optionally AddRelation), then call Run (repeatedly, with increasing MPL
-// if desired — each Run uses a fresh engine). Relation and Placement refer
-// to the primary relation, which Run's workload targets.
+// if desired — each Run uses a fresh engine), and Close it when done.
+// Relation and Placement refer to the primary relation, which Run's
+// workload targets.
 type Machine struct {
 	Cfg       Config
 	Relation  *storage.Relation
@@ -367,22 +368,35 @@ func (m *Machine) AddRelation(rel *storage.Relation, placement core.Placement) e
 	return nil
 }
 
-// Reset rebuilds the simulation engine, hardware and buffer pools, and
-// reattaches the machine's storage image, so direct users of
-// Machine.Eng/Host (single-query probes, joins) can start from a cold,
-// deterministic state; Run and RunServe call it implicitly.
+// Reset closes the current engine, rebuilds the simulation engine,
+// hardware and buffer pools, and reattaches the machine's storage image,
+// so direct users of Machine.Eng/Host (single-query probes, joins) can
+// start from a cold, deterministic state; Run and RunServe call it
+// implicitly.
 func (m *Machine) Reset() { m.reset() }
+
+// Close retires the machine's current engine: every process still parked
+// on it (operator managers, NIC receivers, terminals, the host) unwinds and
+// its goroutine exits, so the run's nodes, buffer pools and event pool
+// become garbage. Results already returned by Run, RunServe or
+// SimulateLoad are unaffected. Call it once the machine is no longer
+// needed; Reset, Run and RunServe close the engine they replace
+// themselves. Closing twice is a no-op.
+func (m *Machine) Close() {
+	if m.Eng != nil {
+		m.Eng.Close()
+	}
+}
 
 // reset gives the next run a cold, deterministic machine: a new engine,
 // CPUs, network, disks, buffer pools, operator nodes, host, catalog, heat
 // accumulators, fault injector, sampler and rebalancer. The storage image
 // is not rebuilt: the nodes attach the image's read-only fragments and
 // auxiliary trees, and each disk's allocator resumes after the image's
-// pages. Server processes of the previous engine (operator managers, NIC
-// receivers) stay parked on the abandoned engine; their goroutines are
-// never reclaimed and keep that run's engine, nodes and buffer pools
-// reachable until process exit.
+// pages. The previous engine is closed first, so its server processes
+// (operator managers, NIC receivers) exit instead of staying parked.
 func (m *Machine) reset() {
+	m.Close()
 	cfg := m.Cfg
 	p := m.Placement.Processors()
 	// Elasticity builds one standby node per scheduled Join beyond the

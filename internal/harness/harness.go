@@ -16,8 +16,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -127,8 +130,11 @@ type Manifest struct {
 	WallMS   float64 `json:"wall_ms"`
 	SumJobMS float64 `json:"sum_job_ms"`
 	// Speedup is SumJobMS / WallMS.
-	Speedup float64     `json:"speedup"`
-	Reports []JobReport `json:"job_reports"`
+	Speedup float64 `json:"speedup"`
+	// PeakRSSMB is the process's peak resident set size in MiB (VmHWM)
+	// when the pool finished; 0 where /proc is unavailable.
+	PeakRSSMB float64     `json:"peak_rss_mb"`
+	Reports   []JobReport `json:"job_reports"`
 }
 
 // Failures returns the reports of the jobs that failed, in job order.
@@ -162,8 +168,8 @@ func (m Manifest) Write(w io.Writer) error {
 
 // Merge combines the manifests of campaigns run back to back (e.g. the
 // figure sweep followed by the scale-out sweep) into one: job reports
-// concatenate, wall times add, and the speedup is recomputed over the
-// union.
+// concatenate, wall times add, the peak RSS is the largest part's, and the
+// speedup is recomputed over the union.
 func Merge(label string, ms ...Manifest) Manifest {
 	out := Manifest{Label: label, Env: CaptureEnv()}
 	for _, m := range ms {
@@ -174,6 +180,7 @@ func Merge(label string, ms ...Manifest) Manifest {
 		out.Failed += m.Failed
 		out.WallMS += m.WallMS
 		out.SumJobMS += m.SumJobMS
+		out.PeakRSSMB = max(out.PeakRSSMB, m.PeakRSSMB)
 		out.Reports = append(out.Reports, m.Reports...)
 	}
 	if out.WallMS > 0 {
@@ -256,6 +263,31 @@ func runOne(job Job, opts Options) (any, JobReport) {
 
 func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }
 
+// peakRSSMB reads the process's peak resident set size from
+// /proc/self/status, in MiB; 0 where the file is unavailable.
+func peakRSSMB() float64 {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	return parseVmHWM(string(status))
+}
+
+// parseVmHWM extracts the VmHWM line ("VmHWM:   12345 kB") of a
+// /proc/<pid>/status text, in MiB; 0 when the line is missing or malformed.
+func parseVmHWM(status string) float64 {
+	for _, line := range strings.Split(status, "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == "VmHWM:" {
+			kb, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				return 0
+			}
+			return kb / 1024
+		}
+	}
+	return 0
+}
+
 // Execute runs the jobs on a bounded worker pool and returns their values
 // (indexed like jobs; nil for failed jobs) plus the run manifest. The error
 // reports invalid Options only — per-job failures are in the manifest; use
@@ -304,13 +336,14 @@ func Execute(jobs []Job, opts Options) ([]any, Manifest, error) {
 	wg.Wait()
 
 	m := Manifest{
-		Label:    opts.Label,
-		Env:      CaptureEnv(),
-		Workers:  workers,
-		Jobs:     len(jobs),
-		WallMS:   msSince(start),
-		SumJobMS: sumMS,
-		Reports:  reports,
+		Label:     opts.Label,
+		Env:       CaptureEnv(),
+		Workers:   workers,
+		Jobs:      len(jobs),
+		WallMS:    msSince(start),
+		SumJobMS:  sumMS,
+		PeakRSSMB: peakRSSMB(),
+		Reports:   reports,
 	}
 	for _, r := range reports {
 		if r.Failed() {

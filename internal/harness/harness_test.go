@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -333,5 +334,42 @@ func TestManifestOpenSystemFieldsRoundTrip(t *testing.T) {
 	}
 	if back.Reports[0].Arrival != "poisson" || back.Reports[0].OfferedQPS != 400 {
 		t.Fatalf("open-system fields lost: %+v", back.Reports[0])
+	}
+}
+
+func TestManifestPeakRSSRoundTrip(t *testing.T) {
+	_, m, _ := Execute([]Job{okJob("a", 1)}, Options{Workers: 1})
+	if _, err := os.Stat("/proc/self/status"); err == nil && m.PeakRSSMB <= 0 {
+		t.Fatalf("peak RSS %v with /proc available", m.PeakRSSMB)
+	}
+	m.PeakRSSMB = 123.25
+	var buf bytes.Buffer
+	if err := m.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"peak_rss_mb": 123.25`) {
+		t.Fatalf("manifest JSON missing peak_rss_mb:\n%s", buf.String())
+	}
+	var back Manifest
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.PeakRSSMB != 123.25 {
+		t.Fatalf("peak RSS round-tripped to %v", back.PeakRSSMB)
+	}
+	if merged := Merge("both", Manifest{PeakRSSMB: 40}, back, Manifest{PeakRSSMB: 7}); merged.PeakRSSMB != 123.25 {
+		t.Fatalf("merged peak RSS = %v, want the largest part's", merged.PeakRSSMB)
+	}
+}
+
+func TestParseVmHWM(t *testing.T) {
+	status := "Name:\tdeclusterbench\nVmPeak:\t  812340 kB\nVmHWM:\t   51200 kB\nVmRSS:\t   40960 kB\n"
+	if got := parseVmHWM(status); got != 50 {
+		t.Fatalf("VmHWM 51200 kB = %v MiB, want 50", got)
+	}
+	for _, bad := range []string{"", "VmRSS:\t 1024 kB\n", "VmHWM:\n", "VmHWM:\tlots kB\n"} {
+		if got := parseVmHWM(bad); got != 0 {
+			t.Fatalf("parseVmHWM(%q) = %v, want 0", bad, got)
+		}
 	}
 }

@@ -135,3 +135,27 @@ func TestFacilitySteadyStateAllocs(t *testing.T) {
 		t.Fatalf("facility cycle allocates %.3f per op (%v total), want ~0", perCycle, allocs)
 	}
 }
+
+// Spawning costs the Proc, its resume channel, the goroutine's closure and
+// its deferred teardown closure; joining and leaving the live-process set
+// adds nothing once the set's backing array has grown. A first batch of
+// processes warms the runtime's free goroutine list: a goroutine that has
+// just handed control back may not have exited yet when the next spawns.
+func TestSpawnAllocs(t *testing.T) {
+	e := New()
+	body := func(p *Proc) {}
+	for i := 0; i < 100; i++ {
+		e.Spawn("warm", body)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		e.Spawn("p", body)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Fatalf("Spawn+Run allocates %v per op, want <= 4", n)
+	}
+}

@@ -104,8 +104,12 @@ type Engine struct {
 
 	yielded chan struct{}
 	stopped bool
+	closed  bool
 	err     error
-	active  int           // processes spawned and not yet finished
+	// procs is the live-process set: every process spawned and not yet
+	// finished, each at its Proc.slot. A finishing process swap-removes
+	// itself, so the set is bounded by live processes, not spawned ones.
+	procs   []*Proc
 	parked  int           // processes blocked with no scheduled event
 	sink    obs.Sink      // structured trace sink; nil = tracing disabled
 	metrics *obs.Registry // metrics registry; nil = metrics disabled
@@ -317,14 +321,41 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // Resume clears a Stop so Run/RunUntil can continue processing the
-// remaining events. It does not clear a recorded process error.
-func (e *Engine) Resume() { e.stopped = e.err != nil }
+// remaining events. It does not clear a recorded process error, and it does
+// not reopen a closed engine.
+func (e *Engine) Resume() { e.stopped = e.err != nil || e.closed }
 
 // Run processes events until the heap is empty, Stop is called, or a process
 // panics. It returns the first process error, if any. Processes still parked
-// on mailboxes when the heap drains are left parked; this is normal for
-// server processes.
+// on mailboxes when the heap drains (server processes) stay parked, so a
+// later Run can continue; Close retires them once the engine is done.
 func (e *Engine) Run() error { return e.RunUntil(Time(1<<62 - 1)) }
+
+// Close retires the engine: every process that has not finished is killed
+// and resumed until its goroutine exits, then all pending events are
+// dropped. A process unwinds through the Kill path, running its deferred
+// calls; a deferred call that parks or holds again just unwinds again, and
+// whatever the unwinding schedules or spawns is discarded with the rest.
+// Close must be called from outside the engine's processes, with no Run in
+// progress. Afterwards the engine does not run again: Run returns at once
+// and Spawn panics. A second Close is a no-op.
+func (e *Engine) Close() {
+	if e.closed {
+		return
+	}
+	e.stopped = true
+	for len(e.procs) > 0 {
+		p := e.procs[len(e.procs)-1]
+		p.killed = true
+		for !p.finished {
+			p.resume <- struct{}{}
+			<-e.yielded
+		}
+	}
+	e.closed = true
+	e.pool, e.free, e.eheap, e.ready = nil, nil, nil, nil
+	e.rhead, e.rcount = 0, 0
+}
 
 // RunUntil processes events with timestamps <= deadline, then sets the clock
 // to the deadline (if it advanced that far). See Run for the return value.
@@ -370,6 +401,7 @@ type Proc struct {
 	resume   chan struct{}
 	killed   bool  // Kill was requested; unwind at next resume
 	finished bool  // goroutine has exited (normally, by panic, or by Kill)
+	slot     int   // index in the engine's live-process set
 	qid      int64 // query the process is currently working for (0 = none)
 }
 
@@ -397,15 +429,19 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(e.now, name, fn)
 }
 
-// SpawnAt creates a process that begins executing fn at time t.
+// SpawnAt creates a process that begins executing fn at time t. A process
+// killed before its first resume never runs fn.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
-	e.active++
+	if e.closed {
+		panic("sim: Spawn on a closed engine")
+	}
+	p := &Proc{eng: e, name: name, resume: make(chan struct{}), slot: len(e.procs)}
+	e.procs = append(e.procs, p)
 	go func() {
 		<-p.resume
 		defer func() {
 			p.finished = true
-			e.active--
+			e.removeProc(p)
 			if r := recover(); r != nil {
 				if r == errKilled {
 					// Deliberate teardown via Kill; not an error.
@@ -416,10 +452,22 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 			}
 			e.yielded <- struct{}{}
 		}()
-		fn(p)
+		if !p.killed {
+			fn(p)
+		}
 	}()
 	e.schedule(event{t: t, seq: e.nextSeq(), p: p})
 	return p
+}
+
+// removeProc swap-removes a finished process from the live-process set.
+func (e *Engine) removeProc(p *Proc) {
+	last := len(e.procs) - 1
+	moved := e.procs[last]
+	e.procs[p.slot] = moved
+	moved.slot = p.slot
+	e.procs[last] = nil
+	e.procs = e.procs[:last]
 }
 
 // errKilled is the sentinel panic used to unwind a killed process.
@@ -504,9 +552,10 @@ func (e *Engine) Wake(p *Proc) {
 	e.schedule(event{t: e.now, seq: e.nextSeq(), p: p})
 }
 
-// Kill tears down a parked or held process. The next time the process would
-// be resumed it unwinds instead. Killing an already-finished process is a
-// no-op. Used by experiment drivers to retire terminal processes.
+// Kill tears down a parked, held or not-yet-started process. The next time
+// the process would be resumed it unwinds instead (an unstarted one exits
+// without running its body). Killing an already-finished process is a
+// no-op.
 func (e *Engine) Kill(p *Proc) {
 	if p.finished || p.killed {
 		return
@@ -517,7 +566,7 @@ func (e *Engine) Kill(p *Proc) {
 }
 
 // Active reports the number of live processes (running, held, or parked).
-func (e *Engine) Active() int { return e.active }
+func (e *Engine) Active() int { return len(e.procs) }
 
 // Parked reports the number of processes blocked with no scheduled event.
 func (e *Engine) Parked() int { return e.parked }
