@@ -279,19 +279,22 @@ func BenchmarkCampaign(b *testing.B) {
 // BenchmarkScaleOut sweeps the machine size at constant per-processor load
 // (MPL = 2P) and reports each strategy's throughput at the largest size.
 func BenchmarkScaleOut(b *testing.B) {
-	opts := benchOptions()
-	sweep := experiments.DefaultScaleSweep()
+	fig, err := experiments.FigureByID("8a")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := experiments.ScaleOutScenario(fig, nil, benchOptions())
 	copts := experiments.CampaignOptions{Workers: benchWorkers()}
 	var last experiments.ScaleResult
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.RunScaleSweepParallel(sweep, opts, copts)
+		res, err := experiments.RunScenario(sc, copts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = res
+		last = res.ScaleOut()
 	}
-	top := sweep.Processors[len(sweep.Processors)-1]
-	for _, s := range sweep.Strategies {
+	top := last.Processors[len(last.Processors)-1]
+	for _, s := range last.Strategies {
 		if qps, ok := last.Throughput(s, top); ok {
 			b.ReportMetric(qps, s+"_q/s")
 		}

@@ -5,6 +5,13 @@
 // diagnostics). The (figure, strategy, MPL) runs execute concurrently on a
 // bounded worker pool; results are identical whatever the worker count.
 //
+// Every run is one scenario (experiments.RunScenario). At most one
+// campaign flag — -open, -faults, -share or -elastic — replaces the closed
+// figure sweep with another campaign; everything else composes with any of
+// them: the fault flags -kill-disk, -kill-node and -mtbf, telemetry, heat,
+// -scaleout (a machine-size sweep run afterwards), the manifest and the
+// profilers. -json and -compare archive the closed figure sweep only.
+//
 // Usage:
 //
 //	declusterbench [flags]
@@ -26,9 +33,13 @@
 //	-node-stats      print each strategy's per-node utilization table at the
 //	                 highest MPL of the sweep (execution-skew breakdown)
 //	-csv             emit CSV instead of aligned tables
-//	-bench-out FILE  run the simulation-kernel microbenchmark suite and
-//	                 write a JSON report (combine with -fig none to run
-//	                 benchmarks alone)
+//	-plot            draw each figure as an ASCII chart
+//	-json FILE       write the closed figure results to a JSON archive
+//	-compare FILE    compare against a previous archive; exit 1 on
+//	                 throughput drifts beyond -tolerance (default 0.05;
+//	                 0 means exact)
+//	-scaleout        also run the machine-size sweep (8..64 processors at
+//	                 MPL 2P on figure 8a's mix)
 //
 // Open-system serving mode (ROADMAP item 1; see DESIGN.md §9): instead of
 // the closed MPL sweep, admit queries from an open arrival process through
@@ -50,8 +61,9 @@
 // burn lines per figure, CSV export, and a live OpenMetrics endpoint:
 //
 //	-ts-window D     arm telemetry with sampling window D (e.g. 250ms)
-//	-ts-dir DIR      write one CSV time-series file per open-system point
-//	                 into DIR (implies -ts-window 250ms when not given)
+//	-ts-dir DIR      write one CSV time-series file per run into DIR,
+//	                 named after its job ID (implies -ts-window 250ms when
+//	                 not given)
 //	-metrics-addr A  serve OpenMetrics on A at /metrics while running
 //	                 (implies telemetry); each point registers under its
 //	                 job ID as it completes
@@ -79,9 +91,7 @@
 //	-share-window D  batching window in simulated time (default: the gamma
 //	                 default, 5ms)
 //
-// -share composes with -kill-disk, -kill-node and -mtbf (both runs of each
-// point see the same faults); it is mutually exclusive with -open, -faults
-// and -elastic, which select other campaigns.
+// Both runs of each sharing point see the same faults.
 //
 // Elastic membership (DESIGN.md §13): serve an open arrival process while
 // the membership controller joins a standby node and decommissions a member
@@ -102,15 +112,15 @@
 //	-sizes 4,8       comma-separated initial cluster sizes (default -procs)
 //
 // The elasticity campaign reuses -arrival, -tenants, -slo-ms and -governor;
-// -lambda's first value is the offered load (default 100). -elastic is
-// mutually exclusive with -open, -share and -faults.
+// -lambda's first value is the offered load (default 100).
 //
 // Fault injection (all fault flags imply chained replicas and arm the
 // scheduler's fault handling; see DESIGN.md §8):
 //
 //	-faults 0,1,2    run the degraded-mode campaign instead of the figure
 //	                 campaign: for each selected figure, sweep each strategy
-//	                 with k disks fail-stopped for each listed k
+//	                 with k disks fail-stopped for each listed k (at most
+//	                 the processor count), on top of the other fault flags
 //	-mtbf D          arm stochastic transient disk read errors with mean
 //	                 time D between faults per disk (e.g. -mtbf 500ms)
 //	-kill-disk L     fail-stop disks: comma-separated "n@t[+d]" items, e.g.
@@ -143,17 +153,18 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
-	"repro/internal/gamma"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func main() { os.Exit(run()) }
@@ -179,7 +190,6 @@ func run() int {
 		csv         = flag.Bool("csv", false, "emit CSV")
 		scaleout    = flag.Bool("scaleout", false, "run the machine-size sweep too")
 		nodeStats   = flag.Bool("node-stats", false, "print per-node utilization tables (highest MPL)")
-		benchOut    = flag.String("bench-out", "", "run the kernel microbenchmark suite and write a JSON report")
 		open        = flag.Bool("open", false, "run the open-system serving campaign instead of the closed MPL sweep")
 		arrival     = flag.String("arrival", "poisson", "open arrival process: poisson, bursty, or diurnal")
 		lambdaList  = flag.String("lambda", "", "comma-separated offered loads in q/s (default 100,200,400,800)")
@@ -262,32 +272,22 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	// A full open sweep over all nine figures at paper scale would dwarf the
-	// closed-loop campaign, so -open without -fig defaults to figure 8a.
-	if *open && *figList == "" {
-		fig, err := experiments.FigureByID("8a")
-		if err != nil {
-			return fail(err)
+	campaigns := 0
+	for _, on := range []bool{*open, *faultsKs != "", *share, *elastic} {
+		if on {
+			campaigns++
 		}
-		figs = []experiments.Figure{fig}
 	}
-	// The sharing campaign runs every point twice (off and on); default it
-	// to the Moderate-Low figure, where batch overlap is most visible.
-	if *share && *figList == "" {
-		fig, err := experiments.FigureByID("11a")
-		if err != nil {
-			return fail(err)
-		}
-		figs = []experiments.Figure{fig}
+	if campaigns > 1 {
+		return fail(fmt.Errorf("at most one of -open, -faults, -share and -elastic per run"))
 	}
-	// The elasticity campaign serves one offered load per point with two
-	// copy windows inside it; default to one figure as -open does.
-	if *elastic && *figList == "" {
-		fig, err := experiments.FigureByID("8a")
-		if err != nil {
-			return fail(err)
-		}
-		figs = []experiments.Figure{fig}
+	// The archive holds closed-loop throughputs per (figure, strategy, MPL);
+	// any other run would write an empty one that no comparison can fail.
+	if (*jsonOut != "" || *compare != "") && (campaigns > 0 || len(figs) == 0) {
+		return fail(fmt.Errorf("-json and -compare need the closed figure campaign (no -open, -faults, -share, -elastic or -fig none)"))
+	}
+	if *leaveNode < 0 {
+		return fail(fmt.Errorf("negative -leave-node %d", *leaveNode))
 	}
 	oopts, err := buildOpenOptions(*arrival, *lambdaList, *tenants, *sloMS, *governor)
 	if err != nil {
@@ -299,12 +299,6 @@ func run() int {
 	}
 	if spec.Enabled() {
 		opts.ArmFaults(spec, true)
-	}
-	if *share && (*faultsKs != "" || *open) {
-		return fail(fmt.Errorf("-share is mutually exclusive with -open and -faults (one campaign mode per run)"))
-	}
-	if *elastic && (*open || *share || *faultsKs != "") {
-		return fail(fmt.Errorf("-elastic is mutually exclusive with -open, -share and -faults (one campaign mode per run)"))
 	}
 	if *migrateRate < 0 {
 		return fail(fmt.Errorf("negative -migrate-rate %d", *migrateRate))
@@ -354,77 +348,17 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "serving OpenMetrics on http://%s/metrics\n", ln.Addr())
 	}
 
-	exit := 0
-	if *benchOut != "" {
-		fmt.Fprintln(os.Stderr, "running kernel microbenchmark suite...")
-		if err := runBenchSuite(*benchOut); err != nil {
-			fmt.Fprintln(os.Stderr, "declusterbench:", err)
-			exit = 1
-		}
-	}
-	archive := experiments.Archive{Label: "declusterbench", Options: opts}
-	var manifests []harness.Manifest
-
-	if *open {
-		if len(figs) == 0 {
-			return fail(fmt.Errorf(`-open needs at least one figure (drop "-fig none")`))
-		}
-		fmt.Fprintf(os.Stderr, "running open-system campaign (%s arrivals, λ=%v) on %d workers...\n",
-			oopts.Arrival, oopts.Lambdas, workersFor(*parallel))
-		campaign, err := experiments.RunOpenSystem(figs, opts, oopts, experiments.CampaignOptions{
-			Workers:    *parallel,
-			JobTimeout: *timeout,
-			Progress:   os.Stderr,
-			Label:      "open",
-			Hub:        hub,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "declusterbench:", err)
-			exit = 1
-		}
-		manifests = append(manifests, campaign.Manifest)
-		if *tsDir != "" {
-			if err := writeTimeSeriesCSVs(*tsDir, campaign.Manifest); err != nil {
-				fmt.Fprintln(os.Stderr, "declusterbench:", err)
-				exit = 1
-			}
-		}
-		for _, res := range campaign.Figures {
-			if *csv {
-				fmt.Print(res.Table().CSV())
-			} else {
-				fmt.Println(res.Table().String())
-			}
-			for _, n := range res.Notes {
-				fmt.Printf("  %s\n", n)
-			}
-			if *detail {
-				if *csv {
-					fmt.Print(res.DetailTable().CSV())
-				} else {
-					fmt.Println(res.DetailTable().String())
-				}
-			}
-			fmt.Println()
-			if *csv {
-				fmt.Print(res.SummaryTable().CSV())
-			} else {
-				fmt.Println(res.SummaryTable().String())
-			}
-			fmt.Println()
-			printOpenTelemetry(res, *csv)
-			printOpenHeat(res, *csv)
-		}
-		if *heatmapDir != "" {
-			if err := writeHeatCSVs(*heatmapDir, openHeatFiles(campaign.Figures)); err != nil {
-				fmt.Fprintln(os.Stderr, "declusterbench:", err)
-				exit = 1
-			}
-		}
-	} else if *elastic {
-		if len(figs) == 0 {
-			return fail(fmt.Errorf(`-elastic needs at least one figure (drop "-fig none")`))
-		}
+	// The campaign flag selects the scenario; everything else composes
+	// with it. A campaign other than the closed figure sweep defaults to
+	// one figure: 8a, or 11a for sharing, where batch overlap is most
+	// visible.
+	var sc experiments.Scenario
+	label, defaultFig := "figures", ""
+	switch {
+	case *open:
+		sc = experiments.Scenario{Figures: figs, Options: opts, Open: &oopts}
+		label, defaultFig = "open", "8a"
+	case *elastic:
 		eopts := experiments.ElasticOptions{
 			Arrival:      oopts.Arrival,
 			Tenants:      oopts.Tenants,
@@ -439,161 +373,85 @@ func run() int {
 		if len(oopts.Lambdas) > 0 {
 			eopts.Lambda = oopts.Lambdas[0]
 		}
-		fmt.Fprintf(os.Stderr, "running elasticity campaign (%s arrivals) on %d workers...\n",
-			oopts.Arrival, workersFor(*parallel))
-		campaign, err := experiments.RunElastic(figs, opts, eopts, experiments.CampaignOptions{
+		sc = experiments.ElasticScenario(figs, opts, eopts)
+		label, defaultFig = "elastic", "8a"
+	case *faultsKs != "":
+		ks, err := parseKs(*faultsKs)
+		if err != nil {
+			return fail(err)
+		}
+		if sc, err = experiments.DegradedScenario(figs, ks, opts); err != nil {
+			return fail(err)
+		}
+		label = "degraded"
+	case *share:
+		sc = experiments.SharingScenario(figs, float64(*shareWindow)/float64(time.Millisecond), opts)
+		label, defaultFig = "sharing", "11a"
+	default:
+		sc = experiments.Scenario{Figures: figs, Options: opts}
+	}
+	if *figList == "" && defaultFig != "" {
+		fig, err := experiments.FigureByID(defaultFig)
+		if err != nil {
+			return fail(err)
+		}
+		sc.Figures = []experiments.Figure{fig}
+	}
+	if label != "figures" && len(sc.Figures) == 0 {
+		return fail(fmt.Errorf(`the %s campaign needs at least one figure (drop "-fig none")`, label))
+	}
+
+	exit := 0
+	var manifests []harness.Manifest
+	runScenario := func(sc experiments.Scenario, label string) experiments.ScenarioResult {
+		fmt.Fprintf(os.Stderr, "running the %s campaign (%d figures) on %d workers...\n",
+			label, len(sc.Figures), workersFor(*parallel))
+		res, err := experiments.RunScenario(sc, experiments.CampaignOptions{
 			Workers:    *parallel,
 			JobTimeout: *timeout,
 			Progress:   os.Stderr,
-			Label:      "elastic",
+			Label:      label,
 			Hub:        hub,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "declusterbench:", err)
 			exit = 1
 		}
-		manifests = append(manifests, campaign.Manifest)
+		manifests = append(manifests, res.Manifest)
 		if *tsDir != "" {
-			if err := writeTimeSeriesCSVs(*tsDir, campaign.Manifest); err != nil {
+			if err := writeTimeSeriesCSVs(*tsDir, res); err != nil {
 				fmt.Fprintln(os.Stderr, "declusterbench:", err)
 				exit = 1
 			}
 		}
-		for _, res := range campaign.Figures {
-			if *csv {
-				fmt.Print(res.Table().CSV())
-			} else {
-				fmt.Println(res.Table().String())
+		return res
+	}
+
+	p := printer{csv: *csv, plot: *plot, detail: *detail, nodeStats: *nodeStats}
+	archive := experiments.Archive{Label: "declusterbench", Options: opts}
+	if len(sc.Figures) > 0 {
+		res := runScenario(sc, label)
+		var heat []heatFile
+		switch label {
+		case "open":
+			heat = p.open(res)
+		case "elastic":
+			p.elastic(res)
+		case "degraded":
+			p.degraded(res)
+		case "sharing":
+			p.sharing(res)
+		default:
+			archive.Figures, heat = p.closed(res)
+			if opts.Faults.Enabled() {
+				fmt.Printf("fault outcomes: %s\n", res.Outcomes())
 			}
-			for _, n := range res.Notes {
-				fmt.Printf("  %s\n", n)
-			}
-			for _, p := range res.Points {
-				if p.Summary != "" {
-					fmt.Printf("fig%s/%s n=%d %s\n", res.Figure.ID, p.Strategy, p.Size, p.Summary)
-				}
-			}
-			fmt.Println()
-		}
-	} else if *faultsKs != "" {
-		if len(figs) == 0 {
-			return fail(fmt.Errorf(`-faults needs at least one figure (drop "-fig none")`))
-		}
-		ks, err := parseKs(*faultsKs)
-		if err != nil {
-			return fail(err)
-		}
-		for _, fig := range figs {
-			fmt.Fprintf(os.Stderr, "running degraded campaign for figure %s (k=%v) on %d workers...\n",
-				fig.ID, ks, workersFor(*parallel))
-			dres, manifest, err := experiments.RunDegraded(fig, ks, opts, experiments.CampaignOptions{
-				Workers:    *parallel,
-				JobTimeout: *timeout,
-				Progress:   os.Stderr,
-				Label:      "degraded/" + fig.ID,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "declusterbench:", err)
-				exit = 1
-			}
-			manifests = append(manifests, manifest)
-			if *csv {
-				fmt.Print(dres.Table().CSV())
-			} else {
-				fmt.Println(dres.Table().String())
-			}
-			fmt.Printf("fault outcomes: %s\n\n", dres.Outcomes())
-		}
-	} else if *share {
-		if len(figs) == 0 {
-			return fail(fmt.Errorf(`-share needs at least one figure (drop "-fig none")`))
-		}
-		windowMS := float64(*shareWindow) / float64(time.Millisecond)
-		for _, fig := range figs {
-			fmt.Fprintf(os.Stderr, "running shared-scan campaign for figure %s on %d workers...\n",
-				fig.ID, workersFor(*parallel))
-			sres, manifest, err := experiments.RunSharing(fig, windowMS, opts, experiments.CampaignOptions{
-				Workers:    *parallel,
-				JobTimeout: *timeout,
-				Progress:   os.Stderr,
-				Label:      "sharing/" + fig.ID,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "declusterbench:", err)
-				exit = 1
-			}
-			manifests = append(manifests, manifest)
-			if *csv {
-				fmt.Print(sres.Table().CSV())
-			} else {
-				fmt.Println(sres.Table().String())
-			}
-			for _, line := range sres.Summary() {
-				fmt.Println(line)
-			}
-			saved, best := sres.MaxSaved()
-			fmt.Printf("sharing best: %.1f%% disk reads saved (%s fig%s MPL %d)\n\n",
-				100*saved, best.Strategy, fig.ID, best.MPL)
-		}
-	} else if len(figs) > 0 {
-		fmt.Fprintf(os.Stderr, "running %d figures on %d workers...\n", len(figs), workersFor(*parallel))
-		campaign, err := experiments.RunCampaign(figs, opts, experiments.CampaignOptions{
-			Workers:    *parallel,
-			JobTimeout: *timeout,
-			Progress:   os.Stderr,
-			Label:      "figures",
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "declusterbench:", err)
-			exit = 1
-		}
-		manifests = append(manifests, campaign.Manifest)
-		for _, res := range campaign.Figures {
-			archive.Figures = append(archive.Figures, res.Archive())
-			if *csv {
-				fmt.Print(res.Table().CSV())
-			} else {
-				fmt.Println(res.Table().String())
-			}
-			for _, n := range res.Notes {
-				fmt.Printf("  %s\n", n)
-			}
-			if *plot {
-				fmt.Println()
-				fmt.Println(res.Chart().String())
-			}
-			if *detail {
-				if *csv {
-					fmt.Print(res.DetailTable().CSV())
-				} else {
-					fmt.Println(res.DetailTable().String())
-				}
-			}
-			if *nodeStats {
-				printNodeStats(res, *csv)
-			}
-			if opts.Heat {
-				printHeat(res, *csv)
-			}
-			fmt.Println()
 		}
 		if *heatmapDir != "" {
-			if err := writeHeatCSVs(*heatmapDir, closedHeatFiles(campaign.Figures)); err != nil {
+			if err := writeHeatCSVs(*heatmapDir, heat); err != nil {
 				fmt.Fprintln(os.Stderr, "declusterbench:", err)
 				exit = 1
 			}
-		}
-		if opts.Faults.Enabled() {
-			var o gamma.Outcomes
-			for _, res := range campaign.Figures {
-				for _, p := range res.Points {
-					o.OK += p.Result.Outcomes.OK
-					o.Retried += p.Result.Outcomes.Retried
-					o.TimedOut += p.Result.Outcomes.TimedOut
-					o.Failed += p.Result.Outcomes.Failed
-				}
-			}
-			fmt.Printf("fault outcomes: %s\n", o)
 		}
 	}
 
@@ -633,24 +491,12 @@ func run() int {
 	}
 
 	if *scaleout {
-		fmt.Fprintln(os.Stderr, "running scale-out sweep...")
-		res, manifest, err := experiments.RunScaleSweepParallel(
-			experiments.DefaultScaleSweep(), opts, experiments.CampaignOptions{
-				Workers:    *parallel,
-				JobTimeout: *timeout,
-				Progress:   os.Stderr,
-				Label:      "scaleout",
-			})
+		fig, err := experiments.FigureByID("8a")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "declusterbench:", err)
-			exit = 1
+			return fail(err)
 		}
-		manifests = append(manifests, manifest)
-		if *csv {
-			fmt.Print(res.Table().CSV())
-		} else {
-			fmt.Println(res.Table().String())
-		}
+		res := runScenario(experiments.ScaleOutScenario(fig, nil, opts), "scaleout")
+		p.table(res.ScaleOut().Table())
 	}
 
 	if *manifestOut != "" && len(manifests) > 0 {
@@ -676,37 +522,125 @@ func run() int {
 	return exit
 }
 
-// printOpenTelemetry emits the time-resolved blocks of one open figure when
+// printer renders a scenario's results on stdout, as aligned tables or CSV.
+type printer struct {
+	csv, plot, detail, nodeStats bool
+}
+
+func (p printer) table(tb *stats.Table) {
+	if p.csv {
+		fmt.Print(tb.CSV())
+	} else {
+		fmt.Println(tb.String())
+	}
+}
+
+func printNotes(notes []string) {
+	for _, n := range notes {
+		fmt.Printf("  %s\n", n)
+	}
+}
+
+// closed prints each figure's MPL sweep and returns the figures' archive
+// entries and heat files.
+func (p printer) closed(res experiments.ScenarioResult) ([]experiments.FigureArchive, []heatFile) {
+	var archive []experiments.FigureArchive
+	var heat []heatFile
+	for _, fr := range res.Closed() {
+		archive = append(archive, fr.Archive())
+		p.table(fr.Table())
+		printNotes(fr.Notes)
+		if p.plot {
+			fmt.Println()
+			fmt.Println(fr.Chart().String())
+		}
+		if p.detail {
+			p.table(fr.DetailTable())
+		}
+		if p.nodeStats {
+			// The sweep's highest MPL, where execution skew is most visible.
+			top := slices.Max(fr.Options.MPLs)
+			for _, s := range fr.Figure.Strategies {
+				if tb := fr.NodeTable(s, top); tb != nil {
+					p.table(tb)
+				}
+			}
+		}
+		heat = append(heat, p.heat(fr.Figure, fr)...)
+		fmt.Println()
+	}
+	return archive, heat
+}
+
+// open prints each figure's offered-load sweep, its serving summary and,
+// when armed, the telemetry and heat blocks; it returns the heat files.
+func (p printer) open(res experiments.ScenarioResult) []heatFile {
+	var heat []heatFile
+	for _, fr := range res.Open() {
+		p.table(fr.Table())
+		printNotes(fr.Notes)
+		if p.detail {
+			p.table(fr.DetailTable())
+		}
+		fmt.Println()
+		p.table(fr.SummaryTable())
+		fmt.Println()
+		p.openTelemetry(fr)
+		heat = append(heat, p.heat(fr.Figure, fr)...)
+	}
+	return heat
+}
+
+func (p printer) elastic(res experiments.ScenarioResult) {
+	for _, fr := range res.Elastic() {
+		p.table(fr.Table())
+		printNotes(fr.Notes)
+		for _, pt := range fr.Points {
+			if pt.Summary != "" {
+				fmt.Printf("fig%s/%s n=%d %s\n", fr.Figure.ID, pt.Strategy, pt.Size, pt.Summary)
+			}
+		}
+		fmt.Println()
+	}
+}
+
+func (p printer) degraded(res experiments.ScenarioResult) {
+	for _, dr := range res.Degraded() {
+		p.table(dr.Table())
+		fmt.Printf("fault outcomes: %s\n\n", dr.Outcomes())
+	}
+}
+
+func (p printer) sharing(res experiments.ScenarioResult) {
+	for _, sr := range res.Sharing() {
+		p.table(sr.Table())
+		for _, line := range sr.Summary() {
+			fmt.Println(line)
+		}
+		saved, best := sr.MaxSaved()
+		fmt.Printf("sharing best: %.1f%% disk reads saved (%s fig%s MPL %d)\n\n",
+			100*saved, best.Strategy, sr.Figure.ID, best.MPL)
+	}
+}
+
+// openTelemetry prints the time-resolved blocks of one open figure when
 // its points carry telemetry: goodput-over-time and disk-skew-over-time at
 // the highest offered load (where the time axis is most interesting), plus
 // one SLO burn line per strategy at that load.
-func printOpenTelemetry(res experiments.OpenFigureResult, csv bool) {
+func (p printer) openTelemetry(res experiments.OpenFigureResult) {
 	if !res.HasTimeSeries() || len(res.Open.Lambdas) == 0 {
 		return
 	}
-	lambda := res.Open.Lambdas[0]
-	for _, l := range res.Open.Lambdas {
-		if l > lambda {
-			lambda = l
-		}
-	}
-	for _, tb := range []interface {
-		CSV() string
-		String() string
-	}{res.GoodputOverTime(lambda), res.SkewOverTime(lambda)} {
-		if csv {
-			fmt.Print(tb.CSV())
-		} else {
-			fmt.Println(tb.String())
-		}
-	}
-	for _, p := range res.Points {
-		if p.Lambda != lambda || p.Result.Serve.Burn == nil {
+	lambda := slices.Max(res.Open.Lambdas)
+	p.table(res.GoodputOverTime(lambda))
+	p.table(res.SkewOverTime(lambda))
+	for _, pt := range res.Points {
+		if pt.Lambda != lambda || pt.Result.Serve.Burn == nil {
 			continue
 		}
-		b := p.Result.Serve.Burn
+		b := pt.Result.Serve.Burn
 		line := fmt.Sprintf("slo burn %s λ=%g: %d/%d windows violated (max burn %.2f, budget %.2f)",
-			p.Strategy, lambda, b.Violated, b.Windows, b.MaxBurnRate, b.Budget)
+			pt.Strategy, lambda, b.Violated, b.Windows, b.MaxBurnRate, b.Budget)
 		if b.FirstViolation > 0 {
 			line += fmt.Sprintf(", first violation at %v", sim.Duration(b.FirstViolation))
 			if b.Recovery > 0 {
@@ -720,73 +654,65 @@ func printOpenTelemetry(res experiments.OpenFigureResult, csv bool) {
 	fmt.Println()
 }
 
-// writeTimeSeriesCSVs writes one CSV file per job that carries telemetry,
-// named after the job ID. It runs on the main goroutine over the manifest's
-// canonical job order, so the files are identical at any worker count.
-func writeTimeSeriesCSVs(dir string, manifest harness.Manifest) error {
+// heatReport is the per-strategy fragment heat view of a closed or open
+// figure.
+type heatReport interface {
+	StrategyHeat(strategy string) *obs.HeatSnapshot
+	HeatTable(strategy string) *stats.Table
+}
+
+// heat prints each strategy's merged fragment heatmap plus its
+// hot-fragments line, and returns the snapshots as canonical-order CSV
+// files for -heatmap-dir. Nothing is printed when heat was not armed.
+func (p printer) heat(fig experiments.Figure, r heatReport) []heatFile {
+	var files []heatFile
+	for _, s := range fig.Strategies {
+		snap := r.StrategyHeat(s)
+		if snap == nil {
+			continue
+		}
+		p.table(r.HeatTable(s))
+		if line := experiments.HotLine(fig.ID, s, snap); line != "" {
+			fmt.Println(line)
+		}
+		files = append(files, heatFile{"fig" + fig.ID + "_" + s + "_heat.csv", snap})
+	}
+	return files
+}
+
+// writeTimeSeriesCSVs writes one CSV file per run that carries telemetry,
+// named after the job ID. It runs on the main goroutine over the result's
+// canonical point order, so the files are identical at any worker count.
+func writeTimeSeriesCSVs(dir string, res experiments.ScenarioResult) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	n := 0
-	for _, r := range manifest.Reports {
-		if len(r.TimeSeries) == 0 {
-			continue
+	for _, f := range res.Figures {
+		for _, pt := range f.Points {
+			series := pt.Result.Series
+			if series == nil {
+				series = pt.Serve.Series
+			}
+			if len(series) == 0 {
+				continue
+			}
+			out, err := os.Create(filepath.Join(dir, strings.ReplaceAll(pt.ID, "/", "_")+".csv"))
+			if err != nil {
+				return err
+			}
+			if err := obs.WriteSeriesCSV(out, series); err != nil {
+				out.Close()
+				return err
+			}
+			if err := out.Close(); err != nil {
+				return err
+			}
+			n++
 		}
-		path := filepath.Join(dir, strings.ReplaceAll(r.ID, "/", "_")+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteSeriesCSV(f, r.TimeSeries); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		n++
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d time-series CSV files to %s\n", n, dir)
 	return nil
-}
-
-// printHeat emits each strategy's merged fragment heatmap plus its
-// hot-fragments line.
-func printHeat(res experiments.FigureResult, csv bool) {
-	for _, s := range res.Figure.Strategies {
-		snap := res.StrategyHeat(s)
-		if snap == nil {
-			continue
-		}
-		tb := res.HeatTable(s)
-		if csv {
-			fmt.Print(tb.CSV())
-		} else {
-			fmt.Println(tb.String())
-		}
-		if line := experiments.HotLine(res.Figure.ID, s, snap); line != "" {
-			fmt.Println(line)
-		}
-	}
-}
-
-// printOpenHeat is printHeat for open-system figures.
-func printOpenHeat(res experiments.OpenFigureResult, csv bool) {
-	for _, s := range res.Figure.Strategies {
-		snap := res.StrategyHeat(s)
-		if snap == nil {
-			continue
-		}
-		tb := res.HeatTable(s)
-		if csv {
-			fmt.Print(tb.CSV())
-		} else {
-			fmt.Println(tb.String())
-		}
-		if line := experiments.HotLine(res.Figure.ID, s, snap); line != "" {
-			fmt.Println(line)
-		}
-	}
 }
 
 // heatFile is one (figure, strategy) merged heat snapshot destined for a
@@ -794,33 +720,6 @@ func printOpenHeat(res experiments.OpenFigureResult, csv bool) {
 type heatFile struct {
 	name string
 	snap *obs.HeatSnapshot
-}
-
-// closedHeatFiles collects the merged per-strategy snapshots of a closed
-// campaign in canonical (figure, strategy) order.
-func closedHeatFiles(figures []experiments.FigureResult) []heatFile {
-	var out []heatFile
-	for _, res := range figures {
-		for _, s := range res.Figure.Strategies {
-			if snap := res.StrategyHeat(s); snap != nil {
-				out = append(out, heatFile{"fig" + res.Figure.ID + "_" + s + "_heat.csv", snap})
-			}
-		}
-	}
-	return out
-}
-
-// openHeatFiles is closedHeatFiles for open-system figures.
-func openHeatFiles(figures []experiments.OpenFigureResult) []heatFile {
-	var out []heatFile
-	for _, res := range figures {
-		for _, s := range res.Figure.Strategies {
-			if snap := res.StrategyHeat(s); snap != nil {
-				out = append(out, heatFile{"fig" + res.Figure.ID + "_" + s + "_heat.csv", snap})
-			}
-		}
-	}
-	return out
 }
 
 // writeHeatCSVs writes one canonical-order fragment heat CSV per
@@ -846,32 +745,6 @@ func writeHeatCSVs(dir string, files []heatFile) error {
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d fragment heat CSV files to %s\n", len(files), dir)
 	return nil
-}
-
-// printNodeStats emits each strategy's per-node utilization table at the
-// sweep's highest MPL, where execution skew is most visible.
-func printNodeStats(res experiments.FigureResult, csv bool) {
-	mpls := res.Options.MPLs
-	if len(mpls) == 0 {
-		return
-	}
-	maxMPL := mpls[0]
-	for _, m := range mpls {
-		if m > maxMPL {
-			maxMPL = m
-		}
-	}
-	for _, s := range res.Figure.Strategies {
-		tb := res.NodeTable(s, maxMPL)
-		if tb == nil {
-			continue
-		}
-		if csv {
-			fmt.Print(tb.CSV())
-		} else {
-			fmt.Println(tb.String())
-		}
-	}
 }
 
 // workersFor mirrors the harness default so the banner matches reality.

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/serve"
@@ -130,5 +132,33 @@ func TestBuildOpenOptionsErrors(t *testing.T) {
 		if _, err := buildOpenOptions(c.arrival, c.lambdas, c.tenants, c.sloMS, c.governor); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
+	}
+}
+
+// TestRefusesConflictingFlags: flag combinations one of whose flags would
+// be silently ignored, or whose -compare gate could never fail, exit 1
+// with a message before any simulation runs.
+func TestRefusesConflictingFlags(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"open with faults", []string{"-open", "-faults", "0,1"}, "at most one of"},
+		{"share with open", []string{"-share", "-open"}, "at most one of"},
+		{"elastic with faults", []string{"-elastic", "-faults", "1"}, "at most one of"},
+		{"json outside the figure campaign", []string{"-open", "-json", filepath.Join(t.TempDir(), "a.json")}, "-json and -compare"},
+		{"compare outside the figure campaign", []string{"-share", "-compare", "base.json"}, "-json and -compare"},
+		{"json without figures", []string{"-fig", "none", "-scaleout", "-json", filepath.Join(t.TempDir(), "b.json")}, "-json and -compare"},
+		{"negative leave node", []string{"-elastic", "-leave-node", "-3"}, "negative -leave-node"},
+		{"more failed disks than processors", []string{"-procs", "4", "-faults", "0,40"}, "cannot fail 40 disks"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			stdout, stderr, code := execCommand(t, append([]string{"-scale", "quick"}, c.args...)...)
+			if code != 1 || len(stdout) != 0 || !strings.Contains(stderr, c.want) {
+				t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1 and %q", code, stdout, stderr, c.want)
+			}
+		})
 	}
 }

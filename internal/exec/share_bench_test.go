@@ -11,7 +11,6 @@ import (
 // BenchmarkSharedScanBatch measures one full shared-scan cycle — 8
 // concurrent identical selections enqueued, window-flushed, executed as one
 // deduplicated disk pass, and demultiplexed back to their coordinators.
-// Mirrored by name in cmd/declusterbench's bench table (BENCH_sim.json).
 func BenchmarkSharedScanBatch(b *testing.B) {
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
 	r := newRig(b, core.NewRangeForRelation(rel, storage.Unique1, 2))

@@ -1,36 +1,39 @@
 package experiments
 
-// Campaign orchestration: a figure list decomposes into a job set of
-// (figure, strategy, MPL) simulation runs that internal/harness executes
-// on a bounded worker pool. Expensive immutable inputs are shared across
-// jobs through a build cache — one storage.GenerateWisconsin per distinct
-// (cardinality, correlation window, seed) and one BuildPlacement per
-// (figure, strategy) — instead of one per MPL point as the old serial loop
-// effectively paid via repeated figure runs. Every job builds its own
-// gamma machine from those shared read-only inputs and uses the same seeds
-// as the serial path, so campaign output is byte-identical whatever the
-// worker count.
+// The scenario driver: every campaign of the evaluation — the closed MPL
+// sweep, the open-system load sweep, degraded mode, shared scans,
+// elasticity and scale-out — is figures x strategies x a sweep axis of
+// tagged variants x a load axis on the simulated Gamma machine, and
+// RunScenario is the one place that turns that cross product into harness
+// jobs and back into results. Expensive immutable inputs are built once,
+// serially, before any job runs: one storage.GenerateWisconsin per
+// distinct (cardinality, correlation window, seed) and one BuildPlacement
+// per (figure, strategy, machine size). Every job builds its own gamma
+// machine from those shared read-only inputs and uses the scenario seed,
+// so output is byte-identical whatever the worker count.
 
 import (
 	"fmt"
 	"io"
+	"path"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/gamma"
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
-// CampaignOptions configure the concurrent execution of a set of figures.
+// CampaignOptions configure the concurrent execution of a scenario.
 type CampaignOptions struct {
 	// Workers bounds the worker pool; <= 0 means GOMAXPROCS.
 	Workers int
-	// JobTimeout is the wall-clock budget of one (strategy, MPL) run;
-	// <= 0 disables it. A blown budget becomes a manifest failure record,
-	// not a crashed campaign.
+	// JobTimeout is the wall-clock budget of one run; <= 0 disables it. A
+	// blown budget becomes a manifest failure record, not a crashed
+	// campaign.
 	JobTimeout time.Duration
 	// Progress receives live per-job progress/ETA lines; nil disables.
 	Progress io.Writer
@@ -40,16 +43,91 @@ type CampaignOptions struct {
 	// automatic same-seed retry (see harness.Options.IsTransient).
 	IsTransient func(error) bool
 	// Hub, when non-nil, exposes telemetry samplers for live /metrics
-	// scraping (open-system campaigns with telemetry armed). Each point's
-	// sampler registers under the job ID as it completes and stays
-	// registered, so a scrape shows every finished point's final series.
+	// scraping. Each run's sampler registers under its job ID as the run
+	// completes and stays registered, so a scrape shows every finished
+	// run's final series.
 	Hub *obs.Hub
 }
 
-// Campaign holds the completed figures plus the harness run manifest.
-type Campaign struct {
-	Figures  []FigureResult
+// Scenario is one campaign: each figure's strategies, crossed with the
+// sweep axis and the load axis.
+type Scenario struct {
+	Figures []Figure
+	// Options generate each figure's relation, plan the placements whose
+	// construction notes the results carry, and apply to every run of an
+	// empty sweep.
+	Options Options
+	// Open, when set, makes the load axis its offered loads (Open.Lambdas)
+	// under an open arrival process; otherwise the load axis is each
+	// variant's closed MPL sweep (Options.MPLs).
+	Open *OpenOptions
+	// Sweep is the variant axis. Empty runs Options once, untagged.
+	Sweep []Variant
+	// Mix, when set, derives every run's workload from the figure's mix.
+	// Placements are still planned from the figure's own mix.
+	Mix func(workload.Mix) workload.Mix
+	// Elastic, when set, arms its membership schedule on every machine;
+	// each transition restages the strategy's own placement at the new
+	// node count.
+	Elastic *ElasticOptions
+}
+
+// Variant is one tagged point of a scenario's sweep axis.
+type Variant struct {
+	// Tag names the variant in job IDs, e.g. "k1" in fig8a/magic/k1/mpl4.
+	Tag string
+	// Level is the swept quantity the variant's table prints: failed
+	// disks, cluster size or processor count (1 for sharing on).
+	Level int
+	// Options replace the scenario's options for the variant's runs:
+	// the machine size (placements are planned at it), the MPL sweep,
+	// faults, sharing, the machine config. The relation is the
+	// scenario's.
+	Options Options
+}
+
+// ScenarioPoint is one measured (figure, strategy, variant, load) run.
+type ScenarioPoint struct {
+	ID       string
+	Strategy string
+	Variant  int     // index into the scenario's sweep
+	MPL      int     // closed-loop load; 0 under an open arrival process
+	Lambda   float64 // offered load in q/s; 0 in closed loop
+	// Result is a closed-loop run's measurement, Serve an open one's.
+	Result gamma.RunResult
+	Serve  gamma.ServeResult
+}
+
+// ScenarioFigure holds one figure's measured points in canonical order
+// (strategies in figure order, then variants, then loads).
+type ScenarioFigure struct {
+	Figure Figure
+	// Notes records construction facts the paper reports alongside the
+	// curves, from the placements planned with Scenario.Options.
+	Notes  []string
+	Points []ScenarioPoint
+}
+
+// ScenarioResult holds a completed scenario plus the harness manifest.
+type ScenarioResult struct {
+	// Scenario is the scenario as run, defaults applied.
+	Scenario Scenario
+	Figures  []ScenarioFigure
 	Manifest harness.Manifest
+}
+
+// JobDetail is the payload RunScenario attaches to each job's manifest
+// report.
+type JobDetail struct {
+	// Arrival and OfferedQPS record an open-system job's workload.
+	Arrival    string  `json:"arrival,omitempty"`
+	OfferedQPS float64 `json:"offered_qps,omitempty"`
+	// FaultEvents counts the injected faults the run applied.
+	FaultEvents int `json:"fault_events,omitempty"`
+	// TimeSeries and HotFragments are the run's telemetry snapshot and
+	// hot-fragment report when those were armed.
+	TimeSeries   []obs.SeriesData  `json:"time_series,omitempty"`
+	HotFragments []obs.HotFragment `json:"hot_fragments,omitempty"`
 }
 
 // relKey identifies one generated relation; figures agreeing on all three
@@ -60,120 +138,132 @@ type relKey struct {
 	seed   int64
 }
 
-// relationCache shares generated Wisconsin relations across figures. The
-// relations are read-only after generation (the thread-safety contract the
-// whole campaign relies on).
-type relationCache map[relKey]*storage.Relation
-
-func (c relationCache) get(card, window int, seed int64) *storage.Relation {
-	key := relKey{card, window, seed}
-	if rel, ok := c[key]; ok {
-		return rel
-	}
-	rel := storage.GenerateWisconsin(storage.GenSpec{
-		Cardinality:       card,
-		CorrelationWindow: window,
-		Seed:              seed,
-	})
-	c[key] = rel
-	return rel
+// planKey identifies one placement: variants that keep the figure's
+// machine size and config share the scenario's build.
+type planKey struct {
+	fig      int
+	strategy string
+	procs    int
+	config   *gamma.Config
 }
 
-// figureBuild carries one figure's shared immutable inputs: the relation,
-// the mix, and one placement per strategy.
-type figureBuild struct {
-	fig        Figure
-	rel        *storage.Relation
-	mix        workload.Mix
-	placements []core.Placement
-	notes      []string
-}
-
-// buildFigure constructs the figure's placements (and MAGIC's construction
-// notes, in strategy order, exactly as the serial path recorded them).
-func buildFigure(fig Figure, rels relationCache, opts Options) (figureBuild, error) {
-	fb := figureBuild{
-		fig: fig,
-		rel: rels.get(opts.Cardinality, fig.Correlation.window(opts.Cardinality), opts.Seed),
-		mix: fig.Mix(opts.Cardinality),
+// RunScenario executes every (figure, strategy, variant, load) run of the
+// scenario on the harness worker pool and reassembles the results in
+// canonical order (figures as given, strategies in figure order, variants
+// in sweep order, loads in sweep order) regardless of completion order.
+// Placement-construction errors abort the scenario before any job runs;
+// job failures (errors, panics, timeouts) become manifest failure records,
+// the surviving points are returned, and the combined failure surfaces as
+// the returned error.
+func RunScenario(sc Scenario, copts CampaignOptions) (ScenarioResult, error) {
+	sc.Options = sc.Options.withDefaults()
+	if sc.Open != nil {
+		o := sc.Open.withDefaults()
+		sc.Open = &o
 	}
-	for _, name := range fig.Strategies {
-		pl, err := BuildPlacement(name, fb.rel, fb.mix, opts)
-		if err != nil {
-			return fb, fmt.Errorf("figure %s: %w", fig.ID, err)
+	if len(sc.Sweep) == 0 {
+		sc.Sweep = []Variant{{Options: sc.Options}}
+	} else {
+		sc.Sweep = append([]Variant(nil), sc.Sweep...)
+		for i := range sc.Sweep {
+			sc.Sweep[i].Options = sc.Sweep[i].Options.withDefaults()
 		}
-		if m, ok := pl.(*core.MAGICPlacement); ok {
-			dims := m.Dims()
-			plan := m.Plan()
-			fb.notes = append(fb.notes, fmt.Sprintf(
-				"magic: directory %v (%d entries, FC=%d, M=%.2f, Mi[A]=%.1f, Mi[B]=%.1f, %d rebalance swaps)",
-				dims, m.Grid().NumCells(), plan.FC, plan.M,
-				plan.Mi[storage.Unique1], plan.Mi[storage.Unique2], m.RebalanceSwaps()))
-		}
-		fb.placements = append(fb.placements, pl)
 	}
-	return fb, nil
-}
-
-// pointJob builds the harness job for one (figure, strategy, MPL) run. The
-// job constructs its own machine from the shared relation and placement so
-// no mutable state crosses workers, and runs with the same seed the serial
-// path uses.
-func pointJob(fb figureBuild, strategy string, pl core.Placement, mpl int, cfg gamma.Config, opts Options) harness.Job {
-	return harness.Job{
-		ID:   fmt.Sprintf("fig%s/%s/mpl%d", fb.fig.ID, strategy, mpl),
-		Seed: opts.Seed,
-		Run: func() (any, error) {
-			machine, err := gamma.Build(fb.rel, pl, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("figure %s/%s: %w", fb.fig.ID, strategy, err)
+	// loads is a variant's load axis: closed MPLs, or the open offered loads.
+	loads := func(v Variant) []ScenarioPoint {
+		var out []ScenarioPoint
+		if sc.Open != nil {
+			for _, l := range sc.Open.Lambdas {
+				out = append(out, ScenarioPoint{Lambda: l})
 			}
-			defer machine.Close()
-			res, err := machine.Run(fb.mix, gamma.RunSpec{
-				MPL:            mpl,
-				WarmupQueries:  opts.WarmupQueries,
-				MeasureQueries: opts.MeasureQueries,
-				Seed:           opts.Seed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("figure %s/%s MPL %d: %w", fb.fig.ID, strategy, mpl, err)
-			}
-			return res, nil
-		},
-	}
-}
-
-// RunCampaign executes every (figure, strategy, MPL) combination of the
-// figure list on the harness worker pool and reassembles the results in
-// canonical order (figures as given, strategies in figure order, MPLs in
-// sweep order) regardless of completion order. Placement-construction
-// errors abort the campaign before any job runs; job failures (errors,
-// panics, timeouts) become manifest failure records, the surviving points
-// are returned, and the combined failure surfaces as the returned error.
-func RunCampaign(figs []Figure, opts Options, copts CampaignOptions) (Campaign, error) {
-	opts = opts.withDefaults()
-	cfg := ConfigFor(opts)
-
-	// Build phase, serial: generate each distinct relation once and each
-	// placement once per (figure, strategy). Everything built here is
-	// read-only for the rest of the campaign.
-	rels := relationCache{}
-	builds := make([]figureBuild, 0, len(figs))
-	for _, fig := range figs {
-		fb, err := buildFigure(fig, rels, opts)
-		if err != nil {
-			return Campaign{}, err
+			return out
 		}
-		builds = append(builds, fb)
+		for _, m := range v.Options.MPLs {
+			out = append(out, ScenarioPoint{MPL: m})
+		}
+		return out
 	}
 
+	// Build phase, serial: everything built here is read-only for the rest
+	// of the scenario.
+	rels := map[relKey]*storage.Relation{}
+	plans := map[planKey]core.Placement{}
+	plan := func(fi int, name string, rel *storage.Relation, mix workload.Mix, o Options) (core.Placement, error) {
+		key := planKey{fi, name, o.Processors, o.Config}
+		if pl, ok := plans[key]; ok {
+			return pl, nil
+		}
+		pl, err := BuildPlacement(name, rel, mix, o)
+		if err != nil {
+			return nil, fmt.Errorf("figure %s: %w", sc.Figures[fi].ID, err)
+		}
+		plans[key] = pl
+		return pl, nil
+	}
+	out := ScenarioResult{Scenario: sc}
 	var jobs []harness.Job
-	for _, fb := range builds {
-		for si, name := range fb.fig.Strategies {
-			for _, mpl := range opts.MPLs {
-				jobs = append(jobs, pointJob(fb, name, fb.placements[si], mpl, cfg, opts))
+	for fi, fig := range sc.Figures {
+		card := sc.Options.Cardinality
+		key := relKey{card, fig.Correlation.window(card), sc.Options.Seed}
+		rel := rels[key]
+		if rel == nil {
+			rel = storage.GenerateWisconsin(storage.GenSpec{
+				Cardinality: key.card, CorrelationWindow: key.window, Seed: key.seed,
+			})
+			rels[key] = rel
+		}
+		mix := fig.Mix(card)
+		runMix := mix
+		if sc.Mix != nil {
+			runMix = sc.Mix(mix)
+		}
+		sf := ScenarioFigure{Figure: fig}
+		for _, name := range fig.Strategies {
+			pl, err := plan(fi, name, rel, mix, sc.Options)
+			if err != nil {
+				return ScenarioResult{}, err
+			}
+			if note := magicNote(pl); note != "" {
+				sf.Notes = append(sf.Notes, note)
 			}
 		}
+		for _, name := range fig.Strategies {
+			for vi, v := range sc.Sweep {
+				pl, err := plan(fi, name, rel, mix, v.Options)
+				if err != nil {
+					return ScenarioResult{}, err
+				}
+				cfg := ConfigFor(v.Options)
+				if sc.Elastic != nil {
+					// Each transition rebuilds this strategy's placement at
+					// the new member count.
+					cfg = cfg.With(gamma.WithElastic(gamma.ElasticSpec{
+						Events:          sc.Elastic.events(),
+						RatePagesPerSec: sc.Elastic.MigrateRate,
+						Rebuild: func(rel *storage.Relation, procs int) (core.Placement, error) {
+							o := v.Options
+							o.Processors = procs
+							return BuildPlacement(name, rel, mix, o)
+						},
+					}))
+				}
+				for _, pt := range loads(v) {
+					pt.Strategy, pt.Variant = name, vi
+					load := fmt.Sprintf("mpl%d", pt.MPL)
+					if sc.Open != nil {
+						load = fmt.Sprintf("%s%g", sc.Open.Arrival, pt.Lambda)
+					}
+					pt.ID = path.Join("fig"+fig.ID, name, v.Tag, load)
+					sf.Points = append(sf.Points, pt)
+					jobs = append(jobs, harness.Job{
+						ID:   pt.ID,
+						Seed: sc.Options.Seed,
+						Run:  sc.job(pt, rel, pl, cfg, runMix, v.Options, copts.Hub),
+					})
+				}
+			}
+		}
+		out.Figures = append(out.Figures, sf)
 	}
 
 	values, manifest, err := harness.Execute(jobs, harness.Options{
@@ -184,29 +274,134 @@ func RunCampaign(figs []Figure, opts Options, copts CampaignOptions) (Campaign, 
 		IsTransient: copts.IsTransient,
 	})
 	if err != nil {
-		return Campaign{}, err
+		return ScenarioResult{}, err
 	}
-
-	out := Campaign{Manifest: manifest}
+	out.Manifest = manifest
 	j := 0
-	for _, fb := range builds {
-		fr := FigureResult{Figure: fb.fig, Options: opts, Notes: fb.notes}
-		for _, name := range fb.fig.Strategies {
-			for _, mpl := range opts.MPLs {
-				if v := values[j]; v != nil {
-					res := v.(gamma.RunResult)
-					out.Manifest.Reports[j].FaultEvents = len(res.FaultLog)
-					out.Manifest.Reports[j].HotFragments = res.HotFragments
-					fr.Points = append(fr.Points, Point{
-						Strategy: name, MPL: mpl, Result: res,
-					})
-				}
-				j++
+	for fi := range out.Figures {
+		planned := out.Figures[fi].Points
+		out.Figures[fi].Points = nil
+		for _, pt := range planned {
+			var d JobDetail
+			if sc.Open != nil {
+				d.Arrival, d.OfferedQPS = sc.Open.Arrival.String(), pt.Lambda
 			}
+			switch res := values[j].(type) {
+			case gamma.RunResult:
+				pt.Result = res
+				d.FaultEvents, d.TimeSeries, d.HotFragments = len(res.FaultLog), res.Series, res.HotFragments
+			case gamma.ServeResult:
+				pt.Serve = res
+				d.FaultEvents, d.TimeSeries, d.HotFragments = len(res.FaultLog), res.Series, res.HotFragments
+			}
+			if values[j] != nil {
+				out.Figures[fi].Points = append(out.Figures[fi].Points, pt)
+			}
+			if d.Arrival != "" || d.FaultEvents > 0 || d.TimeSeries != nil || d.HotFragments != nil {
+				out.Manifest.Reports[j].Detail = d
+			}
+			j++
 		}
-		out.Figures = append(out.Figures, fr)
 	}
 	return out, manifest.Err()
+}
+
+// job returns the harness job body for one point. The job constructs its
+// own machine from the shared relation and placement, so no mutable state
+// crosses workers.
+func (sc Scenario) job(pt ScenarioPoint, rel *storage.Relation, pl core.Placement, cfg gamma.Config,
+	mix workload.Mix, opts Options, hub *obs.Hub) func() (any, error) {
+	return func() (any, error) {
+		machine, err := gamma.Build(rel, pl, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pt.ID, err)
+		}
+		defer machine.Close()
+		var res any
+		if o := sc.Open; o != nil {
+			res, err = machine.RunServe(mix, gamma.ServeSpec{
+				Arrival:        serve.ArrivalSpec{Kind: o.Arrival, RateQPS: pt.Lambda},
+				Tenants:        serve.DefaultTenants(o.Tenants),
+				MaxInService:   o.MaxInService,
+				MaxQueue:       o.MaxQueue,
+				SLOms:          o.SLOms,
+				WarmupQueries:  opts.WarmupQueries,
+				MeasureQueries: opts.MeasureQueries,
+				MaxSimTime:     o.MaxSimTime,
+				Seed:           opts.Seed,
+			})
+		} else {
+			res, err = machine.Run(mix, gamma.RunSpec{
+				MPL:            pt.MPL,
+				WarmupQueries:  opts.WarmupQueries,
+				MeasureQueries: opts.MeasureQueries,
+				Seed:           opts.Seed,
+			})
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pt.ID, err)
+		}
+		// Register after the run: each run resets the machine (rebuilding
+		// the sampler), so the pre-run pointer would be stale.
+		if hub != nil && machine.Telemetry != nil {
+			hub.Register(pt.ID, machine.Telemetry)
+		}
+		return res, nil
+	}
+}
+
+// magicNote describes a MAGIC placement's construction ("" for any other
+// strategy).
+func magicNote(pl core.Placement) string {
+	m, ok := pl.(*core.MAGICPlacement)
+	if !ok {
+		return ""
+	}
+	plan := m.Plan()
+	return fmt.Sprintf(
+		"magic: directory %v (%d entries, FC=%d, M=%.2f, Mi[A]=%.1f, Mi[B]=%.1f, %d rebalance swaps)",
+		m.Dims(), m.Grid().NumCells(), plan.FC, plan.M,
+		plan.Mi[storage.Unique1], plan.Mi[storage.Unique2], m.RebalanceSwaps())
+}
+
+// Outcomes sums the outcome tallies of every closed-loop point.
+func (r ScenarioResult) Outcomes() gamma.Outcomes {
+	var o gamma.Outcomes
+	for _, f := range r.Figures {
+		for _, p := range f.Points {
+			o.Add(p.Result.Outcomes)
+		}
+	}
+	return o
+}
+
+// Campaign holds the completed figures of a closed-loop campaign plus the
+// harness run manifest.
+type Campaign struct {
+	Figures  []FigureResult
+	Manifest harness.Manifest
+}
+
+// RunCampaign runs the figures' closed MPL sweeps: RunScenario over the
+// figures and opts, reported per figure.
+func RunCampaign(figs []Figure, opts Options, copts CampaignOptions) (Campaign, error) {
+	res, err := RunScenario(Scenario{Figures: figs, Options: opts}, copts)
+	return Campaign{Figures: res.Closed(), Manifest: res.Manifest}, err
+}
+
+// Closed reports each figure's closed-loop points (the first variant's).
+func (r ScenarioResult) Closed() []FigureResult {
+	var out []FigureResult
+	for _, f := range r.Figures {
+		fr := FigureResult{Figure: f.Figure, Options: r.Scenario.Options, Notes: f.Notes}
+		for _, p := range f.Points {
+			if p.Variant == 0 {
+				fr.Points = append(fr.Points, Point{Strategy: p.Strategy, MPL: p.MPL, Result: p.Result})
+			}
+		}
+		out = append(out, fr)
+	}
+	return out
 }
 
 // Archive converts the campaign's figures into a serializable Archive.

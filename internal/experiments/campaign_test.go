@@ -117,19 +117,21 @@ func TestScaleSweepParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	sweep := DefaultScaleSweep()
-	sweep.Processors = []int{8, 16}
-	sweep.Strategies = []string{StrategyMAGIC, StrategyRange}
-	opts := campaignTestOptions()
-
-	serial, err := RunScaleSweep(sweep, opts)
+	fig, err := FigureByID("8a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, manifest, err := RunScaleSweepParallel(sweep, opts, CampaignOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	fig.Strategies = []string{StrategyMAGIC, StrategyRange}
+	sc := ScaleOutScenario(fig, []int{8, 16}, campaignTestOptions())
+	run := func(workers int) ScenarioResult {
+		res, err := RunScenario(sc, CampaignOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	res := run(4)
+	serial, parallel, manifest := run(1).ScaleOut(), res.ScaleOut(), res.Manifest
 	if len(serial.Points) != len(parallel.Points) {
 		t.Fatalf("point counts differ: %d vs %d", len(serial.Points), len(parallel.Points))
 	}
@@ -144,7 +146,7 @@ func TestScaleSweepParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("manifest jobs = %d", manifest.Jobs)
 	}
 	for _, r := range manifest.Reports {
-		if !strings.HasPrefix(r.ID, "scaleout/") {
+		if !strings.HasPrefix(r.ID, "fig8a/") || !strings.Contains(r.ID, "/p") {
 			t.Fatalf("job id = %q", r.ID)
 		}
 	}

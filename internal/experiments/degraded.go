@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/gamma"
-	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -38,105 +37,71 @@ type DegradedResult struct {
 // a p-node machine, all shortly after the run starts (1ms in, so placement
 // and routing are warm but the measurement window sees the degraded
 // machine). k = 0 yields an empty spec: degraded scheduling with nothing
-// actually broken, the baseline overhead measurement.
-func KillSpec(k, p int) *fault.Spec {
+// actually broken, the baseline overhead measurement. k must lie in
+// [0, p]: a machine has only p disks to fail.
+func KillSpec(k, p int) (*fault.Spec, error) {
+	if k < 0 || k > p {
+		return nil, fmt.Errorf("experiments: cannot fail %d disks of a %d-node machine", k, p)
+	}
 	s := &fault.Spec{}
-	for i := 0; i < k && i < p; i++ {
+	for i := 0; i < k; i++ {
 		s.Events = append(s.Events, fault.Event{
 			At: sim.Millisecond, Kind: fault.DiskFail, Node: i * p / k,
 		})
 	}
-	return s
+	return s, nil
 }
 
-// RunDegraded sweeps the figure's strategies across failed-disk counts ks
-// (nil defaults to {0, 1, 2}) with chained replicas on. Jobs run on the
-// harness pool exactly like a figure campaign; per-job fault-event counts
-// land in the manifest.
-func RunDegraded(fig Figure, ks []int, opts Options, copts CampaignOptions) (DegradedResult, harness.Manifest, error) {
+// DegradedScenario sweeps the figures' strategies across failed-disk
+// counts ks (nil defaults to {0, 1, 2}) with chained replicas on. Each
+// variant's disks fail on top of whatever opts.Faults already injects.
+func DegradedScenario(figs []Figure, ks []int, opts Options) (Scenario, error) {
 	opts = opts.withDefaults()
 	opts.ChainedReplicas = true
 	if len(ks) == 0 {
 		ks = []int{0, 1, 2}
 	}
-	out := DegradedResult{Figure: fig, Options: opts, Ks: ks}
-
-	rels := relationCache{}
-	fb, err := buildFigure(fig, rels, opts)
-	if err != nil {
-		return out, harness.Manifest{}, err
-	}
-
-	var jobs []harness.Job
-	for si, name := range fb.fig.Strategies {
-		for _, k := range ks {
-			kOpts := opts
-			kOpts.Faults = KillSpec(k, opts.Processors)
-			cfg := ConfigFor(kOpts)
-			for _, mpl := range opts.MPLs {
-				name, k, mpl, pl := name, k, mpl, fb.placements[si]
-				jobs = append(jobs, harness.Job{
-					ID:   fmt.Sprintf("degraded/%s/k%d/mpl%d", name, k, mpl),
-					Seed: opts.Seed,
-					Run: func() (any, error) {
-						machine, err := gamma.Build(fb.rel, pl, cfg)
-						if err != nil {
-							return nil, fmt.Errorf("degraded %s/k%d: %w", name, k, err)
-						}
-						defer machine.Close()
-						res, err := machine.Run(fb.mix, gamma.RunSpec{
-							MPL:            mpl,
-							WarmupQueries:  opts.WarmupQueries,
-							MeasureQueries: opts.MeasureQueries,
-							Seed:           opts.Seed,
-						})
-						if err != nil {
-							return nil, fmt.Errorf("degraded %s/k%d MPL %d: %w", name, k, mpl, err)
-						}
-						return res, nil
-					},
-				})
-			}
+	sc := Scenario{Figures: figs, Options: opts}
+	for _, k := range ks {
+		spec, err := KillSpec(k, opts.Processors)
+		if err != nil {
+			return Scenario{}, err
 		}
-	}
-
-	values, manifest, err := harness.Execute(jobs, harness.Options{
-		Workers:     copts.Workers,
-		JobTimeout:  copts.JobTimeout,
-		Progress:    copts.Progress,
-		Label:       copts.Label,
-		IsTransient: copts.IsTransient,
-	})
-	if err != nil {
-		return out, manifest, err
-	}
-
-	j := 0
-	for _, name := range fb.fig.Strategies {
-		for _, k := range ks {
-			for _, mpl := range opts.MPLs {
-				if v := values[j]; v != nil {
-					res := v.(gamma.RunResult)
-					manifest.Reports[j].FaultEvents = len(res.FaultLog)
-					out.Points = append(out.Points, DegradedPoint{
-						Strategy: name, K: k, MPL: mpl, Result: res,
-					})
-				}
-				j++
-			}
+		if base := opts.Faults; base != nil {
+			merged := *base
+			merged.Events = append(append([]fault.Event(nil), base.Events...), spec.Events...)
+			spec = &merged
 		}
+		v := opts
+		v.Faults = spec
+		sc.Sweep = append(sc.Sweep, Variant{Tag: fmt.Sprintf("k%d", k), Level: k, Options: v})
 	}
-	return out, manifest, manifest.Err()
+	return sc, nil
+}
+
+// Degraded reports each figure's degraded-mode sweep.
+func (r ScenarioResult) Degraded() []DegradedResult {
+	var out []DegradedResult
+	for _, f := range r.Figures {
+		dr := DegradedResult{Figure: f.Figure, Options: r.Scenario.Options}
+		for _, v := range r.Scenario.Sweep {
+			dr.Ks = append(dr.Ks, v.Level)
+		}
+		for _, p := range f.Points {
+			dr.Points = append(dr.Points, DegradedPoint{
+				Strategy: p.Strategy, K: dr.Ks[p.Variant], MPL: p.MPL, Result: p.Result,
+			})
+		}
+		out = append(out, dr)
+	}
+	return out
 }
 
 // Outcomes sums the outcome tallies across every measured point.
 func (dr DegradedResult) Outcomes() gamma.Outcomes {
 	var o gamma.Outcomes
 	for _, p := range dr.Points {
-		o.OK += p.Result.Outcomes.OK
-		o.Retried += p.Result.Outcomes.Retried
-		o.TimedOut += p.Result.Outcomes.TimedOut
-		o.Failed += p.Result.Outcomes.Failed
+		o.Add(p.Result.Outcomes)
 	}
 	return o
 }

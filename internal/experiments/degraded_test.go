@@ -6,13 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 )
 
 func TestKillSpec(t *testing.T) {
-	if s := KillSpec(0, 8); s.Enabled() {
-		t.Fatal("k=0 spec should inject nothing")
+	if s, err := KillSpec(0, 8); err != nil || s.Enabled() {
+		t.Fatalf("k=0 spec should inject nothing: %v, %v", s, err)
 	}
-	s := KillSpec(2, 8)
+	s, err := KillSpec(2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(s.Events) != 2 {
 		t.Fatalf("events = %v", s.Events)
 	}
@@ -26,6 +30,45 @@ func TestKillSpec(t *testing.T) {
 	}
 	if err := s.Validate(8); err != nil {
 		t.Fatal(err)
+	}
+	// A machine has only p disks: k > p would fail some disks twice while
+	// the table reported k.
+	if s, err := KillSpec(8, 8); err != nil || len(s.Events) != 8 {
+		t.Fatalf("k=p: %v, %v", s, err)
+	}
+	for _, k := range []int{9, 40, -1} {
+		if _, err := KillSpec(k, 8); err == nil {
+			t.Errorf("KillSpec(%d, 8) accepted", k)
+		}
+	}
+	if _, err := DegradedScenario(nil, []int{0, 40}, Options{Processors: 4}); err == nil {
+		t.Error("degraded scenario accepted k=40 on 4 processors")
+	}
+}
+
+// Disks failed by the sweep come on top of the faults opts already arms.
+func TestDegradedScenarioKeepsArmedFaults(t *testing.T) {
+	opts := Options{Processors: 8}
+	opts.ArmFaults(&fault.Spec{MTBF: 5 * sim.Millisecond,
+		Events: []fault.Event{{At: 2 * sim.Millisecond, Kind: fault.NodeCrash, Node: 3}}}, false)
+	sc, err := DegradedScenario(nil, []int{0, 2}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Sweep) != 2 || sc.Sweep[1].Tag != "k2" || sc.Sweep[1].Level != 2 {
+		t.Fatalf("sweep = %+v", sc.Sweep)
+	}
+	for i, want := range []int{1, 3} {
+		f := sc.Sweep[i].Options.Faults
+		if len(f.Events) != want || f.MTBF != opts.Faults.MTBF || f.Events[0].Kind != fault.NodeCrash {
+			t.Errorf("variant %d faults = %+v", i, f)
+		}
+		if !sc.Sweep[i].Options.ChainedReplicas {
+			t.Errorf("variant %d runs without chained replicas", i)
+		}
+	}
+	if len(opts.Faults.Events) != 1 {
+		t.Fatalf("the caller's spec was modified: %+v", opts.Faults)
 	}
 }
 
@@ -44,10 +87,15 @@ func TestRunDegradedCampaign(t *testing.T) {
 	opts.MPLs = []int{4}
 	ks := []int{0, 1, 2}
 
-	dr, manifest, err := RunDegraded(fig, ks, opts, CampaignOptions{Workers: 4})
+	sc, err := DegradedScenario([]Figure{fig}, ks, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := RunScenario(sc, CampaignOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr, manifest := res.Degraded()[0], res.Manifest
 	wantPoints := len(fig.Strategies) * len(ks) * len(opts.MPLs)
 	if len(dr.Points) != wantPoints {
 		t.Fatalf("points = %d, want %d", len(dr.Points), wantPoints)
@@ -76,7 +124,7 @@ func TestRunDegradedCampaign(t *testing.T) {
 	}
 	withFaults := 0
 	for _, rep := range manifest.Reports {
-		if rep.FaultEvents > 0 {
+		if d, _ := rep.Detail.(JobDetail); d.FaultEvents > 0 {
 			withFaults++
 		}
 	}
@@ -86,10 +134,11 @@ func TestRunDegradedCampaign(t *testing.T) {
 
 	// Reproducibility: a second campaign with the same options agrees point
 	// for point, fault logs included.
-	dr2, _, err := RunDegraded(fig, ks, opts, CampaignOptions{Workers: 2})
+	res2, err := RunScenario(sc, CampaignOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dr2 := res2.Degraded()[0]
 	if !reflect.DeepEqual(dr.Points, dr2.Points) {
 		t.Fatal("degraded campaign is not reproducible across runs/worker counts")
 	}

@@ -5,22 +5,17 @@ package experiments
 // is decommissioned — and measure what scale-out actually costs: the time
 // from a planned transition to its cutover, the data volume the throttled
 // copier moved, and the goodput dip the serving layer saw while the copy
-// competed with queries for the disks. The job decomposition mirrors
-// open.go: one harness job per (figure, strategy, initial-cluster-size)
-// point, canonical reassembly so output is byte-identical at any worker
-// count.
+// competed with queries for the disks. The scenario has one job per
+// (figure, strategy, initial cluster size).
 
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/gamma"
-	"repro/internal/harness"
 	"repro/internal/rebalance"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/storage"
 )
 
 // ElasticOptions parameterize an elasticity campaign on top of the base
@@ -48,8 +43,8 @@ type ElasticOptions struct {
 	// the rebalance default. The effective rate is further bounded by the
 	// per-page disk latency the copy I/O pays.
 	MigrateRate int `json:"migrate_rate,omitempty"`
-	// Tenants, SLOms, MaxInService, MaxQueue and MaxSimTime mirror
-	// OpenOptions; zero values take the same defaults.
+	// Tenants, SLOms, MaxInService, MaxQueue and MaxSimTime become the
+	// scenario's OpenOptions; zero values take its defaults.
 	Tenants      int          `json:"tenants"`
 	SLOms        float64      `json:"slo_ms"`
 	MaxInService int          `json:"max_in_service"`
@@ -72,15 +67,6 @@ func (o ElasticOptions) withDefaults(opts Options) ElasticOptions {
 	}
 	if o.LeaveNode <= 0 {
 		o.LeaveNode = 1
-	}
-	if o.Tenants <= 0 {
-		o.Tenants = 4
-	}
-	if o.SLOms <= 0 {
-		o.SLOms = 1000
-	}
-	if o.MaxInService <= 0 {
-		o.MaxInService = 64
 	}
 	return o
 }
@@ -129,13 +115,6 @@ type ElasticFigureResult struct {
 	Notes   []string       `json:"notes,omitempty"`
 }
 
-// ElasticCampaign holds the completed elasticity figures plus the harness
-// manifest.
-type ElasticCampaign struct {
-	Figures  []ElasticFigureResult
-	Manifest harness.Manifest
-}
-
 // goodputDip condenses the goodput time series into the rebalance cost the
 // campaign reports: how far the worst sampling window fell below the run
 // mean. The last window is dropped — it is usually partial (the run ends
@@ -166,135 +145,62 @@ func goodputDip(res gamma.ServeResult) float64 {
 	return 1 - min/mean
 }
 
-// RunElastic executes every (figure, strategy, size) combination on the
-// harness worker pool. Each point serves the open arrival process while
-// the membership controller applies the schedule: by default one standby
-// joins at JoinAt and member LeaveNode is decommissioned at LeaveAt, each
+// ElasticScenario serves each figure's open arrival process while the
+// membership controller applies the schedule: by default one standby joins
+// at JoinAt and member LeaveNode is decommissioned at LeaveAt, each
 // transition restaging the strategy's own placement at the new node count
 // (strategies that cannot build at a given count record a refusal instead
-// of failing the run). Telemetry is forced on — the goodput dip is read
-// from the windowed series — and results reassemble in canonical order so
-// campaign output is byte-identical whatever the worker count.
-func RunElastic(figs []Figure, opts Options, eopts ElasticOptions, copts CampaignOptions) (ElasticCampaign, error) {
+// of failing the run). The sweep is the initial cluster sizes. Telemetry is
+// forced on: the goodput dip is read from the windowed series.
+func ElasticScenario(figs []Figure, opts Options, eopts ElasticOptions) Scenario {
 	opts = opts.withDefaults()
 	eopts = eopts.withDefaults(opts)
-	// The dip is read from the goodput series, so telemetry is forced on.
 	// 250ms windows hold ~25 completions at the default λ=100: coarse
 	// enough that an empty window means a real stall, not Poisson noise.
 	if opts.TelemetryWindowMS <= 0 {
 		opts.TelemetryWindowMS = 250
 	}
-
-	rels := relationCache{}
-	builds := make([]figureBuild, 0, len(figs))
-	for _, fig := range figs {
-		// Placements are rebuilt per size below; buildFigure still supplies
-		// the shared relation, mix and construction notes.
-		fb, err := buildFigure(fig, rels, opts)
-		if err != nil {
-			return ElasticCampaign{}, err
-		}
-		builds = append(builds, fb)
+	sc := Scenario{
+		Figures: figs,
+		Options: opts,
+		Open: &OpenOptions{
+			Arrival:      eopts.Arrival,
+			Lambdas:      []float64{eopts.Lambda},
+			Tenants:      eopts.Tenants,
+			SLOms:        eopts.SLOms,
+			MaxInService: eopts.MaxInService,
+			MaxQueue:     eopts.MaxQueue,
+			MaxSimTime:   eopts.MaxSimTime,
+		},
+		Elastic: &eopts,
 	}
+	for _, size := range eopts.Sizes {
+		v := opts
+		v.Processors = size
+		sc.Sweep = append(sc.Sweep, Variant{Tag: fmt.Sprintf("n%d", size), Level: size, Options: v})
+	}
+	return sc
+}
 
-	var jobs []harness.Job
-	for _, fb := range builds {
-		for _, name := range fb.fig.Strategies {
-			for _, size := range eopts.Sizes {
-				fb, name, size := fb, name, size
-				sized := opts
-				sized.Processors = size
-				// Rebuild constructs this strategy's placement at whatever
-				// member count a transition lands on — the controller calls
-				// it once per join/leave/repair.
-				rebuild := func(rel *storage.Relation, procs int) (core.Placement, error) {
-					o := sized
-					o.Processors = procs
-					return BuildPlacement(name, rel, fb.mix, o)
-				}
-				id := fmt.Sprintf("fig%s/%s/elastic%d", fb.fig.ID, name, size)
-				jobs = append(jobs, harness.Job{
-					ID:   id,
-					Seed: opts.Seed,
-					Run: func() (any, error) {
-						pl, err := BuildPlacement(name, fb.rel, fb.mix, sized)
-						if err != nil {
-							return nil, fmt.Errorf("figure %s/%s n=%d: %w", fb.fig.ID, name, size, err)
-						}
-						cfg := ConfigFor(sized).With(gamma.WithElastic(gamma.ElasticSpec{
-							Events:          eopts.events(),
-							RatePagesPerSec: eopts.MigrateRate,
-							Rebuild:         rebuild,
-						}))
-						machine, err := gamma.Build(fb.rel, pl, cfg)
-						if err != nil {
-							return nil, fmt.Errorf("figure %s/%s n=%d: %w", fb.fig.ID, name, size, err)
-						}
-						defer machine.Close()
-						res, err := machine.RunServe(fb.mix, gamma.ServeSpec{
-							Arrival:        serve.ArrivalSpec{Kind: eopts.Arrival, RateQPS: eopts.Lambda},
-							Tenants:        serve.DefaultTenants(eopts.Tenants),
-							MaxInService:   eopts.MaxInService,
-							MaxQueue:       eopts.MaxQueue,
-							SLOms:          eopts.SLOms,
-							WarmupQueries:  opts.WarmupQueries,
-							MeasureQueries: opts.MeasureQueries,
-							MaxSimTime:     eopts.MaxSimTime,
-							Seed:           opts.Seed,
-						})
-						if err != nil {
-							return nil, fmt.Errorf("figure %s/%s n=%d: %w", fb.fig.ID, name, size, err)
-						}
-						if copts.Hub != nil && machine.Telemetry != nil {
-							copts.Hub.Register(id, machine.Telemetry)
-						}
-						return res, nil
-					},
-				})
+// Elastic reports each figure's elasticity sweep.
+func (r ScenarioResult) Elastic() []ElasticFigureResult {
+	var out []ElasticFigureResult
+	for _, f := range r.Figures {
+		fr := ElasticFigureResult{Figure: f.Figure, Options: r.Scenario.Options, Elastic: *r.Scenario.Elastic, Notes: f.Notes}
+		for _, p := range f.Points {
+			pt := ElasticPoint{Strategy: p.Strategy, Size: r.Scenario.Sweep[p.Variant].Level, Result: p.Serve}
+			if rep := p.Serve.Rebalance; rep != nil {
+				pt.TimeToRebalance = rep.MaxRebalance()
+				pt.PagesMoved = rep.ReadPages + rep.WritePages
+				pt.BytesMoved = rep.BytesMoved
+				pt.Summary = rep.Summary()
 			}
+			pt.GoodputDip = goodputDip(p.Serve)
+			fr.Points = append(fr.Points, pt)
 		}
+		out = append(out, fr)
 	}
-
-	values, manifest, err := harness.Execute(jobs, harness.Options{
-		Workers:     copts.Workers,
-		JobTimeout:  copts.JobTimeout,
-		Progress:    copts.Progress,
-		Label:       copts.Label,
-		IsTransient: copts.IsTransient,
-	})
-	if err != nil {
-		return ElasticCampaign{}, err
-	}
-
-	out := ElasticCampaign{Manifest: manifest}
-	j := 0
-	for _, fb := range builds {
-		fr := ElasticFigureResult{Figure: fb.fig, Options: opts, Elastic: eopts, Notes: fb.notes}
-		for _, name := range fb.fig.Strategies {
-			for _, size := range eopts.Sizes {
-				out.Manifest.Reports[j].Arrival = eopts.Arrival.String()
-				out.Manifest.Reports[j].OfferedQPS = eopts.Lambda
-				if v := values[j]; v != nil {
-					res := v.(gamma.ServeResult)
-					out.Manifest.Reports[j].FaultEvents = len(res.FaultLog)
-					out.Manifest.Reports[j].TimeSeries = res.Series
-					out.Manifest.Reports[j].HotFragments = res.HotFragments
-					pt := ElasticPoint{Strategy: name, Size: size, Result: res}
-					if rep := res.Rebalance; rep != nil {
-						pt.TimeToRebalance = rep.MaxRebalance()
-						pt.PagesMoved = rep.ReadPages + rep.WritePages
-						pt.BytesMoved = rep.BytesMoved
-						pt.Summary = rep.Summary()
-					}
-					pt.GoodputDip = goodputDip(res)
-					fr.Points = append(fr.Points, pt)
-				}
-				j++
-			}
-		}
-		out.Figures = append(out.Figures, fr)
-	}
-	return out, manifest.Err()
+	return out
 }
 
 // Point returns the measured result for a (strategy, size), or nil.

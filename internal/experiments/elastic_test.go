@@ -45,11 +45,11 @@ func TestRunElasticExecutesSchedule(t *testing.T) {
 		t.Skip("figure runs are slow")
 	}
 	figs, opts, eopts := elasticTestInputs()
-	camp, err := RunElastic(figs, opts, eopts, CampaignOptions{Workers: 2})
+	res, err := RunScenario(ElasticScenario(figs, opts, eopts), CampaignOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := camp.Figures[0]
+	fr := res.Elastic()[0]
 	if len(fr.Points) != 2 {
 		t.Fatalf("got %d points, want 2 (range, hash at one size)", len(fr.Points))
 	}
@@ -94,16 +94,15 @@ func TestRunElasticDeterministicAcrossWorkerCounts(t *testing.T) {
 	// One transition is enough to exercise the controller here.
 	eopts.LeaveAt = -1
 	opts.MeasureQueries = 150
-	serial, err := RunElastic(figs, opts, eopts, CampaignOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	run := func(workers int) []ElasticPoint {
+		res, err := RunScenario(ElasticScenario(figs, opts, eopts), CampaignOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Elastic()[0].Points
 	}
-	parallel, err := RunElastic(figs, opts, eopts, CampaignOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial.Figures[0].Points, parallel.Figures[0].Points) {
-		t.Fatalf("workers=1 and workers=4 disagree:\n%+v\nvs\n%+v",
-			serial.Figures[0].Points, parallel.Figures[0].Points)
+	serial, parallel := run(1), run(4)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("workers=1 and workers=4 disagree:\n%+v\nvs\n%+v", serial, parallel)
 	}
 }

@@ -276,15 +276,18 @@ func TestScaleSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	sweep := DefaultScaleSweep()
-	sweep.Processors = []int{8, 32}
-	opts := QuickScale()
-	opts.MeasureQueries = 250
-	res, err := RunScaleSweep(sweep, opts)
+	fig, err := FigureByID("8a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range sweep.Strategies {
+	opts := QuickScale()
+	opts.MeasureQueries = 250
+	run, err := RunScenario(ScaleOutScenario(fig, []int{8, 32}, opts), CampaignOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := run.ScaleOut()
+	for _, s := range fig.Strategies {
 		small, ok1 := res.Throughput(s, 8)
 		big, ok2 := res.Throughput(s, 32)
 		if !ok1 || !ok2 || small <= 0 || big <= small {

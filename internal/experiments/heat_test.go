@@ -79,7 +79,7 @@ func TestStrategyHeatByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	// Hot-fragment reports landed in the manifest (reassembled in job
 	// order, like fault counts).
 	for _, rep := range serial.Manifest.Reports {
-		if len(rep.HotFragments) == 0 {
+		if d, _ := rep.Detail.(JobDetail); len(d.HotFragments) == 0 {
 			t.Errorf("job %s: no hot fragments in manifest", rep.ID)
 		}
 	}

@@ -4,10 +4,8 @@ package experiments
 // offered load of an open arrival process and measure what each strategy
 // can actually serve — sustainable throughput (the goodput knee), tail
 // latency of admitted queries, and shed rate once the admission controller
-// starts refusing work. The job decomposition mirrors campaign.go: one
-// harness job per (figure, strategy, offered-load) point, shared read-only
-// builds, canonical reassembly so output is byte-identical at any worker
-// count.
+// starts refusing work. OpenOptions is a scenario's open load axis; the
+// reporters here render the resulting points.
 
 import (
 	"fmt"
@@ -83,103 +81,26 @@ type OpenCampaign struct {
 	Manifest harness.Manifest
 }
 
-// RunOpenSystem executes every (figure, strategy, lambda) combination on
-// the harness worker pool, exactly as RunCampaign does for MPL points.
-// Results reassemble in canonical order (figures as given, strategies in
-// figure order, lambdas in sweep order), so campaign output is
-// byte-identical whatever the worker count.
+// RunOpenSystem runs the figures' open-system load sweeps: RunScenario
+// with oopts as the load axis, reported per figure.
 func RunOpenSystem(figs []Figure, opts Options, oopts OpenOptions, copts CampaignOptions) (OpenCampaign, error) {
-	opts = opts.withDefaults()
-	oopts = oopts.withDefaults()
-	cfg := ConfigFor(opts)
+	res, err := RunScenario(Scenario{Figures: figs, Options: opts, Open: &oopts}, copts)
+	return OpenCampaign{Figures: res.Open(), Manifest: res.Manifest}, err
+}
 
-	rels := relationCache{}
-	builds := make([]figureBuild, 0, len(figs))
-	for _, fig := range figs {
-		fb, err := buildFigure(fig, rels, opts)
-		if err != nil {
-			return OpenCampaign{}, err
-		}
-		builds = append(builds, fb)
-	}
-
-	var jobs []harness.Job
-	for _, fb := range builds {
-		for si, name := range fb.fig.Strategies {
-			for _, lambda := range oopts.Lambdas {
-				fb, name, pl, lambda := fb, name, fb.placements[si], lambda
-				id := fmt.Sprintf("fig%s/%s/%s%g", fb.fig.ID, name, oopts.Arrival, lambda)
-				jobs = append(jobs, harness.Job{
-					ID:   id,
-					Seed: opts.Seed,
-					Run: func() (any, error) {
-						machine, err := gamma.Build(fb.rel, pl, cfg)
-						if err != nil {
-							return nil, fmt.Errorf("figure %s/%s: %w", fb.fig.ID, name, err)
-						}
-						defer machine.Close()
-						res, err := machine.RunServe(fb.mix, gamma.ServeSpec{
-							Arrival:        serve.ArrivalSpec{Kind: oopts.Arrival, RateQPS: lambda},
-							Tenants:        serve.DefaultTenants(oopts.Tenants),
-							MaxInService:   oopts.MaxInService,
-							MaxQueue:       oopts.MaxQueue,
-							SLOms:          oopts.SLOms,
-							WarmupQueries:  opts.WarmupQueries,
-							MeasureQueries: opts.MeasureQueries,
-							MaxSimTime:     oopts.MaxSimTime,
-							Seed:           opts.Seed,
-						})
-						if err != nil {
-							return nil, fmt.Errorf("figure %s/%s λ=%g: %w", fb.fig.ID, name, lambda, err)
-						}
-						// Register after the run: RunServe resets the machine
-						// (rebuilding the sampler), so the pre-run pointer
-						// would be stale. Completed points accumulate on the
-						// hub and stay scrapeable after the campaign.
-						if copts.Hub != nil && machine.Telemetry != nil {
-							copts.Hub.Register(id, machine.Telemetry)
-						}
-						return res, nil
-					},
-				})
+// Open reports each figure's open-system points (the first variant's).
+func (r ScenarioResult) Open() []OpenFigureResult {
+	var out []OpenFigureResult
+	for _, f := range r.Figures {
+		fr := OpenFigureResult{Figure: f.Figure, Options: r.Scenario.Options, Open: *r.Scenario.Open, Notes: f.Notes}
+		for _, p := range f.Points {
+			if p.Variant == 0 {
+				fr.Points = append(fr.Points, OpenPoint{Strategy: p.Strategy, Lambda: p.Lambda, Result: p.Serve})
 			}
 		}
+		out = append(out, fr)
 	}
-
-	values, manifest, err := harness.Execute(jobs, harness.Options{
-		Workers:     copts.Workers,
-		JobTimeout:  copts.JobTimeout,
-		Progress:    copts.Progress,
-		Label:       copts.Label,
-		IsTransient: copts.IsTransient,
-	})
-	if err != nil {
-		return OpenCampaign{}, err
-	}
-
-	out := OpenCampaign{Manifest: manifest}
-	j := 0
-	for _, fb := range builds {
-		fr := OpenFigureResult{Figure: fb.fig, Options: opts, Open: oopts, Notes: fb.notes}
-		for _, name := range fb.fig.Strategies {
-			for _, lambda := range oopts.Lambdas {
-				out.Manifest.Reports[j].Arrival = oopts.Arrival.String()
-				out.Manifest.Reports[j].OfferedQPS = lambda
-				if v := values[j]; v != nil {
-					res := v.(gamma.ServeResult)
-					out.Manifest.Reports[j].FaultEvents = len(res.FaultLog)
-					out.Manifest.Reports[j].TimeSeries = res.Series
-					out.Manifest.Reports[j].HotFragments = res.HotFragments
-					fr.Points = append(fr.Points, OpenPoint{
-						Strategy: name, Lambda: lambda, Result: res,
-					})
-				}
-				j++
-			}
-		}
-		out.Figures = append(out.Figures, fr)
-	}
-	return out, manifest.Err()
+	return out
 }
 
 // Point returns the measured result for a (strategy, lambda), or nil.

@@ -72,11 +72,12 @@ func TestOpenSystemDeterministicAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("manifest jobs = %d, want %d", serial.Manifest.Jobs, wantPoints)
 	}
 	for _, r := range serial.Manifest.Reports {
-		if r.Arrival != "poisson" {
-			t.Fatalf("job %s arrival = %q", r.ID, r.Arrival)
+		d, _ := r.Detail.(JobDetail)
+		if d.Arrival != "poisson" {
+			t.Fatalf("job %s arrival = %q", r.ID, d.Arrival)
 		}
-		if r.OfferedQPS != 50 && r.OfferedQPS != 200 {
-			t.Fatalf("job %s offered_qps = %g", r.ID, r.OfferedQPS)
+		if d.OfferedQPS != 50 && d.OfferedQPS != 200 {
+			t.Fatalf("job %s offered_qps = %g", r.ID, d.OfferedQPS)
 		}
 	}
 

@@ -83,9 +83,9 @@ func routesEqual(a, b core.Route) bool {
 func TestRegistryGoldenAgainstDirectConstruction(t *testing.T) {
 	opts := Options{Cardinality: 4000, Processors: 8, Seed: 1,
 		MPLs: []int{1}, WarmupQueries: 1, MeasureQueries: 1}
-	rels := relationCache{}
 	for _, fig := range Figures() {
-		rel := rels.get(opts.Cardinality, fig.Correlation.window(opts.Cardinality), opts.Seed)
+		rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: opts.Cardinality,
+			CorrelationWindow: fig.Correlation.window(opts.Cardinality), Seed: opts.Seed})
 		mix := fig.Mix(opts.Cardinality)
 		for _, name := range fig.Strategies {
 			viaRegistry, err := BuildPlacement(name, rel, mix, opts)

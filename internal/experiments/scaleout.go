@@ -4,35 +4,33 @@ import (
 	"fmt"
 
 	"repro/internal/gamma"
-	"repro/internal/harness"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
-// ScaleSweep measures how each strategy's throughput grows with the
+// ScaleOutScenario measures how each strategy's throughput grows with the
 // machine size — the scalability concern the paper's introduction
 // motivates ("the scalability of these systems to hundreds and thousands
-// of processors is essential"). For each processor count P the
-// multiprogramming level is held at 2P (a constant per-processor load) on
-// the low-low mix, so a strategy that localizes queries should scale near
-// linearly while one that fans every query out to all P processors pays a
-// growing coordination tax.
-type ScaleSweep struct {
-	Strategies  []string
-	Processors  []int
-	Correlation Correlation
-	Mix         func(card int) workload.Mix
-}
-
-// DefaultScaleSweep compares the three paper strategies over 8..64
-// processors on the uncorrelated low-low mix.
-func DefaultScaleSweep() ScaleSweep {
-	return ScaleSweep{
-		Strategies:  []string{StrategyMAGIC, StrategyBERD, StrategyRange},
-		Processors:  []int{8, 16, 32, 64},
-		Correlation: LowCorrelation,
-		Mix:         workload.LowLow,
+// of processors is essential"). The sweep is the processor counts procs
+// (nil: 8, 16, 32 and 64), each at a multiprogramming level of 2P (a
+// constant per-processor load) on the figure's mix, so a strategy that
+// localizes queries should scale near linearly while one that fans every
+// query out to all P processors pays a growing coordination tax. A
+// Config override in opts is dropped: the buffer pool is sized per
+// machine. The relation is shared by every machine size.
+func ScaleOutScenario(fig Figure, procs []int, opts Options) Scenario {
+	opts = opts.withDefaults()
+	opts.Config = nil
+	if len(procs) == 0 {
+		procs = []int{8, 16, 32, 64}
 	}
+	sc := Scenario{Figures: []Figure{fig}, Options: opts}
+	for _, p := range procs {
+		v := opts
+		v.Processors = p
+		v.MPLs = []int{2 * p}
+		sc.Sweep = append(sc.Sweep, Variant{Tag: fmt.Sprintf("p%d", p), Level: p, Options: v})
+	}
+	return sc
 }
 
 // ScalePoint is one measured (strategy, processors) combination.
@@ -42,93 +40,29 @@ type ScalePoint struct {
 	Result     gamma.RunResult
 }
 
-// ScaleResult holds a completed sweep.
+// ScaleResult holds a completed scale-out sweep.
 type ScaleResult struct {
-	Sweep  ScaleSweep
-	Points []ScalePoint
+	Strategies []string
+	Processors []int
+	Points     []ScalePoint
 }
 
-// RunScaleSweep executes the sweep serially: a workers=1 campaign over the
-// same job set RunScaleSweepParallel spreads across the pool.
-func RunScaleSweep(sweep ScaleSweep, opts Options) (ScaleResult, error) {
-	res, _, err := RunScaleSweepParallel(sweep, opts, CampaignOptions{Workers: 1})
-	return res, err
-}
-
-// RunScaleSweepParallel executes the sweep's (processors, strategy) jobs on
-// the harness worker pool. opts.Processors and opts.MPLs are ignored (the
-// sweep sets both); the other options scale the workload. The generated
-// relation depends only on (cardinality, correlation, seed), so one build
-// is shared — read-only — by every machine size; placements are built once
-// per (processors, strategy). Points come back in the serial order
-// (machine sizes as given, strategies within), byte-identical whatever the
-// worker count.
-func RunScaleSweepParallel(sweep ScaleSweep, opts Options, copts CampaignOptions) (ScaleResult, harness.Manifest, error) {
-	opts = opts.withDefaults()
-	out := ScaleResult{Sweep: sweep}
-
-	rels := relationCache{}
-	rel := rels.get(opts.Cardinality, sweep.Correlation.window(opts.Cardinality), opts.Seed)
-	mix := sweep.Mix(opts.Cardinality)
-
-	var jobs []harness.Job
-	for _, procs := range sweep.Processors {
-		o := opts
-		o.Processors = procs
-		o.Config = nil
-		cfg := ConfigFor(o)
-		for _, name := range sweep.Strategies {
-			pl, err := BuildPlacement(name, rel, mix, o)
-			if err != nil {
-				return out, harness.Manifest{}, fmt.Errorf("scale sweep %s/P=%d: %w", name, procs, err)
-			}
-			jobs = append(jobs, harness.Job{
-				ID:   fmt.Sprintf("scaleout/%s/p%d", name, procs),
-				Seed: o.Seed,
-				Run: func() (any, error) {
-					machine, err := gamma.Build(rel, pl, cfg)
-					if err != nil {
-						return nil, fmt.Errorf("scale sweep %s/P=%d: %w", name, procs, err)
-					}
-					defer machine.Close()
-					res, err := machine.Run(mix, gamma.RunSpec{
-						MPL:            2 * procs,
-						WarmupQueries:  o.WarmupQueries,
-						MeasureQueries: o.MeasureQueries,
-						Seed:           o.Seed,
-					})
-					if err != nil {
-						return nil, fmt.Errorf("scale sweep %s/P=%d: %w", name, procs, err)
-					}
-					return res, nil
-				},
-			})
-		}
+// ScaleOut reports the first figure's sweep over machine sizes.
+func (r ScenarioResult) ScaleOut() ScaleResult {
+	var out ScaleResult
+	for _, v := range r.Scenario.Sweep {
+		out.Processors = append(out.Processors, v.Level)
 	}
-
-	values, manifest, err := harness.Execute(jobs, harness.Options{
-		Workers:     copts.Workers,
-		JobTimeout:  copts.JobTimeout,
-		Progress:    copts.Progress,
-		Label:       copts.Label,
-		IsTransient: copts.IsTransient,
-	})
-	if err != nil {
-		return out, manifest, err
+	if len(r.Figures) == 0 {
+		return out
 	}
-
-	j := 0
-	for _, procs := range sweep.Processors {
-		for _, name := range sweep.Strategies {
-			if v := values[j]; v != nil {
-				out.Points = append(out.Points, ScalePoint{
-					Strategy: name, Processors: procs, Result: v.(gamma.RunResult),
-				})
-			}
-			j++
-		}
+	out.Strategies = r.Figures[0].Figure.Strategies
+	for _, p := range r.Figures[0].Points {
+		out.Points = append(out.Points, ScalePoint{
+			Strategy: p.Strategy, Processors: out.Processors[p.Variant], Result: p.Result,
+		})
 	}
-	return out, manifest, manifest.Err()
+	return out
 }
 
 // Throughput returns the measured throughput for (strategy, processors).
@@ -143,7 +77,7 @@ func (sr ScaleResult) Throughput(strategy string, procs int) (float64, bool) {
 
 // Speedup reports throughput(P) / throughput(Pmin) for a strategy.
 func (sr ScaleResult) Speedup(strategy string, procs int) (float64, bool) {
-	base, ok1 := sr.Throughput(strategy, sr.Sweep.Processors[0])
+	base, ok1 := sr.Throughput(strategy, sr.Processors[0])
 	at, ok2 := sr.Throughput(strategy, procs)
 	if !ok1 || !ok2 || base == 0 {
 		return 0, false
@@ -154,13 +88,13 @@ func (sr ScaleResult) Speedup(strategy string, procs int) (float64, bool) {
 // Table renders throughput (and relative speedup) per machine size.
 func (sr ScaleResult) Table() *stats.Table {
 	headers := []string{"P", "MPL"}
-	for _, s := range sr.Sweep.Strategies {
+	for _, s := range sr.Strategies {
 		headers = append(headers, s+" q/s", s+" speedup")
 	}
 	tb := stats.NewTable("Scale-out: throughput vs machine size (MPL = 2P)", headers...)
-	for _, procs := range sr.Sweep.Processors {
+	for _, procs := range sr.Processors {
 		row := []any{procs, 2 * procs}
-		for _, s := range sr.Sweep.Strategies {
+		for _, s := range sr.Strategies {
 			tp, _ := sr.Throughput(s, procs)
 			sp, _ := sr.Speedup(s, procs)
 			row = append(row, fmt.Sprintf("%.1f", tp), fmt.Sprintf("%.2fx", sp))

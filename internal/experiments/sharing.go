@@ -12,8 +12,8 @@ import (
 	"fmt"
 
 	"repro/internal/gamma"
-	"repro/internal/harness"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // Hot-spot overlay for the sharing campaign: SharingHotProb of the queries
@@ -50,98 +50,55 @@ type SharingResult struct {
 	Points   []SharingPoint
 }
 
-// RunSharing sweeps the figure's strategies across the MPL sweep, once with
-// sharing off and once with the shared-scan manager armed at windowMS
+// SharingScenario runs the figures' strategies across the MPL sweep, once
+// with sharing off and once with the shared-scan manager armed at windowMS
 // (<= 0 selects the gamma default window), both under the hot-spot overlay.
-// Jobs run on the harness pool exactly like a figure campaign. Fault
-// options in opts apply to both runs: batches are keyed by replica role
-// and placement epoch, so sharing composes with degraded-mode rerouting.
-func RunSharing(fig Figure, windowMS float64, opts Options, copts CampaignOptions) (SharingResult, harness.Manifest, error) {
+// Placements are planned from each figure's own mix. Fault options in opts
+// apply to both runs: batches are keyed by replica role and placement
+// epoch, so sharing composes with degraded-mode rerouting.
+func SharingScenario(figs []Figure, windowMS float64, opts Options) Scenario {
 	opts = opts.withDefaults()
-	out := SharingResult{Figure: fig, Options: opts, WindowMS: windowMS}
-
-	rels := relationCache{}
-	fb, err := buildFigure(fig, rels, opts)
-	if err != nil {
-		return out, harness.Manifest{}, err
-	}
-	hot := fb.mix.WithHotSpot(SharingHotProb, SharingHotFrac)
-
-	offCfg := ConfigFor(opts)
 	// Sharing targets Table 2's disk-bound regime: with the default pool
 	// sized to keep the index resident, the hot set's data pages largely
 	// survive in memory between queries and there is little disk work to
 	// share. A third of the default pool forces the re-read traffic the
 	// manager exists to deduplicate. Both modes run with the same pool, so
 	// the off column is still the like-for-like baseline.
-	offCfg.BufferPages = (offCfg.BufferPages + 2) / 3
-	onOpts := opts
-	onOpts.ArmSharing(windowMS)
-	onCfg := ConfigFor(onOpts)
-	onCfg.BufferPages = offCfg.BufferPages
+	cfg := ConfigFor(opts)
+	cfg.BufferPages = (cfg.BufferPages + 2) / 3
+	off := opts
+	off.Config = &cfg
+	on := off
+	on.ArmSharing(windowMS)
+	return Scenario{
+		Figures: figs,
+		Options: opts,
+		Sweep:   []Variant{{Tag: "off", Options: off}, {Tag: "on", Level: 1, Options: on}},
+		Mix: func(m workload.Mix) workload.Mix {
+			return m.WithHotSpot(SharingHotProb, SharingHotFrac)
+		},
+	}
+}
 
-	var jobs []harness.Job
-	for si, name := range fb.fig.Strategies {
-		for _, share := range []bool{false, true} {
-			cfg, tag := offCfg, "off"
-			if share {
-				cfg, tag = onCfg, "on"
-			}
-			for _, mpl := range opts.MPLs {
-				name, mpl, cfg, tag, pl := name, mpl, cfg, tag, fb.placements[si]
-				jobs = append(jobs, harness.Job{
-					ID:   fmt.Sprintf("sharing/%s/%s/mpl%d", name, tag, mpl),
-					Seed: opts.Seed,
-					Run: func() (any, error) {
-						machine, err := gamma.Build(fb.rel, pl, cfg)
-						if err != nil {
-							return nil, fmt.Errorf("sharing %s/%s: %w", name, tag, err)
-						}
-						defer machine.Close()
-						res, err := machine.Run(hot, gamma.RunSpec{
-							MPL:            mpl,
-							WarmupQueries:  opts.WarmupQueries,
-							MeasureQueries: opts.MeasureQueries,
-							Seed:           opts.Seed,
-						})
-						if err != nil {
-							return nil, fmt.Errorf("sharing %s/%s MPL %d: %w", name, tag, mpl, err)
-						}
-						return res, nil
-					},
-				})
+// Sharing reports each figure's off/on pairs; a pair missing either run
+// (a failed job) is left out.
+func (r ScenarioResult) Sharing() []SharingResult {
+	var out []SharingResult
+	for _, f := range r.Figures {
+		sr := SharingResult{Figure: f.Figure, Options: r.Scenario.Options}
+		sr.WindowMS = r.Scenario.Sweep[1].Options.SharingWindowMS
+		off := map[string]gamma.RunResult{}
+		for _, p := range f.Points {
+			key := fmt.Sprintf("%s/%d", p.Strategy, p.MPL)
+			if p.Variant == 0 {
+				off[key] = p.Result
+			} else if o, ok := off[key]; ok {
+				sr.Points = append(sr.Points, SharingPoint{Strategy: p.Strategy, MPL: p.MPL, Off: o, On: p.Result})
 			}
 		}
+		out = append(out, sr)
 	}
-
-	values, manifest, err := harness.Execute(jobs, harness.Options{
-		Workers:     copts.Workers,
-		JobTimeout:  copts.JobTimeout,
-		Progress:    copts.Progress,
-		Label:       copts.Label,
-		IsTransient: copts.IsTransient,
-	})
-	if err != nil {
-		return out, manifest, err
-	}
-
-	j := 0
-	for _, name := range fb.fig.Strategies {
-		offAt := j
-		onAt := j + len(opts.MPLs)
-		for mi, mpl := range opts.MPLs {
-			off, on := values[offAt+mi], values[onAt+mi]
-			if off == nil || on == nil {
-				continue
-			}
-			out.Points = append(out.Points, SharingPoint{
-				Strategy: name, MPL: mpl,
-				Off: off.(gamma.RunResult), On: on.(gamma.RunResult),
-			})
-		}
-		j += 2 * len(opts.MPLs)
-	}
-	return out, manifest, manifest.Err()
+	return out
 }
 
 // MaxSaved returns the campaign's best per-query disk-read saving and the

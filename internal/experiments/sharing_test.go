@@ -19,10 +19,11 @@ func TestRunSharingSavesReads(t *testing.T) {
 	}
 	opts := QuickScale()
 	opts.MPLs = []int{8}
-	sr, manifest, err := RunSharing(fig, 0, opts, CampaignOptions{Workers: 2})
+	res, err := RunScenario(SharingScenario([]Figure{fig}, 0, opts), CampaignOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sr, manifest := res.Sharing()[0], res.Manifest
 	if len(manifest.Reports) != 2*len(fig.Strategies) {
 		t.Fatalf("manifest has %d jobs, want %d", len(manifest.Reports), 2*len(fig.Strategies))
 	}
@@ -61,13 +62,17 @@ func TestRunSharingComposesWithFaults(t *testing.T) {
 	}
 	opts := QuickScale()
 	opts.MPLs = []int{8}
-	opts.ArmFaults(KillSpec(1, opts.Processors), true)
+	kill, err := KillSpec(1, opts.Processors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.ArmFaults(kill, true)
 	run := func(workers int) SharingResult {
-		sr, _, err := RunSharing(fig, 0, opts, CampaignOptions{Workers: workers})
+		res, err := RunScenario(SharingScenario([]Figure{fig}, 0, opts), CampaignOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sr
+		return res.Sharing()[0]
 	}
 	serial, parallel := run(1), run(4)
 	if !reflect.DeepEqual(serial.Points, parallel.Points) {

@@ -62,6 +62,14 @@ type Outcomes struct {
 	Failed   int `json:"failed"`
 }
 
+// Add accumulates another tally into o.
+func (o *Outcomes) Add(p Outcomes) {
+	o.OK += p.OK
+	o.Retried += p.Retried
+	o.TimedOut += p.TimedOut
+	o.Failed += p.Failed
+}
+
 // Succeeded reports the queries that produced full results.
 func (o Outcomes) Succeeded() int { return o.OK + o.Retried }
 
@@ -249,61 +257,16 @@ func (m *Machine) Run(mix workload.Mix, spec RunSpec) (RunResult, error) {
 	if elapsed <= 0 {
 		return RunResult{}, fmt.Errorf("gamma: empty measurement window")
 	}
-	out := RunResult{
-		Strategy:      m.Placement.Name(),
-		Mix:           mix.Name,
-		MPL:           spec.MPL,
-		Completed:     measured,
-		ElapsedSim:    elapsed,
-		ThroughputQPS: float64(measured) / elapsed.Seconds(),
-		MeanProcsUsed: procs.Mean(),
-		MeanTuples:    tuples.Mean(),
-		Outcomes:      outcomes,
-		RetriesTotal:  retriesTot,
-	}
+	out := m.machineStats()
+	out.Mix, out.MPL, out.Completed, out.ElapsedSim = mix.Name, spec.MPL, measured, elapsed
+	out.ThroughputQPS = float64(measured) / elapsed.Seconds()
+	out.MeanProcsUsed, out.MeanTuples = procs.Mean(), tuples.Mean()
+	out.Outcomes, out.RetriesTotal = outcomes, retriesTot
 	if measured > 0 {
 		out.DiskReadsPerQry = float64(m.totalDiskReads()-diskReads0) / float64(measured)
 	}
-	if m.Injector != nil {
-		out.FaultLog = m.Injector.Log()
-	}
-	if m.Telemetry != nil {
-		out.Series = m.Telemetry.Snapshot()
-	}
-	if m.Heat != nil {
-		out.Heat = m.Heat.Snapshot(m.Cfg.Heat.topK())
-		out.HotFragments = out.Heat.HotFragments()
-	}
-	out.Sharing = m.sharingStats()
-	out.Rebalance = m.rebalanceReport()
-	mean, _ := resp.Interval(10)
-	out.MeanResponseMS = mean
+	out.MeanResponseMS, _ = resp.Interval(10)
 	out.P95ResponseMS = resp.Percentile(95)
-
-	var cpu, disk, hits, total float64
-	out.NodeStats = make([]NodeUtil, len(m.Nodes))
-	for i, n := range m.Nodes {
-		cpu += n.CPU.Utilization()
-		disk += n.Disk.Utilization()
-		hits += float64(n.Pool.Hits())
-		total += float64(n.Pool.Hits() + n.Pool.Misses())
-		out.NodeStats[i] = NodeUtil{
-			Node:          n.ID,
-			CPUUtil:       n.CPU.Utilization(),
-			DiskUtil:      n.Disk.Utilization(),
-			DiskReads:     n.Disk.Reads(),
-			BufferHitRate: n.Pool.HitRate(),
-			OpsExecuted:   n.OpsExecuted,
-			TuplesShipped: n.TuplesShipped,
-		}
-	}
-	out.CPUUtilization = cpu / float64(len(m.Nodes))
-	out.DiskUtilization = disk / float64(len(m.Nodes))
-	if total > 0 {
-		out.BufferHitRate = hits / total
-	}
-	out.DiskSkew = skewRatio(out.NodeStats, func(u NodeUtil) float64 { return u.DiskUtil })
-	out.CPUSkew = skewRatio(out.NodeStats, func(u NodeUtil) float64 { return u.CPUUtil })
 	if reg := eng.Metrics(); reg != nil {
 		for _, u := range out.NodeStats {
 			reg.Gauge(fmt.Sprintf("node%d.cpu.util", u.Node)).Set(u.CPUUtil)
@@ -323,6 +286,52 @@ func (m *Machine) Run(mix workload.Mix, spec RunSpec) (RunResult, error) {
 		}
 	}
 	return out, nil
+}
+
+// machineStats assembles the machine side of a measurement window, which
+// Run and RunServe both report: the strategy, per-node utilization with its
+// means and skew, and every armed subsystem's snapshot.
+func (m *Machine) machineStats() RunResult {
+	out := RunResult{Strategy: m.Placement.Name(), NodeStats: make([]NodeUtil, len(m.Nodes))}
+	var hits, total float64
+	for i, n := range m.Nodes {
+		out.CPUUtilization += n.CPU.Utilization()
+		out.DiskUtilization += n.Disk.Utilization()
+		hits += float64(n.Pool.Hits())
+		total += float64(n.Pool.Hits() + n.Pool.Misses())
+		out.NodeStats[i] = NodeUtil{
+			Node:          n.ID,
+			CPUUtil:       n.CPU.Utilization(),
+			DiskUtil:      n.Disk.Utilization(),
+			DiskReads:     n.Disk.Reads(),
+			BufferHitRate: n.Pool.HitRate(),
+			OpsExecuted:   n.OpsExecuted,
+			TuplesShipped: n.TuplesShipped,
+		}
+	}
+	out.CPUUtilization /= float64(len(m.Nodes))
+	out.DiskUtilization /= float64(len(m.Nodes))
+	if total > 0 {
+		out.BufferHitRate = hits / total
+	}
+	out.DiskSkew = skewRatio(out.NodeStats, func(u NodeUtil) float64 { return u.DiskUtil })
+	out.CPUSkew = skewRatio(out.NodeStats, func(u NodeUtil) float64 { return u.CPUUtil })
+	if m.Injector != nil {
+		out.FaultLog = m.Injector.Log()
+	}
+	if m.Telemetry != nil {
+		out.Series = m.Telemetry.Snapshot()
+	}
+	if m.Heat != nil {
+		out.Heat = m.Heat.Snapshot(m.Cfg.Heat.topK())
+		out.HotFragments = out.Heat.HotFragments()
+	}
+	out.Sharing = m.sharingStats()
+	if m.Rebalancer != nil {
+		r := m.Rebalancer.Report()
+		out.Rebalance = &r
+	}
+	return out
 }
 
 // skewRatio reports max/mean of a per-node metric: 1.0 when the load is
@@ -365,16 +374,6 @@ func (m *Machine) resetStats() {
 // sharingStats assembles the shared-scan tally — the host manager's flush
 // counters plus the page dedup counters summed over the operator nodes —
 // or nil when sharing is off.
-// rebalanceReport snapshots the membership controller's history (nil when
-// elasticity is off).
-func (m *Machine) rebalanceReport() *rebalance.Report {
-	if m.Rebalancer == nil {
-		return nil
-	}
-	r := m.Rebalancer.Report()
-	return &r
-}
-
 func (m *Machine) sharingStats() *exec.SharingStats {
 	if m.Host.Shared == nil {
 		return nil

@@ -137,37 +137,20 @@ func (m *Machine) RunServe(mix workload.Mix, spec ServeSpec) (ServeResult, error
 		return ServeResult{}, err
 	}
 
-	out := ServeResult{
-		Strategy: m.Placement.Name(),
-		Mix:      mix.Name,
-		Serve:    res,
-	}
-	var cpu, disk float64
-	nodeStats := make([]NodeUtil, len(m.Nodes))
-	for i, n := range m.Nodes {
-		cpu += n.CPU.Utilization()
-		disk += n.Disk.Utilization()
-		nodeStats[i] = NodeUtil{
-			Node:     n.ID,
-			CPUUtil:  n.CPU.Utilization(),
-			DiskUtil: n.Disk.Utilization(),
-		}
-	}
-	out.CPUUtilization = cpu / float64(len(m.Nodes))
-	out.DiskUtilization = disk / float64(len(m.Nodes))
-	out.DiskSkew = skewRatio(nodeStats, func(u NodeUtil) float64 { return u.DiskUtil })
-	out.CPUSkew = skewRatio(nodeStats, func(u NodeUtil) float64 { return u.CPUUtil })
-	if m.Injector != nil {
-		out.FaultLog = m.Injector.Log()
-	}
-	if m.Telemetry != nil {
-		out.Series = m.Telemetry.Snapshot()
-	}
-	if m.Heat != nil {
-		out.Heat = m.Heat.Snapshot(m.Cfg.Heat.topK())
-		out.HotFragments = out.Heat.HotFragments()
-	}
-	out.Sharing = m.sharingStats()
-	out.Rebalance = m.rebalanceReport()
-	return out, nil
+	ms := m.machineStats()
+	return ServeResult{
+		Strategy:        ms.Strategy,
+		Mix:             mix.Name,
+		Serve:           res,
+		CPUUtilization:  ms.CPUUtilization,
+		DiskUtilization: ms.DiskUtilization,
+		DiskSkew:        ms.DiskSkew,
+		CPUSkew:         ms.CPUSkew,
+		FaultLog:        ms.FaultLog,
+		Series:          ms.Series,
+		Heat:            ms.Heat,
+		HotFragments:    ms.HotFragments,
+		Sharing:         ms.Sharing,
+		Rebalance:       ms.Rebalance,
+	}, nil
 }

@@ -23,8 +23,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Job is one independent unit of work. Run must be self-contained: the
@@ -75,25 +73,9 @@ type JobReport struct {
 	Error    string `json:"error,omitempty"`
 	Panicked bool   `json:"panicked,omitempty"`
 	TimedOut bool   `json:"timed_out,omitempty"`
-	// FaultEvents is the number of injected faults the job's run applied
-	// (filled by the caller from the run result; the harness itself knows
-	// nothing about fault injection).
-	FaultEvents int `json:"fault_events,omitempty"`
-	// Arrival and OfferedQPS record the open-system workload of the job —
-	// the arrival-process kind ("poisson", "bursty", "diurnal") and the
-	// offered load in queries/second. Filled by the caller for open-system
-	// campaigns; zero for closed-loop jobs, where the workload is the MPL
-	// encoded in the job ID.
-	Arrival    string  `json:"arrival,omitempty"`
-	OfferedQPS float64 `json:"offered_qps,omitempty"`
-	// TimeSeries carries the job's windowed telemetry snapshot when the
-	// campaign ran with sampling armed. Filled by the caller from the run
-	// result, like FaultEvents.
-	TimeSeries []obs.SeriesData `json:"time_series,omitempty"`
-	// HotFragments carries the job's hot-fragment report when the campaign
-	// ran with fragment heat accounting armed. Filled by the caller from
-	// the run result, like FaultEvents.
-	HotFragments []obs.HotFragment `json:"hot_fragments,omitempty"`
+	// Detail is the caller's per-job payload (what the run measured, the
+	// workload it offered); the harness only carries it into the manifest.
+	Detail any `json:"detail,omitempty"`
 }
 
 // Failed reports whether the job ended in any failure (error, panic, or

@@ -11,8 +11,7 @@ import (
 // BenchmarkOpenArrivals measures the serving layer's end-to-end admission
 // throughput — arrival generation, admission, WRR dispatch, a minimal
 // 1ms-service execution, and SLO accounting — in admitted arrivals per
-// second of wall time. The bench harness publishes this next to the kernel
-// numbers in BENCH_sim.json.
+// second of wall time.
 func BenchmarkOpenArrivals(b *testing.B) {
 	cfg := Config{
 		Arrival:        ArrivalSpec{Kind: Poisson, RateQPS: 2000},
