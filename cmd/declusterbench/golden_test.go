@@ -43,6 +43,7 @@ var goldenCases = []struct {
 }{
 	{"closed", small("-fig", "8a", "-mpl", "1,4", "-detail", "-node-stats", "-plot")},
 	{"closed_heat_kill", small("-fig", "8a", "-mpl", "1,4", "-heatmap", "-kill-disk", "1@2ms")},
+	{"closed_kill_node", small("-fig", "8a", "-mpl", "1,4", "-kill-node", "1@2ms")},
 	{"degraded", small("-fig", "8a", "-mpl", "1,4", "-faults", "0,1")},
 	{"sharing", small("-share", "-mpl", "8")},
 	{"open", small("-open", "-lambda", "100,400", "-ts-window", "250ms", "-detail", "-heatmap")},
