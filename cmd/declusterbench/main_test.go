@@ -1,11 +1,15 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/serve"
+	"repro/internal/sim"
 )
 
 func TestBuildOptions(t *testing.T) {
@@ -160,5 +164,45 @@ func TestRefusesConflictingFlags(t *testing.T) {
 				t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1 and %q", code, stdout, stderr, c.want)
 			}
 		})
+	}
+}
+
+// Each job's manifest detail carries the sim kernel's counters, and like
+// every simulated number they must not depend on the worker count.
+func TestManifestKernelCountersAcrossWorkers(t *testing.T) {
+	kernel := func(parallel string) map[string]sim.Stats {
+		path := filepath.Join(t.TempDir(), "manifest.json")
+		runCommand(t, append(small("-fig", "8a", "-mpl", "1,4", "-manifest", path), "-parallel", parallel)...)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m struct {
+			Reports []struct {
+				ID     string `json:"id"`
+				Detail struct {
+					Kernel sim.Stats `json:"kernel"`
+				} `json:"detail"`
+			} `json:"job_reports"`
+		}
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]sim.Stats{}
+		for _, r := range m.Reports {
+			k := r.Detail.Kernel
+			if k.Events < k.Switches+k.SelfResumes || k.Switches == 0 || k.Spawns == 0 ||
+				k.CoroutinesCreated+k.CoroutinesReused != k.Spawns {
+				t.Fatalf("-parallel %s: job %s has implausible kernel counters %+v", parallel, r.ID, k)
+			}
+			out[r.ID] = k
+		}
+		if len(out) != 6 {
+			t.Fatalf("-parallel %s: %d job reports, want 6", parallel, len(out))
+		}
+		return out
+	}
+	if one, four := kernel("1"), kernel("4"); !reflect.DeepEqual(one, four) {
+		t.Fatalf("kernel counters differ:\n-parallel 1: %+v\n-parallel 4: %+v", one, four)
 	}
 }

@@ -15,7 +15,9 @@
 //	-procs N          processors (default 32)
 //	-corr low|high    attribute correlation
 //	-strategy s       run only one strategy (magic|berd|range|hash)
-//	-quiet            summary only, no event trace
+//	-quiet            summary only, no event trace; the summary ends with
+//	                  the sim kernel's counters (events, process switches,
+//	                  self-resumes, spawns, coroutines created and reused)
 //	-trace-out FILE   write a Chrome trace-event JSON file (open it at
 //	                  ui.perfetto.dev or chrome://tracing); each strategy
 //	                  becomes one process row, each node×resource one track
@@ -152,8 +154,9 @@ func main() {
 		if err := machine.Eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("--> %d tuples in %.3fms using %d processors (%d auxiliary)\n\n",
+		fmt.Printf("--> %d tuples in %.3fms using %d processors (%d auxiliary)\n",
 			res.Tuples, res.ResponseMS(), res.ProcessorsUsed, res.AuxProcessors)
+		fmt.Printf("    kernel: %v\n\n", machine.Eng.Stats())
 		if *critPath {
 			printCritPath(coll.Events())
 		}

@@ -23,6 +23,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -128,6 +129,9 @@ type JobDetail struct {
 	// hot-fragment report when those were armed.
 	TimeSeries   []obs.SeriesData  `json:"time_series,omitempty"`
 	HotFragments []obs.HotFragment `json:"hot_fragments,omitempty"`
+	// Kernel counts the sim kernel's work over the whole run: events,
+	// process switches, spawns and coroutine reuse. Zero for a failed job.
+	Kernel sim.Stats `json:"kernel"`
 }
 
 // relKey identifies one generated relation; figures agreeing on all three
@@ -286,7 +290,8 @@ func RunScenario(sc Scenario, copts CampaignOptions) (ScenarioResult, error) {
 			if sc.Open != nil {
 				d.Arrival, d.OfferedQPS = sc.Open.Arrival.String(), pt.Lambda
 			}
-			switch res := values[j].(type) {
+			v, ok := values[j].(jobValue)
+			switch res := v.result.(type) {
 			case gamma.RunResult:
 				pt.Result = res
 				d.FaultEvents, d.TimeSeries, d.HotFragments = len(res.FaultLog), res.Series, res.HotFragments
@@ -294,16 +299,27 @@ func RunScenario(sc Scenario, copts CampaignOptions) (ScenarioResult, error) {
 				pt.Serve = res
 				d.FaultEvents, d.TimeSeries, d.HotFragments = len(res.FaultLog), res.Series, res.HotFragments
 			}
-			if values[j] != nil {
+			d.Kernel = v.kernel
+			if ok {
 				out.Figures[fi].Points = append(out.Figures[fi].Points, pt)
 			}
-			if d.Arrival != "" || d.FaultEvents > 0 || d.TimeSeries != nil || d.HotFragments != nil {
+			if ok || d.Arrival != "" {
 				out.Manifest.Reports[j].Detail = d
 			}
 			j++
 		}
 	}
 	return out, manifest.Err()
+}
+
+// jobValue is what a scenario job hands back through the harness.
+type jobValue struct {
+	result any // gamma.RunResult or gamma.ServeResult
+	// kernel is the machine engine's counters at the end of the run. It
+	// travels beside the result, not in it, so that the results of runs
+	// that differ only in host-side work (telemetry arming adds a sampler
+	// process) still compare equal.
+	kernel sim.Stats
 }
 
 // job returns the harness job body for one point. The job constructs its
@@ -346,7 +362,7 @@ func (sc Scenario) job(pt ScenarioPoint, rel *storage.Relation, pl core.Placemen
 		if hub != nil && machine.Telemetry != nil {
 			hub.Register(pt.ID, machine.Telemetry)
 		}
-		return res, nil
+		return jobValue{res, machine.Eng.Stats()}, nil
 	}
 }
 

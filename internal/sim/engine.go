@@ -5,15 +5,15 @@
 // time, use facilities, and exchange messages through mailboxes, while the
 // kernel advances a global virtual clock.
 //
-// Each process runs on its own goroutine, but the kernel hands control to
-// exactly one process at a time and every wake-up flows through a single
-// event heap ordered by (time, sequence number). Runs are therefore fully
-// deterministic for a fixed seed and configuration.
+// Each process runs as a coroutine (iter.Pull) that only the engine loop
+// resumes, on the loop's own thread, and every wake-up flows through a
+// single event heap ordered by (time, sequence number). Exactly one process
+// runs at a time, so runs are fully deterministic for a fixed seed and
+// configuration.
 package sim
 
 import (
 	"fmt"
-	"runtime/debug"
 
 	"repro/internal/obs"
 )
@@ -102,23 +102,54 @@ type Engine struct {
 	// path so a self-advancing process never runs past it.
 	deadline Time
 
-	yielded chan struct{}
 	stopped bool
 	closed  bool
 	err     error
 	// procs is the live-process set: every process spawned and not yet
 	// finished, each at its Proc.slot. A finishing process swap-removes
 	// itself, so the set is bounded by live processes, not spawned ones.
-	procs   []*Proc
+	procs []*Proc
+	// idle holds the coroutines of finished processes, each parked in its
+	// loop until Spawn hands it the next body, so the pool is bounded by
+	// the peak number of live processes.
+	idle    []*coro
 	parked  int           // processes blocked with no scheduled event
 	sink    obs.Sink      // structured trace sink; nil = tracing disabled
 	metrics *obs.Registry // metrics registry; nil = metrics disabled
+	stats   Stats
+}
+
+// Stats counts what the kernel itself has done since New: the simulator's
+// cost, as opposed to anything about the simulated machine. Every count is
+// deterministic for a fixed seed and configuration.
+type Stats struct {
+	// Events counts dispatched events: process resumes, callbacks and
+	// handlers. A stale resume of a finished process is dropped uncounted.
+	Events int64 `json:"events"`
+	// Switches counts resumes that switched into a process's coroutine and
+	// back, including Close's teardown resumes.
+	Switches int64 `json:"switches"`
+	// SelfResumes counts resumes the Hold fast path took in place, without
+	// a switch, because the holding process's own wake-up was due next.
+	SelfResumes int64 `json:"self_resumes"`
+	// Spawns counts processes spawned.
+	Spawns int64 `json:"spawns"`
+	// CoroutinesCreated and CoroutinesReused split the spawns by whether
+	// the process got a new coroutine or an idle one from the pool.
+	CoroutinesCreated int64 `json:"coroutines_created"`
+	CoroutinesReused  int64 `json:"coroutines_reused"`
+}
+
+func (s Stats) String() string {
+	return fmt.Sprintf("events=%d switches=%d self_resumes=%d spawns=%d coroutines=%d created/%d reused",
+		s.Events, s.Switches, s.SelfResumes, s.Spawns, s.CoroutinesCreated, s.CoroutinesReused)
 }
 
 // New returns an empty engine at time zero.
-func New() *Engine {
-	return &Engine{yielded: make(chan struct{})}
-}
+func New() *Engine { return &Engine{} }
+
+// Stats reports the kernel counters accumulated since New.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -332,13 +363,14 @@ func (e *Engine) Resume() { e.stopped = e.err != nil || e.closed }
 func (e *Engine) Run() error { return e.RunUntil(Time(1<<62 - 1)) }
 
 // Close retires the engine: every process that has not finished is killed
-// and resumed until its goroutine exits, then all pending events are
-// dropped. A process unwinds through the Kill path, running its deferred
-// calls; a deferred call that parks or holds again just unwinds again, and
-// whatever the unwinding schedules or spawns is discarded with the rest.
-// Close must be called from outside the engine's processes, with no Run in
-// progress. Afterwards the engine does not run again: Run returns at once
-// and Spawn panics. A second Close is a no-op.
+// and resumed until its body has unwound, then every idle coroutine is
+// stopped, so none of the engine's coroutines survives, and all pending
+// events are dropped. A process unwinds through the Kill path, running its
+// deferred calls; a deferred call that parks or holds again just unwinds
+// again, and whatever the unwinding schedules or spawns is discarded with
+// the rest. Close must be called from outside the engine's processes, with
+// no Run in progress. Afterwards the engine does not run again: Run returns
+// at once and Spawn panics. A second Close is a no-op.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -348,13 +380,23 @@ func (e *Engine) Close() {
 		p := e.procs[len(e.procs)-1]
 		p.killed = true
 		for !p.finished {
-			p.resume <- struct{}{}
-			<-e.yielded
+			e.resume(p)
 		}
 	}
+	for _, c := range e.idle {
+		c.stop()
+	}
 	e.closed = true
+	e.idle = nil
 	e.pool, e.free, e.eheap, e.ready = nil, nil, nil, nil
 	e.rhead, e.rcount = 0, 0
+}
+
+// resume switches into p's coroutine and returns when p next yields: it
+// holds, parks or finishes.
+func (e *Engine) resume(p *Proc) {
+	e.stats.Switches++
+	p.co.next()
 }
 
 // RunUntil processes events with timestamps <= deadline, then sets the clock
@@ -376,31 +418,30 @@ func (e *Engine) RunUntil(deadline Time) error {
 		ev := e.pool[idx]
 		e.release(idx)
 		e.now = ev.t
-		if ev.fn != nil {
+		switch {
+		case ev.fn != nil:
 			ev.fn()
-			continue
-		}
-		if ev.h != nil {
+		case ev.h != nil:
 			ev.h.HandleEvent()
-			continue
-		}
-		if ev.p.finished {
+		case ev.p.finished:
 			continue // process already ran to completion or unwound
+		default:
+			e.resume(ev.p)
 		}
-		ev.p.resume <- struct{}{}
-		<-e.yielded
+		e.stats.Events++
 	}
 	return e.err
 }
 
-// Proc is a simulation process: a goroutine that the kernel runs one at a
-// time. All Proc methods must be called from the process's own body.
+// Proc is a simulation process: a body running on a pooled coroutine that
+// the engine loop resumes, one process at a time. All Proc methods must be
+// called from the process's own body.
 type Proc struct {
 	eng      *Engine
 	name     string
-	resume   chan struct{}
+	co       *coro // the coroutine running the body
 	killed   bool  // Kill was requested; unwind at next resume
-	finished bool  // goroutine has exited (normally, by panic, or by Kill)
+	finished bool  // body has returned (normally, by panic, or by Kill)
 	slot     int   // index in the engine's live-process set
 	qid      int64 // query the process is currently working for (0 = none)
 }
@@ -435,27 +476,10 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn on a closed engine")
 	}
-	p := &Proc{eng: e, name: name, resume: make(chan struct{}), slot: len(e.procs)}
+	p := &Proc{eng: e, name: name, slot: len(e.procs)}
+	p.co = e.coroFor(p, fn)
 	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
-		defer func() {
-			p.finished = true
-			e.removeProc(p)
-			if r := recover(); r != nil {
-				if r == errKilled {
-					// Deliberate teardown via Kill; not an error.
-					e.yielded <- struct{}{}
-					return
-				}
-				e.fail(fmt.Errorf("sim: process %q panicked: %v\n%s", name, r, debug.Stack()))
-			}
-			e.yielded <- struct{}{}
-		}()
-		if !p.killed {
-			fn(p)
-		}
-	}()
+	e.stats.Spawns++
 	e.schedule(event{t: t, seq: e.nextSeq(), p: p})
 	return p
 }
@@ -473,63 +497,44 @@ func (e *Engine) removeProc(p *Proc) {
 // errKilled is the sentinel panic used to unwind a killed process.
 var errKilled = new(int)
 
-// yield returns control to the kernel until the process is resumed.
+// yield returns control to the engine loop until the process is resumed.
 //
-// Direct-switch fast path: when the next due event is a plain process
-// resume within the active RunUntil horizon, the yielding process performs
-// the kernel's dispatch itself — pop, release, advance the clock — and
-// hands control straight to the target (or simply keeps running when the
-// target is itself), skipping the two-way handoff through the kernel
-// goroutine. The kernel stays blocked on its yielded channel throughout a
-// switch chain; exactly one goroutine holds control at any instant, and the
-// channel transfers publish all kernel-state writes to the next holder.
-// Callback and handler events are never run here: they must execute on the
-// kernel goroutine so a panic in one fails the run rather than the
-// coincidentally yielding process. Event pop order is identical to the
-// kernel loop's, so determinism is unchanged.
+// Self-resume fast path: when the next due event within the active
+// RunUntil horizon is this process's own resume, as after a Hold that
+// nothing else precedes, yield dispatches it in place (pop, release,
+// advance the clock) and returns without switching. Any other next event
+// sends the process back to the loop, which dispatches it; only the loop
+// resumes processes, and it pops events in the same (time, seq) order, so
+// the fast path cannot change the event order.
 func (p *Proc) yield() {
 	e := p.eng
-	for !e.stopped && (e.rcount > 0 || len(e.eheap) > 0) {
+	if !e.stopped && (e.rcount > 0 || len(e.eheap) > 0) {
 		next, fromRing := e.nextEvent()
-		ev := &e.pool[next]
-		if ev.t > e.deadline || ev.fn != nil || ev.h != nil {
-			break
-		}
-		if fromRing {
-			e.readyPop()
-		} else {
-			e.heapPop()
-		}
-		tgt, t := ev.p, ev.t
-		e.release(next)
-		e.now = t
-		if tgt.finished {
-			continue // stale event for a completed process
-		}
-		if tgt == p {
+		if ev := &e.pool[next]; ev.p == p && ev.t <= e.deadline {
+			if fromRing {
+				e.readyPop()
+			} else {
+				e.heapPop()
+			}
+			e.now = ev.t
+			e.release(next)
+			e.stats.Events++
+			e.stats.SelfResumes++
 			if p.killed {
 				panic(errKilled)
 			}
 			return
 		}
-		tgt.resume <- struct{}{}
-		<-p.resume
-		if p.killed {
-			panic(errKilled)
-		}
-		return
 	}
-	e.yielded <- struct{}{}
-	<-p.resume
+	p.co.yield(struct{}{})
 	if p.killed {
 		panic(errKilled)
 	}
 }
 
 // Hold advances the process by d simulated time. When the process's own
-// wake-up turns out to be the next due event, yield's direct-switch fast
-// path advances the clock in place and Hold returns without a single
-// goroutine handoff.
+// wake-up turns out to be the next due event, yield's self-resume fast
+// path advances the clock in place and Hold returns without a switch.
 func (p *Proc) Hold(d Duration) {
 	if d < 0 {
 		panic("sim: negative hold")
@@ -539,15 +544,15 @@ func (p *Proc) Hold(d Duration) {
 	p.yield()
 }
 
-// park blocks the process with no scheduled wake-up; some other entity must
-// call wake. Used by mailboxes, facilities and triggers.
+// Park blocks the process with no scheduled wake-up; some other entity must
+// call Wake. Used by mailboxes, facilities and triggers.
 func (p *Proc) Park() {
 	p.eng.parked++
 	defer func() { p.eng.parked-- }()
 	p.yield()
 }
 
-// wake schedules the parked process to resume at the current time.
+// Wake schedules the parked process to resume at the current time.
 func (e *Engine) Wake(p *Proc) {
 	e.schedule(event{t: e.now, seq: e.nextSeq(), p: p})
 }
