@@ -25,6 +25,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/gamma"
+	"repro/internal/plan"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -457,42 +458,42 @@ func BenchmarkJoinColocation(b *testing.B) {
 	trades := storage.GenerateWisconsin(storage.GenSpec{
 		Name: "trades", Cardinality: opts.Cardinality / 4, Seed: 22,
 	})
-	spec := exec.JoinSpec{
-		BuildRelation: "trades", BuildAttr: storage.Unique1,
-		ProbeRelation: "stock", ProbeAttr: storage.Unique1,
-	}
+	join := plan.NewJoin(storage.Unique1, plan.NewScan("trades"), plan.NewScan("stock"))
 	variants := []struct {
 		name              string
-		stockPl, tradesPl func() core.Placement
+		stockPl, tradesPl core.Placement
 	}{
 		{"co-located",
-			func() core.Placement { return core.NewHash(storage.Unique1, opts.Processors) },
-			func() core.Placement { return core.NewHash(storage.Unique1, opts.Processors) }},
+			core.NewHash(storage.Unique1, opts.Processors),
+			core.NewHash(storage.Unique1, opts.Processors)},
 		{"repartitioned",
-			func() core.Placement { return core.NewRangeForRelation(stock, storage.Unique2, opts.Processors) },
-			func() core.Placement { return core.NewRangeForRelation(trades, storage.Unique2, opts.Processors) }},
+			core.NewRangeForRelation(stock, storage.Unique2, opts.Processors),
+			core.NewRangeForRelation(trades, storage.Unique2, opts.Processors)},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			machine, err := gamma.Build(stock, v.stockPl(), cfg)
+			if got := exec.Colocated(v.tradesPl, v.stockPl, storage.Unique1); got != (v.name == "co-located") {
+				b.Fatalf("Colocated = %v", got)
+			}
+			machine, err := gamma.Build(stock, v.stockPl, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := machine.AddRelation(trades, v.tradesPl()); err != nil {
+			if err := machine.AddRelation(trades, v.tradesPl); err != nil {
 				b.Fatal(err)
 			}
 			var ms float64
 			for i := 0; i < b.N; i++ {
-				var res exec.JoinResult
+				var res exec.QueryResult
 				machine.Eng.Spawn("joiner", func(p *sim.Proc) {
-					res = machine.Host.ExecuteJoin(p, spec)
+					res = machine.Host.Submit(p, join)
 					machine.Eng.Stop()
 				})
 				if err := machine.Eng.RunUntil(sim.Time(30 * 60 * sim.Second)); err != nil {
 					b.Fatal(err)
 				}
-				if res.Matches != trades.Cardinality() {
-					b.Fatalf("matches = %d", res.Matches)
+				if res.Tuples != trades.Cardinality() {
+					b.Fatalf("matches = %d", res.Tuples)
 				}
 				ms = res.ResponseMS()
 				machine.Reset() // fresh engine for the next iteration

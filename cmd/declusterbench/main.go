@@ -894,16 +894,13 @@ func parseKill(s string, kind fault.Kind) (fault.Event, error) {
 	if err != nil || node < 0 {
 		return fault.Event{}, fmt.Errorf("bad node in %q", s)
 	}
-	at, rest := s[i+1:], ""
-	if j := strings.IndexByte(at, '+'); j >= 0 {
-		at, rest = at[:j], at[j+1:]
-	}
+	at, rest, recovers := strings.Cut(s[i+1:], "+")
 	t, err := time.ParseDuration(at)
 	if err != nil || t < 0 {
 		return fault.Event{}, fmt.Errorf("bad offset in %q", s)
 	}
 	ev := fault.Event{At: sim.Duration(t), Kind: kind, Node: node}
-	if rest != "" {
+	if recovers {
 		d, err := time.ParseDuration(rest)
 		if err != nil || d <= 0 {
 			return fault.Event{}, fmt.Errorf("bad recovery duration in %q", s)

@@ -2,12 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/fault"
 	"repro/internal/serve"
 	"repro/internal/sim"
 )
@@ -205,4 +208,35 @@ func TestManifestKernelCountersAcrossWorkers(t *testing.T) {
 	if one, four := kernel("1"), kernel("4"); !reflect.DeepEqual(one, four) {
 		t.Fatalf("kernel counters differ:\n-parallel 1: %+v\n-parallel 4: %+v", one, four)
 	}
+}
+
+// FuzzParseKill checks the -kill-disk/-kill-node item parser: every
+// accepted n@t[+d] names a non-negative node and offset, with a positive
+// recovery duration whenever the + suffix is present, and reprinting an
+// accepted event reparses to the same event.
+func FuzzParseKill(f *testing.F) {
+	for _, s := range []string{"1@2ms", "0@0s", "3@1.5s+250ms", "2@1h+1ns", "1@2ms+", "1@+5ms",
+		"-1@1ms", "1@-1ms", "1@1ms+0s", "x@1ms", "1@1ms@2ms", "+1@1ms", "1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ev, err := parseKill(s, fault.DiskFail)
+		if err != nil {
+			return
+		}
+		if ev.Node < 0 || ev.At < 0 {
+			t.Fatalf("parseKill(%q) = %+v: negative node or offset", s, ev)
+		}
+		if _, when, _ := strings.Cut(s, "@"); strings.Contains(when, "+") && ev.Dur <= 0 {
+			t.Fatalf("parseKill(%q) = %+v: + suffix without a positive duration", s, ev)
+		}
+		again := fmt.Sprintf("%d@%s", ev.Node, time.Duration(ev.At))
+		if ev.Dur > 0 {
+			again += "+" + time.Duration(ev.Dur).String()
+		}
+		back, err := parseKill(again, fault.DiskFail)
+		if err != nil || back != ev {
+			t.Fatalf("parseKill(%q) = %+v, reprinted %q reparses to %+v (%v)", s, ev, again, back, err)
+		}
+	})
 }

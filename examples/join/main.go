@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/gamma"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -32,10 +33,8 @@ func main() {
 	trades := storage.GenerateWisconsin(storage.GenSpec{
 		Name: "trades", Cardinality: 3200, Seed: 22,
 	})
-	spec := exec.JoinSpec{
-		BuildRelation: "trades", BuildAttr: storage.Unique1, // ticker key
-		ProbeRelation: "stock", ProbeAttr: storage.Unique1,
-	}
+	// Join trades with stock on the ticker key.
+	join := plan.NewJoin(storage.Unique1, plan.NewScan("trades"), plan.NewScan("stock"))
 
 	type setup struct {
 		label    string
@@ -70,11 +69,11 @@ func main() {
 		if err := machine.AddRelation(trades, su.tradesPl); err != nil {
 			log.Fatal(err)
 		}
-		var res exec.JoinResult
+		var res exec.QueryResult
 		var packets int64
 		machine.Eng.Spawn("joiner", func(p *sim.Proc) {
 			before := sent(machine)
-			res = machine.Host.ExecuteJoin(p, spec)
+			res = machine.Host.Submit(p, join)
 			packets = sent(machine) - before
 			machine.Eng.Stop()
 		})
@@ -82,12 +81,12 @@ func main() {
 			log.Fatal(err)
 		}
 		machine.Close()
-		mode := "co-located"
-		if res.Repartitioned {
-			mode = "repartitioned"
+		mode := "repartitioned"
+		if exec.Colocated(su.tradesPl, su.stockPl, storage.Unique1) {
+			mode = "co-located"
 		}
 		fmt.Printf("  %-48s %6d matches in %8.1fms (%s, %d operator packets)\n",
-			su.label, res.Matches, res.ResponseMS(), mode, packets)
+			su.label, res.Tuples, res.ResponseMS(), mode, packets)
 	}
 }
 

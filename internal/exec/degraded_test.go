@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hw"
+	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -155,6 +156,32 @@ func TestDegradedRetriesOnUnannouncedDiskFailure(t *testing.T) {
 	}
 	if res.Outcome != OutcomeRetried || res.Retries == 0 {
 		t.Fatalf("outcome = %v, retries = %d, want a retried success", res.Outcome, res.Retries)
+	}
+}
+
+// Aggregates ride the same collector: an unannounced disk failure reroutes
+// the failed partial to the backup, and the combined value is exact.
+func TestDegradedAggregateRetriesOnUnannouncedDiskFailure(t *testing.T) {
+	r := newDegradedRig(t)
+	r.eng.Schedule(0, func() { r.disks[0].Fail() })
+	var want int64
+	for _, tup := range r.rel.Tuples {
+		if v := tup.Attrs[bothNodes.Attr]; v >= bothNodes.Lo && v <= bothNodes.Hi {
+			want += tup.Attrs[storage.Unique1]
+		}
+	}
+	var res QueryResult
+	r.eng.Spawn("probe", func(p *sim.Proc) {
+		res = r.host.Submit(p, plan.NewAggregate(plan.AggSum, storage.Unique1,
+			plan.NewIndexScan(r.rel.Name, bothNodes, AccessClustered)))
+		r.eng.Stop()
+	})
+	if err := r.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != OutcomeRetried || res.Value != want || res.Tuples != 20 {
+		t.Fatalf("aggregate: %v, sum %d over %d tuples (%v); want retried, sum %d over 20",
+			res.Outcome, res.Value, res.Tuples, res.Err, want)
 	}
 }
 

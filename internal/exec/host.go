@@ -254,8 +254,6 @@ func (h *Host) Start() {
 				qid = r.QueryID
 			case joinDone:
 				qid = r.QueryID
-			case aggPartial:
-				qid = r.QueryID
 			case nil:
 				continue // multi-packet fragment; payload rides the last one
 			default:
@@ -320,13 +318,15 @@ func (h *Host) resolveSelection(n *plan.Node) (string, core.Predicate, AccessKin
 }
 
 // Submit executes a declarative plan tree to completion from the calling
-// process (a terminal) and returns the query's statistics. Selection trees
-// (Filter chains over a Scan/IndexScan leaf) run through the scheduler's
-// selection path — including shared-scan batching when the manager is
-// armed. A Join root runs the parallel hash join (Tuples reports the match
-// count); an Aggregate root runs the partial-aggregation protocol (Tuples
-// reports matched tuples, Value the aggregate). Invalid or non-executable
-// plans panic: a plan error is a programming error, not a runtime fault.
+// process (a terminal) and returns the query's statistics. It is the one
+// way to run a query: every plan shape runs through the scheduler's query
+// lifecycle and collector. Selection trees (Filter chains over a
+// Scan/IndexScan leaf) run one operator per participant — including
+// shared-scan batching when the manager is armed. An Aggregate root runs
+// the same operators folding partial aggregates (Tuples reports matched
+// tuples, Value the aggregate). A Join root runs the parallel hash join
+// (Tuples reports the match count). Invalid or non-executable plans panic:
+// a plan error is a programming error, not a runtime fault.
 func (h *Host) Submit(p *sim.Proc, n *plan.Node) QueryResult {
 	if err := n.Validate(); err != nil {
 		panic(fmt.Sprintf("exec: invalid plan: %v", err))
@@ -334,43 +334,13 @@ func (h *Host) Submit(p *sim.Proc, n *plan.Node) QueryResult {
 	switch n.Kind {
 	case plan.KindAggregate:
 		relation, pred, kind := h.resolveSelection(n.Inputs[0])
-		agg := h.ExecuteAggregate(p, AggSpec{
-			Relation: relation, Kind: n.Fn, Attr: n.Attr, Pred: pred, Access: kind,
-		})
-		return QueryResult{
-			ID: agg.ID, Pred: pred, Tuples: agg.Tuples, Value: agg.Value,
-			ProcessorsUsed: agg.ProcessorsUsed,
-			Submitted:      agg.Submitted, Completed: agg.Completed,
-		}
+		return h.schedule(p, relation, pred, kind, &aggregate{fn: n.Fn, attr: n.Attr})
 	case plan.KindJoin:
 		buildRel, buildPred, _ := h.resolveSelection(n.Inputs[0])
 		probeRel, probePred, _ := h.resolveSelection(n.Inputs[1])
-		spec := JoinSpec{
-			BuildRelation: buildRel, BuildAttr: n.Attr,
-			ProbeRelation: probeRel, ProbeAttr: n.Attr,
-		}
-		if n.Inputs[0].Kind != plan.KindScan || n.Inputs[0].HasPred {
-			spec.BuildPred = &buildPred
-		}
-		if n.Inputs[1].Kind != plan.KindScan || n.Inputs[1].HasPred {
-			spec.ProbePred = &probePred
-		}
-		jr := h.ExecuteJoin(p, spec)
-		return QueryResult{
-			ID: jr.ID, Tuples: jr.Matches, ProcessorsUsed: jr.ProcessorsUsed,
-			Submitted: jr.Submitted, Completed: jr.Completed,
-		}
+		return h.join(p, n.Attr, joinInput{buildRel, buildPred}, joinInput{probeRel, probePred})
 	default:
 		relation, pred, kind := h.resolveSelection(n)
-		return h.schedule(p, relation, pred, kind)
-	}
-}
-
-// waitFor reads messages until one of type T arrives.
-func waitFor[T any](p *sim.Proc, mb *sim.Mailbox[any]) T {
-	for {
-		if v, ok := mb.Get(p).(T); ok {
-			return v
-		}
+		return h.schedule(p, relation, pred, kind, nil)
 	}
 }

@@ -18,38 +18,20 @@ import (
 // the same split table and probes. End-of-stream control messages close
 // each phase, exactly as Gamma's split tables did.
 //
-// When both relations are hash-declustered on their join attributes with
-// the same randomizing function (core.HashPlacement), the split table
-// degenerates to the identity and the join runs entirely node-locally —
-// the join-locality benefit of declustering by join key.
+// When both relations are hash-declustered on the join attribute with the
+// same randomizing function (see Colocated), the split table degenerates
+// to the identity and the join runs entirely node-locally — the
+// join-locality benefit of declustering by join key.
 
-// JoinSpec describes one equi-join.
-type JoinSpec struct {
-	BuildRelation string
-	BuildAttr     int
-	ProbeRelation string
-	ProbeAttr     int
-	// BuildPred/ProbePred optionally filter the inputs during the scans
-	// (zero values scan everything).
-	BuildPred *core.Predicate
-	ProbePred *core.Predicate
-}
-
-// JoinResult summarizes one executed join.
-type JoinResult struct {
-	ID             int64
-	Matches        int
-	BuildTuples    int
-	ProbeTuples    int
-	Repartitioned  bool // false when co-location made every transfer local
-	ProcessorsUsed int
-	Submitted      sim.Time
-	Completed      sim.Time
-}
-
-// ResponseMS reports the join's elapsed simulated time in milliseconds.
-func (r JoinResult) ResponseMS() float64 {
-	return sim.Duration(r.Completed - r.Submitted).Milliseconds()
+// Colocated reports whether a join of build with probe on attr runs
+// node-locally: both relations hash-declustered on attr over the same
+// processors share the randomizing function, so every tuple's join partner
+// already lives on its own node.
+func Colocated(build, probe core.Placement, attr int) bool {
+	hb, okB := build.(*core.HashPlacement)
+	hp, okP := probe.(*core.HashPlacement)
+	return okB && okP && hb.Attr() == attr && hp.Attr() == attr &&
+		hb.Processors() == hp.Processors()
 }
 
 // join message types.
@@ -60,20 +42,26 @@ const (
 	phaseProbe
 )
 
-// joinScan asks a node to scan its fragment and route tuples through the
-// split table.
+// joinScan asks a node to scan its fragment of one join input and route
+// the qualifying tuples through the split table.
 type joinScan struct {
 	QueryID  int64
 	Relation string
 	Attr     int
 	Phase    joinPhase
-	Pred     *core.Predicate
+	Pred     core.Predicate
 	// Local, when true, short-circuits the split table: every tuple stays
 	// on the scanning node (co-located join).
-	Local    bool
-	Targets  int // join operators run on nodes 0..Targets-1
-	Scanners int // how many scanners feed this phase (for end-of-stream)
-	ReplyTo  int
+	Local bool
+	// Slots is the number of placement slots: one scanner per slot feeds
+	// each phase, and one join operator per slot receives. Topo and Epoch
+	// are the query's captured routing generation: slot s's operator runs
+	// on physOf(Topo, s), and the scan reads the Epoch generation's
+	// fragment.
+	Slots   int
+	Topo    []int
+	Epoch   int
+	ReplyTo int
 }
 
 // joinBatch carries repartitioned tuples to a join operator. ReplyTo and
@@ -101,8 +89,6 @@ type joinDone struct {
 	QueryID int64
 	Node    int
 	Matches int
-	Built   int // build tuples this operator received
-	Probed  int // probe tuples this operator processed
 }
 
 // joinWorker is the per-node join operator for one query: it owns the hash
@@ -130,27 +116,33 @@ func (n *Node) routeJoinMsg(qid int64, replyTo int, scanners int, msg any) {
 // runJoinScan scans the local fragment of one join input and routes each
 // tuple through the split table (hash on the join attribute modulo the
 // number of join operators), batching per destination. A final joinEnd goes
-// to every join operator so it can detect end-of-stream.
+// to every join operator so it can detect end-of-stream. An access error
+// becomes an opError report to the scheduler, and a crash silences the
+// scan's remaining sends.
 func (n *Node) runJoinScan(p *sim.Proc, req joinScan) {
-	frag := n.fragment(req.Relation)
-	var acc storage.Access
-	if req.Pred != nil {
-		acc = frag.Scan(req.Pred.Attr, req.Pred.Lo, req.Pred.Hi)
-	} else {
-		lo, hi := minMaxInt64()
-		acc = frag.Scan(req.Attr, lo, hi)
-	}
+	p.SetQID(req.QueryID)
+	epoch := n.epoch
 	h := n.heatFor(req.Relation, false)
-	n.mustCharge(p, acc, h)
+	frag, err := n.fragmentFor(req.Relation, false, req.Epoch)
+	var acc storage.Access
+	if err == nil {
+		acc = frag.Scan(req.Pred.Attr, req.Pred.Lo, req.Pred.Hi)
+		err = n.chargeAccess(p, acc, h)
+	}
+	if err != nil {
+		n.sendError(p, epoch, req.QueryID, req.ReplyTo, 0, err)
+		return
+	}
 	h.Account(len(acc.IndexPages), len(acc.DataPages), 0, false)
 	n.OpsExecuted++
 
-	// Split table: partition the qualifying tuples by join-attribute hash.
+	// Split table: partition the qualifying tuples by join-attribute hash
+	// onto the physical node of the receiving operator's slot.
 	buckets := make(map[int][]storage.Tuple)
 	for _, t := range acc.Tuples {
 		dst := n.ID
 		if !req.Local {
-			dst = core.JoinBucket(t.Attrs[req.Attr], req.Targets)
+			dst = physOf(req.Topo, core.JoinBucket(t.Attrs[req.Attr], req.Slots))
 		}
 		buckets[dst] = append(buckets[dst], t)
 		n.CPU.Execute(p, n.costs.JoinHashInstr)
@@ -164,27 +156,28 @@ func (n *Node) runJoinScan(p *sim.Proc, req joinScan) {
 		tuples := buckets[dst]
 		n.TuplesShipped += int64(len(tuples))
 		batch := joinBatch{QueryID: req.QueryID, Phase: req.Phase, Attr: req.Attr,
-			Tuples: tuples, ReplyTo: req.ReplyTo, Scanners: req.Scanners}
+			Tuples: tuples, ReplyTo: req.ReplyTo, Scanners: req.Slots}
 		if dst == n.ID {
 			// Local delivery: no network, straight to the worker.
-			n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Scanners, batch)
+			n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Slots, batch)
 			continue
 		}
-		n.net.Send(p, n.CPU, hw.Message{
+		n.send(p, epoch, hw.Message{
 			From: n.ID, To: dst,
 			Bytes:   n.params.TupleBytes(len(tuples)) + controlBytes,
 			Payload: batch,
 		})
 	}
 	// End-of-stream to every join operator.
-	for dst := 0; dst < req.Targets; dst++ {
+	for slot := 0; slot < req.Slots; slot++ {
 		end := joinEnd{QueryID: req.QueryID, Phase: req.Phase,
-			ReplyTo: req.ReplyTo, Scanners: req.Scanners}
+			ReplyTo: req.ReplyTo, Scanners: req.Slots}
+		dst := physOf(req.Topo, slot)
 		if dst == n.ID {
-			n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Scanners, end)
+			n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Slots, end)
 			continue
 		}
-		n.net.Send(p, n.CPU, hw.Message{
+		n.send(p, epoch, hw.Message{
 			From: n.ID, To: dst, Bytes: controlBytes, Payload: end,
 		})
 	}
@@ -196,10 +189,12 @@ func (n *Node) runJoinScan(p *sim.Proc, req joinScan) {
 // are buffered, preserving the build-before-probe barrier without global
 // synchronization.
 func (n *Node) runJoinOperator(p *sim.Proc, qid int64, replyTo, scanners int, w *joinWorker) {
+	p.SetQID(qid)
+	epoch := n.epoch
 	table := make(map[int64][]storage.Tuple)
 	var pendingProbe []joinBatch
 	buildEnds, probeEnds := 0, 0
-	matches, builtCount, probedCount := 0, 0, 0
+	matches := 0
 	built := false
 
 	probe := func(b joinBatch) {
@@ -207,7 +202,6 @@ func (n *Node) runJoinOperator(p *sim.Proc, qid int64, replyTo, scanners int, w 
 			n.CPU.Execute(p, n.costs.JoinProbeInstr)
 			matches += len(table[t.Attrs[b.Attr]])
 		}
-		probedCount += len(b.Tuples)
 	}
 
 	for buildEnds < scanners || probeEnds < scanners {
@@ -218,7 +212,6 @@ func (n *Node) runJoinOperator(p *sim.Proc, qid int64, replyTo, scanners int, w 
 					n.CPU.Execute(p, n.costs.JoinBuildInstr)
 					table[t.Attrs[m.Attr]] = append(table[t.Attrs[m.Attr]], t)
 				}
-				builtCount += len(m.Tuples)
 			} else if built {
 				probe(m)
 			} else {
@@ -244,80 +237,8 @@ func (n *Node) runJoinOperator(p *sim.Proc, qid int64, replyTo, scanners int, w 
 	n.OpsExecuted++
 	// Ship the result (matched pairs) with the completion report.
 	bytes := matches*2*n.params.TupleSize + controlBytes
-	n.net.Send(p, n.CPU, hw.Message{
+	n.send(p, epoch, hw.Message{
 		From: n.ID, To: replyTo, Bytes: bytes,
-		Payload: joinDone{QueryID: qid, Node: n.ID, Matches: matches,
-			Built: builtCount, Probed: probedCount},
+		Payload: joinDone{QueryID: qid, Node: n.ID, Matches: matches},
 	})
-}
-
-// ExecuteJoin runs an equi-join between two registered relations from the
-// calling process and blocks until the matched count is assembled.
-func (h *Host) ExecuteJoin(p *sim.Proc, spec JoinSpec) JoinResult {
-	build, ok := h.placements[spec.BuildRelation]
-	if !ok {
-		panic(fmt.Sprintf("exec: unknown relation %q", spec.BuildRelation))
-	}
-	probe, ok := h.placements[spec.ProbeRelation]
-	if !ok {
-		panic(fmt.Sprintf("exec: unknown relation %q", spec.ProbeRelation))
-	}
-	h.nextQID++
-	qid := h.nextQID
-	res := JoinResult{ID: qid, Submitted: p.Now(), Repartitioned: true}
-	mb := sim.NewMailbox[any](h.eng, fmt.Sprintf("host.join%d", qid))
-	h.pending[qid] = mb
-	defer delete(h.pending, qid)
-
-	p.Hold(h.params.InstrTime(h.costs.PlanInstr))
-	targets := build.Processors()
-	if probe.Processors() != targets {
-		panic(fmt.Sprintf("exec: join inputs declustered over %d and %d processors",
-			targets, probe.Processors()))
-	}
-
-	// Co-location: both relations hash-declustered on their join
-	// attributes share the randomizing function, so every tuple's join
-	// partner already lives on its own node.
-	if hb, okB := build.(*core.HashPlacement); okB {
-		if hp, okP := probe.(*core.HashPlacement); okP {
-			if hb.Attr() == spec.BuildAttr && hp.Attr() == spec.ProbeAttr &&
-				hb.Processors() == probe.Processors() {
-				res.Repartitioned = false
-			}
-		}
-	}
-
-	scanners := targets // every node scans its fragment of each input
-	for _, phase := range []joinPhase{phaseBuild, phaseProbe} {
-		rel, attr, pred := spec.BuildRelation, spec.BuildAttr, spec.BuildPred
-		if phase == phaseProbe {
-			rel, attr, pred = spec.ProbeRelation, spec.ProbeAttr, spec.ProbePred
-		}
-		for node := 0; node < scanners; node++ {
-			h.net.Send(p, nil, hw.Message{
-				From: h.ID, To: node, Bytes: controlBytes,
-				Payload: joinScan{
-					QueryID: qid, Relation: rel, Attr: attr, Phase: phase,
-					Pred: pred, Local: !res.Repartitioned,
-					Targets: targets, Scanners: scanners, ReplyTo: h.ID,
-				},
-			})
-		}
-	}
-	for i := 0; i < targets; i++ {
-		d := waitFor[joinDone](p, mb)
-		res.Matches += d.Matches
-		res.BuildTuples += d.Built
-		res.ProbeTuples += d.Probed
-	}
-	res.ProcessorsUsed = targets
-	res.Completed = p.Now()
-	h.QueriesRun++
-	return res
-}
-
-// minMaxInt64 is the unbounded scan range.
-func minMaxInt64() (int64, int64) {
-	return -1 << 62, 1<<62 - 1
 }

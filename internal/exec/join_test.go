@@ -6,6 +6,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -67,11 +68,11 @@ func newJoinRig(t *testing.T, p int, rPl, sPl core.Placement) *joinRig {
 	return rig
 }
 
-func (r *joinRig) join(t *testing.T, spec JoinSpec) JoinResult {
+func (r *joinRig) join(t *testing.T, q *plan.Node) QueryResult {
 	t.Helper()
-	var res JoinResult
+	var res QueryResult
 	r.eng.Spawn("probe", func(p *sim.Proc) {
-		res = r.host.ExecuteJoin(p, spec)
+		res = r.host.Submit(p, q)
 		r.eng.Stop()
 	})
 	if err := r.eng.RunUntil(sim.Time(10 * 60 * sim.Second)); err != nil {
@@ -82,6 +83,9 @@ func (r *joinRig) join(t *testing.T, spec JoinSpec) JoinResult {
 	}
 	return res
 }
+
+// joinSR joins s (build) with r (probe) on unique1.
+var joinSR = plan.NewJoin(storage.Unique1, plan.NewScan("s"), plan.NewScan("r"))
 
 // naiveJoinCount counts matches the slow way.
 func naiveJoinCount(r, s *storage.Relation, rAttr, sAttr int,
@@ -111,20 +115,19 @@ func naiveJoinCount(r, s *storage.Relation, rAttr, sAttr int,
 func TestRepartitionedJoinCorrect(t *testing.T) {
 	r := storage.GenerateWisconsin(storage.GenSpec{Name: "r", Cardinality: 300, Seed: 9})
 	s := storage.GenerateWisconsin(storage.GenSpec{Name: "s", Cardinality: 120, Seed: 10})
-	rig := newJoinRig(t, 4,
-		core.NewRangeForRelation(r, storage.Unique1, 4),
-		core.NewRangeForRelation(s, storage.Unique2, 4))
-	spec := JoinSpec{
-		BuildRelation: "s", BuildAttr: storage.Unique1,
-		ProbeRelation: "r", ProbeAttr: storage.Unique1,
-	}
-	res := rig.join(t, spec)
+	rPl := core.NewRangeForRelation(r, storage.Unique1, 4)
+	sPl := core.NewRangeForRelation(s, storage.Unique2, 4)
+	rig := newJoinRig(t, 4, rPl, sPl)
+	res := rig.join(t, joinSR)
 	want := naiveJoinCount(rig.s, rig.r, storage.Unique1, storage.Unique1, nil, nil)
-	if res.Matches != want {
-		t.Fatalf("matches = %d, want %d", res.Matches, want)
+	if res.Tuples != want {
+		t.Fatalf("matches = %d, want %d", res.Tuples, want)
 	}
-	if !res.Repartitioned {
+	if Colocated(sPl, rPl, storage.Unique1) {
 		t.Fatal("range-declustered join must repartition")
+	}
+	if res.Outcome != OutcomeOK {
+		t.Fatalf("outcome = %v (%v)", res.Outcome, res.Err)
 	}
 	if res.ProcessorsUsed != 4 {
 		t.Fatalf("used %d processors", res.ProcessorsUsed)
@@ -142,36 +145,31 @@ func TestJoinWithPredicates(t *testing.T) {
 		core.NewRangeForRelation(s, storage.Unique1, 4))
 	bp := &core.Predicate{Attr: storage.Unique2, Lo: 0, Hi: 59}
 	pp := &core.Predicate{Attr: storage.Unique2, Lo: 0, Hi: 199}
-	spec := JoinSpec{
-		BuildRelation: "s", BuildAttr: storage.Unique1, BuildPred: bp,
-		ProbeRelation: "r", ProbeAttr: storage.Unique1, ProbePred: pp,
-	}
-	res := rig.join(t, spec)
+	res := rig.join(t, plan.NewJoin(storage.Unique1,
+		plan.NewFilter(*bp, plan.NewScan("s")), plan.NewScanWhere("r", *pp)))
 	want := naiveJoinCount(rig.s, rig.r, storage.Unique1, storage.Unique1, bp, pp)
 	if want == 0 {
 		t.Fatal("test construction: no matches expected at all")
 	}
-	if res.Matches != want {
-		t.Fatalf("matches = %d, want %d", res.Matches, want)
+	if res.Tuples != want {
+		t.Fatalf("matches = %d, want %d", res.Tuples, want)
 	}
 }
 
 func TestCoLocatedJoinSkipsRepartitioning(t *testing.T) {
-	rig := newJoinRig(t, 4,
-		core.NewHash(storage.Unique1, 4),
-		core.NewHash(storage.Unique1, 4))
-	spec := JoinSpec{
-		BuildRelation: "s", BuildAttr: storage.Unique1,
-		ProbeRelation: "r", ProbeAttr: storage.Unique1,
-	}
+	rPl, sPl := core.NewHash(storage.Unique1, 4), core.NewHash(storage.Unique1, 4)
+	rig := newJoinRig(t, 4, rPl, sPl)
 	before := totalSent(rig)
-	res := rig.join(t, spec)
+	res := rig.join(t, joinSR)
 	want := naiveJoinCount(rig.s, rig.r, storage.Unique1, storage.Unique1, nil, nil)
-	if res.Matches != want {
-		t.Fatalf("matches = %d, want %d", res.Matches, want)
+	if res.Tuples != want {
+		t.Fatalf("matches = %d, want %d", res.Tuples, want)
 	}
-	if res.Repartitioned {
+	if !Colocated(sPl, rPl, storage.Unique1) {
 		t.Fatal("hash-on-join-key relations should be detected as co-located")
+	}
+	if Colocated(sPl, rPl, storage.Unique2) {
+		t.Fatal("a join on another attribute than the hash key cannot be co-located")
 	}
 	coPackets := totalSent(rig) - before
 
@@ -182,9 +180,9 @@ func TestCoLocatedJoinSkipsRepartitioning(t *testing.T) {
 		core.NewRangeForRelation(r, storage.Unique2, 4),
 		core.NewRangeForRelation(s, storage.Unique2, 4))
 	before2 := totalSent(rig2)
-	res2 := rig2.join(t, spec)
-	if res2.Matches != want {
-		t.Fatalf("repartitioned variant disagrees: %d vs %d", res2.Matches, want)
+	res2 := rig2.join(t, joinSR)
+	if res2.Tuples != want {
+		t.Fatalf("repartitioned variant disagrees: %d vs %d", res2.Tuples, want)
 	}
 	if shipped := totalSent(rig2) - before2; shipped <= coPackets {
 		t.Fatalf("repartitioned join sent %d packets, co-located %d", shipped, coPackets)
@@ -203,7 +201,7 @@ func TestJoinUnknownRelationPanics(t *testing.T) {
 	rig := newJoinRig(t, 2,
 		core.NewHash(storage.Unique1, 2), core.NewHash(storage.Unique1, 2))
 	rig.eng.Spawn("probe", func(p *sim.Proc) {
-		rig.host.ExecuteJoin(p, JoinSpec{BuildRelation: "nope", ProbeRelation: "r"})
+		rig.host.Submit(p, plan.NewJoin(storage.Unique1, plan.NewScan("nope"), plan.NewScan("r")))
 	})
 	if err := rig.eng.RunUntil(sim.Time(10 * sim.Second)); err == nil {
 		t.Fatal("unknown relation should surface as an error")
@@ -216,12 +214,9 @@ func TestSelectsAndJoinsInterleave(t *testing.T) {
 	want := naiveJoinCount(rig.s, rig.r, storage.Unique1, storage.Unique1, nil, nil)
 	done := 0
 	rig.eng.Spawn("joiner", func(p *sim.Proc) {
-		res := rig.host.ExecuteJoin(p, JoinSpec{
-			BuildRelation: "s", BuildAttr: storage.Unique1,
-			ProbeRelation: "r", ProbeAttr: storage.Unique1,
-		})
-		if res.Matches != want {
-			t.Errorf("join matches = %d, want %d", res.Matches, want)
+		res := rig.host.Submit(p, joinSR)
+		if res.Tuples != want {
+			t.Errorf("join matches = %d, want %d", res.Tuples, want)
 		}
 		done++
 	})
@@ -247,14 +242,12 @@ func TestAggregates(t *testing.T) {
 			storage.Unique1, 4),
 		core.NewHash(storage.Unique1, 4))
 	pred := core.Predicate{Attr: storage.Unique2, Lo: 50, Hi: 149}
-	run := func(kind AggKind, attr int) AggResult {
-		var res AggResult
+	run := func(fn plan.AggFn, attr int) QueryResult {
+		var res QueryResult
 		rig.eng.Resume() // continue after the previous query's Stop
 		rig.eng.Spawn("agg", func(p *sim.Proc) {
-			res = rig.host.ExecuteAggregate(p, AggSpec{
-				Relation: "r", Kind: kind, Attr: attr,
-				Pred: pred, Access: AccessClustered,
-			})
+			res = rig.host.Submit(p, plan.NewAggregate(fn, attr,
+				plan.NewIndexScan("r", pred, AccessClustered)))
 			rig.eng.Stop()
 		})
 		if err := rig.eng.RunUntil(sim.Time(10 * 60 * sim.Second)); err != nil {
@@ -280,16 +273,16 @@ func TestAggregates(t *testing.T) {
 		}
 		first = false
 	}
-	if got := run(AggCount, storage.Unique1); got.Value != 100 || got.Tuples != 100 {
+	if got := run(plan.AggCount, storage.Unique1); got.Value != 100 || got.Tuples != 100 {
 		t.Fatalf("count = %d (%d tuples)", got.Value, got.Tuples)
 	}
-	if got := run(AggSum, storage.Unique1); got.Value != wantSum {
+	if got := run(plan.AggSum, storage.Unique1); got.Value != wantSum {
 		t.Fatalf("sum = %d, want %d", got.Value, wantSum)
 	}
-	if got := run(AggMin, storage.Unique1); got.Value != wantMin {
+	if got := run(plan.AggMin, storage.Unique1); got.Value != wantMin {
 		t.Fatalf("min = %d, want %d", got.Value, wantMin)
 	}
-	if got := run(AggMax, storage.Unique1); got.Value != wantMax {
+	if got := run(plan.AggMax, storage.Unique1); got.Value != wantMax {
 		t.Fatalf("max = %d, want %d", got.Value, wantMax)
 	}
 }
@@ -297,13 +290,10 @@ func TestAggregates(t *testing.T) {
 func TestAggregateEmptyRange(t *testing.T) {
 	rig := newJoinRig(t, 2,
 		core.NewHash(storage.Unique1, 2), core.NewHash(storage.Unique1, 2))
-	var res AggResult
+	var res QueryResult
 	rig.eng.Spawn("agg", func(p *sim.Proc) {
-		res = rig.host.ExecuteAggregate(p, AggSpec{
-			Relation: "r", Kind: AggMax, Attr: storage.Unique1,
-			Pred:   core.Predicate{Attr: storage.Unique2, Lo: 90000, Hi: 90010},
-			Access: AccessClustered,
-		})
+		res = rig.host.Submit(p, plan.NewAggregate(plan.AggMax, storage.Unique1,
+			plan.NewIndexScan("r", core.Predicate{Attr: storage.Unique2, Lo: 90000, Hi: 90010}, AccessClustered)))
 		rig.eng.Stop()
 	})
 	if err := rig.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
@@ -311,15 +301,5 @@ func TestAggregateEmptyRange(t *testing.T) {
 	}
 	if res.Tuples != 0 || res.Value != 0 {
 		t.Fatalf("empty aggregate = %d over %d tuples", res.Value, res.Tuples)
-	}
-}
-
-func TestAggKindString(t *testing.T) {
-	for k, want := range map[AggKind]string{
-		AggCount: "count", AggSum: "sum", AggMin: "min", AggMax: "max", AggKind(9): "unknown",
-	} {
-		if k.String() != want {
-			t.Fatalf("AggKind(%d) = %q", k, k.String())
-		}
 	}
 }

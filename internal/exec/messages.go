@@ -9,6 +9,7 @@ package exec
 import (
 	"repro/internal/core"
 	"repro/internal/plan"
+	"repro/internal/storage"
 )
 
 // AccessKind selects the access method an operator uses. It is an alias of
@@ -53,15 +54,60 @@ type startOp struct {
 	// previous generation's fragments to queries submitted before the
 	// cutover and the new generation's to queries submitted after it.
 	Epoch int
+	// Agg, when set, makes the operator an aggregate's: it folds its
+	// qualifying tuples into a partial and ships only that.
+	Agg *aggregate
 }
 
-// opResult carries an operator's qualifying tuples back to the scheduler;
-// its arrival also serves as the operator's completion signal.
+// opResult carries an operator's qualifying tuples (or, for an aggregate,
+// their partial) back to the scheduler; its arrival also serves as the
+// operator's completion signal.
 type opResult struct {
 	QueryID int64
 	Node    int
 	Tuples  int
-	Attempt int // echoes startOp.Attempt
+	Value   int64 // the aggregate's partial over Tuples (aggregates only)
+	Attempt int   // echoes startOp.Attempt
+}
+
+// aggregate is the function an Aggregate plan applies to its selection.
+// COUNT/SUM/MIN/MAX decompose into per-operator partials that the
+// scheduler combines with the same fold.
+type aggregate struct {
+	fn   plan.AggFn
+	attr int
+}
+
+// fold combines x into acc, which holds nothing yet when first: COUNT and
+// SUM add, MIN and MAX keep the extreme.
+func (a *aggregate) fold(acc, x int64, first bool) int64 {
+	switch a.fn {
+	case plan.AggMin:
+		if first || x < acc {
+			return x
+		}
+		return acc
+	case plan.AggMax:
+		if first || x > acc {
+			return x
+		}
+		return acc
+	default:
+		return acc + x
+	}
+}
+
+// partial folds one operator's qualifying tuples.
+func (a *aggregate) partial(tuples []storage.Tuple) int64 {
+	var acc int64
+	for i, t := range tuples {
+		x := int64(1) // COUNT counts tuples
+		if a.fn != plan.AggCount {
+			x = t.Attrs[a.attr]
+		}
+		acc = a.fold(acc, x, i == 0)
+	}
+	return acc
 }
 
 // opError reports an operator that failed instead of completing: an

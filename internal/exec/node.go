@@ -319,16 +319,6 @@ func (n *Node) ResetStats() {
 	n.SharedPagesRequested, n.SharedPagesRead = 0, 0
 }
 
-// fragment panics if the node lacks the relation — the routing layer sent
-// work to the wrong place.
-func (n *Node) fragment(relation string) *storage.Fragment {
-	f := n.frags[relation]
-	if f == nil {
-		panic(fmt.Sprintf("exec: node %d has no fragment of relation %q", n.ID, relation))
-	}
-	return f
-}
-
 // fragmentFor resolves the primary or backup fragment for a request,
 // reporting an error (rather than panicking) so misrouted degraded-mode
 // work surfaces as a query failure. epoch selects the placement
@@ -427,7 +417,11 @@ func (n *Node) Start() {
 			m := inbox.Get(p)
 			switch req := m.Payload.(type) {
 			case startOp:
-				n.eng.Spawn(fmt.Sprintf("node%d.op.q%d", n.ID, req.QueryID),
+				name := "node%d.op.q%d"
+				if req.Agg != nil {
+					name = "node%d.agg.q%d"
+				}
+				n.eng.Spawn(fmt.Sprintf(name, n.ID, req.QueryID),
 					func(op *sim.Proc) { n.runSelect(op, req) })
 			case batchOp:
 				n.eng.Spawn(fmt.Sprintf("node%d.sharedop", n.ID),
@@ -435,9 +429,6 @@ func (n *Node) Start() {
 			case auxLookup:
 				n.eng.Spawn(fmt.Sprintf("node%d.aux.q%d", n.ID, req.QueryID),
 					func(op *sim.Proc) { n.runAuxLookup(op, req) })
-			case aggOp:
-				n.eng.Spawn(fmt.Sprintf("node%d.agg.q%d", n.ID, req.QueryID),
-					func(op *sim.Proc) { n.runAggregate(op, req) })
 			case joinScan:
 				n.eng.Spawn(fmt.Sprintf("node%d.joinscan.q%d", n.ID, req.QueryID),
 					func(op *sim.Proc) { n.runJoinScan(op, req) })
@@ -457,9 +448,10 @@ func (n *Node) Start() {
 
 // runSelect executes one selection operator: index traversal and tuple
 // fetches against the local (or backup) fragment, then ships the qualifying
-// tuples to the scheduler. The final result message doubles as the
-// completion signal; an access error becomes an opError report instead of a
-// process crash.
+// tuples to the scheduler — or, for an aggregate's operator, folds them
+// into a partial (JoinProbeInstr per tuple) and ships a control message.
+// The final result message doubles as the completion signal; an access
+// error becomes an opError report instead of a process crash.
 func (n *Node) runSelect(p *sim.Proc, req startOp) {
 	p.SetQID(req.QueryID)
 	epoch := n.epoch
@@ -478,11 +470,20 @@ func (n *Node) runSelect(p *sim.Proc, req startOp) {
 		return
 	}
 	n.OpsExecuted++
-	n.TuplesShipped += int64(len(acc.Tuples))
 	n.opsC.Inc()
 	n.tuplesC.Add(int64(len(acc.Tuples)))
 
-	bytes := n.params.TupleBytes(len(acc.Tuples)) + controlBytes
+	bytes := controlBytes
+	var value int64
+	if req.Agg != nil {
+		for range acc.Tuples {
+			n.CPU.Execute(p, n.costs.JoinProbeInstr) // per-tuple aggregation work
+		}
+		value = req.Agg.partial(acc.Tuples)
+	} else {
+		n.TuplesShipped += int64(len(acc.Tuples))
+		bytes += n.params.TupleBytes(len(acc.Tuples))
+	}
 	h.Account(len(acc.IndexPages), len(acc.DataPages), int64(bytes), req.Backup)
 	if fspan.Active() {
 		kind := obs.FragPrimary
@@ -494,7 +495,8 @@ func (n *Node) runSelect(p *sim.Proc, req startOp) {
 	}
 	n.send(p, epoch, hw.Message{
 		From: n.ID, To: req.ReplyTo, Bytes: bytes,
-		Payload: opResult{QueryID: req.QueryID, Node: n.ID, Tuples: len(acc.Tuples), Attempt: req.Attempt},
+		Payload: opResult{QueryID: req.QueryID, Node: n.ID, Tuples: len(acc.Tuples),
+			Value: value, Attempt: req.Attempt},
 	})
 	if span.Active() {
 		span.End(n.ID, "op", "select "+req.Access.String(), req.QueryID,
@@ -686,21 +688,4 @@ func (n *Node) chargeAccess(p *sim.Proc, acc storage.Access, h *obs.FragHeat) er
 	}
 	n.pagesC.Add(int64(len(acc.IndexPages) + len(acc.DataPages)))
 	return nil
-}
-
-// mustAccess and mustCharge adapt the error-returning storage and buffer
-// APIs for the aggregate/join paths, which do not participate in degraded
-// execution: an injected fault there fails the whole run (the engine turns
-// the panic into a run error) instead of a single query.
-func mustAccess(acc storage.Access, err error) storage.Access {
-	if err != nil {
-		panic(err)
-	}
-	return acc
-}
-
-func (n *Node) mustCharge(p *sim.Proc, acc storage.Access, h *obs.FragHeat) {
-	if err := n.chargeAccess(p, acc, h); err != nil {
-		panic(err)
-	}
 }

@@ -81,13 +81,13 @@ type call struct {
 	done      bool
 }
 
-// collector is the Scheduler's state for one selection in flight: the
-// query's captured routing, its result so far, and the logical operators
-// of the current phase (BERD's auxiliary step, then the selection
-// operators), driven to completion under the host's policy — per-wait
-// timeouts, bounded jittered exponential backoff, chained-replica
-// rerouting, and at-most-once accounting (stale or duplicated replies are
-// dropped by attempt id).
+// collector is the Scheduler's state for one query in flight, whatever its
+// plan shape: the query's captured routing, its result so far, and — for
+// a selection or an aggregate — the logical operators of the current phase
+// (BERD's auxiliary step, then the selection operators), driven to
+// completion under the host's policy: per-wait timeouts, bounded jittered
+// exponential backoff, chained-replica rerouting, and at-most-once
+// accounting (stale or duplicated replies are dropped by attempt id).
 type collector struct {
 	h        *Host
 	d        *Degraded
@@ -104,8 +104,9 @@ type collector struct {
 	relation string
 	pred     core.Predicate
 	kind     AccessKind
-	aux      bool // the current phase is BERD's auxiliary step
-	share    bool // selection operators ride shared-scan batches
+	aux      bool       // the current phase is BERD's auxiliary step
+	share    bool       // selection operators ride shared-scan batches
+	agg      *aggregate // non-nil: the operators fold partial aggregates
 	// tidsByProc collects BERD's auxiliary answer: home processor ->
 	// qualifying TIDs (nil without an auxiliary step).
 	tidsByProc map[int][]int64
@@ -114,6 +115,7 @@ type collector struct {
 	used    map[int]bool
 	retries int
 	res     QueryResult
+	span    sim.Span // the query span, ended by finish
 }
 
 // backupOf returns the slot whose node replicates c's fragment, or -1.
@@ -318,7 +320,7 @@ func (col *collector) dispatch(c *call) {
 		return
 	}
 	op := startOp{QueryID: col.qid, Relation: col.relation, Pred: col.pred, ReplyTo: h.ID,
-		Access: col.kind, Attempt: c.attempt, Backup: c.useBackup, Epoch: col.epoch}
+		Access: col.kind, Attempt: c.attempt, Backup: c.useBackup, Epoch: col.epoch, Agg: col.agg}
 	if col.tidsByProc != nil && h.BERDFetchByTID {
 		op.Access = AccessTIDFetch
 		op.TIDs = col.tidsByProc[c.primary]
@@ -339,6 +341,9 @@ func (col *collector) accept(c *call, msg any) {
 			col.tidsByProc[proc] = append(col.tidsByProc[proc], tids...)
 		}
 	case opResult:
+		if col.agg != nil && r.Tuples > 0 {
+			col.res.Value = col.agg.fold(col.res.Value, r.Value, col.res.Tuples == 0)
+		}
 		col.res.Tuples += r.Tuples
 		col.res.ServedBy = append(col.res.ServedBy, ServedOp{
 			Fragment: c.primary, Node: c.target, Backup: c.useBackup, Tuples: r.Tuples,
@@ -346,11 +351,54 @@ func (col *collector) accept(c *call, msg any) {
 	}
 }
 
-// finish closes the query with its outcome: statistics, metrics, and the
-// query span, whose detail appends the outcome and retry count only when
-// the query did not finish OK on first attempts.
-func (col *collector) finish(outcome Outcome, err error, qspan sim.Span) QueryResult {
+// begin opens, in col, the lifecycle every query shape shares: a fresh
+// qid, the reply mailbox the host dispatcher feeds, the coordinator's query
+// attribution and span, and the routing generation captured once — every
+// dispatch of the query, including the BERD second step and any retry,
+// uses the same topology and epoch, even if a rebalance cutover lands
+// mid-query. It then charges the Query Manager's parse-and-plan delay
+// (coordination delay, not CPU contention — see the Host doc comment).
+// The caller owns col: a collector that never escapes its coordinator's
+// frame costs no heap allocation per query.
+func (h *Host) begin(col *collector, p *sim.Proc, relation string, pred core.Predicate) {
+	d := h.Degraded
+	if d == nil {
+		d = &faultFree
+	}
+	h.nextQID++
+	qid := h.nextQID
+	*col = collector{
+		h: h, d: d, p: p, topo: h.topo, epoch: h.epoch,
+		qid: qid, relation: relation, pred: pred,
+		used: map[int]bool{},
+		res:  QueryResult{ID: qid, Pred: pred, Submitted: p.Now()},
+		span: h.eng.StartSpan(),
+	}
+	col.mb = sim.NewMailbox[any](h.eng, fmt.Sprintf("host.q%d", qid))
+	h.pending[qid] = col.mb
+	p.SetQID(qid)
+	p.Hold(h.params.InstrTime(h.costs.PlanInstr))
+}
+
+// startDeadline starts the query's end-to-end budget (if the policy has
+// one) once planning and localization are done.
+func (col *collector) startDeadline() {
+	if dl := col.d.Policy.QueryDeadline; dl > 0 {
+		col.deadline = col.p.Now() + sim.Time(dl)
+	}
+}
+
+// finish closes the query with its outcome — OutcomeRetried when it
+// succeeded only through redispatches — and unregisters it: statistics,
+// metrics, and the query span, whose detail appends the outcome and retry
+// count only when the query did not finish OK on first attempts.
+func (col *collector) finish(outcome Outcome, err error) QueryResult {
 	h, res := col.h, &col.res
+	delete(h.pending, col.qid)
+	col.p.SetQID(0)
+	if outcome == OutcomeOK && col.retries > 0 {
+		outcome = OutcomeRetried
+	}
 	res.Outcome = outcome
 	res.Err = err
 	res.Retries = col.retries
@@ -361,73 +409,64 @@ func (col *collector) finish(outcome Outcome, err error, qspan sim.Span) QueryRe
 	h.fanoutH.Observe(float64(res.ProcessorsUsed))
 	h.respH.Observe(res.ResponseMS())
 	h.countOutcome(outcome)
-	if qspan.Active() {
+	if col.span.Active() {
 		detail := fmt.Sprintf("%d tuples, %d processors (%d aux)",
 			res.Tuples, res.ProcessorsUsed, res.AuxProcessors)
 		if outcome != OutcomeOK {
 			detail += fmt.Sprintf("; %s, %d retries", outcome, res.Retries)
 		}
-		qspan.End(obs.NoNode, "query", fmt.Sprintf("q%d %s", col.qid, col.relation), col.qid, detail)
+		col.span.End(obs.NoNode, "query", fmt.Sprintf("q%d %s", col.qid, col.relation), col.qid, detail)
 	}
 	return *res
 }
 
-// schedule is the Scheduler of Figure 7 for one selection: plan and
-// localize, run BERD's auxiliary step when the route has one, start (or
-// batch) one operator per participant, and collect the results. It blocks
-// for the query's full lifetime. Both phases run on one collector under the
-// host's policy, so with Degraded set every wait is deadlined, operator
-// failures and silences are retried with backoff, and requests reroute to
-// chained backups when a replica is down.
-func (h *Host) schedule(p *sim.Proc, relation string, pred core.Predicate, kind AccessKind) QueryResult {
-	placement, ok := h.placements[relation]
+// placement looks up a registered relation's placement.
+func (h *Host) placement(relation string) core.Placement {
+	pl, ok := h.placements[relation]
 	if !ok {
 		panic(fmt.Sprintf("exec: unknown relation %q", relation))
 	}
-	d := h.Degraded
-	if d == nil {
-		d = &faultFree
-	}
-	h.nextQID++
-	qid := h.nextQID
-	qspan := h.eng.StartSpan()
-	// Capture the routing generation once: every dispatch of this query —
-	// including the BERD second step and any retry — uses the same topology
-	// and epoch, even if a rebalance cutover lands mid-query.
-	col := &collector{
-		h: h, d: d, p: p, topo: h.topo, epoch: h.epoch,
-		qid: qid, relation: relation, pred: pred, kind: kind,
-		used: map[int]bool{},
-		res:  QueryResult{ID: qid, Pred: pred, Submitted: p.Now()},
-	}
-	col.mb = sim.NewMailbox[any](h.eng, fmt.Sprintf("host.q%d", qid))
-	h.pending[qid] = col.mb
-	defer delete(h.pending, qid)
-	p.SetQID(qid)
-	defer p.SetQID(0)
+	return pl
+}
 
-	// Query Manager: parse and plan (coordination delay, not CPU
-	// contention — see the Host doc comment).
-	p.Hold(h.params.InstrTime(h.costs.PlanInstr))
+// schedule is the Scheduler of Figure 7 for one selection, or for an
+// aggregate when agg is set: plan and localize, run BERD's auxiliary step
+// when the route has one, start (or batch) one operator per participant,
+// and collect the results. It blocks for the query's full lifetime. Both
+// phases run on one collector under the host's policy, so with Degraded
+// set every wait is deadlined, operator failures and silences are retried
+// with backoff, and requests reroute to chained backups when a replica is
+// down. An aggregate's operators fold partials, which need no TIDs: it
+// skips BERD's auxiliary step by asking every processor, and never rides a
+// shared-scan batch.
+func (h *Host) schedule(p *sim.Proc, relation string, pred core.Predicate, kind AccessKind, agg *aggregate) QueryResult {
+	placement := h.placement(relation)
+	var col collector
+	h.begin(&col, p, relation, pred)
+	col.kind, col.agg = kind, agg
 	route := placement.Route(pred)
 	if route.EntriesSearched > 0 {
 		// Catalog directory search: CS per examined entry (Equation 1's
 		// search term).
 		p.Hold(sim.Milliseconds(h.costs.CSms * float64(route.EntriesSearched)))
 	}
-	if d.Policy.QueryDeadline > 0 {
-		col.deadline = p.Now() + sim.Time(d.Policy.QueryDeadline)
-	}
+	col.startDeadline()
 
-	// BERD two-step: consult the auxiliary relation first.
 	participants := route.Participants
-	if len(route.Aux) > 0 {
+	switch {
+	case len(route.Aux) > 0 && agg != nil:
+		participants = make([]int, placement.Processors())
+		for i := range participants {
+			participants[i] = i
+		}
+	case len(route.Aux) > 0:
+		// BERD two-step: consult the auxiliary relation first.
 		auxSpan := h.eng.StartSpan()
 		col.res.AuxProcessors = len(route.Aux)
 		col.tidsByProc = make(map[int][]int64)
 		col.aux = true
 		if outcome, err := col.run(route.Aux); outcome != OutcomeOK {
-			return col.finish(outcome, err, qspan)
+			return col.finish(outcome, err)
 		}
 		col.aux = false
 		participants = participants[:0]
@@ -436,25 +475,92 @@ func (h *Host) schedule(p *sim.Proc, relation string, pred core.Predicate, kind 
 		}
 		sort.Ints(participants) // map order is randomized; the schedule must not be
 		if auxSpan.Active() {
-			auxSpan.End(obs.NoNode, "query", fmt.Sprintf("q%d aux phase", qid), qid,
+			auxSpan.End(obs.NoNode, "query", fmt.Sprintf("q%d aux phase", col.qid), col.qid,
 				fmt.Sprintf("%d aux nodes -> %d operators", len(route.Aux), len(participants)))
 		}
 	}
 
 	// Scheduler: one operator per participant, collected under the policy.
 	opSpan := h.eng.StartSpan()
-	col.share = h.Shared != nil && !(col.tidsByProc != nil && h.BERDFetchByTID)
+	col.share = h.Shared != nil && agg == nil && !(col.tidsByProc != nil && h.BERDFetchByTID)
 	outcome, err := col.run(participants)
-	if outcome == OutcomeOK {
-		if opSpan.Active() {
-			opSpan.End(obs.NoNode, "query", fmt.Sprintf("q%d operator phase", qid), qid,
-				fmt.Sprintf("%d participants", len(participants)))
-		}
-		if col.retries > 0 {
-			outcome = OutcomeRetried
+	if outcome == OutcomeOK && opSpan.Active() {
+		opSpan.End(obs.NoNode, "query", fmt.Sprintf("q%d operator phase", col.qid), col.qid,
+			fmt.Sprintf("%d participants", len(participants)))
+	}
+	return col.finish(outcome, err)
+}
+
+// join is the Scheduler for one parallel hash join on attr: it starts a
+// scan of every slot's fragment of the build input, then of the probe
+// input, in that order — the split tables route their tuples to one join
+// operator per slot — and collects every operator's match count under the
+// policy deadline. Scans and operators resolve slots to physical nodes
+// through the query's captured topology and epoch. They are not retried or
+// rerouted: a scan's access error fails the query, and a silent node
+// leaves it to the deadline.
+func (h *Host) join(p *sim.Proc, attr int, build, probe joinInput) QueryResult {
+	buildPl, probePl := h.placement(build.relation), h.placement(probe.relation)
+	slots := buildPl.Processors()
+	if probePl.Processors() != slots {
+		panic(fmt.Sprintf("exec: join inputs declustered over %d and %d processors",
+			slots, probePl.Processors()))
+	}
+	var col collector
+	h.begin(&col, p, build.relation, core.Predicate{})
+	col.startDeadline()
+	local := Colocated(buildPl, probePl, attr)
+	for phase, in := range [...]joinInput{build, probe} {
+		for slot := 0; slot < slots; slot++ {
+			target := physOf(col.topo, slot)
+			col.used[target] = true
+			h.net.Send(p, nil, hw.Message{
+				From: h.ID, To: target, Bytes: controlBytes,
+				Payload: joinScan{
+					QueryID: col.qid, Relation: in.relation, Attr: attr, Phase: joinPhase(phase),
+					Pred: in.pred, Local: local, Slots: slots, Topo: col.topo, Epoch: col.epoch,
+					ReplyTo: h.ID,
+				},
+			})
 		}
 	}
-	return col.finish(outcome, err, qspan)
+	return col.finish(col.collectJoin(slots))
+}
+
+// joinInput is one side of a join: a relation and the predicate its scan
+// applies.
+type joinInput struct {
+	relation string
+	pred     core.Predicate
+}
+
+// collectJoin waits for the match counts of the join's operators, one per
+// slot. An operator timeout only rechecks the deadline: the join has
+// nothing to redispatch.
+func (col *collector) collectJoin(slots int) (Outcome, error) {
+	reported := make(map[int]bool, slots) // physical nodes whose operator reported
+	for len(reported) < slots {
+		if col.pastDeadline() {
+			return OutcomeTimedOut, fmt.Errorf("exec: query deadline exceeded with %d join operators outstanding",
+				slots-len(reported))
+		}
+		msg, ok := col.receive()
+		if !ok {
+			continue
+		}
+		switch r := msg.(type) {
+		case opError:
+			return OutcomeFailed, fmt.Errorf("exec: join scan on node %d failed: %s", r.Node, r.Msg)
+		case joinDone:
+			if reported[r.Node] {
+				col.orphan() // interconnect duplicate
+				continue
+			}
+			reported[r.Node] = true
+			col.res.Tuples += r.Matches
+		}
+	}
+	return OutcomeOK, nil
 }
 
 // countOutcome mirrors a query outcome into the metrics registry.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/rebalance"
 	"repro/internal/sim"
@@ -258,6 +259,32 @@ func TestElasticRepairAfterCrashMidMigration(t *testing.T) {
 		bf := holder.BackupFragment(rel.Name)
 		if bf == nil {
 			t.Fatalf("slot %d has no chain replica on member %d after repair", slot, members[b])
+		}
+	}
+}
+
+// After node 1 is decommissioned, every plan shape resolves slots through
+// the new topology: the selection, a COUNT over it and a self-join all
+// answer from the surviving members.
+func TestDecommissionedNodeServesNoPlanShape(t *testing.T) {
+	rel := elasticRelation(t)
+	m := buildRange(t, rel, elasticConfig(
+		rebalance.Event{At: 10 * sim.Millisecond, Kind: rebalance.Decommission, Node: 1}))
+	sel, count, join := shapeQueries(rel)
+	cutover := func(p *sim.Proc) {
+		for m.Rebalancer.Gen() < 1 {
+			p.Hold(10 * sim.Millisecond)
+		}
+	}
+	res := submitEach(t, m, cutover, sel, count, join)
+	want := rel.Cardinality()
+	if res[0].Tuples != want || res[1].Value != int64(want) || res[2].Tuples != want {
+		t.Fatalf("selection %d tuples, count %d, join %d matches; want %d each",
+			res[0].Tuples, res[1].Value, res[2].Tuples, want)
+	}
+	for i, r := range res {
+		if r.Outcome != exec.OutcomeOK {
+			t.Fatalf("query %d: %v (%v)", i, r.Outcome, r.Err)
 		}
 	}
 }

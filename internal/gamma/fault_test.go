@@ -2,10 +2,15 @@ package gamma
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/fault"
+	"repro/internal/plan"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -134,5 +139,92 @@ func TestBuildRejectsBadFaultSpec(t *testing.T) {
 	pl := buildRange(t, rel, smallConfig()).Placement
 	if _, err := Build(rel, pl, cfg); err == nil {
 		t.Fatal("Build accepted an out-of-range fault target")
+	}
+}
+
+// shapeQueries returns one query of each plan shape over the tuples of rel
+// with unique2 in [0, |rel|-1] — all of them: the selection, a COUNT over
+// it, and a self-join of it on the key unique1. Each answers |rel|.
+func shapeQueries(rel *storage.Relation) (sel, count, join *plan.Node) {
+	pred := core.Predicate{Attr: storage.Unique2, Lo: 0, Hi: int64(rel.Cardinality() - 1)}
+	scan := func() *plan.Node { return plan.NewIndexScan(rel.Name, pred, exec.AccessClustered) }
+	return scan(), plan.NewAggregate(plan.AggCount, 0, scan()),
+		plan.NewJoin(storage.Unique1, scan(), scan())
+}
+
+// submitEach resets m and submits the plans one after another from a single
+// process, after wait (if any) returns, until the last completes or 100
+// simulated seconds pass. It fails the test unless every plan completed.
+func submitEach(t *testing.T, m *Machine, wait func(p *sim.Proc), plans ...*plan.Node) []exec.QueryResult {
+	t.Helper()
+	m.Reset()
+	var res []exec.QueryResult
+	m.Eng.Spawn("client", func(p *sim.Proc) {
+		if wait != nil {
+			wait(p)
+		}
+		for _, q := range plans {
+			res = append(res, m.Host.Submit(p, q))
+		}
+		m.Eng.Stop()
+	})
+	if err := m.Eng.RunUntil(sim.Time(100 * sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != len(plans) {
+		t.Fatalf("%d of %d queries completed in 100s", len(res), len(plans))
+	}
+	return res
+}
+
+// checkServedByBackup fails unless an aggregate counted all of rel with
+// node 1's fragment served by its chained backup and nothing by node 1.
+func checkServedByBackup(t *testing.T, rel *storage.Relation, agg exec.QueryResult) {
+	t.Helper()
+	if !agg.Outcome.Succeeded() || agg.Value != int64(rel.Cardinality()) {
+		t.Fatalf("aggregate: %v with count %d (%v), want %d", agg.Outcome, agg.Value, agg.Err, rel.Cardinality())
+	}
+	backup := false
+	for _, op := range agg.ServedBy {
+		if op.Node == 1 {
+			t.Fatalf("aggregate operator served by node 1: %v", op)
+		}
+		backup = backup || (op.Fragment == 1 && op.Backup)
+	}
+	if !backup {
+		t.Fatalf("node 1's fragment not served by its backup: %v", agg.ServedBy)
+	}
+}
+
+// With node 1's disk failed from the start, an aggregate's operator for
+// node 1's fragment goes to the chained backup, as a selection's does, and
+// a join — whose operators have no replica failover — fails with the disk
+// error instead of panicking the run.
+func TestDiskFailAggregateAndJoin(t *testing.T) {
+	rel := elasticRelation(t)
+	m := buildRange(t, rel, smallConfig().With(WithChainedReplicas(),
+		WithFaults(&fault.Spec{Events: []fault.Event{{Kind: fault.DiskFail, Node: 1}}})))
+	_, count, join := shapeQueries(rel)
+	res := submitEach(t, m, nil, count, join)
+	checkServedByBackup(t, rel, res[0])
+	if j := res[1]; j.Outcome != exec.OutcomeFailed || j.Err == nil || !strings.Contains(j.Err.Error(), "disk failed") {
+		t.Fatalf("join: %v (%v), want failed with the disk error", j.Outcome, j.Err)
+	}
+}
+
+// With node 1 crashed from the start, an aggregate is served by the chained
+// backup, and a join — whose scans and operators on node 1 never answer —
+// is abandoned at the query deadline instead of waiting out the crash.
+func TestNodeCrashAggregateAndJoin(t *testing.T) {
+	rel := elasticRelation(t)
+	m := buildRange(t, rel, smallConfig().With(WithChainedReplicas(),
+		WithFaults(&fault.Spec{Events: []fault.Event{{Kind: fault.NodeCrash, Node: 1, Dur: 100 * sim.Second}}})))
+	_, count, join := shapeQueries(rel)
+	res := submitEach(t, m, nil, count, join)
+	checkServedByBackup(t, rel, res[0])
+	deadline := exec.DefaultRetryPolicy().QueryDeadline
+	if j := res[1]; j.Outcome != exec.OutcomeTimedOut || sim.Duration(j.Completed-j.Submitted) > deadline+sim.Second {
+		t.Fatalf("join: %v after %.0fms (%v), want timed out by the %v deadline",
+			j.Outcome, j.ResponseMS(), j.Err, deadline)
 	}
 }

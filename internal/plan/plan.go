@@ -57,8 +57,7 @@ func (k Access) String() string {
 	}
 }
 
-// AggFn selects the aggregate function of an Aggregate node. The execution
-// layer's AggKind is an alias of this type.
+// AggFn selects the aggregate function of an Aggregate node.
 type AggFn int
 
 // Supported aggregates (AVG is SUM/COUNT at the coordinator).
