@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -81,6 +82,105 @@ func TestGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// csvCases pin the files -ts-dir and -heatmap-dir write: the per-window
+// telemetry series and the per-fragment index page, data page and byte
+// accounting. Each name is also the directory under testdata/csv holding
+// the case's ts/ and heat/ files.
+var csvCases = []struct {
+	name string
+	args []string
+}{
+	{"closed_kill", small("-fig", "8a", "-mpl", "4", "-kill-disk", "1@2ms")},
+	{"open", small("-open", "-fig", "10a", "-lambda", "400")},
+}
+
+// TestGoldenCSV runs each CSV case with -ts-dir and -heatmap-dir pointed
+// at a temporary directory and diffs every file written there against
+// testdata/csv/<name>; a missing or extra file fails the case too.
+func TestGoldenCSV(t *testing.T) {
+	for _, c := range csvCases {
+		t.Run(c.name, func(t *testing.T) {
+			out := t.TempDir()
+			runCommand(t, append(c.args, "-ts-dir", filepath.Join(out, "ts"),
+				"-heatmap-dir", filepath.Join(out, "heat"))...)
+			dir := filepath.Join("testdata", "csv", c.name)
+			for _, sub := range []string{"ts", "heat"} {
+				got := readDir(t, filepath.Join(out, sub))
+				if len(got) == 0 {
+					t.Fatalf("declusterbench %s wrote no %s files", strings.Join(c.args, " "), sub)
+				}
+				if *update {
+					writeDir(t, filepath.Join(dir, sub), got)
+					continue
+				}
+				want := readDir(t, filepath.Join(dir, sub))
+				for _, name := range sortedKeys(want, got) {
+					w, inWant := want[name]
+					g, inGot := got[name]
+					switch {
+					case !inWant:
+						t.Errorf("%s/%s: written but not in %s (run with -update)", sub, name, dir)
+					case !inGot:
+						t.Errorf("%s/%s: in %s but not written", sub, name, dir)
+					case !bytes.Equal(g, w):
+						t.Errorf("%s/%s differs from %s:\n%s", sub, name, dir, firstDiff(string(w), string(g)))
+					}
+				}
+			}
+		})
+	}
+}
+
+// readDir returns the contents of every file in dir by name; a missing
+// directory reads as empty.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = b
+	}
+	return files
+}
+
+// writeDir replaces dir's contents with files.
+func writeDir(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// sortedKeys returns the union of a's and b's keys in order.
+func sortedKeys(a, b map[string][]byte) []string {
+	var keys []string
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // runCommand re-executes the test binary as declusterbench with args and
