@@ -27,22 +27,30 @@ func BenchmarkBulkLoad100k(b *testing.B) {
 	}
 }
 
+// count is a Walk visitor that only counts entries.
+func count(n *int) func([]Entry) { return func(run []Entry) { *n += len(run) } }
+
 func BenchmarkSearch(b *testing.B) {
 	tr := benchTree(100000)
 	r := rand.New(rand.NewSource(1))
+	var pages []int
+	n := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Search(int64(r.Intn(100000)))
+		k := int64(r.Intn(100000))
+		pages = tr.Walk(k, k, pages[:0], count(&n))
 	}
 }
 
 func BenchmarkRange300(b *testing.B) {
 	tr := benchTree(100000)
 	r := rand.New(rand.NewSource(1))
+	var pages []int
+	n := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := int64(r.Intn(99000))
-		tr.Range(lo, lo+299)
+		pages = tr.Walk(lo, lo+299, pages[:0], count(&n))
 	}
 }
 

@@ -21,21 +21,6 @@ type Entry struct {
 	Val int64
 }
 
-// Path records the disk pages an operation touched, in access order:
-// interior pages from the root down, then leaf pages left to right.
-type Path struct {
-	Interior []int
-	Leaves   []int
-}
-
-// Pages returns all touched pages in access order.
-func (p Path) Pages() []int {
-	out := make([]int, 0, len(p.Interior)+len(p.Leaves))
-	out = append(out, p.Interior...)
-	out = append(out, p.Leaves...)
-	return out
-}
-
 type node struct {
 	page     int
 	leaf     bool
@@ -198,77 +183,38 @@ func (t *Tree) insert(n *node, e Entry) (int64, *node) {
 	return upKey, r
 }
 
-// Search returns the values of all entries with the given key and the page
-// path the lookup touched.
-func (t *Tree) Search(key int64) ([]int64, Path) {
-	return t.Range(key, key)
-}
-
-// Range returns the values of all entries with lo <= key <= hi, in key
-// order, plus the page path: the root-to-leaf interior pages and every leaf
-// scanned. An empty result still reports the descent path.
-func (t *Tree) Range(lo, hi int64) ([]int64, Path) {
-	var path Path
+// Walk reports a lo <= key <= hi range search. It appends to pages the
+// disk pages the search touches, in access order — the interior pages from
+// the root down, then every leaf scanned left to right — and returns the
+// extended slice; an empty result still reports the descent path. visit
+// sees the qualifying entries in key order, one call per leaf holding any,
+// as a run of that leaf's own storage: it must not modify or retain it.
+func (t *Tree) Walk(lo, hi int64, pages []int, visit func([]Entry)) []int {
 	if t.size == 0 {
-		path.Leaves = append(path.Leaves, t.root.page)
-		return nil, path
+		return append(pages, t.root.page)
 	}
 	n := t.root
 	for !n.leaf {
-		path.Interior = append(path.Interior, n.page)
+		pages = append(pages, n.page)
 		// Separators are inclusive on both sides for duplicate keys, so the
 		// leftmost child that can contain lo is the one below the first
 		// separator >= lo.
 		ci := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
 		n = n.children[ci]
 	}
-	var vals []int64
-	for n != nil {
-		path.Leaves = append(path.Leaves, n.page)
-		i := sort.Search(len(n.entries), func(i int) bool { return n.entries[i].Key >= lo })
-		for ; i < len(n.entries); i++ {
-			if n.entries[i].Key > hi {
-				return vals, path
-			}
-			vals = append(vals, n.entries[i].Val)
+	for ; n != nil; n = n.next {
+		pages = append(pages, n.page)
+		es := n.entries
+		i := sort.Search(len(es), func(i int) bool { return es[i].Key >= lo })
+		j := i + sort.Search(len(es)-i, func(k int) bool { return es[i+k].Key > hi })
+		if j > i {
+			visit(es[i:j])
 		}
-		if len(n.entries) > 0 && n.entries[len(n.entries)-1].Key > hi {
-			return vals, path
+		if len(es) > 0 && es[len(es)-1].Key > hi {
+			break // a key past hi ends the scan
 		}
-		n = n.next
 	}
-	return vals, path
-}
-
-// RangeEntries is Range but returns the full entries.
-func (t *Tree) RangeEntries(lo, hi int64) ([]Entry, Path) {
-	var path Path
-	if t.size == 0 {
-		path.Leaves = append(path.Leaves, t.root.page)
-		return nil, path
-	}
-	n := t.root
-	for !n.leaf {
-		path.Interior = append(path.Interior, n.page)
-		ci := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= lo })
-		n = n.children[ci]
-	}
-	var out []Entry
-	for n != nil {
-		path.Leaves = append(path.Leaves, n.page)
-		i := sort.Search(len(n.entries), func(i int) bool { return n.entries[i].Key >= lo })
-		for ; i < len(n.entries); i++ {
-			if n.entries[i].Key > hi {
-				return out, path
-			}
-			out = append(out, n.entries[i])
-		}
-		if len(n.entries) > 0 && n.entries[len(n.entries)-1].Key > hi {
-			return out, path
-		}
-		n = n.next
-	}
-	return out, path
+	return pages
 }
 
 // Len reports the number of entries.

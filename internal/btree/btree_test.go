@@ -2,6 +2,7 @@ package btree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -26,6 +27,17 @@ func bulkTree(t *testing.T, fanout, leafCap int, entries []Entry) *Tree {
 	return tr
 }
 
+// walk runs Walk over [lo, hi] and returns the qualifying values in order
+// and the pages touched.
+func walk(tr *Tree, lo, hi int64) (vals []int64, pages []int) {
+	pages = tr.Walk(lo, hi, nil, func(run []Entry) {
+		for _, e := range run {
+			vals = append(vals, e.Val)
+		}
+	})
+	return vals, pages
+}
+
 func seqEntries(n int) []Entry {
 	out := make([]Entry, n)
 	for i := range out {
@@ -40,34 +52,31 @@ func TestBulkAndSearch(t *testing.T) {
 		t.Fatalf("len = %d", tr.Len())
 	}
 	for _, k := range []int64{0, 1, 499, 998, 999} {
-		vals, path := tr.Search(k)
+		vals, pages := walk(tr, k, k)
 		if len(vals) != 1 || vals[0] != k*10 {
-			t.Fatalf("Search(%d) = %v", k, vals)
+			t.Fatalf("Walk(%d, %d) = %v", k, k, vals)
 		}
-		if len(path.Interior) != tr.Height()-1 {
-			t.Fatalf("Search(%d) visited %d interior pages, height %d",
-				k, len(path.Interior), tr.Height())
-		}
-		if len(path.Leaves) < 1 || len(path.Leaves) > 2 {
-			t.Fatalf("Search(%d) visited %d leaves", k, len(path.Leaves))
+		// The descent reads Height()-1 interior pages, then the leaves.
+		if leaves := len(pages) - (tr.Height() - 1); leaves < 1 || leaves > 2 {
+			t.Fatalf("Walk(%d, %d) visited %d leaves", k, k, leaves)
 		}
 	}
 }
 
 func TestSearchMissingKey(t *testing.T) {
 	tr := bulkTree(t, 5, 4, seqEntries(100))
-	vals, path := tr.Search(5000)
+	vals, pages := walk(tr, 5000, 5000)
 	if len(vals) != 0 {
 		t.Fatalf("missing key returned %v", vals)
 	}
-	if len(path.Pages()) == 0 {
+	if len(pages) == 0 {
 		t.Fatal("even a miss must touch pages")
 	}
 }
 
 func TestRangeInclusive(t *testing.T) {
 	tr := bulkTree(t, 5, 4, seqEntries(100))
-	vals, _ := tr.Range(10, 19)
+	vals, _ := walk(tr, 10, 19)
 	if len(vals) != 10 {
 		t.Fatalf("range [10,19] returned %d values", len(vals))
 	}
@@ -80,12 +89,12 @@ func TestRangeInclusive(t *testing.T) {
 
 func TestRangeSpanningLeaves(t *testing.T) {
 	tr := bulkTree(t, 4, 4, seqEntries(64))
-	vals, path := tr.Range(0, 63)
+	vals, pages := walk(tr, 0, 63)
 	if len(vals) != 64 {
 		t.Fatalf("full range returned %d", len(vals))
 	}
-	if len(path.Leaves) != 16 {
-		t.Fatalf("full range should touch all 16 leaves, got %d", len(path.Leaves))
+	if leaves := len(pages) - (tr.Height() - 1); leaves != 16 {
+		t.Fatalf("full range should touch all 16 leaves, got %d", leaves)
 	}
 }
 
@@ -94,9 +103,9 @@ func TestEmptyTree(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	vals, path := tr.Search(1)
-	if len(vals) != 0 || len(path.Leaves) != 1 {
-		t.Fatalf("empty tree search: vals=%v leaves=%v", vals, path.Leaves)
+	vals, pages := walk(tr, 1, 1)
+	if len(vals) != 0 || len(pages) != 1 || pages[0] != tr.RootPage() {
+		t.Fatalf("empty tree search: vals=%v pages=%v", vals, pages)
 	}
 	if tr.Height() != 1 || tr.Pages() != 1 {
 		t.Fatalf("empty tree height=%d pages=%d", tr.Height(), tr.Pages())
@@ -139,9 +148,9 @@ func TestDuplicateKeysAcrossLeaves(t *testing.T) {
 		entries = append(entries, Entry{Key: 7, Val: int64(i)})
 	}
 	tr := bulkTree(t, 4, 4, entries)
-	vals, _ := tr.Search(7)
+	vals, _ := walk(tr, 7, 7)
 	if len(vals) != 50 {
-		t.Fatalf("Search(7) found %d of 50 duplicates", len(vals))
+		t.Fatalf("Walk(7, 7) found %d of 50 duplicates", len(vals))
 	}
 	for i, v := range vals {
 		if v != int64(i) {
@@ -164,9 +173,9 @@ func TestInsertMaintainsInvariants(t *testing.T) {
 		t.Fatalf("len = %d", tr.Len())
 	}
 	for _, k := range keys {
-		vals, _ := tr.Search(int64(k))
+		vals, _ := walk(tr, int64(k), int64(k))
 		if len(vals) != 1 || vals[0] != int64(k*2) {
-			t.Fatalf("Search(%d) = %v", k, vals)
+			t.Fatalf("Walk(%d) = %v", k, vals)
 		}
 	}
 }
@@ -180,9 +189,9 @@ func TestInsertDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := int64(0); k < 5; k++ {
-		vals, _ := tr.Search(k)
+		vals, _ := walk(tr, k, k)
 		if len(vals) != 20 {
-			t.Fatalf("Search(%d) found %d, want 20", k, len(vals))
+			t.Fatalf("Walk(%d) found %d, want 20", k, len(vals))
 		}
 	}
 }
@@ -218,21 +227,7 @@ func TestPageNumbersUnique(t *testing.T) {
 	}
 }
 
-func TestRangeEntriesMatchesRange(t *testing.T) {
-	tr := bulkTree(t, 5, 4, seqEntries(300))
-	es, _ := tr.RangeEntries(50, 99)
-	vals, _ := tr.Range(50, 99)
-	if len(es) != len(vals) {
-		t.Fatalf("entries %d vs vals %d", len(es), len(vals))
-	}
-	for i := range es {
-		if es[i].Val != vals[i] {
-			t.Fatal("RangeEntries and Range disagree")
-		}
-	}
-}
-
-// Property: for random multisets of keys, Range(lo,hi) on a bulk-loaded tree
+// Property: for random multisets of keys, Walk(lo,hi) on a bulk-loaded tree
 // equals the naive filter, for both bulk-loaded and incrementally built trees.
 func TestRangeMatchesNaiveProperty(t *testing.T) {
 	check := func(rawKeys []uint16, loRaw, width uint16, useInsert bool) bool {
@@ -265,7 +260,7 @@ func TestRangeMatchesNaiveProperty(t *testing.T) {
 		}
 		lo := int64(loRaw % 512)
 		hi := lo + int64(width%64)
-		got, _ := tr.Range(lo, hi)
+		got, _ := walk(tr, lo, hi)
 		want := 0
 		for _, k := range keys {
 			if k >= lo && k <= hi {
@@ -302,8 +297,8 @@ func TestBulkVsInsertEquivalence(t *testing.T) {
 			ins.Insert(e)
 		}
 		for k := int64(0); k < 256; k++ {
-			a, _ := bulk.Search(k)
-			b, _ := ins.Search(k)
+			a, _ := walk(bulk, k, k)
+			b, _ := walk(ins, k, k)
 			if len(a) != len(b) {
 				t.Fatalf("trial %d key %d: bulk %d hits, insert %d hits", trial, k, len(a), len(b))
 			}
@@ -326,8 +321,92 @@ func TestNewRejectsTinyParameters(t *testing.T) {
 
 func TestRootPageStable(t *testing.T) {
 	tr := bulkTree(t, 4, 4, seqEntries(64))
-	_, path := tr.Search(0)
-	if len(path.Interior) > 0 && path.Interior[0] != tr.RootPage() {
-		t.Fatal("first interior page should be the root")
+	_, pages := walk(tr, 0, 0)
+	if pages[0] != tr.RootPage() {
+		t.Fatal("first page touched should be the root")
 	}
+}
+
+// FuzzTreeRange bulk-loads sorted keys decoded from the fuzz input (one
+// byte each, reduced into a domain of 1-32 values so keys repeat) and
+// checks Walk against a sorted-slice reference: the values must be exactly
+// the entries with lo <= key <= hi in load order, and the pages the
+// interior path root-down, then the leaves scanned. The page reference
+// follows from the bulk layout under a counting allocator: leaf l is page
+// l, and each interior level takes the next run of pages, one per group of
+// fanout children; the descent lands on the last leaf whose first key is
+// below lo (or leaf 0), and the scan ends at the first leaf whose last key
+// is above hi.
+func FuzzTreeRange(f *testing.F) {
+	f.Add([]byte{1, 2, 2, 2, 3, 5, 5, 8, 9, 9, 9, 9, 12}, uint8(16), uint8(0), uint8(1), uint8(3), uint8(4))
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(1))
+	f.Add([]byte{}, uint8(3), uint8(1), uint8(1), uint8(2), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, domain, fanoutRaw, leafCapRaw, loRaw, width uint8) {
+		const maxEntries = 600
+		if len(data) > maxEntries {
+			data = data[:maxEntries]
+		}
+		dom := 1 + int64(domain)%32
+		fanout := 3 + int(fanoutRaw)%6
+		leafCap := 2 + int(leafCapRaw)%6
+		entries := make([]Entry, len(data))
+		for i, b := range data {
+			entries[i].Key = int64(b) % dom
+		}
+		sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
+		for i := range entries {
+			entries[i].Val = int64(i)
+		}
+		// The range may start below the domain, end above it, or be
+		// inverted (hi = lo-1 or lo-2).
+		lo := int64(loRaw)%(dom+2) - 1
+		hi := lo + int64(width)%(dom+4) - 2
+
+		tr := New(fanout, leafCap, counter())
+		tr.Bulk(entries)
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		gotVals, gotPages := walk(tr, lo, hi)
+
+		var wantVals []int64
+		for _, e := range entries {
+			if e.Key >= lo && e.Key <= hi {
+				wantVals = append(wantVals, e.Val)
+			}
+		}
+		wantPages := []int{0}
+		if n := len(entries); n > 0 {
+			leaves := (n + leafCap - 1) / leafCap
+			start := 0
+			for l := 1; l < leaves; l++ {
+				if entries[l*leafCap].Key < lo {
+					start = l
+				}
+			}
+			// bases[k] is level k's first page (level 0 = the leaves);
+			// spans[k] is how many leaves one level-k node covers.
+			bases, spans := []int{0}, []int{1}
+			for size := leaves; size > 1; size = (size + fanout - 1) / fanout {
+				bases = append(bases, bases[len(bases)-1]+size)
+				spans = append(spans, spans[len(spans)-1]*fanout)
+			}
+			wantPages = wantPages[:0]
+			for k := len(bases) - 1; k >= 1; k-- {
+				wantPages = append(wantPages, bases[k]+start/spans[k])
+			}
+			for l := start; l < leaves; l++ {
+				wantPages = append(wantPages, l)
+				if last := min((l+1)*leafCap, n) - 1; entries[last].Key > hi {
+					break
+				}
+			}
+		}
+		if !slices.Equal(gotVals, wantVals) {
+			t.Fatalf("Walk(%d, %d) values %v, want %v", lo, hi, gotVals, wantVals)
+		}
+		if !slices.Equal(gotPages, wantPages) {
+			t.Fatalf("Walk(%d, %d) pages %v, want %v (height %d)", lo, hi, gotPages, wantPages, tr.Height())
+		}
+	})
 }

@@ -64,14 +64,15 @@ type joinScan struct {
 	ReplyTo int
 }
 
-// joinBatch carries repartitioned tuples to a join operator. ReplyTo and
+// joinBatch carries repartitioned tuples to a join operator. Only their
+// join keys travel in the simulator's memory: the operator needs nothing
+// else, and the message is still priced as the full tuples. ReplyTo and
 // Scanners ride along so the receiving node can start the operator even
 // when a remote batch outruns its own scan request.
 type joinBatch struct {
 	QueryID  int64
 	Phase    joinPhase
-	Attr     int
-	Tuples   []storage.Tuple
+	Keys     []int64
 	ReplyTo  int
 	Scanners int
 }
@@ -133,18 +134,20 @@ func (n *Node) runJoinScan(p *sim.Proc, req joinScan) {
 		n.sendError(p, epoch, req.QueryID, req.ReplyTo, 0, err)
 		return
 	}
-	h.Account(len(acc.IndexPages), len(acc.DataPages), 0, false)
+	h.Account(len(acc.IndexPages), acc.NumDataPages(), 0, false)
 	n.OpsExecuted++
 
-	// Split table: partition the qualifying tuples by join-attribute hash
-	// onto the physical node of the receiving operator's slot.
-	buckets := make(map[int][]storage.Tuple)
-	for _, t := range acc.Tuples {
+	// Split table: partition the qualifying tuples' join keys, read in
+	// place, by hash onto the physical node of the receiving operator's
+	// slot.
+	buckets := make(map[int][]int64)
+	for i := 0; i < acc.N; i++ {
+		key := acc.Tuple(i).Attrs[req.Attr]
 		dst := n.ID
 		if !req.Local {
-			dst = physOf(req.Topo, core.JoinBucket(t.Attrs[req.Attr], req.Slots))
+			dst = physOf(req.Topo, core.JoinBucket(key, req.Slots))
 		}
-		buckets[dst] = append(buckets[dst], t)
+		buckets[dst] = append(buckets[dst], key)
 		n.CPU.Execute(p, n.costs.JoinHashInstr)
 	}
 	dsts := make([]int, 0, len(buckets))
@@ -153,10 +156,10 @@ func (n *Node) runJoinScan(p *sim.Proc, req joinScan) {
 	}
 	sort.Ints(dsts) // deterministic send order
 	for _, dst := range dsts {
-		tuples := buckets[dst]
-		n.TuplesShipped += int64(len(tuples))
-		batch := joinBatch{QueryID: req.QueryID, Phase: req.Phase, Attr: req.Attr,
-			Tuples: tuples, ReplyTo: req.ReplyTo, Scanners: req.Slots}
+		keys := buckets[dst]
+		n.TuplesShipped += int64(len(keys))
+		batch := joinBatch{QueryID: req.QueryID, Phase: req.Phase,
+			Keys: keys, ReplyTo: req.ReplyTo, Scanners: req.Slots}
 		if dst == n.ID {
 			// Local delivery: no network, straight to the worker.
 			n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Slots, batch)
@@ -164,7 +167,7 @@ func (n *Node) runJoinScan(p *sim.Proc, req joinScan) {
 		}
 		n.send(p, epoch, hw.Message{
 			From: n.ID, To: dst,
-			Bytes:   n.params.TupleBytes(len(tuples)) + controlBytes,
+			Bytes:   n.params.TupleBytes(len(keys)) + controlBytes,
 			Payload: batch,
 		})
 	}
@@ -185,22 +188,24 @@ func (n *Node) runJoinScan(p *sim.Proc, req joinScan) {
 
 // runJoinOperator consumes build batches into a hash table, then probes it
 // with the probe stream, and finally reports its match count to the
-// scheduler. Probe batches arriving before the build phase has fully closed
-// are buffered, preserving the build-before-probe barrier without global
+// scheduler. The table counts build tuples per key: a probe tuple matches
+// every build tuple with its key, and only the count is reported. Probe
+// batches arriving before the build phase has fully closed are buffered,
+// preserving the build-before-probe barrier without global
 // synchronization.
 func (n *Node) runJoinOperator(p *sim.Proc, qid int64, replyTo, scanners int, w *joinWorker) {
 	p.SetQID(qid)
 	epoch := n.epoch
-	table := make(map[int64][]storage.Tuple)
+	table := make(map[int64]int)
 	var pendingProbe []joinBatch
 	buildEnds, probeEnds := 0, 0
 	matches := 0
 	built := false
 
 	probe := func(b joinBatch) {
-		for _, t := range b.Tuples {
+		for _, key := range b.Keys {
 			n.CPU.Execute(p, n.costs.JoinProbeInstr)
-			matches += len(table[t.Attrs[b.Attr]])
+			matches += table[key]
 		}
 	}
 
@@ -208,9 +213,9 @@ func (n *Node) runJoinOperator(p *sim.Proc, qid int64, replyTo, scanners int, w 
 		switch m := w.inbox.Get(p).(type) {
 		case joinBatch:
 			if m.Phase == phaseBuild {
-				for _, t := range m.Tuples {
+				for _, key := range m.Keys {
 					n.CPU.Execute(p, n.costs.JoinBuildInstr)
-					table[t.Attrs[m.Attr]] = append(table[t.Attrs[m.Attr]], t)
+					table[key]++
 				}
 			} else if built {
 				probe(m)

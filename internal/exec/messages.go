@@ -97,17 +97,17 @@ func (a *aggregate) fold(acc, x int64, first bool) int64 {
 	}
 }
 
-// partial folds one operator's qualifying tuples.
-func (a *aggregate) partial(tuples []storage.Tuple) int64 {
-	var acc int64
-	for i, t := range tuples {
+// partial folds one operator's qualifying tuples, read in place.
+func (a *aggregate) partial(acc storage.Access) int64 {
+	var v int64
+	for i := 0; i < acc.N; i++ {
 		x := int64(1) // COUNT counts tuples
 		if a.fn != plan.AggCount {
-			x = t.Attrs[a.attr]
+			x = acc.Tuple(i).Attrs[a.attr]
 		}
-		acc = a.fold(acc, x, i == 0)
+		v = a.fold(v, x, i == 0)
 	}
-	return acc
+	return v
 }
 
 // opError reports an operator that failed instead of completing: an

@@ -471,36 +471,36 @@ func (n *Node) runSelect(p *sim.Proc, req startOp) {
 	}
 	n.OpsExecuted++
 	n.opsC.Inc()
-	n.tuplesC.Add(int64(len(acc.Tuples)))
+	n.tuplesC.Add(int64(acc.N))
 
 	bytes := controlBytes
 	var value int64
 	if req.Agg != nil {
-		for range acc.Tuples {
+		for i := 0; i < acc.N; i++ {
 			n.CPU.Execute(p, n.costs.JoinProbeInstr) // per-tuple aggregation work
 		}
-		value = req.Agg.partial(acc.Tuples)
+		value = req.Agg.partial(acc)
 	} else {
-		n.TuplesShipped += int64(len(acc.Tuples))
-		bytes += n.params.TupleBytes(len(acc.Tuples))
+		n.TuplesShipped += int64(acc.N)
+		bytes += n.params.TupleBytes(acc.N)
 	}
-	h.Account(len(acc.IndexPages), len(acc.DataPages), int64(bytes), req.Backup)
+	h.Account(len(acc.IndexPages), acc.NumDataPages(), int64(bytes), req.Backup)
 	if fspan.Active() {
 		kind := obs.FragPrimary
 		if req.Backup {
 			kind = obs.FragBackup
 		}
 		fspan.End(n.ID, "frag", obs.FragID{Relation: req.Relation, Kind: kind}.Label(),
-			req.QueryID, fmt.Sprintf("%d pages, %d tuples", acc.PageCount(), len(acc.Tuples)))
+			req.QueryID, fmt.Sprintf("%d pages, %d tuples", acc.PageCount(), acc.N))
 	}
 	n.send(p, epoch, hw.Message{
 		From: n.ID, To: req.ReplyTo, Bytes: bytes,
-		Payload: opResult{QueryID: req.QueryID, Node: n.ID, Tuples: len(acc.Tuples),
+		Payload: opResult{QueryID: req.QueryID, Node: n.ID, Tuples: acc.N,
 			Value: value, Attempt: req.Attempt},
 	})
 	if span.Active() {
 		span.End(n.ID, "op", "select "+req.Access.String(), req.QueryID,
-			fmt.Sprintf("%d tuples", len(acc.Tuples)))
+			fmt.Sprintf("%d tuples", acc.N))
 	}
 }
 
@@ -566,7 +566,8 @@ func (n *Node) runSharedBatch(p *sim.Proc, req batchOp) {
 	seen := make(map[int]bool)
 	idxPages, dataPages := 0, 0
 	for i := range accs {
-		for _, pg := range accs[i].IndexPages {
+		acc := &accs[i]
+		for _, pg := range acc.IndexPages {
 			n.SharedPagesRequested++
 			if !seen[pg] {
 				seen[pg] = true
@@ -579,7 +580,8 @@ func (n *Node) runSharedBatch(p *sim.Proc, req batchOp) {
 			}
 			n.CPU.Execute(p, n.costs.IndexPageInstr)
 		}
-		for _, pg := range accs[i].DataPages {
+		for j := 0; j < acc.NumDataPages(); j++ {
+			pg := acc.DataPage(j)
 			n.SharedPagesRequested++
 			if !seen[pg] {
 				seen[pg] = true
@@ -597,7 +599,7 @@ func (n *Node) runSharedBatch(p *sim.Proc, req batchOp) {
 
 	var batchBytes int64
 	for i, m := range req.Members {
-		tuples := len(accs[i].Tuples)
+		tuples := accs[i].N
 		n.OpsExecuted++
 		n.TuplesShipped += int64(tuples)
 		n.opsC.Inc()
@@ -625,11 +627,11 @@ func (n *Node) runAuxLookup(p *sim.Proc, req auxLookup) {
 	aux, err := n.auxFor(req.Relation, req.Pred.Attr, req.Backup, req.Epoch)
 	h := n.auxHeat(req.Relation)
 	fspan := n.eng.StartSpan()
-	var procs []int
-	var tids []int64
+	var byProc map[int][]int64
+	var entries int
 	var pages []int
 	if err == nil {
-		procs, tids, pages = aux.Lookup(req.Pred.Lo, req.Pred.Hi)
+		byProc, entries, pages = aux.Lookup(req.Pred.Lo, req.Pred.Hi)
 		for _, pg := range pages {
 			if err = n.Pool.ReadHeat(p, pg, h); err != nil {
 				break
@@ -645,13 +647,9 @@ func (n *Node) runAuxLookup(p *sim.Proc, req auxLookup) {
 		return
 	}
 	n.pagesC.Add(int64(len(pages)))
-	byProc := make(map[int][]int64)
-	for i, proc := range procs {
-		byProc[proc] = append(byProc[proc], tids[i])
-	}
 	n.OpsExecuted++
 	n.opsC.Inc()
-	bytes := len(procs)*auxEntryBytes + controlBytes
+	bytes := entries*auxEntryBytes + controlBytes
 	h.Account(len(pages), 0, int64(bytes), req.Backup)
 	if fspan.Active() {
 		fspan.End(n.ID, "frag", obs.FragID{Relation: req.Relation, Kind: obs.FragAux}.Label(),
@@ -660,11 +658,11 @@ func (n *Node) runAuxLookup(p *sim.Proc, req auxLookup) {
 	n.send(p, epoch, hw.Message{
 		From: n.ID, To: req.ReplyTo, Bytes: bytes,
 		Payload: auxResult{QueryID: req.QueryID, Node: n.ID, TIDsByProc: byProc,
-			Entries: len(procs), Attempt: req.Attempt},
+			Entries: entries, Attempt: req.Attempt},
 	})
 	if span.Active() {
 		span.End(n.ID, "op", "aux-lookup", req.QueryID,
-			fmt.Sprintf("%d entries", len(procs)))
+			fmt.Sprintf("%d entries", entries))
 	}
 }
 
@@ -680,12 +678,12 @@ func (n *Node) chargeAccess(p *sim.Proc, acc storage.Access, h *obs.FragHeat) er
 		}
 		n.CPU.Execute(p, n.costs.IndexPageInstr)
 	}
-	for _, pg := range acc.DataPages {
-		if err := n.Pool.ReadHeat(p, pg, h); err != nil {
+	for i := 0; i < acc.NumDataPages(); i++ {
+		if err := n.Pool.ReadHeat(p, acc.DataPage(i), h); err != nil {
 			return err
 		}
 		n.CPU.Execute(p, n.params.ReadPageInstr)
 	}
-	n.pagesC.Add(int64(len(acc.IndexPages) + len(acc.DataPages)))
+	n.pagesC.Add(int64(acc.PageCount()))
 	return nil
 }

@@ -338,7 +338,13 @@ func (col *collector) accept(c *call, msg any) {
 			Fragment: c.primary, Node: c.target, Backup: c.useBackup, Aux: true,
 		})
 		for proc, tids := range r.TIDsByProc {
-			col.tidsByProc[proc] = append(col.tidsByProc[proc], tids...)
+			// The first answer's list is taken over, not copied: Lookup
+			// caps each list at its length, so appending a later answer
+			// for the same processor copies it first.
+			if have := col.tidsByProc[proc]; have != nil {
+				tids = append(have, tids...)
+			}
+			col.tidsByProc[proc] = tids
 		}
 	case opResult:
 		if col.agg != nil && r.Tuples > 0 {

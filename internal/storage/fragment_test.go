@@ -16,6 +16,25 @@ func mustAcc(acc Access, err error) Access {
 	return acc
 }
 
+// resolved resolves an access's qualifying slots to tuples in the image, in
+// access order (nil when none qualified).
+func resolved(acc Access) []Tuple {
+	var out []Tuple
+	for i := 0; i < acc.N; i++ {
+		out = append(out, *acc.Tuple(i))
+	}
+	return out
+}
+
+// dataPages lists an access's data page requests in order (nil when none).
+func dataPages(acc Access) []int {
+	var out []int
+	for i := 0; i < acc.NumDataPages(); i++ {
+		out = append(out, acc.DataPage(i))
+	}
+	return out
+}
+
 // buildTestFragment creates a fragment over tuples with unique2 = 0..n-1 and
 // unique1 a fixed scrambled permutation, clustered on unique2, indexed on
 // both attributes.
@@ -48,23 +67,17 @@ func TestFragmentLayoutContiguous(t *testing.T) {
 func TestSearchClusteredRange(t *testing.T) {
 	f, _ := buildTestFragment(t, 100)
 	acc := mustAcc(f.SearchClustered(10, 19))
-	if len(acc.Tuples) != 10 {
-		t.Fatalf("matched %d tuples", len(acc.Tuples))
+	if acc.N != 10 || acc.First != 10 || acc.Slots != nil {
+		t.Fatalf("matched slots [%d, +%d) listed %v, want the run [10, +10)", acc.First, acc.N, acc.Slots)
 	}
-	for i, tup := range acc.Tuples {
+	for i, tup := range resolved(acc) {
 		if tup.Attrs[Unique2] != int64(10+i) {
 			t.Fatalf("tuple %d has unique2=%d", i, tup.Attrs[Unique2])
 		}
 	}
 	// Slots 10..19 span pages 2,3,4 contiguously, no repeats.
-	want := []int{2, 3, 4}
-	if len(acc.DataPages) != len(want) {
-		t.Fatalf("data pages = %v", acc.DataPages)
-	}
-	for i := range want {
-		if acc.DataPages[i] != want[i] {
-			t.Fatalf("data pages = %v, want %v", acc.DataPages, want)
-		}
+	if got, want := dataPages(acc), []int{2, 3, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("data pages = %v, want %v", got, want)
 	}
 	if len(acc.IndexPages) == 0 {
 		t.Fatal("clustered search must touch index pages")
@@ -74,7 +87,7 @@ func TestSearchClusteredRange(t *testing.T) {
 func TestSearchClusteredEmptyRange(t *testing.T) {
 	f, _ := buildTestFragment(t, 100)
 	acc := mustAcc(f.SearchClustered(5000, 6000))
-	if len(acc.Tuples) != 0 || len(acc.DataPages) != 0 {
+	if acc.N != 0 || acc.NumDataPages() != 0 {
 		t.Fatal("out-of-range search returned tuples")
 	}
 	if len(acc.IndexPages) == 0 {
@@ -85,13 +98,13 @@ func TestSearchClusteredEmptyRange(t *testing.T) {
 func TestSearchNonClusteredFetchesPerTuple(t *testing.T) {
 	f, _ := buildTestFragment(t, 100)
 	acc := mustAcc(f.SearchNonClustered(Unique1, 0, 9))
-	if len(acc.Tuples) != 10 {
-		t.Fatalf("matched %d tuples", len(acc.Tuples))
+	if acc.N != 10 || len(acc.Slots) != 10 {
+		t.Fatalf("matched %d tuples in %d slots", acc.N, len(acc.Slots))
 	}
-	if len(acc.DataPages) != 10 {
-		t.Fatalf("non-clustered access should fetch one page per tuple, got %d", len(acc.DataPages))
+	if acc.NumDataPages() != 10 {
+		t.Fatalf("non-clustered access should fetch one page per tuple, got %d", acc.NumDataPages())
 	}
-	for i, tup := range acc.Tuples {
+	for i, tup := range resolved(acc) {
 		if tup.Attrs[Unique1] != int64(i) {
 			t.Fatalf("tuples not in index order: %v", tup.Attrs[Unique1])
 		}
@@ -101,23 +114,23 @@ func TestSearchNonClusteredFetchesPerTuple(t *testing.T) {
 func TestSearchNonClusteredSingleTuple(t *testing.T) {
 	f, _ := buildTestFragment(t, 100)
 	acc := mustAcc(f.SearchNonClustered(Unique1, 42, 42))
-	if len(acc.Tuples) != 1 || acc.Tuples[0].Attrs[Unique1] != 42 {
-		t.Fatalf("equality search returned %v", acc.Tuples)
+	if acc.N != 1 || acc.Tuple(0).Attrs[Unique1] != 42 {
+		t.Fatalf("equality search returned %v", resolved(acc))
 	}
 }
 
 func TestFetchTIDs(t *testing.T) {
 	f, _ := buildTestFragment(t, 100)
 	acc := mustAcc(f.FetchTIDs([]int64{5, 50, 95}))
-	if len(acc.Tuples) != 3 || len(acc.DataPages) != 3 {
-		t.Fatalf("fetched %d tuples, %d pages", len(acc.Tuples), len(acc.DataPages))
+	if acc.N != 3 || acc.NumDataPages() != 3 {
+		t.Fatalf("fetched %d tuples, %d pages", acc.N, acc.NumDataPages())
 	}
 	if len(acc.IndexPages) != 0 {
 		t.Fatal("TID fetch must not touch indexes")
 	}
 	for i, want := range []int64{5, 50, 95} {
-		if acc.Tuples[i].TID != want {
-			t.Fatalf("tuple %d TID = %d", i, acc.Tuples[i].TID)
+		if acc.Tuple(i).TID != want {
+			t.Fatalf("tuple %d TID = %d", i, acc.Tuple(i).TID)
 		}
 	}
 }
@@ -144,7 +157,7 @@ func TestEmptyFragment(t *testing.T) {
 		t.Fatal("empty fragment has tuples/pages")
 	}
 	acc := mustAcc(f.SearchClustered(0, 10))
-	if len(acc.Tuples) != 0 {
+	if acc.N != 0 || acc.NumDataPages() != 0 {
 		t.Fatal("empty fragment returned tuples")
 	}
 }
@@ -203,12 +216,9 @@ func TestAuxFragmentLookup(t *testing.T) {
 	if aux.Entries != 4 {
 		t.Fatalf("entries = %d", aux.Entries)
 	}
-	procs, tids, pages := aux.Lookup(15, 27)
-	if len(procs) != 2 || procs[0] != 2 || procs[1] != 2 {
-		t.Fatalf("procs = %v", procs)
-	}
-	if len(tids) != 2 || tids[0] != 200 || tids[1] != 250 {
-		t.Fatalf("tids = %v", tids)
+	byProc, n, pages := aux.Lookup(15, 27)
+	if want := map[int][]int64{2: {200, 250}}; n != 2 || !reflect.DeepEqual(byProc, want) {
+		t.Fatalf("lookup = %d entries %v, want 2 %v", n, byProc, want)
 	}
 	if len(pages) == 0 {
 		t.Fatal("lookup touched no pages")
@@ -255,8 +265,9 @@ func TestFragmentSortsByClusteredAttr(t *testing.T) {
 func TestScan(t *testing.T) {
 	f, _ := buildTestFragment(t, 100)
 	acc := f.Scan(Ten, 3, 3)
-	if len(acc.DataPages) != f.NumDataPages() {
-		t.Fatalf("scan touched %d pages, want all %d", len(acc.DataPages), f.NumDataPages())
+	pages := dataPages(acc)
+	if len(pages) != f.NumDataPages() {
+		t.Fatalf("scan touched %d pages, want all %d", len(pages), f.NumDataPages())
 	}
 	want := 0
 	for _, tup := range f.Tuples {
@@ -264,15 +275,20 @@ func TestScan(t *testing.T) {
 			want++
 		}
 	}
-	if len(acc.Tuples) != want {
-		t.Fatalf("scan matched %d tuples, want %d", len(acc.Tuples), want)
+	if acc.N != want {
+		t.Fatalf("scan matched %d tuples, want %d", acc.N, want)
+	}
+	for _, tup := range resolved(acc) {
+		if tup.Attrs[Ten] != 3 {
+			t.Fatalf("scan matched ten=%d", tup.Attrs[Ten])
+		}
 	}
 	if len(acc.IndexPages) != 0 {
 		t.Fatal("scan must not touch indexes")
 	}
 	// Pages must be sequential for the disk's sequential-access detection.
-	for i := 1; i < len(acc.DataPages); i++ {
-		if acc.DataPages[i] != acc.DataPages[i-1]+1 {
+	for i := 1; i < len(pages); i++ {
+		if pages[i] != pages[i-1]+1 {
 			t.Fatal("scan pages not sequential")
 		}
 	}
@@ -282,7 +298,7 @@ func TestScanEmptyFragment(t *testing.T) {
 	alloc := NewAllocator(100)
 	f := BuildFragment(0, nil, Unique2, smallLayout(), alloc)
 	acc := f.Scan(Ten, 0, 9)
-	if len(acc.Tuples) != 0 || len(acc.DataPages) != 0 {
+	if acc.N != 0 || acc.NumDataPages() != 0 {
 		t.Fatal("empty fragment scan returned something")
 	}
 }
@@ -381,30 +397,33 @@ func FuzzFragmentBuild(f *testing.F) {
 		aux := BuildAux(0, entries, layout, alloc)
 		ref := append([]AuxEntry(nil), entries...)
 		sort.SliceStable(ref, func(i, j int) bool { return ref[i].Value < ref[j].Value })
-		var wantProcs []int
-		var wantTIDs []int64
+		var wantByProc map[int][]int64
+		wantN := 0
 		for _, e := range ref {
 			if e.Value >= qlo && e.Value <= qhi {
-				wantProcs = append(wantProcs, e.Proc)
-				wantTIDs = append(wantTIDs, e.TID)
+				if wantByProc == nil {
+					wantByProc = make(map[int][]int64)
+				}
+				wantByProc[e.Proc] = append(wantByProc[e.Proc], e.TID)
+				wantN++
 			}
 		}
-		procs, gotTIDs, _ := aux.Lookup(qlo, qhi)
-		if !reflect.DeepEqual(procs, wantProcs) || !reflect.DeepEqual(gotTIDs, wantTIDs) {
-			t.Fatalf("aux lookup [%d, %d] = procs %v tids %v, want %v %v",
-				qlo, qhi, procs, gotTIDs, wantProcs, wantTIDs)
+		byProc, n, _ := aux.Lookup(qlo, qhi)
+		if n != wantN || !reflect.DeepEqual(byProc, wantByProc) {
+			t.Fatalf("aux lookup [%d, %d] = %d entries %v, want %d %v",
+				qlo, qhi, n, byProc, wantN, wantByProc)
 		}
 	})
 }
 
-// checkAccess compares an access method's tuples and data pages with the
-// brute-force expectation.
-func checkAccess(t *testing.T, what string, acc Access, tuples []Tuple, pages []int) {
+// checkAccess compares an access method's slot-resolved tuples and data
+// pages with the brute-force expectation.
+func checkAccess(t *testing.T, what string, acc Access, want []Tuple, pages []int) {
 	t.Helper()
-	if !reflect.DeepEqual(acc.Tuples, tuples) {
-		t.Fatalf("%s: got %d tuples %v, want %d %v", what, len(acc.Tuples), acc.Tuples, len(tuples), tuples)
+	if got := resolved(acc); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: got %d tuples %v, want %d %v", what, len(got), got, len(want), want)
 	}
-	if !reflect.DeepEqual(acc.DataPages, pages) {
-		t.Fatalf("%s: data pages %v, want %v", what, acc.DataPages, pages)
+	if got := dataPages(acc); !reflect.DeepEqual(got, pages) {
+		t.Fatalf("%s: data pages %v, want %v", what, got, pages)
 	}
 }
