@@ -59,7 +59,7 @@ func newDegradedRig(t *testing.T) *degradedRig {
 		frag := storage.BuildFragment(i, byHome[i], storage.Unique2, layout, allocs[i])
 		frag.AddIndex(storage.Unique2, allocs[i])
 		frag.AddIndex(storage.Unique1, allocs[i])
-		n.AddFragment(rel.Name, frag)
+		n.Attach(0, rel.Name, Primary, Holding{Frag: frag})
 		r.nodes = append(r.nodes, n)
 		r.disks = append(r.disks, disk)
 	}
@@ -71,7 +71,7 @@ func newDegradedRig(t *testing.T) *degradedRig {
 		frag := storage.BuildFragment(i, byHome[i], storage.Unique2, layout, allocs[b])
 		frag.AddIndex(storage.Unique2, allocs[b])
 		frag.AddIndex(storage.Unique1, allocs[b])
-		r.nodes[b].AddBackupFragment(rel.Name, frag)
+		r.nodes[b].Attach(0, rel.Name, Backup, Holding{Frag: frag})
 	}
 	for _, n := range r.nodes {
 		n.Start()

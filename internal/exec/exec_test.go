@@ -54,7 +54,7 @@ func newRig(t testing.TB, placement core.Placement) *rig {
 		frag := storage.BuildFragment(i, tuples, storage.Unique2, layout, alloc)
 		frag.AddIndex(storage.Unique2, alloc)
 		frag.AddIndex(storage.Unique1, alloc)
-		n.AddFragment(rel.Name, frag)
+		n.Attach(0, rel.Name, Primary, Holding{Frag: frag})
 		n.Start()
 		r.nodes = append(r.nodes, n)
 	}

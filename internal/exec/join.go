@@ -123,18 +123,17 @@ func (n *Node) routeJoinMsg(qid int64, replyTo int, scanners int, msg any) {
 func (n *Node) runJoinScan(p *sim.Proc, req joinScan) {
 	p.SetQID(req.QueryID)
 	epoch := n.epoch
-	h := n.heatFor(req.Relation, false)
-	frag, err := n.fragmentFor(req.Relation, false, req.Epoch)
+	hold, err := n.Resolve(req.Relation, Primary, req.Epoch)
 	var acc storage.Access
 	if err == nil {
-		acc = frag.Scan(req.Pred.Attr, req.Pred.Lo, req.Pred.Hi)
-		err = n.chargeAccess(p, acc, h)
+		acc = hold.Frag.Scan(req.Pred.Attr, req.Pred.Lo, req.Pred.Hi)
+		err = n.chargeAccess(p, acc, hold.Heat)
 	}
 	if err != nil {
 		n.sendError(p, epoch, req.QueryID, req.ReplyTo, 0, err)
 		return
 	}
-	h.Account(len(acc.IndexPages), acc.NumDataPages(), 0, false)
+	hold.Heat.Account(len(acc.IndexPages), acc.NumDataPages(), 0, false)
 	n.OpsExecuted++
 
 	// Split table: partition the qualifying tuples' join keys, read in

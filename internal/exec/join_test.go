@@ -57,7 +57,7 @@ func newJoinRig(t *testing.T, p int, rPl, sPl core.Placement) *joinRig {
 			frag := storage.BuildFragment(i, tuples, storage.Unique2, layout, alloc)
 			frag.AddIndex(storage.Unique2, alloc)
 			frag.AddIndex(storage.Unique1, alloc)
-			n.AddFragment(pair.rel.Name, frag)
+			n.Attach(0, pair.rel.Name, Primary, Holding{Frag: frag})
 		}
 		n.Start()
 	}

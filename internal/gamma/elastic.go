@@ -129,12 +129,12 @@ func (x *elasticExec) Prepare(t rebalance.Transition) (rebalance.Plan, error) {
 		type loc struct{ node, page int }
 		oldLoc := make(map[int64]loc, len(entry.rel.Tuples))
 		for _, phys := range x.topo {
-			frag := m.Nodes[phys].Fragment(name)
-			if frag == nil {
-				continue
+			held, err := m.Nodes[phys].Resolve(name, exec.Primary, t.Gen-1)
+			if err != nil {
+				return rebalance.Plan{}, err
 			}
-			for i, tup := range frag.Tuples {
-				oldLoc[tup.TID] = loc{node: phys, page: frag.DataPageOfSlot(i)}
+			for i, tup := range held.Frag.Tuples {
+				oldLoc[tup.TID] = loc{node: phys, page: held.Frag.DataPageOfSlot(i)}
 			}
 		}
 
@@ -145,12 +145,10 @@ func (x *elasticExec) Prepare(t rebalance.Transition) (rebalance.Plan, error) {
 		newFrags := make([]*storage.Fragment, nNew)
 		for slot := 0; slot < nNew; slot++ {
 			phys := t.Members[slot]
-			n := m.Nodes[phys]
 			s := d.buildSlot(&cfg, slot, m.allocs[phys])
-			n.StageFragment(name, s.frag)
-			m.attachFragHeat(n, name, s.frag, false)
-			newFrags[slot] = s.frag
-			for i, tup := range s.frag.Tuples {
+			m.attach(m.Nodes[phys], t.Gen, name, exec.Primary, s)
+			newFrags[slot] = s.Frag
+			for i, tup := range s.Frag.Tuples {
 				old, ok := oldLoc[tup.TID]
 				if !ok {
 					return rebalance.Plan{}, fmt.Errorf("gamma: tuple %d of %s has no serving copy", tup.TID, name)
@@ -160,12 +158,8 @@ func (x *elasticExec) Prepare(t rebalance.Transition) (rebalance.Plan, error) {
 				}
 				moves = append(moves, rebalance.TupleMove{
 					Src: old.node, Dst: phys,
-					SrcPage: old.page, DstPage: s.frag.DataPageOfSlot(i),
+					SrcPage: old.page, DstPage: s.Frag.DataPageOfSlot(i),
 				})
-			}
-			for k, attr := range d.auxAttrs {
-				n.StageAux(name, attr, s.aux[k])
-				m.attachAuxHeat(n, name, s.aux[k])
 			}
 		}
 		plan.Merge(rebalance.BuildPlan(moves))
@@ -183,21 +177,15 @@ func (x *elasticExec) Prepare(t rebalance.Transition) (rebalance.Plan, error) {
 					continue
 				}
 				phys := t.Members[b]
-				n := m.Nodes[phys]
 				s := d.buildSlot(&cfg, slot, m.allocs[phys])
-				n.StageBackupFragment(name, s.frag)
-				m.attachFragHeat(n, name, s.frag, true)
+				m.attach(m.Nodes[phys], t.Gen, name, exec.Backup, s)
 				src := t.Members[slot]
 				primary := newFrags[slot]
-				for i := range s.frag.Tuples {
+				for i := range s.Frag.Tuples {
 					repl = append(repl, rebalance.TupleMove{
 						Src: src, Dst: phys,
-						SrcPage: primary.DataPageOfSlot(i), DstPage: s.frag.DataPageOfSlot(i),
+						SrcPage: primary.DataPageOfSlot(i), DstPage: s.Frag.DataPageOfSlot(i),
 					})
-				}
-				for k, attr := range d.auxAttrs {
-					n.StageBackupAux(name, attr, s.aux[k])
-					m.attachAuxHeat(n, name, s.aux[k])
 				}
 			}
 			plan.Merge(rebalance.BuildPlan(repl))
@@ -224,36 +212,29 @@ func (x *elasticExec) Cutover(t rebalance.Transition) {
 	x.staged = nil
 }
 
-// attachFragHeat wires a fragment held by node n (its primary, or with
-// backup its chain replica) into the heat map (no-op when heat accounting
-// is off). The accumulator is keyed by the physical node whose disk holds
-// the fragment, so a replica's heat sums into its holder's disk totals and
-// a fragment migrating between nodes shows up as heat moving with it —
-// which is what keeps querytrace -frags and plan explain in agreement
-// mid-rebalance.
-func (m *Machine) attachFragHeat(n *exec.Node, relation string, frag *storage.Fragment, backup bool) {
-	if m.Heat == nil {
-		return
+// attach gives node n its holding of a relation in a role for placement
+// generation gen, first wiring the holding's heat accumulators (nil when
+// heat accounting is off). reset attaches the storage image at generation
+// 0 and Prepare stages every later generation through here. An
+// accumulator is keyed by the physical node whose disk holds the data, so
+// a replica's heat sums into its holder's disk totals and a fragment
+// migrating between nodes shows up as heat moving with it — which is what
+// keeps querytrace -frags and plan explain in agreement mid-rebalance.
+// Primary and backup auxiliary trees on one node share its aux
+// accumulator: both live on the same disk. The heat map lists
+// accumulators in creation order, which orders the heat series, so
+// callers attach in a fixed order: relation by relation, primaries by
+// slot, then backups by slot.
+func (m *Machine) attach(n *exec.Node, gen int, relation string, role exec.Role, h exec.Holding) {
+	h.Heat = m.Heat.Frag(relation, n.ID, role.Kind())
+	h.Heat.AddSize(int64(h.Frag.FootprintPages()))
+	if len(h.Aux) > 0 {
+		h.AuxHeat = m.Heat.Frag(relation, n.ID, obs.FragAux)
+		for _, aux := range h.Aux { // integer sums: map order does not matter
+			h.AuxHeat.AddSize(int64(aux.FootprintPages()))
+		}
 	}
-	kind := obs.FragPrimary
-	if backup {
-		kind = obs.FragBackup
-	}
-	fh := m.Heat.Frag(relation, n.ID, kind)
-	fh.AddSize(int64(frag.FootprintPages()))
-	n.AttachHeat(relation, kind, fh)
-}
-
-// attachAuxHeat does the same for a BERD auxiliary tree. Primary and
-// backup auxiliaries on one node share its aux accumulator: both live on
-// the same disk and serve the same trees.
-func (m *Machine) attachAuxHeat(n *exec.Node, relation string, aux *storage.AuxFragment) {
-	if m.Heat == nil {
-		return
-	}
-	ah := m.Heat.Frag(relation, n.ID, obs.FragAux)
-	ah.AddSize(int64(aux.FootprintPages()))
-	n.AttachHeat(relation, obs.FragAux, ah)
+	n.Attach(gen, relation, role, h)
 }
 
 // registerRebalanceSeries adds migration telemetry to the sampler: the
