@@ -241,7 +241,7 @@ func RunScenario(sc Scenario, copts CampaignOptions) (ScenarioResult, error) {
 				if sc.Elastic != nil {
 					// Each transition rebuilds this strategy's placement at
 					// the new member count.
-					cfg = cfg.With(gamma.WithElastic(gamma.ElasticSpec{
+					cfg.Elastic = &gamma.ElasticSpec{
 						Events:          sc.Elastic.events(),
 						RatePagesPerSec: sc.Elastic.MigrateRate,
 						Rebuild: func(rel *storage.Relation, procs int) (core.Placement, error) {
@@ -249,7 +249,7 @@ func RunScenario(sc Scenario, copts CampaignOptions) (ScenarioResult, error) {
 							o.Processors = procs
 							return BuildPlacement(name, rel, mix, o)
 						},
-					}))
+					}
 				}
 				for _, pt := range loads(v) {
 					pt.Strategy, pt.Variant = name, vi

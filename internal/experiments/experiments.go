@@ -159,9 +159,8 @@ type Options struct {
 
 // ArmTelemetry arms windowed time-series sampling. Prefer these Arm helpers
 // over poking the spec fields directly (the declusterbench plumbing used
-// to): they keep the flag surface and gamma.Config's option constructors in
-// one-to-one correspondence, with gamma.Config.Validate as the single
-// validation path.
+// to): each sets the fields stampSpecs turns into one gamma.Config spec,
+// with gamma.Config.Validate as the single validation path.
 func (o *Options) ArmTelemetry(windowMS float64, capacity int, burnBudget float64) {
 	o.TelemetryWindowMS = windowMS
 	o.TelemetryCapacity = capacity
@@ -309,34 +308,32 @@ func ConfigFor(opts Options) gamma.Config {
 }
 
 // stampSpecs carries the experiment-level subsystem knobs onto the machine
-// config through gamma's option constructors, so every armed spec flows
-// through the same copy-and-validate path a direct gamma user gets. Options
-// wins only when it says something: a nil Options.Faults leaves a Config
-// override's own spec in place.
+// config as fresh specs; gamma.Config.Validate, called by Build, checks
+// them. Options wins only when it says something: a nil Options.Faults
+// leaves a Config override's own spec in place.
 func stampSpecs(cfg gamma.Config, opts Options) gamma.Config {
-	var armed []gamma.Option
 	if opts.Faults != nil {
-		armed = append(armed, gamma.WithFaults(opts.Faults))
+		cfg.Faults = opts.Faults
 	}
 	if opts.ChainedReplicas {
-		armed = append(armed, gamma.WithChainedReplicas())
+		cfg.ChainedReplicas = true
 	}
 	if opts.TelemetryWindowMS > 0 {
-		armed = append(armed, gamma.WithTelemetry(gamma.TelemetrySpec{
+		cfg.Telemetry = &gamma.TelemetrySpec{
 			Window:     sim.Duration(opts.TelemetryWindowMS * float64(sim.Millisecond)),
 			Capacity:   opts.TelemetryCapacity,
 			BurnBudget: opts.BurnBudget,
-		}))
+		}
 	}
 	if opts.Heat {
-		armed = append(armed, gamma.WithHeat(gamma.HeatSpec{TopK: opts.HeatTopK}))
+		cfg.Heat = &gamma.HeatSpec{TopK: opts.HeatTopK}
 	}
 	if opts.SharingArmed() {
-		armed = append(armed, gamma.WithSharing(gamma.SharingSpec{
+		cfg.Sharing = &gamma.SharingSpec{
 			Window: sim.Duration(opts.SharingWindowMS * float64(sim.Millisecond)),
-		}))
+		}
 	}
-	return cfg.With(armed...)
+	return cfg
 }
 
 // Run executes the figure across its strategies and the MPL sweep. It is a

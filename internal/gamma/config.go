@@ -1,71 +1,6 @@
 package gamma
 
-import (
-	"fmt"
-
-	"repro/internal/fault"
-)
-
-// Option composably arms an optional per-run subsystem on a Config. The
-// telemetry, heat and sharing specs follow one pattern — a nil pointer
-// means "off and byte-identical to a build without the subsystem", a
-// non-nil spec arms it with zero values deferring to defaults — and the
-// options are the one sanctioned way to set them: build a Config with
-// DefaultConfig().With(...) instead of poking spec fields directly, and
-// Config.Validate (called by Build) is the single validation path for the
-// result.
-type Option func(*Config)
-
-// WithTelemetry arms windowed time-series sampling.
-func WithTelemetry(spec TelemetrySpec) Option {
-	return func(c *Config) { s := spec; c.Telemetry = &s }
-}
-
-// WithHeat arms fragment-granularity heat accounting.
-func WithHeat(spec HeatSpec) Option {
-	return func(c *Config) { s := spec; c.Heat = &s }
-}
-
-// WithSharing arms the shared-scan manager.
-func WithSharing(spec SharingSpec) Option {
-	return func(c *Config) { s := spec; c.Sharing = &s }
-}
-
-// WithElastic arms elastic cluster membership: planned join/leave/
-// decommission events, throttled fragment rebalancing, and promotion of
-// permanent node crashes into repair tasks.
-func WithElastic(spec ElasticSpec) Option {
-	return func(c *Config) { s := spec; c.Elastic = &s }
-}
-
-// WithFaults arms the deterministic fault injector (and degraded-mode
-// scheduling).
-func WithFaults(spec *fault.Spec) Option {
-	return func(c *Config) { c.Faults = spec }
-}
-
-// WithChainedReplicas mirrors every fragment on its chain successor.
-func WithChainedReplicas() Option {
-	return func(c *Config) { c.ChainedReplicas = true }
-}
-
-// WithMetrics attaches an obs.Registry to the engine.
-func WithMetrics() Option {
-	return func(c *Config) { c.Metrics = true }
-}
-
-// WithSeed sets the machine seed.
-func WithSeed(seed int64) Option {
-	return func(c *Config) { c.Seed = seed }
-}
-
-// With returns a copy of the config with the options applied.
-func (c Config) With(opts ...Option) Config {
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
-}
+import "fmt"
 
 // Validate is the single validation path for a machine configuration:
 // hardware parameters, buffer sizing, the fault spec, every optional

@@ -202,8 +202,10 @@ func checkServedByBackup(t *testing.T, rel *storage.Relation, agg exec.QueryResu
 // error instead of panicking the run.
 func TestDiskFailAggregateAndJoin(t *testing.T) {
 	rel := elasticRelation(t)
-	m := buildRange(t, rel, smallConfig().With(WithChainedReplicas(),
-		WithFaults(&fault.Spec{Events: []fault.Event{{Kind: fault.DiskFail, Node: 1}}})))
+	cfg := smallConfig()
+	cfg.ChainedReplicas = true
+	cfg.Faults = &fault.Spec{Events: []fault.Event{{Kind: fault.DiskFail, Node: 1}}}
+	m := buildRange(t, rel, cfg)
 	_, count, join := shapeQueries(rel)
 	res := submitEach(t, m, nil, count, join)
 	checkServedByBackup(t, rel, res[0])
@@ -217,8 +219,10 @@ func TestDiskFailAggregateAndJoin(t *testing.T) {
 // is abandoned at the query deadline instead of waiting out the crash.
 func TestNodeCrashAggregateAndJoin(t *testing.T) {
 	rel := elasticRelation(t)
-	m := buildRange(t, rel, smallConfig().With(WithChainedReplicas(),
-		WithFaults(&fault.Spec{Events: []fault.Event{{Kind: fault.NodeCrash, Node: 1, Dur: 100 * sim.Second}}})))
+	cfg := smallConfig()
+	cfg.ChainedReplicas = true
+	cfg.Faults = &fault.Spec{Events: []fault.Event{{Kind: fault.NodeCrash, Node: 1, Dur: 100 * sim.Second}}}
+	m := buildRange(t, rel, cfg)
 	_, count, join := shapeQueries(rel)
 	res := submitEach(t, m, nil, count, join)
 	checkServedByBackup(t, rel, res[0])

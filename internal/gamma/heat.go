@@ -20,10 +20,6 @@ type HeatSpec struct {
 	// TopK bounds the HotFragments report and the top-K share index.
 	// Default obs.DefaultHeatTopK (5).
 	TopK int
-	// Decay is the per-window retention of the decayed-heat telemetry
-	// series in (0,1): each window's heat is decay*previous + pages read
-	// this window. Default 0.8. Only used when Telemetry is armed.
-	Decay float64
 }
 
 // topK resolves the hot-fragment report size.
@@ -34,17 +30,10 @@ func (h *HeatSpec) topK() int {
 	return h.TopK
 }
 
-// DefaultHeatDecay is the per-window decayed-heat retention when the spec
-// gives none.
+// DefaultHeatDecay is the per-window retention of the decayed-heat
+// telemetry series: each window's heat is DefaultHeatDecay*previous +
+// pages read this window.
 const DefaultHeatDecay = 0.8
-
-// decay resolves the per-window retention factor.
-func (h *HeatSpec) decay() float64 {
-	if h == nil || h.Decay <= 0 || h.Decay >= 1 {
-		return DefaultHeatDecay
-	}
-	return h.Decay
-}
 
 // validate rejects nonsensical heat parameters (nil is valid: heat off;
 // zero values defer to defaults).
@@ -54,9 +43,6 @@ func (h *HeatSpec) validate() error {
 	}
 	if h.TopK < 0 {
 		return fmt.Errorf("gamma: negative heat top-k %d", h.TopK)
-	}
-	if h.Decay < 0 || h.Decay >= 1 {
-		return fmt.Errorf("gamma: heat decay %v outside [0,1)", h.Decay)
 	}
 	return nil
 }
@@ -70,7 +56,6 @@ func (h *HeatSpec) validate() error {
 // every probe after the heat map was reset) realigns and re-zeroes it.
 func registerHeatSeries(s *obs.Sampler, hm *obs.HeatMap, spec *HeatSpec, strategy string) {
 	frags := hm.Frags()
-	decay := spec.decay()
 	for _, fh := range frags {
 		fh := fh
 		id := fh.ID()
@@ -84,13 +69,13 @@ func registerHeatSeries(s *obs.Sampler, hm *obs.HeatMap, spec *HeatSpec, strateg
 			if d < 0 { // counters were reset: start the decay fresh
 				d, heat = 0, 0
 			}
-			heat = decay*heat + d
+			heat = DefaultHeatDecay*heat + d
 			return heat
 		})
 	}
 	k := spec.topK()
 	s.RegisterLabeled("frag.heat.topk_share", fmt.Sprintf(`k="%d",strategy=%q`, k, strategy),
-		obs.SeriesGauge, heatSharesProbe(frags, decay, func(shares []float64) float64 {
+		obs.SeriesGauge, heatSharesProbe(frags, func(shares []float64) float64 {
 			sort.Sort(sort.Reverse(sort.Float64Slice(shares)))
 			n := k
 			if n > len(shares) {
@@ -103,7 +88,7 @@ func registerHeatSeries(s *obs.Sampler, hm *obs.HeatMap, spec *HeatSpec, strateg
 			return top
 		}))
 	s.RegisterLabeled("frag.heat.hhi", fmt.Sprintf("strategy=%q", strategy),
-		obs.SeriesGauge, heatSharesProbe(frags, decay, func(shares []float64) float64 {
+		obs.SeriesGauge, heatSharesProbe(frags, func(shares []float64) float64 {
 			var hhi float64
 			for _, sh := range shares {
 				hhi += sh * sh
@@ -116,7 +101,7 @@ func registerHeatSeries(s *obs.Sampler, hm *obs.HeatMap, spec *HeatSpec, strateg
 // per-fragment heat vector (independent closure state, so probes need no
 // sampling-order coupling) and reduces the share distribution with f.
 // Reports 0 while no fragment has any decayed heat.
-func heatSharesProbe(frags []*obs.FragHeat, decay float64, f func(shares []float64) float64) obs.Probe {
+func heatSharesProbe(frags []*obs.FragHeat, f func(shares []float64) float64) obs.Probe {
 	prev := make([]float64, len(frags))
 	heat := make([]float64, len(frags))
 	shares := make([]float64, len(frags))
@@ -129,7 +114,7 @@ func heatSharesProbe(frags []*obs.FragHeat, decay float64, f func(shares []float
 			if d < 0 {
 				d, heat[i] = 0, 0
 			}
-			heat[i] = decay*heat[i] + d
+			heat[i] = DefaultHeatDecay*heat[i] + d
 			total += heat[i]
 		}
 		if total <= 0 || len(frags) == 0 {

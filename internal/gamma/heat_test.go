@@ -198,16 +198,7 @@ func TestHeatSpecDefaults(t *testing.T) {
 	if got := s.topK(); got != obs.DefaultHeatTopK {
 		t.Errorf("nil spec topK = %d", got)
 	}
-	if got := (&HeatSpec{}).decay(); got != DefaultHeatDecay {
-		t.Errorf("zero spec decay = %g", got)
-	}
-	if got := (&HeatSpec{TopK: 7, Decay: 0.5}).topK(); got != 7 {
+	if got := (&HeatSpec{TopK: 7}).topK(); got != 7 {
 		t.Errorf("topK = %d, want 7", got)
-	}
-	if got := (&HeatSpec{Decay: 0.5}).decay(); got != 0.5 {
-		t.Errorf("decay = %g, want 0.5", got)
-	}
-	if got := (&HeatSpec{Decay: 1.5}).decay(); got != DefaultHeatDecay {
-		t.Errorf("out-of-range decay = %g, want default", got)
 	}
 }

@@ -33,7 +33,9 @@ func TestSharingOffByDefault(t *testing.T) {
 // a machine with both armed builds, runs, and still answers correctly.
 func TestSharingComposesWithDegradedMode(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig().With(WithSharing(SharingSpec{}), WithChainedReplicas())
+	cfg := smallConfig()
+	cfg.Sharing = &SharingSpec{}
+	cfg.ChainedReplicas = true
 	pl := rangePlacement(rel, cfg)
 	m, err := Build(rel, pl, cfg)
 	if err != nil {
@@ -50,13 +52,14 @@ func TestSharingComposesWithDegradedMode(t *testing.T) {
 
 func TestConfigValidateSpecs(t *testing.T) {
 	rel := smallRelation(t, 0)
-	for name, cfg := range map[string]Config{
-		"neg-share-window": smallConfig().With(WithSharing(SharingSpec{Window: -sim.Second})),
-		"neg-telem-window": smallConfig().With(WithTelemetry(TelemetrySpec{Window: -sim.Second})),
-		"bad-burn":         smallConfig().With(WithTelemetry(TelemetrySpec{BurnBudget: 1.5})),
-		"bad-decay":        smallConfig().With(WithHeat(HeatSpec{Decay: 2})),
-		"neg-topk":         smallConfig().With(WithHeat(HeatSpec{TopK: -1})),
+	for name, arm := range map[string]func(*Config){
+		"neg-share-window": func(c *Config) { c.Sharing = &SharingSpec{Window: -sim.Second} },
+		"neg-telem-window": func(c *Config) { c.Telemetry = &TelemetrySpec{Window: -sim.Second} },
+		"bad-burn":         func(c *Config) { c.Telemetry = &TelemetrySpec{BurnBudget: 1.5} },
+		"neg-topk":         func(c *Config) { c.Heat = &HeatSpec{TopK: -1} },
 	} {
+		cfg := smallConfig()
+		arm(&cfg)
 		if _, err := Build(rel, rangePlacement(rel, cfg), cfg); err == nil {
 			t.Errorf("%s: Build accepted invalid config", name)
 		}
@@ -72,7 +75,7 @@ func sharingRun(t *testing.T, rel *storage.Relation, share bool, mpl int) RunRes
 	cfg := smallConfig()
 	cfg.BufferPages = 6
 	if share {
-		cfg = cfg.With(WithSharing(SharingSpec{Window: 10 * sim.Millisecond}))
+		cfg.Sharing = &SharingSpec{Window: 10 * sim.Millisecond}
 	}
 	m := buildRange(t, rel, cfg)
 	mix := workload.ModerateModerate(rel.Cardinality()).WithHotSpot(0.8, 0.05)
