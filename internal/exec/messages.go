@@ -46,9 +46,9 @@ type startOp struct {
 	// and message duplication: the scheduler's collector matches replies
 	// to their live attempt by it.
 	Attempt int
-	// Backup directs the operator at the node's chained-declustering backup
-	// fragment instead of its primary one.
-	Backup bool
+	// Role directs the operator at the node's primary fragment or its
+	// chained-declustering backup.
+	Role Role
 	// Epoch is the placement generation the query was planned against
 	// (0 when elasticity is off). During a rebalance a node serves the
 	// previous generation's fragments to queries submitted before the
@@ -129,7 +129,7 @@ type auxLookup struct {
 	Pred     core.Predicate
 	ReplyTo  int
 	Attempt  int
-	Backup   bool
+	Role     Role
 	Epoch    int // placement generation, as startOp.Epoch
 }
 
@@ -166,10 +166,10 @@ type batchOp struct {
 	Access   AccessKind
 	ReplyTo  int
 	Members  []batchMember
-	// Backup and Epoch select the fragment exactly as on startOp; members
-	// only batch within one (backup, epoch) group.
-	Backup bool
-	Epoch  int
+	// Role and Epoch select the fragment exactly as on startOp; members
+	// only batch within one (role, epoch) group.
+	Role  Role
+	Epoch int
 }
 
 // attemptTagged is implemented by result messages that echo their dispatch

@@ -73,12 +73,12 @@ func (d *Degraded) available(node int) bool {
 // call tracks one logical operator (work against one primary fragment)
 // through dispatch, retries, and replica rerouting.
 type call struct {
-	primary   int  // placement slot whose fragment the work targets
-	target    int  // physical node the live attempt was sent to
-	attempt   int  // query-unique id of the live attempt
-	retries   int  // redispatches so far
-	useBackup bool // current replica preference
-	done      bool
+	primary int  // placement slot whose fragment the work targets
+	target  int  // physical node the live attempt was sent to
+	attempt int  // query-unique id of the live attempt
+	retries int  // redispatches so far
+	role    Role // current replica preference
+	done    bool
 }
 
 // collector is the Scheduler's state for one query in flight, whatever its
@@ -128,11 +128,10 @@ func (col *collector) backupOf(slot int) int {
 
 // pickTarget chooses the replica to dispatch to, honoring the call's
 // current preference but falling back to whichever copy is available.
-// After it returns true, c.useBackup reports whether the chosen target
-// holds the backup copy.
+// After it returns true, c.role is the copy the chosen target holds.
 func (col *collector) pickTarget(c *call) (int, bool) {
 	prefSlot, altSlot := c.primary, col.backupOf(c.primary)
-	if c.useBackup {
+	if c.role == Backup {
 		prefSlot, altSlot = altSlot, prefSlot
 	}
 	if prefSlot >= 0 {
@@ -142,7 +141,7 @@ func (col *collector) pickTarget(c *call) (int, bool) {
 	}
 	if altSlot >= 0 {
 		if phys := physOf(col.topo, altSlot); col.d.available(phys) {
-			c.useBackup = !c.useBackup
+			c.role = c.role.other()
 			return phys, true
 		}
 	}
@@ -263,7 +262,7 @@ func (col *collector) run(primaries []int) (Outcome, error) {
 				if c.done {
 					continue
 				}
-				c.useBackup = !c.useBackup
+				c.role = c.role.other()
 				if !col.retry(c) {
 					return OutcomeFailed, fmt.Errorf("exec: node %d's operator unresponsive after %d attempts", c.primary, c.retries+1)
 				}
@@ -280,7 +279,7 @@ func (col *collector) run(primaries []int) (Outcome, error) {
 			if !r.Transient {
 				// Fail-stop or routing error: this replica is not coming
 				// back; go to the other one.
-				c.useBackup = !c.useBackup
+				c.role = c.role.other()
 			}
 			if !col.retry(c) {
 				return OutcomeFailed, fmt.Errorf("exec: operator on node %d failed: %s", r.Node, r.Msg)
@@ -299,7 +298,7 @@ func (col *collector) run(primaries []int) (Outcome, error) {
 	return OutcomeOK, nil
 }
 
-// dispatch sends the request for c's current (target, attempt, backup)
+// dispatch sends the request for c's current (target, attempt, role)
 // state: an auxiliary lookup, a shared-scan batch member, or a lone
 // operator. TID-fetch operators carry per-node TID lists and are never
 // batched; every other attempt rides a batch keyed by its replica role and
@@ -311,16 +310,16 @@ func (col *collector) dispatch(c *call) {
 		h.net.Send(col.p, nil, hw.Message{
 			From: h.ID, To: c.target, Bytes: controlBytes,
 			Payload: auxLookup{QueryID: col.qid, Relation: col.relation, Pred: col.pred,
-				ReplyTo: h.ID, Attempt: c.attempt, Backup: c.useBackup, Epoch: col.epoch},
+				ReplyTo: h.ID, Attempt: c.attempt, Role: c.role, Epoch: col.epoch},
 		})
 		return
 	}
 	if col.share {
-		h.Shared.enqueue(c.target, col.relation, col.pred, col.kind, col.qid, c.attempt, c.useBackup, col.epoch)
+		h.Shared.enqueue(c.target, col.relation, col.pred, col.kind, col.qid, c.attempt, c.role, col.epoch)
 		return
 	}
 	op := startOp{QueryID: col.qid, Relation: col.relation, Pred: col.pred, ReplyTo: h.ID,
-		Access: col.kind, Attempt: c.attempt, Backup: c.useBackup, Epoch: col.epoch, Agg: col.agg}
+		Access: col.kind, Attempt: c.attempt, Role: c.role, Epoch: col.epoch, Agg: col.agg}
 	if col.tidsByProc != nil && h.BERDFetchByTID {
 		op.Access = AccessTIDFetch
 		op.TIDs = col.tidsByProc[c.primary]
@@ -335,7 +334,7 @@ func (col *collector) accept(c *call, msg any) {
 	switch r := msg.(type) {
 	case auxResult:
 		col.res.ServedBy = append(col.res.ServedBy, ServedOp{
-			Fragment: c.primary, Node: c.target, Backup: c.useBackup, Aux: true,
+			Fragment: c.primary, Node: c.target, Backup: c.role == Backup, Aux: true,
 		})
 		for proc, tids := range r.TIDsByProc {
 			// The first answer's list is taken over, not copied: Lookup
@@ -352,7 +351,7 @@ func (col *collector) accept(c *call, msg any) {
 		}
 		col.res.Tuples += r.Tuples
 		col.res.ServedBy = append(col.res.ServedBy, ServedOp{
-			Fragment: c.primary, Node: c.target, Backup: c.useBackup, Tuples: r.Tuples,
+			Fragment: c.primary, Node: c.target, Backup: c.role == Backup, Tuples: r.Tuples,
 		})
 	}
 }

@@ -62,7 +62,7 @@ func (s SharingStats) String() string {
 // replica role, and the same placement epoch — a backup-rerouted retry or
 // a pre-cutover query must not share a disk pass with operators reading a
 // different physical fragment. Predicates within a group may differ — the
-// disk pass covers their union. backup and epoch stay zero-valued on a
+// disk pass covers their union. role and epoch stay zero-valued on a
 // fault-free, fixed-membership machine, so its grouping is by fragment and
 // access method alone.
 type shareKey struct {
@@ -70,7 +70,7 @@ type shareKey struct {
 	relation string
 	attr     int
 	access   AccessKind
-	backup   bool
+	role     Role
 	epoch    int
 }
 
@@ -121,9 +121,9 @@ func (s *SharedScans) ResetStats() { s.stats = SharingStats{} }
 // order within a batch is the coordinators' arrival order, which the node
 // preserves when replying, so per-query results are reproducible.
 func (s *SharedScans) enqueue(node int, relation string, pred core.Predicate, access AccessKind,
-	qid int64, attempt int, backup bool, epoch int) {
+	qid int64, attempt int, role Role, epoch int) {
 	k := shareKey{node: node, relation: relation, attr: pred.Attr, access: access,
-		backup: backup, epoch: epoch}
+		role: role, epoch: epoch}
 	b := s.open[k]
 	if b == nil {
 		b = &shareBatch{key: k}
@@ -148,7 +148,7 @@ func (s *SharedScans) flush(fp *sim.Proc, b *shareBatch) {
 		Payload: batchOp{
 			Relation: b.key.relation, Access: b.key.access,
 			ReplyTo: s.h.ID, Members: b.members,
-			Backup: b.key.backup, Epoch: b.key.epoch,
+			Role: b.key.role, Epoch: b.key.epoch,
 		},
 	})
 }
