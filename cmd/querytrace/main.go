@@ -117,7 +117,6 @@ func main() {
 		}
 		cfg := gamma.DefaultConfig()
 		cfg.HW.NumProcessors = *procs
-		cfg.Metrics = true
 		machine, err := gamma.Build(rel, pl, cfg)
 		if err != nil {
 			fatal(err)

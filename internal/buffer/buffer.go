@@ -28,9 +28,6 @@ type Pool struct {
 	inflight map[int]*pendingRead  // physical page -> pending read completion
 
 	hits, misses, evictions int64
-
-	// Registry handles (nil-safe when metrics are disabled).
-	hitsC, missesC, evictionsC *obs.Counter
 }
 
 // NewPool creates a pool of the given capacity over the node's disk.
@@ -40,7 +37,7 @@ func NewPool(e *sim.Engine, name string, capacity int, disk *hw.Disk) *Pool {
 	if capacity < 0 {
 		panic(fmt.Sprintf("buffer: negative capacity %d", capacity))
 	}
-	b := &Pool{
+	return &Pool{
 		eng:      e,
 		name:     name,
 		capacity: capacity,
@@ -49,12 +46,6 @@ func NewPool(e *sim.Engine, name string, capacity int, disk *hw.Disk) *Pool {
 		resident: make(map[int]*list.Element),
 		inflight: make(map[int]*pendingRead),
 	}
-	if reg := e.Metrics(); reg != nil {
-		b.hitsC = reg.Counter(name + ".hits")
-		b.missesC = reg.Counter(name + ".misses")
-		b.evictionsC = reg.Counter(name + ".evictions")
-	}
-	return b
 }
 
 // pendingRead tracks one in-flight disk read: piggybackers wait on tr, and
@@ -82,13 +73,11 @@ func (b *Pool) Read(p *sim.Proc, physPage int) error {
 func (b *Pool) ReadHeat(p *sim.Proc, physPage int, h *obs.FragHeat) error {
 	if b.capacity == 0 {
 		b.misses++
-		b.missesC.Inc()
 		h.BufferMiss()
 		return b.disk.ReadHeat(p, physPage, h)
 	}
 	if el, ok := b.resident[physPage]; ok {
 		b.hits++
-		b.hitsC.Inc()
 		h.BufferHit()
 		b.lru.MoveToFront(el)
 		return nil
@@ -97,13 +86,11 @@ func (b *Pool) ReadHeat(p *sim.Proc, physPage int, h *obs.FragHeat) error {
 		// Another process is already reading this page; piggyback on it and
 		// share its outcome.
 		b.hits++
-		b.hitsC.Inc()
 		h.BufferHit()
 		pr.tr.Wait(p)
 		return pr.err
 	}
 	b.misses++
-	b.missesC.Inc()
 	h.BufferMiss()
 	pr := &pendingRead{tr: sim.NewTrigger(b.eng)}
 	b.inflight[physPage] = pr
@@ -130,7 +117,6 @@ func (b *Pool) insert(physPage int) {
 		b.lru.Remove(oldest)
 		delete(b.resident, oldest.Value.(int))
 		b.evictions++
-		b.evictionsC.Inc()
 	}
 }
 
@@ -174,7 +160,4 @@ func (b *Pool) HitRate() float64 {
 // evicting pages.
 func (b *Pool) ResetStats() {
 	b.hits, b.misses, b.evictions = 0, 0, 0
-	b.hitsC.Reset()
-	b.missesC.Reset()
-	b.evictionsC.Reset()
 }

@@ -127,29 +127,16 @@ type Node struct {
 	// replayed against the buffer pool.
 	SharedPagesRequested int64
 	SharedPagesRead      int64
-
-	// Registry handles (nil-safe when metrics are disabled).
-	opsC    *obs.Counter
-	tuplesC *obs.Counter
-	pagesC  *obs.Counter
-	errsC   *obs.Counter
 }
 
 // NewNode wires a node; its holdings are attached by the machine builder.
 func NewNode(eng *sim.Engine, id int, params hw.Params, costs Costs, net *hw.Network,
 	cpu *hw.CPU, disk *hw.Disk, pool *buffer.Pool) *Node {
-	n := &Node{
+	return &Node{
 		ID: id, CPU: cpu, Disk: disk, Pool: pool,
 		joins:  make(map[int64]*joinWorker),
 		params: params, costs: costs, net: net, eng: eng,
 	}
-	if reg := eng.Metrics(); reg != nil {
-		n.opsC = reg.Counter(fmt.Sprintf("node%d.ops", id))
-		n.tuplesC = reg.Counter(fmt.Sprintf("node%d.tuples_selected", id))
-		n.pagesC = reg.Counter(fmt.Sprintf("node%d.pages_scanned", id))
-		n.errsC = reg.Counter(fmt.Sprintf("node%d.op_errors", id))
-	}
-	return n
 }
 
 // Attach gives the node its holding of a relation in a role for placement
@@ -239,8 +226,7 @@ func (n *Node) Restart() {
 	n.net.Inbox(n.ID).SetDrop(false)
 }
 
-// ResetStats clears the node's operator counters (post warm-up). The
-// registry counters are reset wholesale by the caller via Registry.Reset.
+// ResetStats clears the node's operator counters (post warm-up).
 func (n *Node) ResetStats() {
 	n.OpsExecuted, n.TuplesShipped = 0, 0
 	n.SharedPagesRequested, n.SharedPagesRead = 0, 0
@@ -259,7 +245,6 @@ func (n *Node) send(p *sim.Proc, epoch int, msg hw.Message) {
 // sendError reports an operator failure to the scheduler.
 func (n *Node) sendError(p *sim.Proc, epoch int, req int64, replyTo, attempt int, err error) {
 	n.OpErrors++
-	n.errsC.Inc()
 	n.send(p, epoch, hw.Message{
 		From: n.ID, To: replyTo, Bytes: controlBytes,
 		Payload: opError{
@@ -336,8 +321,6 @@ func (n *Node) runSelect(p *sim.Proc, req startOp) {
 		return
 	}
 	n.OpsExecuted++
-	n.opsC.Inc()
-	n.tuplesC.Add(int64(acc.N))
 
 	bytes := controlBytes
 	var value int64
@@ -448,15 +431,12 @@ func (n *Node) runSharedBatch(p *sim.Proc, req batchOp) {
 			n.CPU.Execute(p, n.params.ReadPageInstr)
 		}
 	}
-	n.pagesC.Add(int64(idxPages + dataPages))
 
 	var batchBytes int64
 	for i, m := range req.Members {
 		tuples := accs[i].N
 		n.OpsExecuted++
 		n.TuplesShipped += int64(tuples)
-		n.opsC.Inc()
-		n.tuplesC.Add(int64(tuples))
 		bytes := n.params.TupleBytes(tuples) + controlBytes
 		batchBytes += int64(bytes)
 		n.send(p, epoch, hw.Message{
@@ -506,9 +486,7 @@ func (n *Node) runAuxLookup(p *sim.Proc, req auxLookup) {
 		}
 		return
 	}
-	n.pagesC.Add(int64(len(pages)))
 	n.OpsExecuted++
-	n.opsC.Inc()
 	bytes := entries*auxEntryBytes + controlBytes
 	hold.AuxHeat.Account(len(pages), 0, int64(bytes), role == Backup)
 	if fspan.Active() {
@@ -544,6 +522,5 @@ func (n *Node) chargeAccess(p *sim.Proc, acc storage.Access, h *obs.FragHeat) er
 		}
 		n.CPU.Execute(p, n.params.ReadPageInstr)
 	}
-	n.pagesC.Add(int64(acc.PageCount()))
 	return nil
 }

@@ -11,6 +11,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/gamma"
 	"repro/internal/sim"
@@ -98,8 +99,8 @@ func (r ScenarioResult) Degraded() []DegradedResult {
 }
 
 // Outcomes sums the outcome tallies across every measured point.
-func (dr DegradedResult) Outcomes() gamma.Outcomes {
-	var o gamma.Outcomes
+func (dr DegradedResult) Outcomes() exec.Outcomes {
+	var o exec.Outcomes
 	for _, p := range dr.Points {
 		o.Add(p.Result.Outcomes)
 	}

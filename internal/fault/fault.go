@@ -230,8 +230,7 @@ type Injector struct {
 	targets Targets
 	streams *rng.Factory
 
-	log     []Record
-	faultsC *obs.Counter
+	log []Record
 
 	// OnEvent, when non-nil, observes every applied fault event after its
 	// effect has taken hold. The machine layer uses it to promote permanent
@@ -243,11 +242,7 @@ type Injector struct {
 // per-disk rng streams ("fault.mtbf.<node>"); it may be nil when the spec
 // schedules explicit events only.
 func NewInjector(eng *sim.Engine, spec Spec, view *View, targets Targets, streams *rng.Factory) *Injector {
-	in := &Injector{eng: eng, spec: spec, view: view, targets: targets, streams: streams}
-	if reg := eng.Metrics(); reg != nil {
-		in.faultsC = reg.Counter("fault.injected")
-	}
-	return in
+	return &Injector{eng: eng, spec: spec, view: view, targets: targets, streams: streams}
 }
 
 // Start schedules every event in the spec and spawns the MTBF fault
@@ -356,11 +351,10 @@ func (in *Injector) apply(ev Event) {
 	}
 }
 
-// record appends to the fault-event log and mirrors the fault into metrics
-// and the trace.
+// record appends to the fault-event log and mirrors the fault into the
+// trace.
 func (in *Injector) record(k Kind, node int, detail string) {
 	in.log = append(in.log, Record{T: int64(in.eng.Now()), Kind: k.String(), Node: node, Detail: detail})
-	in.faultsC.Inc()
 	if in.eng.Tracing() {
 		name := k.String()
 		if detail != "" {

@@ -38,12 +38,6 @@ type Config struct {
 	// BERDFetchByTID switches BERD's second step to per-TID fetches
 	// instead of predicate re-execution (ablation; see exec.Host).
 	BERDFetchByTID bool
-	// Metrics attaches an obs.Registry to the engine: facilities, disks,
-	// buffer pools and the execution layer register latency histograms and
-	// counters, and Run snapshots them into the result. Off by default —
-	// the simulation schedule is identical either way, it only adds
-	// bookkeeping cost.
-	Metrics bool
 	// Telemetry, when non-nil, arms windowed time-series sampling: every
 	// reset builds a fresh obs.Sampler with per-node disk/CPU probes and
 	// skew gauges, Run drives it on sim-time windows, and results carry the
@@ -396,9 +390,6 @@ func (m *Machine) reset() {
 		pPhys += cfg.Elastic.schedule().Joins()
 	}
 	eng := sim.New()
-	if cfg.Metrics {
-		eng.SetMetrics(obs.NewRegistry())
-	}
 	streams := rng.NewFactory(cfg.Seed)
 
 	// Operator nodes carry CPUs; the host endpoint (index pPhys) is an

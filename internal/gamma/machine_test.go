@@ -612,52 +612,6 @@ func TestRunNodeStatsAndSkew(t *testing.T) {
 	if res.DiskSkew < 1 || res.CPUSkew < 1 {
 		t.Errorf("skew ratios below 1: disk %g cpu %g", res.DiskSkew, res.CPUSkew)
 	}
-	if res.Metrics != nil {
-		t.Error("Metrics snapshot present without Config.Metrics")
-	}
-}
-
-func TestRunMetricsSnapshot(t *testing.T) {
-	rel := smallRelation(t, 0)
-	cfg := smallConfig()
-	cfg.Metrics = true
-	m := buildRange(t, rel, cfg)
-	mix := workload.LowLow(rel.Cardinality())
-	spec := RunSpec{MPL: 4, WarmupQueries: 20, MeasureQueries: 100}
-	res, err := m.Run(mix, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics == nil {
-		t.Fatal("Config.Metrics on but no snapshot")
-	}
-	// Warm-up was discarded by Registry.Reset, so the completion counter
-	// matches the measurement window exactly.
-	if got := res.Metrics.Counters["query.completed"]; got != int64(res.Completed) {
-		t.Errorf("query.completed = %d, want %d", got, res.Completed)
-	}
-	if h, ok := res.Metrics.Histograms["query.response_ms"]; !ok || h.N != int64(res.Completed) {
-		t.Errorf("query.response_ms histogram = %+v", h)
-	}
-	if res.Metrics.Gauges["node0.disk.util"] != res.NodeStats[0].DiskUtil {
-		t.Error("per-node gauge disagrees with NodeStats")
-	}
-	// Disk facilities register wait/service histograms.
-	if h, ok := res.Metrics.Histograms["disk0.service_ms"]; !ok || h.N == 0 {
-		t.Errorf("disk0.service_ms missing or empty: %+v", h)
-	}
-
-	// Metrics must be pure bookkeeping: identical simulation schedule, so
-	// identical throughput to a metrics-off run of the same spec.
-	plain := buildRange(t, rel, smallConfig())
-	base, err := plain.Run(mix, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.ThroughputQPS != res.ThroughputQPS || base.MeanResponseMS != res.MeanResponseMS {
-		t.Errorf("metrics changed the simulation: %g/%g vs %g/%g q/s",
-			res.ThroughputQPS, res.MeanResponseMS, base.ThroughputQPS, base.MeanResponseMS)
-	}
 }
 
 func almostEq(a, b, eps float64) bool {

@@ -53,35 +53,6 @@ type NodeUtil struct {
 	TuplesShipped int64   `json:"tuples_shipped"`
 }
 
-// Outcomes tallies per-query outcomes over the measurement window. All
-// zeroes except OK on a fault-free machine.
-type Outcomes struct {
-	OK       int `json:"ok"`
-	Retried  int `json:"retried"`
-	TimedOut int `json:"timed_out"`
-	Failed   int `json:"failed"`
-}
-
-// Add accumulates another tally into o.
-func (o *Outcomes) Add(p Outcomes) {
-	o.OK += p.OK
-	o.Retried += p.Retried
-	o.TimedOut += p.TimedOut
-	o.Failed += p.Failed
-}
-
-// Succeeded reports the queries that produced full results.
-func (o Outcomes) Succeeded() int { return o.OK + o.Retried }
-
-// Total reports all completions, including abandoned queries.
-func (o Outcomes) Total() int { return o.OK + o.Retried + o.TimedOut + o.Failed }
-
-// String renders the tally in the fixed order the CI smoke greps for.
-func (o Outcomes) String() string {
-	return fmt.Sprintf("ok=%d retried=%d timed_out=%d failed=%d",
-		o.OK, o.Retried, o.TimedOut, o.Failed)
-}
-
 // RunResult summarizes a measurement window.
 type RunResult struct {
 	Strategy        string
@@ -107,10 +78,6 @@ type RunResult struct {
 	NodeStats []NodeUtil `json:"node_stats,omitempty"`
 	DiskSkew  float64    `json:"disk_skew,omitempty"`
 	CPUSkew   float64    `json:"cpu_skew,omitempty"`
-	// Metrics carries the engine registry snapshot when Config.Metrics is
-	// on: latency histograms (queueing vs service per facility), buffer
-	// and network counters, query fan-out and response distributions.
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 	// Series is the windowed time-series snapshot when Config.Telemetry is
 	// armed: per-node utilization/queue-depth and machine skew over the
 	// measurement window (the sampler is rebased at the warm-up boundary).
@@ -133,7 +100,7 @@ type RunResult struct {
 	// window (Completed and the response statistics cover only the
 	// successful ones); RetriesTotal counts operator redispatches;
 	// FaultLog is the injector's applied-fault log for the whole run.
-	Outcomes     Outcomes       `json:"outcomes,omitempty"`
+	Outcomes     exec.Outcomes  `json:"outcomes,omitempty"`
 	RetriesTotal int64          `json:"retries_total,omitempty"`
 	FaultLog     []fault.Record `json:"fault_log,omitempty"`
 }
@@ -184,7 +151,7 @@ func (m *Machine) Run(mix workload.Mix, spec RunSpec) (RunResult, error) {
 		tuples      stats.Accumulator
 		diskReads0  int64
 		perClass    = map[string]*classAcc{}
-		outcomes    Outcomes
+		outcomes    exec.Outcomes
 		retriesTot  int64
 	)
 	target := spec.WarmupQueries + spec.MeasureQueries
@@ -197,16 +164,7 @@ func (m *Machine) Run(mix workload.Mix, spec RunSpec) (RunResult, error) {
 				res := m.Host.Submit(p, plan.Select(m.Relation.Name, pred, access(pred)))
 				completed++
 				if measuring {
-					switch res.Outcome {
-					case exec.OutcomeOK:
-						outcomes.OK++
-					case exec.OutcomeRetried:
-						outcomes.Retried++
-					case exec.OutcomeTimedOut:
-						outcomes.TimedOut++
-					case exec.OutcomeFailed:
-						outcomes.Failed++
-					}
+					outcomes.Count(res.Outcome)
 					retriesTot += int64(res.Retries)
 					// Abandoned queries count toward the window's completions
 					// but not its performance statistics: a timed-out query
@@ -267,14 +225,6 @@ func (m *Machine) Run(mix workload.Mix, spec RunSpec) (RunResult, error) {
 	}
 	out.MeanResponseMS, _ = resp.Interval(10)
 	out.P95ResponseMS = resp.Percentile(95)
-	if reg := eng.Metrics(); reg != nil {
-		for _, u := range out.NodeStats {
-			reg.Gauge(fmt.Sprintf("node%d.cpu.util", u.Node)).Set(u.CPUUtil)
-			reg.Gauge(fmt.Sprintf("node%d.disk.util", u.Node)).Set(u.DiskUtil)
-		}
-		snap := reg.Snapshot()
-		out.Metrics = &snap
-	}
 	out.PerClass = make(map[string]ClassStats, len(perClass))
 	for name, ca := range perClass {
 		clsMean, _ := ca.resp.Interval(10)
@@ -365,9 +315,6 @@ func (m *Machine) resetStats() {
 	m.Heat.Reset()
 	if m.Host.Shared != nil {
 		m.Host.Shared.ResetStats()
-	}
-	if reg := m.Eng.Metrics(); reg != nil {
-		reg.Reset()
 	}
 }
 

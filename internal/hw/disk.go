@@ -59,10 +59,6 @@ type Disk struct {
 	degrade    float64             // latency multiplier; <=1 means nominal
 	pendingErr map[*sim.Proc]error // error to deliver to a parked requester
 	ioErrors   int64               // requests that completed with an error
-
-	// Registry handles (nil-safe when metrics are disabled).
-	waitH *obs.Histogram
-	svcH  *obs.Histogram
 }
 
 type diskReq struct {
@@ -83,10 +79,6 @@ func NewDisk(e *sim.Engine, name string, params Params, cpu *CPU, lat *rng.Sourc
 		dirUp: true, lastPage: -1,
 	}
 	d.util.Set(float64(e.Now()), 0)
-	if reg := e.Metrics(); reg != nil {
-		d.waitH = reg.Histogram(name + ".wait_ms")
-		d.svcH = reg.Histogram(name + ".service_ms")
-	}
 	return d
 }
 
@@ -219,10 +211,8 @@ func (d *Disk) startNext() {
 
 	t := d.stretch(d.serviceTime(req.physPage))
 	d.svc.Add(t.Milliseconds())
-	d.svcH.Observe(t.Milliseconds())
 	waitMS := sim.Duration(d.eng.Now() - req.arrived).Milliseconds()
 	d.wait.Add(waitMS)
-	d.waitH.Observe(waitMS)
 	req.heat.DiskWait(int64(d.eng.Now() - req.arrived))
 	d.headCyl = d.params.Cylinder(req.physPage)
 	d.lastPage = req.physPage
@@ -376,7 +366,5 @@ func (d *Disk) ResetStats() {
 	d.reads, d.writes, d.seqHits = 0, 0, 0
 	d.svc.Reset()
 	d.wait.Reset()
-	d.waitH.Reset()
-	d.svcH.Reset()
 	d.util.ResetAt(float64(d.eng.Now()))
 }

@@ -38,10 +38,6 @@ type Network struct {
 	params Params
 	nics   []*NIC
 
-	// Registry handles (nil-safe when metrics are disabled).
-	packetsC *obs.Counter
-	bytesC   *obs.Counter
-
 	faults *netFaults // nil unless fault injection armed them
 }
 
@@ -137,10 +133,6 @@ func (f *netFaults) deliveries(node int) int {
 // receive-interrupt charge.
 func NewNetwork(e *sim.Engine, params Params, cpus []*CPU) *Network {
 	n := &Network{eng: e, params: params, nics: make([]*NIC, len(cpus))}
-	if reg := e.Metrics(); reg != nil {
-		n.packetsC = reg.Counter("net.packets")
-		n.bytesC = reg.Counter("net.bytes")
-	}
 	for i := range cpus {
 		nic := &NIC{
 			node:  i,
@@ -202,8 +194,6 @@ func (n *Network) Send(p *sim.Proc, cpu *CPU, msg Message) {
 		src.out.Use(p, n.params.WireTime(chunk))
 		src.sent++
 		src.bytesSent += int64(chunk)
-		n.packetsC.Inc()
-		n.bytesC.Add(int64(chunk))
 		if n.eng.Tracing() {
 			n.eng.EmitNow(obs.TraceEvent{
 				Node: msg.From, Kind: obs.KindInstant, Category: "net",
@@ -249,6 +239,4 @@ func (n *Network) ResetStats() {
 		nic.sent, nic.received, nic.bytesSent = 0, 0, 0
 		nic.out.ResetStats()
 	}
-	n.packetsC.Reset()
-	n.bytesC.Reset()
 }

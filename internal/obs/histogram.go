@@ -25,9 +25,8 @@ var invLogGrowth = 1 / math.Log(Growth)
 // error whatever the run length. Non-positive samples (a zero-length
 // service, say) are counted exactly in a dedicated zero bucket.
 //
-// All methods are concurrent-safe: a registry shared across harness
-// workers (or snapshotted by the live /metrics endpoint mid-run) may
-// observe and summarize the same histogram from different goroutines.
+// All methods are concurrent-safe, so one histogram may be observed and
+// summarized from different goroutines.
 type Histogram struct {
 	mu      sync.Mutex
 	n       int64
@@ -257,7 +256,18 @@ func (h *Histogram) Reset() {
 	}
 }
 
-// Stats summarizes the histogram for snapshots.
+// HistogramStats is the serializable summary of one histogram.
+type HistogramStats struct {
+	N    int64   `json:"n"`
+	Mean float64 `json:"mean"`
+	Min  float64 `json:"min"`
+	Max  float64 `json:"max"`
+	P50  float64 `json:"p50"`
+	P90  float64 `json:"p90"`
+	P99  float64 `json:"p99"`
+}
+
+// Stats summarizes the histogram.
 func (h *Histogram) Stats() HistogramStats {
 	if h == nil {
 		return HistogramStats{}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -223,5 +224,36 @@ func TestHistogramQuantileNegativeSamples(t *testing.T) {
 			t.Fatalf("Quantile not monotone: Quantile(%g) = %g < %g", p, q, prev)
 		}
 		prev = q
+	}
+}
+
+// TestHistogramConcurrentMerge checks Merge against opposite-direction
+// merges (a classic lock-ordering deadlock shape) and concurrent observes.
+func TestHistogramConcurrentMerge(t *testing.T) {
+	a, b := NewHistogram(), NewHistogram()
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			a.Observe(float64(i))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			a.Merge(b)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			b.Observe(1)
+			b.Merge(a)
+		}
+	}()
+	wg.Wait()
+	if a.N() < 500 {
+		t.Errorf("a.N() = %d, want >= 500", a.N())
 	}
 }

@@ -1,13 +1,14 @@
 // Package obs is the simulator's structured observability layer: typed
 // trace events with pluggable sinks (Chrome trace JSON for Perfetto, JSONL,
-// or in-process collectors) and a metrics registry of named counters,
-// gauges, and log-bucketed latency histograms.
+// or in-process collectors), critical-path and per-fragment analysis of a
+// collected trace, windowed telemetry series, per-fragment heat, and
+// log-bucketed latency histograms.
 //
 // The package is deliberately free of simulation dependencies — times are
 // plain int64 nanoseconds of simulated time — so internal/sim can own a
-// Sink and a *Registry without an import cycle. Everything is zero-cost
-// when disabled: a nil *Registry hands out nil metric handles, and every
-// handle method is a no-op on a nil receiver, so instrumented code needs no
+// Sink without an import cycle. Tracing is zero-cost when disabled: the
+// engine emits only when a sink is attached, and a nil *FragHeat or
+// *Sampler accepts every call as a no-op, so instrumented code needs no
 // conditional at the call site.
 //
 // Within one simulation engine all emission is single-threaded (the kernel

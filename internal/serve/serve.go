@@ -121,30 +121,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// OutcomeCounts tallies completed queries by execution outcome.
-type OutcomeCounts struct {
-	OK       int64 `json:"ok"`
-	Retried  int64 `json:"retried"`
-	TimedOut int64 `json:"timed_out"`
-	Failed   int64 `json:"failed"`
-}
-
-func (o *OutcomeCounts) add(out exec.Outcome) {
-	switch out {
-	case exec.OutcomeOK:
-		o.OK++
-	case exec.OutcomeRetried:
-		o.Retried++
-	case exec.OutcomeTimedOut:
-		o.TimedOut++
-	case exec.OutcomeFailed:
-		o.Failed++
-	}
-}
-
-// Total sums the tallies.
-func (o OutcomeCounts) Total() int64 { return o.OK + o.Retried + o.TimedOut + o.Failed }
-
 // Result is one serving run's measured statistics (the post-warm-up
 // window only).
 type Result struct {
@@ -152,7 +128,7 @@ type Result struct {
 	OfferedQPS float64     `json:"offered_qps"`
 
 	SLO      SLOStats      `json:"slo"`
-	Outcomes OutcomeCounts `json:"outcomes"`
+	Outcomes exec.Outcomes `json:"outcomes"`
 
 	MeasuredStart sim.Time `json:"measured_start_ns"`
 	MeasuredEnd   sim.Time `json:"measured_end_ns"`
@@ -337,7 +313,7 @@ type frontend struct {
 	nextID         int64
 	completedTotal int64
 	inflight       int // queries currently executing (telemetry probe)
-	outcomes       OutcomeCounts
+	outcomes       exec.Outcomes
 	warmed         bool
 	done           bool
 	measuredStart  sim.Time
@@ -411,7 +387,7 @@ func (f *frontend) worker(p *sim.Proc) {
 		waitMS := sim.Duration(wait).Milliseconds()
 		latencyMS := sim.Duration(p.Now() - item.arrived).Milliseconds()
 		f.tracker.Complete(item.tenant, waitMS, latencyMS, res.Outcome.Succeeded())
-		f.outcomes.add(res.Outcome)
+		f.outcomes.Count(res.Outcome)
 		f.completedTotal++
 		f.advance(p)
 	}
@@ -424,7 +400,7 @@ func (f *frontend) advance(p *sim.Proc) {
 			f.warmed = true
 			f.measuredStart = p.Now()
 			f.tracker.Reset()
-			f.outcomes = OutcomeCounts{}
+			f.outcomes = exec.Outcomes{}
 			if f.cfg.OnWarm != nil {
 				f.cfg.OnWarm()
 			}

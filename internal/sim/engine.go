@@ -112,11 +112,10 @@ type Engine struct {
 	// idle holds the coroutines of finished processes, each parked in its
 	// loop until Spawn hands it the next body, so the pool is bounded by
 	// the peak number of live processes.
-	idle    []*coro
-	parked  int           // processes blocked with no scheduled event
-	sink    obs.Sink      // structured trace sink; nil = tracing disabled
-	metrics *obs.Registry // metrics registry; nil = metrics disabled
-	stats   Stats
+	idle   []*coro
+	parked int      // processes blocked with no scheduled event
+	sink   obs.Sink // structured trace sink; nil = tracing disabled
+	stats  Stats
 }
 
 // Stats counts what the kernel itself has done since New: the simulator's
@@ -185,15 +184,6 @@ func (e *Engine) EmitNow(ev obs.TraceEvent) {
 	ev.T = int64(e.now)
 	e.sink.Emit(ev)
 }
-
-// SetMetrics attaches a metrics registry. Facilities and higher layers
-// fetch their metric handles from it at construction, so the registry must
-// be attached before the machine is built. Pass nil to disable (the
-// default): a nil registry hands out nil handles whose methods no-op.
-func (e *Engine) SetMetrics(r *obs.Registry) { e.metrics = r }
-
-// Metrics returns the attached registry, or nil when metrics are disabled.
-func (e *Engine) Metrics() *obs.Registry { return e.metrics }
 
 func (e *Engine) nextSeq() uint64 {
 	e.seq++

@@ -42,11 +42,6 @@ type Facility struct {
 	served  int64
 	svcTime stats.Accumulator // service durations, ms
 	wait    stats.Accumulator // queueing delays (excluding service), ms
-
-	// Registry handles (nil when the engine has no metrics registry; all
-	// methods no-op on nil).
-	waitH *obs.Histogram
-	svcH  *obs.Histogram
 }
 
 type facRequest struct {
@@ -59,18 +54,11 @@ type facRequest struct {
 	next    *facRequest
 }
 
-// NewFacility creates a facility attached to the engine. When the engine
-// carries a metrics registry, the facility registers "<name>.wait_ms" and
-// "<name>.service_ms" latency histograms separating queueing delay from
-// service time.
+// NewFacility creates a facility attached to the engine.
 func NewFacility(e *Engine, name string) *Facility {
 	f := &Facility{eng: e, name: name, node: obs.NoNode, category: "facility"}
 	f.util.Set(float64(e.now), 0)
 	f.qlen.Set(float64(e.now), 0)
-	if reg := e.Metrics(); reg != nil {
-		f.waitH = reg.Histogram(name + ".wait_ms")
-		f.svcH = reg.Histogram(name + ".service_ms")
-	}
 	return f
 }
 
@@ -177,7 +165,6 @@ func (f *Facility) serve(req *facRequest) {
 	f.curSpan = f.eng.StartSpan()
 	waitMS := Duration(now - req.arrived).Milliseconds()
 	f.wait.Add(waitMS)
-	f.waitH.Observe(waitMS)
 	f.eng.ScheduleHandler(req.service, f)
 }
 
@@ -189,7 +176,6 @@ func (f *Facility) HandleEvent() {
 	req := f.cur
 	f.served++
 	f.svcTime.Add(req.service.Milliseconds())
-	f.svcH.Observe(req.service.Milliseconds())
 	f.curSpan.End(f.node, f.category, req.p.name, req.qid, "")
 	f.eng.Wake(req.p)
 	f.recycle(req)
@@ -231,14 +217,11 @@ func (f *Facility) MeanWaitMS() float64 { return f.wait.Mean() }
 func (f *Facility) MeanServiceMS() float64 { return f.svcTime.Mean() }
 
 // ResetStats restarts utilization/queue-length averaging at the current time
-// and clears counters and registered histograms; used to discard warm-up
-// transients.
+// and clears the counters; used to discard warm-up transients.
 func (f *Facility) ResetStats() {
 	f.util.ResetAt(float64(f.eng.now))
 	f.qlen.ResetAt(float64(f.eng.now))
 	f.served = 0
 	f.svcTime.Reset()
 	f.wait.Reset()
-	f.waitH.Reset()
-	f.svcH.Reset()
 }
