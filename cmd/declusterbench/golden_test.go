@@ -48,6 +48,7 @@ var goldenCases = []struct {
 	{"degraded", small("-fig", "8a", "-mpl", "1,4", "-faults", "0,1")},
 	{"sharing", small("-share", "-mpl", "8")},
 	{"open", small("-open", "-lambda", "100,400", "-ts-window", "250ms", "-detail", "-heatmap")},
+	{"open_kill", small("-open", "-lambda", "100", "-kill-disk", "1@2ms")},
 	{"scaleout", small("-fig", "none", "-scaleout")},
 	// The elasticity case uses the CI smoke's arguments: a small cluster
 	// where both the join and the decommission cut over.

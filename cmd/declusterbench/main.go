@@ -443,9 +443,10 @@ func run() int {
 			p.sharing(res)
 		default:
 			archive.Figures, heat = p.closed(res)
-			if opts.Faults.Enabled() {
-				fmt.Printf("fault outcomes: %s\n", res.Outcomes())
-			}
+		}
+		// The degraded campaign prints its own line per figure.
+		if opts.Faults.Enabled() && label != "degraded" {
+			fmt.Printf("fault outcomes: %s\n", res.Outcomes())
 		}
 		if *heatmapDir != "" {
 			if err := writeHeatCSVs(*heatmapDir, heat); err != nil {
