@@ -296,11 +296,11 @@ func TestDefaultConfigSane(t *testing.T) {
 	if cfg.HW.NumProcessors != 32 {
 		t.Fatalf("default processors = %d", cfg.HW.NumProcessors)
 	}
-	if cfg.ClusteredAttr != storage.Unique2 {
-		t.Fatal("default clustered attribute must be unique2 (B)")
+	if clusteredAttr != storage.Unique2 {
+		t.Fatal("the clustered attribute must be unique2 (B)")
 	}
-	if len(cfg.NonClusteredAttrs) != 1 || cfg.NonClusteredAttrs[0] != storage.Unique1 {
-		t.Fatal("default non-clustered attribute must be unique1 (A)")
+	if nonClusteredAttr != storage.Unique1 {
+		t.Fatal("the non-clustered attribute must be unique1 (A)")
 	}
 }
 
