@@ -133,7 +133,6 @@ func (m *Machine) Run(mix workload.Mix, spec RunSpec) (RunResult, error) {
 	m.reset()
 	eng := m.Eng
 	access := mix.AccessChooser()
-	m.Host.SetAccessPolicy(m.Relation.Name, access)
 	card := m.Relation.Cardinality()
 	streams := rng.NewFactory(seed)
 
