@@ -192,10 +192,6 @@ type Host struct {
 	// one disk pass.
 	Shared *SharedScans
 
-	// accessPolicy resolves plan.AccessAuto scans per relation (set via
-	// SetAccessPolicy, typically from the workload mix's chooser).
-	accessPolicy map[string]AccessChooser
-
 	nextQID     int64
 	nextAttempt int
 	pending     map[int64]*sim.Mailbox[any]
@@ -211,9 +207,8 @@ func NewHost(eng *sim.Engine, id int, params hw.Params, net *hw.Network, costs C
 	return &Host{
 		ID: id, net: net, eng: eng,
 		params: params, costs: costs,
-		placements:   make(map[string]core.Placement),
-		accessPolicy: make(map[string]AccessChooser),
-		pending:      make(map[int64]*sim.Mailbox[any]),
+		placements: make(map[string]core.Placement),
+		pending:    make(map[int64]*sim.Mailbox[any]),
 	}
 }
 
@@ -299,13 +294,6 @@ func (h *Host) Start() {
 // index on B).
 type AccessChooser func(pred core.Predicate) AccessKind
 
-// SetAccessPolicy installs the resolver for plan.AccessAuto scans of a
-// relation (typically the workload mix's chooser). Submit panics on an
-// AccessAuto scan of a relation with no policy.
-func (h *Host) SetAccessPolicy(relation string, chooser AccessChooser) {
-	h.accessPolicy[relation] = chooser
-}
-
 // fullDomain is the predicate a bare (predicate-free) Scan leaf executes:
 // every tuple of the relation qualifies.
 func fullDomain() core.Predicate {
@@ -313,8 +301,7 @@ func fullDomain() core.Predicate {
 }
 
 // resolveSelection lowers a selection subtree to (relation, predicate,
-// access kind), applying the full-domain predicate to bare scans and the
-// relation's access policy to AccessAuto.
+// access kind), applying the full-domain predicate to bare scans.
 func (h *Host) resolveSelection(n *plan.Node) (string, core.Predicate, AccessKind) {
 	sel, err := plan.CompileSelection(n)
 	if err != nil {
@@ -324,15 +311,7 @@ func (h *Host) resolveSelection(n *plan.Node) (string, core.Predicate, AccessKin
 	if !sel.HasPred {
 		pred = fullDomain()
 	}
-	kind := sel.Access
-	if kind == plan.AccessAuto {
-		chooser := h.accessPolicy[sel.Relation]
-		if chooser == nil {
-			panic(fmt.Sprintf("exec: AccessAuto scan of %q but no access policy set", sel.Relation))
-		}
-		kind = chooser(pred)
-	}
-	return sel.Relation, pred, kind
+	return sel.Relation, pred, sel.Access
 }
 
 // Submit executes a declarative plan tree to completion from the calling

@@ -175,43 +175,6 @@ func TestSubmitIndexScanMatchesSelect(t *testing.T) {
 	}
 }
 
-// TestSubmitAutoAccess: AccessAuto resolves through the relation's policy.
-func TestSubmitAutoAccess(t *testing.T) {
-	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
-	pl := core.NewRangeForRelation(rel, storage.Unique1, 2)
-	pred := core.Predicate{Attr: storage.Unique1, Lo: 100, Hi: 100}
-
-	a := newRig(t, pl).execute(t, pred)
-
-	r := newRig(t, pl)
-	r.host.SetAccessPolicy(rel.Name, chooser)
-	var b QueryResult
-	r.eng.Spawn("probe", func(p *sim.Proc) {
-		b = r.host.Submit(p, plan.NewIndexScan(rel.Name, pred, plan.AccessAuto))
-		r.eng.Stop()
-	})
-	if err := r.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("AccessAuto diverged from the policy's explicit kind:\n%+v\n%+v", a, b)
-	}
-}
-
-// TestSubmitAutoAccessNeedsPolicy: an AccessAuto scan of a relation with no
-// installed policy is a programming error and must surface.
-func TestSubmitAutoAccessNeedsPolicy(t *testing.T) {
-	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
-	r := newRig(t, core.NewRangeForRelation(rel, storage.Unique1, 2))
-	r.eng.Spawn("probe", func(p *sim.Proc) {
-		r.host.Submit(p, plan.NewIndexScan(rel.Name,
-			core.Predicate{Attr: storage.Unique2, Lo: 0, Hi: 9}, plan.AccessAuto))
-	})
-	if err := r.eng.RunUntil(sim.Time(10 * sim.Second)); err == nil {
-		t.Fatal("AccessAuto without a policy should surface as an error")
-	}
-}
-
 // TestSubmitFilterIntersection: a Filter over an IndexScan on the same
 // attribute executes the intersected range.
 func TestSubmitFilterIntersection(t *testing.T) {

@@ -41,9 +41,6 @@ type CampaignOptions struct {
 	Progress io.Writer
 	// Label names the campaign in the manifest and progress lines.
 	Label string
-	// IsTransient classifies job errors that warrant the harness's single
-	// automatic same-seed retry (see harness.Options.IsTransient).
-	IsTransient func(error) bool
 	// Hub, when non-nil, exposes telemetry samplers for live /metrics
 	// scraping. Each run's sampler registers under its job ID as the run
 	// completes and stays registered, so a scrape shows every finished
@@ -272,11 +269,10 @@ func RunScenario(sc Scenario, copts CampaignOptions) (ScenarioResult, error) {
 	}
 
 	values, manifest, err := harness.Execute(jobs, harness.Options{
-		Workers:     copts.Workers,
-		JobTimeout:  copts.JobTimeout,
-		Progress:    copts.Progress,
-		Label:       copts.Label,
-		IsTransient: copts.IsTransient,
+		Workers:    copts.Workers,
+		JobTimeout: copts.JobTimeout,
+		Progress:   copts.Progress,
+		Label:      copts.Label,
 	})
 	if err != nil {
 		return ScenarioResult{}, err

@@ -55,24 +55,16 @@ type Options struct {
 	Progress io.Writer
 	// Label names the campaign in the manifest and progress lines.
 	Label string
-	// IsTransient classifies a job error as transient. A job that fails
-	// with a transient error is retried once with the same seed before
-	// being recorded as a failure; the manifest's Attempts field exposes
-	// the retry. Nil disables retries.
-	IsTransient func(error) bool
 }
 
 // JobReport is one job's manifest entry.
 type JobReport struct {
-	ID     string  `json:"id"`
-	Seed   int64   `json:"seed"`
-	WallMS float64 `json:"wall_ms"`
-	// Attempts counts executions of the job: 1 normally, 2 when a
-	// transient failure triggered the automatic same-seed retry.
-	Attempts int    `json:"attempts"`
-	Error    string `json:"error,omitempty"`
-	Panicked bool   `json:"panicked,omitempty"`
-	TimedOut bool   `json:"timed_out,omitempty"`
+	ID       string  `json:"id"`
+	Seed     int64   `json:"seed"`
+	WallMS   float64 `json:"wall_ms"`
+	Error    string  `json:"error,omitempty"`
+	Panicked bool    `json:"panicked,omitempty"`
+	TimedOut bool    `json:"timed_out,omitempty"`
 	// Detail is the caller's per-job payload (what the run measured, the
 	// workload it offered); the harness only carries it into the manifest.
 	Detail any `json:"detail,omitempty"`
@@ -213,34 +205,23 @@ func runAttempt(job Job, budget time.Duration) (res jobResult, timedOut bool) {
 	return res, false
 }
 
-// runOne executes a single job, retrying once with the same seed when the
-// failure is transient per opts.IsTransient. Timeouts and panics never
-// retry: an abandoned goroutine is still running, and a panic is a bug.
+// runOne executes a single job once and reports how it ended.
 func runOne(job Job, opts Options) (any, JobReport) {
 	rep := JobReport{ID: job.ID, Seed: job.Seed}
 	start := time.Now()
-	for {
-		rep.Attempts++
-		res, timedOut := runAttempt(job, opts.JobTimeout)
-		if timedOut {
-			rep.WallMS = msSince(start)
-			rep.TimedOut = true
-			rep.Error = fmt.Sprintf("timed out after %v (job abandoned)", opts.JobTimeout)
-			return nil, rep
-		}
-		if res.err != nil {
-			if rep.Attempts == 1 && !res.panicked &&
-				opts.IsTransient != nil && opts.IsTransient(res.err) {
-				continue
-			}
-			rep.WallMS = msSince(start)
-			rep.Error = res.err.Error()
-			rep.Panicked = res.panicked
-			return nil, rep
-		}
-		rep.WallMS = msSince(start)
+	res, timedOut := runAttempt(job, opts.JobTimeout)
+	rep.WallMS = msSince(start)
+	switch {
+	case timedOut:
+		rep.TimedOut = true
+		rep.Error = fmt.Sprintf("timed out after %v (job abandoned)", opts.JobTimeout)
+	case res.err != nil:
+		rep.Error = res.err.Error()
+		rep.Panicked = res.panicked
+	default:
 		return res.value, rep
 	}
+	return nil, rep
 }
 
 func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }

@@ -246,49 +246,7 @@ func TestZeroJobTimeoutMeansNoBudget(t *testing.T) {
 	}
 }
 
-func TestManifestRecordsAttempts(t *testing.T) {
-	_, m, _ := Execute([]Job{okJob("a", 1)}, Options{Workers: 1})
-	if m.Reports[0].Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1", m.Reports[0].Attempts)
-	}
-}
-
-// A transient job failure gets exactly one automatic same-seed retry; a
-// persistent one fails after the second attempt.
-func TestTransientRetry(t *testing.T) {
-	transient := errors.New("transient wobble")
-	isTransient := func(err error) bool { return errors.Is(err, transient) }
-
-	var flaky atomic.Int32
-	jobs := []Job{
-		{ID: "flaky", Seed: 5, Run: func() (any, error) {
-			if flaky.Add(1) == 1 {
-				return nil, transient
-			}
-			return "recovered", nil
-		}},
-		{ID: "doomed", Run: func() (any, error) { return nil, transient }},
-		{ID: "hard", Run: func() (any, error) { return nil, errors.New("hard failure") }},
-	}
-	values, m, err := Execute(jobs, Options{Workers: 1, IsTransient: isTransient})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if values[0] != "recovered" {
-		t.Fatalf("flaky job not retried: %v", values[0])
-	}
-	if m.Reports[0].Attempts != 2 || m.Reports[0].Failed() {
-		t.Fatalf("flaky report = %+v", m.Reports[0])
-	}
-	if m.Reports[1].Attempts != 2 || !m.Reports[1].Failed() {
-		t.Fatalf("doomed report = %+v", m.Reports[1])
-	}
-	if m.Reports[2].Attempts != 1 || !m.Reports[2].Failed() {
-		t.Fatalf("hard failure retried: %+v", m.Reports[2])
-	}
-}
-
-// Without an IsTransient classifier no failure retries.
+// A failing job runs exactly once: the harness never retries.
 func TestNoRetryWithoutClassifier(t *testing.T) {
 	var calls atomic.Int32
 	jobs := []Job{{ID: "j", Run: func() (any, error) {
@@ -296,8 +254,8 @@ func TestNoRetryWithoutClassifier(t *testing.T) {
 		return nil, errors.New("x")
 	}}}
 	_, m, _ := Execute(jobs, Options{Workers: 1})
-	if calls.Load() != 1 || m.Reports[0].Attempts != 1 {
-		t.Fatalf("calls = %d, attempts = %d", calls.Load(), m.Reports[0].Attempts)
+	if calls.Load() != 1 || !m.Reports[0].Failed() {
+		t.Fatalf("calls = %d, report %+v", calls.Load(), m.Reports[0])
 	}
 }
 
@@ -314,9 +272,9 @@ func TestManifestOpenSystemFieldsRoundTrip(t *testing.T) {
 		Workers: 2,
 		Jobs:    2,
 		Reports: []JobReport{
-			{ID: "fig8a/magic/poisson400", Seed: 7, WallMS: 12.5, Attempts: 1,
+			{ID: "fig8a/magic/poisson400", Seed: 7, WallMS: 12.5,
 				Detail: openDetail{Arrival: "poisson", OfferedQPS: 400}},
-			{ID: "fig8a/magic/mpl4", Seed: 7, WallMS: 3.25, Attempts: 1},
+			{ID: "fig8a/magic/mpl4", Seed: 7, WallMS: 3.25},
 		},
 	}
 	var buf bytes.Buffer

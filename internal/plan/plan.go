@@ -1,6 +1,6 @@
 // Package plan defines the declarative query-plan tree that the execution
 // layer consumes: an explicit operator tree (Scan / IndexScan / Filter /
-// Join / Aggregate) with builders, a visitor, structural validation, and a
+// Join / Aggregate) with builders, structural validation, and a
 // deterministic explain form. It replaces the ad-hoc predicate dispatch of
 // the original Host.Execute API: a query is a value that can be inspected,
 // rewritten (predicates pushed into scans, same-attribute filters
@@ -33,11 +33,6 @@ const (
 	AccessNonClustered               // non-clustered B+-tree + tuple fetches
 	AccessTIDFetch                   // direct fetch by TID (BERD step two)
 	AccessSeqScan                    // full sequential scan (no usable index)
-	// AccessAuto defers the choice to the executor's per-relation policy
-	// (clustered when the predicate hits the clustered attribute, the
-	// workload's chooser otherwise). It lets plan builders stay ignorant of
-	// physical design.
-	AccessAuto
 )
 
 func (k Access) String() string {
@@ -50,8 +45,6 @@ func (k Access) String() string {
 		return "tid-fetch"
 	case AccessSeqScan:
 		return "seq-scan"
-	case AccessAuto:
-		return "auto"
 	default:
 		return "unknown"
 	}
@@ -128,8 +121,7 @@ type Node struct {
 	// HasPred distinguishes "no predicate" from the zero predicate, whose
 	// Attr 0 names a real Wisconsin attribute.
 	HasPred bool
-	// Access is the scan's access method (IndexScan; AccessAuto defers the
-	// choice to the executor).
+	// Access is the scan's access method (IndexScan).
 	Access Access
 	// Fn is the aggregate function (Aggregate).
 	Fn AggFn
@@ -154,8 +146,8 @@ func NewScanWhere(relation string, pred core.Predicate) *Node {
 		Access: AccessSeqScan}
 }
 
-// NewIndexScan builds an index-driven selection. AccessAuto lets the
-// executor pick the index for the predicate's attribute.
+// NewIndexScan builds an index-driven selection with the given access
+// method.
 func NewIndexScan(relation string, pred core.Predicate, access Access) *Node {
 	return &Node{Kind: KindIndexScan, Relation: relation, Pred: pred, HasPred: true,
 		Access: access}
@@ -185,43 +177,6 @@ func Select(relation string, pred core.Predicate, access Access) *Node {
 		return NewScanWhere(relation, pred)
 	}
 	return NewIndexScan(relation, pred, access)
-}
-
-// Visitor is the plan-tree visitor. Walk dispatches on node kind; returning
-// a non-nil error stops the walk.
-type Visitor interface {
-	VisitScan(n *Node) error
-	VisitIndexScan(n *Node) error
-	VisitFilter(n *Node) error
-	VisitJoin(n *Node) error
-	VisitAggregate(n *Node) error
-}
-
-// Walk traverses the tree depth-first, children before their parent (inputs
-// left to right), stopping at the first error.
-func Walk(n *Node, v Visitor) error {
-	if n == nil {
-		return fmt.Errorf("plan: walk of nil node")
-	}
-	for _, in := range n.Inputs {
-		if err := Walk(in, v); err != nil {
-			return err
-		}
-	}
-	switch n.Kind {
-	case KindScan:
-		return v.VisitScan(n)
-	case KindIndexScan:
-		return v.VisitIndexScan(n)
-	case KindFilter:
-		return v.VisitFilter(n)
-	case KindJoin:
-		return v.VisitJoin(n)
-	case KindAggregate:
-		return v.VisitAggregate(n)
-	default:
-		return fmt.Errorf("plan: walk of unknown node kind %d", int(n.Kind))
-	}
 }
 
 // Validate checks the tree's structural rules: leaf/arity constraints,

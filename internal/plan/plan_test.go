@@ -27,8 +27,6 @@ func TestGoldenString(t *testing.T) {
 			"Scan(wisc, 10 <= unique2 <= 20)"},
 		{NewIndexScan("wisc", pred(storage.Unique1, 5, 5), AccessNonClustered),
 			"IndexScan(wisc, unique1 = 5, non-clustered)"},
-		{NewIndexScan("wisc", pred(storage.Unique2, 0, 9), AccessAuto),
-			"IndexScan(wisc, 0 <= unique2 <= 9, auto)"},
 		{NewFilter(pred(storage.Unique1, 1, 3), NewScan("wisc")),
 			"Filter(1 <= unique1 <= 3)[Scan(wisc)]"},
 		{NewAggregate(AggCount, 0, NewScan("wisc")),
@@ -88,7 +86,7 @@ func TestExplainDeterministic(t *testing.T) {
 func TestValidate(t *testing.T) {
 	valid := []*Node{
 		NewScan("wisc"),
-		NewIndexScan("wisc", pred(storage.Unique1, 1, 1), AccessAuto),
+		NewIndexScan("wisc", pred(storage.Unique1, 1, 1), AccessNonClustered),
 		NewFilter(pred(storage.Unique1, 1, 1), NewScan("wisc")),
 		NewJoin(storage.Unique1, NewScan("a"), NewScan("b")),
 		NewAggregate(AggMax, storage.Unique2, NewScan("wisc")),
@@ -111,41 +109,6 @@ func TestValidate(t *testing.T) {
 	for _, n := range invalid {
 		if err := n.Validate(); err == nil {
 			t.Errorf("Validate(%v) = nil, want error", n)
-		}
-	}
-}
-
-// countVisitor tallies visited kinds to check Walk order and coverage.
-type countVisitor struct{ order []Kind }
-
-func (v *countVisitor) VisitScan(n *Node) error { v.order = append(v.order, KindScan); return nil }
-func (v *countVisitor) VisitIndexScan(n *Node) error {
-	v.order = append(v.order, KindIndexScan)
-	return nil
-}
-func (v *countVisitor) VisitFilter(n *Node) error { v.order = append(v.order, KindFilter); return nil }
-func (v *countVisitor) VisitJoin(n *Node) error   { v.order = append(v.order, KindJoin); return nil }
-func (v *countVisitor) VisitAggregate(n *Node) error {
-	v.order = append(v.order, KindAggregate)
-	return nil
-}
-
-func TestWalkOrder(t *testing.T) {
-	n := NewAggregate(AggCount, 0,
-		NewJoin(storage.Unique1,
-			NewIndexScan("a", pred(storage.Unique1, 1, 1), AccessAuto),
-			NewFilter(pred(storage.Unique2, 1, 2), NewScan("b"))))
-	v := &countVisitor{}
-	if err := Walk(n, v); err != nil {
-		t.Fatal(err)
-	}
-	want := []Kind{KindIndexScan, KindScan, KindFilter, KindJoin, KindAggregate}
-	if len(v.order) != len(want) {
-		t.Fatalf("visited %v, want %v", v.order, want)
-	}
-	for i := range want {
-		if v.order[i] != want[i] {
-			t.Fatalf("visit order %v, want %v", v.order, want)
 		}
 	}
 }
