@@ -41,11 +41,11 @@
 //	-scaleout        also run the machine-size sweep (8..64 processors at
 //	                 MPL 2P on figure 8a's mix)
 //
-// Open-system serving mode (ROADMAP item 1; see DESIGN.md §9): instead of
-// the closed MPL sweep, admit queries from an open arrival process through
-// the admission controller and report sustainable throughput, tail latency
-// and shed rate per strategy and offered load, ending with a "serving
-// summary" block per figure:
+// Open-system serving mode (DESIGN.md §9): instead of the closed MPL
+// sweep, admit queries from an open arrival process through the admission
+// controller and report sustainable throughput, tail latency and shed rate
+// per strategy and offered load, ending with a "serving summary" block per
+// figure:
 //
 //	-open            run the open-system serving campaign (default figure
 //	                 scope: 8a when -fig is not given)
