@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,6 +39,40 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if got.Figures[0].Points[0].Result.ThroughputQPS != 600 {
 		t.Fatal("throughput lost")
 	}
+}
+
+// FuzzReadArchive feeds arbitrary bytes to ReadArchive, seeded with the
+// round-trip test's archive. It must never panic, and any archive it
+// accepts must come back unchanged through WriteArchive and ReadArchive
+// and compare to itself with no differences.
+func FuzzReadArchive(f *testing.F) {
+	var seed bytes.Buffer
+	if err := WriteArchive(&seed, sampleArchive(600)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte(`{"figures":[{"id":"8a","points":[{"Strategy":"magic","MPL":1}]}]}`))
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := ReadArchive(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteArchive(&buf, a); err != nil {
+			t.Fatalf("accepted archive does not write: %v", err)
+		}
+		back, err := ReadArchive(&buf)
+		if err != nil {
+			t.Fatalf("written archive does not read back: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(a, back) {
+			t.Fatalf("archive changed in a round trip:\n%+v\n%+v", a, back)
+		}
+		if diffs := CompareArchives(a, a, 0); len(diffs) != 0 {
+			t.Fatalf("archive differs from itself: %v", diffs)
+		}
+	})
 }
 
 func TestReadArchiveRejectsGarbage(t *testing.T) {

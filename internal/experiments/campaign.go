@@ -8,14 +8,18 @@ package experiments
 // jobs and back into results. Expensive immutable inputs are built once,
 // serially, before any job runs: one storage.GenerateWisconsin per
 // distinct (cardinality, correlation window, seed) and one BuildPlacement
-// per (figure, strategy, machine size). Every job builds its own gamma
-// machine from those shared read-only inputs and uses the scenario seed,
-// so output is byte-identical whatever the worker count.
+// per (figure, strategy, machine size). Storage images are laid out
+// lazily and shared: the jobs of one (relation, placement, layout-shaping
+// config) key share one gamma.Image, which the key's first job lays out
+// and its last job drops. Every job builds its own gamma machine over
+// those shared read-only inputs and uses the scenario seed, so output is
+// byte-identical whatever the worker count.
 
 import (
 	"fmt"
 	"io"
 	"path"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -149,6 +153,50 @@ type planKey struct {
 	config   *gamma.Config
 }
 
+// imageKey identifies one storage image: the fields of a job's relation,
+// placement and config that shape it. Variants that differ only in faults,
+// sharing, telemetry or heat share one.
+type imageKey struct {
+	rel          *storage.Relation
+	pl           core.Placement
+	layout       storage.Layout
+	chained      bool
+	pagesPerDisk int
+}
+
+// imageEntry is one storage image shared by the jobs of its key. The
+// serial build phase only counts the jobs; the first job to acquire the
+// entry lays the image out (concurrent first users wait for that one
+// layout, and a layout error reaches them all), and the last release drops
+// it, so about one image per worker stays alive.
+type imageEntry struct {
+	layOut func() (*gamma.Image, error)
+
+	mu   sync.Mutex
+	jobs int // jobs that have not released the entry yet
+	img  *gamma.Image
+	err  error
+}
+
+// acquire returns the entry's image, laying it out on first use.
+func (e *imageEntry) acquire() (*gamma.Image, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.img == nil && e.err == nil {
+		e.img, e.err = e.layOut()
+	}
+	return e.img, e.err
+}
+
+// release ends one job's use of the entry; the last drops the image.
+func (e *imageEntry) release() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.jobs--; e.jobs == 0 {
+		e.img = nil
+	}
+}
+
 // RunScenario executes every (figure, strategy, variant, load) run of the
 // scenario on the harness worker pool and reassembles the results in
 // canonical order (figures as given, strategies in figure order, variants
@@ -187,9 +235,12 @@ func RunScenario(sc Scenario, copts CampaignOptions) (ScenarioResult, error) {
 	}
 
 	// Build phase, serial: everything built here is read-only for the rest
-	// of the scenario.
+	// of the scenario. Storage images are not laid out here, only keyed:
+	// the jobs lay each out on first use and drop it after the last, so
+	// images never pile up before the pool starts.
 	rels := map[relKey]*storage.Relation{}
 	plans := map[planKey]core.Placement{}
+	images := map[imageKey]*imageEntry{}
 	plan := func(fi int, name string, rel *storage.Relation, mix workload.Mix, o Options) (core.Placement, error) {
 		key := planKey{fi, name, o.Processors, o.Config}
 		if pl, ok := plans[key]; ok {
@@ -249,6 +300,17 @@ func RunScenario(sc Scenario, copts CampaignOptions) (ScenarioResult, error) {
 						},
 					}
 				}
+				ik := imageKey{rel, pl, cfg.Layout, cfg.ChainedReplicas, cfg.HW.PagesPerDisk()}
+				entry := images[ik]
+				if entry == nil {
+					// Only the fields that shape the image, so one
+					// variant's run-time specs cannot fail another's layout.
+					layoutCfg := gamma.Config{HW: cfg.HW, Layout: cfg.Layout, ChainedReplicas: cfg.ChainedReplicas}
+					entry = &imageEntry{layOut: func() (*gamma.Image, error) {
+						return gamma.NewImage(rel, pl, layoutCfg)
+					}}
+					images[ik] = entry
+				}
 				for _, pt := range loads(v) {
 					pt.Strategy, pt.Variant = name, vi
 					load := fmt.Sprintf("mpl%d", pt.MPL)
@@ -257,10 +319,11 @@ func RunScenario(sc Scenario, copts CampaignOptions) (ScenarioResult, error) {
 					}
 					pt.ID = path.Join("fig"+fig.ID, name, v.Tag, load)
 					sf.Points = append(sf.Points, pt)
+					entry.jobs++
 					jobs = append(jobs, harness.Job{
 						ID:   pt.ID,
 						Seed: sc.Options.Seed,
-						Run:  sc.job(pt, rel, pl, cfg, runMix, v.Options, copts.Hub),
+						Run:  sc.job(pt, entry, cfg, runMix, v.Options, copts.Hub),
 					})
 				}
 			}
@@ -320,12 +383,18 @@ type jobValue struct {
 }
 
 // job returns the harness job body for one point. The job constructs its
-// own machine from the shared relation and placement, so no mutable state
-// crosses workers.
-func (sc Scenario) job(pt ScenarioPoint, rel *storage.Relation, pl core.Placement, cfg gamma.Config,
+// own machine over the entry's shared read-only image, so no mutable state
+// crosses workers, and releases the entry however it ends (an error, a
+// panic, or a run that finishes after its timeout).
+func (sc Scenario) job(pt ScenarioPoint, entry *imageEntry, cfg gamma.Config,
 	mix workload.Mix, opts Options, hub *obs.Hub) func() (any, error) {
 	return func() (any, error) {
-		machine, err := gamma.Build(rel, pl, cfg)
+		defer entry.release()
+		img, err := entry.acquire()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", pt.ID, err)
+		}
+		machine, err := gamma.New(img, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pt.ID, err)
 		}
@@ -354,8 +423,7 @@ func (sc Scenario) job(pt ScenarioPoint, rel *storage.Relation, pl core.Placemen
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pt.ID, err)
 		}
-		// Register after the run: each run resets the machine (rebuilding
-		// the sampler), so the pre-run pointer would be stale.
+		// Register after the run: the run's reset builds the sampler.
 		if hub != nil && machine.Telemetry != nil {
 			hub.Register(pt.ID, machine.Telemetry)
 		}

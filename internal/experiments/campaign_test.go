@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -74,6 +75,49 @@ func TestCampaignByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 	if serial.Manifest.Workers != 1 || parallel.Manifest.Workers != 4 {
 		t.Fatalf("manifest workers = %d / %d", serial.Manifest.Workers, parallel.Manifest.Workers)
+	}
+}
+
+// The degraded sweep's variants (k failed disks, all with chained
+// replicas) share one storage image per strategy, laid out by whichever
+// job asks first. Results and kernel counters must not depend on which
+// worker that was, or on how the variants' runs interleave over it.
+func TestDegradedCampaignIdenticalAcrossWorkerCounts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure runs are slow")
+	}
+	fig, err := FigureByID("8a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Cardinality: 2000, Processors: 8, MPLs: []int{1, 4},
+		WarmupQueries: 10, MeasureQueries: 60, Seed: 1}
+	sc, err := DegradedScenario([]Figure{fig}, []int{0, 1, 2}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int) (ScenarioResult, []any) {
+		res, err := RunScenario(sc, CampaignOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var details []any
+		for _, rep := range res.Manifest.Reports {
+			details = append(details, rep.Detail)
+		}
+		return res, details
+	}
+	serial, serialDetails := run(1)
+	parallel, parallelDetails := run(3)
+	if want := len(fig.Strategies) * 3 * len(opts.MPLs); serial.Manifest.Jobs != want {
+		t.Fatalf("manifest jobs = %d, want %d", serial.Manifest.Jobs, want)
+	}
+	a, b := serial.Degraded()[0], parallel.Degraded()[0]
+	if !reflect.DeepEqual(a.Points, b.Points) {
+		t.Fatal("degraded sweep results differ between 1 and 3 workers")
+	}
+	if !reflect.DeepEqual(serialDetails, parallelDetails) {
+		t.Fatal("degraded sweep job details (fault events, kernel counters) differ between 1 and 3 workers")
 	}
 }
 

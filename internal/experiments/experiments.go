@@ -308,7 +308,7 @@ func ConfigFor(opts Options) gamma.Config {
 }
 
 // stampSpecs carries the experiment-level subsystem knobs onto the machine
-// config as fresh specs; gamma.Config.Validate, called by Build, checks
+// config as fresh specs; gamma.Config.Validate, called by gamma.New, checks
 // them. Options wins only when it says something: a nil Options.Faults
 // leaves a Config override's own spec in place.
 func stampSpecs(cfg gamma.Config, opts Options) gamma.Config {

@@ -4,8 +4,9 @@ import "fmt"
 
 // Validate is the single validation path for a machine configuration:
 // hardware parameters, buffer sizing, the fault spec, every optional
-// subsystem spec, and cross-subsystem exclusions. Build calls it; direct
-// Config consumers can call it early for better error locality.
+// subsystem spec, and cross-subsystem exclusions. NewImage and New call
+// it; direct Config consumers can call it early for better error
+// locality.
 func (c *Config) Validate(processors int) error {
 	if err := c.HW.Validate(); err != nil {
 		return err

@@ -19,17 +19,31 @@ const (
 	nonClusteredAttr = storage.Unique1
 )
 
-// image is a machine's storage on the disks of the initial membership:
+// Image is a machine's storage on the disks of the initial membership:
 // per relation its System Catalog entry (which holds the placement) and
 // holdings, each node's page high-water mark (marks), where the next
-// relation's layout and each run's allocators start, and the Layout and
-// ChainedReplicas it was laid out with. Nothing writes an image once it is
-// built, so every run, and any number of machines, can share one.
-type image struct {
-	rels    []imageRelation
-	marks   []int
-	layout  storage.Layout
-	chained bool
+// relation's layout and each run's allocators start, and the Layout,
+// ChainedReplicas and pages per disk it was laid out with. Nothing writes
+// an image once it is built, so every run, and any number of machines
+// (see New), can share one.
+type Image struct {
+	rels         []imageRelation
+	marks        []int
+	layout       storage.Layout
+	chained      bool
+	pagesPerDisk int
+}
+
+// NewImage validates cfg, declusters rel under placement and lays out its
+// storage image: fragments, B+-trees, BERD auxiliaries and, with
+// cfg.ChainedReplicas, chain replicas. Of cfg only Layout,
+// ChainedReplicas and HW.PagesPerDisk shape the image.
+func NewImage(rel *storage.Relation, placement core.Placement, cfg Config) (*Image, error) {
+	if err := cfg.Validate(placement.Processors()); err != nil {
+		return nil, err
+	}
+	empty := &Image{layout: cfg.Layout, chained: cfg.ChainedReplicas, pagesPerDisk: cfg.HW.PagesPerDisk()}
+	return empty.withRelation(rel, placement)
 }
 
 type imageRelation struct {
@@ -79,9 +93,10 @@ func slotTuples(rel *storage.Relation, placement core.Placement) ([][]storage.Tu
 // attribute in ascending attribute order. Then, with chained replicas, slot
 // by slot the same storage goes on the node of the slot's chain successor:
 // the replica holds the same tuples keyed by the same primary home, so a
-// rerouted operator returns the identical result. Build and AddRelation lay
-// the image out here, and elastic staging every later generation.
-func (img *image) layOut(rel *storage.Relation, placement core.Placement, allocs []*storage.Allocator, slotNode []int) (holdings, error) {
+// rerouted operator returns the identical result. NewImage and
+// AddRelation lay the image out here, and elastic staging every later
+// generation.
+func (img *Image) layOut(rel *storage.Relation, placement core.Placement, allocs []*storage.Allocator, slotNode []int) (holdings, error) {
 	tuples, err := slotTuples(rel, placement)
 	if err != nil {
 		return holdings{}, err
@@ -153,9 +168,9 @@ func attach(nodes []*exec.Node, heat *obs.HeatMap, gen int, relation string, h h
 
 // withRelation returns a new image: img's relations plus rel declustered
 // under placement, laid out on the identity slot map after img's marks.
-func (img *image) withRelation(rel *storage.Relation, placement core.Placement, pagesPerDisk int) (*image, error) {
+func (img *Image) withRelation(rel *storage.Relation, placement core.Placement) (*Image, error) {
 	p := placement.Processors()
-	allocs := img.allocators(p, pagesPerDisk)
+	allocs := img.allocators(p)
 	h, err := img.layOut(rel, placement, allocs, identitySlots(p))
 	if err != nil {
 		return nil, err
@@ -169,11 +184,12 @@ func (img *image) withRelation(rel *storage.Relation, placement core.Placement, 
 	for i, s := range h.primary {
 		info.Nodes[i] = nodeStats(s)
 	}
-	next := &image{
-		rels:    append(slices.Clip(img.rels), imageRelation{rel, info, h}),
-		marks:   make([]int, p),
-		layout:  img.layout,
-		chained: img.chained,
+	next := &Image{
+		rels:         append(slices.Clip(img.rels), imageRelation{rel, info, h}),
+		marks:        make([]int, p),
+		layout:       img.layout,
+		chained:      img.chained,
+		pagesPerDisk: img.pagesPerDisk,
 	}
 	for i, a := range allocs {
 		next.marks[i] = a.Used()
@@ -184,10 +200,10 @@ func (img *image) withRelation(rel *storage.Relation, placement core.Placement, 
 // allocators returns page allocators for nodes 0..n-1, each positioned
 // just after the image's pages (at page 0 on a node the image does not
 // touch, such as an elastic standby).
-func (img *image) allocators(n, pagesPerDisk int) []*storage.Allocator {
+func (img *Image) allocators(n int) []*storage.Allocator {
 	allocs := make([]*storage.Allocator, n)
 	for i := range allocs {
-		allocs[i] = storage.NewAllocator(pagesPerDisk)
+		allocs[i] = storage.NewAllocator(img.pagesPerDisk)
 		if i < len(img.marks) {
 			allocs[i].AllocRun(img.marks[i])
 		}

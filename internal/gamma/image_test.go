@@ -20,22 +20,8 @@ import (
 // image: run under -race, a write would show as a data race. AddRelation
 // on one of them derives a new image and leaves the shared one as it was.
 func TestSharedImage(t *testing.T) {
-	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 2000, Seed: 11})
+	rel, berd, cfg, closed, serving := imageFixture()
 	other := storage.GenerateWisconsin(storage.GenSpec{Name: "other", Cardinality: 500, Seed: 12})
-	berd := func(rel *storage.Relation, procs int) core.Placement {
-		return core.NewBERDForRelation(rel, storage.Unique1, []int{storage.Unique2}, procs)
-	}
-	cfg := DefaultConfig()
-	cfg.HW.NumProcessors = 4
-	cfg.Seed = 7
-	cfg.ChainedReplicas = true
-	cfg.Heat = &HeatSpec{}
-	cfg.Elastic = &ElasticSpec{
-		Events: []rebalance.Event{{At: 200 * sim.Millisecond, Kind: rebalance.Join}},
-		Rebuild: func(rel *storage.Relation, procs int) (core.Placement, error) {
-			return berd(rel, procs), nil
-		},
-	}
 	build := func() *Machine {
 		m, err := Build(rel, berd(rel, 4), cfg)
 		if err != nil {
@@ -45,18 +31,6 @@ func TestSharedImage(t *testing.T) {
 			t.Fatal(err)
 		}
 		return m
-	}
-	mix := workload.LowLow(rel.Cardinality())
-	closed := func(m *Machine) (RunResult, error) {
-		return m.Run(mix, RunSpec{MPL: 4, WarmupQueries: 5, MeasureQueries: 400})
-	}
-	serving := func(m *Machine) (ServeResult, error) {
-		return m.RunServe(mix, ServeSpec{
-			Arrival:        serve.ArrivalSpec{Kind: serve.Poisson, RateQPS: 100},
-			WarmupQueries:  5,
-			MeasureQueries: 300,
-			MaxSimTime:     30 * sim.Second,
-		})
 	}
 
 	alone := build()
@@ -77,8 +51,10 @@ func TestSharedImage(t *testing.T) {
 
 	a := build()
 	defer a.Close()
-	b := &Machine{Cfg: cfg, Relation: a.Relation, Placement: a.Placement, img: a.img}
-	b.reset()
+	b, err := New(a.img, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer b.Close()
 	var (
 		wg                 sync.WaitGroup
@@ -111,5 +87,108 @@ func TestSharedImage(t *testing.T) {
 	}
 	if a.img != shared || len(shared.rels) != 2 || !reflect.DeepEqual(shared.marks, marks) {
 		t.Fatal("AddRelation on one machine changed the image the other shares")
+	}
+}
+
+// imageFixture is a 4-node BERD machine's relation, placement builder and
+// config — chained replicas, heat, and an elastic join at 200 ms that
+// stages a generation onto a standby — plus a closed and a serving run.
+func imageFixture() (*storage.Relation, func(*storage.Relation, int) core.Placement, Config,
+	func(*Machine) (RunResult, error), func(*Machine) (ServeResult, error)) {
+	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 2000, Seed: 11})
+	berd := func(rel *storage.Relation, procs int) core.Placement {
+		return core.NewBERDForRelation(rel, storage.Unique1, []int{storage.Unique2}, procs)
+	}
+	cfg := DefaultConfig()
+	cfg.HW.NumProcessors = 4
+	cfg.Seed = 7
+	cfg.ChainedReplicas = true
+	cfg.Heat = &HeatSpec{}
+	cfg.Elastic = &ElasticSpec{
+		Events: []rebalance.Event{{At: 200 * sim.Millisecond, Kind: rebalance.Join}},
+		Rebuild: func(rel *storage.Relation, procs int) (core.Placement, error) {
+			return berd(rel, procs), nil
+		},
+	}
+	mix := workload.LowLow(rel.Cardinality())
+	closed := func(m *Machine) (RunResult, error) {
+		return m.Run(mix, RunSpec{MPL: 4, WarmupQueries: 5, MeasureQueries: 400})
+	}
+	serving := func(m *Machine) (ServeResult, error) {
+		return m.RunServe(mix, ServeSpec{
+			Arrival:        serve.ArrivalSpec{Kind: serve.Poisson, RateQPS: 100},
+			WarmupQueries:  5,
+			MeasureQueries: 300,
+			MaxSimTime:     30 * sim.Second,
+		})
+	}
+	return rel, berd, cfg, closed, serving
+}
+
+// A machine from New over NewImage's image has no engine until it runs,
+// then gives a closed and a serving run (chained replicas, heat, an
+// elastic join) the results a Build machine gives. New refuses a config
+// whose layout-shaping fields differ from the image's.
+func TestNewMatchesBuild(t *testing.T) {
+	rel, berd, cfg, closed, serving := imageFixture()
+	pl := berd(rel, 4)
+	built, err := Build(rel, pl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer built.Close()
+	wantClosed, err := closed(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantServe, err := serving(built)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	img, err := NewImage(rel, pl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(img, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if m.Eng != nil || m.Host != nil {
+		t.Fatal("New built an engine before the first run")
+	}
+	if m.Relation != rel || m.Placement != pl {
+		t.Fatal("New's machine does not target the image's relation and placement")
+	}
+	gotClosed, err := closed(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotServe, err := serving(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotClosed, wantClosed) {
+		t.Errorf("closed run on a New machine:\n%+v\nBuild machine:\n%+v", gotClosed, wantClosed)
+	}
+	if !reflect.DeepEqual(gotServe, wantServe) {
+		t.Errorf("serving run on a New machine:\n%+v\nBuild machine:\n%+v", gotServe, wantServe)
+	}
+	if rep := gotServe.Rebalance; rep == nil || len(rep.Tasks) != 1 || rep.Tasks[0].Err != "" {
+		t.Fatalf("rebalance report = %+v, want one completed join", rep)
+	}
+
+	for name, mutate := range map[string]func(*Config){
+		"layout":   func(c *Config) { c.Layout.TuplesPerPage++ },
+		"chained":  func(c *Config) { c.ChainedReplicas = false },
+		"pages":    func(c *Config) { c.HW.Cylinders++ },
+		"validate": func(c *Config) { c.BufferPages = -1 },
+	} {
+		bad := cfg
+		mutate(&bad)
+		if _, err := New(img, bad); err == nil {
+			t.Errorf("New accepted a config with a different %s", name)
+		}
 	}
 }

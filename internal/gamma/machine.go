@@ -90,10 +90,10 @@ func DefaultConfig() Config {
 }
 
 // Machine is one assembled simulation instance: build it with Build (and
-// optionally AddRelation), then call Run (repeatedly, with increasing MPL
-// if desired — each Run uses a fresh engine), and Close it when done.
-// Relation and Placement refer to the primary relation, which Run's
-// workload targets.
+// optionally AddRelation), or over an existing storage image with New,
+// then call Run (repeatedly, with increasing MPL if desired — each Run
+// uses a fresh engine), and Close it when done. Relation and Placement
+// refer to the primary relation, which Run's workload targets.
 type Machine struct {
 	Cfg       Config
 	Relation  *storage.Relation
@@ -125,7 +125,7 @@ type Machine struct {
 
 	// img is the storage image every run attaches; AddRelation replaces it
 	// with a new one and nothing else writes it.
-	img *image
+	img *Image
 	// allocs are the current run's page allocators, one per physical node,
 	// on which elastic transitions stage generations after the image.
 	allocs []*storage.Allocator
@@ -133,21 +133,50 @@ type Machine struct {
 
 // Build declusters the relation according to the placement, lays out its
 // storage image (fragments, B+-trees, BERD auxiliaries, chain replicas)
-// once, and constructs the machine. Every Run shares that image read-only
-// and rebuilds only the engine, hardware and buffers, so successive runs
-// are independent. The storage-shaping fields of cfg (Layout,
-// ChainedReplicas) take effect here: the image records them, and resets
-// and elastic staging read them from the image, not from Machine.Cfg.
+// once, and constructs the machine with a cold engine ready, like New
+// followed by Reset. Every Run shares that image read-only and rebuilds
+// only the engine, hardware and buffers, so successive runs are
+// independent. The storage-shaping fields of cfg (Layout,
+// ChainedReplicas, HW.PagesPerDisk) take effect here: the image records
+// them, and resets and elastic staging read them from the image, not from
+// Machine.Cfg.
 func Build(rel *storage.Relation, placement core.Placement, cfg Config) (*Machine, error) {
-	if err := cfg.Validate(placement.Processors()); err != nil {
+	img, err := NewImage(rel, placement, cfg)
+	if err != nil {
 		return nil, err
 	}
-	m := &Machine{Cfg: cfg, Relation: rel, Placement: placement,
-		img: &image{layout: cfg.Layout, chained: cfg.ChainedReplicas}}
-	if err := m.AddRelation(rel, placement); err != nil {
-		return nil, err
-	}
+	m := newMachine(img, cfg)
+	m.reset()
 	return m, nil
+}
+
+// New returns a machine over img, which any number of machines may share:
+// its primary relation and placement are the image's first. cfg must
+// agree with the image on Layout, ChainedReplicas and HW.PagesPerDisk.
+// The machine has no engine until its first Reset, Run or RunServe, like
+// a machine after Close, so a caller about to Run pays for one reset, not
+// two.
+func New(img *Image, cfg Config) (*Machine, error) {
+	procs := img.rels[0].info.Placement.Processors()
+	if err := cfg.Validate(procs); err != nil {
+		return nil, err
+	}
+	switch {
+	case cfg.Layout != img.layout:
+		return nil, fmt.Errorf("gamma: config layout %+v, image laid out with %+v", cfg.Layout, img.layout)
+	case cfg.ChainedReplicas != img.chained:
+		return nil, fmt.Errorf("gamma: config chained replicas %t, image laid out with %t", cfg.ChainedReplicas, img.chained)
+	case cfg.HW.PagesPerDisk() != img.pagesPerDisk:
+		return nil, fmt.Errorf("gamma: config has %d pages per disk, image laid out for %d",
+			cfg.HW.PagesPerDisk(), img.pagesPerDisk)
+	}
+	return newMachine(img, cfg), nil
+}
+
+// newMachine returns a machine over img with no engine yet.
+func newMachine(img *Image, cfg Config) *Machine {
+	first := img.rels[0]
+	return &Machine{Cfg: cfg, Relation: first.rel, Placement: first.info.Placement, img: img}
 }
 
 // AddRelation declusters a further relation onto the same machine (its
@@ -164,7 +193,7 @@ func (m *Machine) AddRelation(rel *storage.Relation, placement core.Placement) e
 			return fmt.Errorf("gamma: relation %s already on the machine", rel.Name)
 		}
 	}
-	img, err := m.img.withRelation(rel, placement, m.Cfg.HW.PagesPerDisk())
+	img, err := m.img.withRelation(rel, placement)
 	if err != nil {
 		return err
 	}
@@ -177,7 +206,8 @@ func (m *Machine) AddRelation(rel *storage.Relation, placement core.Placement) e
 // hardware and buffer pools, and reattaches the machine's storage image,
 // so direct users of Machine.Eng/Host (single-query probes, joins) can
 // start from a cold, deterministic state; Run and RunServe call it
-// implicitly.
+// implicitly. A machine from New needs it (or a Run) before Eng, Nodes,
+// Host or Catalog are set.
 func (m *Machine) Reset() { m.reset() }
 
 // Close retires the machine's current engine: every process still parked
@@ -322,7 +352,7 @@ func (m *Machine) reset() {
 	m.Nodes = nodes
 	m.Host = host
 	m.Catalog = cat
-	m.allocs = img.allocators(pPhys, cfg.HW.PagesPerDisk())
+	m.allocs = img.allocators(pPhys)
 
 	// Elastic membership: the controller process walks the schedule on the
 	// sim clock, staging each transition through elasticExec and copying

@@ -354,3 +354,81 @@ func TestSplitsKeepCellsInInsertionOrder(t *testing.T) {
 		}
 	}
 }
+
+// FuzzGridCellsCovering inserts points decoded from the fuzz input (two
+// bytes each, reduced into a small square domain so values repeat) into a
+// small-capacity 2-D grid and checks it against brute force: the grid must
+// validate, and CellsCovering of a range (which may leave the domain or be
+// inverted) must return distinct cells that each meet the range, including
+// the cell of every inserted point inside it, and nothing for an inverted
+// range. The edge intervals of a dimension catch values beyond the domain,
+// as Locate does.
+func FuzzGridCellsCovering(f *testing.F) {
+	f.Add([]byte{1, 1, 2, 2, 3, 3, 9, 0, 0, 9, 5, 5, 5, 5, 5, 5}, uint8(16), uint8(0), uint8(1), uint8(1), uint8(0), uint8(2), uint8(7), uint8(3), uint8(9))
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7}, uint8(8), uint8(1), uint8(0), uint8(2), uint8(3), uint8(6), uint8(4), uint8(0), uint8(9))
+	f.Add([]byte{}, uint8(3), uint8(2), uint8(2), uint8(0), uint8(5), uint8(1), uint8(0), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, domain, capRaw, w0, w1, maxCells, lo0Raw, width0, lo1Raw, width1 uint8) {
+		const maxPoints = 300
+		if len(data) > 2*maxPoints {
+			data = data[:2*maxPoints]
+		}
+		dom := 1 + int64(domain)%64
+		g := New(1+int(capRaw)%4, []float64{1 + float64(w0%3), float64(w1 % 3)},
+			[][2]int64{{0, dom - 1}, {0, dom - 1}})
+		g.SetMaxCells(int(maxCells) % 40)
+		var points [][]int64
+		for i := 0; i+1 < len(data); i += 2 {
+			p := []int64{int64(data[i]) % dom, int64(data[i+1]) % dom}
+			g.Insert(p, len(points))
+			points = append(points, p)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Each bound may fall one or two values outside the domain, and hi
+		// may sit below lo.
+		var ranges [][2]int64
+		inverted := false
+		for _, r := range [][2]uint8{{lo0Raw, width0}, {lo1Raw, width1}} {
+			lo := int64(r[0])%(dom+4) - 2
+			hi := lo + int64(r[1])%(dom+4) - 2
+			ranges = append(ranges, [2]int64{lo, hi})
+			inverted = inverted || hi < lo
+		}
+		cells := g.CellsCovering(ranges)
+		if inverted {
+			if cells != nil {
+				t.Fatalf("inverted range %v covered cells %v", ranges, cells)
+			}
+			return
+		}
+		seen := map[int]bool{}
+		for _, c := range cells {
+			if c < 0 || c >= g.NumCells() || seen[c] {
+				t.Fatalf("range %v: cell %d out of range or repeated in %v", ranges, c, cells)
+			}
+			seen[c] = true
+			for d, coord := range g.Coord(c) {
+				lo, hi := g.intervalBounds(d, coord) // hi exclusive
+				if coord == 0 {
+					lo = math.MinInt64
+				}
+				if coord == g.Dims()[d]-1 {
+					hi = math.MaxInt64
+				}
+				if ranges[d][1] < lo || ranges[d][0] >= hi {
+					t.Fatalf("range %v: cell %d's interval [%d, %d) of dim %d misses it", ranges, c, lo, hi, d)
+				}
+			}
+		}
+		for id, p := range points {
+			if p[0] < ranges[0][0] || p[0] > ranges[0][1] || p[1] < ranges[1][0] || p[1] > ranges[1][1] {
+				continue
+			}
+			if c := g.FlatIndex(g.Locate(p)); !seen[c] {
+				t.Fatalf("range %v: point %d %v in cell %d, not covered by %v", ranges, id, p, c, cells)
+			}
+		}
+	})
+}
