@@ -336,33 +336,32 @@ func TestRunPerClassStats(t *testing.T) {
 	}
 }
 
-func TestCatalogRegistered(t *testing.T) {
+// The image records the paper's physical design (Section 6) for every
+// slot: its tuples sum to the relation, BERD's auxiliary entries cover every
+// tuple once, and each fragment carries the clustered B index and the
+// non-clustered A index.
+func TestImageHoldingsLayout(t *testing.T) {
 	rel := smallRelation(t, 0)
 	m := buildBERD(t, rel, smallConfig())
-	info, ok := m.Catalog.Lookup(rel.Name)
-	if !ok {
-		t.Fatal("relation not in catalog")
+	if len(m.img.rels) != 1 || m.img.rels[0].rel != rel {
+		t.Fatalf("image holds %d relations, want only %s", len(m.img.rels), rel.Name)
 	}
-	if info.Strategy() != "berd" || info.Cardinality != rel.Cardinality() {
-		t.Fatalf("catalog info wrong: %s %d", info.Strategy(), info.Cardinality)
-	}
-	tuples := 0
-	aux := 0
-	for _, ns := range info.Nodes {
-		tuples += ns.Tuples
-		aux += ns.AuxEntries
-		if len(ns.Indexes) != 2 {
-			t.Fatalf("node has %d indexes, want clustered B + non-clustered A", len(ns.Indexes))
+	tuples, aux := 0, 0
+	for slot, s := range m.img.rels[0].primary {
+		tuples += s.Frag.NumTuples()
+		for _, a := range s.Aux {
+			aux += a.Entries
+		}
+		b, a := s.Frag.Index(clusteredAttr), s.Frag.Index(nonClusteredAttr)
+		if b == nil || !b.Clustered || a == nil || a.Clustered {
+			t.Fatalf("slot %d indexes (B %+v, A %+v), want clustered B + non-clustered A", slot, b, a)
 		}
 	}
 	if tuples != rel.Cardinality() {
-		t.Fatalf("catalog counts %d tuples", tuples)
+		t.Fatalf("slots hold %d tuples, want %d", tuples, rel.Cardinality())
 	}
 	if aux != rel.Cardinality() {
-		t.Fatalf("catalog counts %d aux entries for BERD", aux)
-	}
-	if info.TotalPages() <= 0 {
-		t.Fatal("no pages recorded")
+		t.Fatalf("slots hold %d BERD aux entries, want %d", aux, rel.Cardinality())
 	}
 }
 
@@ -509,6 +508,18 @@ func TestSimulateLoad(t *testing.T) {
 	if results[0].ScanPasses != 1 || results[1].ScanPasses != 2 || results[2].ScanPasses != 2 {
 		t.Fatalf("scan passes = %d/%d/%d", results[0].ScanPasses, results[1].ScanPasses, results[2].ScanPasses)
 	}
+	// The exact loads, pinned: pages written are each slot's primary
+	// fragment, index and auxiliary pages.
+	want := []LoadResult{
+		{Strategy: "range", ScanPasses: 1, Elapsed: 2276848153, PagesWritten: 160, PacketsShipped: 91},
+		{Strategy: "berd", ScanPasses: 2, Elapsed: 3538389623, PagesWritten: 184, PacketsShipped: 91},
+		{Strategy: "magic", ScanPasses: 2, Elapsed: 3493368791, PagesWritten: 160, PacketsShipped: 91},
+	}
+	for i := range want {
+		if results[i] != want[i] {
+			t.Errorf("load %d = %+v, want %+v", i, results[i], want[i])
+		}
+	}
 	if results[1].Elapsed <= results[0].Elapsed {
 		t.Fatalf("BERD load (%.2fs) should cost more than range (%.2fs)",
 			results[1].Elapsed.Seconds(), results[0].Elapsed.Seconds())
@@ -535,10 +546,13 @@ func TestMultiRelationMachineAndJoin(t *testing.T) {
 	if err := m.AddRelation(s, tradesPl); err != nil {
 		t.Fatal(err)
 	}
-	// Both relations registered in the catalog.
-	if m.Catalog.Len() != 2 {
-		t.Fatalf("catalog holds %d relations", m.Catalog.Len())
+	// Both relations are in the image, and the host routes both
+	// (SetPlacement panics on a relation the host does not hold).
+	if len(m.img.rels) != 2 || m.img.rels[0].rel != r || m.img.rels[1].rel != s {
+		t.Fatalf("image holds %d relations, want stock and trades", len(m.img.rels))
 	}
+	m.Host.SetPlacement(r.Name, stockPl)
+	m.Host.SetPlacement(s.Name, tradesPl)
 	// A selection against the second relation by name.
 	var sel exec.QueryResult
 	mix := workload.LowLow(s.Cardinality())
