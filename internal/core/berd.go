@@ -6,15 +6,6 @@ import (
 	"repro/internal/storage"
 )
 
-func init() {
-	RegisterStrategy("berd", func(p StrategyParams) (Placement, error) {
-		if err := needRelation("berd", p); err != nil {
-			return nil, err
-		}
-		return NewBERDForRelation(p.Relation, p.PrimaryAttr, p.SecondaryAttrs, p.Processors), nil
-	})
-}
-
 // BERDPlacement is Bubba's Extended-Range Declustering (Section 2): the
 // relation is range partitioned on a primary attribute; for each secondary
 // partitioning attribute an auxiliary relation of (value, TID, home

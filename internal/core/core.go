@@ -97,18 +97,6 @@ func bucketRange(cuts []int64, lo, hi int64) (int, int) {
 	return bucketOf(cuts, lo), bucketOf(cuts, hi)
 }
 
-func init() {
-	RegisterStrategy("range", func(p StrategyParams) (Placement, error) {
-		if err := needRelation("range", p); err != nil {
-			return nil, err
-		}
-		return NewRangeForRelation(p.Relation, p.PrimaryAttr, p.Processors), nil
-	})
-	RegisterStrategy("hash", func(p StrategyParams) (Placement, error) {
-		return NewHash(p.PrimaryAttr, p.Processors), nil
-	})
-}
-
 // RangePlacement is the single-attribute range declustering strategy the
 // paper uses as its baseline (the strategy of Gamma, Tandem, et al.).
 type RangePlacement struct {

@@ -7,18 +7,6 @@ import (
 	"repro/internal/storage"
 )
 
-func init() {
-	RegisterStrategy("magic", func(p StrategyParams) (Placement, error) {
-		if err := needRelation("magic", p); err != nil {
-			return nil, err
-		}
-		attrs := make([]int, 0, 1+len(p.SecondaryAttrs))
-		attrs = append(attrs, p.PrimaryAttr)
-		attrs = append(attrs, p.SecondaryAttrs...)
-		return BuildMAGIC(p.Relation, attrs, p.Specs, p.Plan, p.Magic)
-	})
-}
-
 // MagicOptions tunes the MAGIC construction; the zero value gives the
 // paper's algorithm. The ablation flags exist for the design-choice benches
 // DESIGN.md calls out.

@@ -28,19 +28,13 @@ func paperDirectory(tb testing.TB, figID string, card int) (dims, counts, owners
 	}
 	rel = storage.GenerateWisconsin(storage.GenSpec{Cardinality: card, CorrelationWindow: window, Seed: 1})
 	cfg := gamma.DefaultConfig()
-	p, err := core.BuildStrategy(experiments.StrategyMAGIC, core.StrategyParams{
-		Relation:       rel,
-		Processors:     32,
-		PrimaryAttr:    storage.Unique1,
-		SecondaryAttrs: []int{storage.Unique2},
-		Specs:          workload.EstimateSpecs(fig.Mix(card), card, cfg.HW, cfg.Costs),
-		Plan:           workload.PlanParamsFor(card, 32, cfg.Costs),
-		Magic:          &core.MagicOptions{DisableRebalance: true},
-	})
+	m, err := core.BuildMAGIC(rel, []int{storage.Unique1, storage.Unique2},
+		workload.EstimateSpecs(fig.Mix(card), card, cfg.HW, cfg.Costs),
+		workload.PlanParamsFor(card, 32, cfg.Costs),
+		&core.MagicOptions{DisableRebalance: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m := p.(*core.MAGICPlacement)
 	return m.Dims(), m.CellCounts(), append([]int(nil), m.Owners()...), rel
 }
 

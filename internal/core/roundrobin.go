@@ -6,15 +6,6 @@ import (
 	"repro/internal/storage"
 )
 
-func init() {
-	RegisterStrategy("roundrobin", func(p StrategyParams) (Placement, error) {
-		if p.Processors <= 0 {
-			return nil, fmt.Errorf("core: roundrobin needs positive processors, got %d", p.Processors)
-		}
-		return NewRoundRobin(p.Processors), nil
-	})
-}
-
 // RoundRobinPlacement is the third classic single-attribute-free baseline
 // (Gamma offered it alongside hash and range): tuples are dealt to
 // processors in arrival order. It balances storage perfectly but gives the

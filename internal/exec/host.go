@@ -146,7 +146,8 @@ func (r QueryResult) ResponseMS() float64 {
 }
 
 // Host is the scheduler node of Figure 7: it runs the Query Manager (parse,
-// plan, localize via the catalog) and the Scheduler (start operators on the
+// plan, localize through the relation's placement, which holds the
+// catalog's partitioning metadata) and the Scheduler (start operators on the
 // participating nodes, collect results, commit). Following the paper's
 // model — only operator nodes carry CPUs; the Query Manager, Scheduler and
 // System Catalog are stand-alone coordination modules — the host's work is

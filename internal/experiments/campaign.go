@@ -16,6 +16,7 @@ package experiments
 // byte-identical whatever the worker count.
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"path"
@@ -167,23 +168,30 @@ type imageKey struct {
 // imageEntry is one storage image shared by the jobs of its key. The
 // serial build phase only counts the jobs; the first job to acquire the
 // entry lays the image out (concurrent first users wait for that one
-// layout, and a layout error reaches them all), and the last release drops
-// it, so about one image per worker stays alive.
+// layout, and a layout error or panic reaches them all), and the last
+// release drops it, so about one image per worker stays alive.
 type imageEntry struct {
 	layOut func() (*gamma.Image, error)
 
-	mu   sync.Mutex
-	jobs int // jobs that have not released the entry yet
-	img  *gamma.Image
-	err  error
+	mu       sync.Mutex
+	jobs     int // jobs that have not released the entry yet
+	img      *gamma.Image
+	err      error
+	panicked any // the layout's panic value, raised again in every user
 }
 
 // acquire returns the entry's image, laying it out on first use.
 func (e *imageEntry) acquire() (*gamma.Image, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.img == nil && e.err == nil {
-		e.img, e.err = e.layOut()
+	if e.img == nil && e.err == nil && e.panicked == nil {
+		func() {
+			defer func() { e.panicked = recover() }()
+			e.img, e.err = e.layOut()
+		}()
+	}
+	if e.panicked != nil {
+		panic(e.panicked)
 	}
 	return e.img, e.err
 }
@@ -419,6 +427,9 @@ func (sc Scenario) job(pt ScenarioPoint, entry *imageEntry, cfg gamma.Config,
 				MeasureQueries: opts.MeasureQueries,
 				Seed:           opts.Seed,
 			})
+		}
+		if errors.Is(err, sim.ErrPanicked) {
+			panic(fmt.Errorf("%s: %w", pt.ID, err)) // a simulated process panicked
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", pt.ID, err)

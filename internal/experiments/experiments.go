@@ -257,11 +257,11 @@ type FigureResult struct {
 	Notes []string
 }
 
-// BuildPlacement constructs the named strategy for a relation through the
-// core strategy registry, estimating MAGIC's planning inputs from the mix.
-// Strategies register themselves with core.RegisterStrategy, so a new
-// strategy becomes runnable here (and in declusterbench) without touching
-// this package; an unknown name reports every registered strategy.
+// BuildPlacement constructs the named strategy for a relation through
+// core.BuildStrategy, estimating MAGIC's planning inputs from the mix. A
+// strategy added to core.BuildStrategy becomes runnable here (and in
+// declusterbench) without touching this package; an unknown name reports
+// every strategy.
 func BuildPlacement(name string, rel *storage.Relation, mix workload.Mix, opts Options) (core.Placement, error) {
 	opts = opts.withDefaults()
 	cfg := gamma.DefaultConfig()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,11 +109,11 @@ func TestSharedImageEntry(t *testing.T) {
 		entry, layouts, mix := imageEntryFor(2, cfg)
 		bad := cfg
 		bad.BufferPages = -1 // New rejects it after the entry is acquired
-		// A 4-page disk cannot hold the relation: its layout panics, in
-		// each job that tries it.
+		// A 4-page disk cannot hold the relation: its layout panics once,
+		// and the panic reaches each job of the entry.
 		tiny := cfg
 		tiny.HW.Cylinders, tiny.HW.PagesPerCylinder = 1, 4
-		full, _, _ := imageEntryFor(2, tiny)
+		full, fullLayouts, _ := imageEntryFor(2, tiny)
 		jobs := []harness.Job{
 			job("runs", entry, cfg, mix),
 			job("fails", entry, bad, mix),
@@ -130,10 +131,36 @@ func TestSharedImageEntry(t *testing.T) {
 		if got := layouts.Load(); got != 1 {
 			t.Fatalf("two jobs of one key caused %d layouts, want 1", got)
 		}
+		if got := fullLayouts.Load(); got != 1 {
+			t.Fatalf("a panicking layout ran %d times for two jobs, want 1", got)
+		}
 		for _, e := range []*imageEntry{entry, full} {
 			if e.img != nil || e.jobs != 0 {
 				t.Fatalf("after the jobs: image %p, %d jobs left; want nil, 0", e.img, e.jobs)
 			}
 		}
 	})
+}
+
+// A panic inside a simulated process (here the terminals sampling an empty
+// mix) fails the job as a panic, not as an ordinary error, and the job
+// still releases its entry.
+func TestScenarioJobReportsSimulatedPanic(t *testing.T) {
+	cfg := imageEntryConfig()
+	entry, _, _ := imageEntryFor(1, cfg)
+	var sc Scenario
+	opts := Options{WarmupQueries: 2, MeasureQueries: 20, Seed: 1}
+	pt := ScenarioPoint{ID: "empty-mix", MPL: 2}
+	_, man, err := harness.Execute([]harness.Job{
+		{ID: pt.ID, Run: sc.job(pt, entry, cfg, workload.Mix{}, opts, nil)},
+	}, harness.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := man.Reports[0]; !r.Panicked || !strings.Contains(r.Error, "workload: empty mix") {
+		t.Fatalf("job report = %+v, want a panic naming the empty mix", r)
+	}
+	if entry.img != nil || entry.jobs != 0 {
+		t.Fatalf("after the job: image %p, %d jobs left; want nil, 0", entry.img, entry.jobs)
+	}
 }

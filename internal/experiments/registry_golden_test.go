@@ -9,9 +9,9 @@ import (
 	"repro/internal/workload"
 )
 
-// directPlacement replicates the pre-registry string-switch construction of
-// BuildPlacement verbatim, as the golden reference the registry path must
-// reproduce.
+// directPlacement constructs each strategy by calling its constructor
+// directly, as the golden reference BuildPlacement's path through
+// core.BuildStrategy must reproduce.
 func directPlacement(t *testing.T, name string, rel *storage.Relation, mix workload.Mix, opts Options) core.Placement {
 	t.Helper()
 	opts = opts.withDefaults()
@@ -76,8 +76,8 @@ func routesEqual(a, b core.Route) bool {
 }
 
 // TestRegistryGoldenAgainstDirectConstruction builds every strategy of
-// every figure both ways — through the registry (BuildPlacement) and
-// through the pre-registry switch — and asserts identical HomeOf for every
+// every figure both ways — through BuildPlacement and through the direct
+// constructors — and asserts identical HomeOf for every
 // tuple and identical Route for the predicate sample. Runs at reduced
 // cardinality so the full strategy × figure matrix stays fast.
 func TestRegistryGoldenAgainstDirectConstruction(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
@@ -20,10 +19,10 @@ const (
 )
 
 // Image is a machine's storage on the disks of the initial membership:
-// per relation its System Catalog entry (which holds the placement) and
-// holdings, each node's page high-water mark (marks), where the next
-// relation's layout and each run's allocators start, and the Layout,
-// ChainedReplicas and pages per disk it was laid out with. Nothing writes
+// per relation its placement and holdings, each node's page high-water
+// mark (marks), where the next relation's layout and each run's
+// allocators start, and the Layout, ChainedReplicas and pages per disk it
+// was laid out with. Nothing writes
 // an image once it is built, so every run, and any number of machines
 // (see New), can share one.
 type Image struct {
@@ -47,8 +46,8 @@ func NewImage(rel *storage.Relation, placement core.Placement, cfg Config) (*Ima
 }
 
 type imageRelation struct {
-	rel  *storage.Relation
-	info *catalog.RelationInfo
+	rel       *storage.Relation
+	placement core.Placement
 	holdings
 }
 
@@ -175,17 +174,8 @@ func (img *Image) withRelation(rel *storage.Relation, placement core.Placement) 
 	if err != nil {
 		return nil, err
 	}
-	info := &catalog.RelationInfo{
-		Name:        rel.Name,
-		Cardinality: rel.Cardinality(),
-		Placement:   placement,
-		Nodes:       make(map[int]catalog.NodeStats, p),
-	}
-	for i, s := range h.primary {
-		info.Nodes[i] = nodeStats(s)
-	}
 	next := &Image{
-		rels:         append(slices.Clip(img.rels), imageRelation{rel, info, h}),
+		rels:         append(slices.Clip(img.rels), imageRelation{rel, placement, h}),
 		marks:        make([]int, p),
 		layout:       img.layout,
 		chained:      img.chained,
@@ -218,29 +208,4 @@ func identitySlots(p int) []int {
 		nodes[i] = i
 	}
 	return nodes
-}
-
-// nodeStats is the catalog's record of one slot's storage: tuple and page
-// counts plus index and auxiliary metadata.
-func nodeStats(s exec.Holding) catalog.NodeStats {
-	ns := catalog.NodeStats{
-		Tuples:    s.Frag.NumTuples(),
-		DataPages: s.Frag.NumDataPages(),
-	}
-	for _, attr := range [...]int{clusteredAttr, nonClusteredAttr} {
-		if ix := s.Frag.Index(attr); ix != nil {
-			ns.Indexes = append(ns.Indexes, catalog.IndexInfo{
-				Attr:      attr,
-				Name:      storage.AttrName(attr),
-				Clustered: ix.Clustered,
-				Pages:     ix.Tree.Pages(),
-				Height:    ix.Tree.Height(),
-			})
-		}
-	}
-	for _, aux := range s.Aux { // integer sums: map order does not matter
-		ns.AuxEntries += aux.Entries
-		ns.AuxPages += aux.Tree.Pages()
-	}
-	return ns
 }

@@ -89,9 +89,11 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 		// Shipping: every tuple crosses the network to its home (tuples
 		// landing on node 0 stay local). Modeled as the bulk packet count
 		// per destination rather than per-tuple sends.
-		info, _ := m.Catalog.Lookup(m.Relation.Name)
-		for node := 1; node < len(m.Nodes); node++ { // fixed order: determinism
-			bytes := params.TupleBytes(info.Nodes[node].Tuples)
+		// Node i < p receives slot i's primary holding; standby nodes
+		// (i >= p) receive nothing.
+		primary := m.img.rels[0].primary
+		for node := 1; node < len(primary); node++ { // fixed order: determinism
+			bytes := params.TupleBytes(primary[node].Frag.NumTuples())
 			if bytes == 0 {
 				continue
 			}
@@ -104,7 +106,13 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 		gate := sim.NewGate(eng, len(m.Nodes))
 		for i, n := range m.Nodes {
 			node := n
-			pages := info.Nodes[i].TotalPages()
+			pages := 0
+			if i < len(primary) {
+				pages = primary[i].Frag.FootprintPages()
+				for _, aux := range primary[i].Aux {
+					pages += aux.FootprintPages()
+				}
+			}
 			res.PagesWritten += pages
 			eng.Spawn(fmt.Sprintf("load.write%d", i), func(wp *sim.Proc) {
 				defer gate.Done()

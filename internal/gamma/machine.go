@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/buffer"
-	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/fault"
@@ -99,11 +98,10 @@ type Machine struct {
 	Relation  *storage.Relation
 	Placement core.Placement
 
-	Eng     *sim.Engine
-	Net     *hw.Network
-	Nodes   []*exec.Node
-	Host    *exec.Host
-	Catalog *catalog.Catalog
+	Eng   *sim.Engine
+	Net   *hw.Network
+	Nodes []*exec.Node
+	Host  *exec.Host
 	// Injector is armed when Cfg.Faults is enabled (rebuilt on every reset,
 	// so each Run gets a fresh fault log); View is the scheduler's health
 	// picture, non-nil whenever the machine runs in degraded mode.
@@ -157,7 +155,7 @@ func Build(rel *storage.Relation, placement core.Placement, cfg Config) (*Machin
 // a machine after Close, so a caller about to Run pays for one reset, not
 // two.
 func New(img *Image, cfg Config) (*Machine, error) {
-	procs := img.rels[0].info.Placement.Processors()
+	procs := img.rels[0].placement.Processors()
 	if err := cfg.Validate(procs); err != nil {
 		return nil, err
 	}
@@ -176,7 +174,7 @@ func New(img *Image, cfg Config) (*Machine, error) {
 // newMachine returns a machine over img with no engine yet.
 func newMachine(img *Image, cfg Config) *Machine {
 	first := img.rels[0]
-	return &Machine{Cfg: cfg, Relation: first.rel, Placement: first.info.Placement, img: img}
+	return &Machine{Cfg: cfg, Relation: first.rel, Placement: first.placement, img: img}
 }
 
 // AddRelation declusters a further relation onto the same machine (its
@@ -206,8 +204,8 @@ func (m *Machine) AddRelation(rel *storage.Relation, placement core.Placement) e
 // hardware and buffer pools, and reattaches the machine's storage image,
 // so direct users of Machine.Eng/Host (single-query probes, joins) can
 // start from a cold, deterministic state; Run and RunServe call it
-// implicitly. A machine from New needs it (or a Run) before Eng, Nodes,
-// Host or Catalog are set.
+// implicitly. A machine from New needs it (or a Run) before Eng, Nodes
+// or Host are set.
 func (m *Machine) Reset() { m.reset() }
 
 // Close retires the machine's current engine: every process still parked
@@ -224,7 +222,7 @@ func (m *Machine) Close() {
 }
 
 // reset gives the next run a cold, deterministic machine: a new engine,
-// CPUs, network, disks, buffer pools, operator nodes, host, catalog, heat
+// CPUs, network, disks, buffer pools, operator nodes, host, heat
 // accumulators, fault injector, sampler and rebalancer. The storage image
 // is not rebuilt: the nodes attach the image's read-only fragments and
 // auxiliary trees, and each disk's allocator resumes after the image's
@@ -253,7 +251,6 @@ func (m *Machine) reset() {
 	}
 	net := hw.NewNetwork(eng, cfg.HW, cpus)
 
-	cat := catalog.New()
 	nodes := make([]*exec.Node, pPhys)
 	for i := 0; i < pPhys; i++ {
 		disk := hw.NewDisk(eng, fmt.Sprintf("disk%d", i), cfg.HW, cpus[i],
@@ -272,16 +269,12 @@ func (m *Machine) reset() {
 		m.Heat = obs.NewHeatMap()
 	}
 
-	// Attach every relation's storage image to its nodes and register it
-	// in the System Catalog (Figure 7). Standby nodes (index >= p) start
-	// empty: they hold no fragments until a join transition stages a new
-	// generation onto them.
+	// Attach every relation's storage image to its nodes. Standby nodes
+	// (index >= p) start empty: they hold no fragments until a join
+	// transition stages a new generation onto them.
 	slots := identitySlots(p)
 	for _, r := range img.rels {
 		attach(nodes, m.Heat, 0, r.rel.Name, r.holdings, slots)
-		if err := cat.Register(r.info); err != nil {
-			panic(err) // unreachable: names deduplicated in AddRelation
-		}
 	}
 	for _, n := range nodes {
 		n.Start()
@@ -289,7 +282,7 @@ func (m *Machine) reset() {
 
 	host := exec.NewHost(eng, pPhys, cfg.HW, net, cfg.Costs)
 	for _, r := range img.rels {
-		host.AddRelation(r.rel.Name, r.info.Placement)
+		host.AddRelation(r.rel.Name, r.placement)
 	}
 	host.BERDFetchByTID = cfg.BERDFetchByTID
 	host.Start()
@@ -351,7 +344,6 @@ func (m *Machine) reset() {
 	m.Net = net
 	m.Nodes = nodes
 	m.Host = host
-	m.Catalog = cat
 	m.allocs = img.allocators(pPhys)
 
 	// Elastic membership: the controller process walks the schedule on the

@@ -3,10 +3,16 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 	"runtime/debug"
 )
+
+// ErrPanicked is wrapped by the run error of a simulation in which a
+// process panicked, so a caller can tell the panic from an ordinary
+// failure (errors.Is) and raise it again.
+var ErrPanicked = errors.New("panicked")
 
 // coro is a pooled process coroutine: an iter.Pull coroutine that runs one
 // process body after another. Only the engine loop (RunUntil, Close) calls
@@ -58,9 +64,9 @@ func (c *coro) loop(yield func(struct{}) bool) {
 
 // run executes the assigned body to completion. A Kill unwinds it through
 // the errKilled panic, which is recovered here; any other panic fails the
-// run with the process's name and stack. Either way the coroutine survives
-// to run the next body. A process killed before its first resume never
-// runs its body.
+// run with an ErrPanicked error carrying the process's name and stack.
+// Either way the coroutine survives to run the next body. A process killed
+// before its first resume never runs its body.
 func (c *coro) run() {
 	p, fn, e := c.p, c.fn, c.eng
 	c.p, c.fn = nil, nil
@@ -68,7 +74,7 @@ func (c *coro) run() {
 		p.finished = true
 		e.removeProc(p)
 		if r := recover(); r != nil && r != errKilled {
-			e.fail(fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack()))
+			e.fail(fmt.Errorf("sim: process %q %w: %v\n%s", p.name, ErrPanicked, r, debug.Stack()))
 		}
 	}()
 	if !p.killed {

@@ -1,14 +1,15 @@
 package sim
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
 )
 
-// A panicking process fails the run with its name and message, and its
-// coroutine survives the panic: the next spawn reuses it and runs the new
-// body to completion.
+// A panicking process fails the run with an ErrPanicked error carrying its
+// name and message, and its coroutine survives the panic: the next spawn
+// reuses it and runs the new body to completion.
 func TestPanicKeepsCoroutineReusable(t *testing.T) {
 	e := New()
 	bad := e.Spawn("bad", func(p *Proc) {
@@ -16,7 +17,7 @@ func TestPanicKeepsCoroutineReusable(t *testing.T) {
 		panic("boom")
 	})
 	err := e.Run()
-	if err == nil || !strings.Contains(err.Error(), `process "bad" panicked: boom`) {
+	if !errors.Is(err, ErrPanicked) || !strings.Contains(err.Error(), `process "bad" panicked: boom`) {
 		t.Fatalf("Run error = %v, want the bad process's panic", err)
 	}
 	co := bad.co

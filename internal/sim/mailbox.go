@@ -254,10 +254,9 @@ func (m *Mailbox[T]) flush() {
 // releases all current and future waiters. It coordinates, e.g., a query
 // scheduler waiting for every participating operator to report done.
 type Trigger struct {
-	eng       *Engine
-	fired     bool
-	waiters   []*Proc
-	callbacks []func()
+	eng     *Engine
+	fired   bool
+	waiters []*Proc
 }
 
 // NewTrigger creates an unfired trigger.
@@ -272,8 +271,7 @@ func (t *Trigger) Wait(p *Proc) {
 	}
 }
 
-// Fire releases all waiters and runs registered callbacks. Firing twice is
-// a no-op.
+// Fire releases all waiters. Firing twice is a no-op.
 func (t *Trigger) Fire() {
 	if t.fired {
 		return
@@ -283,10 +281,6 @@ func (t *Trigger) Fire() {
 		t.eng.Wake(p)
 	}
 	t.waiters = nil
-	for _, fn := range t.callbacks {
-		fn()
-	}
-	t.callbacks = nil
 }
 
 // Fired reports whether the trigger has fired.

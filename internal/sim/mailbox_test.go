@@ -191,69 +191,6 @@ func TestGateExtraDonePanics(t *testing.T) {
 	}
 }
 
-func TestWaitTimeoutFires(t *testing.T) {
-	e := New()
-	tr := NewTrigger(e)
-	var ok bool
-	var when Time
-	e.Spawn("waiter", func(p *Proc) {
-		ok = tr.WaitTimeout(p, 10*Millisecond)
-		when = p.Now()
-	})
-	e.Spawn("firer", func(p *Proc) {
-		p.Hold(3 * Millisecond)
-		tr.Fire()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("trigger fired before the deadline but WaitTimeout reported timeout")
-	}
-	if when != 3*Time(Millisecond) {
-		t.Fatalf("waiter resumed at %v", when)
-	}
-}
-
-func TestWaitTimeoutExpires(t *testing.T) {
-	e := New()
-	tr := NewTrigger(e)
-	var ok bool
-	var when Time
-	e.Spawn("waiter", func(p *Proc) {
-		ok = tr.WaitTimeout(p, 5*Millisecond)
-		when = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("WaitTimeout reported success though the trigger never fired")
-	}
-	if when != 5*Time(Millisecond) {
-		t.Fatalf("waiter resumed at %v, want the 5ms deadline", when)
-	}
-}
-
-func TestWaitTimeoutAlreadyFired(t *testing.T) {
-	e := New()
-	tr := NewTrigger(e)
-	tr.Fire()
-	var ok bool
-	e.Spawn("waiter", func(p *Proc) {
-		ok = tr.WaitTimeout(p, Millisecond)
-		if p.Now() != 0 {
-			t.Error("pre-fired trigger should return immediately")
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("pre-fired trigger reported timeout")
-	}
-}
-
 // A GetTimeout that returns early on a message must disarm its deadline
 // timer: the stale timer used to pull the proc out of a *later*
 // GetTimeout's waiter slot at the exact instant that call's own timer was
