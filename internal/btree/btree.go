@@ -11,7 +11,9 @@
 package btree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -69,7 +71,7 @@ func (t *Tree) Bulk(entries []Entry) {
 	if t.size != 0 {
 		panic("btree: Bulk on non-empty tree")
 	}
-	if !sort.SliceIsSorted(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key }) {
+	if !slices.IsSortedFunc(entries, func(a, b Entry) int { return cmp.Compare(a.Key, b.Key) }) {
 		panic("btree: Bulk entries not sorted")
 	}
 	if len(entries) == 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/storage"
@@ -77,7 +78,7 @@ func QuantileCuts(rel *storage.Relation, attr, p int) []int64 {
 	for i, t := range rel.Tuples {
 		vals[i] = t.Attrs[attr]
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	slices.Sort(vals)
 	cuts := make([]int64, p-1)
 	n := len(vals)
 	for i := 1; i < p; i++ {

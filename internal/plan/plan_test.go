@@ -166,3 +166,130 @@ func TestAggFnString(t *testing.T) {
 		}
 	}
 }
+
+// planDecoder builds a plan tree from fuzz bytes, three per node. The first
+// byte picks the kind, among the five known and three unknown ones, and
+// the join or aggregate attribute and function; the second the arity, 0-3,
+// and the predicate; the third whether the node names a relation, whether
+// it has a predicate, its access method (one of them unknown) and whether
+// its last input is nil. Once the bytes run out every byte reads as zero,
+// and past maxPlanDepth or maxPlanNodes every node is a leaf.
+type planDecoder struct {
+	data  []byte
+	nodes int
+}
+
+const (
+	maxPlanDepth = 6
+	maxPlanNodes = 64
+)
+
+func (d *planDecoder) next() byte {
+	if len(d.data) == 0 {
+		return 0
+	}
+	b := d.data[0]
+	d.data = d.data[1:]
+	return b
+}
+
+func (d *planDecoder) node(depth int) *Node {
+	d.nodes++
+	kind, shape, flags := d.next(), d.next(), d.next()
+	n := &Node{
+		Kind:    Kind(int(kind%8) - 1),
+		Attr:    int(kind>>3) % storage.NumAttrs,
+		Fn:      AggFn(kind >> 3 % 5),
+		HasPred: flags&2 != 0,
+		Access:  Access(flags >> 2 % 5),
+	}
+	if flags&1 != 0 {
+		n.Relation = "wisc"
+	}
+	if n.HasPred {
+		n.Pred = pred(int(shape>>2)%storage.NumAttrs, int64(shape>>4), int64(shape&15))
+	}
+	arity := int(shape % 4)
+	if depth >= maxPlanDepth || d.nodes >= maxPlanNodes {
+		arity = 0
+	}
+	for i := 0; i < arity; i++ {
+		if i == arity-1 && flags&0x80 != 0 {
+			n.Inputs = append(n.Inputs, nil)
+			continue
+		}
+		n.Inputs = append(n.Inputs, d.node(depth+1))
+	}
+	return n
+}
+
+// validPlan states Validate's documented rules independently: every node
+// and every input is non-nil and valid; a Scan is a leaf naming a relation;
+// an IndexScan is a leaf naming a relation, with a predicate and an index
+// access method; a Filter has one input and a predicate; a Join has two
+// inputs and an Aggregate one; no other kind is valid.
+func validPlan(n *Node) bool {
+	if n == nil {
+		return false
+	}
+	for _, in := range n.Inputs {
+		if !validPlan(in) {
+			return false
+		}
+	}
+	leaf := len(n.Inputs) == 0
+	switch n.Kind {
+	case KindScan:
+		return leaf && n.Relation != ""
+	case KindIndexScan:
+		return leaf && n.Relation != "" && n.HasPred && n.Access != AccessSeqScan
+	case KindFilter:
+		return len(n.Inputs) == 1 && n.HasPred
+	case KindJoin:
+		return len(n.Inputs) == 2
+	case KindAggregate:
+		return len(n.Inputs) == 1
+	default:
+		return false
+	}
+}
+
+// countPlan counts the node slots of a tree, nil inputs included.
+func countPlan(n *Node) int {
+	c := 1
+	if n != nil {
+		for _, in := range n.Inputs {
+			c += countPlan(in)
+		}
+	}
+	return c
+}
+
+// FuzzPlanValidate builds arbitrary trees (see planDecoder): unknown kinds,
+// arities 0-3, nil inputs, unnamed relations, missing predicates and
+// IndexScans with seq-scan access. Validate must never panic and must
+// accept a tree exactly when validPlan does; String and Explain must not
+// panic either, and Explain must give one line per node slot.
+func FuzzPlanValidate(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 1})                         // Scan(wisc)
+	f.Add([]byte{4, 2, 0, 1, 0, 1, 1, 0, 1})       // Join of two scans
+	f.Add([]byte{2, 0, 15})                        // IndexScan with seq-scan access
+	f.Add([]byte{2, 0, 7})                         // IndexScan, non-clustered
+	f.Add([]byte{3, 1, 0x82})                      // Filter over a nil input
+	f.Add([]byte{5, 1, 0, 3, 1, 2, 1, 0, 1})       // Aggregate over Filter over Scan
+	f.Add([]byte{0, 1, 1, 7, 1, 0, 6, 0, 1})       // unknown kinds
+	f.Add([]byte{4, 3, 0, 1, 0, 1, 1, 0, 1, 1, 0}) // Join with three inputs
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := planDecoder{data: data}
+		n := d.node(0)
+		err := n.Validate()
+		if want := validPlan(n); (err == nil) != want {
+			t.Fatalf("Validate(%s) = %v, want valid %v", n, err, want)
+		}
+		_ = n.String()
+		if lines := strings.Count(n.Explain(), "\n"); lines != countPlan(n) {
+			t.Fatalf("Explain(%s) has %d lines, want %d:\n%s", n, lines, countPlan(n), n.Explain())
+		}
+	})
+}

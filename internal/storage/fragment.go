@@ -140,10 +140,17 @@ func BuildFragment(node int, tuples []Tuple, clusteredAttr int, layout Layout, a
 	if layout.TuplesPerPage <= 0 {
 		panic("storage: layout.TuplesPerPage must be positive")
 	}
-	ts := append([]Tuple(nil), tuples...)
-	slices.SortStableFunc(ts, func(a, b Tuple) int {
-		return cmp.Compare(a.Attrs[clusteredAttr], b.Attrs[clusteredAttr])
-	})
+	// Sort (key, input index) pairs, then gather: the tuples move once,
+	// and the caller's slice is left as it was.
+	order := make([]btree.Entry, len(tuples))
+	for i := range tuples {
+		order[i] = btree.Entry{Key: tuples[i].Attrs[clusteredAttr], Val: int64(i)}
+	}
+	btree.SortEntries(order)
+	ts := slices.Grow([]Tuple(nil), len(order)) // nil when there are none
+	for _, e := range order {
+		ts = append(ts, tuples[e.Val])
+	}
 	pages := (len(ts) + layout.TuplesPerPage - 1) / layout.TuplesPerPage
 	base := 0
 	if pages > 0 {
@@ -182,7 +189,7 @@ func (f *Fragment) AddIndex(attr int, alloc *Allocator) *Index {
 		entries[slot] = btree.Entry{Key: t.Attrs[attr], Val: val}
 	}
 	if !clustered {
-		slices.SortStableFunc(entries, func(a, b btree.Entry) int { return cmp.Compare(a.Key, b.Key) })
+		btree.SortEntries(entries)
 	}
 	tree := btree.New(f.layout.IndexFanout, f.layout.IndexLeafCap, alloc.Alloc)
 	tree.Bulk(entries)
@@ -333,15 +340,14 @@ type AuxEntry struct {
 // BuildAux organizes entries (sorted internally by value) as a B+-tree whose
 // leaf values encode (proc, tid).
 func BuildAux(node int, entries []AuxEntry, layout Layout, alloc *Allocator) *AuxFragment {
-	es := append([]AuxEntry(nil), entries...)
-	slices.SortStableFunc(es, func(a, b AuxEntry) int { return cmp.Compare(a.Value, b.Value) })
-	bes := make([]btree.Entry, len(es))
-	for i, e := range es {
+	bes := make([]btree.Entry, len(entries))
+	for i, e := range entries {
 		bes[i] = btree.Entry{Key: e.Value, Val: packAux(e.Proc, e.TID)}
 	}
+	btree.SortEntries(bes)
 	tree := btree.New(layout.IndexFanout, layout.IndexLeafCap, alloc.Alloc)
 	tree.Bulk(bes)
-	return &AuxFragment{Node: node, Tree: tree, Entries: len(es)}
+	return &AuxFragment{Node: node, Tree: tree, Entries: len(bes)}
 }
 
 // Lookup returns the TIDs of values in [lo, hi] grouped by home processor,
