@@ -1,6 +1,7 @@
 package gamma
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -150,4 +151,62 @@ func TestRunServeTelemetry(t *testing.T) {
 	if !reflect.DeepEqual(res, rep) {
 		t.Fatal("same seed+spec produced different serving telemetry")
 	}
+}
+
+// Arming telemetry must not perturb an open run either: the result minus
+// the Series block and the burn verdict is identical to a telemetry-free
+// run's, although the sampler's events interleave with the arrivals'.
+func TestRunServeTelemetryDoesNotPerturbSchedule(t *testing.T) {
+	rel := smallRelation(t, 0)
+	mix := workload.LowLow(rel.Cardinality())
+	spec := ServeSpec{
+		Arrival:        serve.ArrivalSpec{Kind: serve.Poisson, RateQPS: 300},
+		MaxInService:   8,
+		WarmupQueries:  20,
+		MeasureQueries: 150,
+		MaxSimTime:     20 * sim.Second,
+	}
+
+	plain, err := buildRange(t, rel, smallConfig()).RunServe(mix, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig()
+	cfg.Telemetry = &TelemetrySpec{Window: 50 * sim.Millisecond}
+	sampled, err := buildRange(t, rel, cfg).RunServe(mix, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sampled.Series) == 0 || sampled.Serve.Burn == nil {
+		t.Fatal("telemetry armed but Series or the burn verdict is empty")
+	}
+	sampled.Series, sampled.Serve.Burn = nil, nil
+	if !reflect.DeepEqual(plain, sampled) {
+		t.Fatalf("telemetry perturbed the run:\nplain   %+v\nsampled %+v", plain, sampled)
+	}
+}
+
+const closedSeriesGolden = "testdata/closed_series.golden"
+
+// TestClosedSeriesGolden pins the time series of a small closed run with
+// telemetry and heat armed: the sampler's window instants, its rebase at
+// the warm-up boundary and every probe's value. Regenerate with
+// -update-traces only for a change that means to alter the series.
+func TestClosedSeriesGolden(t *testing.T) {
+	rel := smallRelation(t, 0)
+	cfg := smallConfig()
+	cfg.Telemetry = &TelemetrySpec{Window: 50 * sim.Millisecond}
+	cfg.Heat = &HeatSpec{}
+	m := buildRange(t, rel, cfg)
+	defer m.Close()
+	res, err := m.Run(workload.LowLow(rel.Cardinality()),
+		RunSpec{MPL: 4, WarmupQueries: 10, MeasureQueries: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(res.Series, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTraceGolden(t, closedSeriesGolden, append(got, '\n'))
 }
