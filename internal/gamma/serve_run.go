@@ -39,14 +39,16 @@ type ServeSpec struct {
 	MaxQueueWait sim.Duration
 	// SLOms is the latency objective for goodput accounting.
 	SLOms float64
-	// WarmupQueries completions are discarded; the next MeasureQueries
-	// completions form the measurement window.
+	// WarmupQueries completions are discarded (zero: none, negative is
+	// rejected); the next MeasureQueries completions form the measurement
+	// window (zero: 2000).
 	WarmupQueries  int
 	MeasureQueries int
 	// Seed varies arrival, tenant-assignment and workload sampling streams;
 	// defaults to the machine seed.
 	Seed int64
-	// MaxSimTime bounds the run in simulated time.
+	// MaxSimTime bounds the run in simulated time; defaults to 3600
+	// simulated seconds.
 	MaxSimTime sim.Duration
 }
 
@@ -98,7 +100,8 @@ func (r ServeResult) String() string {
 // state: the serve front end admits queries from the spec's arrival process
 // and executes them on this machine's scheduler under the MPL governor.
 // Like Run, the machine is reset first, so runs are independent and
-// deterministic for a (machine seed, run seed) pair.
+// deterministic for a (machine seed, run seed) pair, and it measures over
+// the same exec.Window: only the admission differs.
 func (m *Machine) RunServe(mix workload.Mix, spec ServeSpec) (ServeResult, error) {
 	seed := spec.Seed
 	if seed == 0 {
@@ -108,31 +111,29 @@ func (m *Machine) RunServe(mix workload.Mix, spec ServeSpec) (ServeResult, error
 	name, card := m.Relation.Name, m.Relation.Cardinality()
 	access := mix.AccessChooser()
 
+	if spec.MeasureQueries == 0 {
+		spec.MeasureQueries = 2000
+	}
+	if spec.MaxSimTime <= 0 {
+		spec.MaxSimTime = 3600 * sim.Second
+	}
 	cfg := serve.Config{
-		Arrival:        spec.Arrival,
-		Tenants:        spec.Tenants,
-		MaxInService:   spec.MaxInService,
-		MaxQueue:       spec.MaxQueue,
-		MaxQueueWait:   spec.MaxQueueWait,
-		SLOms:          spec.SLOms,
-		WarmupQueries:  spec.WarmupQueries,
-		MeasureQueries: spec.MeasureQueries,
-		MaxSimTime:     spec.MaxSimTime,
+		Arrival:      spec.Arrival,
+		Tenants:      spec.Tenants,
+		MaxInService: spec.MaxInService,
+		MaxQueue:     spec.MaxQueue,
+		MaxQueueWait: spec.MaxQueueWait,
+		SLOms:        spec.SLOms,
 		Sample: func(src *rng.Source) (*plan.Node, string) {
 			pred, cls := mix.Sample(src, card)
 			return plan.Select(name, pred, access(pred)), cls.Name
 		},
-		OnWarm: func() { m.resetStats() },
 	}
 	if m.Telemetry != nil {
-		// The serving layer adds its own probes to the machine sampler and
-		// drives sampling (plus the burn evaluator) itself — spawnTelemetry
-		// is not called here, or windows would be sampled twice.
-		cfg.Telemetry = m.Telemetry
 		cfg.BurnBudget = m.Cfg.Telemetry.BurnBudget
 	}
-
-	res, err := serve.Run(m.Eng, rng.NewFactory(seed^serveSeedTag), cfg, m.Host)
+	win := m.windowSpec(spec.WarmupQueries, spec.MeasureQueries, spec.MaxSimTime)
+	res, err := serve.Run(m.Eng, rng.NewFactory(seed^serveSeedTag), cfg, win, m.Host)
 	if err != nil {
 		return ServeResult{}, err
 	}

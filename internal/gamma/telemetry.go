@@ -11,10 +11,10 @@ import (
 // TelemetrySpec arms windowed time-series sampling on the machine: every
 // reset builds a fresh obs.Sampler carrying per-node windowed disk/CPU
 // utilization, instantaneous queue depths, per-node operator rates, and
-// machine-wide disk/CPU skew over the same windows. Run drives it on
-// sim-time window boundaries; RunServe hands it to the serving layer,
-// which adds its own probes and drives sampling plus the SLO burn-rate
-// evaluator.
+// machine-wide disk/CPU skew over the same windows. Run and RunServe hand
+// it to their exec.Window, whose one driver samples it on sim-time window
+// boundaries and rebases it at the warm-up boundary; RunServe's front end
+// first adds its own probes and scores the SLO burn rate after each sample.
 type TelemetrySpec struct {
 	// Window is the sampling window in simulated time. Default 250ms.
 	Window sim.Duration
@@ -110,28 +110,4 @@ func skewProbe(nodes []*exec.Node, read func(*exec.Node) float64) obs.Probe {
 		}
 		return max / (sum / float64(len(nodes)))
 	}
-}
-
-// spawnTelemetry starts the sampling driver on the current engine when
-// telemetry is armed: one process holding one window of simulated time
-// per iteration. Run calls it after reset; RunServe does not — the
-// serving layer drives the shared sampler itself (together with the burn
-// evaluator). Direct users of Machine.Eng that run the engine to heap
-// drain must not call this: a forever-holding process would keep the heap
-// populated.
-func (m *Machine) spawnTelemetry() {
-	if m.Telemetry == nil {
-		return
-	}
-	eng, ts := m.Eng, m.Telemetry
-	window := sim.Duration(ts.WindowNS())
-	eng.Spawn("obs.sampler", func(p *sim.Proc) {
-		for {
-			p.Hold(window)
-			if eng.Stopped() {
-				return
-			}
-			ts.Sample(int64(p.Now()))
-		}
-	})
 }

@@ -3,10 +3,16 @@ package serve
 import (
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
+
+// benchWindow measures b.N completions from the first instant.
+func benchWindow(b *testing.B) exec.WindowSpec {
+	return exec.WindowSpec{MeasureQueries: b.N, MaxSimTime: 3600 * sim.Second}
+}
 
 // BenchmarkOpenArrivals measures the serving layer's end-to-end admission
 // throughput — arrival generation, admission, WRR dispatch, a minimal
@@ -14,19 +20,18 @@ import (
 // second of wall time.
 func BenchmarkOpenArrivals(b *testing.B) {
 	cfg := Config{
-		Arrival:        ArrivalSpec{Kind: Poisson, RateQPS: 2000},
-		Tenants:        DefaultTenants(4),
-		MaxInService:   8,
-		MaxQueue:       64,
-		SLOms:          100,
-		WarmupQueries:  0,
-		MeasureQueries: b.N,
-		Sample:         pointQueries("bench"),
+		Arrival:      ArrivalSpec{Kind: Poisson, RateQPS: 2000},
+		Tenants:      DefaultTenants(4),
+		MaxInService: 8,
+		MaxQueue:     64,
+		SLOms:        100,
+		Sample:       pointQueries("bench"),
 	}
+	win := benchWindow(b)
 	backend := &fakeBackend{service: sim.Millisecond}
 	b.ReportAllocs()
 	b.ResetTimer()
-	res, err := Run(sim.New(), rng.NewFactory(1), cfg, backend)
+	res, err := Run(sim.New(), rng.NewFactory(1), cfg, win, backend)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -41,20 +46,19 @@ func BenchmarkOpenArrivals(b *testing.B) {
 // sampled-path overhead (acceptance: <5% over the unsampled benchmark).
 func BenchmarkOpenArrivalsSampled(b *testing.B) {
 	cfg := Config{
-		Arrival:        ArrivalSpec{Kind: Poisson, RateQPS: 2000},
-		Tenants:        DefaultTenants(4),
-		MaxInService:   8,
-		MaxQueue:       64,
-		SLOms:          100,
-		WarmupQueries:  0,
-		MeasureQueries: b.N,
-		Telemetry:      obs.NewSampler(int64(250*sim.Millisecond), obs.DefaultCapacity),
-		Sample:         pointQueries("bench"),
+		Arrival:      ArrivalSpec{Kind: Poisson, RateQPS: 2000},
+		Tenants:      DefaultTenants(4),
+		MaxInService: 8,
+		MaxQueue:     64,
+		SLOms:        100,
+		Sample:       pointQueries("bench"),
 	}
+	win := benchWindow(b)
+	win.Telemetry = obs.NewSampler(int64(250*sim.Millisecond), obs.DefaultCapacity)
 	backend := &fakeBackend{service: sim.Millisecond}
 	b.ReportAllocs()
 	b.ResetTimer()
-	res, err := Run(sim.New(), rng.NewFactory(1), cfg, backend)
+	res, err := Run(sim.New(), rng.NewFactory(1), cfg, win, backend)
 	if err != nil {
 		b.Fatal(err)
 	}

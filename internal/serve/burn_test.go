@@ -130,8 +130,9 @@ func TestBurnEvalDefaultBudget(t *testing.T) {
 func TestRunBurnStatsUnderOverload(t *testing.T) {
 	cfg := testConfig(3200)
 	cfg.SLOms = 1 // queue wait alone blows the objective
-	cfg.Telemetry = obs.NewSampler(int64(250*sim.Millisecond), obs.DefaultCapacity)
-	res := runServe(t, 1, cfg, &fakeBackend{service: sim.Milliseconds(5)})
+	win := testWindow()
+	win.Telemetry = obs.NewSampler(int64(250*sim.Millisecond), obs.DefaultCapacity)
+	res := runServe(t, 1, cfg, win, &fakeBackend{service: sim.Milliseconds(5)})
 	if res.Burn == nil {
 		t.Fatal("telemetry armed but Burn is nil")
 	}
@@ -149,9 +150,10 @@ func TestRunBurnStatsUnderOverload(t *testing.T) {
 // score clean.
 func TestRunZeroAdmittedQueries(t *testing.T) {
 	cfg := testConfig(0.001) // one arrival per ~1000s, bound at 2s
-	cfg.MaxSimTime = 2 * sim.Second
-	cfg.Telemetry = obs.NewSampler(int64(250*sim.Millisecond), obs.DefaultCapacity)
-	res := runServe(t, 1, cfg, &fakeBackend{service: sim.Milliseconds(5)})
+	win := testWindow()
+	win.MaxSimTime = 2 * sim.Second
+	win.Telemetry = obs.NewSampler(int64(250*sim.Millisecond), obs.DefaultCapacity)
+	res := runServe(t, 1, cfg, win, &fakeBackend{service: sim.Milliseconds(5)})
 
 	if !res.HitMaxSimTime || res.Warmed {
 		t.Fatalf("expected an unwarmed time-bounded run: %+v", res)
@@ -181,9 +183,10 @@ func TestRunZeroAdmittedQueries(t *testing.T) {
 // window rather than leaking transient statistics.
 func TestRunWarmupLongerThanRun(t *testing.T) {
 	cfg := testConfig(200)
-	cfg.WarmupQueries = 1 << 30
-	cfg.MaxSimTime = 2 * sim.Second
-	res := runServe(t, 1, cfg, &fakeBackend{service: sim.Milliseconds(5)})
+	win := testWindow()
+	win.WarmupQueries = 1 << 30
+	win.MaxSimTime = 2 * sim.Second
+	res := runServe(t, 1, cfg, win, &fakeBackend{service: sim.Milliseconds(5)})
 	if res.Warmed || !res.HitMaxSimTime {
 		t.Fatalf("expected an unwarmed time-bounded run: %+v", res)
 	}
@@ -203,7 +206,7 @@ func TestRunWarmupLongerThanRun(t *testing.T) {
 func TestRunSingleTenantZeroWeight(t *testing.T) {
 	cfg := testConfig(200)
 	cfg.Tenants = []Tenant{{Name: "solo", Weight: 0}}
-	res := runServe(t, 1, cfg, &fakeBackend{service: sim.Milliseconds(5)})
+	res := runServe(t, 1, cfg, testWindow(), &fakeBackend{service: sim.Milliseconds(5)})
 	if !res.Warmed || res.HitMaxSimTime {
 		t.Fatalf("run did not complete normally: %+v", res)
 	}

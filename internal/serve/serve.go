@@ -44,36 +44,12 @@ type Config struct {
 	// SLOms is the latency objective for goodput accounting. Default 1000.
 	SLOms float64
 
-	// WarmupQueries completions are discarded as the initial transient;
-	// the next MeasureQueries completions form the measurement window.
-	// Defaults 200 and 2000.
-	WarmupQueries  int
-	MeasureQueries int
-	// MaxSimTime bounds the run in simulated time in case completions
-	// cannot reach the target (e.g. offered load far below expectations).
-	// Default 3600 simulated seconds.
-	MaxSimTime sim.Duration
-
 	// Sample draws one query plan (and a class label for traces) per
 	// admitted arrival, from the given dedicated stream. Required.
 	Sample func(src *rng.Source) (*plan.Node, string)
-	// OnWarm fires once at the warm-up boundary, before the measurement
-	// window opens — the hook the machine uses to reset its own hardware
-	// statistics in step with the tracker.
-	OnWarm func()
-
-	// Telemetry, when non-nil, attaches the run to a windowed time-series
-	// sampler: Run registers the serving probes (arrival/goodput/shed
-	// rates, queue depth, in-flight count, admission credits, windowed
-	// queue wait) and spawns a driver process that samples every window of
-	// simulated time and feeds the SLO burn-rate evaluator. The sampler is
-	// rebased at the warm-up boundary, right after OnWarm, so measured
-	// series exclude the transient. Nil (the default) spawns nothing: the
-	// simulation schedule is byte-identical to a telemetry-free build.
-	Telemetry *obs.Sampler
 	// BurnBudget is the per-window fraction of completions allowed to miss
 	// the SLO (or fail) before the window counts as an SLO violation.
-	// Default 0.1. Only consulted when Telemetry is set.
+	// Default 0.1. Only consulted when the window's Telemetry is set.
 	BurnBudget float64
 }
 
@@ -92,15 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueueWait <= 0 {
 		c.MaxQueueWait = sim.Milliseconds(4 * c.SLOms)
-	}
-	if c.WarmupQueries < 0 {
-		c.WarmupQueries = 0
-	}
-	if c.MeasureQueries <= 0 {
-		c.MeasureQueries = 2000
-	}
-	if c.MaxSimTime <= 0 {
-		c.MaxSimTime = 3600 * sim.Second
 	}
 	return c
 }
@@ -167,16 +134,19 @@ func (r Result) GoodputQPS() float64 {
 	return 0
 }
 
-// Run executes one open-system serving run to completion on the engine:
-// it spawns the arrival process and MaxInService worker processes, runs the
-// engine until the measurement target (or MaxSimTime), sheds the queued
-// residue, and returns the measured statistics.
+// Run executes one open-system serving run to completion on the engine,
+// measured over win: it spawns the arrival process and MaxInService worker
+// processes, runs the engine until the window closes (or its MaxSimTime
+// passes), sheds the queued residue, and returns the measured statistics.
+// Run supplies the window's ResetAdmission (the SLO tracker and burn
+// evaluator) and, with telemetry armed, registers the serving probes on
+// win.Telemetry and sets AfterSample to score each window's SLO burn.
 //
 // Determinism: the run draws from exactly three dedicated streams —
 // "serve.arrivals" (inter-arrival gaps), "serve.tenant" (tenant
 // assignment), and "serve.sample" (predicate sampling) — in arrival order,
 // so the full admission schedule is a pure function of (seed, config).
-func Run(eng *sim.Engine, streams *rng.Factory, cfg Config, backend Executor) (Result, error) {
+func Run(eng *sim.Engine, streams *rng.Factory, cfg Config, win exec.WindowSpec, backend Executor) (Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -201,34 +171,26 @@ func Run(eng *sim.Engine, streams *rng.Factory, cfg Config, backend Executor) (R
 		work:    sim.NewMailbox[struct{}](eng, "serve.work"),
 		backend: backend,
 	}
-	f.warmed = cfg.WarmupQueries == 0
-	if f.warmed {
-		f.measuredStart = eng.Now()
-	}
 	perTenantCap := cfg.MaxQueue / len(cfg.Tenants)
 	if perTenantCap < 1 {
 		perTenantCap = 1
 	}
 
-	// Telemetry driver: one process holding one window of simulated time
-	// per iteration, sampling every probe and scoring the window's SLO
-	// burn. Sim-time events only — the series is as deterministic as the
-	// simulation itself.
-	if cfg.Telemetry != nil {
-		f.burn = newBurnEval(cfg.Telemetry.WindowNS(), cfg.BurnBudget)
-		f.registerProbes(cfg.Telemetry)
-		window := sim.Duration(cfg.Telemetry.WindowNS())
-		eng.Spawn("serve.telemetry", func(p *sim.Proc) {
-			for {
-				p.Hold(window)
-				if eng.Stopped() {
-					return
-				}
-				cfg.Telemetry.Sample(int64(p.Now()))
-				f.burn.observe(p.Now(), f.tracker)
-			}
-		})
+	win.ResetAdmission = func() {
+		f.tracker.Reset()
+		if f.burn != nil {
+			f.burn.rebase(f.tracker)
+		}
 	}
+	if ts := win.Telemetry; ts != nil {
+		f.burn = newBurnEval(ts.WindowNS(), cfg.BurnBudget)
+		f.registerProbes(ts)
+		win.AfterSample = func(now sim.Time) { f.burn.observe(now, f.tracker) }
+	}
+	if f.win, err = exec.NewWindow(eng, win); err != nil {
+		return Result{}, err
+	}
+	f.win.SpawnSampler()
 
 	eng.Spawn("serve.arrivals", func(p *sim.Proc) {
 		for {
@@ -267,10 +229,10 @@ func Run(eng *sim.Engine, streams *rng.Factory, cfg Config, backend Executor) (R
 		})
 	}
 
-	if err := eng.RunUntil(eng.Now() + sim.Time(cfg.MaxSimTime)); err != nil {
+	reached, err := f.win.Run()
+	if err != nil {
 		return Result{}, err
 	}
-	hitTime := !f.done
 	eng.Stop() // idempotent; covers the MaxSimTime path
 
 	// Shed the queued residue with a typed outcome so every admitted query
@@ -284,13 +246,13 @@ func Run(eng *sim.Engine, streams *rng.Factory, cfg Config, backend Executor) (R
 		Arrival:       arr.Kind(),
 		OfferedQPS:    arr.RateQPS(),
 		SLO:           f.tracker.Snapshot(),
-		Outcomes:      f.outcomes,
-		MeasuredStart: f.measuredStart,
+		Outcomes:      f.win.Outcomes(),
+		MeasuredStart: f.win.Start(),
 		MeasuredEnd:   end,
-		Warmed:        f.warmed,
-		HitMaxSimTime: hitTime,
+		Warmed:        f.win.Opened(),
+		HitMaxSimTime: !reached,
 	}
-	if !f.warmed {
+	if !res.Warmed {
 		res.MeasuredStart = end // empty window: no measured statistics
 	}
 	if f.burn != nil {
@@ -305,19 +267,15 @@ func Run(eng *sim.Engine, streams *rng.Factory, cfg Config, backend Executor) (R
 type frontend struct {
 	cfg     Config
 	eng     *sim.Engine
+	win     *exec.Window
 	tracker *Tracker
 	queues  *tenantQueues
 	work    *sim.Mailbox[struct{}]
 	backend Executor
 
-	nextID         int64
-	completedTotal int64
-	inflight       int // queries currently executing (telemetry probe)
-	outcomes       exec.Outcomes
-	warmed         bool
-	done           bool
-	measuredStart  sim.Time
-	burn           *burnEval // nil without telemetry
+	nextID   int64
+	inflight int       // queries currently executing (telemetry probe)
+	burn     *burnEval // nil without telemetry
 }
 
 // registerProbes wires the serving layer's time series onto the sampler.
@@ -387,35 +345,6 @@ func (f *frontend) worker(p *sim.Proc) {
 		waitMS := sim.Duration(wait).Milliseconds()
 		latencyMS := sim.Duration(p.Now() - item.arrived).Milliseconds()
 		f.tracker.Complete(item.tenant, waitMS, latencyMS, res.Outcome.Succeeded())
-		f.outcomes.Count(res.Outcome)
-		f.completedTotal++
-		f.advance(p)
-	}
-}
-
-// advance moves the warm-up / measurement state machine after a completion.
-func (f *frontend) advance(p *sim.Proc) {
-	if !f.warmed {
-		if f.completedTotal >= int64(f.cfg.WarmupQueries) {
-			f.warmed = true
-			f.measuredStart = p.Now()
-			f.tracker.Reset()
-			f.outcomes = exec.Outcomes{}
-			if f.cfg.OnWarm != nil {
-				f.cfg.OnWarm()
-			}
-			// Rebase the time series and burn deltas after every cumulative
-			// source (tracker, machine stats via OnWarm) has reset, so the
-			// first measured window never sees a negative delta.
-			if f.burn != nil {
-				f.burn.rebase(f.tracker)
-			}
-			f.cfg.Telemetry.Rebase(int64(p.Now()))
-		}
-		return
-	}
-	if !f.done && f.tracker.Completed() >= int64(f.cfg.MeasureQueries) {
-		f.done = true
-		f.eng.Stop()
+		f.win.Complete(res.Outcome)
 	}
 }

@@ -33,22 +33,25 @@ func pointQueries(class string) func(src *rng.Source) (*plan.Node, string) {
 
 func testConfig(lambda float64) Config {
 	return Config{
-		Arrival:        ArrivalSpec{Kind: Poisson, RateQPS: lambda},
-		Tenants:        DefaultTenants(2),
-		MaxInService:   4,
-		MaxQueue:       16,
-		MaxQueueWait:   sim.Milliseconds(200),
-		SLOms:          50,
-		WarmupQueries:  50,
-		MeasureQueries: 500,
-		Sample:         pointQueries("fake"),
+		Arrival:      ArrivalSpec{Kind: Poisson, RateQPS: lambda},
+		Tenants:      DefaultTenants(2),
+		MaxInService: 4,
+		MaxQueue:     16,
+		MaxQueueWait: sim.Milliseconds(200),
+		SLOms:        50,
+		Sample:       pointQueries("fake"),
 	}
 }
 
-func runServe(t *testing.T, seed int64, cfg Config, backend Executor) Result {
+// testWindow is the measurement window testConfig's runs are measured over.
+func testWindow() exec.WindowSpec {
+	return exec.WindowSpec{WarmupQueries: 50, MeasureQueries: 500, MaxSimTime: 3600 * sim.Second}
+}
+
+func runServe(t *testing.T, seed int64, cfg Config, win exec.WindowSpec, backend Executor) Result {
 	t.Helper()
 	eng := sim.New()
-	res, err := Run(eng, rng.NewFactory(seed), cfg, backend)
+	res, err := Run(eng, rng.NewFactory(seed), cfg, win, backend)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -60,7 +63,7 @@ func runServe(t *testing.T, seed int64, cfg Config, backend Executor) Result {
 // queue-full reasons.
 func TestRunUnderloaded(t *testing.T) {
 	backend := &fakeBackend{service: sim.Milliseconds(5)}
-	res := runServe(t, 1, testConfig(200), backend)
+	res := runServe(t, 1, testConfig(200), testWindow(), backend)
 	if !res.Warmed || res.HitMaxSimTime {
 		t.Fatalf("run did not complete normally: %+v", res)
 	}
@@ -88,7 +91,7 @@ func TestRunUnderloaded(t *testing.T) {
 // cap (MaxQueue x service / slots) rather than growing with offered load.
 func TestRunOverloadedSheds(t *testing.T) {
 	backend := &fakeBackend{service: sim.Milliseconds(5)}
-	res := runServe(t, 1, testConfig(3200), backend)
+	res := runServe(t, 1, testConfig(3200), testWindow(), backend)
 	if !res.Warmed || res.HitMaxSimTime {
 		t.Fatalf("run did not complete normally: %+v", res)
 	}
@@ -114,7 +117,7 @@ func TestRunAgesOutStaleQueries(t *testing.T) {
 	cfg := testConfig(3200)
 	cfg.MaxQueueWait = sim.Milliseconds(1) // any queue wait ages out
 	backend := &fakeBackend{service: sim.Milliseconds(5)}
-	res := runServe(t, 1, cfg, backend)
+	res := runServe(t, 1, cfg, testWindow(), backend)
 	if res.SLO.ShedAged == 0 {
 		t.Fatalf("expected aged-out sheds with a 1ms bound: %+v", res.SLO)
 	}
@@ -133,7 +136,7 @@ func TestRunAgesOutStaleQueries(t *testing.T) {
 // Failed executions count against goodput even when fast.
 func TestRunFailedExecutionsAreNotGoodput(t *testing.T) {
 	backend := &fakeBackend{service: sim.Milliseconds(5), outcome: exec.OutcomeFailed}
-	res := runServe(t, 1, testConfig(200), backend)
+	res := runServe(t, 1, testConfig(200), testWindow(), backend)
 	if res.SLO.Good != 0 {
 		t.Fatalf("goodput %d with all executions failed", res.SLO.Good)
 	}
@@ -147,8 +150,8 @@ func TestRunDeterministic(t *testing.T) {
 	for _, kind := range []ArrivalKind{Poisson, Bursty, Diurnal} {
 		cfg := testConfig(1200)
 		cfg.Arrival.Kind = kind
-		a := runServe(t, 7, cfg, &fakeBackend{service: sim.Milliseconds(5)})
-		b := runServe(t, 7, cfg, &fakeBackend{service: sim.Milliseconds(5)})
+		a := runServe(t, 7, cfg, testWindow(), &fakeBackend{service: sim.Milliseconds(5)})
+		b := runServe(t, 7, cfg, testWindow(), &fakeBackend{service: sim.Milliseconds(5)})
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%v: same seed diverged:\n%+v\nvs\n%+v", kind, a, b)
 		}
@@ -157,9 +160,10 @@ func TestRunDeterministic(t *testing.T) {
 
 // MaxSimTime must bound a run whose completion target is unreachable.
 func TestRunHitsMaxSimTime(t *testing.T) {
-	cfg := testConfig(10) // 10 q/s: 550 completions would need 55s
-	cfg.MaxSimTime = 2 * sim.Second
-	res := runServe(t, 1, cfg, &fakeBackend{service: sim.Milliseconds(5)})
+	win := testWindow()
+	win.MaxSimTime = 2 * sim.Second
+	// 10 q/s: 550 completions would need 55s.
+	res := runServe(t, 1, testConfig(10), win, &fakeBackend{service: sim.Milliseconds(5)})
 	if !res.HitMaxSimTime {
 		t.Fatalf("expected the time bound to trigger: %+v", res)
 	}
@@ -174,7 +178,7 @@ func TestRunWeightedFairness(t *testing.T) {
 	cfg := testConfig(3200)
 	cfg.Tenants = []Tenant{{Name: "gold", Weight: 3}, {Name: "bronze", Weight: 1}}
 	cfg.MaxQueue = 64
-	res := runServe(t, 3, cfg, &fakeBackend{service: sim.Milliseconds(5)})
+	res := runServe(t, 3, cfg, testWindow(), &fakeBackend{service: sim.Milliseconds(5)})
 	var gold, bronze int64
 	for _, ts := range res.SLO.Tenants {
 		switch ts.Name {
@@ -224,16 +228,16 @@ func TestSmoothWRRSequence(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	cfg := testConfig(100)
 	cfg.Sample = nil
-	if _, err := Run(sim.New(), rng.NewFactory(1), cfg, &fakeBackend{service: 1}); err == nil {
+	if _, err := Run(sim.New(), rng.NewFactory(1), cfg, testWindow(), &fakeBackend{service: 1}); err == nil {
 		t.Fatalf("missing Sample must be rejected")
 	}
 	cfg = testConfig(100)
-	if _, err := Run(sim.New(), rng.NewFactory(1), cfg, nil); err == nil {
+	if _, err := Run(sim.New(), rng.NewFactory(1), cfg, testWindow(), nil); err == nil {
 		t.Fatalf("missing backend must be rejected")
 	}
 	cfg = testConfig(100)
 	cfg.Tenants = []Tenant{{Name: "x", Weight: -1}}
-	if _, err := Run(sim.New(), rng.NewFactory(1), cfg, &fakeBackend{service: 1}); err == nil {
+	if _, err := Run(sim.New(), rng.NewFactory(1), cfg, testWindow(), &fakeBackend{service: 1}); err == nil {
 		t.Fatalf("negative tenant weight must be rejected")
 	}
 }
