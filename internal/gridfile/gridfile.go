@@ -110,9 +110,6 @@ func (g *Grid) Capacity() int { return g.capacity }
 // Bounds returns the inclusive value domain of a dimension.
 func (g *Grid) Bounds(dim int) (lo, hi int64) { return g.bounds[dim][0], g.bounds[dim][1] }
 
-// Scale returns the interior split points of a dimension.
-func (g *Grid) Scale(dim int) []int64 { return append([]int64(nil), g.scales[dim]...) }
-
 // Insert adds a point with a dense id (0,1,2,... in insertion order),
 // splitting slices as cells overflow.
 func (g *Grid) Insert(point []int64, id int) {

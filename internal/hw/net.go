@@ -26,8 +26,8 @@ type NIC struct {
 	rx    *sim.Mailbox[Message] // wire -> interrupt handler
 	inbox *sim.Mailbox[Message] // interrupt handler -> application
 
-	sent, received int64
-	bytesSent      int64
+	sent      int64
+	bytesSent int64
 }
 
 // Network is the fully connected interconnect of Figure 7. Node IDs are
@@ -47,12 +47,11 @@ type Network struct {
 // messages at delivery time — the wire and CPU costs are already paid, the
 // receiver just never sees (or sees twice) the payload.
 type netFaults struct {
-	src        *rng.Source
-	dropP      float64
-	dupP       float64
-	drop, dup  []int // per-destination forced counts
-	dropped    int64
-	duplicated int64
+	src       *rng.Source
+	dropP     float64
+	dupP      float64
+	drop, dup []int // per-destination forced counts
+	dropped   int64
 }
 
 // EnableFaults arms the interconnect fault hooks. src drives the
@@ -89,14 +88,6 @@ func (n *Network) Dropped() int64 {
 	return n.faults.dropped
 }
 
-// Duplicated reports logical messages delivered twice by fault injection.
-func (n *Network) Duplicated() int64 {
-	if n.faults == nil {
-		return 0
-	}
-	return n.faults.duplicated
-}
-
 // deliveries decides how many copies of a logical message addressed to node
 // the receiver sees: 1 normally, 0 for a drop, 2 for a duplication. Forced
 // counters win over the probabilistic draws so scheduled specs stay exact.
@@ -108,7 +99,6 @@ func (f *netFaults) deliveries(node int) int {
 	}
 	if f.dup[node] > 0 {
 		f.dup[node]--
-		f.duplicated++
 		return 2
 	}
 	if f.dropP > 0 && f.src.Float64() < f.dropP {
@@ -116,7 +106,6 @@ func (f *netFaults) deliveries(node int) int {
 		return 0
 	}
 	if f.dupP > 0 && f.src.Float64() < f.dupP {
-		f.duplicated++
 		return 2
 	}
 	return 1
@@ -152,7 +141,6 @@ func NewNetwork(e *sim.Engine, params Params, cpus []*CPU) *Network {
 					cost := sim.Duration(float64(n.params.MsgCost(m.Bytes)) * n.params.RecvCostFraction)
 					cpu.ExecuteTime(p, cost, PrioTransfer)
 				}
-				nic.received++
 				nic.inbox.Put(m)
 			}
 		})
@@ -227,16 +215,13 @@ func (n *Network) Inbox(node int) *sim.Mailbox[Message] { return n.nics[node].in
 // Sent reports packets transmitted by a node.
 func (n *Network) Sent(node int) int64 { return n.nics[node].sent }
 
-// Received reports messages delivered to a node's inbox path.
-func (n *Network) Received(node int) int64 { return n.nics[node].received }
-
 // BytesSent reports bytes transmitted by a node.
 func (n *Network) BytesSent(node int) int64 { return n.nics[node].bytesSent }
 
 // ResetStats clears per-node counters (post warm-up).
 func (n *Network) ResetStats() {
 	for _, nic := range n.nics {
-		nic.sent, nic.received, nic.bytesSent = 0, 0, 0
+		nic.sent, nic.bytesSent = 0, 0
 		nic.out.ResetStats()
 	}
 }

@@ -38,7 +38,6 @@ type Facility struct {
 	nextSeq  uint64
 
 	util    stats.TimeWeighted // 0/1 busy indicator over time
-	qlen    stats.TimeWeighted // queue length (excluding in service)
 	served  int64
 	svcTime stats.Accumulator // service durations, ms
 	wait    stats.Accumulator // queueing delays (excluding service), ms
@@ -58,7 +57,6 @@ type facRequest struct {
 func NewFacility(e *Engine, name string) *Facility {
 	f := &Facility{eng: e, name: name, node: obs.NoNode, category: "facility"}
 	f.util.Set(float64(e.now), 0)
-	f.qlen.Set(float64(e.now), 0)
 	return f
 }
 
@@ -88,7 +86,6 @@ func (f *Facility) UsePriority(p *Proc, service Duration, prio int) {
 	req.seq, req.arrived, req.qid = f.nextSeq, f.eng.now, p.qid
 	if f.busy {
 		f.enqueue(req)
-		f.qlen.Set(float64(f.eng.now), float64(f.qlenN))
 		p.Park() // woken when our service completes
 		return
 	}
@@ -180,7 +177,6 @@ func (f *Facility) HandleEvent() {
 	f.eng.Wake(req.p)
 	f.recycle(req)
 	if next := f.dequeue(); next != nil {
-		f.qlen.Set(float64(f.eng.now), float64(f.qlenN))
 		f.serve(next)
 	} else {
 		f.cur = nil
@@ -188,9 +184,6 @@ func (f *Facility) HandleEvent() {
 		f.util.Set(float64(f.eng.now), 0)
 	}
 }
-
-// Busy reports whether the facility is currently serving a request.
-func (f *Facility) Busy() bool { return f.busy }
 
 // QueueLen reports the number of waiting (not in service) requests.
 func (f *Facility) QueueLen() int { return f.qlenN }
@@ -207,20 +200,16 @@ func (f *Facility) Utilization() float64 { return f.util.Mean(float64(f.eng.now)
 // that window.
 func (f *Facility) BusySeconds() float64 { return f.util.Integral(float64(f.eng.now)) / 1e9 }
 
-// MeanQueueLen reports the time-average queue length up to now.
-func (f *Facility) MeanQueueLen() float64 { return f.qlen.Mean(float64(f.eng.now)) }
-
 // MeanWaitMS reports the mean queueing delay in milliseconds.
 func (f *Facility) MeanWaitMS() float64 { return f.wait.Mean() }
 
 // MeanServiceMS reports the mean service time in milliseconds.
 func (f *Facility) MeanServiceMS() float64 { return f.svcTime.Mean() }
 
-// ResetStats restarts utilization/queue-length averaging at the current time
+// ResetStats restarts utilization averaging at the current time
 // and clears the counters; used to discard warm-up transients.
 func (f *Facility) ResetStats() {
 	f.util.ResetAt(float64(f.eng.now))
-	f.qlen.ResetAt(float64(f.eng.now))
 	f.served = 0
 	f.svcTime.Reset()
 	f.wait.Reset()
