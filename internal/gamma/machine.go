@@ -109,8 +109,8 @@ type Machine struct {
 	View     *fault.View
 	// Telemetry is the windowed time-series sampler, non-nil when
 	// Cfg.Telemetry is set (rebuilt on every reset so each run's series
-	// start empty). Run and RunServe drive it; direct Eng users may call
-	// Sample/Rebase themselves.
+	// start empty). Run and RunServe drive it through their exec.Window;
+	// direct Eng users may call Sample/Rebase themselves.
 	Telemetry *obs.Sampler
 	// Heat is the per-fragment accumulator map, non-nil when Cfg.Heat is
 	// set (rebuilt on every reset). Run/RunServe reset it at the warm-up
