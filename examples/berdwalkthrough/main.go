@@ -46,8 +46,10 @@ func main() {
 
 	fmt.Println("Figure 1 — range partition R on attribute A:")
 	byProc := map[int][]storage.Tuple{}
-	for _, t := range rel.Tuples {
+	homes := make([]int32, len(rel.Tuples))
+	for i, t := range rel.Tuples {
 		p := berd.HomeOf(t)
+		homes[i] = int32(p)
 		byProc[p] = append(byProc[p], t)
 	}
 	for p := 0; p < 3; p++ {
@@ -59,7 +61,7 @@ func main() {
 	}
 
 	fmt.Println("\nFigure 2 — auxiliary relation IndexB (B value -> home processor):")
-	aux := berd.AuxAssignments(rel)[storage.Unique2]
+	aux := berd.AuxAssignments(rel, storage.Unique2, homes)
 	var entries []storage.AuxEntry
 	for _, es := range aux {
 		entries = append(entries, es...)

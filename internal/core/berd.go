@@ -87,24 +87,39 @@ func (b *BERDPlacement) AuxHomeOf(attr int, value int64) int {
 	return bucketOf(cuts, value)
 }
 
-// AuxAssignments scans the relation and builds the per-processor auxiliary
-// fragments for every secondary attribute, exactly as Section 2 describes:
-// entry (value, TID, home processor of the tuple), range partitioned on
-// value. The result maps attribute -> processor -> entries.
-func (b *BERDPlacement) AuxAssignments(rel *storage.Relation) map[int]map[int][]storage.AuxEntry {
-	out := make(map[int]map[int][]storage.AuxEntry, len(b.auxCuts))
-	for attr := range b.auxCuts {
-		perProc := make(map[int][]storage.AuxEntry, b.p)
-		for _, t := range rel.Tuples {
-			v := t.Attrs[attr]
-			node := b.AuxHomeOf(attr, v)
-			perProc[node] = append(perProc[node], storage.AuxEntry{
-				Value: v,
-				TID:   t.TID,
-				Proc:  b.HomeOf(t),
-			})
-		}
-		out[attr] = perProc
+// AuxAssignments builds the auxiliary relation of secondary attribute
+// attr exactly as Section 2 describes: one entry (value, TID, home
+// processor of the tuple) per tuple, range partitioned on value. homes[i]
+// is the home processor of rel.Tuples[i], as HomeOf gives it. The result
+// holds each processor's entries in relation order, every processor's in
+// one backing array.
+func (b *BERDPlacement) AuxAssignments(rel *storage.Relation, attr int, homes []int32) [][]storage.AuxEntry {
+	if len(homes) != len(rel.Tuples) {
+		panic(fmt.Sprintf("core: %d homes for %d tuples", len(homes), len(rel.Tuples)))
+	}
+	cuts, ok := b.auxCuts[attr]
+	if !ok {
+		panic(fmt.Sprintf("core: %s is not a secondary attribute", storage.AttrName(attr)))
+	}
+	// Count each processor's entries in starts[q+1]; the prefix sums make
+	// starts[q] the first of processor q's entries.
+	starts := make([]int, b.p+1)
+	for i := range rel.Tuples {
+		starts[bucketOf(cuts, rel.Tuples[i].Attrs[attr])+1]++
+	}
+	for q := 1; q <= b.p; q++ {
+		starts[q] += starts[q-1]
+	}
+	out := make([][]storage.AuxEntry, b.p)
+	entries := make([]storage.AuxEntry, len(rel.Tuples))
+	for q := range out {
+		out[q] = entries[starts[q]:starts[q]:starts[q+1]]
+	}
+	for i := range rel.Tuples {
+		t := &rel.Tuples[i]
+		v := t.Attrs[attr]
+		q := bucketOf(cuts, v)
+		out[q] = append(out[q], storage.AuxEntry{Value: v, TID: t.TID, Proc: int(homes[i])})
 	}
 	return out
 }

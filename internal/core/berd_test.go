@@ -80,15 +80,25 @@ func TestBERDOtherAttributeVisitsAll(t *testing.T) {
 
 func TestBERDAuxAssignmentsComplete(t *testing.T) {
 	rel, b := testBERD(t, 1000, 0, 8)
-	aux := b.AuxAssignments(rel)
-	perProc := aux[storage.Unique2]
+	homes := make([]int32, rel.Cardinality())
+	for i, tup := range rel.Tuples {
+		homes[i] = int32(b.HomeOf(tup))
+	}
+	perProc := b.AuxAssignments(rel, storage.Unique2, homes)
+	if len(perProc) != 8 {
+		t.Fatalf("aux entries for %d processors, want 8", len(perProc))
+	}
 	total := 0
 	for node, entries := range perProc {
 		total += len(entries)
-		for _, e := range entries {
+		for i, e := range entries {
 			if b.AuxHomeOf(storage.Unique2, e.Value) != node {
 				t.Fatalf("aux entry value %d on node %d, belongs on %d",
 					e.Value, node, b.AuxHomeOf(storage.Unique2, e.Value))
+			}
+			// Each processor's entries keep relation order.
+			if i > 0 && entries[i-1].TID >= e.TID {
+				t.Fatalf("aux node %d: TID %d after %d", node, e.TID, entries[i-1].TID)
 			}
 			// The recorded home processor must match the placement.
 			if e.Proc != b.HomeOf(rel.Tuples[e.TID]) {

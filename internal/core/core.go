@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
+	"repro/internal/btree"
 	"repro/internal/storage"
 )
 
@@ -69,20 +69,21 @@ func allProcessors(p int) []int {
 // the relation so that each of the P buckets receives an (almost) equal
 // number of tuples — how a database administrator would range-partition a
 // relation with a known distribution. Bucket i holds values in
-// [cuts[i-1], cuts[i]).
+// [cuts[i-1], cuts[i]). Cut i is the (i*n/P)-th smallest of the n values,
+// read off one radix sort of them.
 func QuantileCuts(rel *storage.Relation, attr, p int) []int64 {
 	if p <= 0 {
 		panic(fmt.Sprintf("core: cannot cut into %d buckets", p))
 	}
-	vals := make([]int64, rel.Cardinality())
-	for i, t := range rel.Tuples {
-		vals[i] = t.Attrs[attr]
+	n := rel.Cardinality()
+	vals := make([]btree.Entry, n)
+	for i := range rel.Tuples {
+		vals[i].Key = rel.Tuples[i].Attrs[attr]
 	}
-	slices.Sort(vals)
+	btree.SortEntries(vals)
 	cuts := make([]int64, p-1)
-	n := len(vals)
 	for i := 1; i < p; i++ {
-		cuts[i-1] = vals[i*n/p]
+		cuts[i-1] = vals[i*n/p].Key
 	}
 	return cuts
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
@@ -26,6 +29,60 @@ func TestQuantileCutsEvenBuckets(t *testing.T) {
 	for i, c := range counts {
 		if c != 125 {
 			t.Fatalf("bucket %d holds %d tuples (counts %v)", i, c, counts)
+		}
+	}
+}
+
+// sortedCuts is QuantileCuts by a comparison sort of the values.
+func sortedCuts(vals []int64, p int) []int64 {
+	vals = slices.Clone(vals)
+	slices.Sort(vals)
+	cuts := make([]int64, p-1)
+	for i := 1; i < p; i++ {
+		cuts[i-1] = vals[i*len(vals)/p]
+	}
+	return cuts
+}
+
+// QuantileCuts equals the cuts a comparison sort of the values gives, on
+// random values of either sign, on the correlated and uncorrelated
+// Wisconsin attributes, on all-equal values and with more buckets than
+// values.
+func TestQuantileCutsMatchSortedCuts(t *testing.T) {
+	src := rand.New(rand.NewSource(3))
+	equal := make([]int64, 500)
+	for i := range equal {
+		equal[i] = -7
+	}
+	valueSets := map[string][]int64{"all-equal": equal}
+	for _, n := range []int{1, 2, 5, 999, 4096} {
+		random, small := make([]int64, n), make([]int64, n)
+		for i := range random {
+			random[i] = src.Int63() - 1<<62
+			small[i] = src.Int63n(9) - 4
+		}
+		valueSets[fmt.Sprintf("random-%d", n)] = random
+		valueSets[fmt.Sprintf("small-%d", n)] = small
+	}
+	for _, w := range []int{0, 1, 10} {
+		rel := testRelation(t, 3000, w)
+		for _, attr := range []int{storage.Unique1, storage.Unique2, storage.Ten} {
+			vals := make([]int64, rel.Cardinality())
+			for i, tup := range rel.Tuples {
+				vals[i] = tup.Attrs[attr]
+			}
+			valueSets[fmt.Sprintf("wisconsin-w%d-%s", w, storage.AttrName(attr))] = vals
+		}
+	}
+	for name, vals := range valueSets {
+		rel := &storage.Relation{Tuples: make([]storage.Tuple, len(vals))}
+		for i, v := range vals {
+			rel.Tuples[i].Attrs[storage.Ten] = v
+		}
+		for _, p := range []int{1, 2, 7, 32, len(vals) + 3} {
+			if got, want := QuantileCuts(rel, storage.Ten, p), sortedCuts(vals, p); !slices.Equal(got, want) {
+				t.Fatalf("%s, %d buckets: cuts %v, sorted cuts %v", name, p, got, want)
+			}
 		}
 	}
 }

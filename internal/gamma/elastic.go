@@ -120,15 +120,20 @@ func (x *elasticExec) Prepare(t rebalance.Transition) (rebalance.Plan, error) {
 
 		// Locate every tuple's serving copy: old slot -> physical node via
 		// the current topology, page via the fragment layout.
-		type loc struct{ node, page int }
-		oldLoc := make(map[int64]loc, len(r.rel.Tuples))
+		// A TID is the tuple's position in the relation, so the
+		// locations are a slice indexed by TID.
+		type loc struct {
+			node, page int
+			held       bool
+		}
+		oldLoc := make([]loc, len(r.rel.Tuples))
 		for _, phys := range x.topo {
 			held, err := m.Nodes[phys].Resolve(name, exec.Primary, t.Gen-1)
 			if err != nil {
 				return rebalance.Plan{}, err
 			}
-			for i, tup := range held.Frag.Tuples {
-				oldLoc[tup.TID] = loc{node: phys, page: held.Frag.DataPageOfSlot(i)}
+			for i := range held.Frag.NumTuples() {
+				oldLoc[held.Frag.Tuple(i).TID] = loc{node: phys, page: held.Frag.DataPageOfSlot(i), held: true}
 			}
 		}
 
@@ -143,10 +148,11 @@ func (x *elasticExec) Prepare(t rebalance.Transition) (rebalance.Plan, error) {
 		var moves []rebalance.TupleMove
 		for slot, s := range h.primary {
 			phys := t.Members[slot]
-			for i, tup := range s.Frag.Tuples {
-				old, ok := oldLoc[tup.TID]
-				if !ok {
-					return rebalance.Plan{}, fmt.Errorf("gamma: tuple %d of %s has no serving copy", tup.TID, name)
+			for i := range s.Frag.NumTuples() {
+				tid := s.Frag.Tuple(i).TID
+				old := oldLoc[tid]
+				if !old.held {
+					return rebalance.Plan{}, fmt.Errorf("gamma: tuple %d of %s has no serving copy", tid, name)
 				}
 				if old.node == phys {
 					continue // same-node re-layout: no cross-node I/O
@@ -169,7 +175,7 @@ func (x *elasticExec) Prepare(t rebalance.Transition) (rebalance.Plan, error) {
 				continue
 			}
 			primary := h.primary[slot].Frag
-			for i := range s.Frag.Tuples {
+			for i := range s.Frag.NumTuples() {
 				repl = append(repl, rebalance.TupleMove{
 					Src: t.Members[slot], Dst: t.Members[b],
 					SrcPage: primary.DataPageOfSlot(i), DstPage: s.Frag.DataPageOfSlot(i),

@@ -54,11 +54,12 @@ func memberTIDs(t *testing.T, m *Machine) map[int64]bool {
 		if frag == nil {
 			t.Fatalf("member node %d holds no fragment after rebalance", phys)
 		}
-		for _, tup := range frag.Tuples {
-			if seen[tup.TID] {
-				t.Fatalf("tuple %d appears on two member primaries", tup.TID)
+		for slot := range frag.NumTuples() {
+			tid := frag.Tuple(slot).TID
+			if seen[tid] {
+				t.Fatalf("tuple %d appears on two member primaries", tid)
 			}
-			seen[tup.TID] = true
+			seen[tid] = true
 		}
 	}
 	return seen
@@ -194,9 +195,9 @@ func TestElasticPostRebalanceMatchesFromScratch(t *testing.T) {
 		if frag == nil {
 			t.Fatalf("slot %d (node %d) has no fragment", slot, phys)
 		}
-		got := make([]int64, 0, len(frag.Tuples))
-		for _, tup := range frag.Tuples {
-			got = append(got, tup.TID)
+		got := make([]int64, 0, frag.NumTuples())
+		for i := range frag.NumTuples() {
+			got = append(got, frag.Tuple(i).TID)
 		}
 		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		sort.Slice(want[slot], func(i, j int) bool { return want[slot][i] < want[slot][j] })

@@ -2,6 +2,7 @@ package gamma
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -59,32 +60,6 @@ type holdings struct {
 	primary, backup []exec.Holding
 }
 
-// slotTuples assigns every tuple its home processor — one HomeOf call per
-// tuple, counted first so every slot's slice is allocated at its exact
-// size — and returns each slot's tuples in relation order.
-func slotTuples(rel *storage.Relation, placement core.Placement) ([][]storage.Tuple, error) {
-	p := placement.Processors()
-	homes := make([]int, len(rel.Tuples))
-	counts := make([]int, p)
-	for i := range rel.Tuples {
-		home := placement.HomeOf(rel.Tuples[i])
-		if home < 0 || home >= p {
-			return nil, fmt.Errorf("gamma: placement sent tuple %d to processor %d of %d",
-				rel.Tuples[i].TID, home, p)
-		}
-		homes[i] = home
-		counts[home]++
-	}
-	tuples := make([][]storage.Tuple, p)
-	for slot, n := range counts {
-		tuples[slot] = make([]storage.Tuple, 0, n)
-	}
-	for i, home := range homes {
-		tuples[home] = append(tuples[home], rel.Tuples[i])
-	}
-	return tuples, nil
-}
-
 // layOut declusters rel under placement and lays out one generation of its
 // storage with the image's config. Slot by slot, slot i's storage goes on
 // allocs[slotNode[i]]: its data pages, the clustered index, the
@@ -95,30 +70,59 @@ func slotTuples(rel *storage.Relation, placement core.Placement) ([][]storage.Tu
 // rerouted operator returns the identical result. NewImage and
 // AddRelation lay the image out here, and elastic staging every later
 // generation.
+//
+// No tuple is copied. One pass calls HomeOf once per tuple and counts the
+// slots' tuples; a second scatters the row numbers into one shared list,
+// each slot's run in relation order, which BuildFragment sorts in place
+// into the slot's row list. Every fragment of the generation, replicas
+// included, shares one TID index, and a replica shares its primary's row
+// list. BERD's auxiliary entries take the homes of the same pass.
 func (img *Image) layOut(rel *storage.Relation, placement core.Placement, allocs []*storage.Allocator, slotNode []int) (holdings, error) {
-	tuples, err := slotTuples(rel, placement)
-	if err != nil {
-		return holdings{}, err
+	p := placement.Processors()
+	homes := make([]int32, len(rel.Tuples))
+	starts := make([]int, p+1) // slot i's rows are rows[starts[i]:starts[i+1]]
+	for i := range rel.Tuples {
+		home := placement.HomeOf(rel.Tuples[i])
+		if home < 0 || home >= p {
+			return holdings{}, fmt.Errorf("gamma: placement sent tuple %d to processor %d of %d",
+				rel.Tuples[i].TID, home, p)
+		}
+		homes[i] = int32(home)
+		starts[home+1]++
+	}
+	for i := 1; i <= p; i++ {
+		starts[i] += starts[i-1]
+	}
+	rows := make([]int32, len(rel.Tuples))
+	slotRows := make([][]int32, p)
+	for i := range slotRows {
+		slotRows[i] = rows[starts[i]:starts[i]:starts[i+1]]
+	}
+	for i, home := range homes {
+		slotRows[home] = append(slotRows[home], int32(i))
 	}
 	var auxAttrs []int
-	var aux map[int]map[int][]storage.AuxEntry
+	var aux [][][]storage.AuxEntry // by auxAttrs index, then slot
 	if berd, ok := placement.(*core.BERDPlacement); ok {
-		auxAttrs, aux = berd.SecondaryAttrs(), berd.AuxAssignments(rel)
+		auxAttrs = berd.SecondaryAttrs()
+		for _, attr := range auxAttrs {
+			aux = append(aux, berd.AuxAssignments(rel, attr, homes))
+		}
 	}
+	tidSlot := make([]int32, len(rel.Tuples))
 	build := func(slot int, alloc *storage.Allocator) exec.Holding {
-		frag := storage.BuildFragment(slot, tuples[slot], clusteredAttr, img.layout, alloc)
+		frag := storage.BuildFragment(slot, rel.Tuples, slotRows[slot], tidSlot, clusteredAttr, img.layout, alloc)
 		frag.AddIndex(clusteredAttr, alloc)
 		frag.AddIndex(nonClusteredAttr, alloc)
 		s := exec.Holding{Frag: frag}
 		if len(auxAttrs) > 0 {
 			s.Aux = make(map[int]*storage.AuxFragment, len(auxAttrs))
 		}
-		for _, attr := range auxAttrs {
-			s.Aux[attr] = storage.BuildAux(slot, aux[attr][slot], img.layout, alloc)
+		for j, attr := range auxAttrs {
+			s.Aux[attr] = storage.BuildAux(slot, aux[j][slot], img.layout, alloc)
 		}
 		return s
 	}
-	p := placement.Processors()
 	h := holdings{primary: make([]exec.Holding, p)}
 	for i := range h.primary {
 		h.primary[i] = build(i, allocs[slotNode[i]])
@@ -168,6 +172,14 @@ func attach(nodes []*exec.Node, heat *obs.HeatMap, gen int, relation string, h h
 // withRelation returns a new image: img's relations plus rel declustered
 // under placement, laid out on the identity slot map after img's marks.
 func (img *Image) withRelation(rel *storage.Relation, placement core.Placement) (*Image, error) {
+	if len(rel.Tuples) > math.MaxInt32 {
+		return nil, fmt.Errorf("gamma: relation %s has %d tuples, more than a row list holds", rel.Name, len(rel.Tuples))
+	}
+	for i := range rel.Tuples {
+		if rel.Tuples[i].TID != int64(i) {
+			return nil, fmt.Errorf("gamma: relation %s: tuple %d has TID %d, not its position", rel.Name, i, rel.Tuples[i].TID)
+		}
+	}
 	p := placement.Processors()
 	allocs := img.allocators(p)
 	h, err := img.layOut(rel, placement, allocs, identitySlots(p))

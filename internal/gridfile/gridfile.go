@@ -84,9 +84,6 @@ func (g *Grid) Dims() []int { return append([]int(nil), g.dims...) }
 // NumCells reports the total number of directory entries.
 func (g *Grid) NumCells() int { return len(g.cells) }
 
-// Inserted reports the number of tuples inserted.
-func (g *Grid) Inserted() int { return g.inserted }
-
 // OverflowCells reports how many splits were abandoned because no dimension
 // had a splittable interval (heavily duplicated values) or the directory-size
 // cap was reached.

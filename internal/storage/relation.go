@@ -52,7 +52,9 @@ type Tuple struct {
 	Attrs [NumAttrs]int64
 }
 
-// Relation is the base table before declustering.
+// Relation is the base table before declustering. Tuple i has TID i,
+// and the tuples do not change once the relation is declustered: every
+// fragment reads them in place, and its TID index is a slice by TID.
 type Relation struct {
 	Name   string
 	Tuples []Tuple
