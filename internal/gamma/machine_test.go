@@ -2,6 +2,7 @@ package gamma
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -325,6 +326,12 @@ func TestBuildValidation(t *testing.T) {
 	bad.HW.MIPS = 0
 	if _, err := Build(rel, pl, bad); err == nil {
 		t.Error("invalid hardware accepted")
+	}
+	// The TID index is a slice by TID: tuple i must have TID i.
+	shuffled := &storage.Relation{Name: rel.Name, Tuples: slices.Clone(rel.Tuples)}
+	shuffled.Tuples[0], shuffled.Tuples[1] = shuffled.Tuples[1], shuffled.Tuples[0]
+	if _, err := NewImage(shuffled, pl, smallConfig()); err == nil {
+		t.Error("relation whose TIDs are not positions accepted")
 	}
 }
 
