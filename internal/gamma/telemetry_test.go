@@ -2,7 +2,10 @@ package gamma
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -209,4 +212,34 @@ func TestClosedSeriesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkTraceGolden(t, closedSeriesGolden, append(got, '\n'))
+}
+
+const closedUtilGolden = "testdata/closed_util.golden"
+
+// TestClosedUtilizationGolden pins a small closed run's utilization at full
+// precision: every node's CPU and disk utilization and busy seconds, and the
+// machine means. The closed stdout goldens print these to two decimals, so
+// this is the bit-for-bit check of the busy-time accounting on the closed
+// path (elastic_result.golden covers the open one). Regenerate with
+// -update-traces only for a change that means to alter utilization.
+func TestClosedUtilizationGolden(t *testing.T) {
+	rel := smallRelation(t, 0)
+	cfg := smallConfig()
+	cfg.Telemetry = &TelemetrySpec{Window: 50 * sim.Millisecond}
+	m := buildBERD(t, rel, cfg)
+	defer m.Close()
+	res, err := m.Run(workload.LowLow(rel.Cardinality()),
+		RunSpec{MPL: 4, WarmupQueries: 10, MeasureQueries: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	var b strings.Builder
+	for i, n := range m.Nodes {
+		u := res.NodeStats[i]
+		fmt.Fprintf(&b, "node %d cpu_util=%s disk_util=%s cpu_busy_s=%s disk_busy_s=%s\n",
+			u.Node, g(u.CPUUtil), g(u.DiskUtil), g(n.CPU.BusySeconds()), g(n.Disk.BusySeconds()))
+	}
+	fmt.Fprintf(&b, "machine cpu_util=%s disk_util=%s\n", g(res.CPUUtilization), g(res.DiskUtilization))
+	checkTraceGolden(t, closedUtilGolden, []byte(b.String()))
 }
