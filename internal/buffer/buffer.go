@@ -27,7 +27,7 @@ type Pool struct {
 	resident map[int]*list.Element // physical page -> LRU element
 	inflight map[int]*pendingRead  // physical page -> pending read completion
 
-	hits, misses, evictions int64
+	hits, misses int64
 }
 
 // NewPool creates a pool of the given capacity over the node's disk.
@@ -116,17 +116,7 @@ func (b *Pool) insert(physPage int) {
 		oldest := b.lru.Back()
 		b.lru.Remove(oldest)
 		delete(b.resident, oldest.Value.(int))
-		b.evictions++
 	}
-}
-
-// Warm marks a page resident without simulating I/O; used to pre-load
-// catalog-like pages before a measurement run when configured to do so.
-func (b *Pool) Warm(physPage int) {
-	if b.capacity == 0 {
-		return
-	}
-	b.insert(physPage)
 }
 
 // Contains reports whether the page is currently resident.
@@ -144,9 +134,6 @@ func (b *Pool) Hits() int64 { return b.hits }
 // Misses reports buffer misses (actual disk reads issued).
 func (b *Pool) Misses() int64 { return b.misses }
 
-// Evictions reports pages evicted to stay within capacity.
-func (b *Pool) Evictions() int64 { return b.evictions }
-
 // HitRate reports hits / (hits + misses), or 0 before any access.
 func (b *Pool) HitRate() float64 {
 	total := b.hits + b.misses
@@ -156,8 +143,6 @@ func (b *Pool) HitRate() float64 {
 	return float64(b.hits) / float64(total)
 }
 
-// ResetStats clears hit/miss/eviction counters (post warm-up) without
+// ResetStats clears the hit and miss counters (post warm-up) without
 // evicting pages.
-func (b *Pool) ResetStats() {
-	b.hits, b.misses, b.evictions = 0, 0, 0
-}
+func (b *Pool) ResetStats() { b.hits, b.misses = 0, 0 }

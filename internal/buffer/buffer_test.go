@@ -114,28 +114,6 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 	}
 }
 
-func TestWarm(t *testing.T) {
-	e, disk, pool := rig(t, 8)
-	pool.Warm(7)
-	run(t, e, func(p *sim.Proc) {
-		pool.Read(p, 7)
-	})
-	if disk.Reads() != 0 {
-		t.Fatalf("warm page caused %d disk reads", disk.Reads())
-	}
-	if pool.Hits() != 1 {
-		t.Fatalf("hits = %d", pool.Hits())
-	}
-}
-
-func TestWarmZeroCapacityNoop(t *testing.T) {
-	_, _, pool := rig(t, 0)
-	pool.Warm(7)
-	if pool.Contains(7) {
-		t.Fatal("zero-capacity pool should not retain warmed pages")
-	}
-}
-
 func TestResetStats(t *testing.T) {
 	e, _, pool := rig(t, 8)
 	run(t, e, func(p *sim.Proc) {

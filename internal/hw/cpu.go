@@ -22,7 +22,6 @@ const (
 type CPU struct {
 	params Params
 	fac    *sim.Facility
-	instr  int64 // total instructions executed (all classes)
 }
 
 // NewCPU creates the CPU for the named node.
@@ -53,7 +52,6 @@ func (c *CPU) ExecuteTime(p *sim.Proc, d sim.Duration, prio int) {
 	if d == 0 {
 		return
 	}
-	c.instr += int64(float64(d) / 1000 * c.params.MIPS)
 	c.fac.UsePriority(p, d, prio)
 }
 
@@ -64,7 +62,6 @@ func (c *CPU) run(p *sim.Proc, instr, prio int) {
 	if instr == 0 {
 		return
 	}
-	c.instr += int64(instr)
 	c.fac.UsePriority(p, c.params.InstrTime(instr), prio)
 }
 
@@ -78,14 +75,5 @@ func (c *CPU) BusySeconds() float64 { return c.fac.BusySeconds() }
 // QueueLen reports the number of requests waiting for the CPU.
 func (c *CPU) QueueLen() int { return c.fac.QueueLen() }
 
-// MeanWaitMS reports the mean CPU queueing delay in milliseconds.
-func (c *CPU) MeanWaitMS() float64 { return c.fac.MeanWaitMS() }
-
-// Instructions reports the total instructions executed.
-func (c *CPU) Instructions() int64 { return c.instr }
-
 // ResetStats restarts utilization accounting (post warm-up).
-func (c *CPU) ResetStats() {
-	c.fac.ResetStats()
-	c.instr = 0
-}
+func (c *CPU) ResetStats() { c.fac.ResetStats() }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // ErrDiskFailed marks requests rejected or aborted by a fail-stop disk.
@@ -47,10 +46,8 @@ type Disk struct {
 	dirUp    bool
 	lastPage int // last physical page transferred, -1 initially
 
-	reads, writes, seqHits int64
-	svc                    stats.Accumulator // per-request mechanism time, ms
-	wait                   stats.Accumulator // queueing delay before the arm starts, ms
-	util                   stats.TimeWeighted
+	reads int64 // read transfers since the last stats reset
+	clock sim.BusyClock
 
 	// Fault-injection state. All fields stay at their zero values unless a
 	// fault.Injector drives them, so the healthy hot path costs one branch.
@@ -58,7 +55,6 @@ type Disk struct {
 	failNext   int                 // next N reads fail with a transient error
 	degrade    float64             // latency multiplier; <=1 means nominal
 	pendingErr map[*sim.Proc]error // error to deliver to a parked requester
-	ioErrors   int64               // requests that completed with an error
 }
 
 type diskReq struct {
@@ -78,7 +74,7 @@ func NewDisk(e *sim.Engine, name string, params Params, cpu *CPU, lat *rng.Sourc
 		eng: e, name: name, node: obs.NoNode, params: params, cpu: cpu, lat: lat,
 		dirUp: true, lastPage: -1,
 	}
-	d.util.Set(float64(e.Now()), 0)
+	d.clock.Reset(e.Now())
 	return d
 }
 
@@ -115,17 +111,14 @@ func (d *Disk) Write(p *sim.Proc, physPage int) error {
 
 func (d *Disk) access(p *sim.Proc, physPage int, write bool, h *obs.FragHeat) error {
 	if physPage < 0 || physPage >= d.params.PagesPerDisk() {
-		d.ioErrors++
 		return fmt.Errorf("hw: %s: physical page %d out of range [0,%d)",
 			d.name, physPage, d.params.PagesPerDisk())
 	}
 	if d.failed {
-		d.ioErrors++
 		return fmt.Errorf("hw: %s: %s p%d: %w", d.name, verb(write), physPage, ErrDiskFailed)
 	}
 	if !write && d.failNext > 0 {
 		d.failNext--
-		d.ioErrors++
 		return fmt.Errorf("hw: %s: read p%d: %w", d.name, physPage, ErrDiskIO)
 	}
 	d.nextSeq++
@@ -135,7 +128,7 @@ func (d *Disk) access(p *sim.Proc, physPage int, write bool, h *obs.FragHeat) er
 	})
 	if !d.busy {
 		d.busy = true
-		d.util.Set(float64(d.eng.Now()), 1)
+		d.clock.Start(d.eng.Now())
 		d.startNext()
 	}
 	p.Park() // woken when our transfer completes (or the disk dies under us)
@@ -155,7 +148,6 @@ func (d *Disk) failRequest(p *sim.Proc, err error) {
 		d.pendingErr = make(map[*sim.Proc]error)
 	}
 	d.pendingErr[p] = err
-	d.ioErrors++
 	d.eng.Wake(p)
 }
 
@@ -210,15 +202,10 @@ func (d *Disk) startNext() {
 	d.queue = append(d.queue[:idx], d.queue[idx+1:]...)
 
 	t := d.stretch(d.serviceTime(req.physPage))
-	d.svc.Add(t.Milliseconds())
-	waitMS := sim.Duration(d.eng.Now() - req.arrived).Milliseconds()
-	d.wait.Add(waitMS)
 	req.heat.DiskWait(int64(d.eng.Now() - req.arrived))
 	d.headCyl = d.params.Cylinder(req.physPage)
 	d.lastPage = req.physPage
-	if req.write {
-		d.writes++
-	} else {
+	if !req.write {
 		d.reads++
 	}
 	d.cur = req
@@ -245,7 +232,7 @@ func (d *Disk) HandleEvent() {
 			d.name, verb(req.write), req.physPage, ErrDiskFailed))
 		d.busy = false
 		d.cur = diskReq{}
-		d.util.Set(float64(d.eng.Now()), 0)
+		d.clock.Stop(d.eng.Now())
 		return
 	}
 	d.eng.Wake(req.p)
@@ -254,7 +241,7 @@ func (d *Disk) HandleEvent() {
 	} else {
 		d.busy = false
 		d.cur = diskReq{}
-		d.util.Set(float64(d.eng.Now()), 0)
+		d.clock.Stop(d.eng.Now())
 	}
 }
 
@@ -308,7 +295,6 @@ func (d *Disk) pickElevator() int {
 func (d *Disk) serviceTime(physPage int) sim.Duration {
 	if d.lastPage >= 0 && physPage == d.lastPage+1 &&
 		d.params.Cylinder(physPage) == d.params.Cylinder(d.lastPage) {
-		d.seqHits++
 		return d.params.PageTransferTime()
 	}
 	seek := d.params.SeekTime(abs(d.params.Cylinder(physPage) - d.headCyl))
@@ -331,40 +317,24 @@ func abs(x int) int {
 	return x
 }
 
-// Reads reports completed read transfers.
+// Reads reports read transfers the arm started since the last stats reset.
 func (d *Disk) Reads() int64 { return d.reads }
-
-// Writes reports completed write transfers.
-func (d *Disk) Writes() int64 { return d.writes }
-
-// SequentialHits reports transfers that were detected as sequential.
-func (d *Disk) SequentialHits() int64 { return d.seqHits }
-
-// IOErrors reports requests that completed with an error (injected
-// transients, fail-stop rejections and aborts, bad page addresses).
-func (d *Disk) IOErrors() int64 { return d.ioErrors }
 
 // QueueLen reports the number of waiting requests.
 func (d *Disk) QueueLen() int { return len(d.queue) }
 
-// Utilization reports the fraction of time the arm was busy.
-func (d *Disk) Utilization() float64 { return d.util.Mean(float64(d.eng.Now())) }
+// Utilization reports the fraction of time the arm was busy since the last
+// stats reset.
+func (d *Disk) Utilization() float64 { return d.clock.Utilization(d.eng.Now()) }
 
 // BusySeconds reports the arm's cumulative busy time in simulated seconds
 // since the last stats reset (the windowed-utilization probe's raw
 // reading).
-func (d *Disk) BusySeconds() float64 { return d.util.Integral(float64(d.eng.Now())) / 1e9 }
+func (d *Disk) BusySeconds() float64 { return d.clock.BusySeconds(d.eng.Now()) }
 
-// MeanServiceMS reports the mean per-request mechanism time, ms.
-func (d *Disk) MeanServiceMS() float64 { return d.svc.Mean() }
-
-// MeanWaitMS reports the mean queueing delay before the arm starts, ms.
-func (d *Disk) MeanWaitMS() float64 { return d.wait.Mean() }
-
-// ResetStats restarts counters and utilization accounting (post warm-up).
+// ResetStats restarts the read count and busy-time accounting (post
+// warm-up).
 func (d *Disk) ResetStats() {
-	d.reads, d.writes, d.seqHits = 0, 0, 0
-	d.svc.Reset()
-	d.wait.Reset()
-	d.util.ResetAt(float64(d.eng.Now()))
+	d.reads = 0
+	d.clock.Reset(d.eng.Now())
 }

@@ -30,8 +30,8 @@ func TestCPUExecuteCharge(t *testing.T) {
 	if done != sim.Time(p.InstrTime(3000)) {
 		t.Fatalf("done at %v", done)
 	}
-	if cpu.Instructions() != 3000 {
-		t.Fatalf("instructions = %d", cpu.Instructions())
+	if got, want := cpu.BusySeconds(), p.InstrTime(3000).Seconds(); got != want {
+		t.Fatalf("busy seconds = %g, want %g", got, want)
 	}
 }
 
@@ -127,9 +127,6 @@ func TestDiskSequentialReadIsTransferOnly(t *testing.T) {
 			t.Fatalf("sequential read %d took %gms, want %g", i, deltas[i], want)
 		}
 	}
-	if disk.SequentialHits() != 4 {
-		t.Fatalf("sequential hits = %d", disk.SequentialHits())
-	}
 }
 
 func TestDiskElevatorOrdering(t *testing.T) {
@@ -183,18 +180,27 @@ func TestDiskElevatorReversesSweep(t *testing.T) {
 }
 
 func TestDiskWriteChargesCPUAndArm(t *testing.T) {
-	e, _, cpu, disk := testRig(t)
+	e, p, cpu, disk := testRig(t)
+	var done sim.Time
 	e.Spawn("p", func(pr *sim.Proc) {
-		disk.Write(pr, 100)
+		if err := disk.Write(pr, 100); err != nil {
+			t.Error(err)
+		}
+		done = pr.Now()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if disk.Writes() != 1 {
-		t.Fatalf("writes = %d", disk.Writes())
+	xfer := p.InstrTime(p.XferPageInstr)
+	if got, want := cpu.BusySeconds(), xfer.Seconds(); got != want {
+		t.Fatalf("cpu busy seconds = %g, want %g (FIFO transfer)", got, want)
 	}
-	if cpu.Instructions() != 4000 {
-		t.Fatalf("cpu instructions = %d, want 4000 (FIFO transfer)", cpu.Instructions())
+	arm := sim.Duration(done) - xfer
+	if arm < p.PageTransferTime() || disk.BusySeconds() != arm.Seconds() {
+		t.Fatalf("arm busy %gs, want the %v after the FIFO transfer", disk.BusySeconds(), arm)
+	}
+	if disk.Reads() != 0 {
+		t.Fatalf("a write counted as a read: reads = %d", disk.Reads())
 	}
 }
 
@@ -222,7 +228,7 @@ func TestDiskStatsReset(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if disk.Reads() != 0 || disk.SequentialHits() != 0 {
+	if disk.Reads() != 0 || disk.BusySeconds() != 0 {
 		t.Fatal("ResetStats did not clear counters")
 	}
 }
@@ -254,8 +260,8 @@ func TestNetworkDeliversPayload(t *testing.T) {
 	if got != "hello" {
 		t.Fatalf("payload = %v", got)
 	}
-	if net.Sent(0) != 1 || net.BytesSent(0) != 100 {
-		t.Fatalf("sent=%d bytes=%d", net.Sent(0), net.BytesSent(0))
+	if net.Sent(0) != 1 {
+		t.Fatalf("sent = %d packets", net.Sent(0))
 	}
 }
 
@@ -319,9 +325,9 @@ func TestNetworkReceiverChargedAtTransferPriority(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Receiver CPU charged RecvCostFraction * 0.6ms.
-	wantInstr := int64(float64(p.MsgCost(100)) * p.RecvCostFraction / 1000 * p.MIPS)
-	if got := cpus[1].Instructions(); got != wantInstr {
-		t.Fatalf("receiver instructions = %d, want %d", got, wantInstr)
+	want := sim.Duration(float64(p.MsgCost(100)) * p.RecvCostFraction).Seconds()
+	if got := cpus[1].BusySeconds(); got != want {
+		t.Fatalf("receiver busy seconds = %g, want %g", got, want)
 	}
 }
 

@@ -26,8 +26,7 @@ type NIC struct {
 	rx    *sim.Mailbox[Message] // wire -> interrupt handler
 	inbox *sim.Mailbox[Message] // interrupt handler -> application
 
-	sent      int64
-	bytesSent int64
+	sent int64 // packets transmitted since the last stats reset
 }
 
 // Network is the fully connected interconnect of Figure 7. Node IDs are
@@ -51,7 +50,6 @@ type netFaults struct {
 	dropP     float64
 	dupP      float64
 	drop, dup []int // per-destination forced counts
-	dropped   int64
 }
 
 // EnableFaults arms the interconnect fault hooks. src drives the
@@ -80,21 +78,12 @@ func (n *Network) DupNext(node, k int) {
 	}
 }
 
-// Dropped reports logical messages discarded by fault injection.
-func (n *Network) Dropped() int64 {
-	if n.faults == nil {
-		return 0
-	}
-	return n.faults.dropped
-}
-
 // deliveries decides how many copies of a logical message addressed to node
 // the receiver sees: 1 normally, 0 for a drop, 2 for a duplication. Forced
 // counters win over the probabilistic draws so scheduled specs stay exact.
 func (f *netFaults) deliveries(node int) int {
 	if f.drop[node] > 0 {
 		f.drop[node]--
-		f.dropped++
 		return 0
 	}
 	if f.dup[node] > 0 {
@@ -102,7 +91,6 @@ func (f *netFaults) deliveries(node int) int {
 		return 2
 	}
 	if f.dropP > 0 && f.src.Float64() < f.dropP {
-		f.dropped++
 		return 0
 	}
 	if f.dupP > 0 && f.src.Float64() < f.dupP {
@@ -181,7 +169,6 @@ func (n *Network) Send(p *sim.Proc, cpu *CPU, msg Message) {
 		}
 		src.out.Use(p, n.params.WireTime(chunk))
 		src.sent++
-		src.bytesSent += int64(chunk)
 		if n.eng.Tracing() {
 			n.eng.EmitNow(obs.TraceEvent{
 				Node: msg.From, Kind: obs.KindInstant, Category: "net",
@@ -215,13 +202,10 @@ func (n *Network) Inbox(node int) *sim.Mailbox[Message] { return n.nics[node].in
 // Sent reports packets transmitted by a node.
 func (n *Network) Sent(node int) int64 { return n.nics[node].sent }
 
-// BytesSent reports bytes transmitted by a node.
-func (n *Network) BytesSent(node int) int64 { return n.nics[node].bytesSent }
-
 // ResetStats clears per-node counters (post warm-up).
 func (n *Network) ResetStats() {
 	for _, nic := range n.nics {
-		nic.sent, nic.bytesSent = 0, 0
+		nic.sent = 0
 		nic.out.ResetStats()
 	}
 }

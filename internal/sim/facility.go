@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // Facility is a single-server queueing station with FCFS service within a
@@ -28,27 +27,20 @@ type Facility struct {
 	node     int
 	category string
 
-	busy     bool
 	qhead    *facRequest // waiting requests (excludes in-service)
 	qtail    *facRequest
 	qlenN    int
-	cur      *facRequest // request in service
+	cur      *facRequest // request in service; nil while idle
 	curSpan  Span
 	freeReqs *facRequest // recycled nodes
-	nextSeq  uint64
 
-	util    stats.TimeWeighted // 0/1 busy indicator over time
-	served  int64
-	svcTime stats.Accumulator // service durations, ms
-	wait    stats.Accumulator // queueing delays (excluding service), ms
+	clock BusyClock
 }
 
 type facRequest struct {
 	p       *Proc
 	service Duration
 	prio    int
-	seq     uint64
-	arrived Time
 	qid     int64
 	next    *facRequest
 }
@@ -56,7 +48,7 @@ type facRequest struct {
 // NewFacility creates a facility attached to the engine.
 func NewFacility(e *Engine, name string) *Facility {
 	f := &Facility{eng: e, name: name, node: obs.NoNode, category: "facility"}
-	f.util.Set(float64(e.now), 0)
+	f.clock.Reset(e.now)
 	return f
 }
 
@@ -81,10 +73,8 @@ func (f *Facility) UsePriority(p *Proc, service Duration, prio int) {
 		panic(fmt.Sprintf("sim: facility %s: negative service time", f.name))
 	}
 	req := f.newRequest()
-	f.nextSeq++
-	req.p, req.service, req.prio = p, service, prio
-	req.seq, req.arrived, req.qid = f.nextSeq, f.eng.now, p.qid
-	if f.busy {
+	req.p, req.service, req.prio, req.qid = p, service, prio, p.qid
+	if f.cur != nil {
 		f.enqueue(req)
 		p.Park() // woken when our service completes
 		return
@@ -109,7 +99,8 @@ func (f *Facility) recycle(req *facRequest) {
 	f.freeReqs = req
 }
 
-// enqueue inserts by (priority desc, seq asc). The common case — a request
+// enqueue inserts by priority, descending, behind every queued request of
+// the same priority (FCFS within a class). The common case — a request
 // at or below the tail's priority — appends in O(1).
 func (f *Facility) enqueue(req *facRequest) {
 	f.qlenN++
@@ -155,13 +146,9 @@ func (f *Facility) dequeue() *facRequest {
 
 // serve starts service for req and schedules its completion (HandleEvent).
 func (f *Facility) serve(req *facRequest) {
-	f.busy = true
 	f.cur = req
-	now := f.eng.now
-	f.util.Set(float64(now), 1)
+	f.clock.Start(f.eng.now)
 	f.curSpan = f.eng.StartSpan()
-	waitMS := Duration(now - req.arrived).Milliseconds()
-	f.wait.Add(waitMS)
 	f.eng.ScheduleHandler(req.service, f)
 }
 
@@ -171,8 +158,6 @@ func (f *Facility) serve(req *facRequest) {
 // directly.
 func (f *Facility) HandleEvent() {
 	req := f.cur
-	f.served++
-	f.svcTime.Add(req.service.Milliseconds())
 	f.curSpan.End(f.node, f.category, req.p.name, req.qid, "")
 	f.eng.Wake(req.p)
 	f.recycle(req)
@@ -180,37 +165,21 @@ func (f *Facility) HandleEvent() {
 		f.serve(next)
 	} else {
 		f.cur = nil
-		f.busy = false
-		f.util.Set(float64(f.eng.now), 0)
+		f.clock.Stop(f.eng.now)
 	}
 }
 
 // QueueLen reports the number of waiting (not in service) requests.
 func (f *Facility) QueueLen() int { return f.qlenN }
 
-// Served reports the number of completed services.
-func (f *Facility) Served() int64 { return f.served }
-
-// Utilization reports the fraction of time the facility was busy up to now.
-func (f *Facility) Utilization() float64 { return f.util.Mean(float64(f.eng.now)) }
+// Utilization reports the fraction of time the facility was busy since the
+// last stats reset.
+func (f *Facility) Utilization() float64 { return f.clock.Utilization(f.eng.now) }
 
 // BusySeconds reports cumulative busy time in simulated seconds since the
-// last stats reset. Windowed utilization probes difference two readings:
-// delta busy-seconds over delta sim-seconds is the utilization of exactly
-// that window.
-func (f *Facility) BusySeconds() float64 { return f.util.Integral(float64(f.eng.now)) / 1e9 }
+// last stats reset (see BusyClock.BusySeconds).
+func (f *Facility) BusySeconds() float64 { return f.clock.BusySeconds(f.eng.now) }
 
-// MeanWaitMS reports the mean queueing delay in milliseconds.
-func (f *Facility) MeanWaitMS() float64 { return f.wait.Mean() }
-
-// MeanServiceMS reports the mean service time in milliseconds.
-func (f *Facility) MeanServiceMS() float64 { return f.svcTime.Mean() }
-
-// ResetStats restarts utilization averaging at the current time
-// and clears the counters; used to discard warm-up transients.
-func (f *Facility) ResetStats() {
-	f.util.ResetAt(float64(f.eng.now))
-	f.served = 0
-	f.svcTime.Reset()
-	f.wait.Reset()
-}
+// ResetStats restarts busy-time accounting at the current time; used to
+// discard warm-up transients.
+func (f *Facility) ResetStats() { f.clock.Reset(f.eng.now) }

@@ -24,9 +24,6 @@ func TestFacilityFCFS(t *testing.T) {
 			t.Fatalf("completion %d at %v, want %v", i, doneAt[i], want[i])
 		}
 	}
-	if f.Served() != 3 {
-		t.Fatalf("served = %d", f.Served())
-	}
 }
 
 func TestFacilityPriorityJumpsQueue(t *testing.T) {
@@ -122,16 +119,17 @@ func TestFacilityUtilization(t *testing.T) {
 func TestFacilityWaitAccounting(t *testing.T) {
 	e := New()
 	f := NewFacility(e, "f")
-	e.Spawn("a", func(p *Proc) { f.Use(p, 4*Millisecond) })
-	e.Spawn("b", func(p *Proc) { f.Use(p, 4*Millisecond) }) // waits 4ms
+	var aDone, bDone Time
+	e.Spawn("a", func(p *Proc) { f.Use(p, 4*Millisecond); aDone = p.Now() })
+	e.Spawn("b", func(p *Proc) { f.Use(p, 4*Millisecond); bDone = p.Now() }) // waits 4ms
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if w := f.MeanWaitMS(); math.Abs(w-2.0) > 1e-9 { // (0+4)/2
-		t.Fatalf("mean wait = %g, want 2", w)
+	if aDone != Time(4*Millisecond) || bDone != Time(8*Millisecond) {
+		t.Fatalf("a done at %v, b at %v; want 4ms and 8ms (b queues behind a)", aDone, bDone)
 	}
-	if s := f.MeanServiceMS(); math.Abs(s-4.0) > 1e-9 {
-		t.Fatalf("mean service = %g, want 4", s)
+	if s := f.BusySeconds(); s != 0.008 {
+		t.Fatalf("busy seconds = %g, want 0.008 (two 4ms services)", s)
 	}
 }
 
@@ -146,8 +144,8 @@ func TestFacilityResetStats(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Served() != 0 {
-		t.Fatalf("served after reset = %d", f.Served())
+	if s := f.BusySeconds(); s != 0 {
+		t.Fatalf("busy seconds after reset = %g", s)
 	}
 	if u := f.Utilization(); u != 0 {
 		t.Fatalf("utilization after reset = %g", u)

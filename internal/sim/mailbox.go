@@ -24,8 +24,6 @@ type Mailbox[T any] struct {
 	whead  int
 	wcount int
 
-	puts     int64
-	dropped  int64
 	closed   bool
 	dropping bool
 }
@@ -43,7 +41,6 @@ func (m *Mailbox[T]) Name() string { return m.name }
 // the mailbox is closed or in drop mode the message is silently discarded.
 func (m *Mailbox[T]) Put(v T) {
 	if m.closed || m.dropping {
-		m.dropped++
 		return
 	}
 	if m.count == len(m.buf) {
@@ -56,7 +53,6 @@ func (m *Mailbox[T]) Put(v T) {
 	}
 	m.buf[(m.head+m.count)&(len(m.buf)-1)] = v
 	m.count++
-	m.puts++
 	m.wakeOne()
 }
 
@@ -207,9 +203,6 @@ func (m *Mailbox[T]) pop() T {
 // Len reports the number of queued messages.
 func (m *Mailbox[T]) Len() int { return m.count }
 
-// Puts reports the total number of messages ever Put.
-func (m *Mailbox[T]) Puts() int64 { return m.puts }
-
 // Close marks the mailbox closed: the backlog is discarded, future Puts are
 // dropped, and every blocked consumer is released (Recv and GetTimeout
 // return ok=false; Get panics). Closing twice is a no-op.
@@ -236,14 +229,9 @@ func (m *Mailbox[T]) SetDrop(drop bool) {
 	}
 }
 
-// Dropped reports the number of messages discarded by Close, drop mode, or
-// backlog flushes.
-func (m *Mailbox[T]) Dropped() int64 { return m.dropped }
-
-// flush discards the queued backlog, counting it as dropped.
+// flush discards the queued backlog.
 func (m *Mailbox[T]) flush() {
 	var zero T
-	m.dropped += int64(m.count)
 	for i := 0; i < m.count; i++ {
 		m.buf[(m.head+i)&(len(m.buf)-1)] = zero
 	}

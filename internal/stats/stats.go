@@ -1,9 +1,8 @@
 // Package stats provides the measurement machinery for the simulation study:
 // streaming accumulators for observational data (query response times,
-// processors used per query), time-weighted accumulators for state variables
-// (queue lengths, utilization), throughput windows, and batch-means
-// confidence intervals. It also renders the fixed-width tables and CSV the
-// benchmark harness prints for each figure of the paper.
+// processors used per query) and batch-means confidence intervals. It also
+// renders the fixed-width tables and CSV the benchmark harness prints for
+// each figure of the paper.
 package stats
 
 import (
@@ -68,123 +67,10 @@ func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
 // Reset discards all observations.
 func (a *Accumulator) Reset() { *a = Accumulator{} }
 
-// Merge folds another accumulator's observations into a. Merge uses the
-// parallel-variance formula, so merging preserves mean and variance exactly
-// (up to floating-point error).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	n := a.n + b.n
-	d := b.mean - a.mean
-	a.m2 += b.m2 + d*d*float64(a.n)*float64(b.n)/float64(n)
-	a.mean += d * float64(b.n) / float64(n)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n = n
-}
-
 // String summarizes the accumulator for traces.
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
 		a.n, a.Mean(), a.StdDev(), a.min, a.max)
-}
-
-// TimeWeighted tracks the time average of a piecewise-constant state
-// variable, e.g. the number of busy processors or a queue length. Times are
-// caller-defined (the simulator passes nanoseconds).
-type TimeWeighted struct {
-	started bool
-	lastT   float64
-	lastV   float64
-	firstV  float64
-	area    float64
-	total   float64
-	max     float64
-	originT float64
-}
-
-// Set records that the variable changed to v at time t. The first call
-// establishes the origin.
-func (w *TimeWeighted) Set(t, v float64) {
-	if !w.started {
-		w.started = true
-		w.originT = t
-		w.firstV = v
-	} else {
-		dt := t - w.lastT
-		w.area += w.lastV * dt
-		w.total += dt
-	}
-	w.lastT = t
-	w.lastV = v
-	if v > w.max {
-		w.max = v
-	}
-}
-
-// Adjust shifts the variable by delta at time t (convenience for counters).
-func (w *TimeWeighted) Adjust(t, delta float64) { w.Set(t, w.lastV+delta) }
-
-// Value reports the current value of the variable.
-func (w *TimeWeighted) Value() float64 { return w.lastV }
-
-// Mean reports the time average over [origin, t]. Before any Set it is 0;
-// at or before the origin it is the value first set (a zero-length window
-// has only that state). A t inside the recorded history (earlier than the
-// last Set) is clamped to it: the average covers [origin, lastT], since
-// per-interval history is not retained.
-func (w *TimeWeighted) Mean(t float64) float64 {
-	if !w.started {
-		return 0
-	}
-	if t <= w.originT {
-		return w.firstV
-	}
-	area, total := w.area, w.total
-	if t > w.lastT {
-		area += w.lastV * (t - w.lastT)
-		total += t - w.lastT
-	}
-	if total == 0 {
-		// Single Set so far and t did not advance past it.
-		return w.lastV
-	}
-	return area / total
-}
-
-// Max reports the largest value ever set.
-func (w *TimeWeighted) Max() float64 { return w.max }
-
-// Integral reports the accumulated value-time area over [origin, t]: for a
-// 0/1 busy indicator it is total busy time in the caller's time unit. A t
-// beyond the last Set extrapolates the current value; a t inside the
-// recorded history is clamped to it, like Mean.
-func (w *TimeWeighted) Integral(t float64) float64 {
-	if !w.started {
-		return 0
-	}
-	area := w.area
-	if t > w.lastT {
-		area += w.lastV * (t - w.lastT)
-	}
-	return area
-}
-
-// ResetAt restarts the averaging window at time t, keeping the current value.
-// Used to discard the warm-up transient.
-func (w *TimeWeighted) ResetAt(t float64) {
-	v := w.lastV
-	*w = TimeWeighted{}
-	w.Set(t, v)
 }
 
 // BatchMeans estimates a confidence interval for the mean of a (possibly

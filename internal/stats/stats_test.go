@@ -60,131 +60,6 @@ func TestAccumulatorReset(t *testing.T) {
 	}
 }
 
-// Property: merging two accumulators equals accumulating the concatenation.
-func TestAccumulatorMergeProperty(t *testing.T) {
-	check := func(xs, ys []float64) bool {
-		clean := func(in []float64) []float64 {
-			out := in[:0]
-			for _, v := range in {
-				if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e6 {
-					out = append(out, v)
-				}
-			}
-			return out
-		}
-		xs, ys = clean(xs), clean(ys)
-		var a, b, all Accumulator
-		for _, x := range xs {
-			a.Add(x)
-			all.Add(x)
-		}
-		for _, y := range ys {
-			b.Add(y)
-			all.Add(y)
-		}
-		a.Merge(&b)
-		if a.N() != all.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		scale := 1 + math.Abs(all.Mean())
-		return almost(a.Mean(), all.Mean(), 1e-9*scale) &&
-			almost(a.Variance(), all.Variance(), 1e-6*(1+all.Variance())) &&
-			a.Min() == all.Min() && a.Max() == all.Max()
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAccumulatorMergeEmptySides(t *testing.T) {
-	var a, b Accumulator
-	b.Add(4)
-	a.Merge(&b) // empty <- nonempty
-	if a.N() != 1 || a.Mean() != 4 {
-		t.Fatal("merge into empty failed")
-	}
-	var c Accumulator
-	a.Merge(&c) // nonempty <- empty
-	if a.N() != 1 || a.Mean() != 4 {
-		t.Fatal("merge of empty changed state")
-	}
-}
-
-func TestTimeWeightedMean(t *testing.T) {
-	var w TimeWeighted
-	w.Set(0, 2)  // value 2 during [0,10)
-	w.Set(10, 6) // value 6 during [10,20)
-	if got := w.Mean(20); !almost(got, 4, 1e-12) {
-		t.Fatalf("time-weighted mean = %g, want 4", got)
-	}
-	if w.Max() != 6 {
-		t.Fatalf("max = %g", w.Max())
-	}
-	if w.Value() != 6 {
-		t.Fatalf("value = %g", w.Value())
-	}
-}
-
-func TestTimeWeightedAdjust(t *testing.T) {
-	var w TimeWeighted
-	w.Set(0, 0)
-	w.Adjust(5, +3) // 0 in [0,5), 3 in [5,10)
-	if got := w.Mean(10); !almost(got, 1.5, 1e-12) {
-		t.Fatalf("mean = %g, want 1.5", got)
-	}
-}
-
-func TestTimeWeightedResetAt(t *testing.T) {
-	var w TimeWeighted
-	w.Set(0, 100) // transient
-	w.Set(10, 2)
-	w.ResetAt(10)
-	w.Set(20, 4)
-	if got := w.Mean(30); !almost(got, 3, 1e-12) {
-		t.Fatalf("post-reset mean = %g, want 3", got)
-	}
-}
-
-func TestTimeWeightedNoElapsedTime(t *testing.T) {
-	var w TimeWeighted
-	w.Set(5, 7)
-	if got := w.Mean(5); got != 7 {
-		t.Fatalf("zero-duration mean = %g, want current value 7", got)
-	}
-}
-
-// Integral backs the windowed-utilization telemetry: differencing it across
-// window boundaries must reproduce per-window busy time exactly.
-func TestTimeWeightedIntegral(t *testing.T) {
-	var w TimeWeighted
-	if got := w.Integral(10); got != 0 {
-		t.Fatalf("integral before any Set = %g, want 0", got)
-	}
-	// A 0/1 busy indicator: busy [2,5), idle [5,8), busy [8,...).
-	w.Set(2, 1)
-	w.Set(5, 0)
-	w.Set(8, 1)
-	if got := w.Integral(8); !almost(got, 3, 1e-12) {
-		t.Fatalf("integral at last Set = %g, want 3", got)
-	}
-	// Beyond the last Set the current value extrapolates.
-	if got := w.Integral(12); !almost(got, 7, 1e-12) {
-		t.Fatalf("extrapolated integral = %g, want 7", got)
-	}
-	// Inside the recorded history it clamps to the last Set, like Mean.
-	if got := w.Integral(3); !almost(got, 3, 1e-12) {
-		t.Fatalf("clamped integral = %g, want 3", got)
-	}
-	// Per-window differencing (what the rate probes do): busy fraction of
-	// [8,12] is (7-3)/4 = 1.
-	if frac := (w.Integral(12) - w.Integral(8)) / 4; !almost(frac, 1, 1e-12) {
-		t.Fatalf("windowed busy fraction = %g, want 1", frac)
-	}
-}
-
 func TestBatchMeansInterval(t *testing.T) {
 	var b BatchMeans
 	for i := 0; i < 1000; i++ {
@@ -349,32 +224,6 @@ func TestPercentileSingleSample(t *testing.T) {
 	for _, p := range []float64{0, 30, 50, 99, 100} {
 		if got := b.Percentile(p); got != 42 {
 			t.Errorf("Percentile(%g) = %g, want 42", p, got)
-		}
-	}
-}
-
-func TestTimeWeightedMeanEdgeCases(t *testing.T) {
-	var unset TimeWeighted
-	if got := unset.Mean(5); got != 0 {
-		t.Errorf("Mean before any Set = %g, want 0", got)
-	}
-
-	var w TimeWeighted
-	w.Set(10, 3) // origin
-	w.Set(20, 9)
-	cases := []struct {
-		name    string
-		t, want float64
-	}{
-		{"before origin", 5, 3},   // zero-length window holds the first value
-		{"at origin", 10, 3},      //
-		{"inside history", 15, 3}, // clamped to [10, 20]: only value 3 recorded
-		{"at last set", 20, 3},    // [10,20) was all value 3
-		{"past last set", 30, 6},  // (10*3 + 10*9) / 20
-	}
-	for _, c := range cases {
-		if got := w.Mean(c.t); !almost(got, c.want, 1e-12) {
-			t.Errorf("%s: Mean(%g) = %g, want %g", c.name, c.t, got, c.want)
 		}
 	}
 }
