@@ -213,11 +213,7 @@ func (m *MAGICPlacement) CellCounts() []int { return m.counts }
 // HomeOf implements Placement: the owner of the grid cell the tuple's
 // partitioning-attribute values locate to.
 func (m *MAGICPlacement) HomeOf(t storage.Tuple) int {
-	point := make([]int64, len(m.attrs))
-	for d, a := range m.attrs {
-		point[d] = t.Attrs[a]
-	}
-	return m.owners[m.grid.FlatIndex(m.grid.Locate(point))]
+	return m.owners[m.grid.CellOf(t.Attrs[:], m.attrs)]
 }
 
 // Route implements Placement: a predicate on a partitioning attribute maps

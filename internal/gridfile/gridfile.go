@@ -123,7 +123,7 @@ func (g *Grid) Insert(point []int64, id int) {
 		}
 	}
 	g.points = append(g.points, append([]int64(nil), point...))
-	ci := g.flatIndex(g.Locate(point))
+	ci := g.cellOf(point)
 	g.cells[ci] = append(g.cells[ci], id)
 	g.inserted++
 	for len(g.cells[ci]) > g.capacity {
@@ -133,17 +133,29 @@ func (g *Grid) Insert(point []int64, id int) {
 		}
 		// The split may have moved the overflowing tuples elsewhere; find
 		// the cell our point now lives in and re-check.
-		ci = g.flatIndex(g.Locate(point))
+		ci = g.cellOf(point)
 	}
 }
 
-// Locate returns the per-dimension interval coordinates of a point.
-func (g *Grid) Locate(point []int64) []int {
-	coord := make([]int, g.k)
-	for d := 0; d < g.k; d++ {
-		coord[d] = g.interval(d, point[d])
+// CellOf returns the flat cell index of the point whose d-th coordinate is
+// values[attrs[d]], for one attrs entry per dimension: a tuple's cell, read
+// straight from its attribute values without building the point, so it
+// allocates nothing.
+func (g *Grid) CellOf(values []int64, attrs []int) int {
+	idx := 0
+	for d, a := range attrs {
+		idx = idx*g.dims[d] + g.interval(d, values[a])
 	}
-	return coord
+	return idx
+}
+
+// cellOf returns the flat cell index of a point.
+func (g *Grid) cellOf(point []int64) int {
+	idx := 0
+	for d, v := range point {
+		idx = idx*g.dims[d] + g.interval(d, v)
+	}
+	return idx
 }
 
 // interval returns the index of the interval of dimension d containing v:
@@ -158,9 +170,6 @@ func (g *Grid) interval(d int, v int64) int {
 func (g *Grid) IntervalRange(d int, lo, hi int64) (from, to int) {
 	return g.interval(d, lo), g.interval(d, hi)
 }
-
-// FlatIndex converts coordinates to the row-major flat cell index.
-func (g *Grid) FlatIndex(coord []int) int { return g.flatIndex(coord) }
 
 // flatIndex converts coordinates to the row-major flat cell index.
 func (g *Grid) flatIndex(coord []int) int {
@@ -350,7 +359,7 @@ func (g *Grid) Validate() error {
 	count := 0
 	for flat, ids := range g.cells {
 		for _, id := range ids {
-			if got := g.flatIndex(g.Locate(g.points[id])); got != flat {
+			if got := g.cellOf(g.points[id]); got != flat {
 				return fmt.Errorf("gridfile: tuple %d stored in cell %d but locates to %d",
 					id, flat, got)
 			}

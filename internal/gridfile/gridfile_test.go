@@ -39,7 +39,7 @@ func TestInsertAndLocate(t *testing.T) {
 	}
 	// Every point must be found in its located cell.
 	for i, p := range pts {
-		flat := g.flatIndex(g.Locate(p))
+		flat := g.cellOf(p)
 		found := false
 		for _, id := range g.Cell(flat) {
 			if id == i {
@@ -131,7 +131,7 @@ func TestDuplicateValuesOverflowGracefully(t *testing.T) {
 	if g.OverflowCells() == 0 {
 		t.Fatal("expected overflow to be recorded")
 	}
-	if g.NumCells() != 1 && g.CellCount(g.flatIndex(g.Locate([]int64{5, 5}))) != 10 {
+	if g.NumCells() != 1 && g.CellCount(g.cellOf([]int64{5, 5})) != 10 {
 		t.Fatal("all duplicates must stay in one cell")
 	}
 }
@@ -214,7 +214,7 @@ func TestRangeCoverCompleteProperty(t *testing.T) {
 		// Every tuple with dim0 value in [lo,hi] must be in a covered cell.
 		for id, pt := range g.points {
 			if pt[0] >= lo && pt[0] <= hi {
-				if !cover[g.flatIndex(g.Locate(g.points[id]))] {
+				if !cover[g.cellOf(g.points[id])] {
 					return false
 				}
 			}
@@ -294,6 +294,20 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
+// CellOf reads each dimension's value from its own attribute slot, so a
+// tuple with the point's values scattered among other attributes lands in
+// the point's cell.
+func TestCellOfReadsAttrs(t *testing.T) {
+	g := uniformGrid(t, 2000, 25, []float64{1, 2})
+	attrs := []int{3, 1}
+	for id, p := range g.points {
+		values := []int64{-1, p[1], -1, p[0], -1}
+		if got, want := g.CellOf(values, attrs), g.cellOf(p); got != want {
+			t.Fatalf("point %d %v: CellOf = %d, cell %d", id, p, got, want)
+		}
+	}
+}
+
 func TestCoordRoundTrip(t *testing.T) {
 	g := uniformGrid(t, 2000, 25, []float64{1, 2})
 	for flat := 0; flat < g.NumCells(); flat++ {
@@ -362,7 +376,7 @@ func TestSplitsKeepCellsInInsertionOrder(t *testing.T) {
 // inverted) must return distinct cells that each meet the range, including
 // the cell of every inserted point inside it, and nothing for an inverted
 // range. The edge intervals of a dimension catch values beyond the domain,
-// as Locate does.
+// as cellOf does.
 func FuzzGridCellsCovering(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 2, 3, 3, 9, 0, 0, 9, 5, 5, 5, 5, 5, 5}, uint8(16), uint8(0), uint8(1), uint8(1), uint8(0), uint8(2), uint8(7), uint8(3), uint8(9))
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7, 7}, uint8(8), uint8(1), uint8(0), uint8(2), uint8(3), uint8(6), uint8(4), uint8(0), uint8(9))
@@ -426,7 +440,7 @@ func FuzzGridCellsCovering(f *testing.F) {
 			if p[0] < ranges[0][0] || p[0] > ranges[0][1] || p[1] < ranges[1][0] || p[1] > ranges[1][1] {
 				continue
 			}
-			if c := g.FlatIndex(g.Locate(p)); !seen[c] {
+			if c := g.cellOf(p); !seen[c] {
 				t.Fatalf("range %v: point %d %v in cell %d, not covered by %v", ranges, id, p, c, cells)
 			}
 		}
