@@ -67,6 +67,11 @@ func (t *Tree) newNode(leaf bool) *node {
 // Bulk builds the tree from entries, which must be sorted by key (stable
 // order among duplicates is preserved). Bulk panics if the tree is not
 // empty. Leaves are filled to capacity, matching a freshly loaded database.
+//
+// The tree takes entries over without copying: each leaf is a
+// capacity-clamped run of the slice, so the caller must not modify it
+// afterwards (reading is fine). A later Insert into a leaf reallocates
+// that leaf rather than writing past its run into the next one.
 func (t *Tree) Bulk(entries []Entry) {
 	if t.size != 0 {
 		panic("btree: Bulk on non-empty tree")
@@ -93,7 +98,7 @@ func (t *Tree) Bulk(entries []Entry) {
 			leaves[len(leaves)-1].next = n
 			leaves = append(leaves, n)
 		}
-		n.entries = append(n.entries, entries[i:end]...)
+		n.entries = entries[i:end:end]
 	}
 	t.size = len(entries)
 	// Build interior levels bottom-up.

@@ -306,6 +306,49 @@ func TestBulkVsInsertEquivalence(t *testing.T) {
 	}
 }
 
+// Bulk hands the caller's slice to the leaves without copying it. Inserts
+// into the bulk-loaded tree must reallocate the leaf they land in, never
+// write into the next leaf's run, so the tree keeps matching a sorted-slice
+// reference and the loaded slice stays as it was.
+func TestBulkThenInsertMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		entries := make([]Entry, r.Intn(300))
+		for i := range entries {
+			entries[i].Key = int64(r.Intn(64))
+		}
+		sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
+		for i := range entries {
+			entries[i].Val = int64(i)
+		}
+		loaded := slices.Clone(entries)
+		tr := New(4, 2+r.Intn(5), counter())
+		tr.Bulk(entries)
+		ref := slices.Clone(entries)
+		for i := 0; i < 200; i++ {
+			e := Entry{Key: int64(r.Intn(66)) - 1, Val: int64(len(entries) + i)}
+			tr.Insert(e)
+			// An insert lands after every equal key already present.
+			at := sort.Search(len(ref), func(j int) bool { return ref[j].Key > e.Key })
+			ref = slices.Insert(ref, at, e)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		got, _ := walk(tr, -1, 64)
+		want := make([]int64, len(ref))
+		for i, e := range ref {
+			want[i] = e.Val
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: tree holds %v, reference %v", trial, got, want)
+		}
+		if !slices.Equal(entries, loaded) {
+			t.Fatalf("trial %d: inserts overwrote the bulk-loaded slice", trial)
+		}
+	}
+}
+
 func TestNewRejectsTinyParameters(t *testing.T) {
 	for _, tc := range []struct{ fanout, leafCap int }{{2, 4}, {4, 1}} {
 		func() {
