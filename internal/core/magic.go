@@ -100,16 +100,21 @@ func BuildMAGIC(rel *storage.Relation, attrs []int, queries []QuerySpec, pp Plan
 	// grid file front-loads all directory refinement into the low region —
 	// once the directory-size cap is reached, the unrefined tail would
 	// collapse into a handful of giant fragments. A coprime stride visits
-	// the relation in a spatially uniform order instead.
-	n := len(rel.Tuples)
-	stride := coprimeStride(n)
-	point := make([]int64, len(attrs))
-	for i := 0; i < n; i++ {
-		t := &rel.Tuples[(i*stride)%n]
+	// the relation in a spatially uniform order instead. It strides over a
+	// flat copy of the partitioning attributes (k values per tuple, read in
+	// relation order), not over the wide tuples themselves.
+	n, k := len(rel.Tuples), len(attrs)
+	points := make([]int64, n*k)
+	for j := range rel.Tuples {
 		for d, a := range attrs {
-			point[d] = t.Attrs[a]
+			points[j*k+d] = rel.Tuples[j].Attrs[a]
 		}
-		grid.Insert(point, i)
+	}
+	grid.Grow(n)
+	stride := coprimeStride(n)
+	for i := 0; i < n; i++ {
+		j := (i * stride) % n
+		grid.Insert(points[j*k:(j+1)*k], i)
 	}
 
 	// Assignment (Section 3.4).
@@ -233,10 +238,14 @@ func (m *MAGICPlacement) Route(pred Predicate) Route {
 // processor. Predicates on non-partitioning attributes force all
 // processors; repeated predicates on one attribute intersect their ranges.
 func (m *MAGICPlacement) RouteConjunct(preds []Predicate) Route {
-	ranges := make([][2]int64, len(m.attrs))
+	// The per-dimension ranges and the set of owners seen live on the
+	// stack for up to 4 dimensions and 256 processors, so a route
+	// allocates only its Participants.
+	var rangeBuf [4][2]int64
+	ranges := rangeBuf[:0]
 	for dd := range m.attrs {
 		lo, hi := m.grid.Bounds(dd)
-		ranges[dd] = [2]int64{lo, hi}
+		ranges = append(ranges, [2]int64{lo, hi})
 	}
 	constrained := false
 	for _, pred := range preds {
@@ -255,12 +264,27 @@ func (m *MAGICPlacement) RouteConjunct(preds []Predicate) Route {
 	if !constrained {
 		return Route{Participants: allProcessors(m.p)}
 	}
-	cells := m.grid.CellsCovering(ranges)
+	var seenBuf [4]uint64
+	seen := seenBuf[:]
+	if words := (m.p + 63) / 64; words > len(seen) {
+		seen = make([]uint64, words)
+	}
+	searched, nparts := 0, 0
+	m.grid.EachCovering(ranges, func(c int) {
+		searched++
+		if o := m.owners[c]; m.counts[c] > 0 && seen[o/64]&(1<<(o%64)) == 0 {
+			seen[o/64] |= 1 << (o % 64)
+			nparts++
+		}
+	})
 	var parts []int
-	for _, c := range cells {
-		if m.counts[c] > 0 {
-			parts = append(parts, m.owners[c])
+	if nparts > 0 {
+		parts = make([]int, 0, nparts)
+		for o := 0; o < m.p; o++ {
+			if seen[o/64]&(1<<(o%64)) != 0 {
+				parts = append(parts, o)
+			}
 		}
 	}
-	return Route{Participants: uniqueSorted(parts), EntriesSearched: len(cells)}
+	return Route{Participants: parts, EntriesSearched: searched}
 }

@@ -11,6 +11,7 @@ package gridfile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -23,7 +24,9 @@ type Grid struct {
 	scales   [][]int64 // ascending interior split points per dimension
 	dims     []int     // number of intervals per dimension (= len(scales[d])+1)
 	cells    [][]int   // flat row-major cell -> tuple ids
-	points   [][]int64 // id -> point (ids must be dense from 0)
+	points   []int64   // point of id i at [i*k, (i+1)*k) (ids dense from 0)
+	coord    []int     // split's scratch: the overflowing cell's coordinates
+	right    []int     // insertBoundary's scratch: a split cell's right ids
 	splits   []int     // splits performed per dimension
 	total    int       // total splits
 	inserted int
@@ -67,6 +70,7 @@ func New(capacity int, weights []float64, bounds [][2]int64) *Grid {
 		scales:   make([][]int64, k),
 		dims:     make([]int, k),
 		cells:    make([][]int, 1),
+		coord:    make([]int, k),
 		splits:   make([]int, k),
 	}
 	for d := range g.dims {
@@ -98,14 +102,15 @@ func (g *Grid) OverflowCells() int { return g.overflow }
 // n <= 0 removes the cap.
 func (g *Grid) SetMaxCells(n int) { g.maxCells = n }
 
-// MaxCells reports the directory-size cap (0 = unlimited).
-func (g *Grid) MaxCells() int { return g.maxCells }
-
 // Capacity reports the fragment capacity FC.
 func (g *Grid) Capacity() int { return g.capacity }
 
 // Bounds returns the inclusive value domain of a dimension.
 func (g *Grid) Bounds(dim int) (lo, hi int64) { return g.bounds[dim][0], g.bounds[dim][1] }
+
+// Grow reserves room for n more points, so that inserting them does not
+// reallocate the point store.
+func (g *Grid) Grow(n int) { g.points = slices.Grow(g.points, n*g.k) }
 
 // Insert adds a point with a dense id (0,1,2,... in insertion order),
 // splitting slices as cells overflow.
@@ -113,8 +118,8 @@ func (g *Grid) Insert(point []int64, id int) {
 	if len(point) != g.k {
 		panic(fmt.Sprintf("gridfile: point has %d dims, grid has %d", len(point), g.k))
 	}
-	if id != len(g.points) {
-		panic(fmt.Sprintf("gridfile: ids must be dense; got %d, want %d", id, len(g.points)))
+	if id != g.inserted {
+		panic(fmt.Sprintf("gridfile: ids must be dense; got %d, want %d", id, g.inserted))
 	}
 	for d := range point {
 		if point[d] < g.bounds[d][0] || point[d] > g.bounds[d][1] {
@@ -122,7 +127,7 @@ func (g *Grid) Insert(point []int64, id int) {
 				d, point[d], g.bounds[d][0], g.bounds[d][1]))
 		}
 	}
-	g.points = append(g.points, append([]int64(nil), point...))
+	g.points = append(g.points, point...)
 	ci := g.cellOf(point)
 	g.cells[ci] = append(g.cells[ci], id)
 	g.inserted++
@@ -158,6 +163,9 @@ func (g *Grid) cellOf(point []int64) int {
 	return idx
 }
 
+// point returns the coordinates of the point with the given id.
+func (g *Grid) point(id int) []int64 { return g.points[id*g.k : (id+1)*g.k] }
+
 // interval returns the index of the interval of dimension d containing v:
 // intervals are [lo, s0), [s0, s1), ..., [sLast, hi].
 func (g *Grid) interval(d int, v int64) int {
@@ -171,23 +179,12 @@ func (g *Grid) IntervalRange(d int, lo, hi int64) (from, to int) {
 	return g.interval(d, lo), g.interval(d, hi)
 }
 
-// flatIndex converts coordinates to the row-major flat cell index.
-func (g *Grid) flatIndex(coord []int) int {
-	idx := 0
-	for d := 0; d < g.k; d++ {
-		idx = idx*g.dims[d] + coord[d]
-	}
-	return idx
-}
-
-// Coord converts a flat cell index back to coordinates.
-func (g *Grid) Coord(flat int) []int {
-	coord := make([]int, g.k)
+// decode writes the coordinates of a flat cell index into coord.
+func (g *Grid) decode(flat int, coord []int) {
 	for d := g.k - 1; d >= 0; d-- {
 		coord[d] = flat % g.dims[d]
 		flat /= g.dims[d]
 	}
-	return coord
 }
 
 // Cell returns the tuple ids in the flat cell (caller must not mutate).
@@ -202,7 +199,8 @@ func (g *Grid) CellCount(flat int) int { return len(g.cells[flat]) }
 // across the whole dimension, and redistributes affected cells. Returns
 // false if no dimension can split.
 func (g *Grid) split(flat int) bool {
-	coord := g.Coord(flat)
+	coord := g.coord
+	g.decode(flat, coord)
 	d := -1
 	var bestScore float64
 	sumW := 0.0
@@ -262,70 +260,89 @@ func (g *Grid) insertBoundary(d, at int, v int64) {
 	s[at] = v
 	g.scales[d] = s
 
-	// Re-map every old cell into the grown directory. In row-major order the
-	// cells form blocks of n slices of dimension d, each slice a run of
-	// `inner` consecutive cells; growing dimension d only shifts the slices
-	// after `at` one run further within each block.
+	// Grow the directory in place. In row-major order the cells form blocks
+	// of n slices of dimension d, each slice a run of `inner` consecutive
+	// cells; growing dimension d shifts the slices after `at` one run
+	// further within each block, and each block one run per earlier block
+	// further overall. Every cell moves to a higher index or stays, so
+	// moving the blocks from the back, and within a block the tail before
+	// the split slice before the head, never overwrites a cell still to
+	// move.
 	n := g.dims[d]
 	inner := 1
 	for _, m := range g.dims[d+1:] {
 		inner *= m
 	}
 	g.dims[d]++
-	newCells := make([][]int, len(g.cells)/n*g.dims[d])
-	for block := 0; block*n*inner < len(g.cells); block++ {
-		src := g.cells[block*n*inner : (block+1)*n*inner]
-		dst := newCells[block*(n+1)*inner : (block+1)*(n+1)*inner]
-		copy(dst, src[:at*inner])
-		copy(dst[(at+2)*inner:], src[(at+1)*inner:])
-		// The split slice: partition ids by the new boundary.
-		for r, ids := range src[at*inner : (at+1)*inner] {
-			var left, right []int
-			for _, id := range ids {
-				if g.points[id][d] < v {
-					left = append(left, id)
-				} else {
-					right = append(right, id)
-				}
-			}
-			dst[at*inner+r] = left
-			dst[(at+1)*inner+r] = right
+	old := len(g.cells)
+	g.cells = append(g.cells, make([][]int, old/n)...)
+	for block := old/(n*inner) - 1; block >= 0; block-- {
+		src := block * n * inner
+		dst := block * (n + 1) * inner
+		copy(g.cells[dst+(at+2)*inner:dst+(n+1)*inner], g.cells[src+(at+1)*inner:src+n*inner])
+		copy(g.cells[dst+at*inner:dst+(at+1)*inner], g.cells[src+at*inner:src+(at+1)*inner])
+		copy(g.cells[dst:dst+at*inner], g.cells[src:src+at*inner])
+		// The split slice: partition each cell's ids by the new boundary.
+		for r := dst + at*inner; r < dst+(at+1)*inner; r++ {
+			g.cells[r], g.cells[r+inner] = g.partition(g.cells[r], d, v)
 		}
 	}
-	g.cells = newCells
+}
+
+// partition splits ids stably into those whose point lies below v in
+// dimension d and the rest, in place: the left ids move to the front of
+// ids, the right ids after them. The two results share the backing array,
+// so the left one is capacity-clamped and an append to it reallocates
+// instead of overwriting the right one; each cell's slice thus still owns
+// its whole capacity.
+func (g *Grid) partition(ids []int, d int, v int64) (left, right []int) {
+	nl := 0
+	g.right = g.right[:0]
+	for _, id := range ids {
+		if g.points[id*g.k+d] < v {
+			ids[nl] = id
+			nl++
+		} else {
+			g.right = append(g.right, id)
+		}
+	}
+	copy(ids[nl:], g.right)
+	return ids[:nl:nl], ids[nl:]
 }
 
 // CellsCovering returns the flat indices of all cells intersecting the
 // hyper-rectangle given by inclusive value ranges per dimension (the cells a
-// query predicate maps to). A dimension without a predicate should pass the
-// full domain.
+// query predicate maps to), in row-major order. A dimension without a
+// predicate should pass the full domain.
 func (g *Grid) CellsCovering(ranges [][2]int64) []int {
+	var out []int
+	g.EachCovering(ranges, func(flat int) { out = append(out, flat) })
+	return out
+}
+
+// EachCovering calls fn with the flat index of every cell CellsCovering
+// returns, in the same order, without building the list.
+func (g *Grid) EachCovering(ranges [][2]int64, fn func(flat int)) {
 	if len(ranges) != g.k {
 		panic(fmt.Sprintf("gridfile: %d ranges for %d dimensions", len(ranges), g.k))
 	}
-	from := make([]int, g.k)
-	to := make([]int, g.k)
-	for d := 0; d < g.k; d++ {
-		if ranges[d][0] > ranges[d][1] {
-			return nil
+	for _, r := range ranges {
+		if r[0] > r[1] {
+			return
 		}
-		from[d], to[d] = g.IntervalRange(d, ranges[d][0], ranges[d][1])
 	}
-	var out []int
-	coord := append([]int(nil), from...)
-	for {
-		out = append(out, g.flatIndex(coord))
-		d := g.k - 1
-		for d >= 0 {
-			coord[d]++
-			if coord[d] <= to[d] {
-				break
-			}
-			coord[d] = from[d]
-			d--
-		}
-		if d < 0 {
-			return out
+	g.eachCovering(ranges, 0, 0, fn)
+}
+
+// eachCovering walks the covered intervals of dimension d and below, inside
+// the cells whose row-major index over dimensions before d is base.
+func (g *Grid) eachCovering(ranges [][2]int64, d, base int, fn func(flat int)) {
+	from, to := g.IntervalRange(d, ranges[d][0], ranges[d][1])
+	for i := from; i <= to; i++ {
+		if flat := base*g.dims[d] + i; d == g.k-1 {
+			fn(flat)
+		} else {
+			g.eachCovering(ranges, d+1, flat, fn)
 		}
 	}
 }
@@ -359,7 +376,7 @@ func (g *Grid) Validate() error {
 	count := 0
 	for flat, ids := range g.cells {
 		for _, id := range ids {
-			if got := g.cellOf(g.points[id]); got != flat {
+			if got := g.cellOf(g.point(id)); got != flat {
 				return fmt.Errorf("gridfile: tuple %d stored in cell %d but locates to %d",
 					id, flat, got)
 			}

@@ -180,7 +180,7 @@ func TestPointQueriesFindTheirTuple(t *testing.T) {
 	src := rng.NewSource("q", 5)
 	for trial := 0; trial < 200; trial++ {
 		id := src.Intn(3000)
-		pt := []int64{g.points[id][0], g.points[id][1]}
+		pt := g.point(id)
 		cells := g.CellsCovering([][2]int64{{pt[0], pt[0]}, {pt[1], pt[1]}})
 		if len(cells) != 1 {
 			t.Fatalf("point query covered %d cells", len(cells))
@@ -212,9 +212,9 @@ func TestRangeCoverCompleteProperty(t *testing.T) {
 			cover[c] = true
 		}
 		// Every tuple with dim0 value in [lo,hi] must be in a covered cell.
-		for id, pt := range g.points {
-			if pt[0] >= lo && pt[0] <= hi {
-				if !cover[g.cellOf(g.points[id])] {
+		for id := 0; id < g.Inserted(); id++ {
+			if pt := g.point(id); pt[0] >= lo && pt[0] <= hi {
+				if !cover[g.cellOf(pt)] {
 					return false
 				}
 			}
@@ -300,7 +300,8 @@ func TestInsertValidation(t *testing.T) {
 func TestCellOfReadsAttrs(t *testing.T) {
 	g := uniformGrid(t, 2000, 25, []float64{1, 2})
 	attrs := []int{3, 1}
-	for id, p := range g.points {
+	for id := 0; id < g.Inserted(); id++ {
+		p := g.point(id)
 		values := []int64{-1, p[1], -1, p[0], -1}
 		if got, want := g.CellOf(values, attrs), g.cellOf(p); got != want {
 			t.Fatalf("point %d %v: CellOf = %d, cell %d", id, p, got, want)
