@@ -42,3 +42,40 @@ func TestReadHitAllocs(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want 202/1", pool.Hits(), pool.Misses())
 	}
 }
+
+// A miss that evicts a page, once the pool is full and one latch has
+// been used, allocates nothing beyond the disk read it wraps: the page
+// takes the evicted page's frame and the read borrows the free latch.
+func TestReadMissAllocs(t *testing.T) {
+	e, disk, pool := rig(t, 8)
+	page := 1000
+	run(t, e, func(p *sim.Proc) {
+		for ; page < 1008; page++ { // fill every frame
+			if err := pool.Read(p, page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		diskRead := testing.AllocsPerRun(100, func() {
+			if err := disk.Read(p, page); err != nil {
+				t.Fatal(err)
+			}
+			page++
+		})
+		misses := pool.Misses()
+		poolMiss := testing.AllocsPerRun(100, func() {
+			if err := pool.Read(p, page); err != nil {
+				t.Fatal(err)
+			}
+			page++
+		})
+		if got := pool.Misses() - misses; got != 101 {
+			t.Fatalf("%d misses, want 101", got)
+		}
+		if pool.Len() != 8 {
+			t.Fatalf("len = %d, want 8", pool.Len())
+		}
+		if poolMiss > diskRead {
+			t.Errorf("a Read miss allocates %v per op, the disk read it wraps %v", poolMiss, diskRead)
+		}
+	})
+}

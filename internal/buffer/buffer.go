@@ -5,11 +5,17 @@
 // The pool deduplicates concurrent misses on the same page: the first
 // requester performs the disk read while later requesters wait on its
 // completion, as a real buffer manager's I/O latch would arrange.
+//
+// The resident pages live in a fixed array of capacity frames, linked into
+// an LRU list by int32 indices and found through a small open-addressed
+// table. A page takes a frame only once its read has succeeded; reads in
+// flight are kept apart, each with a latch from the pool's free list, so a
+// hit, a miss and a piggybacked wait allocate nothing once the pool is warm.
 package buffer
 
 import (
-	"container/list"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/hw"
 	"repro/internal/obs"
@@ -19,40 +25,62 @@ import (
 // Pool is one node's buffer pool.
 type Pool struct {
 	eng      *sim.Engine
-	name     string
 	capacity int // pages; 0 disables caching entirely (every read hits disk)
 	disk     *hw.Disk
 
-	lru      *list.List            // front = most recent; values are page numbers
-	resident map[int]*list.Element // physical page -> LRU element
-	inflight map[int]*pendingRead  // physical page -> pending read completion
+	// frames[:used] hold the resident pages, linked from head (most
+	// recent) to tail (least recent); -1 ends the list.
+	frames     []frame
+	used       int32
+	head, tail int32
+
+	// table maps a resident page to its frame: a slot holds frame index+1,
+	// 0 is empty. Linear probing, at most half full, backward-shift delete.
+	table []int32
+	shift uint // 64 - log2(len(table))
+
+	inflight []inflightRead // reads in progress, in no particular order
+	free     []*latch       // latches no reader or waiter holds
 
 	hits, misses int64
+}
+
+type frame struct {
+	page       int
+	prev, next int32
+}
+
+type inflightRead struct {
+	page  int
+	latch *latch
+}
+
+// latch carries one in-flight read's outcome to the readers that
+// piggyback on it. It returns to the pool's free list only once the read
+// has finished and every waiter has resumed and taken err: a latch freed
+// when it fires could be re-armed by a later miss in the same instant,
+// before its waiters run, and they would read the later read's state.
+type latch struct {
+	err     error
+	waiters []*sim.Proc // parked piggybackers, in arrival order
+	pending int         // waiters that have not yet taken err
 }
 
 // NewPool creates a pool of the given capacity over the node's disk.
 // capacity == 0 turns the pool into a pass-through (ablation runs);
 // a negative capacity is an error.
-func NewPool(e *sim.Engine, name string, capacity int, disk *hw.Disk) *Pool {
+func NewPool(e *sim.Engine, capacity int, disk *hw.Disk) *Pool {
 	if capacity < 0 {
 		panic(fmt.Sprintf("buffer: negative capacity %d", capacity))
 	}
-	return &Pool{
-		eng:      e,
-		name:     name,
-		capacity: capacity,
-		disk:     disk,
-		lru:      list.New(),
-		resident: make(map[int]*list.Element),
-		inflight: make(map[int]*pendingRead),
+	b := &Pool{eng: e, capacity: capacity, disk: disk, head: -1, tail: -1}
+	if capacity > 0 {
+		log := uint(bits.Len(uint(2*capacity - 1))) // 1<<log >= 2*capacity
+		b.frames = make([]frame, capacity)
+		b.table = make([]int32, 1<<log)
+		b.shift = 64 - log
 	}
-}
-
-// pendingRead tracks one in-flight disk read: piggybackers wait on tr, and
-// err carries the reader's outcome to them (set before tr fires).
-type pendingRead struct {
-	tr  *sim.Trigger
-	err error
+	return b
 }
 
 // Read ensures physPage is in memory, blocking the caller for the disk read
@@ -76,57 +104,163 @@ func (b *Pool) ReadHeat(p *sim.Proc, physPage int, h *obs.FragHeat) error {
 		h.BufferMiss()
 		return b.disk.ReadHeat(p, physPage, h)
 	}
-	if el, ok := b.resident[physPage]; ok {
+	if _, f := b.lookup(physPage); f >= 0 {
 		b.hits++
 		h.BufferHit()
-		b.lru.MoveToFront(el)
+		if f != b.head {
+			b.unlink(f)
+			b.pushFront(f)
+		}
 		return nil
 	}
-	if pr, ok := b.inflight[physPage]; ok {
-		// Another process is already reading this page; piggyback on it and
-		// share its outcome.
-		b.hits++
-		h.BufferHit()
-		pr.tr.Wait(p)
-		return pr.err
+	for _, r := range b.inflight {
+		if r.page == physPage {
+			// Another process is already reading this page; piggyback on
+			// it and share its outcome.
+			b.hits++
+			h.BufferHit()
+			return b.wait(p, r.latch)
+		}
 	}
 	b.misses++
 	h.BufferMiss()
-	pr := &pendingRead{tr: sim.NewTrigger(b.eng)}
-	b.inflight[physPage] = pr
-	pr.err = b.disk.ReadHeat(p, physPage, h)
-	delete(b.inflight, physPage)
-	if pr.err == nil {
+	l := b.arm(physPage)
+	err := b.disk.ReadHeat(p, physPage, h)
+	b.disarm(physPage)
+	if err == nil {
 		b.insert(physPage)
 	}
-	pr.tr.Fire()
-	return pr.err
+	l.err = err
+	for i, w := range l.waiters {
+		b.eng.Wake(w)
+		l.waiters[i] = nil
+	}
+	l.waiters = l.waiters[:0]
+	if l.pending == 0 {
+		b.free = append(b.free, l)
+	}
+	return err
 }
 
-// insert adds the page as most-recently-used, evicting LRU pages over
-// capacity. (All pages are clean in this read-only workload, so eviction is
-// free.)
+// arm registers a read of physPage in flight under a free latch.
+func (b *Pool) arm(physPage int) *latch {
+	var l *latch
+	if n := len(b.free); n > 0 {
+		l = b.free[n-1]
+		b.free = b.free[:n-1]
+		l.err = nil
+	} else {
+		l = new(latch)
+	}
+	b.inflight = append(b.inflight, inflightRead{physPage, l})
+	return l
+}
+
+// disarm removes physPage's read from the in-flight set.
+func (b *Pool) disarm(physPage int) {
+	last := len(b.inflight) - 1
+	for i := range b.inflight {
+		if b.inflight[i].page == physPage {
+			b.inflight[i] = b.inflight[last]
+			b.inflight[last] = inflightRead{}
+			b.inflight = b.inflight[:last]
+			return
+		}
+	}
+}
+
+// wait parks p until l's read finishes and returns its error. The last
+// waiter to resume puts the latch back on the free list.
+func (b *Pool) wait(p *sim.Proc, l *latch) error {
+	l.pending++
+	l.waiters = append(l.waiters, p)
+	p.Park()
+	err := l.err
+	l.pending--
+	if l.pending == 0 {
+		b.free = append(b.free, l)
+	}
+	return err
+}
+
+// insert makes a page that is not resident the most recent, evicting the
+// least recent page when every frame is in use. (All pages are clean in
+// this read-only workload, so eviction is free.)
 func (b *Pool) insert(physPage int) {
-	if el, ok := b.resident[physPage]; ok {
-		b.lru.MoveToFront(el)
-		return
+	f := b.used
+	if int(f) < b.capacity {
+		b.used++
+	} else {
+		f = b.tail
+		b.unlink(f)
+		b.remove(b.frames[f].page)
 	}
-	b.resident[physPage] = b.lru.PushFront(physPage)
-	for b.lru.Len() > b.capacity {
-		oldest := b.lru.Back()
-		b.lru.Remove(oldest)
-		delete(b.resident, oldest.Value.(int))
+	b.frames[f].page = physPage
+	b.pushFront(f)
+	slot, _ := b.lookup(physPage) // the empty slot that ends its probe run
+	b.table[slot] = f + 1
+}
+
+// home is physPage's preferred table slot (Fibonacci hashing).
+func (b *Pool) home(physPage int) int {
+	return int(uint64(physPage) * 0x9E3779B97F4A7C15 >> b.shift)
+}
+
+// lookup returns physPage's table slot and frame, or frame -1 when the
+// page is not resident.
+func (b *Pool) lookup(physPage int) (slot int, f int32) {
+	for slot = b.home(physPage); ; slot = (slot + 1) & (len(b.table) - 1) {
+		s := b.table[slot]
+		if s == 0 {
+			return slot, -1
+		}
+		if b.frames[s-1].page == physPage {
+			return slot, s - 1
+		}
 	}
 }
 
-// Contains reports whether the page is currently resident.
-func (b *Pool) Contains(physPage int) bool {
-	_, ok := b.resident[physPage]
-	return ok
+// remove deletes a resident page from the table, shifting later entries
+// of its probe run back so that every lookup still finds its page without
+// tombstones.
+func (b *Pool) remove(physPage int) {
+	mask := len(b.table) - 1
+	hole, _ := b.lookup(physPage)
+	for j := (hole + 1) & mask; b.table[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole unless its home lies
+		// cyclically in (hole, j].
+		if home := b.home(b.frames[b.table[j]-1].page); (j-home)&mask >= (j-hole)&mask {
+			b.table[hole] = b.table[j]
+			hole = j
+		}
+	}
+	b.table[hole] = 0
 }
 
-// Len reports the number of resident pages.
-func (b *Pool) Len() int { return b.lru.Len() }
+func (b *Pool) unlink(f int32) {
+	fr := &b.frames[f]
+	if fr.prev >= 0 {
+		b.frames[fr.prev].next = fr.next
+	} else {
+		b.head = fr.next
+	}
+	if fr.next >= 0 {
+		b.frames[fr.next].prev = fr.prev
+	} else {
+		b.tail = fr.prev
+	}
+}
+
+func (b *Pool) pushFront(f int32) {
+	fr := &b.frames[f]
+	fr.prev, fr.next = -1, b.head
+	if b.head >= 0 {
+		b.frames[b.head].prev = f
+	} else {
+		b.tail = f
+	}
+	b.head = f
+}
 
 // Hits reports buffer hits (including piggybacked in-flight reads).
 func (b *Pool) Hits() int64 { return b.hits }

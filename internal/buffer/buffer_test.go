@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/hw"
@@ -14,7 +15,7 @@ func rig(t *testing.T, capacity int) (*sim.Engine, *hw.Disk, *Pool) {
 	p := hw.DefaultParams()
 	cpu := hw.NewCPU(e, "cpu", p)
 	disk := hw.NewDisk(e, "disk", p, cpu, rng.NewFactory(3).Stream("lat"))
-	return e, disk, NewPool(e, "buf", capacity, disk)
+	return e, disk, NewPool(e, capacity, disk)
 }
 
 func run(t *testing.T, e *sim.Engine, fn func(p *sim.Proc)) {
@@ -139,5 +140,51 @@ func TestNegativeCapacityPanics(t *testing.T) {
 	p := hw.DefaultParams()
 	cpu := hw.NewCPU(e, "cpu", p)
 	disk := hw.NewDisk(e, "disk", p, cpu, rng.NewFactory(3).Stream("lat"))
-	NewPool(e, "buf", -1, disk)
+	NewPool(e, -1, disk)
+}
+
+// Three readers piggyback on a read that the disk fails. In the instant
+// the failed reader resumes, before the piggybackers do, a fourth reader
+// misses on another page and takes a latch from the free list. The failed
+// read's latch must not be that one: every piggybacker returns the failed
+// read's error, and nobody is left parked.
+func TestPiggybackersSurviveLatchReuse(t *testing.T) {
+	e, disk, pool := rig(t, 8)
+	errs := make(map[string]error)
+	read := func(name string, page int) {
+		e.Spawn(name, func(p *sim.Proc) { errs[name] = pool.Read(p, page) })
+	}
+	read("busy", 5)  // occupies the arm, so the next read waits in the queue
+	read("first", 1) // queued: the disk failure fails it at once
+	for _, name := range []string{"pig1", "pig2", "pig3"} {
+		read(name, 1)
+	}
+	e.Spawn("fourth", func(p *sim.Proc) {
+		p.Hold(sim.Microsecond)
+		disk.Fail() // wakes "first" with the error, ahead of us
+		disk.Repair()
+		p.Hold(0) // resume after "first" has fired its latch
+		errs["fourth"] = pool.Read(p, 2)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	first := errs["first"]
+	if !errors.Is(first, hw.ErrDiskFailed) {
+		t.Fatalf("first read: %v, want a failed-disk error", first)
+	}
+	for _, name := range []string{"pig1", "pig2", "pig3"} {
+		if err, ok := errs[name]; !ok || err != first {
+			t.Errorf("%s returned %v (done %v), want the failed read's %v", name, err, ok, first)
+		}
+	}
+	if err := errs["fourth"]; err != nil {
+		t.Errorf("fourth read: %v", err)
+	}
+	if n := e.Parked(); n != 0 {
+		t.Errorf("%d processes still parked", n)
+	}
+	if pool.Hits() != 3 || pool.Misses() != 3 {
+		t.Errorf("hits=%d misses=%d, want 3/3", pool.Hits(), pool.Misses())
+	}
 }

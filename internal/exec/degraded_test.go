@@ -53,7 +53,7 @@ func newDegradedRig(t *testing.T) *degradedRig {
 	allocs := make([]*storage.Allocator, 2)
 	for i := 0; i < 2; i++ {
 		disk := hw.NewDisk(eng, "disk", params, cpus[i], streams.Stream("lat"))
-		pool := buffer.NewPool(eng, "buf", 16, disk)
+		pool := buffer.NewPool(eng, 16, disk)
 		n := NewNode(eng, i, params, costs, net, cpus[i], disk, pool)
 		allocs[i] = storage.NewAllocator(10000)
 		frag := storage.BuildFragment(i, rel.Tuples, byHome[i], make([]int32, len(rel.Tuples)), storage.Unique2, layout, allocs[i])

@@ -42,7 +42,7 @@ func newRig(t testing.TB, placement core.Placement) *rig {
 	layout := storage.Layout{TuplesPerPage: 8, IndexFanout: 8, IndexLeafCap: 8}
 	for i := 0; i < 2; i++ {
 		disk := hw.NewDisk(eng, "disk", params, cpus[i], streams.Stream("lat"))
-		pool := buffer.NewPool(eng, "buf", 16, disk)
+		pool := buffer.NewPool(eng, 16, disk)
 		n := NewNode(eng, i, params, costs, net, cpus[i], disk, pool)
 		var rows []int32
 		for row, tup := range rel.Tuples {

@@ -41,7 +41,7 @@ func newJoinRig(t *testing.T, p int, rPl, sPl core.Placement) *joinRig {
 	layout := storage.Layout{TuplesPerPage: 8, IndexFanout: 8, IndexLeafCap: 8}
 	for i := 0; i < p; i++ {
 		disk := hw.NewDisk(eng, "disk", params, cpus[i], streams.Stream("lat"))
-		pool := buffer.NewPool(eng, "buf", 16, disk)
+		pool := buffer.NewPool(eng, 16, disk)
 		n := NewNode(eng, i, params, costs, net, cpus[i], disk, pool)
 		for _, pair := range []struct {
 			rel *storage.Relation

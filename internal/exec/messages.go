@@ -137,8 +137,9 @@ type auxLookup struct {
 type auxResult struct {
 	QueryID int64
 	Node    int
-	// TIDsByProc maps home processor -> qualifying TIDs stored there.
-	TIDsByProc map[int][]int64
+	// TIDsByProc lists, per home processor, the qualifying TIDs stored
+	// there (storage.AuxFragment.Lookup's grouping).
+	TIDsByProc [][]int64
 	Entries    int
 	Attempt    int // echoes auxLookup.Attempt
 }

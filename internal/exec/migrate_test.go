@@ -51,7 +51,7 @@ func newMigrateRig(t *testing.T) *migrateRig {
 	allocs := make([]*storage.Allocator, 3)
 	for i := 0; i < 3; i++ {
 		disk := hw.NewDisk(eng, "disk", params, cpus[i], streams.Stream("lat"))
-		pool := buffer.NewPool(eng, "buf", 16, disk)
+		pool := buffer.NewPool(eng, 16, disk)
 		n := NewNode(eng, i, params, costs, net, cpus[i], disk, pool)
 		allocs[i] = storage.NewAllocator(10000)
 		r.nodes = append(r.nodes, n)

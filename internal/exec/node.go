@@ -467,7 +467,7 @@ func (n *Node) runAuxLookup(p *sim.Proc, req auxLookup) {
 		}
 	}
 	fspan := n.eng.StartSpan()
-	var byProc map[int][]int64
+	var byProc [][]int64
 	var entries int
 	var pages []int
 	if err == nil {

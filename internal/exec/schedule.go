@@ -2,7 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -107,12 +107,14 @@ type collector struct {
 	aux      bool       // the current phase is BERD's auxiliary step
 	share    bool       // selection operators ride shared-scan batches
 	agg      *aggregate // non-nil: the operators fold partial aggregates
-	// tidsByProc collects BERD's auxiliary answer: home processor ->
-	// qualifying TIDs (nil without an auxiliary step).
-	tidsByProc map[int][]int64
+	// tidsByProc collects BERD's auxiliary answer: the qualifying TIDs
+	// per home processor (nil without an auxiliary step). fetchTIDs sends
+	// each operator its processor's list to fetch by TID.
+	tidsByProc [][]int64
+	fetchTIDs  bool
 
-	calls   []call // the current phase's operators
-	used    map[int]bool
+	calls   []call   // the current phase's operators
+	used    []uint64 // bitset of the physical nodes that did work
 	retries int
 	res     QueryResult
 	span    sim.Span // the query span, ended by finish
@@ -158,7 +160,7 @@ func (col *collector) send(c *call) bool {
 	c.target = target
 	col.h.nextAttempt++
 	c.attempt = col.h.nextAttempt
-	col.used[target] = true
+	col.use(target)
 	col.dispatch(c)
 	return true
 }
@@ -312,7 +314,7 @@ func (col *collector) dispatch(c *call) {
 	}
 	op := startOp{QueryID: col.qid, Relation: col.relation, Pred: col.pred, ReplyTo: h.ID,
 		Access: col.kind, Attempt: c.attempt, Role: c.role, Epoch: col.epoch, Agg: col.agg}
-	if col.tidsByProc != nil && h.BERDFetchByTID {
+	if col.fetchTIDs {
 		op.Access = AccessTIDFetch
 		op.TIDs = col.tidsByProc[c.primary]
 	}
@@ -328,15 +330,7 @@ func (col *collector) accept(c *call, msg any) {
 		col.res.ServedBy = append(col.res.ServedBy, ServedOp{
 			Fragment: c.primary, Node: c.target, Backup: c.role == Backup, Aux: true,
 		})
-		for proc, tids := range r.TIDsByProc {
-			// The first answer's list is taken over, not copied: Lookup
-			// caps each list at its length, so appending a later answer
-			// for the same processor copies it first.
-			if have := col.tidsByProc[proc]; have != nil {
-				tids = append(have, tids...)
-			}
-			col.tidsByProc[proc] = tids
-		}
+		col.mergeAux(r.TIDsByProc)
 	case opResult:
 		if col.agg != nil && r.Tuples > 0 {
 			col.res.Value = col.agg.fold(col.res.Value, r.Value, col.res.Tuples == 0)
@@ -346,6 +340,35 @@ func (col *collector) accept(c *call, msg any) {
 			Fragment: c.primary, Node: c.target, Backup: c.role == Backup, Tuples: r.Tuples,
 		})
 	}
+}
+
+// mergeAux folds one auxiliary answer into tidsByProc. The first answer is
+// taken over, not copied, and so is each processor's first list: Lookup
+// caps each list at its length, so appending a later answer for the same
+// processor copies it first.
+func (col *collector) mergeAux(byProc [][]int64) {
+	if col.tidsByProc == nil {
+		col.tidsByProc = byProc
+		return
+	}
+	if n := len(byProc); n > len(col.tidsByProc) {
+		col.tidsByProc = append(col.tidsByProc, make([][]int64, n-len(col.tidsByProc))...)
+	}
+	for proc, tids := range byProc {
+		if have := col.tidsByProc[proc]; have != nil {
+			tids = append(have, tids...)
+		}
+		col.tidsByProc[proc] = tids
+	}
+}
+
+// use marks the physical node as one that did work for the query, in a
+// bitset: one allocation for the nodes of a 64-node machine.
+func (col *collector) use(node int) {
+	if w := node >> 6; w >= len(col.used) {
+		col.used = append(col.used, make([]uint64, w+1-len(col.used))...)
+	}
+	col.used[node>>6] |= 1 << (node & 63)
 }
 
 // begin opens, in col, the lifecycle every query shape shares: a fresh
@@ -367,7 +390,6 @@ func (h *Host) begin(col *collector, p *sim.Proc, relation string, pred core.Pre
 	*col = collector{
 		h: h, d: d, p: p, topo: h.topo, epoch: h.epoch,
 		qid: qid, relation: relation, pred: pred,
-		used: map[int]bool{},
 		res:  QueryResult{ID: qid, Pred: pred, Submitted: p.Now()},
 		span: h.eng.StartSpan(),
 	}
@@ -399,7 +421,9 @@ func (col *collector) finish(outcome Outcome, err error) QueryResult {
 	res.Outcome = outcome
 	res.Err = err
 	res.Retries = col.retries
-	res.ProcessorsUsed = len(col.used)
+	for _, w := range col.used {
+		res.ProcessorsUsed += bits.OnesCount64(w)
+	}
 	res.Completed = col.p.Now()
 	h.QueriesRun++
 	if col.span.Active() {
@@ -456,17 +480,18 @@ func (h *Host) schedule(p *sim.Proc, relation string, pred core.Predicate, kind 
 		// BERD two-step: consult the auxiliary relation first.
 		auxSpan := h.eng.StartSpan()
 		col.res.AuxProcessors = len(route.Aux)
-		col.tidsByProc = make(map[int][]int64)
 		col.aux = true
 		if outcome, err := col.run(route.Aux); outcome != OutcomeOK {
 			return col.finish(outcome, err)
 		}
 		col.aux = false
-		participants = participants[:0]
-		for proc := range col.tidsByProc {
-			participants = append(participants, proc)
+		col.fetchTIDs = h.BERDFetchByTID
+		participants = make([]int, 0, len(col.tidsByProc))
+		for proc, tids := range col.tidsByProc {
+			if len(tids) > 0 {
+				participants = append(participants, proc)
+			}
 		}
-		sort.Ints(participants) // map order is randomized; the schedule must not be
 		if auxSpan.Active() {
 			auxSpan.End(obs.NoNode, "query", fmt.Sprintf("q%d aux phase", col.qid), col.qid,
 				fmt.Sprintf("%d aux nodes -> %d operators", len(route.Aux), len(participants)))
@@ -475,7 +500,7 @@ func (h *Host) schedule(p *sim.Proc, relation string, pred core.Predicate, kind 
 
 	// Scheduler: one operator per participant, collected under the policy.
 	opSpan := h.eng.StartSpan()
-	col.share = h.Shared != nil && agg == nil && !(col.tidsByProc != nil && h.BERDFetchByTID)
+	col.share = h.Shared != nil && agg == nil && !col.fetchTIDs
 	outcome, err := col.run(participants)
 	if outcome == OutcomeOK && opSpan.Active() {
 		opSpan.End(obs.NoNode, "query", fmt.Sprintf("q%d operator phase", col.qid), col.qid,
@@ -506,7 +531,7 @@ func (h *Host) join(p *sim.Proc, attr int, build, probe joinInput) QueryResult {
 	for phase, in := range [...]joinInput{build, probe} {
 		for slot := 0; slot < slots; slot++ {
 			target := physOf(col.topo, slot)
-			col.used[target] = true
+			col.use(target)
 			h.net.Send(p, nil, hw.Message{
 				From: h.ID, To: target, Bytes: controlBytes,
 				Payload: joinScan{

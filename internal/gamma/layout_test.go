@@ -474,7 +474,7 @@ func accessTraces(t *testing.T, frag *storage.Fragment, card int64) []accessTrac
 
 // auxLookup is one auxiliary Lookup's result.
 type auxLookup struct {
-	ByProc  map[int][]int64
+	ByProc  [][]int64
 	Entries int
 	Pages   []int
 }

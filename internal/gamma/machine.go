@@ -256,7 +256,7 @@ func (m *Machine) reset() {
 		disk := hw.NewDisk(eng, fmt.Sprintf("disk%d", i), cfg.HW, cpus[i],
 			streams.Stream(fmt.Sprintf("disk%d", i)))
 		disk.SetNode(i)
-		pool := buffer.NewPool(eng, fmt.Sprintf("buf%d", i), cfg.BufferPages, disk)
+		pool := buffer.NewPool(eng, cfg.BufferPages, disk)
 		nodes[i] = exec.NewNode(eng, i, cfg.HW, cfg.Costs, net, cpus[i], disk, pool)
 	}
 

@@ -1,9 +1,7 @@
 package storage
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/btree"
 )
@@ -367,39 +365,54 @@ func BuildAux(node int, entries []AuxEntry, layout Layout, alloc *Allocator) *Au
 }
 
 // Lookup returns the TIDs of values in [lo, hi] grouped by home processor,
-// each processor's TIDs in value order, plus the number of qualifying
-// entries and the index pages touched. The lists share one backing array,
-// each capped at its own length.
-func (f *AuxFragment) Lookup(lo, hi int64) (tidsByProc map[int][]int64, entries int, pages []int) {
-	var packed []int64
+// plus the number of qualifying entries and the index pages touched.
+// tidsByProc[proc] lists proc's TIDs in value order, or is nil when none
+// qualify there; the slice ends at the highest processor with one, and is
+// nil when nothing qualifies. The lists share one backing array, each
+// capped at its own length, so appending to one copies it.
+func (f *AuxFragment) Lookup(lo, hi int64) (tidsByProc [][]int64, entries int, pages []int) {
+	var buf [512]int64 // a typical answer is collected without the heap
+	packed := buf[:0]
+	procs := 0
 	pages = f.Tree.Walk(lo, hi, indexPages(f.Tree), func(run []btree.Entry) {
 		for _, e := range run {
 			packed = append(packed, e.Val)
+			p, _ := unpackAux(e.Val)
+			procs = max(procs, p+1)
 		}
 	})
 	if len(packed) == 0 {
 		return nil, 0, pages
 	}
-	// A stable sort on the processor groups the entries and keeps value
-	// order within each group.
-	slices.SortStableFunc(packed, func(a, b int64) int {
-		pa, _ := unpackAux(a)
-		pb, _ := unpackAux(b)
-		return cmp.Compare(pa, pb)
-	})
-	tidsByProc = make(map[int][]int64)
-	for i := 0; i < len(packed); {
-		proc, _ := unpackAux(packed[i])
-		j := i
-		for ; j < len(packed); j++ {
-			p, tid := unpackAux(packed[j])
-			if p != proc {
-				break
-			}
-			packed[j] = tid
+	// Group by processor with one counting pass and a stable scatter,
+	// which keeps value order within each group.
+	var small [64]int // the counts of up to 64 processors, off the heap
+	ends := small[:min(procs, len(small))]
+	if procs > len(small) {
+		ends = make([]int, procs)
+	}
+	for _, v := range packed {
+		p, _ := unpackAux(v)
+		ends[p]++
+	}
+	start := 0
+	for p, n := range ends {
+		ends[p] = start // the group's start until the scatter moves it on
+		start += n
+	}
+	tids := make([]int64, len(packed))
+	for _, v := range packed {
+		p, tid := unpackAux(v)
+		tids[ends[p]] = tid
+		ends[p]++
+	}
+	tidsByProc = make([][]int64, procs)
+	start = 0
+	for p, end := range ends {
+		if end > start {
+			tidsByProc[p] = tids[start:end:end]
 		}
-		tidsByProc[proc] = packed[i:j:j]
-		i = j
+		start = end
 	}
 	return tidsByProc, len(packed), pages
 }

@@ -229,7 +229,7 @@ func TestAuxFragmentLookup(t *testing.T) {
 		t.Fatalf("entries = %d", aux.Entries)
 	}
 	byProc, n, pages := aux.Lookup(15, 27)
-	if want := map[int][]int64{2: {200, 250}}; n != 2 || !reflect.DeepEqual(byProc, want) {
+	if want := [][]int64{nil, nil, {200, 250}}; n != 2 || !reflect.DeepEqual(byProc, want) {
 		t.Fatalf("lookup = %d entries %v, want 2 %v", n, byProc, want)
 	}
 	if len(pages) == 0 {
@@ -461,12 +461,12 @@ func FuzzFragmentBuild(f *testing.F) {
 		aux := BuildAux(0, entries, layout, alloc)
 		ref := append([]AuxEntry(nil), entries...)
 		sort.SliceStable(ref, func(i, j int) bool { return ref[i].Value < ref[j].Value })
-		var wantByProc map[int][]int64
+		var wantByProc [][]int64
 		wantN := 0
 		for _, e := range ref {
 			if e.Value >= qlo && e.Value <= qhi {
-				if wantByProc == nil {
-					wantByProc = make(map[int][]int64)
+				for len(wantByProc) <= e.Proc {
+					wantByProc = append(wantByProc, nil)
 				}
 				wantByProc[e.Proc] = append(wantByProc[e.Proc], e.TID)
 				wantN++
