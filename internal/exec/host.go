@@ -252,43 +252,54 @@ func physOf(topo []int, slot int) int {
 	return topo[slot]
 }
 
-// Start launches the host's message dispatcher, which demultiplexes operator
-// and auxiliary results to the coordinator process of the owning query.
+// Start installs the host's message dispatcher, which demultiplexes
+// operator and auxiliary results to the coordinator process of the owning
+// query. The dispatcher is the consumer handler of the host's inbox: it
+// forwards each reply in the event that delivers it, with no process.
 func (h *Host) Start() {
-	h.eng.Spawn("host.dispatch", func(p *sim.Proc) {
-		inbox := h.net.Inbox(h.ID)
-		for {
-			m := inbox.Get(p)
-			var qid int64
-			switch r := m.Payload.(type) {
-			case opResult:
-				qid = r.QueryID
-			case opError:
-				qid = r.QueryID
-			case auxResult:
-				qid = r.QueryID
-			case joinDone:
-				qid = r.QueryID
-			case nil:
-				continue // multi-packet fragment; payload rides the last one
-			default:
-				panic(fmt.Sprintf("exec: host: unexpected message %T", r))
-			}
-			mb, ok := h.pending[qid]
-			if !ok {
-				if h.Degraded != nil {
-					// Late or duplicated reply for a query the scheduler
-					// already finished (or abandoned) — expected under
-					// timeouts, crashes and message duplication.
-					h.Orphans++
-					continue
-				}
-				panic(fmt.Sprintf("exec: host: result for unknown query %d", qid))
-			}
-			mb.Put(m.Payload)
-		}
-	})
+	h.net.Inbox(h.ID).Consume((*hostDispatch)(h))
 }
+
+// hostDispatch is the host's inbox consumer (Host.Start).
+type hostDispatch Host
+
+// HandleEvent forwards every queued reply to its query's mailbox.
+func (d *hostDispatch) HandleEvent() {
+	h := (*Host)(d)
+	inbox := h.net.Inbox(h.ID)
+	for m, ok := inbox.Take(); ok; m, ok = inbox.Take() {
+		var qid int64
+		switch r := m.Payload.(type) {
+		case opResult:
+			qid = r.QueryID
+		case opError:
+			qid = r.QueryID
+		case auxResult:
+			qid = r.QueryID
+		case joinDone:
+			qid = r.QueryID
+		case nil:
+			continue // multi-packet fragment; payload rides the last one
+		default:
+			panic(fmt.Sprintf("exec: host: unexpected message %T", r))
+		}
+		mb, ok := h.pending[qid]
+		if !ok {
+			if h.Degraded != nil {
+				// Late or duplicated reply for a query the scheduler
+				// already finished (or abandoned) — expected under
+				// timeouts, crashes and message duplication.
+				h.Orphans++
+				continue
+			}
+			panic(fmt.Sprintf("exec: host: result for unknown query %d", qid))
+		}
+		mb.Put(m.Payload)
+	}
+}
+
+// Name names the dispatcher in the run error of its panic.
+func (d *hostDispatch) Name() string { return "host.dispatch" }
 
 // AccessChooser maps a predicate to the access method its operators use;
 // the workload defines it (Section 6: non-clustered index on A, clustered

@@ -92,24 +92,26 @@ type joinDone struct {
 	Matches int
 }
 
-// joinWorker is the per-node join operator for one query: it owns the hash
-// table and a private mailbox through which the Operator Manager feeds it
-// batches and end-of-stream markers.
+// joinWorker is the per-node join operator for one query: its reply
+// address, the number of scanners feeding each phase, and a private
+// mailbox through which the Operator Manager feeds it batches and
+// end-of-stream markers.
 type joinWorker struct {
-	inbox *sim.Mailbox[any]
+	qid      int64
+	replyTo  int
+	scanners int
+	inbox    *sim.Mailbox[any]
 }
 
 // routeJoinMsg delivers a join message to the query's worker, creating it
-// on first contact.
+// and starting its operator on first contact.
 func (n *Node) routeJoinMsg(qid int64, replyTo int, scanners int, msg any) {
 	w := n.joins[qid]
 	if w == nil {
-		w = &joinWorker{inbox: sim.NewMailbox[any](n.eng, fmt.Sprintf("node%d.join.q%d", n.ID, qid))}
+		w = &joinWorker{qid: qid, replyTo: replyTo, scanners: scanners,
+			inbox: sim.NewMailboxLabel[any](n.eng, sim.Labelf("node%d.join.q%d", int64(n.ID), qid))}
 		n.joins[qid] = w
-		n.eng.Spawn(fmt.Sprintf("node%d.joinop.q%d", n.ID, qid), func(p *sim.Proc) {
-			n.runJoinOperator(p, qid, replyTo, scanners, w)
-			delete(n.joins, qid)
-		})
+		n.spawnOperator(nil, w)
 	}
 	w.inbox.Put(msg)
 }
@@ -191,8 +193,9 @@ func (n *Node) runJoinScan(p *sim.Proc, req joinScan) {
 // every build tuple with its key, and only the count is reported. Probe
 // batches arriving before the build phase has fully closed are buffered,
 // preserving the build-before-probe barrier without global
-// synchronization.
-func (n *Node) runJoinOperator(p *sim.Proc, qid int64, replyTo, scanners int, w *joinWorker) {
+// synchronization. Once it has reported, the worker retires.
+func (n *Node) runJoinOperator(p *sim.Proc, w *joinWorker) {
+	qid, scanners := w.qid, w.scanners
 	p.SetQID(qid)
 	epoch := n.epoch
 	table := make(map[int64]int)
@@ -242,7 +245,8 @@ func (n *Node) runJoinOperator(p *sim.Proc, qid int64, replyTo, scanners int, w 
 	// Ship the result (matched pairs) with the completion report.
 	bytes := matches*2*n.params.TupleSize + controlBytes
 	n.send(p, epoch, hw.Message{
-		From: n.ID, To: replyTo, Bytes: bytes,
+		From: n.ID, To: w.replyTo, Bytes: bytes,
 		Payload: joinDone{QueryID: qid, Node: n.ID, Matches: matches},
 	})
+	delete(n.joins, qid)
 }

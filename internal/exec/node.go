@@ -102,7 +102,8 @@ type Node struct {
 	net    *hw.Network
 	eng    *sim.Engine
 
-	joins map[int64]*joinWorker // live join operators by query
+	joins   map[int64]*joinWorker // live join operators by query
+	freeOps *operator             // operator records not in use
 
 	// Placement generations (elastic membership). gen numbers the serving
 	// generation; previous keeps the one before it so queries planned
@@ -254,43 +255,104 @@ func (n *Node) sendError(p *sim.Proc, epoch int, req int64, replyTo, attempt int
 	})
 }
 
-// Start launches the node's Operator Manager: a dispatcher that spawns one
-// operator process per incoming request, so concurrent queries contend for
-// the node's CPU and disk exactly as on the real machine.
+// Start installs the node's Operator Manager: the consumer handler of the
+// node's inbox, which starts one operator process per incoming request, so
+// concurrent queries contend for the node's CPU and disk exactly as on the
+// real machine, and feeds join traffic to the query's join operator. It
+// runs in the event that delivers a request, with no process of its own.
 func (n *Node) Start() {
-	n.eng.Spawn(fmt.Sprintf("node%d.opmgr", n.ID), func(p *sim.Proc) {
-		inbox := n.net.Inbox(n.ID)
-		for {
-			m := inbox.Get(p)
-			switch req := m.Payload.(type) {
-			case startOp:
-				name := "node%d.op.q%d"
-				if req.Agg != nil {
-					name = "node%d.agg.q%d"
-				}
-				n.eng.Spawn(fmt.Sprintf(name, n.ID, req.QueryID),
-					func(op *sim.Proc) { n.runSelect(op, req) })
-			case batchOp:
-				n.eng.Spawn(fmt.Sprintf("node%d.sharedop", n.ID),
-					func(op *sim.Proc) { n.runSharedBatch(op, req) })
-			case auxLookup:
-				n.eng.Spawn(fmt.Sprintf("node%d.aux.q%d", n.ID, req.QueryID),
-					func(op *sim.Proc) { n.runAuxLookup(op, req) })
-			case joinScan:
-				n.eng.Spawn(fmt.Sprintf("node%d.joinscan.q%d", n.ID, req.QueryID),
-					func(op *sim.Proc) { n.runJoinScan(op, req) })
-			case joinBatch:
-				n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Scanners, req)
-			case joinEnd:
-				n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Scanners, req)
-			case nil:
-				// Fragment of a multi-packet message; the final fragment
-				// carries the payload.
-			default:
-				panic(fmt.Sprintf("exec: node %d: unexpected message %T", n.ID, req))
-			}
+	n.net.Inbox(n.ID).Consume((*opManager)(n))
+}
+
+// opManager is the node's inbox consumer (Node.Start).
+type opManager Node
+
+// HandleEvent starts or feeds an operator for every queued request.
+func (o *opManager) HandleEvent() {
+	n := (*Node)(o)
+	inbox := n.net.Inbox(n.ID)
+	for m, ok := inbox.Take(); ok; m, ok = inbox.Take() {
+		switch req := m.Payload.(type) {
+		case startOp, batchOp, auxLookup, joinScan:
+			n.spawnOperator(m.Payload, nil)
+		case joinBatch:
+			n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Scanners, m.Payload)
+		case joinEnd:
+			n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Scanners, m.Payload)
+		case nil:
+			// Fragment of a multi-packet message; the final fragment
+			// carries the payload.
+		default:
+			panic(fmt.Sprintf("exec: node %d: unexpected message %T", n.ID, req))
 		}
-	})
+	}
+}
+
+// Name names the Operator Manager in the run error of its panic.
+func (o *opManager) Name() string { return fmt.Sprintf("node%d.opmgr", o.ID) }
+
+// operator is the record an operator process runs from: the request that
+// started it, or the join worker it serves. Records come from the node's
+// free list and return to it when the operator finishes, so starting an
+// operator allocates its sim.Proc and nothing else: no closure, and no
+// name until something reads one.
+type operator struct {
+	n    *Node
+	req  any         // startOp, batchOp, auxLookup or joinScan; nil for a join operator
+	join *joinWorker // the join operator's worker
+	next *operator   // free-list link
+}
+
+// spawnOperator starts an operator process for the request req, or for
+// the join worker w when req is nil.
+func (n *Node) spawnOperator(req any, w *joinWorker) {
+	op := n.freeOps
+	if op != nil {
+		n.freeOps, op.next = op.next, nil
+	} else {
+		op = &operator{n: n}
+	}
+	op.req, op.join = req, w
+	n.eng.SpawnBody(op)
+}
+
+// Run executes the operator, then returns its record to the free list.
+func (op *operator) Run(p *sim.Proc) {
+	n := op.n
+	switch req := op.req.(type) {
+	case startOp:
+		n.runSelect(p, req)
+	case batchOp:
+		n.runSharedBatch(p, req)
+	case auxLookup:
+		n.runAuxLookup(p, req)
+	case joinScan:
+		n.runJoinScan(p, req)
+	default:
+		n.runJoinOperator(p, op.join)
+	}
+	op.req, op.join = nil, nil
+	op.next, n.freeOps = n.freeOps, op
+}
+
+// Name formats the operator's process name.
+func (op *operator) Name() string {
+	id := op.n.ID
+	switch req := op.req.(type) {
+	case startOp:
+		if req.Agg != nil {
+			return fmt.Sprintf("node%d.agg.q%d", id, req.QueryID)
+		}
+		return fmt.Sprintf("node%d.op.q%d", id, req.QueryID)
+	case batchOp:
+		return fmt.Sprintf("node%d.sharedop", id)
+	case auxLookup:
+		return fmt.Sprintf("node%d.aux.q%d", id, req.QueryID)
+	case joinScan:
+		return fmt.Sprintf("node%d.joinscan.q%d", id, req.QueryID)
+	default:
+		return fmt.Sprintf("node%d.joinop.q%d", id, op.join.qid)
+	}
 }
 
 // runSelect executes one selection operator: index traversal and tuple

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -230,6 +231,7 @@ func (col *collector) receive() (msg any, ok bool) {
 // run dispatches one call per primary slot and collects replies until all
 // complete, the deadline passes, or a call runs out of options.
 func (col *collector) run(primaries []int) (Outcome, error) {
+	col.res.ServedBy = slices.Grow(col.res.ServedBy, len(primaries))
 	col.calls = make([]call, len(primaries))
 	for i, slot := range primaries {
 		col.calls[i] = call{primary: slot, target: -1}
@@ -393,7 +395,7 @@ func (h *Host) begin(col *collector, p *sim.Proc, relation string, pred core.Pre
 		res:  QueryResult{ID: qid, Pred: pred, Submitted: p.Now()},
 		span: h.eng.StartSpan(),
 	}
-	col.mb = sim.NewMailbox[any](h.eng, fmt.Sprintf("host.q%d", qid))
+	col.mb = sim.NewMailboxLabel[any](h.eng, sim.Labelf("host.q%d", qid))
 	h.pending[qid] = col.mb
 	p.SetQID(qid)
 	p.Hold(h.params.InstrTime(h.costs.PlanInstr))

@@ -74,11 +74,22 @@ type shareKey struct {
 	epoch    int
 }
 
-// shareBatch is one open predicate group awaiting its window flush.
+// shareBatch is one open predicate group awaiting its window flush. It is
+// also the record of the process that flushes it.
 type shareBatch struct {
+	s       *SharedScans
 	key     shareKey
 	members []batchMember
 }
+
+// Run holds the batch open for the window, then flushes it.
+func (b *shareBatch) Run(p *sim.Proc) {
+	p.Hold(b.s.window)
+	b.s.flush(p, b)
+}
+
+// Name formats the flush process's name.
+func (b *shareBatch) Name() string { return fmt.Sprintf("share.flush.n%d", b.key.node) }
 
 // SharedScans is the host-side shared-scan manager. It is single-"threaded"
 // by construction — the simulation engine serializes all process steps — so
@@ -126,12 +137,9 @@ func (s *SharedScans) enqueue(node int, relation string, pred core.Predicate, ac
 		role: role, epoch: epoch}
 	b := s.open[k]
 	if b == nil {
-		b = &shareBatch{key: k}
+		b = &shareBatch{s: s, key: k}
 		s.open[k] = b
-		s.h.eng.Spawn(fmt.Sprintf("share.flush.n%d", node), func(fp *sim.Proc) {
-			fp.Hold(s.window)
-			s.flush(fp, b)
-		})
+		s.h.eng.SpawnBody(b)
 	}
 	b.members = append(b.members, batchMember{QID: qid, Pred: pred, Attempt: attempt})
 }

@@ -157,3 +157,56 @@ func TestSpawnAllocs(t *testing.T) {
 		t.Fatalf("Spawn+Run allocates %v per op, want <= 1", n)
 	}
 }
+
+// countedBody is a process record that counts how often it is named.
+type countedBody struct{ named int }
+
+func (b *countedBody) Run(p *Proc)  {}
+func (b *countedBody) Name() string { b.named++; return "body" }
+
+// Spawning from a record costs the Proc alone, like Spawn, and formats no
+// name: nothing reads it.
+func TestSpawnBodyAllocs(t *testing.T) {
+	e := New()
+	b := &countedBody{}
+	for i := 0; i < 100; i++ {
+		e.SpawnBody(b)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		e.SpawnBody(b)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("SpawnBody+Run allocates %v per op, want <= 1", n)
+	}
+	if b.named != 0 {
+		t.Fatalf("record named %d times, want 0", b.named)
+	}
+}
+
+// A Put that schedules a mailbox's consumer handler, and the handler's
+// drain, allocate nothing once the rings have grown.
+func TestConsumerAllocs(t *testing.T) {
+	e := New()
+	mb := NewMailbox[int](e, "mb")
+	c := &drainHandler{mb: mb}
+	mb.Consume(c)
+	mb.Put(1)
+	warm(e)
+	if n := testing.AllocsPerRun(100, func() {
+		mb.Put(1)
+		mb.Put(2)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Put+drain allocates %v per op, want 0", n)
+	}
+	if c.got != 2*101+1 {
+		t.Fatalf("consumer took %d messages", c.got)
+	}
+}

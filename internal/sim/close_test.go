@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -151,5 +153,60 @@ func TestKillUnstartedProcessNeverRunsBody(t *testing.T) {
 	}
 	if e.Active() != 0 {
 		t.Fatalf("active = %d", e.Active())
+	}
+}
+
+// namedHandler is a handler with a name that panics when it runs.
+type namedHandler struct{ name string }
+
+func (h *namedHandler) HandleEvent() { panic("handler boom") }
+func (h *namedHandler) Name() string { return h.name }
+
+// A panic in a callback or a handler fails the run with an ErrPanicked
+// error, as a panicking process does, instead of unwinding through
+// RunUntil; the handler's error carries its name. Close then still retires
+// every coroutine, including those of processes left parked and held.
+func TestHandlerPanicFailsRun(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		arm        func(e *Engine)
+	}{
+		{"callback", "sim: callback panicked: callback boom", func(e *Engine) {
+			e.Schedule(Millisecond, func() { panic("callback boom") })
+		}},
+		{"handler", `sim: handler "node0.opmgr" panicked: handler boom`, func(e *Engine) {
+			mb := NewMailbox[int](e, "inbox")
+			mb.Consume(&namedHandler{name: "node0.opmgr"})
+			e.Schedule(Millisecond, func() { mb.Put(1) })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			e := New()
+			parked := NewMailbox[int](e, "parked")
+			e.Spawn("parked", func(p *Proc) { parked.Get(p) })
+			e.Spawn("held", func(p *Proc) { p.Hold(Second) })
+			ran := false
+			e.Schedule(2*Millisecond, func() { ran = true })
+			tc.arm(e)
+			err := e.Run()
+			if !errors.Is(err, ErrPanicked) {
+				t.Fatalf("Run error %v, want one wrapping ErrPanicked", err)
+			}
+			if !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("Run error %q, want prefix %q", err, tc.want)
+			}
+			if ran || e.Now() != Time(Millisecond) {
+				t.Fatalf("run went on after the panic: later event ran %v, now %v", ran, e.Now())
+			}
+			if err2 := e.Run(); err2 != err {
+				t.Fatalf("second Run returned %v, want the recorded error", err2)
+			}
+			e.Close()
+			if e.Active() != 0 {
+				t.Fatalf("%d processes live after Close", e.Active())
+			}
+			settleGoroutines(t, base)
+		})
 	}
 }

@@ -3,16 +3,10 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"iter"
 	"runtime/debug"
 )
-
-// ErrPanicked is wrapped by the run error of a simulation in which a
-// process panicked, so a caller can tell the panic from an ordinary
-// failure (errors.Is) and raise it again.
-var ErrPanicked = errors.New("panicked")
 
 // coro is a pooled process coroutine: an iter.Pull coroutine that runs one
 // process body after another. Only the engine loop (RunUntil, Close) calls
@@ -24,14 +18,14 @@ var ErrPanicked = errors.New("panicked")
 type coro struct {
 	eng   *Engine
 	p     *Proc       // the process whose body runs at the next resume
-	fn    func(*Proc) // its body
+	fn    func(*Proc) // its body, or nil to run p's Body
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
 }
 
-// coroFor returns a coroutine for p to run fn on: an idle one when the
-// pool has one, else a new one.
+// coroFor returns a coroutine for p to run fn (or p's Body, when fn is nil)
+// on: an idle one when the pool has one, else a new one.
 func (e *Engine) coroFor(p *Proc, fn func(*Proc)) *coro {
 	var c *coro
 	if n := len(e.idle) - 1; n >= 0 {
@@ -74,10 +68,14 @@ func (c *coro) run() {
 		p.finished = true
 		e.removeProc(p)
 		if r := recover(); r != nil && r != errKilled {
-			e.fail(fmt.Errorf("sim: process %q %w: %v\n%s", p.name, ErrPanicked, r, debug.Stack()))
+			e.fail(fmt.Errorf("sim: process %q %w: %v\n%s", p.Name(), ErrPanicked, r, debug.Stack()))
 		}
 	}()
-	if !p.killed {
+	switch {
+	case p.killed:
+	case fn != nil:
 		fn(p)
+	default:
+		p.body.Run(p)
 	}
 }

@@ -13,7 +13,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"runtime/debug"
 
 	"repro/internal/obs"
 )
@@ -75,6 +77,22 @@ type Handler interface {
 	// HandleEvent runs when the scheduled time arrives, in event order,
 	// exactly like a Schedule callback.
 	HandleEvent()
+}
+
+// Namer reports a name formatted only when something reads it. A handler
+// may implement it to name itself in the run error of its panic and on the
+// span of a facility request made for it; a Body must.
+type Namer interface {
+	Name() string
+}
+
+// handlerName names h for a panic message or a span: its Name when it has
+// one, else its type.
+func handlerName(h Handler) string {
+	if n, ok := h.(Namer); ok {
+		return n.Name()
+	}
+	return fmt.Sprintf("%T", h)
 }
 
 // Engine is the simulation kernel. Create one with New, spawn processes,
@@ -327,6 +345,11 @@ func (e *Engine) ScheduleHandler(d Duration, h Handler) {
 	e.schedule(event{t: e.now + Time(d), seq: e.nextSeq(), h: h})
 }
 
+// ErrPanicked is wrapped by the run error of a simulation in which a
+// process, a callback or a handler panicked, so a caller can tell the panic
+// from an ordinary failure (errors.Is) and raise it again.
+var ErrPanicked = errors.New("panicked")
+
 // fail records a fatal error (e.g. a panicking process); Run returns it.
 func (e *Engine) fail(err error) {
 	if e.err == nil {
@@ -391,7 +414,21 @@ func (e *Engine) resume(p *Proc) {
 
 // RunUntil processes events with timestamps <= deadline, then sets the clock
 // to the deadline (if it advanced that far). See Run for the return value.
-func (e *Engine) RunUntil(deadline Time) error {
+// A panic in a callback or a handler fails the run like a panicking
+// process: RunUntil recovers it into an ErrPanicked error naming the
+// handler, and the engine stays stopped.
+func (e *Engine) RunUntil(deadline Time) (err error) {
+	var ev event
+	defer func() {
+		if r := recover(); r != nil {
+			what := "callback"
+			if ev.h != nil {
+				what = fmt.Sprintf("handler %q", handlerName(ev.h))
+			}
+			e.fail(fmt.Errorf("sim: %s %w: %v\n%s", what, ErrPanicked, r, debug.Stack()))
+			err = e.err
+		}
+	}()
 	e.deadline = deadline
 	for !e.stopped && (e.rcount > 0 || len(e.eheap) > 0) {
 		next, fromRing := e.nextEvent()
@@ -405,7 +442,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 		} else {
 			idx = e.heapPop()
 		}
-		ev := e.pool[idx]
+		ev = e.pool[idx]
 		e.release(idx)
 		e.now = ev.t
 		switch {
@@ -428,19 +465,36 @@ func (e *Engine) RunUntil(deadline Time) error {
 // called from the process's own body.
 type Proc struct {
 	eng      *Engine
-	name     string
-	co       *coro // the coroutine running the body
-	killed   bool  // Kill was requested; unwind at next resume
-	finished bool  // body has returned (normally, by panic, or by Kill)
-	slot     int   // index in the engine's live-process set
-	qid      int64 // query the process is currently working for (0 = none)
+	name     string // the Spawn name; unused when body is set
+	body     Body   // the record a SpawnBody process runs, which names it
+	co       *coro  // the coroutine running the body
+	killed   bool   // Kill was requested; unwind at next resume
+	finished bool   // body has returned (normally, by panic, or by Kill)
+	slot     int32  // index in the engine's live-process set
+	qid      int64  // query the process is currently working for (0 = none)
+}
+
+// Body is a process body held in a typed record instead of a closure. The
+// record carries the process's arguments, so spawning it captures nothing,
+// and its Name formats the process name only when something reads it: a
+// panic message, or a facility span while tracing. A record may be reused
+// once Run returns, so Name is read only while the process lives.
+type Body interface {
+	Namer
+	Run(p *Proc)
 }
 
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Name reports the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
+// Name reports the process name: the name given at Spawn, or the Name of
+// a SpawnBody process's record, formatted now.
+func (p *Proc) Name() string {
+	if p.body != nil {
+		return p.body.Name()
+	}
+	return p.name
+}
 
 // Now reports the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
@@ -463,10 +517,23 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt creates a process that begins executing fn at time t. A process
 // killed before its first resume never runs fn.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
+	return e.spawn(t, &Proc{eng: e, name: name}, fn)
+}
+
+// SpawnBody creates a process that begins running b.Run at the current
+// time, like Spawn, from a record instead of a closure: the process
+// allocates nothing but its Proc, and its name is formatted only when read.
+func (e *Engine) SpawnBody(b Body) *Proc {
+	return e.spawn(e.now, &Proc{eng: e, body: b}, nil)
+}
+
+// spawn enters p into the live-process set on a pooled coroutine that runs
+// fn, or p's body when fn is nil, and schedules its first resume at t.
+func (e *Engine) spawn(t Time, p *Proc, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn on a closed engine")
 	}
-	p := &Proc{eng: e, name: name, slot: len(e.procs)}
+	p.slot = int32(len(e.procs))
 	p.co = e.coroFor(p, fn)
 	e.procs = append(e.procs, p)
 	e.stats.Spawns++

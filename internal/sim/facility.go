@@ -38,7 +38,8 @@ type Facility struct {
 }
 
 type facRequest struct {
-	p       *Proc
+	p       *Proc   // the process to wake on completion, or nil
+	h       Handler // the handler to schedule on completion when p is nil
 	service Duration
 	prio    int
 	qid     int64
@@ -81,6 +82,24 @@ func (f *Facility) UsePriority(p *Proc, service Duration, prio int) {
 	}
 	f.serve(req)
 	p.Park()
+}
+
+// Request asks for service at the given priority on behalf of h instead
+// of a process: it queues and is served exactly like UsePriority, and when
+// the service completes, h runs as an event at that instant, scheduled
+// where the requesting process would have been woken. The request carries
+// no query tag, and its span is named by h (see Namer).
+func (f *Facility) Request(h Handler, service Duration, prio int) {
+	if service < 0 {
+		panic(fmt.Sprintf("sim: facility %s: negative service time", f.name))
+	}
+	req := f.newRequest()
+	req.h, req.service, req.prio = h, service, prio
+	if f.cur != nil {
+		f.enqueue(req)
+		return
+	}
+	f.serve(req)
 }
 
 // newRequest takes a node from the free list, or grows the pool.
@@ -152,14 +171,23 @@ func (f *Facility) serve(req *facRequest) {
 	f.eng.ScheduleHandler(req.service, f)
 }
 
-// HandleEvent completes the in-service request: it wakes the owner,
-// recycles the request node, and starts the next queued request. It
-// implements the engine's Handler interface and is not meant to be called
-// directly.
+// HandleEvent completes the in-service request: it wakes the owner (or
+// schedules the owning handler), recycles the request node, and starts the
+// next queued request. It implements the engine's Handler interface and is
+// not meant to be called directly.
 func (f *Facility) HandleEvent() {
 	req := f.cur
-	f.curSpan.End(f.node, f.category, req.p.name, req.qid, "")
-	f.eng.Wake(req.p)
+	if req.p != nil {
+		if f.curSpan.Active() {
+			f.curSpan.End(f.node, f.category, req.p.Name(), req.qid, "")
+		}
+		f.eng.Wake(req.p)
+	} else {
+		if f.curSpan.Active() {
+			f.curSpan.End(f.node, f.category, handlerName(req.h), req.qid, "")
+		}
+		f.eng.ScheduleHandler(0, req.h)
+	}
 	f.recycle(req)
 	if next := f.dequeue(); next != nil {
 		f.serve(next)
