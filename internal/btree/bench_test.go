@@ -6,13 +6,11 @@ import (
 )
 
 func benchTree(n int) *Tree {
-	tr := New(400, 400, counter())
 	entries := make([]Entry, n)
 	for i := range entries {
 		entries[i] = Entry{Key: int64(i), Val: int64(i)}
 	}
-	tr.Bulk(entries)
-	return tr
+	return bulkTree(400, 400, entries)
 }
 
 func BenchmarkBulkLoad100k(b *testing.B) {
@@ -22,8 +20,7 @@ func BenchmarkBulkLoad100k(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := New(400, 400, counter())
-		tr.Bulk(entries)
+		bulkTree(400, 400, entries)
 	}
 }
 
@@ -51,14 +48,5 @@ func BenchmarkRange300(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := int64(r.Intn(99000))
 		pages = tr.Walk(lo, lo+299, pages[:0], count(&n))
-	}
-}
-
-func BenchmarkInsertRandom(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	tr := New(400, 400, counter())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(Entry{Key: int64(r.Intn(1 << 30)), Val: int64(i)})
 	}
 }

@@ -2,6 +2,7 @@ package gamma
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -394,7 +395,8 @@ func TestImageHoldingsLayout(t *testing.T) {
 	for slot, s := range m.img.rels[0].primary {
 		tuples += s.Frag.NumTuples()
 		for _, a := range s.Aux {
-			aux += a.Entries
+			_, n, _ := a.Lookup(math.MinInt64, math.MaxInt64)
+			aux += n
 		}
 		b, a := s.Frag.Index(clusteredAttr), s.Frag.Index(nonClusteredAttr)
 		if b == nil || !b.Clustered || a == nil || a.Clustered {

@@ -132,24 +132,22 @@ func TestCloseUnwindsDeferredPark(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
+// Close retires a process it finds unstarted without running its body:
+// one due later than the run reached, and one spawned after the run.
 func TestKillUnstartedProcessNeverRunsBody(t *testing.T) {
 	e := New()
 	ran := false
-	victim := e.SpawnAt(Time(5*Millisecond), "victim", func(p *Proc) {
+	e.SpawnAt(Time(5*Millisecond), "victim", func(p *Proc) {
 		ran = true
 		p.Hold(Millisecond)
 	})
-	e.Spawn("killer", func(p *Proc) {
-		p.Hold(Millisecond)
-		e.Kill(victim)
-	})
-	early := e.Spawn("early", func(p *Proc) { ran = true })
-	e.Kill(early) // killed before the engine ever resumed it
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(Time(Millisecond)); err != nil {
 		t.Fatal(err)
 	}
+	e.Spawn("early", func(p *Proc) { ran = true })
+	e.Close()
 	if ran {
-		t.Fatal("a process killed before its first resume ran its body")
+		t.Fatal("a process closed before its first resume ran its body")
 	}
 	if e.Active() != 0 {
 		t.Fatalf("active = %d", e.Active())

@@ -56,11 +56,11 @@ func (c *coro) loop(yield func(struct{}) bool) {
 	}
 }
 
-// run executes the assigned body to completion. A Kill unwinds it through
+// run executes the assigned body to completion. Close unwinds it through
 // the errKilled panic, which is recovered here; any other panic fails the
 // run with an ErrPanicked error carrying the process's name and stack.
-// Either way the coroutine survives to run the next body. A process killed
-// before its first resume never runs its body.
+// Either way the coroutine survives to run the next body. A process Close
+// kills before its first resume never runs its body.
 func (c *coro) run() {
 	p, fn, e := c.p, c.fn, c.eng
 	c.p, c.fn = nil, nil

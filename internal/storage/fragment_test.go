@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -197,7 +198,7 @@ func TestAllocatorRuns(t *testing.T) {
 	if start := a.AllocRun(4); start != 0 {
 		t.Fatalf("run start = %d", start)
 	}
-	if p := a.Alloc(); p != 4 {
+	if p := a.AllocRun(1); p != 4 {
 		t.Fatalf("next page = %d", p)
 	}
 	if a.Used() != 5 {
@@ -213,7 +214,7 @@ func TestAllocatorExhaustionPanics(t *testing.T) {
 			t.Fatal("exhausted allocator did not panic")
 		}
 	}()
-	a.Alloc()
+	a.AllocRun(1)
 }
 
 func TestAuxFragmentLookup(t *testing.T) {
@@ -225,8 +226,8 @@ func TestAuxFragmentLookup(t *testing.T) {
 		{Value: 25, TID: 250, Proc: 2},
 	}
 	aux := BuildAux(7, entries, smallLayout(), alloc)
-	if aux.Entries != 4 {
-		t.Fatalf("entries = %d", aux.Entries)
+	if _, n, _ := aux.Lookup(math.MinInt64, math.MaxInt64); n != 4 {
+		t.Fatalf("entries = %d", n)
 	}
 	byProc, n, pages := aux.Lookup(15, 27)
 	if want := [][]int64{nil, nil, {200, 250}}; n != 2 || !reflect.DeepEqual(byProc, want) {
@@ -439,8 +440,7 @@ func FuzzFragmentBuild(f *testing.F) {
 		for i, tid := range probes {
 			stray[i] = btree.Entry{Key: int64(i), Val: tid}
 		}
-		tree := btree.New(layout.IndexFanout, layout.IndexLeafCap, alloc.Alloc)
-		tree.Bulk(stray)
+		tree := btree.Bulk(layout.IndexFanout, layout.IndexLeafCap, stray, alloc.AllocRun)
 		for _, fr := range []*Fragment{frag, other} {
 			oracle := make(map[int64]int, fr.NumTuples())
 			for slot := 0; slot < fr.NumTuples(); slot++ {
