@@ -13,7 +13,8 @@ import (
 )
 
 // referencePool is the first buffer pool: an exact LRU behind two hash maps
-// and a container/list, with piggybacked misses waiting on a sim.Trigger.
+// and a container/list, with piggybacked misses parked on the read they
+// joined until it completes.
 // The pool is checked against it step by step: same errors, same completion
 // times, same counters and the same resident set after every step.
 type referencePool struct {
@@ -28,9 +29,27 @@ type referencePool struct {
 	hits, misses int64
 }
 
+// referenceRead is one miss in flight. Piggybacked misses append themselves
+// to waiters and park; fire wakes them in the order they joined.
 type referenceRead struct {
-	tr  *sim.Trigger
-	err error
+	waiters []*sim.Proc
+	done    bool
+	err     error
+}
+
+func (r *referenceRead) wait(p *sim.Proc) {
+	for !r.done {
+		r.waiters = append(r.waiters, p)
+		p.Park()
+	}
+}
+
+func (r *referenceRead) fire(e *sim.Engine) {
+	r.done = true
+	for _, p := range r.waiters {
+		e.Wake(p)
+	}
+	r.waiters = nil
 }
 
 func newReferencePool(e *sim.Engine, capacity int, disk *hw.Disk) *referencePool {
@@ -57,12 +76,12 @@ func (b *referencePool) ReadHeat(p *sim.Proc, physPage int, h *obs.FragHeat) err
 	if pr, ok := b.inflight[physPage]; ok {
 		b.hits++
 		h.BufferHit()
-		pr.tr.Wait(p)
+		pr.wait(p)
 		return pr.err
 	}
 	b.misses++
 	h.BufferMiss()
-	pr := &referenceRead{tr: sim.NewTrigger(b.eng)}
+	pr := &referenceRead{}
 	b.inflight[physPage] = pr
 	pr.err = b.disk.ReadHeat(p, physPage, h)
 	delete(b.inflight, physPage)
@@ -78,7 +97,7 @@ func (b *referencePool) ReadHeat(p *sim.Proc, physPage int, h *obs.FragHeat) err
 			}
 		}
 	}
-	pr.tr.Fire()
+	pr.fire(b.eng)
 	return pr.err
 }
 
