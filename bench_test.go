@@ -115,11 +115,11 @@ func BenchmarkAblationBufferPool(b *testing.B) {
 			o.Config = &cfg
 			var qps float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.Run(fig, o)
+				res, err := experiments.RunCampaign([]experiments.Figure{fig}, o, experiments.CampaignOptions{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				qps, _ = res.Throughput(experiments.StrategyMAGIC, 32)
+				qps, _ = res.Figures[0].Throughput(experiments.StrategyMAGIC, 32)
 			}
 			b.ReportMetric(qps, "q/s")
 		})
@@ -145,11 +145,11 @@ func BenchmarkAblationBERDFetchMode(b *testing.B) {
 			o.Config = &cfg
 			var qps float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.Run(fig, o)
+				res, err := experiments.RunCampaign([]experiments.Figure{fig}, o, experiments.CampaignOptions{Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				qps, _ = res.Throughput(experiments.StrategyBERD, 32)
+				qps, _ = res.Figures[0].Throughput(experiments.StrategyBERD, 32)
 			}
 			b.ReportMetric(qps, "q/s")
 		})
@@ -219,12 +219,12 @@ func BenchmarkAblationHash(b *testing.B) {
 	fig, _ := experiments.FigureByID("8a")
 	fig.Strategies = []string{experiments.StrategyHash, experiments.StrategyRange}
 	var last experiments.FigureResult
-	var err error
 	for i := 0; i < b.N; i++ {
-		last, err = experiments.Run(fig, opts)
+		campaign, err := experiments.RunCampaign([]experiments.Figure{fig}, opts, experiments.CampaignOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
+		last = campaign.Figures[0]
 	}
 	for _, s := range fig.Strategies {
 		if qps, ok := last.Throughput(s, 32); ok {

@@ -56,7 +56,7 @@ func TestReadMissAllocs(t *testing.T) {
 			}
 		}
 		diskRead := testing.AllocsPerRun(100, func() {
-			if err := disk.Read(p, page); err != nil {
+			if err := disk.ReadHeat(p, page, nil); err != nil {
 				t.Fatal(err)
 			}
 			page++

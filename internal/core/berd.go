@@ -60,9 +60,6 @@ func (b *BERDPlacement) Name() string { return "berd" }
 // Processors implements Placement.
 func (b *BERDPlacement) Processors() int { return b.p }
 
-// PrimaryAttr reports the primary partitioning attribute.
-func (b *BERDPlacement) PrimaryAttr() int { return b.primary.attr }
-
 // SecondaryAttrs reports the secondary partitioning attributes in
 // ascending order — the order the machine lays out their auxiliary trees.
 func (b *BERDPlacement) SecondaryAttrs() []int {

@@ -19,7 +19,7 @@ func TestBERDMetadata(t *testing.T) {
 	if b.Name() != "berd" || b.Processors() != 8 {
 		t.Fatal("metadata wrong")
 	}
-	if b.PrimaryAttr() != storage.Unique1 {
+	if b.primary.attr != storage.Unique1 {
 		t.Fatal("primary attr wrong")
 	}
 	sec := b.SecondaryAttrs()

@@ -133,9 +133,6 @@ func (r *RangePlacement) Name() string { return "range" }
 // Processors implements Placement.
 func (r *RangePlacement) Processors() int { return r.p }
 
-// Attr reports the partitioning attribute.
-func (r *RangePlacement) Attr() int { return r.attr }
-
 // HomeOf implements Placement.
 func (r *RangePlacement) HomeOf(t storage.Tuple) int {
 	return bucketOf(r.cuts, t.Attrs[r.attr])

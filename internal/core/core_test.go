@@ -90,7 +90,7 @@ func TestQuantileCutsMatchSortedCuts(t *testing.T) {
 func TestRangePlacementRouting(t *testing.T) {
 	rel := testRelation(t, 1000, 0)
 	r := NewRangeForRelation(rel, storage.Unique1, 8)
-	if r.Name() != "range" || r.Processors() != 8 || r.Attr() != storage.Unique1 {
+	if r.Name() != "range" || r.Processors() != 8 || r.attr != storage.Unique1 {
 		t.Fatal("metadata wrong")
 	}
 	// Equality on the partitioning attribute: one processor.

@@ -63,7 +63,7 @@ func TestMAGICDirectoriesGolden(t *testing.T) {
 		var b strings.Builder
 		fmt.Fprintf(&b, "fig %s card %d dims %v overflow %d swaps %d\n",
 			c.fig, c.card, m.Dims(), g.OverflowCells(), m.RebalanceSwaps())
-		for d := 0; d < g.K(); d++ {
+		for d := range g.Dims() {
 			fmt.Fprintf(&b, "  scale %d %v\n", d, gridScale(g, d))
 		}
 		fmt.Fprintf(&b, "  sha256 %x\n", directoryDigest(g, m.CellCounts(), m.Owners()))

@@ -219,10 +219,6 @@ func TestMAGICPlanExposed(t *testing.T) {
 	if p.FC <= 0 || p.M <= 0 || len(p.Mi) != 2 {
 		t.Fatalf("plan = %+v", p)
 	}
-	// Fragment capacity must match what the grid was built with.
-	if m.Grid().Capacity() != p.FC {
-		t.Fatal("grid capacity differs from plan FC")
-	}
 }
 
 // MAGIC generalizes to K=3 partitioning attributes: the grid gains a third

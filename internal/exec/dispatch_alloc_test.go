@@ -39,7 +39,7 @@ func TestOperatorDispatchAllocs(t *testing.T) {
 		if err := r.eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		reply, ok := replies.TryGet()
+		reply, ok := replies.Take()
 		if !ok {
 			t.Fatal("the operator sent no reply")
 		}

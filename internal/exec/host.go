@@ -241,9 +241,6 @@ func (h *Host) SetTopology(topo []int, epoch int) {
 	h.epoch = epoch
 }
 
-// Epoch reports the host's current placement generation.
-func (h *Host) Epoch() int { return h.epoch }
-
 // physOf maps a placement slot to the physical node serving it.
 func physOf(topo []int, slot int) int {
 	if topo == nil {

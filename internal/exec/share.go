@@ -118,9 +118,6 @@ func (h *Host) EnableSharing(window sim.Duration) *SharedScans {
 	return h.Shared
 }
 
-// Window reports the batching window.
-func (s *SharedScans) Window() sim.Duration { return s.window }
-
 // Stats snapshots the flush counters (pages are accounted on the nodes).
 func (s *SharedScans) Stats() SharingStats { return s.stats }
 

@@ -147,10 +147,7 @@ func TestArchiveFromRealRun(t *testing.T) {
 	opts.MPLs = []int{8}
 	opts.MeasureQueries = 120
 	opts.WarmupQueries = 30
-	fr, err := Run(fig, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, fig, opts)
 	a := Archive{Options: opts, Figures: []FigureArchive{fr.Archive()}}
 	var buf bytes.Buffer
 	if err := WriteArchive(&buf, a); err != nil {

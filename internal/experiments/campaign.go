@@ -497,12 +497,3 @@ func (r ScenarioResult) Closed() []FigureResult {
 	}
 	return out
 }
-
-// Archive converts the campaign's figures into a serializable Archive.
-func (c Campaign) Archive(label string, opts Options) Archive {
-	a := Archive{Label: label, Options: opts}
-	for _, fr := range c.Figures {
-		a.Figures = append(a.Figures, fr.Archive())
-	}
-	return a
-}

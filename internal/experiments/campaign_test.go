@@ -30,6 +30,15 @@ func encodeArchive(t *testing.T, a Archive) []byte {
 	return buf.Bytes()
 }
 
+// campaignArchive converts a campaign's figures into an Archive.
+func campaignArchive(c Campaign, opts Options) Archive {
+	a := Archive{Label: "campaign", Options: opts}
+	for _, fr := range c.Figures {
+		a.Figures = append(a.Figures, fr.Archive())
+	}
+	return a
+}
+
 // The acceptance bar of the parallel harness: a campaign run with one
 // worker and with four workers must produce byte-identical archive
 // encodings — same points in the same order with the same measurements.
@@ -53,21 +62,10 @@ func TestCampaignByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := encodeArchive(t, serial.Archive("campaign", opts))
-	b := encodeArchive(t, parallel.Archive("campaign", opts))
+	a := encodeArchive(t, campaignArchive(serial, opts))
+	b := encodeArchive(t, campaignArchive(parallel, opts))
 	if !bytes.Equal(a, b) {
 		t.Fatalf("workers=1 and workers=4 archives differ:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
-	}
-
-	// The legacy serial entry point is a workers=1 campaign and must agree
-	// point for point too.
-	fr, err := Run(fig, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := Archive{Label: "campaign", Options: opts, Figures: []FigureArchive{fr.Archive()}}
-	if got := encodeArchive(t, single); !bytes.Equal(a, got) {
-		t.Fatalf("experiments.Run disagrees with the campaign path:\n%s\nvs\n%s", a, got)
 	}
 
 	if serial.Manifest.Jobs != len(fig.Strategies)*len(opts.MPLs) {
@@ -226,15 +224,9 @@ func TestSeedZeroProducesDistinctRun(t *testing.T) {
 	opts.MPLs = []int{8}
 
 	opts.Seed, opts.SeedSet = 0, true
-	zero, err := Run(fig, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	zero := runFigure(t, fig, opts)
 	opts.Seed, opts.SeedSet = 1, true
-	one, err := Run(fig, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := runFigure(t, fig, opts)
 	z, _ := zero.Throughput(StrategyRange, 8)
 	o1, _ := one.Throughput(StrategyRange, 8)
 	if z <= 0 || o1 <= 0 {

@@ -203,16 +203,6 @@ func (r ScenarioResult) Elastic() []ElasticFigureResult {
 	return out
 }
 
-// Point returns the measured result for a (strategy, size), or nil.
-func (fr ElasticFigureResult) Point(strategy string, size int) *ElasticPoint {
-	for i := range fr.Points {
-		if fr.Points[i].Strategy == strategy && fr.Points[i].Size == size {
-			return &fr.Points[i]
-		}
-	}
-	return nil
-}
-
 // Table renders the elasticity sweep: per (strategy, size), the measured
 // time-to-rebalance, data moved, goodput dip and query outcomes.
 func (fr ElasticFigureResult) Table() *stats.Table {

@@ -1,8 +1,9 @@
-// Package experiments defines one runnable experiment per figure of the
-// paper's evaluation (Section 7) plus the ablations DESIGN.md calls out,
-// and renders their results as tables. cmd/declusterbench and the root
-// bench_test.go both drive this package, so the benchmark harness and the
-// CLI regenerate identical series.
+// Package experiments defines one experiment per figure of the paper's
+// evaluation (Section 7) plus the ablations DESIGN.md calls out, runs them
+// as campaigns through one driver (RunScenario; RunCampaign is its closed
+// figure sweep) and renders their results as tables. cmd/declusterbench
+// and the root bench_test.go both run their campaigns through it, so the
+// benchmark harness and the CLI regenerate identical series.
 package experiments
 
 import (
@@ -336,18 +337,6 @@ func stampSpecs(cfg gamma.Config, opts Options) gamma.Config {
 	return cfg
 }
 
-// Run executes the figure across its strategies and the MPL sweep. It is a
-// thin workers=1 campaign — RunCampaign with a single figure and a single
-// worker — so the serial path and the parallel path share one
-// implementation and stay byte-identical by construction.
-func Run(fig Figure, opts Options) (FigureResult, error) {
-	c, err := RunCampaign([]Figure{fig}, opts, CampaignOptions{Workers: 1})
-	if len(c.Figures) == 1 {
-		return c.Figures[0], err
-	}
-	return FigureResult{Figure: fig, Options: opts.withDefaults()}, err
-}
-
 // Throughput returns the measured throughput for a (strategy, MPL), or
 // (0, false).
 func (fr FigureResult) Throughput(strategy string, mpl int) (float64, bool) {
@@ -357,18 +346,6 @@ func (fr FigureResult) Throughput(strategy string, mpl int) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MeanProcs returns the mean processors-per-query a strategy used across
-// the sweep.
-func (fr FigureResult) MeanProcs(strategy string) float64 {
-	var acc stats.Accumulator
-	for _, p := range fr.Points {
-		if p.Strategy == strategy {
-			acc.Add(p.Result.MeanProcsUsed)
-		}
-	}
-	return acc.Mean()
 }
 
 // Table renders the figure as "MPL x strategy -> throughput", the series

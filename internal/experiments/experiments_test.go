@@ -1,9 +1,11 @@
 package experiments
 
 import (
-	"repro/internal/workload"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // Shape tests: these run the paper's figures at QuickScale and assert the
@@ -18,11 +20,29 @@ func runFig(t *testing.T, id string) FigureResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(fig, QuickScale())
+	return runFigure(t, fig, QuickScale())
+}
+
+// runFigure runs one figure as a campaign on one worker.
+func runFigure(t *testing.T, fig Figure, opts Options) FigureResult {
+	t.Helper()
+	c, err := RunCampaign([]Figure{fig}, opts, CampaignOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return c.Figures[0]
+}
+
+// meanProcs returns the mean processors-per-query a strategy used across
+// the sweep.
+func meanProcs(fr FigureResult, strategy string) float64 {
+	var acc stats.Accumulator
+	for _, p := range fr.Points {
+		if p.Strategy == strategy {
+			acc.Add(p.Result.MeanProcsUsed)
+		}
+	}
+	return acc.Mean()
 }
 
 func tp(t *testing.T, fr FigureResult, strategy string, mpl int) float64 {
@@ -89,10 +109,10 @@ func TestFig8aShape(t *testing.T) {
 	if berd <= rng*0.9 {
 		t.Errorf("BERD (%.1f) should not trail range (%.1f) badly on low-low", berd, rng)
 	}
-	if p := fr.MeanProcs("magic"); p < 3 || p > 10 {
+	if p := meanProcs(fr, "magic"); p < 3 || p > 10 {
 		t.Errorf("MAGIC used %.2f processors/query, paper ~6.4", p)
 	}
-	if p := fr.MeanProcs("range"); p < 12 || p > 18 {
+	if p := meanProcs(fr, "range"); p < 12 || p > 18 {
 		t.Errorf("range used %.2f processors/query, paper ~16.5", p)
 	}
 	// Throughput must scale well beyond MPL 1 for the localized strategies.
@@ -116,10 +136,10 @@ func TestFig8bShape(t *testing.T) {
 	if berd <= rng {
 		t.Errorf("BERD (%.1f) must beat range (%.1f) under high correlation", berd, rng)
 	}
-	if p := fr.MeanProcs("berd"); p > 2.5 {
+	if p := meanProcs(fr, "berd"); p > 2.5 {
 		t.Errorf("BERD used %.2f processors/query; high correlation should localize to ~1", p)
 	}
-	if p := fr.MeanProcs("magic"); p > 4 {
+	if p := meanProcs(fr, "magic"); p > 4 {
 		t.Errorf("MAGIC used %.2f processors/query; high correlation should localize", p)
 	}
 }
@@ -173,9 +193,9 @@ func TestFig11aShape(t *testing.T) {
 	}
 	// BERD's localization is visible in processors used even when the
 	// throughput edge is eaten by the auxiliary access.
-	if fr.MeanProcs("berd") >= fr.MeanProcs("range") {
+	if meanProcs(fr, "berd") >= meanProcs(fr, "range") {
 		t.Errorf("BERD should employ fewer processors (%.1f) than range (%.1f)",
-			fr.MeanProcs("berd"), fr.MeanProcs("range"))
+			meanProcs(fr, "berd"), meanProcs(fr, "range"))
 	}
 }
 
@@ -191,7 +211,7 @@ func TestFig12aShape(t *testing.T) {
 		t.Errorf("MAGIC (%.1f) should win clearly over BERD (%.1f) and range (%.1f)",
 			magic, berd, rng)
 	}
-	if p := fr.MeanProcs("magic"); p > 12 {
+	if p := meanProcs(fr, "magic"); p > 12 {
 		t.Errorf("MAGIC used %.2f processors/query, paper ~6.5", p)
 	}
 }
@@ -218,10 +238,7 @@ func TestFigureTablesRender(t *testing.T) {
 	opts.MPLs = []int{1, 8}
 	opts.MeasureQueries = 100
 	opts.WarmupQueries = 20
-	fr, err := Run(fig, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runFigure(t, fig, opts)
 	table := fr.Table().String()
 	for _, want := range []string{"Figure 8a", "MPL", "magic", "berd", "range"} {
 		if !strings.Contains(table, want) {
@@ -252,17 +269,11 @@ func TestBERDTIDFetchAblation(t *testing.T) {
 	opts := QuickScale()
 	opts.MPLs = []int{32}
 
-	base, err := Run(fig, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runFigure(t, fig, opts)
 	cfgTID := ConfigFor(opts)
 	cfgTID.BERDFetchByTID = true
 	opts.Config = &cfgTID
-	tid, err := Run(fig, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tid := runFigure(t, fig, opts)
 	b, _ := base.Throughput(StrategyBERD, 32)
 	v, _ := tid.Throughput(StrategyBERD, 32)
 	if v >= b {

@@ -172,9 +172,6 @@ func NewView(nodes int) *View {
 	return v
 }
 
-// Nodes reports the machine size the view covers.
-func (v *View) Nodes() int { return len(v.diskOK) }
-
 // Available reports whether the node can serve fragment requests: it is up
 // and its disk works.
 func (v *View) Available(node int) bool { return v.nodeUp[node] && v.diskOK[node] }
@@ -362,6 +359,3 @@ func (in *Injector) record(k Kind, node int, detail string) {
 
 // Log returns the fault-event log in application order.
 func (in *Injector) Log() []Record { return in.log }
-
-// Count reports the number of faults applied so far.
-func (in *Injector) Count() int { return len(in.log) }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // LoadResult reports the simulated cost of declustering the relation — the
@@ -28,12 +27,6 @@ type LoadResult struct {
 	PagesWritten int
 	// PacketsShipped across the interconnect.
 	PacketsShipped int64
-}
-
-// String summarizes the load.
-func (r LoadResult) String() string {
-	return fmt.Sprintf("%s: %d scan pass(es), %.1fs simulated, %d pages written, %d packets",
-		r.Strategy, r.ScanPasses, r.Elapsed.Seconds(), r.PagesWritten, r.PacketsShipped)
 }
 
 // SimulateLoad measures the declustering cost of this machine's placement.
@@ -60,17 +53,16 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 	}
 
 	loader := m.Nodes[0]
-	packetsBefore := m.totalPacketsSent()
-	done := sim.NewTrigger(eng)
+	done := false
 	var simErr error
 
 	eng.Spawn("loader", func(p *sim.Proc) {
-		defer done.Fire()
+		defer func() { done = true }()
 		// Analysis passes: sequential scans of the source relation with
 		// per-page processing (grid construction / auxiliary extraction).
 		for pass := 1; pass < res.ScanPasses; pass++ {
 			for pg := 0; pg < sourcePages; pg++ {
-				if err := loader.Disk.Read(p, pg); err != nil {
+				if err := loader.Disk.ReadHeat(p, pg, nil); err != nil {
 					simErr = err
 					return
 				}
@@ -80,7 +72,7 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 		// Placement pass: scan again, ship each node its tuples in full
 		// packets, and have each node write its fragment and indexes.
 		for pg := 0; pg < sourcePages; pg++ {
-			if err := loader.Disk.Read(p, pg); err != nil {
+			if err := loader.Disk.ReadHeat(p, pg, nil); err != nil {
 				simErr = err
 				return
 			}
@@ -102,8 +94,9 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 			m.Net.Send(p, loader.CPU, hw.Message{From: 0, To: node, Bytes: bytes})
 		}
 		// Each node writes its data, index and auxiliary pages. The writes
-		// proceed in parallel across nodes; the loader waits for all.
-		gate := sim.NewGate(eng, len(m.Nodes))
+		// proceed in parallel across nodes; the loader parks until the last
+		// writer to finish wakes it.
+		writing := len(m.Nodes)
 		for i, n := range m.Nodes {
 			node := n
 			pages := 0
@@ -115,7 +108,11 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 			}
 			res.PagesWritten += pages
 			eng.Spawn(fmt.Sprintf("load.write%d", i), func(wp *sim.Proc) {
-				defer gate.Done()
+				defer func() {
+					if writing--; writing == 0 {
+						eng.Wake(p)
+					}
+				}()
 				for pg := 0; pg < pages; pg++ {
 					node.CPU.Execute(wp, params.WritePageInstr)
 					if err := node.Disk.Write(wp, pg); err != nil {
@@ -125,36 +122,19 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 				}
 			})
 		}
-		gate.Wait(p)
+		p.Park()
 	})
 
 	if err := eng.RunUntil(sim.Time(6 * 3600 * sim.Second)); err != nil {
 		return res, err
 	}
-	if !done.Fired() {
+	if !done {
 		simErr = fmt.Errorf("gamma: load did not complete within the simulated bound")
 	}
 	res.Elapsed = sim.Duration(eng.Now())
-	res.PacketsShipped = m.totalPacketsSent() - packetsBefore
+	for i := range m.Nodes { // the reset above started every count at zero
+		res.PacketsShipped += m.Net.Sent(i)
+	}
 	m.reset() // leave the machine clean for measurement runs
 	return res, simErr
-}
-
-func (m *Machine) totalPacketsSent() int64 {
-	var t int64
-	for i := range m.Nodes {
-		t += m.Net.Sent(i)
-	}
-	return t
-}
-
-// LoadTable renders a set of load results.
-func LoadTable(results []LoadResult) *stats.Table {
-	tb := stats.NewTable("Declustering (load) cost",
-		"strategy", "scan passes", "simulated time", "pages written", "packets")
-	for _, r := range results {
-		tb.AddRow(r.Strategy, r.ScanPasses,
-			fmt.Sprintf("%.1fs", r.Elapsed.Seconds()), r.PagesWritten, r.PacketsShipped)
-	}
-	return tb
 }

@@ -447,7 +447,7 @@ func TestStrategyAgreementProperty(t *testing.T) {
 		if trial%2 == 1 {
 			attr = storage.Unique2
 		}
-		width := int64(src.IntRange(1, 40))
+		width := int64(1 + src.Intn(40))
 		lo := int64(src.Intn(rel.Cardinality() - int(width)))
 		pred := core.Predicate{Attr: attr, Lo: lo, Hi: lo + width - 1}
 		var counts []int
@@ -578,10 +578,6 @@ func TestSimulateLoad(t *testing.T) {
 	// BERD writes the auxiliary pages on top of what range writes.
 	if results[1].PagesWritten <= results[0].PagesWritten {
 		t.Fatal("BERD should write more pages than range (auxiliary relations)")
-	}
-	table := LoadTable(results).String()
-	if !strings.Contains(table, "berd") || !strings.Contains(table, "scan passes") {
-		t.Fatalf("load table malformed:\n%s", table)
 	}
 }
 

@@ -1,14 +1,12 @@
 package gridfile
 
 import (
+	"math/rand"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 func BenchmarkInsert20k(b *testing.B) {
-	src := rng.NewSource("b", 1)
-	perm := src.Perm(20000)
+	perm := rand.New(rand.NewSource(1)).Perm(20000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := New(25, []float64{1, 1}, [][2]int64{{0, 19999}, {0, 19999}})
@@ -20,8 +18,7 @@ func BenchmarkInsert20k(b *testing.B) {
 
 func BenchmarkCellsCoveringColumn(b *testing.B) {
 	g := New(25, []float64{1, 1}, [][2]int64{{0, 19999}, {0, 19999}})
-	src := rng.NewSource("b", 1)
-	perm := src.Perm(20000)
+	perm := rand.New(rand.NewSource(1)).Perm(20000)
 	for j := 0; j < 20000; j++ {
 		g.Insert([]int64{int64(perm[j]), int64(j)}, j)
 	}

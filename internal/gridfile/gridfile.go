@@ -79,9 +79,6 @@ func New(capacity int, weights []float64, bounds [][2]int64) *Grid {
 	return g
 }
 
-// K reports the number of dimensions.
-func (g *Grid) K() int { return g.k }
-
 // Dims reports the number of intervals per dimension (the paper's Ni).
 func (g *Grid) Dims() []int { return append([]int(nil), g.dims...) }
 
@@ -101,9 +98,6 @@ func (g *Grid) OverflowCells() int { return g.overflow }
 // bound this with shared buckets, MAGIC by accepting oversized fragments.
 // n <= 0 removes the cap.
 func (g *Grid) SetMaxCells(n int) { g.maxCells = n }
-
-// Capacity reports the fragment capacity FC.
-func (g *Grid) Capacity() int { return g.capacity }
 
 // Bounds returns the inclusive value domain of a dimension.
 func (g *Grid) Bounds(dim int) (lo, hi int64) { return g.bounds[dim][0], g.bounds[dim][1] }
@@ -162,9 +156,6 @@ func (g *Grid) cellOf(point []int64) int {
 	}
 	return idx
 }
-
-// point returns the coordinates of the point with the given id.
-func (g *Grid) point(id int) []int64 { return g.points[id*g.k : (id+1)*g.k] }
 
 // interval returns the index of the interval of dimension d containing v:
 // intervals are [lo, s0), [s0, s1), ..., [sLast, hi].
@@ -376,7 +367,7 @@ func (g *Grid) Validate() error {
 	count := 0
 	for flat, ids := range g.cells {
 		for _, id := range ids {
-			if got := g.cellOf(g.point(id)); got != flat {
+			if got := g.cellOf(g.points[id*g.k : (id+1)*g.k]); got != flat {
 				return fmt.Errorf("gridfile: tuple %d stored in cell %d but locates to %d",
 					id, flat, got)
 			}

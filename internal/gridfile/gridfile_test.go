@@ -2,6 +2,7 @@ package gridfile
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -11,8 +12,7 @@ import (
 func uniformGrid(t *testing.T, n, capacity int, weights []float64) *Grid {
 	t.Helper()
 	g := New(capacity, weights, [][2]int64{{0, int64(n - 1)}, {0, int64(n - 1)}})
-	src := rng.NewSource("g", 11)
-	perm := src.Perm(n)
+	perm := rand.New(rand.NewSource(11)).Perm(n)
 	for i := 0; i < n; i++ {
 		g.Insert([]int64{int64(perm[i]), int64(i)}, i)
 	}
@@ -327,8 +327,8 @@ func TestThreeDimensionalGrid(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if g.K() != 3 {
-		t.Fatalf("K = %d", g.K())
+	if len(g.Dims()) != 3 {
+		t.Fatalf("dims = %v, want 3", g.Dims())
 	}
 	cells := g.CellsCovering([][2]int64{{0, 999}, {500, 500}, {0, 999}})
 	dims := g.Dims()

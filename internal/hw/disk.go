@@ -81,17 +81,12 @@ func NewDisk(e *sim.Engine, name string, params Params, cpu *CPU, lat *rng.Sourc
 // SetNode records the node id for observability tracks.
 func (d *Disk) SetNode(node int) { d.node = node }
 
-// Read fetches the physical page into memory, blocking the caller for queue,
-// mechanism, and FIFO-transfer time. An error means the page never reached
-// memory: the disk is failed, the read was hit by an injected transient
-// error, or the page address is out of range.
-func (d *Disk) Read(p *sim.Proc, physPage int) error {
-	return d.ReadHeat(p, physPage, nil)
-}
-
-// ReadHeat is Read with per-fragment heat attribution: the request's queue
-// wait (arrival to arm start) is charged to h when the arm picks it up. A
-// nil h is exactly Read.
+// ReadHeat fetches the physical page into memory, blocking the caller for
+// queue, mechanism, and FIFO-transfer time. An error means the page never
+// reached memory: the disk is failed, the read was hit by an injected
+// transient error, or the page address is out of range. The request's
+// queue wait (arrival to arm start) is charged to h when the arm picks it
+// up; h may be nil.
 func (d *Disk) ReadHeat(p *sim.Proc, physPage int, h *obs.FragHeat) error {
 	if err := d.access(p, physPage, false, h); err != nil {
 		return err
@@ -169,9 +164,6 @@ func (d *Disk) Fail() {
 // Repair brings a failed disk back. Requests issued after Repair succeed;
 // nothing lost during the outage is replayed.
 func (d *Disk) Repair() { d.failed = false }
-
-// Failed reports whether the disk is currently fail-stopped.
-func (d *Disk) Failed() bool { return d.failed }
 
 // FailNextReads arms n one-shot transient errors: the next n reads fail
 // with ErrDiskIO without touching the arm. Calls accumulate.

@@ -15,12 +15,12 @@ func TestDiskFailStopRejectsUntilRepair(t *testing.T) {
 	e, _, _, disk := testRig(t)
 	var errs []error
 	e.Spawn("p", func(pr *sim.Proc) {
-		errs = append(errs, disk.Read(pr, 10))
+		errs = append(errs, disk.ReadHeat(pr, 10, nil))
 		disk.Fail()
-		errs = append(errs, disk.Read(pr, 11))
+		errs = append(errs, disk.ReadHeat(pr, 11, nil))
 		errs = append(errs, disk.Write(pr, 12))
 		disk.Repair()
-		errs = append(errs, disk.Read(pr, 13))
+		errs = append(errs, disk.ReadHeat(pr, 13, nil))
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -44,12 +44,12 @@ func TestDiskFailStopRejectsUntilRepair(t *testing.T) {
 func TestDiskFailAbortsQueuedAndInFlight(t *testing.T) {
 	e, p, _, disk := testRig(t)
 	var errs [3]error
-	e.Spawn("inflight", func(pr *sim.Proc) { errs[0] = disk.Read(pr, 500*p.PagesPerCylinder) })
+	e.Spawn("inflight", func(pr *sim.Proc) { errs[0] = disk.ReadHeat(pr, 500*p.PagesPerCylinder, nil) })
 	for i := 1; i <= 2; i++ {
 		i := i
 		e.Spawn("queued", func(pr *sim.Proc) {
 			pr.Hold(sim.Microsecond)
-			errs[i] = disk.Read(pr, i)
+			errs[i] = disk.ReadHeat(pr, i, nil)
 		})
 	}
 	e.Spawn("killer", func(pr *sim.Proc) {
@@ -72,7 +72,7 @@ func TestDiskFailNextReadsTransient(t *testing.T) {
 	var errs []error
 	e.Spawn("p", func(pr *sim.Proc) {
 		for i := 0; i < 3; i++ {
-			errs = append(errs, disk.Read(pr, 10+i))
+			errs = append(errs, disk.ReadHeat(pr, 10+i, nil))
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -96,7 +96,7 @@ func TestDiskLatencyFactorStretchesService(t *testing.T) {
 		var elapsed sim.Duration
 		e.Spawn("p", func(pr *sim.Proc) {
 			start := pr.Now()
-			if err := disk.Read(pr, 0); err != nil {
+			if err := disk.ReadHeat(pr, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 			elapsed = sim.Duration(pr.Now() - start)

@@ -39,7 +39,7 @@ func TestDiskReadHeatQueueWaitAttribution(t *testing.T) {
 	if first.Wait.N() != 1 || second.Wait.N() != 1 {
 		t.Errorf("wait samples = %d/%d, want 1/1", first.Wait.N(), second.Wait.N())
 	}
-	if got, want := second.Wait.Max(), float64(second.QueueWaitNS)/1e6; got != want {
+	if got, want := second.Wait.Stats().Max, float64(second.QueueWaitNS)/1e6; got != want {
 		t.Errorf("histogram max = %gms, want %gms", got, want)
 	}
 	if disk.Reads() != 2 {

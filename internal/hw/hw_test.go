@@ -89,7 +89,7 @@ func TestDiskRandomReadCostRange(t *testing.T) {
 	var elapsed sim.Duration
 	e.Spawn("p", func(pr *sim.Proc) {
 		start := pr.Now()
-		disk.Read(pr, 500*p.PagesPerCylinder) // 500 cylinders away
+		disk.ReadHeat(pr, 500*p.PagesPerCylinder, nil) // 500 cylinders away
 		elapsed = sim.Duration(pr.Now() - start)
 	})
 	if err := e.Run(); err != nil {
@@ -113,7 +113,7 @@ func TestDiskSequentialReadIsTransferOnly(t *testing.T) {
 	e.Spawn("p", func(pr *sim.Proc) {
 		for pg := 0; pg < 5; pg++ {
 			start := pr.Now()
-			disk.Read(pr, pg)
+			disk.ReadHeat(pr, pg, nil)
 			deltas = append(deltas, sim.Duration(pr.Now()-start).Milliseconds())
 		}
 	})
@@ -134,13 +134,13 @@ func TestDiskElevatorOrdering(t *testing.T) {
 	// Saturate the disk with requests at cylinders 900, 100, 500 while the
 	// head starts at 0 moving up; SCAN must serve 100, 500, 900.
 	var order []int
-	blocker := func(pr *sim.Proc) { disk.Read(pr, 0) } // occupy arm first
+	blocker := func(pr *sim.Proc) { disk.ReadHeat(pr, 0, nil) } // occupy arm first
 	e.Spawn("blocker", blocker)
 	for _, cyl := range []int{900, 100, 500} {
 		cyl := cyl
 		e.Spawn("r", func(pr *sim.Proc) {
 			pr.Hold(sim.Microsecond) // enqueue while blocker in service
-			disk.Read(pr, cyl*p.PagesPerCylinder)
+			disk.ReadHeat(pr, cyl*p.PagesPerCylinder, nil)
 			order = append(order, cyl)
 		})
 	}
@@ -158,12 +158,12 @@ func TestDiskElevatorOrdering(t *testing.T) {
 func TestDiskElevatorReversesSweep(t *testing.T) {
 	e, p, _, disk := testRig(t)
 	var order []int
-	e.Spawn("first", func(pr *sim.Proc) { disk.Read(pr, 500*p.PagesPerCylinder) })
+	e.Spawn("first", func(pr *sim.Proc) { disk.ReadHeat(pr, 500*p.PagesPerCylinder, nil) })
 	for _, cyl := range []int{400, 600} {
 		cyl := cyl
 		e.Spawn("r", func(pr *sim.Proc) {
 			pr.Hold(sim.Microsecond)
-			disk.Read(pr, cyl*p.PagesPerCylinder)
+			disk.ReadHeat(pr, cyl*p.PagesPerCylinder, nil)
 			order = append(order, cyl)
 		})
 	}
@@ -207,7 +207,7 @@ func TestDiskWriteChargesCPUAndArm(t *testing.T) {
 func TestDiskOutOfRangePageErrors(t *testing.T) {
 	e, p, _, disk := testRig(t)
 	var readErr error
-	e.Spawn("p", func(pr *sim.Proc) { readErr = disk.Read(pr, p.PagesPerDisk()) })
+	e.Spawn("p", func(pr *sim.Proc) { readErr = disk.ReadHeat(pr, p.PagesPerDisk(), nil) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestDiskOutOfRangePageErrors(t *testing.T) {
 func TestDiskStatsReset(t *testing.T) {
 	e, _, _, disk := testRig(t)
 	e.Spawn("p", func(pr *sim.Proc) {
-		disk.Read(pr, 10)
+		disk.ReadHeat(pr, 10, nil)
 		disk.ResetStats()
 	})
 	if err := e.Run(); err != nil {

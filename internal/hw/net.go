@@ -173,9 +173,6 @@ func NewNetwork(e *sim.Engine, params Params, cpus []*CPU) *Network {
 	return n
 }
 
-// Nodes reports the number of network endpoints.
-func (n *Network) Nodes() int { return len(n.nics) }
-
 // Send transmits msg, blocking the sending process for the sender-side CPU
 // protocol cost and the NIC transmission time. Messages larger than
 // MaxPacket are split into maximal packets, each paying full per-packet

@@ -95,43 +95,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Mean reports the exact sample mean (0 if empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.meanLocked()
-}
-
-func (h *Histogram) meanLocked() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
-
-// Min reports the smallest sample (0 if empty).
-func (h *Histogram) Min() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-// Max reports the largest sample (0 if empty).
-func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
 // Quantile estimates the p-th percentile (0..100). Estimates for positive
 // samples are within MaxQuantileRelError of the exact order statistic;
 // non-positive samples are reported as 0 exactly. Returns 0 if empty.
@@ -274,9 +237,13 @@ func (h *Histogram) Stats() HistogramStats {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	var mean float64
+	if h.n > 0 {
+		mean = h.sum / float64(h.n)
+	}
 	return HistogramStats{
 		N:    h.n,
-		Mean: h.meanLocked(),
+		Mean: mean,
 		Min:  h.min,
 		Max:  h.max,
 		P50:  h.quantileLocked(50),

@@ -48,8 +48,8 @@ func TestHistogramZeroBucket(t *testing.T) {
 	if got := h.Quantile(100); math.Abs(got-5)/5 > MaxQuantileRelError {
 		t.Errorf("p100 = %g, want ~5", got)
 	}
-	if h.Min() != -3 || h.Max() != 5 {
-		t.Errorf("min/max = %g/%g", h.Min(), h.Max())
+	if h.Stats().Min != -3 || h.Stats().Max != 5 {
+		t.Errorf("min/max = %g/%g", h.Stats().Min, h.Stats().Max)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestHistogramQuantileErrorBound(t *testing.T) {
 	for _, v := range samples {
 		sum += v
 	}
-	if got := h.Mean(); math.Abs(got-sum/float64(len(samples))) > 1e-9*sum {
+	if got := h.Stats().Mean; math.Abs(got-sum/float64(len(samples))) > 1e-9*sum {
 		t.Errorf("mean = %g, want %g", got, sum/float64(len(samples)))
 	}
 }
@@ -122,7 +122,7 @@ func TestHistogramMergeAssociativity(t *testing.T) {
 	if left.N() != direct.N() || right.N() != direct.N() {
 		t.Errorf("n differs: %d / %d / %d", left.N(), right.N(), direct.N())
 	}
-	if left.Min() != direct.Min() || left.Max() != direct.Max() {
+	if left.Stats().Min != direct.Stats().Min || left.Stats().Max != direct.Stats().Max {
 		t.Errorf("min/max differ after merge")
 	}
 }
@@ -131,12 +131,12 @@ func TestHistogramMergeEmptySides(t *testing.T) {
 	a := NewHistogram()
 	a.Observe(2)
 	a.Merge(NewHistogram()) // non-empty <- empty
-	if a.N() != 1 || a.Min() != 2 || a.Max() != 2 {
+	if a.N() != 1 || a.Stats().Min != 2 || a.Stats().Max != 2 {
 		t.Fatal("merge of empty changed state")
 	}
 	b := NewHistogram()
 	b.Merge(a) // empty <- non-empty
-	if b.N() != 1 || b.Min() != 2 || b.Max() != 2 {
+	if b.N() != 1 || b.Stats().Min != 2 || b.Stats().Max != 2 {
 		t.Fatal("merge into empty lost state")
 	}
 	a.Merge(nil) // nil other is a no-op
@@ -150,7 +150,7 @@ func TestHistogramNilAndReset(t *testing.T) {
 	h.Observe(1) // no-op, no panic
 	h.Merge(NewHistogram())
 	h.Reset()
-	if h.N() != 0 || h.Mean() != 0 || h.Quantile(50) != 0 {
+	if h.N() != 0 || h.Stats().Mean != 0 || h.Quantile(50) != 0 {
 		t.Fatal("nil histogram not zero-valued")
 	}
 	if (h.Stats() != HistogramStats{}) {
@@ -161,11 +161,11 @@ func TestHistogramNilAndReset(t *testing.T) {
 	g.Observe(10)
 	g.Observe(20)
 	g.Reset()
-	if g.N() != 0 || g.Mean() != 0 || g.Max() != 0 {
+	if g.N() != 0 || g.Stats().Mean != 0 || g.Stats().Max != 0 {
 		t.Fatal("reset did not clear")
 	}
 	g.Observe(7) // handle stays usable
-	if g.N() != 1 || g.Min() != 7 {
+	if g.N() != 1 || g.Stats().Min != 7 {
 		t.Fatal("histogram unusable after reset")
 	}
 }
@@ -201,9 +201,9 @@ func TestHistogramQuantileNegativeSamples(t *testing.T) {
 	}
 	for _, p := range []float64{0, 25, 50, 75, 99, 100} {
 		q := h.Quantile(p)
-		if q < h.Min() || q > h.Max() {
+		if q < h.Stats().Min || q > h.Stats().Max {
 			t.Errorf("all-negative Quantile(%g) = %g outside [%g, %g]",
-				p, q, h.Min(), h.Max())
+				p, q, h.Stats().Min, h.Stats().Max)
 		}
 	}
 
@@ -217,8 +217,8 @@ func TestHistogramQuantileNegativeSamples(t *testing.T) {
 	prev := math.Inf(-1)
 	for p := 0.0; p <= 100; p += 0.5 {
 		q := m.Quantile(p)
-		if q < m.Min() || q > m.Max() {
-			t.Fatalf("mixed Quantile(%g) = %g outside [%g, %g]", p, q, m.Min(), m.Max())
+		if q < m.Stats().Min || q > m.Stats().Max {
+			t.Fatalf("mixed Quantile(%g) = %g outside [%g, %g]", p, q, m.Stats().Min, m.Stats().Max)
 		}
 		if q < prev {
 			t.Fatalf("Quantile not monotone: Quantile(%g) = %g < %g", p, q, prev)
@@ -229,7 +229,11 @@ func TestHistogramQuantileNegativeSamples(t *testing.T) {
 
 // TestHistogramConcurrentMerge checks Merge against opposite-direction
 // merges (a classic lock-ordering deadlock shape) and concurrent observes.
+// Each merge can double its target's counts, so the two merge loops are
+// kept short enough (2^40 times the samples at most) that no count can
+// overflow however the goroutines interleave.
 func TestHistogramConcurrentMerge(t *testing.T) {
+	const merges = 20
 	a, b := NewHistogram(), NewHistogram()
 	var wg sync.WaitGroup
 	wg.Add(3)
@@ -241,13 +245,13 @@ func TestHistogramConcurrentMerge(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 200; i++ {
+		for i := 0; i < merges; i++ {
 			a.Merge(b)
 		}
 	}()
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 200; i++ {
+		for i := 0; i < merges; i++ {
 			b.Observe(1)
 			b.Merge(a)
 		}

@@ -19,10 +19,9 @@ import (
 // A nil *Hub disables registration (no-ops), so plumbing can pass one
 // through unconditionally.
 type Hub struct {
-	mu      sync.Mutex
-	runs    map[string]*Sampler
-	order   []string
-	scrapes int64
+	mu    sync.Mutex
+	runs  map[string]*Sampler
+	order []string
 }
 
 // NewHub returns an empty hub.
@@ -44,25 +43,6 @@ func (h *Hub) Register(id string, s *Sampler) {
 	h.runs[id] = s
 }
 
-// Unregister detaches a run. No-op on a nil hub or unknown id.
-func (h *Hub) Unregister(id string) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.runs[id]; !ok {
-		return
-	}
-	delete(h.runs, id)
-	for i, v := range h.order {
-		if v == id {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			break
-		}
-	}
-}
-
 // Runs reports the registered run ids, sorted.
 func (h *Hub) Runs() []string {
 	if h == nil {
@@ -75,16 +55,6 @@ func (h *Hub) Runs() []string {
 	return out
 }
 
-// Scrapes reports the number of ServeHTTP calls handled.
-func (h *Hub) Scrapes() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.scrapes
-}
-
 // ServeHTTP renders every registered sampler in OpenMetrics text format.
 // The declusterbench_up gauge is always present, so a scraper can tell an
 // idle endpoint from a broken one.
@@ -95,7 +65,6 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	for i, id := range ids {
 		samplers[i] = h.runs[id]
 	}
-	h.scrapes++
 	h.mu.Unlock()
 	sort.Sort(&byID{ids, samplers})
 

@@ -258,15 +258,6 @@ func (s *Sampler) Snapshot() []SeriesData {
 	return out
 }
 
-// WriteCSV renders the sampler's current state as an aligned CSV table;
-// see WriteSeriesCSV. No-op on nil.
-func (s *Sampler) WriteCSV(w io.Writer) error {
-	if s == nil {
-		return nil
-	}
-	return WriteSeriesCSV(w, s.Snapshot())
-}
-
 // WriteSeriesCSV renders aligned series (same sample instants, as a
 // Sampler produces) as one CSV table: a t_ms column followed by one column
 // per series in the given order. Values print in Go's shortest-round-trip

@@ -143,9 +143,6 @@ func TestSamplerNilIsNoOp(t *testing.T) {
 	if s.Len() != 0 || s.WindowNS() != 0 || s.Snapshot() != nil {
 		t.Error("nil sampler leaked state")
 	}
-	if err := s.WriteCSV(nil); err != nil {
-		t.Errorf("nil WriteCSV: %v", err)
-	}
 	if err := s.WriteOpenMetrics(nil, ""); err != nil {
 		t.Errorf("nil WriteOpenMetrics: %v", err)
 	}
@@ -180,7 +177,7 @@ func TestWriteSeriesCSV(t *testing.T) {
 	s.Sample(2 * winNS)
 
 	var b strings.Builder
-	if err := s.WriteCSV(&b); err != nil {
+	if err := WriteSeriesCSV(&b, s.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	want := "t_ms,alpha,beta\n1000,1,1.5\n2000,2,2.5\n"

@@ -130,9 +130,6 @@ func (c *Controller) Members() []int { return c.members }
 // Gen returns the current placement generation.
 func (c *Controller) Gen() int { return c.gen }
 
-// Copier exposes the live copy counters for telemetry probes.
-func (c *Controller) Copier() *Copier { return c.copier }
-
 // Report returns the membership history accumulated so far.
 func (c *Controller) Report() Report { return c.rep }
 
@@ -172,11 +169,7 @@ func (c *Controller) run(p *sim.Proc) {
 		c.transition(p, ev.At, ev.Kind, node)
 	}
 	for {
-		req, ok := c.repairs.Recv(p)
-		if !ok {
-			return
-		}
-		c.repair(p, req)
+		c.repair(p, c.repairs.Get(p))
 	}
 }
 

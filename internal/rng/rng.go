@@ -79,21 +79,10 @@ func (s *Source) Uniform(lo, hi float64) float64 {
 // Intn returns a uniform integer in [0, n). n must be positive.
 func (s *Source) Intn(n int) int { return s.rnd.Intn(n) }
 
-// IntRange returns a uniform integer in [lo, hi] inclusive.
-func (s *Source) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic(fmt.Sprintf("rng %s: IntRange bounds inverted: [%d, %d]", s.name, lo, hi))
-	}
-	return lo + s.rnd.Intn(hi-lo+1)
-}
-
 // Exponential returns an exponentially distributed value with the given mean.
 func (s *Source) Exponential(mean float64) float64 {
 	return s.rnd.ExpFloat64() * mean
 }
-
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rnd.Perm(n) }
 
 // Shuffle permutes the n elements addressed by swap in place.
 func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rnd.Shuffle(n, swap) }

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestFactoryDeterministic(t *testing.T) {
@@ -68,32 +67,6 @@ func TestUniformMean(t *testing.T) {
 	}
 }
 
-func TestIntRangeInclusive(t *testing.T) {
-	s := NewSource("t", 11)
-	seen := map[int]bool{}
-	for i := 0; i < 10000; i++ {
-		v := s.IntRange(2, 5)
-		if v < 2 || v > 5 {
-			t.Fatalf("IntRange(2,5) produced %d", v)
-		}
-		seen[v] = true
-	}
-	for v := 2; v <= 5; v++ {
-		if !seen[v] {
-			t.Errorf("IntRange(2,5) never produced %d in 10000 draws", v)
-		}
-	}
-}
-
-func TestIntRangeSingleton(t *testing.T) {
-	s := NewSource("t", 11)
-	for i := 0; i < 100; i++ {
-		if v := s.IntRange(4, 4); v != 4 {
-			t.Fatalf("IntRange(4,4) = %d", v)
-		}
-	}
-}
-
 func TestExponentialMean(t *testing.T) {
 	s := NewSource("t", 13)
 	sum := 0.0
@@ -122,28 +95,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := NewSource("t", 19)
-	check := func(n uint8) bool {
-		m := int(n%64) + 1
-		p := s.Perm(m)
-		if len(p) != m {
-			return false
-		}
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUniformPanicsOnInvertedBounds(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -151,15 +102,6 @@ func TestUniformPanicsOnInvertedBounds(t *testing.T) {
 		}
 	}()
 	NewSource("t", 1).Uniform(5, 3)
-}
-
-func TestIntRangePanicsOnInvertedBounds(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("IntRange with inverted bounds did not panic")
-		}
-	}()
-	NewSource("t", 1).IntRange(5, 3)
 }
 
 func TestStreamName(t *testing.T) {

@@ -1,7 +1,5 @@
 package serve
 
-import "fmt"
-
 // ShedReason is the typed rejection outcome of the admission controller.
 // Every arriving query is either admitted or shed with exactly one reason;
 // nothing is silently dropped, so offered load always reconciles:
@@ -24,16 +22,3 @@ const (
 
 	numShedReasons = int(ShedShutdown) + 1
 )
-
-var shedNames = [...]string{
-	ShedQueueFull: "queue-full",
-	ShedAged:      "aged-out",
-	ShedShutdown:  "shutdown",
-}
-
-func (r ShedReason) String() string {
-	if r < 0 || int(r) >= len(shedNames) {
-		return fmt.Sprintf("shed(%d)", int(r))
-	}
-	return shedNames[r]
-}

@@ -27,14 +27,6 @@ type BurnStats struct {
 	Recovery       sim.Time `json:"recovery_ns"`
 }
 
-// ViolationRate is violated / windows (0 when no windows were evaluated).
-func (b BurnStats) ViolationRate() float64 {
-	if b.Windows == 0 {
-		return 0
-	}
-	return float64(b.Violated) / float64(b.Windows)
-}
-
 // DefaultBurnBudget is the per-window bad fraction tolerated before the
 // window counts as an SLO violation.
 const DefaultBurnBudget = 0.1

@@ -39,9 +39,6 @@ func TestBurnEvalViolationStreak(t *testing.T) {
 	if s.MaxBurnRate != 0.6 {
 		t.Errorf("MaxBurnRate = %g, want 0.6", s.MaxBurnRate)
 	}
-	if got := s.ViolationRate(); got != 0.5 {
-		t.Errorf("ViolationRate = %g, want 0.5", got)
-	}
 }
 
 // An empty window offers no evidence of violation: it counts as evaluated,
@@ -119,9 +116,6 @@ func TestBurnEvalRebase(t *testing.T) {
 func TestBurnEvalDefaultBudget(t *testing.T) {
 	if b := newBurnEval(1, 0); b.budget != DefaultBurnBudget {
 		t.Errorf("budget = %g, want default %g", b.budget, DefaultBurnBudget)
-	}
-	if got := (BurnStats{}).ViolationRate(); got != 0 {
-		t.Errorf("ViolationRate with no windows = %g, want 0", got)
 	}
 }
 

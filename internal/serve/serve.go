@@ -323,9 +323,7 @@ func (f *frontend) registerProbes(ts *obs.Sampler) {
 // queue, otherwise executes it and records the result.
 func (f *frontend) worker(p *sim.Proc) {
 	for {
-		if _, ok := f.work.Recv(p); !ok {
-			return
-		}
+		f.work.Get(p)
 		if f.eng.Stopped() {
 			return
 		}

@@ -242,16 +242,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestShedReasonString(t *testing.T) {
-	if ShedQueueFull.String() != "queue-full" || ShedAged.String() != "aged-out" ||
-		ShedShutdown.String() != "shutdown" {
-		t.Fatalf("shed reason names changed")
-	}
-	if ShedReason(9).String() != "shed(9)" {
-		t.Fatalf("out-of-range shed reason: %q", ShedReason(9).String())
-	}
-}
-
 func TestShedRateCappedAtOne(t *testing.T) {
 	// Warm-up carryover can make the raw shed/arrivals ratio exceed 1;
 	// the reported rate must cap at 100%.

@@ -103,7 +103,6 @@ func TestCloseUnwindsDeferredPark(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := New()
 	mb := NewMailbox[int](e, "mb")
-	trig := NewTrigger(e)
 	var deferred, pastPark, spawnedRan int
 	e.Spawn("stubborn", func(p *Proc) {
 		defer func() {
@@ -114,7 +113,7 @@ func TestCloseUnwindsDeferredPark(t *testing.T) {
 		}()
 		defer func() {
 			deferred++
-			trig.Wait(p)
+			p.Park()
 			pastPark++
 		}()
 		mb.Get(p)

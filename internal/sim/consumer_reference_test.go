@@ -8,7 +8,7 @@ import (
 	"repro/internal/rng"
 )
 
-// The reference consumer of a mailbox is a process looping on Recv: the
+// The reference consumer of a mailbox is a process looping on Get: the
 // shape every message relay of the machine model had. The consumer under
 // test, attached by attachConsumer, must reproduce it exactly: the same
 // global order of everything logged, at the same instants, in the same
@@ -29,14 +29,13 @@ const (
 	cReady              // schedule a zero-delay callback: another event on the ready ring
 	cUse                // use the facility for (arg%4+1)·5µs at priority arg%2
 	cDrop               // SetDrop(arg%2 == 0)
-	cClose              // close the mailbox
 )
 
 // consumerOpKinds maps a script byte's low nibble to an operation, putting
-// most weight on puts and making Close rare, since it ends the consumer.
+// most weight on puts.
 var consumerOpKinds = [16]int{
-	cPut, cPut, cPut, cPut, cPutPair, cPutPair, cHold, cHold,
-	cCallbackPut, cCallbackPut, cReady, cUse, cUse, cDrop, cDrop, cClose,
+	cPut, cPut, cPut, cPut, cPut, cPutPair, cPutPair, cHold, cHold,
+	cCallbackPut, cCallbackPut, cReady, cUse, cUse, cDrop, cDrop,
 }
 
 type consumerOp struct{ kind, arg int }
@@ -73,15 +72,11 @@ func chargeOf(v int) Duration { return Duration(v%4+1) * 5 * Microsecond }
 // spawn events it scheduled. logf records a line of the run's log.
 type consumerAttacher func(e *Engine, mb *Mailbox[int], f *Facility, mode int, logf func(string, ...any)) int
 
-// attachProcessConsumer is the reference: a process looping on Recv.
+// attachProcessConsumer is the reference: a process looping on Get.
 func attachProcessConsumer(e *Engine, mb *Mailbox[int], f *Facility, mode int, logf func(string, ...any)) int {
 	e.Spawn("consumer", func(p *Proc) {
 		for {
-			v, ok := mb.Recv(p)
-			if !ok {
-				logf("consumer closed")
-				return
-			}
+			v := mb.Get(p)
 			if mode == consumeCharge {
 				f.UsePriority(p, chargeOf(v), v%2)
 			}
@@ -118,9 +113,6 @@ func (c *handlerConsumer) HandleEvent() {
 	for {
 		v, ok := c.mb.Take()
 		if !ok {
-			if c.mb.Closed() {
-				c.logf("consumer closed")
-			}
 			return
 		}
 		if c.mode == consumeCharge {
@@ -133,8 +125,8 @@ func (c *handlerConsumer) HandleEvent() {
 }
 
 // runConsumerScript drives s on a fresh engine with the consumer attach
-// installs, and returns the log: every actor step, callback, consumed
-// message and the consumer's end, each with the clock and the number of
+// installs, and returns the log: every actor step, callback and consumed
+// message, each with the clock and the number of
 // events dispatched before it (less the consumer's spawn events), then the
 // run's final event count.
 func runConsumerScript(t *testing.T, s consumerScript, attach consumerAttacher) []string {
@@ -171,8 +163,6 @@ func runConsumerScript(t *testing.T, s consumerScript, attach consumerAttacher) 
 					f.UsePriority(p, chargeOf(op.arg), op.arg%2)
 				case cDrop:
 					mb.SetDrop(op.arg%2 == 0)
-				case cClose:
-					mb.Close()
 				}
 				logf("a%d.%d kind=%d arg=%d", w, step, op.kind, op.arg)
 			}
@@ -209,7 +199,7 @@ func logLine(log []string, i int) string {
 // TestMailboxConsumerMatchesProcess drives the consumer under test and the
 // reference through the same random scripts: puts from processes and from
 // callbacks at the same instant, backlogs, other events on the ready ring,
-// facility requests at both priorities, drop mode and Close.
+// facility requests at both priorities and drop mode.
 func TestMailboxConsumerMatchesProcess(t *testing.T) {
 	src := rng.NewFactory(13).Stream("scripts")
 	for n := 0; n < 1500; n++ {

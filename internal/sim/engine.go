@@ -177,9 +177,6 @@ func (e *Engine) Now() Time { return e.now }
 // only a nil check when disabled.
 func (e *Engine) SetSink(s obs.Sink) { e.sink = s }
 
-// Sink returns the installed trace sink, or nil.
-func (e *Engine) Sink() obs.Sink { return e.sink }
-
 // Tracing reports whether a trace sink is installed. Emitters use it to
 // skip event construction (and its string formatting) when tracing is off.
 func (e *Engine) Tracing() bool { return e.sink != nil }
@@ -483,9 +480,6 @@ type Body interface {
 	Namer
 	Run(p *Proc)
 }
-
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Name reports the process name: the name given at Spawn, or the Name of
 // a SpawnBody process's record, formatted now.

@@ -71,7 +71,7 @@ func TestScheduleCallback(t *testing.T) {
 	e := New()
 	var at Time = -1
 	e.Spawn("p", func(p *Proc) {
-		p.Engine().Schedule(7*Millisecond, func() { at = e.Now() })
+		e.Schedule(7*Millisecond, func() { at = e.Now() })
 		p.Hold(10 * Millisecond)
 	})
 	if err := e.Run(); err != nil {
@@ -117,7 +117,7 @@ func TestStopFromProcess(t *testing.T) {
 			p.Hold(Millisecond)
 			ran++
 			if ran == 5 {
-				p.Engine().Stop()
+				e.Stop()
 				// The process keeps executing until its next yield.
 				return
 			}
@@ -319,7 +319,7 @@ func TestResumeAfterStop(t *testing.T) {
 			p.Hold(Millisecond)
 			steps++
 			if steps == 3 {
-				p.Engine().Stop()
+				e.Stop()
 			}
 		}
 	})

@@ -29,11 +29,10 @@ type Mailbox[T any] struct {
 	wcount int
 
 	// consumer, when set, is the mailbox's only consumer; armed means it
-	// waits for the next Put, as a consumer process parked in Recv would.
+	// waits for the next Put, as a consumer process parked in Get would.
 	consumer Handler
 	armed    bool
 
-	closed   bool
 	dropping bool
 }
 
@@ -79,38 +78,37 @@ func (l Label) String() string {
 }
 
 // Consume makes h the mailbox's only consumer, in place of a process
-// looping on Recv. The consumer waits armed: a Put (or Close) schedules h
-// at the current instant, exactly where it would wake the parked process,
+// looping on Get. The consumer waits armed: a Put schedules h at the
+// current instant, exactly where it would wake the parked process,
 // and disarms it. h then drains the backlog with Take, which re-arms the
 // consumer when the mailbox runs empty, so further Puts while h is
 // scheduled or busy only queue, as they would for the running process.
 // A mailbox with a consumer has no consumer processes. A backlog queued
 // before Consume schedules h at once.
 func (m *Mailbox[T]) Consume(h Handler) {
-	m.consumer, m.armed = h, !m.closed
+	m.consumer, m.armed = h, true
 	if m.count > 0 {
 		m.wakeOne()
 	}
 }
 
 // Take removes and returns the oldest message for the consumer handler.
-// On an empty mailbox it returns ok=false and re-arms the consumer, unless
-// the mailbox is closed: a closed mailbox's consumer is done. Without a
-// consumer, Take is TryGet.
+// On an empty mailbox it returns ok=false and re-arms the consumer. Without
+// a consumer, Take only polls the mailbox.
 func (m *Mailbox[T]) Take() (T, bool) {
 	if m.count > 0 {
 		return m.pop(), true
 	}
-	m.armed = m.consumer != nil && !m.closed
+	m.armed = m.consumer != nil
 	var zero T
 	return zero, false
 }
 
 // Put enqueues a message and wakes one waiting consumer, if any. It never
 // blocks and may be called from event callbacks as well as processes. While
-// the mailbox is closed or in drop mode the message is silently discarded.
+// the mailbox is in drop mode the message is silently discarded.
 func (m *Mailbox[T]) Put(v T) {
-	if m.closed || m.dropping {
+	if m.dropping {
 		return
 	}
 	if m.count == len(m.buf) {
@@ -150,13 +148,6 @@ func (m *Mailbox[T]) wakeOne() {
 	}
 }
 
-// wakeAll releases the consumer and every live waiter (used by Close).
-func (m *Mailbox[T]) wakeAll() {
-	for m.armed || m.wcount > 0 {
-		m.wakeOne()
-	}
-}
-
 // addWaiter registers p at the tail of the waiting-consumer ring.
 func (m *Mailbox[T]) addWaiter(p *Proc) {
 	if m.wcount == len(m.wbuf) {
@@ -188,42 +179,22 @@ func (m *Mailbox[T]) removeWaiter(p *Proc) bool {
 }
 
 // Get removes and returns the oldest message, blocking the calling process
-// until one is available. Get on a closed, empty mailbox panics: callers
-// that must survive closure use Recv.
+// until one is available.
 func (m *Mailbox[T]) Get(p *Proc) T {
-	v, ok := m.Recv(p)
-	if !ok {
-		panic("sim: Get on closed mailbox " + m.Name())
-	}
-	return v
-}
-
-// Recv removes and returns the oldest message, blocking the calling process
-// until one is available. It returns ok=false when the mailbox is closed
-// and empty.
-func (m *Mailbox[T]) Recv(p *Proc) (T, bool) {
 	for m.count == 0 {
-		if m.closed {
-			var zero T
-			return zero, false
-		}
 		m.addWaiter(p)
 		p.Park()
 	}
-	return m.pop(), true
+	return m.pop()
 }
 
 // GetTimeout removes and returns the oldest message, blocking the calling
 // process until one is available or d has elapsed. It returns ok=false on
-// timeout or when the mailbox is closed and empty. When a message and the
-// deadline land on the same instant, the message wins.
+// timeout. When a message and the deadline land on the same instant, the
+// message wins.
 func (m *Mailbox[T]) GetTimeout(p *Proc, d Duration) (T, bool) {
 	if m.count > 0 {
 		return m.pop(), true
-	}
-	if m.closed {
-		var zero T
-		return zero, false
 	}
 	timedOut := false
 	armed := true
@@ -240,11 +211,6 @@ func (m *Mailbox[T]) GetTimeout(p *Proc, d Duration) (T, bool) {
 		}
 	})
 	for m.count == 0 && !timedOut {
-		if m.closed {
-			armed = false
-			var zero T
-			return zero, false
-		}
 		m.addWaiter(p)
 		p.Park()
 	}
@@ -254,16 +220,6 @@ func (m *Mailbox[T]) GetTimeout(p *Proc, d Duration) (T, bool) {
 	}
 	var zero T
 	return zero, false
-}
-
-// TryGet removes and returns the oldest message without blocking. The second
-// result reports whether a message was available.
-func (m *Mailbox[T]) TryGet() (T, bool) {
-	if m.count == 0 {
-		var zero T
-		return zero, false
-	}
-	return m.pop(), true
 }
 
 // pop removes the ring head. Must only be called when count > 0.
@@ -279,108 +235,18 @@ func (m *Mailbox[T]) pop() T {
 // Len reports the number of queued messages.
 func (m *Mailbox[T]) Len() int { return m.count }
 
-// Close marks the mailbox closed: the backlog is discarded, future Puts are
-// dropped, and every blocked consumer is released (Recv and GetTimeout
-// return ok=false; Get panics). Closing twice is a no-op.
-func (m *Mailbox[T]) Close() {
-	if m.closed {
-		return
-	}
-	m.closed = true
-	m.flush()
-	m.wakeAll()
-}
-
-// Closed reports whether Close has been called.
-func (m *Mailbox[T]) Closed() bool { return m.closed }
-
 // SetDrop switches the mailbox into (or out of) drop mode: while dropping,
 // Put discards messages instead of queueing them — the shape of a crashed
 // receiver whose interface is down. Entering drop mode discards the backlog
-// too; blocked consumers stay parked (the receiver is "down", not closed).
+// too; blocked consumers stay parked (the receiver is down, not gone).
 func (m *Mailbox[T]) SetDrop(drop bool) {
 	m.dropping = drop
-	if drop {
-		m.flush()
+	if !drop {
+		return
 	}
-}
-
-// flush discards the queued backlog.
-func (m *Mailbox[T]) flush() {
 	var zero T
 	for i := 0; i < m.count; i++ {
 		m.buf[(m.head+i)&(len(m.buf)-1)] = zero
 	}
 	m.head, m.count = 0, 0
 }
-
-// Trigger is a one-shot completion event: processes Wait on it, and Fire
-// releases all current and future waiters. It coordinates, e.g., a query
-// scheduler waiting for every participating operator to report done.
-type Trigger struct {
-	eng     *Engine
-	fired   bool
-	waiters []*Proc
-}
-
-// NewTrigger creates an unfired trigger.
-func NewTrigger(e *Engine) *Trigger { return &Trigger{eng: e} }
-
-// Wait blocks the process until the trigger fires. If it has already fired,
-// Wait returns immediately.
-func (t *Trigger) Wait(p *Proc) {
-	for !t.fired {
-		t.waiters = append(t.waiters, p)
-		p.Park()
-	}
-}
-
-// Fire releases all waiters. Firing twice is a no-op.
-func (t *Trigger) Fire() {
-	if t.fired {
-		return
-	}
-	t.fired = true
-	for _, p := range t.waiters {
-		t.eng.Wake(p)
-	}
-	t.waiters = nil
-}
-
-// Fired reports whether the trigger has fired.
-func (t *Trigger) Fired() bool { return t.fired }
-
-// Gate counts down from n and fires an inner trigger when it reaches zero.
-// It models barrier-style coordination (e.g. "wait for all participants").
-type Gate struct {
-	remaining int
-	trigger   *Trigger
-}
-
-// NewGate creates a gate that opens after n calls to Done. A gate with n<=0
-// is already open.
-func NewGate(e *Engine, n int) *Gate {
-	g := &Gate{remaining: n, trigger: NewTrigger(e)}
-	if n <= 0 {
-		g.trigger.Fire()
-	}
-	return g
-}
-
-// Done decrements the counter, opening the gate at zero. Calling Done more
-// times than the initial count panics: it indicates a protocol bug.
-func (g *Gate) Done() {
-	if g.remaining <= 0 {
-		panic("sim: Gate.Done called after gate already open")
-	}
-	g.remaining--
-	if g.remaining == 0 {
-		g.trigger.Fire()
-	}
-}
-
-// Wait blocks until the gate opens.
-func (g *Gate) Wait(p *Proc) { g.trigger.Wait(p) }
-
-// Remaining reports how many Done calls are still outstanding.
-func (g *Gate) Remaining() int { return g.remaining }

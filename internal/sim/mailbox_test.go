@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestMailboxFIFO(t *testing.T) {
 	e := New()
@@ -82,118 +79,6 @@ func TestMailboxMultipleConsumersEachMessageDeliveredOnce(t *testing.T) {
 	}
 }
 
-func TestMailboxTryGet(t *testing.T) {
-	e := New()
-	mb := NewMailbox[int](e, "mb")
-	if _, ok := mb.TryGet(); ok {
-		t.Fatal("TryGet on empty mailbox returned ok")
-	}
-	mb.Put(7)
-	if v, ok := mb.TryGet(); !ok || v != 7 {
-		t.Fatalf("TryGet = (%d, %v)", v, ok)
-	}
-	if mb.Len() != 0 {
-		t.Fatalf("len = %d", mb.Len())
-	}
-}
-
-func TestTriggerReleasesAllWaiters(t *testing.T) {
-	e := New()
-	tr := NewTrigger(e)
-	released := 0
-	for i := 0; i < 4; i++ {
-		e.Spawn("w", func(p *Proc) {
-			tr.Wait(p)
-			released++
-		})
-	}
-	e.Spawn("firer", func(p *Proc) {
-		p.Hold(Millisecond)
-		tr.Fire()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if released != 4 {
-		t.Fatalf("released = %d", released)
-	}
-}
-
-func TestTriggerWaitAfterFireReturnsImmediately(t *testing.T) {
-	e := New()
-	tr := NewTrigger(e)
-	tr.Fire()
-	tr.Fire() // double fire is a no-op
-	var when Time = -1
-	e.Spawn("w", func(p *Proc) {
-		tr.Wait(p)
-		when = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if when != 0 {
-		t.Fatalf("waiter resumed at %v", when)
-	}
-	if !tr.Fired() {
-		t.Fatal("trigger should report fired")
-	}
-}
-
-func TestGateOpensAfterNDone(t *testing.T) {
-	e := New()
-	g := NewGate(e, 3)
-	var opened Time = -1
-	e.Spawn("waiter", func(p *Proc) {
-		g.Wait(p)
-		opened = p.Now()
-	})
-	for i := 0; i < 3; i++ {
-		i := i
-		e.Spawn("worker", func(p *Proc) {
-			p.Hold(Duration(i+1) * Millisecond)
-			g.Done()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if opened != 3*Time(Millisecond) {
-		t.Fatalf("gate opened at %v", opened)
-	}
-	if g.Remaining() != 0 {
-		t.Fatalf("remaining = %d", g.Remaining())
-	}
-}
-
-func TestGateZeroIsOpen(t *testing.T) {
-	e := New()
-	g := NewGate(e, 0)
-	passed := false
-	e.Spawn("w", func(p *Proc) {
-		g.Wait(p)
-		passed = true
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !passed {
-		t.Fatal("zero gate should be open")
-	}
-}
-
-func TestGateExtraDonePanics(t *testing.T) {
-	e := New()
-	g := NewGate(e, 1)
-	e.Spawn("w", func(p *Proc) {
-		g.Done()
-		g.Done()
-	})
-	if err := e.Run(); err == nil {
-		t.Fatal("extra Done should surface as error")
-	}
-}
-
 // A GetTimeout that returns early on a message must disarm its deadline
 // timer: the stale timer used to pull the proc out of a *later*
 // GetTimeout's waiter slot at the exact instant that call's own timer was
@@ -245,12 +130,6 @@ func TestMailboxLabel(t *testing.T) {
 			t.Errorf("Name() = %q, want %q", got, tc.want)
 		}
 	}
-	mb := NewMailboxLabel[int](e, Labelf("host.q%d", 9))
-	mb.Close()
-	e.Spawn("reader", func(p *Proc) { mb.Get(p) })
-	if err := e.Run(); err == nil || !strings.Contains(err.Error(), "Get on closed mailbox host.q9") {
-		t.Fatalf("Run error %v, want the closed mailbox's name", err)
-	}
 }
 
 // A consumer handler attached to a mailbox that already holds messages is
@@ -289,8 +168,8 @@ func (h *drainHandler) HandleEvent() {
 	}
 }
 
-// Take on a mailbox with no consumer handler is TryGet: running empty arms
-// nothing, so a later Put schedules no event.
+// Take on a mailbox with no consumer handler only polls it: running empty
+// arms nothing, so a later Put schedules no event.
 func TestTakeWithoutConsumerArmsNothing(t *testing.T) {
 	e := New()
 	mb := NewMailbox[int](e, "mb")

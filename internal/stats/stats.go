@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -38,9 +37,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// N reports the number of observations.
-func (a *Accumulator) N() int64 { return a.n }
-
 // Mean reports the sample mean (0 if empty).
 func (a *Accumulator) Mean() float64 { return a.mean }
 
@@ -60,18 +56,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 
 // Max reports the largest observation (0 if empty).
 func (a *Accumulator) Max() float64 { return a.max }
-
-// Sum reports the sum of all observations.
-func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
-
-// Reset discards all observations.
-func (a *Accumulator) Reset() { *a = Accumulator{} }
-
-// String summarizes the accumulator for traces.
-func (a *Accumulator) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
-		a.n, a.Mean(), a.StdDev(), a.min, a.max)
-}
 
 // BatchMeans estimates a confidence interval for the mean of a (possibly
 // autocorrelated) series by splitting it into batches, a standard technique

@@ -14,9 +14,6 @@ func TestAccumulatorBasics(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		a.Add(x)
 	}
-	if a.N() != 8 {
-		t.Fatalf("N = %d", a.N())
-	}
 	if !almost(a.Mean(), 5, 1e-12) {
 		t.Fatalf("mean = %g", a.Mean())
 	}
@@ -27,14 +24,11 @@ func TestAccumulatorBasics(t *testing.T) {
 	if a.Min() != 2 || a.Max() != 9 {
 		t.Fatalf("min/max = %g/%g", a.Min(), a.Max())
 	}
-	if !almost(a.Sum(), 40, 1e-9) {
-		t.Fatalf("sum = %g", a.Sum())
-	}
 }
 
 func TestAccumulatorEmpty(t *testing.T) {
 	var a Accumulator
-	if a.Mean() != 0 || a.Variance() != 0 || a.StdDev() != 0 || a.N() != 0 {
+	if a.Mean() != 0 || a.Variance() != 0 || a.StdDev() != 0 {
 		t.Fatal("empty accumulator should report zeros")
 	}
 }
@@ -47,16 +41,6 @@ func TestAccumulatorSingle(t *testing.T) {
 	}
 	if a.Min() != 3.5 || a.Max() != 3.5 {
 		t.Fatal("min/max of single sample wrong")
-	}
-}
-
-func TestAccumulatorReset(t *testing.T) {
-	var a Accumulator
-	a.Add(1)
-	a.Add(2)
-	a.Reset()
-	if a.N() != 0 || a.Mean() != 0 {
-		t.Fatal("Reset did not clear state")
 	}
 }
 
@@ -134,9 +118,6 @@ func TestTableRendering(t *testing.T) {
 	}
 	if !strings.Contains(s, "12.5") || !strings.Contains(s, "n/a") {
 		t.Fatalf("missing cells:\n%s", s)
-	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
 	}
 }
 

@@ -34,9 +34,6 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows reports the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table as aligned text.
 func (t *Table) String() string {
 	width := make([]int, len(t.Headers))

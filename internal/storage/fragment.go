@@ -214,9 +214,6 @@ func (f *Fragment) slotOfTID(tid int64) (int, bool) {
 	return slot, slot < len(f.rows) && f.src[f.rows[slot]].TID == tid
 }
 
-// NumDataPages reports the number of data pages.
-func (f *Fragment) NumDataPages() int { return f.dataPages }
-
 // FootprintPages is the fragment's on-disk footprint: data pages plus
 // every index's tree pages. Used to normalize fragment heat by capacity.
 func (f *Fragment) FootprintPages() int {

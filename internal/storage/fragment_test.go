@@ -66,8 +66,8 @@ func TestFragmentLayoutContiguous(t *testing.T) {
 	if f.NumTuples() != 100 {
 		t.Fatalf("tuples = %d", f.NumTuples())
 	}
-	if f.NumDataPages() != 25 { // 100/4
-		t.Fatalf("data pages = %d", f.NumDataPages())
+	if f.dataPages != 25 { // 100/4
+		t.Fatalf("data pages = %d", f.dataPages)
 	}
 	if f.DataPageOfSlot(0) != 0 || f.DataPageOfSlot(4) != 1 || f.DataPageOfSlot(99) != 24 {
 		t.Fatal("slot->page mapping wrong")
@@ -166,7 +166,7 @@ func TestEmptyFragment(t *testing.T) {
 	alloc := NewAllocator(100)
 	f := BuildFragment(0, nil, nil, nil, Unique2, smallLayout(), alloc)
 	f.AddIndex(Unique2, alloc)
-	if f.NumTuples() != 0 || f.NumDataPages() != 0 {
+	if f.NumTuples() != 0 || f.dataPages != 0 {
 		t.Fatal("empty fragment has tuples/pages")
 	}
 	acc := mustAcc(f.SearchClustered(0, 10))
@@ -279,8 +279,8 @@ func TestScan(t *testing.T) {
 	f, _ := buildTestFragment(t, 100)
 	acc := f.Scan(Ten, 3, 3)
 	pages := dataPages(acc)
-	if len(pages) != f.NumDataPages() {
-		t.Fatalf("scan touched %d pages, want all %d", len(pages), f.NumDataPages())
+	if len(pages) != f.dataPages {
+		t.Fatalf("scan touched %d pages, want all %d", len(pages), f.dataPages)
 	}
 	want := 0
 	for slot := 0; slot < f.NumTuples(); slot++ {
