@@ -55,13 +55,6 @@ func (c *CPU) ExecuteTime(p *sim.Proc, d sim.Duration, prio int) {
 	c.fac.UsePriority(p, d, prio)
 }
 
-// ExecuteTimeFor charges a service duration at the given priority on
-// behalf of a handler instead of a process: h runs as an event when the
-// service completes (sim.Facility.Request).
-func (c *CPU) ExecuteTimeFor(h sim.Handler, d sim.Duration, prio int) {
-	c.fac.Request(h, d, prio)
-}
-
 func (c *CPU) run(p *sim.Proc, instr, prio int) {
 	if instr < 0 {
 		panic(fmt.Sprintf("hw: negative instruction count %d on %s", instr, c.fac.Name()))

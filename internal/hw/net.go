@@ -55,7 +55,7 @@ func (c *NIC) HandleEvent() {
 	for m, ok := c.rx.Take(); ok; m, ok = c.rx.Take() {
 		if cost := c.recvCost(m.Bytes); cost > 0 {
 			c.inCPU, c.cur = true, m
-			c.cpu.ExecuteTimeFor(c, cost, PrioTransfer)
+			c.cpu.fac.Request(c, cost, PrioTransfer)
 			return
 		}
 		c.inbox.Put(m)

@@ -56,28 +56,33 @@ func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 func (t Time) String() string     { return fmt.Sprintf("%.3fms", t.Milliseconds()) }
 func (d Duration) String() string { return fmt.Sprintf("%.3fms", d.Milliseconds()) }
 
-// event is a pooled scheduler record: it resumes a parked process, runs a
-// callback closure, or invokes a Handler. Records live in the engine's pool
-// and are addressed by index; the heap and ready ring order indices, never
-// records, so scheduling allocates nothing once the pool is warm.
+// event is a pooled scheduler record: the Handler to run at (t, seq). A
+// process, a callback and a component are all Handlers, so the record is
+// four words. Records live in the engine's pool and are addressed by
+// index; the heap and ready ring order indices, never records, so
+// scheduling allocates nothing once the pool is warm.
 type event struct {
 	t   Time
 	seq uint64
-	p   *Proc
-	fn  func()
 	h   Handler
 }
 
-// Handler is the closure-free scheduling target: components with a single
-// outstanding timer (a facility's in-service completion, a disk transfer)
-// implement it and schedule themselves with ScheduleHandler, storing two
-// interface words in the pooled event record instead of allocating a new
-// closure per request.
+// Handler is the kernel's one event target. A *Proc resumes itself, a
+// Schedule callback runs itself (funcHandler), and a component with
+// timer state in its own struct (a facility's in-service completion, a
+// disk transfer, a mailbox's consumer) schedules itself with
+// ScheduleHandler. Each is stored as two interface words in the pooled
+// event record, so none allocates a closure per event.
 type Handler interface {
-	// HandleEvent runs when the scheduled time arrives, in event order,
-	// exactly like a Schedule callback.
+	// HandleEvent runs when the scheduled time arrives, in event order.
 	HandleEvent()
 }
+
+// funcHandler runs a Schedule callback. A func value is one pointer word,
+// so storing it in a Handler allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) HandleEvent() { f() }
 
 // Namer reports a name formatted only when something reads it. A handler
 // may implement it to name itself in the run error of its panic and on the
@@ -217,8 +222,8 @@ func (e *Engine) alloc(ev event) int32 {
 	return int32(len(e.pool) - 1)
 }
 
-// release clears a record (dropping its closure/process references) and
-// returns its slot to the free list.
+// release clears a record (dropping its handler reference) and returns
+// its slot to the free list.
 func (e *Engine) release(idx int32) {
 	e.pool[idx] = event{}
 	e.free = append(e.free, idx)
@@ -328,13 +333,12 @@ func (e *Engine) Schedule(d Duration, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	e.schedule(event{t: e.now + Time(d), seq: e.nextSeq(), fn: fn})
+	e.schedule(event{t: e.now + Time(d), seq: e.nextSeq(), h: funcHandler(fn)})
 }
 
-// ScheduleHandler runs h.HandleEvent at the current time plus d. Unlike
-// Schedule it captures no closure: the handler's interface value is stored
-// directly in the pooled event record, so a component that embeds its timer
-// state schedules with zero allocation.
+// ScheduleHandler runs h.HandleEvent at the current time plus d. Unlike a
+// Schedule closure it captures nothing: a component that embeds its timer
+// state schedules itself with zero allocation.
 func (e *Engine) ScheduleHandler(d Duration, h Handler) {
 	if d < 0 {
 		panic("sim: negative delay")
@@ -390,7 +394,7 @@ func (e *Engine) Close() {
 		p := e.procs[len(e.procs)-1]
 		p.killed = true
 		for !p.finished {
-			e.resume(p)
+			p.HandleEvent()
 		}
 	}
 	for _, c := range e.idle {
@@ -400,13 +404,6 @@ func (e *Engine) Close() {
 	e.idle = nil
 	e.pool, e.free, e.eheap, e.ready = nil, nil, nil, nil
 	e.rhead, e.rcount = 0, 0
-}
-
-// resume switches into p's coroutine and returns when p next yields: it
-// holds, parks or finishes.
-func (e *Engine) resume(p *Proc) {
-	e.stats.Switches++
-	p.co.next()
 }
 
 // RunUntil processes events with timestamps <= deadline, then sets the clock
@@ -419,7 +416,7 @@ func (e *Engine) RunUntil(deadline Time) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			what := "callback"
-			if ev.h != nil {
+			if _, ok := ev.h.(funcHandler); !ok {
 				what = fmt.Sprintf("handler %q", handlerName(ev.h))
 			}
 			e.fail(fmt.Errorf("sim: %s %w: %v\n%s", what, ErrPanicked, r, debug.Stack()))
@@ -442,16 +439,10 @@ func (e *Engine) RunUntil(deadline Time) (err error) {
 		ev = e.pool[idx]
 		e.release(idx)
 		e.now = ev.t
-		switch {
-		case ev.fn != nil:
-			ev.fn()
-		case ev.h != nil:
-			ev.h.HandleEvent()
-		case ev.p.finished:
+		if p, ok := ev.h.(*Proc); ok && p.finished {
 			continue // process already ran to completion or unwound
-		default:
-			e.resume(ev.p)
 		}
+		ev.h.HandleEvent()
 		e.stats.Events++
 	}
 	return e.err
@@ -488,6 +479,15 @@ func (p *Proc) Name() string {
 		return p.body.Name()
 	}
 	return p.name
+}
+
+// HandleEvent resumes the process, which is the Handler of its own
+// wake-ups: it switches into p's coroutine and returns when p next yields
+// (holds, parks or finishes). It implements the engine's Handler interface
+// and is not meant to be called directly.
+func (p *Proc) HandleEvent() {
+	p.eng.stats.Switches++
+	p.co.next()
 }
 
 // Now reports the current simulated time.
@@ -531,7 +531,7 @@ func (e *Engine) spawn(t Time, p *Proc, fn func(p *Proc)) *Proc {
 	p.co = e.coroFor(p, fn)
 	e.procs = append(e.procs, p)
 	e.stats.Spawns++
-	e.schedule(event{t: t, seq: e.nextSeq(), p: p})
+	e.schedule(event{t: t, seq: e.nextSeq(), h: p})
 	return p
 }
 
@@ -561,7 +561,10 @@ func (p *Proc) yield() {
 	e := p.eng
 	if !e.stopped && (e.rcount > 0 || len(e.eheap) > 0) {
 		next, fromRing := e.nextEvent()
-		if ev := &e.pool[next]; ev.p == p && ev.t <= e.deadline {
+		ev := &e.pool[next]
+		// ev.h == Handler(p), as a type assertion: two compares, where
+		// the interface comparison calls into the runtime.
+		if q, _ := ev.h.(*Proc); q == p && ev.t <= e.deadline {
 			if fromRing {
 				e.readyPop()
 			} else {
@@ -591,12 +594,13 @@ func (p *Proc) Hold(d Duration) {
 		panic("sim: negative hold")
 	}
 	e := p.eng
-	e.schedule(event{t: e.now + Time(d), seq: e.nextSeq(), p: p})
+	e.schedule(event{t: e.now + Time(d), seq: e.nextSeq(), h: p})
 	p.yield()
 }
 
 // Park blocks the process with no scheduled wake-up; some other entity must
-// call Wake. Used by mailboxes, facilities and triggers.
+// call Wake or schedule the process as a Handler. Mailboxes, facilities and
+// the disk park their waiting processes this way.
 func (p *Proc) Park() {
 	p.eng.parked++
 	defer func() { p.eng.parked-- }()
@@ -605,7 +609,7 @@ func (p *Proc) Park() {
 
 // Wake schedules the parked process to resume at the current time.
 func (e *Engine) Wake(p *Proc) {
-	e.schedule(event{t: e.now, seq: e.nextSeq(), p: p})
+	e.schedule(event{t: e.now, seq: e.nextSeq(), h: p})
 }
 
 // Active reports the number of live processes (running, held, or parked).

@@ -13,11 +13,14 @@ import (
 // transfers to/from the disk's FIFO buffer", which we map to a high-priority
 // class) and the FCFS network interfaces.
 //
-// The wait queue is an intrusive singly-linked list of pooled request
-// nodes, and service completion is scheduled through the engine's Handler
-// path, so steady-state operation allocates nothing: nodes recycle through
-// a per-facility free list and the single in-service request lives in a
-// struct field instead of a per-completion closure.
+// Every request names the Handler to schedule when its service completes:
+// the requesting process itself (UsePriority), or a component that
+// requests service for itself (Request). The wait queue is an intrusive
+// singly-linked list of pooled request nodes, and the facility is the
+// Handler of its own service completion, so steady-state operation
+// allocates nothing: nodes recycle through a per-facility free list and
+// the single in-service request lives in a struct field instead of a
+// per-completion closure.
 type Facility struct {
 	eng  *Engine
 	name string
@@ -38,8 +41,7 @@ type Facility struct {
 }
 
 type facRequest struct {
-	p       *Proc   // the process to wake on completion, or nil
-	h       Handler // the handler to schedule on completion when p is nil
+	h       Handler // scheduled when the service completes
 	service Duration
 	prio    int
 	qid     int64
@@ -67,34 +69,30 @@ func (f *Facility) SetMeta(node int, category string) {
 // the calling process until the service completes.
 func (f *Facility) Use(p *Proc, service Duration) { f.UsePriority(p, service, 0) }
 
-// UsePriority requests service at the given priority. Larger priorities are
-// served first; ties are FCFS.
+// UsePriority requests service at the given priority on behalf of p,
+// tagged with p's query, and parks p until the service completes. Larger
+// priorities are served first; ties are FCFS.
 func (f *Facility) UsePriority(p *Proc, service Duration, prio int) {
-	if service < 0 {
-		panic(fmt.Sprintf("sim: facility %s: negative service time", f.name))
-	}
-	req := f.newRequest()
-	req.p, req.service, req.prio, req.qid = p, service, prio, p.qid
-	if f.cur != nil {
-		f.enqueue(req)
-		p.Park() // woken when our service completes
-		return
-	}
-	f.serve(req)
-	p.Park()
+	f.request(p, service, prio, p.qid)
+	p.Park() // woken when our service completes
 }
 
-// Request asks for service at the given priority on behalf of h instead
-// of a process: it queues and is served exactly like UsePriority, and when
-// the service completes, h runs as an event at that instant, scheduled
-// where the requesting process would have been woken. The request carries
-// no query tag, and its span is named by h (see Namer).
+// Request asks for service at the given priority on behalf of h: it queues
+// and is served exactly like UsePriority, and when the service completes,
+// h runs as an event at that instant, where a requesting process would
+// resume. The request carries no query tag, and its span is named by h
+// (see Namer).
 func (f *Facility) Request(h Handler, service Duration, prio int) {
+	f.request(h, service, prio, 0)
+}
+
+// request queues h's request, or serves it at once on an idle facility.
+func (f *Facility) request(h Handler, service Duration, prio int, qid int64) {
 	if service < 0 {
 		panic(fmt.Sprintf("sim: facility %s: negative service time", f.name))
 	}
 	req := f.newRequest()
-	req.h, req.service, req.prio = h, service, prio
+	req.h, req.service, req.prio, req.qid = h, service, prio, qid
 	if f.cur != nil {
 		f.enqueue(req)
 		return
@@ -171,23 +169,16 @@ func (f *Facility) serve(req *facRequest) {
 	f.eng.ScheduleHandler(req.service, f)
 }
 
-// HandleEvent completes the in-service request: it wakes the owner (or
-// schedules the owning handler), recycles the request node, and starts the
-// next queued request. It implements the engine's Handler interface and is
-// not meant to be called directly.
+// HandleEvent completes the in-service request: it schedules the
+// request's handler at this instant (for a process, its wake-up), recycles
+// the request node, and starts the next queued request. It implements the
+// engine's Handler interface and is not meant to be called directly.
 func (f *Facility) HandleEvent() {
 	req := f.cur
-	if req.p != nil {
-		if f.curSpan.Active() {
-			f.curSpan.End(f.node, f.category, req.p.Name(), req.qid, "")
-		}
-		f.eng.Wake(req.p)
-	} else {
-		if f.curSpan.Active() {
-			f.curSpan.End(f.node, f.category, handlerName(req.h), req.qid, "")
-		}
-		f.eng.ScheduleHandler(0, req.h)
+	if f.curSpan.Active() {
+		f.curSpan.End(f.node, f.category, handlerName(req.h), req.qid, "")
 	}
+	f.eng.ScheduleHandler(0, req.h)
 	f.recycle(req)
 	if next := f.dequeue(); next != nil {
 		f.serve(next)
