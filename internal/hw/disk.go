@@ -52,6 +52,7 @@ type Disk struct {
 	// Fault-injection state. All fields stay at their zero values unless a
 	// fault.Injector drives them, so the healthy hot path costs one branch.
 	failed     bool                // fail-stop: reject everything until Repair
+	aborted    bool                // Fail hit the in-flight transfer
 	failNext   int                 // next N reads fail with a transient error
 	degrade    float64             // latency multiplier; <=1 means nominal
 	pendingErr map[*sim.Proc]error // error to deliver to a parked requester
@@ -147,13 +148,15 @@ func (d *Disk) failRequest(p *sim.Proc, err error) {
 }
 
 // Fail makes the disk fail-stop: every queued request errors out now, the
-// in-flight transfer aborts when its arm event fires, and new requests are
-// rejected until Repair. Failing a failed disk is a no-op.
+// in-flight transfer is marked aborted and errors out when its arm event
+// fires, even if Repair comes first, and new requests are rejected until
+// Repair. Failing a failed disk is a no-op.
 func (d *Disk) Fail() {
 	if d.failed {
 		return
 	}
 	d.failed = true
+	d.aborted = d.busy
 	for _, req := range d.queue {
 		d.failRequest(req.p, fmt.Errorf("hw: %s: %s p%d: %w",
 			d.name, verb(req.write), req.physPage, ErrDiskFailed))
@@ -161,8 +164,9 @@ func (d *Disk) Fail() {
 	d.queue = d.queue[:0]
 }
 
-// Repair brings a failed disk back. Requests issued after Repair succeed;
-// nothing lost during the outage is replayed.
+// Repair brings a failed disk back. Requests issued after Repair succeed,
+// queued behind a transfer Fail aborted if its arm event has not fired
+// yet; nothing lost during the outage is replayed.
 func (d *Disk) Repair() { d.failed = false }
 
 // FailNextReads arms n one-shot transient errors: the next n reads fail
@@ -186,8 +190,8 @@ func (d *Disk) SetLatencyFactor(f float64) {
 
 // startNext picks the next request per the elevator policy and runs it.
 // Must only be called while busy with a non-empty queue. The in-flight
-// request lives in d.cur and completion is scheduled through the engine's
-// Handler path, so a transfer allocates no per-request closure.
+// request lives in d.cur and the disk schedules itself as the Handler of
+// its completion, so a transfer allocates no per-request closure.
 func (d *Disk) startNext() {
 	idx := d.pickElevator()
 	req := d.queue[idx]
@@ -206,9 +210,9 @@ func (d *Disk) startNext() {
 }
 
 // HandleEvent completes the in-flight transfer: it emits the transfer's
-// trace span, wakes the owner, and starts the next queued request. It
-// implements the engine's Handler interface and is not meant to be called
-// directly.
+// trace span, wakes the owner (with ErrDiskFailed when Fail aborted the
+// transfer), and starts the next queued request. It implements the
+// engine's Handler interface and is not meant to be called directly.
 func (d *Disk) HandleEvent() {
 	req := d.cur
 	if d.curSpan.Active() {
@@ -216,18 +220,16 @@ func (d *Disk) HandleEvent() {
 			fmt.Sprintf("%s p%d", verb(req.write), req.physPage), req.qid,
 			fmt.Sprintf("cyl %d", d.params.Cylinder(req.physPage)))
 	}
-	if d.failed {
+	if d.aborted {
 		// The disk fail-stopped while this transfer was in flight: the
-		// requester gets an error instead of its page, and the queue was
-		// already flushed by Fail.
+		// requester gets an error instead of its page. Fail flushed the
+		// queue, so it holds only requests made after a Repair.
+		d.aborted = false
 		d.failRequest(req.p, fmt.Errorf("hw: %s: %s p%d: %w",
 			d.name, verb(req.write), req.physPage, ErrDiskFailed))
-		d.busy = false
-		d.cur = diskReq{}
-		d.clock.Stop(d.eng.Now())
-		return
+	} else {
+		d.eng.Wake(req.p)
 	}
-	d.eng.Wake(req.p)
 	if len(d.queue) > 0 {
 		d.startNext()
 	} else {

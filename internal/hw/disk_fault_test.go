@@ -66,6 +66,45 @@ func TestDiskFailAbortsQueuedAndInFlight(t *testing.T) {
 	}
 }
 
+// A Repair that lands inside the in-flight transfer does not save it: the
+// transfer Fail aborted still errors out when its arm event fires, and a
+// request made after the Repair, queued behind it, is served.
+func TestDiskRepairDuringTransfer(t *testing.T) {
+	e, p, _, disk := testRig(t)
+	var aborted, after error
+	var abortedAt, afterAt sim.Time
+	e.Spawn("inflight", func(pr *sim.Proc) {
+		aborted = disk.ReadHeat(pr, 500*p.PagesPerCylinder, nil)
+		abortedAt = pr.Now()
+	})
+	e.Spawn("outage", func(pr *sim.Proc) {
+		pr.Hold(sim.Microsecond)
+		disk.Fail()
+		pr.Hold(sim.Microsecond)
+		disk.Repair()
+		after = disk.ReadHeat(pr, 7, nil)
+		afterAt = pr.Now()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(aborted, ErrDiskFailed) {
+		t.Fatalf("transfer in flight across Fail and Repair: err = %v, want ErrDiskFailed", aborted)
+	}
+	if abortedAt <= sim.Time(2*sim.Microsecond) {
+		t.Fatalf("aborted transfer returned at %v, before its arm event", abortedAt)
+	}
+	if after != nil {
+		t.Fatalf("read issued after Repair: err = %v", after)
+	}
+	if afterAt <= abortedAt {
+		t.Fatalf("read issued after Repair finished at %v, not after the aborted transfer (%v)", afterAt, abortedAt)
+	}
+	if disk.QueueLen() != 0 || disk.Reads() != 2 {
+		t.Fatalf("queue %d, reads %d after the run, want 0 and 2", disk.QueueLen(), disk.Reads())
+	}
+}
+
 func TestDiskFailNextReadsTransient(t *testing.T) {
 	e, _, _, disk := testRig(t)
 	disk.FailNextReads(2)
