@@ -406,8 +406,10 @@ func (e *Engine) Close() {
 	e.rhead, e.rcount = 0, 0
 }
 
-// RunUntil processes events with timestamps <= deadline, then sets the clock
-// to the deadline (if it advanced that far). See Run for the return value.
+// RunUntil processes events with timestamps <= deadline, then advances the
+// clock to the deadline if events remain beyond it. The clock never moves
+// backwards: a deadline earlier than Now runs nothing and leaves the clock
+// where it is. See Run for the return value.
 // A panic in a callback or a handler fails the run like a panicking
 // process: RunUntil recovers it into an ErrPanicked error naming the
 // handler, and the engine stays stopped.
@@ -427,7 +429,7 @@ func (e *Engine) RunUntil(deadline Time) (err error) {
 	for !e.stopped && (e.rcount > 0 || len(e.eheap) > 0) {
 		next, fromRing := e.nextEvent()
 		if e.pool[next].t > deadline {
-			e.now = deadline
+			e.now = max(e.now, deadline)
 			return e.err
 		}
 		var idx int32

@@ -122,6 +122,26 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	}
 }
 
+// A second RunUntil with an earlier deadline runs nothing and leaves the
+// clock where the first one put it.
+func TestRunUntilEarlierDeadlineKeepsClock(t *testing.T) {
+	e := New()
+	ran := 0
+	e.Schedule(20*Millisecond, func() { ran++ })
+	if err := e.RunUntil(15 * Time(Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunUntil(5 * Time(Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() != 15*Time(Millisecond) {
+		t.Fatalf("clock = %v after RunUntil(15ms) then RunUntil(5ms), want 15ms", e.Now())
+	}
+	if ran != 0 || e.Pending() != 1 {
+		t.Fatalf("ran = %d, pending = %d; want the 20ms event still pending", ran, e.Pending())
+	}
+}
+
 func TestStopFromProcess(t *testing.T) {
 	e := New()
 	ran := 0
