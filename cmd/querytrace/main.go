@@ -115,9 +115,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfg := gamma.DefaultConfig()
-		cfg.HW.NumProcessors = *procs
-		machine, err := gamma.Build(rel, pl, cfg)
+		machine, err := gamma.Build(rel, pl, gamma.DefaultConfig())
 		if err != nil {
 			fatal(err)
 		}

@@ -20,7 +20,7 @@ import (
 func main() {
 	// 1. A 20,000-tuple Wisconsin relation with uncorrelated unique1 (A)
 	//    and unique2 (B) attributes.
-	const card = 20000
+	const card, processors = 20000, 32
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: card, Seed: 42})
 	fmt.Printf("relation %q: %d tuples, %d attributes\n\n",
 		rel.Name, rel.Cardinality(), storage.NumAttrs)
@@ -33,7 +33,7 @@ func main() {
 	// 3. Build the three placements. MAGIC needs the workload's estimated
 	//    resource requirements to size fragments (Section 3.2 of the paper).
 	specs := workload.EstimateSpecs(mix, card, cfg.HW, cfg.Costs)
-	pp := workload.PlanParamsFor(card, cfg.HW.NumProcessors, cfg.Costs)
+	pp := workload.PlanParamsFor(card, processors, cfg.Costs)
 	magic, err := core.BuildMAGIC(rel, []int{storage.Unique1, storage.Unique2}, specs, pp, nil)
 	if err != nil {
 		log.Fatal(err)

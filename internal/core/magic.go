@@ -7,13 +7,13 @@ import (
 	"repro/internal/storage"
 )
 
+// rebalanceMaxIters bounds the Section 4 hill climber.
+const rebalanceMaxIters = 200
+
 // MagicOptions tunes the MAGIC construction; the zero value gives the
 // paper's algorithm. The ablation flags exist for the design-choice benches
 // DESIGN.md calls out.
 type MagicOptions struct {
-	// SplitWeights overrides the per-attribute splitting frequencies
-	// (default: the plan's Mi-proportional weights).
-	SplitWeights map[int]float64
 	// RoundRobinAssign replaces the Mi-aware tiled assignment with naive
 	// round-robin over cells (ablation: shows why slice-aware assignment
 	// matters).
@@ -21,12 +21,6 @@ type MagicOptions struct {
 	// DisableRebalance skips the Section 4 hill-climbing rebalancing
 	// (ablation: shows the skew correlated data causes without it).
 	DisableRebalance bool
-	// RebalanceMaxIters bounds the hill climber (default 200).
-	RebalanceMaxIters int
-	// MaxCells overrides the directory-size cap (default
-	// max(16*P, 4*Cardinality/FC); see gridfile.SetMaxCells for why highly
-	// correlated data needs one).
-	MaxCells int
 }
 
 // MAGICPlacement is the Multi-Attribute GrId deClustering strategy
@@ -69,15 +63,12 @@ func BuildMAGIC(rel *storage.Relation, attrs []int, queries []QuerySpec, pp Plan
 		return nil, err
 	}
 
-	// Splitting frequencies per grid dimension.
+	// Splitting frequencies per grid dimension: the plan's Mi-proportional
+	// weights.
 	weights := make([]float64, len(attrs))
-	src := plan.SplitWeights
-	if opts.SplitWeights != nil {
-		src = opts.SplitWeights
-	}
 	var sum float64
 	for i, a := range attrs {
-		weights[i] = src[a]
+		weights[i] = plan.SplitWeights[a]
 		sum += weights[i]
 	}
 	if sum <= 0 {
@@ -86,15 +77,10 @@ func BuildMAGIC(rel *storage.Relation, attrs []int, queries []QuerySpec, pp Plan
 	}
 
 	// Grid file insertion phase (Section 3.3).
+	// The directory-size cap is max(16*P, 4*Cardinality/FC); see
+	// gridfile.SetMaxCells for why highly correlated data needs one.
 	grid := gridfile.New(plan.FC, weights, boundsOf(rel, attrs))
-	maxCells := opts.MaxCells
-	if maxCells <= 0 {
-		maxCells = 4 * (pp.Cardinality/plan.FC + 1)
-		if floor := 16 * pp.Processors; maxCells < floor {
-			maxCells = floor
-		}
-	}
-	grid.SetMaxCells(maxCells)
+	grid.SetMaxCells(max(4*(pp.Cardinality/plan.FC+1), 16*pp.Processors))
 	// Insert in a scrambled (but deterministic) order: relations arrive
 	// sorted on the clustered attribute, and feeding sorted data to the
 	// grid file front-loads all directory refinement into the low region —
@@ -154,11 +140,7 @@ func BuildMAGIC(rel *storage.Relation, attrs []int, queries []QuerySpec, pp Plan
 		m.dimOf[a] = d
 	}
 	if !opts.DisableRebalance {
-		iters := opts.RebalanceMaxIters
-		if iters <= 0 {
-			iters = 200
-		}
-		m.swaps = Rebalance(m.owners, dims, counts, pp.Processors, iters)
+		m.swaps = Rebalance(m.owners, dims, counts, pp.Processors, rebalanceMaxIters)
 	}
 	return m, nil
 }

@@ -30,28 +30,27 @@ func newDegradedRig(t *testing.T) *degradedRig {
 	t.Helper()
 	eng := sim.New()
 	params := hw.DefaultParams()
-	params.NumProcessors = 2
 	costs := DefaultCosts()
 	streams := rng.NewFactory(5)
 
-	cpus := make([]*hw.CPU, 3)
-	for i := 0; i < 2; i++ {
+	cpus := make([]*hw.CPU, rigNodes+1)
+	for i := 0; i < rigNodes; i++ {
 		cpus[i] = hw.NewCPU(eng, "cpu", params)
 	}
 	net := hw.NewNetwork(eng, params, cpus)
 
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
-	placement := core.NewRangeForRelation(rel, storage.Unique1, 2)
+	placement := core.NewRangeForRelation(rel, storage.Unique1, rigNodes)
 	r := &degradedRig{eng: eng, net: net, rel: rel}
 	layout := storage.Layout{TuplesPerPage: 8, IndexFanout: 8, IndexLeafCap: 8}
 
-	byHome := make([][]int32, 2)
+	byHome := make([][]int32, rigNodes)
 	for row, tup := range rel.Tuples {
 		h := placement.HomeOf(tup)
 		byHome[h] = append(byHome[h], int32(row))
 	}
-	allocs := make([]*storage.Allocator, 2)
-	for i := 0; i < 2; i++ {
+	allocs := make([]*storage.Allocator, rigNodes)
+	for i := 0; i < rigNodes; i++ {
 		disk := hw.NewDisk(eng, "disk", params, cpus[i], streams.Stream("lat"))
 		pool := buffer.NewPool(eng, 16, disk)
 		n := NewNode(eng, i, params, costs, net, cpus[i], disk, pool)
@@ -66,8 +65,8 @@ func newDegradedRig(t *testing.T) *degradedRig {
 	// Chained replicas: node i's fragment is rebuilt, with the same indexes,
 	// on its chain successor — keyed by i so rerouted operators answer for
 	// the primary home.
-	for i := 0; i < 2; i++ {
-		b := core.ChainBackup(i, 2)
+	for i := 0; i < rigNodes; i++ {
+		b := core.ChainBackup(i, rigNodes)
 		frag := storage.BuildFragment(i, rel.Tuples, byHome[i], make([]int32, len(rel.Tuples)), storage.Unique2, layout, allocs[b])
 		frag.AddIndex(storage.Unique2, allocs[b])
 		frag.AddIndex(storage.Unique1, allocs[b])
@@ -76,15 +75,15 @@ func newDegradedRig(t *testing.T) *degradedRig {
 	for _, n := range r.nodes {
 		n.Start()
 	}
-	r.view = fault.NewView(2)
-	r.host = NewHost(eng, 2, params, net, costs)
+	r.view = fault.NewView(rigNodes)
+	r.host = NewHost(eng, rigNodes, params, net, costs)
 	r.host.AddRelation(rel.Name, placement)
 	r.host.Degraded = &Degraded{
 		Policy: DefaultRetryPolicy(),
 		View:   r.view,
 		Backup: func(slot, slots int) int {
 			if slots <= 0 {
-				slots = 2
+				slots = rigNodes
 			}
 			return core.ChainBackup(slot, slots)
 		},
@@ -173,7 +172,7 @@ func TestDegradedAggregateRetriesOnUnannouncedDiskFailure(t *testing.T) {
 	var res QueryResult
 	r.eng.Spawn("probe", func(p *sim.Proc) {
 		res = r.host.Submit(p, plan.NewAggregate(plan.AggSum, storage.Unique1,
-			plan.NewIndexScan(r.rel.Name, bothNodes, AccessClustered)))
+			plan.NewIndexScan(r.rel.Name, bothNodes, plan.AccessClustered)))
 		r.eng.Stop()
 	})
 	if err := r.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
@@ -261,8 +260,7 @@ func TestDegradedSurvivesCrashRestartWindow(t *testing.T) {
 // double-counting tuples or panicking.
 func TestDegradedAbsorbsDuplicatedReplies(t *testing.T) {
 	r := newDegradedRig(t)
-	r.net.EnableFaults(nil, 0, 0) // scheduled faults only, no probabilistic ones
-	r.net.DupNext(2, 4)           // duplicate the next 4 messages addressed to the host
+	r.net.DupNext(2, 4) // duplicate the next 4 messages addressed to the host
 	res := r.execute(t)
 	if res.Tuples != 20 {
 		t.Fatalf("got %d tuples, want 20 exactly once", res.Tuples)

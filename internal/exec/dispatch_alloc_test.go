@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -28,7 +29,7 @@ func TestOperatorDispatchAllocs(t *testing.T) {
 	pred := core.Predicate{Attr: storage.Unique2, Lo: 0, Hi: 49}
 	qid := int64(7)
 	msg := hw.Message{From: r.host.ID, To: 0, Bytes: controlBytes, Payload: startOp{
-		QueryID: qid, Relation: rel.Name, Pred: pred, Access: AccessClustered, ReplyTo: r.host.ID,
+		QueryID: qid, Relation: rel.Name, Pred: pred, Access: plan.AccessClustered, ReplyTo: r.host.ID,
 	}}
 	replies := sim.NewMailbox[any](r.eng, "replies")
 	r.host.pending[qid] = replies
@@ -60,7 +61,7 @@ func TestOperatorDispatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	access := testing.AllocsPerRun(100, func() {
-		accessSink, err = accessFor(hold.Frag, AccessClustered, pred, nil)
+		accessSink, err = accessFor(hold.Frag, plan.AccessClustered, pred, nil)
 	})
 	if err != nil {
 		t.Fatal(err)

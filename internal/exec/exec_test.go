@@ -23,16 +23,19 @@ type rig struct {
 	rel   *storage.Relation
 }
 
+// rigNodes is the processor count of newRig's and newDegradedRig's
+// machines; the host is node rigNodes.
+const rigNodes = 2
+
 func newRig(t testing.TB, placement core.Placement) *rig {
 	t.Helper()
 	eng := sim.New()
 	params := hw.DefaultParams()
-	params.NumProcessors = 2
 	costs := DefaultCosts()
 	streams := rng.NewFactory(5)
 
-	cpus := make([]*hw.CPU, 3)
-	for i := 0; i < 2; i++ {
+	cpus := make([]*hw.CPU, rigNodes+1)
+	for i := 0; i < rigNodes; i++ {
 		cpus[i] = hw.NewCPU(eng, "cpu", params)
 	}
 	net := hw.NewNetwork(eng, params, cpus)
@@ -40,7 +43,7 @@ func newRig(t testing.TB, placement core.Placement) *rig {
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
 	r := &rig{eng: eng, net: net, rel: rel}
 	layout := storage.Layout{TuplesPerPage: 8, IndexFanout: 8, IndexLeafCap: 8}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < rigNodes; i++ {
 		disk := hw.NewDisk(eng, "disk", params, cpus[i], streams.Stream("lat"))
 		pool := buffer.NewPool(eng, 16, disk)
 		n := NewNode(eng, i, params, costs, net, cpus[i], disk, pool)
@@ -58,17 +61,17 @@ func newRig(t testing.TB, placement core.Placement) *rig {
 		n.Start()
 		r.nodes = append(r.nodes, n)
 	}
-	r.host = NewHost(eng, 2, params, net, costs)
+	r.host = NewHost(eng, rigNodes, params, net, costs)
 	r.host.AddRelation(rel.Name, placement)
 	r.host.Start()
 	return r
 }
 
-func chooser(pred core.Predicate) AccessKind {
+func chooser(pred core.Predicate) plan.Access {
 	if pred.Attr == storage.Unique1 {
-		return AccessNonClustered
+		return plan.AccessNonClustered
 	}
-	return AccessClustered
+	return plan.AccessClustered
 }
 
 // selectOn is the selection plan a terminal submits: pred against the named
@@ -162,12 +165,12 @@ func TestQueriesShareNodesConcurrently(t *testing.T) {
 }
 
 func TestAccessKindString(t *testing.T) {
-	if AccessClustered.String() != "clustered" ||
-		AccessNonClustered.String() != "non-clustered" ||
-		AccessTIDFetch.String() != "tid-fetch" {
-		t.Fatal("AccessKind names wrong")
+	if plan.AccessClustered.String() != "clustered" ||
+		plan.AccessNonClustered.String() != "non-clustered" ||
+		plan.AccessTIDFetch.String() != "tid-fetch" {
+		t.Fatal("plan.Access names wrong")
 	}
-	if AccessKind(99).String() != "unknown" {
+	if plan.Access(99).String() != "unknown" {
 		t.Fatal("unknown access kind should say so")
 	}
 }

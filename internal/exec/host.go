@@ -301,7 +301,7 @@ func (d *hostDispatch) Name() string { return "host.dispatch" }
 // AccessChooser maps a predicate to the access method its operators use;
 // the workload defines it (Section 6: non-clustered index on A, clustered
 // index on B).
-type AccessChooser func(pred core.Predicate) AccessKind
+type AccessChooser func(pred core.Predicate) plan.Access
 
 // fullDomain is the predicate a bare (predicate-free) Scan leaf executes:
 // every tuple of the relation qualifies.
@@ -311,7 +311,7 @@ func fullDomain() core.Predicate {
 
 // resolveSelection lowers a selection subtree to (relation, predicate,
 // access kind), applying the full-domain predicate to bare scans.
-func (h *Host) resolveSelection(n *plan.Node) (string, core.Predicate, AccessKind) {
+func (h *Host) resolveSelection(n *plan.Node) (string, core.Predicate, plan.Access) {
 	sel, err := plan.CompileSelection(n)
 	if err != nil {
 		panic(fmt.Sprintf("exec: %v", err))

@@ -25,7 +25,6 @@ func newJoinRig(t *testing.T, p int, rPl, sPl core.Placement) *joinRig {
 	t.Helper()
 	eng := sim.New()
 	params := hw.DefaultParams()
-	params.NumProcessors = p
 	costs := DefaultCosts()
 	streams := rng.NewFactory(5)
 
@@ -247,7 +246,7 @@ func TestAggregates(t *testing.T) {
 		rig.eng.Resume() // continue after the previous query's Stop
 		rig.eng.Spawn("agg", func(p *sim.Proc) {
 			res = rig.host.Submit(p, plan.NewAggregate(fn, attr,
-				plan.NewIndexScan("r", pred, AccessClustered)))
+				plan.NewIndexScan("r", pred, plan.AccessClustered)))
 			rig.eng.Stop()
 		})
 		if err := rig.eng.RunUntil(sim.Time(10 * 60 * sim.Second)); err != nil {
@@ -293,7 +292,7 @@ func TestAggregateEmptyRange(t *testing.T) {
 	var res QueryResult
 	rig.eng.Spawn("agg", func(p *sim.Proc) {
 		res = rig.host.Submit(p, plan.NewAggregate(plan.AggMax, storage.Unique1,
-			plan.NewIndexScan("r", core.Predicate{Attr: storage.Unique2, Lo: 90000, Hi: 90010}, AccessClustered)))
+			plan.NewIndexScan("r", core.Predicate{Attr: storage.Unique2, Lo: 90000, Hi: 90010}, plan.AccessClustered)))
 		rig.eng.Stop()
 	})
 	if err := rig.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {

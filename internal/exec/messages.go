@@ -12,20 +12,6 @@ import (
 	"repro/internal/storage"
 )
 
-// AccessKind selects the access method an operator uses. It is an alias of
-// plan.Access: the plan layer owns the access-method vocabulary, and the
-// execution layer consumes it unchanged (same values, same strings).
-type AccessKind = plan.Access
-
-// Access methods of the workload (Section 6) plus the fallback scan,
-// re-exported for the execution layer's historical spelling.
-const (
-	AccessClustered    = plan.AccessClustered    // clustered B+-tree range scan
-	AccessNonClustered = plan.AccessNonClustered // non-clustered B+-tree + tuple fetches
-	AccessTIDFetch     = plan.AccessTIDFetch     // direct fetch by TID (BERD step two)
-	AccessSeqScan      = plan.AccessSeqScan      // full sequential scan (no usable index)
-)
-
 // controlBytes is the size of a control message (start, done); the paper's
 // Table 2 prices a 100-byte message.
 const controlBytes = 100
@@ -39,8 +25,8 @@ type startOp struct {
 	QueryID  int64
 	Relation string
 	Pred     core.Predicate
-	Access   AccessKind
-	TIDs     []int64 // AccessTIDFetch only: the primary fragment's qualifying TIDs
+	Access   plan.Access
+	TIDs     []int64 // plan.AccessTIDFetch only: the primary fragment's qualifying TIDs
 	ReplyTo  int     // scheduler node
 	// Attempt tags this dispatch for at-most-once accounting under retries
 	// and message duplication: the scheduler's collector matches replies
@@ -164,7 +150,7 @@ const batchMemberBytes = 24
 // admission order.
 type batchOp struct {
 	Relation string
-	Access   AccessKind
+	Access   plan.Access
 	ReplyTo  int
 	Members  []batchMember
 	// Role and Epoch select the fragment exactly as on startOp; members

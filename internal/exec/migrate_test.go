@@ -27,13 +27,14 @@ type migrateRig struct {
 func newMigrateRig(t *testing.T) *migrateRig {
 	t.Helper()
 	eng := sim.New()
+	// Three nodes: two slots plus the node that joins in generation 1.
+	const nodes = 3
 	params := hw.DefaultParams()
-	params.NumProcessors = 3
 	costs := DefaultCosts()
 	streams := rng.NewFactory(5)
 
-	cpus := make([]*hw.CPU, 4)
-	for i := 0; i < 3; i++ {
+	cpus := make([]*hw.CPU, nodes+1)
+	for i := 0; i < nodes; i++ {
 		cpus[i] = hw.NewCPU(eng, "cpu", params)
 	}
 	net := hw.NewNetwork(eng, params, cpus)
@@ -48,8 +49,8 @@ func newMigrateRig(t *testing.T) *migrateRig {
 		h := placement.HomeOf(tup)
 		bySlot[h] = append(bySlot[h], int32(row))
 	}
-	allocs := make([]*storage.Allocator, 3)
-	for i := 0; i < 3; i++ {
+	allocs := make([]*storage.Allocator, nodes)
+	for i := 0; i < nodes; i++ {
 		disk := hw.NewDisk(eng, "disk", params, cpus[i], streams.Stream("lat"))
 		pool := buffer.NewPool(eng, 16, disk)
 		n := NewNode(eng, i, params, costs, net, cpus[i], disk, pool)
@@ -80,7 +81,7 @@ func newMigrateRig(t *testing.T) *migrateRig {
 	for _, n := range r.nodes {
 		n.Start()
 	}
-	r.host = NewHost(eng, 3, params, net, costs)
+	r.host = NewHost(eng, nodes, params, net, costs)
 	r.host.AddRelation(rel.Name, placement)
 	r.host.Start()
 	return r

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -412,15 +413,15 @@ func (n *Node) runSelect(p *sim.Proc, req startOp) {
 }
 
 // accessFor runs one access method against a resolved fragment.
-func accessFor(frag *storage.Fragment, kind AccessKind, pred core.Predicate, tids []int64) (storage.Access, error) {
+func accessFor(frag *storage.Fragment, kind plan.Access, pred core.Predicate, tids []int64) (storage.Access, error) {
 	switch kind {
-	case AccessClustered:
+	case plan.AccessClustered:
 		return frag.SearchClustered(pred.Lo, pred.Hi)
-	case AccessNonClustered:
+	case plan.AccessNonClustered:
 		return frag.SearchNonClustered(pred.Attr, pred.Lo, pred.Hi)
-	case AccessTIDFetch:
+	case plan.AccessTIDFetch:
 		return frag.FetchTIDs(tids)
-	case AccessSeqScan:
+	case plan.AccessSeqScan:
 		return frag.Scan(pred.Attr, pred.Lo, pred.Hi), nil
 	default:
 		return storage.Access{}, fmt.Errorf("exec: unknown access kind %v", kind)

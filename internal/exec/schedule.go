@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -104,7 +105,7 @@ type collector struct {
 	qid      int64
 	relation string
 	pred     core.Predicate
-	kind     AccessKind
+	kind     plan.Access
 	aux      bool       // the current phase is BERD's auxiliary step
 	share    bool       // selection operators ride shared-scan batches
 	agg      *aggregate // non-nil: the operators fold partial aggregates
@@ -317,7 +318,7 @@ func (col *collector) dispatch(c *call) {
 	op := startOp{QueryID: col.qid, Relation: col.relation, Pred: col.pred, ReplyTo: h.ID,
 		Access: col.kind, Attempt: c.attempt, Role: c.role, Epoch: col.epoch, Agg: col.agg}
 	if col.fetchTIDs {
-		op.Access = AccessTIDFetch
+		op.Access = plan.AccessTIDFetch
 		op.TIDs = col.tidsByProc[c.primary]
 	}
 	h.net.Send(col.p, nil, hw.Message{
@@ -458,7 +459,7 @@ func (h *Host) placement(relation string) core.Placement {
 // down. An aggregate's operators fold partials, which need no TIDs: it
 // skips BERD's auxiliary step by asking every processor, and never rides a
 // shared-scan batch.
-func (h *Host) schedule(p *sim.Proc, relation string, pred core.Predicate, kind AccessKind, agg *aggregate) QueryResult {
+func (h *Host) schedule(p *sim.Proc, relation string, pred core.Predicate, kind plan.Access, agg *aggregate) QueryResult {
 	placement := h.placement(relation)
 	var col collector
 	h.begin(&col, p, relation, pred)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/plan"
 	"repro/internal/sim"
 )
 
@@ -69,7 +70,7 @@ type shareKey struct {
 	node     int
 	relation string
 	attr     int
-	access   AccessKind
+	access   plan.Access
 	role     Role
 	epoch    int
 }
@@ -128,7 +129,7 @@ func (s *SharedScans) ResetStats() { s.stats = SharingStats{} }
 // group — and scheduling its window flush — if it is the first. Admission
 // order within a batch is the coordinators' arrival order, which the node
 // preserves when replying, so per-query results are reproducible.
-func (s *SharedScans) enqueue(node int, relation string, pred core.Predicate, access AccessKind,
+func (s *SharedScans) enqueue(node int, relation string, pred core.Predicate, access plan.Access,
 	qid int64, attempt int, role Role, epoch int) {
 	k := shareKey{node: node, relation: relation, attr: pred.Attr, access: access,
 		role: role, epoch: epoch}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -22,10 +23,10 @@ func TestSharedEnqueueAllocs(t *testing.T) {
 
 	// First member opens the batch and spawns the flusher — not the path
 	// under test.
-	s.enqueue(0, rel.Name, pred, AccessClustered, 1, 0, Primary, 0)
+	s.enqueue(0, rel.Name, pred, plan.AccessClustered, 1, 0, Primary, 0)
 	qid := int64(2)
 	avg := testing.AllocsPerRun(2000, func() {
-		s.enqueue(0, rel.Name, pred, AccessClustered, qid, 0, Primary, 0)
+		s.enqueue(0, rel.Name, pred, plan.AccessClustered, qid, 0, Primary, 0)
 		qid++
 	})
 	if avg > 1 {

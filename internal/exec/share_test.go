@@ -164,7 +164,7 @@ func TestSubmitIndexScanMatchesSelect(t *testing.T) {
 	r := newRig(t, pl)
 	var b QueryResult
 	r.eng.Spawn("probe", func(p *sim.Proc) {
-		b = r.host.Submit(p, plan.NewIndexScan(rel.Name, pred, AccessClustered))
+		b = r.host.Submit(p, plan.NewIndexScan(rel.Name, pred, plan.AccessClustered))
 		r.eng.Stop()
 	})
 	if err := r.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
@@ -189,7 +189,7 @@ func TestSubmitFilterIntersection(t *testing.T) {
 		b = r.host.Submit(p, plan.NewFilter(
 			core.Predicate{Attr: storage.Unique2, Lo: 40, Hi: 79},
 			plan.NewIndexScan(rel.Name,
-				core.Predicate{Attr: storage.Unique2, Lo: 30, Hi: 60}, AccessClustered)))
+				core.Predicate{Attr: storage.Unique2, Lo: 30, Hi: 60}, plan.AccessClustered)))
 		r.eng.Stop()
 	})
 	if err := r.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
@@ -217,7 +217,7 @@ func TestSubmitAggregatePlan(t *testing.T) {
 	var got QueryResult
 	r.eng.Spawn("probe", func(p *sim.Proc) {
 		got = r.host.Submit(p, plan.NewAggregate(plan.AggSum, storage.Unique1,
-			plan.NewIndexScan(rel.Name, pred, AccessClustered)))
+			plan.NewIndexScan(rel.Name, pred, plan.AccessClustered)))
 		r.eng.Stop()
 	})
 	if err := r.eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {

@@ -47,7 +47,7 @@ func TestConcurrentSubmitDuringCrashRestart(t *testing.T) {
 			for q := 0; q < rounds; q++ {
 				lo := int64((i*rounds + q) % 15 * 10)
 				res := r.host.Submit(p, plan.NewIndexScan(rel.Name,
-					core.Predicate{Attr: storage.Unique2, Lo: lo, Hi: lo + 19}, AccessClustered))
+					core.Predicate{Attr: storage.Unique2, Lo: lo, Hi: lo + 19}, plan.AccessClustered))
 				if !res.Outcome.Succeeded() {
 					t.Errorf("terminal %d query %d ended %s: %v", i, q, res.Outcome, res.Err)
 				}

@@ -43,13 +43,11 @@ type ElasticOptions struct {
 	// the rebalance default. The effective rate is further bounded by the
 	// per-page disk latency the copy I/O pays.
 	MigrateRate int `json:"migrate_rate,omitempty"`
-	// Tenants, SLOms, MaxInService, MaxQueue and MaxSimTime become the
-	// scenario's OpenOptions; zero values take its defaults.
-	Tenants      int          `json:"tenants"`
-	SLOms        float64      `json:"slo_ms"`
-	MaxInService int          `json:"max_in_service"`
-	MaxQueue     int          `json:"max_queue,omitempty"`
-	MaxSimTime   sim.Duration `json:"max_sim_time,omitempty"`
+	// Tenants, SLOms and MaxInService become the scenario's OpenOptions;
+	// zero values take its defaults.
+	Tenants      int     `json:"tenants"`
+	SLOms        float64 `json:"slo_ms"`
+	MaxInService int     `json:"max_in_service"`
 }
 
 func (o ElasticOptions) withDefaults(opts Options) ElasticOptions {
@@ -169,8 +167,6 @@ func ElasticScenario(figs []Figure, opts Options, eopts ElasticOptions) Scenario
 			Tenants:      eopts.Tenants,
 			SLOms:        eopts.SLOms,
 			MaxInService: eopts.MaxInService,
-			MaxQueue:     eopts.MaxQueue,
-			MaxSimTime:   eopts.MaxSimTime,
 		},
 		Elastic: &eopts,
 	}

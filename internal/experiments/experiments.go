@@ -149,13 +149,12 @@ type Options struct {
 	Heat     bool `json:"Heat,omitempty"`
 	HeatTopK int  `json:"HeatTopK,omitempty"`
 
-	// SharingWindowMS arms shared-scan batching on every machine the
-	// experiment builds (batching window in simulated milliseconds; 0 =
-	// gamma.DefaultSharingWindow when armed via ArmSharing, off otherwise).
-	// Composes with Faults/ChainedReplicas. Off by default, leaving
-	// experiment output byte-identical to a sharing-free build.
+	// SharingWindowMS > 0 arms shared-scan batching on every machine the
+	// experiment builds, with this batching window in simulated
+	// milliseconds; ArmSharing resolves a default window. Composes with
+	// Faults/ChainedReplicas. Off by default, leaving experiment output
+	// byte-identical to a sharing-free build.
 	SharingWindowMS float64 `json:"SharingWindowMS,omitempty"`
-	sharingArmed    bool
 }
 
 // ArmTelemetry arms windowed time-series sampling. Prefer these Arm helpers
@@ -174,13 +173,13 @@ func (o *Options) ArmHeat(topK int) {
 	o.HeatTopK = topK
 }
 
-// ArmSharing arms shared-scan batching; windowMS <= 0 selects the gamma
-// default window.
+// ArmSharing arms shared-scan batching; windowMS <= 0 selects
+// gamma.DefaultSharingWindow.
 func (o *Options) ArmSharing(windowMS float64) {
-	o.sharingArmed = true
-	if windowMS > 0 {
-		o.SharingWindowMS = windowMS
+	if windowMS <= 0 {
+		windowMS = float64(gamma.DefaultSharingWindow) / float64(sim.Millisecond)
 	}
+	o.SharingWindowMS = windowMS
 }
 
 // ArmFaults arms the deterministic fault injector (and, optionally,
@@ -189,10 +188,6 @@ func (o *Options) ArmFaults(spec *fault.Spec, chainedReplicas bool) {
 	o.Faults = spec
 	o.ChainedReplicas = chainedReplicas
 }
-
-// SharingArmed reports whether ArmSharing was called or a positive window
-// was set directly (archives round-trip only the window).
-func (o Options) SharingArmed() bool { return o.sharingArmed || o.SharingWindowMS > 0 }
 
 // PaperScale returns the full-scale options used for EXPERIMENTS.md.
 func PaperScale() Options {
@@ -284,18 +279,18 @@ func BuildPlacement(name string, rel *storage.Relation, mix workload.Mix, opts O
 
 // ConfigFor returns the machine configuration an experiment with these
 // options uses. An explicit Options.Config override wins: it is returned
-// with only the knobs Options itself carries — the processor count and the
-// seed — stamped on top, the same precedence RunCampaign has always
-// applied. Without an override the result is the Table 2 defaults, with
-// the buffer pool sized to the per-node index footprint (plus a small
-// margin) whatever the relation scale — index pages stay resident while
-// data pages pay I/O, which is the paper's cost regime. At paper scale this
+// with only the knobs Options itself carries — the seed and the subsystem
+// specs — stamped on top, the same precedence RunCampaign has always
+// applied. The processor count is the placement's, not the config's.
+// Without an override the result is the Table 2 defaults, with the buffer
+// pool sized to the per-node index footprint (plus a small margin)
+// whatever the relation scale — index pages stay resident while data pages
+// pay I/O, which is the paper's cost regime. At paper scale this
 // reproduces the default 24 pages.
 func ConfigFor(opts Options) gamma.Config {
 	opts = opts.withDefaults()
 	if opts.Config != nil {
 		cfg := *opts.Config
-		cfg.HW.NumProcessors = opts.Processors
 		cfg.Seed = opts.Seed
 		return stampSpecs(cfg, opts)
 	}
@@ -303,7 +298,6 @@ func ConfigFor(opts Options) gamma.Config {
 	leafCap := cfg.Layout.IndexLeafCap
 	perNode := (opts.Cardinality + opts.Processors*leafCap - 1) / (opts.Processors * leafCap)
 	cfg.BufferPages = 2*perNode + 6
-	cfg.HW.NumProcessors = opts.Processors
 	cfg.Seed = opts.Seed
 	return stampSpecs(cfg, opts)
 }
@@ -329,7 +323,7 @@ func stampSpecs(cfg gamma.Config, opts Options) gamma.Config {
 	if opts.Heat {
 		cfg.Heat = &gamma.HeatSpec{TopK: opts.HeatTopK}
 	}
-	if opts.SharingArmed() {
+	if opts.SharingWindowMS > 0 {
 		cfg.Sharing = &gamma.SharingSpec{
 			Window: sim.Duration(opts.SharingWindowMS * float64(sim.Millisecond)),
 		}

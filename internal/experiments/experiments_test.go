@@ -84,6 +84,14 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// Table 2 runs the simulated Gamma machine with 32 processors; the
+// processor count is the placement's, so the paper-scale options carry it.
+func TestPaperScaleMatchesTable2Processors(t *testing.T) {
+	if p := PaperScale().Processors; p != 32 {
+		t.Fatalf("PaperScale().Processors = %d, want Table 2's 32", p)
+	}
+}
+
 func TestBuildPlacementUnknownStrategy(t *testing.T) {
 	fig, _ := FigureByID("8a")
 	_ = fig

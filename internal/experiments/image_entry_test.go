@@ -27,13 +27,6 @@ func imageEntryFor(n int, cfg gamma.Config) (*imageEntry, *atomic.Int64, workloa
 	return entry, &layouts, workload.LowLow(rel.Cardinality())
 }
 
-// imageEntryConfig is the paper's machine config at 4 nodes.
-func imageEntryConfig() gamma.Config {
-	cfg := gamma.DefaultConfig()
-	cfg.HW.NumProcessors = 4
-	return cfg
-}
-
 // The shared storage image of one campaign key: jobs that all ask for it
 // first cause exactly one layout and get the same image, the last release
 // drops it, a layout error reaches every job, and a job that errors or
@@ -59,7 +52,7 @@ func TestSharedImageEntry(t *testing.T) {
 	}
 
 	t.Run("one layout, dropped on the last release", func(t *testing.T) {
-		entry, layouts, _ := imageEntryFor(n, imageEntryConfig())
+		entry, layouts, _ := imageEntryFor(n, gamma.DefaultConfig())
 		imgs, errs := acquireAll(entry)
 		for i := range imgs {
 			if errs[i] != nil || imgs[i] == nil || imgs[i] != imgs[0] {
@@ -105,7 +98,7 @@ func TestSharedImageEntry(t *testing.T) {
 		job := func(id string, entry *imageEntry, cfg gamma.Config, mix workload.Mix) harness.Job {
 			return harness.Job{ID: id, Run: sc.job(ScenarioPoint{ID: id, MPL: 2}, entry, cfg, mix, opts, nil)}
 		}
-		cfg := imageEntryConfig()
+		cfg := gamma.DefaultConfig()
 		entry, layouts, mix := imageEntryFor(2, cfg)
 		bad := cfg
 		bad.BufferPages = -1 // New rejects it after the entry is acquired
@@ -146,7 +139,7 @@ func TestSharedImageEntry(t *testing.T) {
 // mix) fails the job as a panic, not as an ordinary error, and the job
 // still releases its entry.
 func TestScenarioJobReportsSimulatedPanic(t *testing.T) {
-	cfg := imageEntryConfig()
+	cfg := gamma.DefaultConfig()
 	entry, _, _ := imageEntryFor(1, cfg)
 	var sc Scenario
 	opts := Options{WarmupQueries: 2, MeasureQueries: 20, Seed: 1}

@@ -44,10 +44,9 @@ func (p SharingPoint) SavedFrac() float64 {
 
 // SharingResult holds a completed shared-scan campaign.
 type SharingResult struct {
-	Figure   Figure
-	Options  Options
-	WindowMS float64
-	Points   []SharingPoint
+	Figure  Figure
+	Options Options
+	Points  []SharingPoint
 }
 
 // SharingScenario runs the figures' strategies across the MPL sweep, once
@@ -86,7 +85,6 @@ func (r ScenarioResult) Sharing() []SharingResult {
 	var out []SharingResult
 	for _, f := range r.Figures {
 		sr := SharingResult{Figure: f.Figure, Options: r.Scenario.Options}
-		sr.WindowMS = r.Scenario.Sweep[1].Options.SharingWindowMS
 		off := map[string]gamma.RunResult{}
 		for _, p := range f.Points {
 			key := fmt.Sprintf("%s/%d", p.Strategy, p.MPL)

@@ -105,15 +105,11 @@ type Spec struct {
 	// exponentially distributed inter-fault gaps with this mean from its
 	// own rng stream, and at each fault its next read fails once.
 	MTBF sim.Duration `json:"mtbf,omitempty"`
-	// NetDropP / NetDupP are per-logical-message probabilities of loss and
-	// duplication on the interconnect, drawn from a dedicated rng stream.
-	NetDropP float64 `json:"net_drop_p,omitempty"`
-	NetDupP  float64 `json:"net_dup_p,omitempty"`
 }
 
 // Enabled reports whether the spec injects anything at all.
 func (s *Spec) Enabled() bool {
-	return s != nil && (len(s.Events) > 0 || s.MTBF > 0 || s.NetDropP > 0 || s.NetDupP > 0)
+	return s != nil && (len(s.Events) > 0 || s.MTBF > 0)
 }
 
 // Validate checks the spec against a machine of the given node count.
@@ -137,9 +133,6 @@ func (s *Spec) Validate(nodes int) error {
 	}
 	if s.MTBF < 0 {
 		return fmt.Errorf("fault: negative MTBF %v", s.MTBF)
-	}
-	if s.NetDropP < 0 || s.NetDropP > 1 || s.NetDupP < 0 || s.NetDupP > 1 {
-		return fmt.Errorf("fault: drop/dup probabilities must be in [0,1]")
 	}
 	return nil
 }

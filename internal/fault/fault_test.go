@@ -157,8 +157,6 @@ func TestSpecEnabled(t *testing.T) {
 	cases := []Spec{
 		{Events: []Event{{Kind: DiskFail}}},
 		{MTBF: sim.Second},
-		{NetDropP: 0.1},
-		{NetDupP: 0.1},
 	}
 	for i, s := range cases {
 		if !s.Enabled() {
@@ -179,8 +177,6 @@ func TestSpecValidate(t *testing.T) {
 		{Events: []Event{{Kind: DiskFail, Node: -1}}},
 		{Events: []Event{{Kind: DiskFail, Dur: -sim.Second}}},
 		{MTBF: -sim.Second},
-		{NetDropP: 1.5},
-		{NetDupP: -0.1},
 	}
 	for i, s := range bad {
 		if err := s.Validate(4); err == nil {

@@ -47,7 +47,7 @@ func TestNewImageAllocs(t *testing.T) {
 // goroutines of the test binary allocate meanwhile.
 func imageAllocBytes(t *testing.T, rel *storage.Relation, cfg Config) int64 {
 	t.Helper()
-	pl := core.NewRangeForRelation(rel, storage.Unique1, cfg.HW.NumProcessors)
+	pl := core.NewRangeForRelation(rel, storage.Unique1, 32)
 	if _, err := NewImage(rel, pl, cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func settleGoroutines(t *testing.T, base int) {
 func TestMachineCloseLeavesNoGoroutines(t *testing.T) {
 	rel := smallRelation(t, 0)
 	mix := workload.LowLow(rel.Cardinality())
-	crash := smallConfig()
+	crash := DefaultConfig()
 	crash.ChainedReplicas = true
 	crash.Faults = &fault.Spec{Events: []fault.Event{
 		{At: 20 * sim.Millisecond, Kind: fault.NodeCrash, Node: 1},
@@ -41,14 +41,14 @@ func TestMachineCloseLeavesNoGoroutines(t *testing.T) {
 		run  func(t *testing.T) *Machine
 	}{
 		{"Run", func(t *testing.T) *Machine {
-			m := buildRange(t, rel, smallConfig())
+			m := buildRange(t, rel, DefaultConfig())
 			if _, err := m.Run(mix, RunSpec{MPL: 4, WarmupQueries: 5, MeasureQueries: 40}); err != nil {
 				t.Fatal(err)
 			}
 			return m
 		}},
 		{"RunServe", func(t *testing.T) *Machine {
-			m := buildBERD(t, rel, smallConfig())
+			m := buildBERD(t, rel, DefaultConfig())
 			if _, err := m.RunServe(mix, ServeSpec{
 				Arrival:        serve.ArrivalSpec{Kind: serve.Poisson, RateQPS: 200},
 				MaxInService:   8,
@@ -86,7 +86,7 @@ func TestMachineCloseLeavesNoGoroutines(t *testing.T) {
 			return m
 		}},
 		{"SimulateLoad", func(t *testing.T) *Machine {
-			m := buildRange(t, rel, smallConfig())
+			m := buildRange(t, rel, DefaultConfig())
 			if _, err := m.SimulateLoad(); err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestMachineCloseDoesNotChangeResults(t *testing.T) {
 	rel := smallRelation(t, 0)
 	mix := workload.LowLow(rel.Cardinality())
 	spec := RunSpec{MPL: 4, WarmupQueries: 5, MeasureQueries: 40}
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	a, err := m.Run(mix, spec)
 	if err != nil {
 		t.Fatal(err)

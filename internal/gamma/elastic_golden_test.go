@@ -30,7 +30,6 @@ func TestElasticResultGolden(t *testing.T) {
 		return core.NewBERDForRelation(rel, storage.Unique1, []int{storage.Unique2}, procs)
 	}
 	cfg := DefaultConfig()
-	cfg.HW.NumProcessors = 4
 	cfg.Seed = 7
 	cfg.ChainedReplicas = true
 	cfg.Heat = &HeatSpec{}
@@ -44,7 +43,7 @@ func TestElasticResultGolden(t *testing.T) {
 			return berd(rel, procs), nil
 		},
 	}
-	m, err := Build(rel, berd(rel, cfg.HW.NumProcessors), cfg)
+	m, err := Build(rel, berd(rel, 4), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func elasticRelation(t *testing.T) *storage.Relation {
 }
 
 func elasticConfig(events ...rebalance.Event) Config {
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Elastic = &ElasticSpec{Events: events, Rebuild: rangeRebuild}
 	return cfg
 }
@@ -216,7 +216,7 @@ func TestElasticPostRebalanceMatchesFromScratch(t *testing.T) {
 // dispatcher interleave here.
 func TestElasticRepairAfterCrashMidMigration(t *testing.T) {
 	rel := elasticRelation(t)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Elastic = &ElasticSpec{
 		Events: []rebalance.Event{{At: 100 * sim.Millisecond, Kind: rebalance.Join}},
 		// Slow copier: the join's copy window stays open well past the

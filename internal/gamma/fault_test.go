@@ -19,7 +19,7 @@ import (
 // across repeated runs of the same machine.
 func TestFaultRunDeterministic(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.ChainedReplicas = true
 	cfg.Faults = &fault.Spec{
 		Events: []fault.Event{
@@ -61,11 +61,11 @@ func TestEmptyFaultSpecMatchesLegacy(t *testing.T) {
 	mix := workload.LowLow(rel.Cardinality())
 	spec := RunSpec{MPL: 4, WarmupQueries: 10, MeasureQueries: 50}
 
-	legacy, err := buildRange(t, rel, smallConfig()).Run(mix, spec)
+	legacy, err := buildRange(t, rel, DefaultConfig()).Run(mix, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Faults = &fault.Spec{} // Enabled() == false: arms no fault handling
 	armed, err := buildRange(t, rel, cfg).Run(mix, spec)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestEmptyFaultSpecMatchesLegacy(t *testing.T) {
 // successor and still succeed.
 func TestDegradedRunSurvivesDiskKill(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.ChainedReplicas = true
 	cfg.Faults = &fault.Spec{Events: []fault.Event{
 		{At: sim.Millisecond, Kind: fault.DiskFail, Node: 2},
@@ -110,7 +110,7 @@ func TestDegradedRunSurvivesDiskKill(t *testing.T) {
 // error, the retry path reroutes them, and the window still completes.
 func TestDegradedRunSurvivesNodeCrashWindow(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.ChainedReplicas = true
 	cfg.Faults = &fault.Spec{Events: []fault.Event{
 		{At: 20 * sim.Millisecond, Kind: fault.NodeCrash, Node: 1, Dur: 300 * sim.Millisecond},
@@ -132,11 +132,11 @@ func TestDegradedRunSurvivesNodeCrashWindow(t *testing.T) {
 // Fault-spec validation failures must surface at Build time, not mid-run.
 func TestBuildRejectsBadFaultSpec(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Faults = &fault.Spec{Events: []fault.Event{
 		{At: sim.Millisecond, Kind: fault.DiskFail, Node: 99},
 	}}
-	pl := buildRange(t, rel, smallConfig()).Placement
+	pl := buildRange(t, rel, DefaultConfig()).Placement
 	if _, err := Build(rel, pl, cfg); err == nil {
 		t.Fatal("Build accepted an out-of-range fault target")
 	}
@@ -147,7 +147,7 @@ func TestBuildRejectsBadFaultSpec(t *testing.T) {
 // it, and a self-join of it on the key unique1. Each answers |rel|.
 func shapeQueries(rel *storage.Relation) (sel, count, join *plan.Node) {
 	pred := core.Predicate{Attr: storage.Unique2, Lo: 0, Hi: int64(rel.Cardinality() - 1)}
-	scan := func() *plan.Node { return plan.NewIndexScan(rel.Name, pred, exec.AccessClustered) }
+	scan := func() *plan.Node { return plan.NewIndexScan(rel.Name, pred, plan.AccessClustered) }
 	return scan(), plan.NewAggregate(plan.AggCount, 0, scan()),
 		plan.NewJoin(storage.Unique1, scan(), scan())
 }
@@ -202,7 +202,7 @@ func checkServedByBackup(t *testing.T, rel *storage.Relation, agg exec.QueryResu
 // error instead of panicking the run.
 func TestDiskFailAggregateAndJoin(t *testing.T) {
 	rel := elasticRelation(t)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.ChainedReplicas = true
 	cfg.Faults = &fault.Spec{Events: []fault.Event{{Kind: fault.DiskFail, Node: 1}}}
 	m := buildRange(t, rel, cfg)
@@ -219,7 +219,7 @@ func TestDiskFailAggregateAndJoin(t *testing.T) {
 // is abandoned at the query deadline instead of waiting out the crash.
 func TestNodeCrashAggregateAndJoin(t *testing.T) {
 	rel := elasticRelation(t)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.ChainedReplicas = true
 	cfg.Faults = &fault.Spec{Events: []fault.Event{{Kind: fault.NodeCrash, Node: 1, Dur: 100 * sim.Second}}}
 	m := buildRange(t, rel, cfg)
@@ -230,5 +230,38 @@ func TestNodeCrashAggregateAndJoin(t *testing.T) {
 	if j := res[1]; j.Outcome != exec.OutcomeTimedOut || sim.Duration(j.Completed-j.Submitted) > deadline+sim.Second {
 		t.Fatalf("join: %v after %.0fms (%v), want timed out by the %v deadline",
 			j.Outcome, j.ResponseMS(), j.Err, deadline)
+	}
+}
+
+// Scheduled interconnect faults take effect on their own: a NetDrop of the
+// messages addressed to a node fails the queries that needed them, and a
+// NetDup of a node's messages makes the host count the duplicated replies
+// as orphans. Both runs must differ from the fault-free one.
+func TestScheduledNetFaultsApply(t *testing.T) {
+	rel := smallRelation(t, 0)
+	mix := workload.LowLow(rel.Cardinality())
+	spec := RunSpec{MPL: 2, WarmupQueries: 5, MeasureQueries: 20}
+	run := func(ev fault.Event) (RunResult, int64) {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.Faults = &fault.Spec{Events: []fault.Event{ev}}
+		m := buildRange(t, rel, cfg)
+		defer m.Close()
+		res, err := m.Run(mix, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.FaultLog) != 1 || res.FaultLog[0].Kind != ev.Kind.String() {
+			t.Fatalf("fault log = %v, want one %v", res.FaultLog, ev.Kind)
+		}
+		return res, m.Host.Orphans
+	}
+	drop, _ := run(fault.Event{At: sim.Millisecond, Kind: fault.NetDrop, Node: 0, Count: 20})
+	if drop.Outcomes.OK == int64(spec.MeasureQueries) {
+		t.Errorf("NetDrop of node 0's next 20 messages left every query ok: %s", drop.Outcomes)
+	}
+	dup, orphans := run(fault.Event{At: sim.Millisecond, Kind: fault.NetDup, Node: 0, Count: 20})
+	if orphans == 0 {
+		t.Errorf("NetDup of node 0's next 20 messages left the host without orphans (%s)", dup.Outcomes)
 	}
 }

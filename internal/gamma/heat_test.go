@@ -12,7 +12,7 @@ import (
 
 func TestHeatNilWhenDisabled(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	if m.Heat != nil {
 		t.Fatal("Heat armed without Config.Heat")
 	}
@@ -32,7 +32,7 @@ func TestHeatNilWhenDisabled(t *testing.T) {
 // the node's disk read counter, and per-fragment pages equal hits+misses.
 func TestRunHeatInvariant(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Heat = &HeatSpec{}
 	m := buildBERD(t, rel, cfg) // BERD: primary and aux fragments
 	mix := workload.LowLow(rel.Cardinality())
@@ -83,7 +83,7 @@ func TestRunHeatInvariant(t *testing.T) {
 
 func TestRunHeatDeterministic(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Heat = &HeatSpec{TopK: 3}
 	m := buildRange(t, rel, cfg)
 	mix := workload.LowLow(rel.Cardinality())
@@ -118,11 +118,11 @@ func TestRunHeatDoesNotPerturbSchedule(t *testing.T) {
 	mix := workload.LowLow(rel.Cardinality())
 	spec := RunSpec{MPL: 4, WarmupQueries: 10, MeasureQueries: 100}
 
-	plain, err := buildRange(t, rel, smallConfig()).Run(mix, spec)
+	plain, err := buildRange(t, rel, DefaultConfig()).Run(mix, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Heat = &HeatSpec{}
 	heated, err := buildRange(t, rel, cfg).Run(mix, spec)
 	if err != nil {
@@ -143,7 +143,7 @@ func TestRunHeatDoesNotPerturbSchedule(t *testing.T) {
 // concentration gauges.
 func TestRunHeatTelemetrySeries(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Telemetry = &TelemetrySpec{Window: 50 * sim.Millisecond}
 	cfg.Heat = &HeatSpec{}
 	m := buildRange(t, rel, cfg)

@@ -100,7 +100,6 @@ func imageFixture() (*storage.Relation, func(*storage.Relation, int) core.Placem
 		return core.NewBERDForRelation(rel, storage.Unique1, []int{storage.Unique2}, procs)
 	}
 	cfg := DefaultConfig()
-	cfg.HW.NumProcessors = 4
 	cfg.Seed = 7
 	cfg.ChainedReplicas = true
 	cfg.Heat = &HeatSpec{}

@@ -225,7 +225,7 @@ func heldFragments(m *Machine) []*storage.Fragment {
 // a new generation, hands the nodes the same fragment objects and resumes
 // each disk's allocator after the image.
 func TestStorageImageMatchesPerResetLayout(t *testing.T) {
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.ChainedReplicas = true
 	cfg.Elastic = &ElasticSpec{
 		Events:  []rebalance.Event{{At: 50 * sim.Millisecond, Kind: rebalance.Join}},
@@ -295,7 +295,7 @@ func TestAuxTreesLaidOutInAttributeOrder(t *testing.T) {
 		t.Fatalf("layout order of aux attributes %v, want %v", got, want)
 	}
 	for build := 0; build < 20; build++ {
-		m, err := Build(rel, pl, smallConfig())
+		m, err := Build(rel, pl, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +340,6 @@ func TestStagedGenerationMatchesReference(t *testing.T) {
 		return core.NewBERDForRelation(rel, storage.Unique1, []int{storage.Unique2}, procs)
 	}
 	cfg := DefaultConfig()
-	cfg.HW.NumProcessors = 4
 	cfg.Seed = 7
 	cfg.ChainedReplicas = true
 	cfg.Elastic = &ElasticSpec{
@@ -498,9 +497,9 @@ func auxLookups(aux []*storage.AuxFragment, card int64) []auxLookup {
 // every auxiliary Lookup returns the same TIDs and pages.
 func TestImageAccessMatchesReference(t *testing.T) {
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 3000, CorrelationWindow: 100, Seed: 11})
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.ChainedReplicas = true
-	p := cfg.HW.NumProcessors
+	p := testProcs
 	specs := workload.EstimateSpecs(workload.LowModerate(rel.Cardinality()), rel.Cardinality(), cfg.HW, cfg.Costs)
 	magic, err := core.BuildMAGIC(rel, []int{storage.Unique1, storage.Unique2}, specs,
 		workload.PlanParamsFor(rel.Cardinality(), p, cfg.Costs), nil)

@@ -319,9 +319,6 @@ func (m *Machine) reset() {
 				targets.Disks[i] = n.Disk
 				targets.Nodes[i] = n
 			}
-			if cfg.Faults.NetDropP > 0 || cfg.Faults.NetDupP > 0 {
-				net.EnableFaults(streams.Stream("fault.net"), cfg.Faults.NetDropP, cfg.Faults.NetDupP)
-			}
 			m.Injector = fault.NewInjector(eng, *cfg.Faults, view, targets, streams)
 			m.Injector.Start()
 		}

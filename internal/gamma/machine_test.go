@@ -17,12 +17,9 @@ import (
 	"repro/internal/workload"
 )
 
-// smallConfig returns a 8-processor machine config suitable for tests.
-func smallConfig() Config {
-	cfg := DefaultConfig()
-	cfg.HW.NumProcessors = 8
-	return cfg
-}
+// testProcs is the processor count of the test placements: a machine
+// has as many nodes as its placement has processors.
+const testProcs = 8
 
 func smallRelation(t *testing.T, corrWindow int) *storage.Relation {
 	t.Helper()
@@ -33,7 +30,7 @@ func smallRelation(t *testing.T, corrWindow int) *storage.Relation {
 
 func buildRange(t *testing.T, rel *storage.Relation, cfg Config) *Machine {
 	t.Helper()
-	pl := core.NewRangeForRelation(rel, storage.Unique1, cfg.HW.NumProcessors)
+	pl := core.NewRangeForRelation(rel, storage.Unique1, testProcs)
 	m, err := Build(rel, pl, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +40,7 @@ func buildRange(t *testing.T, rel *storage.Relation, cfg Config) *Machine {
 
 func buildBERD(t *testing.T, rel *storage.Relation, cfg Config) *Machine {
 	t.Helper()
-	pl := core.NewBERDForRelation(rel, storage.Unique1, []int{storage.Unique2}, cfg.HW.NumProcessors)
+	pl := core.NewBERDForRelation(rel, storage.Unique1, []int{storage.Unique2}, testProcs)
 	m, err := Build(rel, pl, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +51,7 @@ func buildBERD(t *testing.T, rel *storage.Relation, cfg Config) *Machine {
 func buildMAGIC(t *testing.T, rel *storage.Relation, cfg Config, mix workload.Mix) *Machine {
 	t.Helper()
 	specs := workload.EstimateSpecs(mix, rel.Cardinality(), cfg.HW, cfg.Costs)
-	pp := workload.PlanParamsFor(rel.Cardinality(), cfg.HW.NumProcessors, cfg.Costs)
+	pp := workload.PlanParamsFor(rel.Cardinality(), testProcs, cfg.Costs)
 	pl, err := core.BuildMAGIC(rel, []int{storage.Unique1, storage.Unique2}, specs, pp, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +82,7 @@ func executeOne(t *testing.T, m *Machine, pred core.Predicate, mix workload.Mix)
 
 func TestSingleTupleQueryOnRange(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	mix := workload.LowLow(rel.Cardinality())
 	res := executeOne(t, m, core.Predicate{Attr: storage.Unique1, Lo: 2000, Hi: 2000}, mix)
 	if res.Tuples != 1 {
@@ -101,7 +98,7 @@ func TestSingleTupleQueryOnRange(t *testing.T) {
 
 func TestClusteredRangeOnRangeGoesEverywhere(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	mix := workload.LowLow(rel.Cardinality())
 	// Predicate on B: range partitioning on A must ask all processors.
 	res := executeOne(t, m, core.Predicate{Attr: storage.Unique2, Lo: 1000, Hi: 1009}, mix)
@@ -115,7 +112,7 @@ func TestClusteredRangeOnRangeGoesEverywhere(t *testing.T) {
 
 func TestBERDSecondaryTwoStepExecution(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildBERD(t, rel, smallConfig())
+	m := buildBERD(t, rel, DefaultConfig())
 	mix := workload.LowLow(rel.Cardinality())
 	res := executeOne(t, m, core.Predicate{Attr: storage.Unique2, Lo: 1000, Hi: 1009}, mix)
 	if res.Tuples != 10 {
@@ -134,7 +131,7 @@ func TestBERDSecondaryTwoStepExecution(t *testing.T) {
 
 func TestBERDCorrelatedLocalizesToOneProcessor(t *testing.T) {
 	rel := smallRelation(t, 1) // identical attributes
-	m := buildBERD(t, rel, smallConfig())
+	m := buildBERD(t, rel, DefaultConfig())
 	mix := workload.LowLow(rel.Cardinality())
 	res := executeOne(t, m, core.Predicate{Attr: storage.Unique2, Lo: 1000, Hi: 1009}, mix)
 	if res.Tuples != 10 {
@@ -150,7 +147,7 @@ func TestBERDCorrelatedLocalizesToOneProcessor(t *testing.T) {
 func TestMAGICQueriesUseSubsets(t *testing.T) {
 	rel := smallRelation(t, 0)
 	mix := workload.LowLow(rel.Cardinality())
-	m := buildMAGIC(t, rel, smallConfig(), mix)
+	m := buildMAGIC(t, rel, DefaultConfig(), mix)
 	resA := executeOne(t, m, core.Predicate{Attr: storage.Unique1, Lo: 2000, Hi: 2000}, mix)
 	if resA.Tuples != 1 {
 		t.Fatalf("QA retrieved %d tuples", resA.Tuples)
@@ -172,7 +169,7 @@ func TestMAGICQueriesUseSubsets(t *testing.T) {
 // Every strategy must return exactly the same answer for the same query.
 func TestAllStrategiesAgreeOnResults(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	mix := workload.LowLow(rel.Cardinality())
 	machines := []*Machine{
 		buildRange(t, rel, cfg),
@@ -206,7 +203,7 @@ func TestAllStrategiesAgreeOnResults(t *testing.T) {
 
 func TestRunProducesThroughput(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	mix := workload.LowLow(rel.Cardinality())
 	res, err := m.Run(mix, RunSpec{MPL: 4, WarmupQueries: 20, MeasureQueries: 100})
 	if err != nil {
@@ -231,7 +228,7 @@ func TestRunProducesThroughput(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	mix := workload.LowLow(rel.Cardinality())
 	spec := RunSpec{MPL: 4, WarmupQueries: 10, MeasureQueries: 50}
 	a, err := m.Run(mix, spec)
@@ -249,7 +246,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunThroughputRisesWithMPL(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	mix := workload.LowLow(rel.Cardinality())
 	one, err := m.Run(mix, RunSpec{MPL: 1, WarmupQueries: 10, MeasureQueries: 80})
 	if err != nil {
@@ -267,7 +264,7 @@ func TestRunThroughputRisesWithMPL(t *testing.T) {
 
 func TestRunSpecValidation(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	mix := workload.LowLow(rel.Cardinality())
 	if _, err := m.Run(mix, RunSpec{MPL: 0, MeasureQueries: 10}); err == nil {
 		t.Error("MPL 0 accepted")
@@ -292,7 +289,7 @@ func TestRunSpecValidation(t *testing.T) {
 // got, and a run without warm-up measures from the first instant.
 func TestRunWindowBounds(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	defer m.Close()
 	mix := workload.LowLow(rel.Cardinality())
 	_, err := m.Run(mix, RunSpec{MPL: 1, WarmupQueries: 5, MeasureQueries: 1 << 20,
@@ -317,13 +314,13 @@ func TestRunWindowBounds(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.BufferPages = -1
 	pl := core.NewRangeForRelation(rel, storage.Unique1, 8)
 	if _, err := Build(rel, pl, cfg); err == nil {
 		t.Error("negative buffer accepted")
 	}
-	bad := smallConfig()
+	bad := DefaultConfig()
 	bad.HW.MIPS = 0
 	if _, err := Build(rel, pl, bad); err == nil {
 		t.Error("invalid hardware accepted")
@@ -331,16 +328,12 @@ func TestBuildValidation(t *testing.T) {
 	// The TID index is a slice by TID: tuple i must have TID i.
 	shuffled := &storage.Relation{Name: rel.Name, Tuples: slices.Clone(rel.Tuples)}
 	shuffled.Tuples[0], shuffled.Tuples[1] = shuffled.Tuples[1], shuffled.Tuples[0]
-	if _, err := NewImage(shuffled, pl, smallConfig()); err == nil {
+	if _, err := NewImage(shuffled, pl, DefaultConfig()); err == nil {
 		t.Error("relation whose TIDs are not positions accepted")
 	}
 }
 
 func TestDefaultConfigSane(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.HW.NumProcessors != 32 {
-		t.Fatalf("default processors = %d", cfg.HW.NumProcessors)
-	}
 	if clusteredAttr != storage.Unique2 {
 		t.Fatal("the clustered attribute must be unique2 (B)")
 	}
@@ -351,7 +344,7 @@ func TestDefaultConfigSane(t *testing.T) {
 
 func TestRunPerClassStats(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	mix := workload.LowLow(rel.Cardinality())
 	res, err := m.Run(mix, RunSpec{MPL: 8, WarmupQueries: 20, MeasureQueries: 200})
 	if err != nil {
@@ -387,7 +380,7 @@ func TestRunPerClassStats(t *testing.T) {
 // non-clustered A index.
 func TestImageHoldingsLayout(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildBERD(t, rel, smallConfig())
+	m := buildBERD(t, rel, DefaultConfig())
 	if len(m.img.rels) != 1 || m.img.rels[0].rel != rel {
 		t.Fatalf("image holds %d relations, want only %s", len(m.img.rels), rel.Name)
 	}
@@ -418,10 +411,10 @@ func TestStrategyAgreementProperty(t *testing.T) {
 		t.Skip("slow")
 	}
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	mix := workload.LowLow(rel.Cardinality())
 	specs := workload.EstimateSpecs(mix, rel.Cardinality(), cfg.HW, cfg.Costs)
-	pp := workload.PlanParamsFor(rel.Cardinality(), cfg.HW.NumProcessors, cfg.Costs)
+	pp := workload.PlanParamsFor(rel.Cardinality(), testProcs, cfg.Costs)
 	magicPl, err := core.BuildMAGIC(rel, []int{storage.Unique1, storage.Unique2}, specs, pp, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -471,7 +464,7 @@ func TestStrategyAgreementProperty(t *testing.T) {
 
 func TestHashAndRoundRobinMachines(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	mix := workload.LowLow(rel.Cardinality())
 	for _, pl := range []core.Placement{
 		core.NewHash(storage.Unique1, 8),
@@ -495,7 +488,7 @@ func TestHashAndRoundRobinMachines(t *testing.T) {
 // every processor and still returns the exact answer.
 func TestSeqScanFallback(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	mix := workload.LowLow(rel.Cardinality())
 	pred := core.Predicate{Attr: storage.Ten, Lo: 4, Hi: 4}
 	want := 0
@@ -529,7 +522,7 @@ func TestSeqScanFallback(t *testing.T) {
 
 func TestSimulateLoad(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	mix := workload.LowLow(rel.Cardinality())
 	results := []LoadResult{}
 	for _, build := range []func() *Machine{
@@ -582,7 +575,7 @@ func TestSimulateLoad(t *testing.T) {
 }
 
 func TestMultiRelationMachineAndJoin(t *testing.T) {
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	r := storage.GenerateWisconsin(storage.GenSpec{Name: "stock", Cardinality: 2000, Seed: 11})
 	s := storage.GenerateWisconsin(storage.GenSpec{Name: "trades", Cardinality: 800, Seed: 12})
 	stockPl, tradesPl := core.NewHash(storage.Unique1, 8), core.NewHash(storage.Unique1, 8)
@@ -634,7 +627,7 @@ func TestMultiRelationMachineAndJoin(t *testing.T) {
 }
 
 func TestAddRelationValidation(t *testing.T) {
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	rel := smallRelation(t, 0)
 	m := buildRange(t, rel, cfg)
 	if err := m.AddRelation(rel, core.NewHash(storage.Unique1, 8)); err == nil {
@@ -648,7 +641,7 @@ func TestAddRelationValidation(t *testing.T) {
 
 func TestRunNodeStatsAndSkew(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	mix := workload.LowLow(rel.Cardinality())
 	res, err := m.Run(mix, RunSpec{MPL: 4, WarmupQueries: 20, MeasureQueries: 100})
 	if err != nil {

@@ -24,7 +24,7 @@ const serveSeedTag = 0x53455256 // "SERV"
 
 // ServeSpec controls one open-system serving measurement. Zero values
 // defer to serve.Config's defaults (64 service slots, 4 tenants, 1000ms
-// SLO, bounded queue of 4x the slots).
+// SLO, bounded queue of 4x the slots, queue-wait age-out at 4x the SLO).
 type ServeSpec struct {
 	// Arrival is the open arrival process; RateQPS is the offered load.
 	Arrival serve.ArrivalSpec
@@ -35,8 +35,6 @@ type ServeSpec struct {
 	MaxInService int
 	// MaxQueue bounds the admission wait queue (partitioned per tenant).
 	MaxQueue int
-	// MaxQueueWait ages out queries that waited too long for a slot.
-	MaxQueueWait sim.Duration
 	// SLOms is the latency objective for goodput accounting.
 	SLOms float64
 	// WarmupQueries completions are discarded (zero: none, negative is
@@ -122,7 +120,6 @@ func (m *Machine) RunServe(mix workload.Mix, spec ServeSpec) (ServeResult, error
 		Tenants:      spec.Tenants,
 		MaxInService: spec.MaxInService,
 		MaxQueue:     spec.MaxQueue,
-		MaxQueueWait: spec.MaxQueueWait,
 		SLOms:        spec.SLOms,
 		Sample: func(src *rng.Source) (*plan.Node, string) {
 			pred, cls := mix.Sample(src, card)

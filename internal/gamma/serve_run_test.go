@@ -16,7 +16,7 @@ import (
 // execution history.
 func TestRunServeDeterministic(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	mix := workload.LowLow(rel.Cardinality())
 	spec := ServeSpec{
 		Arrival:        serve.ArrivalSpec{Kind: serve.Bursty, RateQPS: 300},
@@ -50,7 +50,7 @@ func TestRunServeDeterministic(t *testing.T) {
 // dispatcher's queue scan.
 func TestRunServeCrashMidAdmissionSheds(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	// No chained replicas: queries hitting the dead node cannot reroute,
 	// so they must surface as failed outcomes, not hangs.
 	cfg.Faults = &fault.Spec{

@@ -11,12 +11,12 @@ import (
 )
 
 func rangePlacement(rel *storage.Relation, cfg Config) core.Placement {
-	return core.NewRangeForRelation(rel, storage.Unique1, cfg.HW.NumProcessors)
+	return core.NewRangeForRelation(rel, storage.Unique1, testProcs)
 }
 
 func TestSharingOffByDefault(t *testing.T) {
 	rel := smallRelation(t, 0)
-	m := buildRange(t, rel, smallConfig())
+	m := buildRange(t, rel, DefaultConfig())
 	if m.Host.Shared != nil {
 		t.Fatal("shared-scan manager armed without Config.Sharing")
 	}
@@ -33,7 +33,7 @@ func TestSharingOffByDefault(t *testing.T) {
 // a machine with both armed builds, runs, and still answers correctly.
 func TestSharingComposesWithDegradedMode(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Sharing = &SharingSpec{}
 	cfg.ChainedReplicas = true
 	pl := rangePlacement(rel, cfg)
@@ -58,7 +58,7 @@ func TestConfigValidateSpecs(t *testing.T) {
 		"bad-burn":         func(c *Config) { c.Telemetry = &TelemetrySpec{BurnBudget: 1.5} },
 		"neg-topk":         func(c *Config) { c.Heat = &HeatSpec{TopK: -1} },
 	} {
-		cfg := smallConfig()
+		cfg := DefaultConfig()
 		arm(&cfg)
 		if _, err := Build(rel, rangePlacement(rel, cfg), cfg); err == nil {
 			t.Errorf("%s: Build accepted invalid config", name)
@@ -72,7 +72,7 @@ func sharingRun(t *testing.T, rel *storage.Relation, share bool, mpl int) RunRes
 	t.Helper()
 	// A small pool relative to the fragments keeps the run disk-bound —
 	// the regime where re-reads exist for sharing to save.
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.BufferPages = 6
 	if share {
 		cfg.Sharing = &SharingSpec{Window: 10 * sim.Millisecond}

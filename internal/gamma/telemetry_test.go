@@ -27,7 +27,7 @@ func seriesByName(series []obs.SeriesData, name string) *obs.SeriesData {
 // and produce the same series on replay, because sampling rides sim time.
 func TestRunTelemetrySeries(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Telemetry = &TelemetrySpec{Window: 50 * sim.Millisecond}
 	m := buildRange(t, rel, cfg)
 	mix := workload.LowLow(rel.Cardinality())
@@ -92,11 +92,11 @@ func TestRunTelemetryDoesNotPerturbSchedule(t *testing.T) {
 	mix := workload.LowLow(rel.Cardinality())
 	spec := RunSpec{MPL: 4, WarmupQueries: 10, MeasureQueries: 100}
 
-	plain, err := buildRange(t, rel, smallConfig()).Run(mix, spec)
+	plain, err := buildRange(t, rel, DefaultConfig()).Run(mix, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Telemetry = &TelemetrySpec{Window: 50 * sim.Millisecond}
 	sampled, err := buildRange(t, rel, cfg).Run(mix, spec)
 	if err != nil {
@@ -115,7 +115,7 @@ func TestRunTelemetryDoesNotPerturbSchedule(t *testing.T) {
 // the serving-layer series, plus the SLO burn verdict.
 func TestRunServeTelemetry(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Telemetry = &TelemetrySpec{Window: 50 * sim.Millisecond, BurnBudget: 0.2}
 	m := buildRange(t, rel, cfg)
 	mix := workload.LowLow(rel.Cardinality())
@@ -170,11 +170,11 @@ func TestRunServeTelemetryDoesNotPerturbSchedule(t *testing.T) {
 		MaxSimTime:     20 * sim.Second,
 	}
 
-	plain, err := buildRange(t, rel, smallConfig()).RunServe(mix, spec)
+	plain, err := buildRange(t, rel, DefaultConfig()).RunServe(mix, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Telemetry = &TelemetrySpec{Window: 50 * sim.Millisecond}
 	sampled, err := buildRange(t, rel, cfg).RunServe(mix, spec)
 	if err != nil {
@@ -197,7 +197,7 @@ const closedSeriesGolden = "testdata/closed_series.golden"
 // -update-traces only for a change that means to alter the series.
 func TestClosedSeriesGolden(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Telemetry = &TelemetrySpec{Window: 50 * sim.Millisecond}
 	cfg.Heat = &HeatSpec{}
 	m := buildRange(t, rel, cfg)
@@ -224,7 +224,7 @@ const closedUtilGolden = "testdata/closed_util.golden"
 // -update-traces only for a change that means to alter utilization.
 func TestClosedUtilizationGolden(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	cfg.Telemetry = &TelemetrySpec{Window: 50 * sim.Millisecond}
 	m := buildBERD(t, rel, cfg)
 	defer m.Close()

@@ -41,7 +41,7 @@ type tracedQuery struct {
 // cardinality and value for joins and aggregates.
 func traceQueries(t *testing.T, queries func(rel *storage.Relation, mix workload.Mix) []tracedQuery) []byte {
 	t.Helper()
-	cfg := smallConfig()
+	cfg := DefaultConfig()
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 2000, Seed: 11})
 	mix := workload.LowLow(rel.Cardinality())
 	machines := []struct {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -83,50 +82,42 @@ type Network struct {
 	params Params
 	nics   []*NIC
 
-	faults *netFaults // nil unless fault injection armed them
+	faults *netFaults // nil until the first DropNext or DupNext
 }
 
-// netFaults holds the interconnect's fault-injection state: per-destination
-// forced drop/duplication counters plus optional probabilistic drop and
-// duplication driven by a dedicated rng stream. Faults act on whole logical
-// messages at delivery time — the wire and CPU costs are already paid, the
-// receiver just never sees (or sees twice) the payload.
+// netFaults holds the interconnect's scheduled faults: per-destination
+// counts of the next logical messages to drop or duplicate. Faults act on
+// whole logical messages at delivery time — the wire and CPU costs are
+// already paid, the receiver just never sees (or sees twice) the payload.
 type netFaults struct {
-	src       *rng.Source
-	dropP     float64
-	dupP      float64
-	drop, dup []int // per-destination forced counts
+	drop, dup []int
 }
 
-// EnableFaults arms the interconnect fault hooks. src drives the
-// probabilistic drop (dropP) and duplication (dupP) decisions; pass zero
-// probabilities for a purely scheduled (DropNext/DupNext) setup.
-func (n *Network) EnableFaults(src *rng.Source, dropP, dupP float64) {
-	n.faults = &netFaults{
-		src: src, dropP: dropP, dupP: dupP,
-		drop: make([]int, len(n.nics)), dup: make([]int, len(n.nics)),
+// forced returns the fault counts, creating them on first use.
+func (n *Network) forced() *netFaults {
+	if n.faults == nil {
+		n.faults = &netFaults{drop: make([]int, len(n.nics)), dup: make([]int, len(n.nics))}
 	}
+	return n.faults
 }
 
 // DropNext makes the next k logical messages addressed to node vanish after
-// transmission. A no-op unless EnableFaults was called.
+// transmission.
 func (n *Network) DropNext(node, k int) {
-	if n.faults != nil && node >= 0 && node < len(n.nics) {
-		n.faults.drop[node] += k
+	if node >= 0 && node < len(n.nics) {
+		n.forced().drop[node] += k
 	}
 }
 
 // DupNext makes the next k logical messages addressed to node arrive twice.
-// A no-op unless EnableFaults was called.
 func (n *Network) DupNext(node, k int) {
-	if n.faults != nil && node >= 0 && node < len(n.nics) {
-		n.faults.dup[node] += k
+	if node >= 0 && node < len(n.nics) {
+		n.forced().dup[node] += k
 	}
 }
 
 // deliveries decides how many copies of a logical message addressed to node
-// the receiver sees: 1 normally, 0 for a drop, 2 for a duplication. Forced
-// counters win over the probabilistic draws so scheduled specs stay exact.
+// the receiver sees: 1 normally, 0 for a drop, 2 for a duplication.
 func (f *netFaults) deliveries(node int) int {
 	if f.drop[node] > 0 {
 		f.drop[node]--
@@ -134,12 +125,6 @@ func (f *netFaults) deliveries(node int) int {
 	}
 	if f.dup[node] > 0 {
 		f.dup[node]--
-		return 2
-	}
-	if f.dropP > 0 && f.src.Float64() < f.dropP {
-		return 0
-	}
-	if f.dupP > 0 && f.src.Float64() < f.dupP {
 		return 2
 	}
 	return 1

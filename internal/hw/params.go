@@ -45,11 +45,12 @@ type Params struct {
 	TupleSize       int // bytes per tuple
 	TuplesPerPacket int // tuples per network packet
 	TuplesPerPage   int // tuples per disk page
-	NumProcessors   int // processors in the system
 }
 
 // DefaultParams returns the paper's Table 2 configuration for the simulated
-// 32-processor Gamma machine, with derived parameters per DESIGN.md.
+// Gamma machine, with derived parameters per DESIGN.md. The processor count
+// is not a hardware parameter: a machine has as many nodes as its placement
+// has processors (Table 2's 32 is experiments.PaperScale's).
 func DefaultParams() Params {
 	return Params{
 		AvgSettleMS:      2.0,
@@ -71,7 +72,6 @@ func DefaultParams() Params {
 		TupleSize:        208,
 		TuplesPerPacket:  36,
 		TuplesPerPage:    36,
-		NumProcessors:    32,
 	}
 }
 
@@ -93,8 +93,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("hw: MaxPacket %d smaller than a tuple (%d)", p.MaxPacket, p.TupleSize)
 	case p.TuplesPerPage <= 0 || p.TuplesPerPacket <= 0:
 		return fmt.Errorf("hw: tuples per page/packet must be positive")
-	case p.NumProcessors <= 0:
-		return fmt.Errorf("hw: NumProcessors must be positive, got %d", p.NumProcessors)
 	case p.Send100BMS <= 0 || p.Send8KBMS < p.Send100BMS:
 		return fmt.Errorf("hw: message costs must satisfy 0 < Send100BMS <= Send8KBMS")
 	}

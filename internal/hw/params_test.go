@@ -31,7 +31,6 @@ func TestDefaultConfigMatchesPaperTable2(t *testing.T) {
 		{"TupleSize", float64(p.TupleSize), 208},
 		{"TuplesPerPacket", float64(p.TuplesPerPacket), 36},
 		{"TuplesPerPage", float64(p.TuplesPerPage), 36},
-		{"NumProcessors", float64(p.NumProcessors), 32},
 	}
 	for _, c := range checks {
 		if c.got != c.want {
@@ -146,7 +145,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(p *Params) { p.Cylinders = 0 },
 		func(p *Params) { p.MaxPacket = 10 },
 		func(p *Params) { p.TuplesPerPage = 0 },
-		func(p *Params) { p.NumProcessors = 0 },
 		func(p *Params) { p.Send8KBMS = 0.1 },
 	}
 	for i, mut := range bad {

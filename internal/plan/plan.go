@@ -20,14 +20,11 @@ import (
 	"repro/internal/storage"
 )
 
-// Access selects the access method a scan uses. The execution layer's
-// AccessKind is an alias of this type: the plan layer owns the access-method
-// vocabulary.
+// Access selects the access method a scan uses. The plan layer owns the
+// access-method vocabulary; the execution layer consumes it unchanged.
 type Access int
 
-// Access methods of the workload (Section 6) plus the fallback scan. The
-// first four values predate the plan layer and are wire/trace-compatible
-// with the old exec.AccessKind constants.
+// Access methods of the workload (Section 6) plus the fallback scan.
 const (
 	AccessClustered    Access = iota // clustered B+-tree range scan
 	AccessNonClustered               // non-clustered B+-tree + tuple fetches

@@ -32,15 +32,15 @@ const (
 	Poisson ArrivalKind = iota
 	// Bursty arrivals: a two-state Markov-modulated Poisson process
 	// (on/off). The process alternates between an "on" state running at
-	// BurstFactor times the mean rate and an "off" state running at
+	// burstFactor times the mean rate and an "off" state running at
 	// whatever residual rate keeps the long-run mean equal to RateQPS.
 	// Dwell times in each state are exponential, so bursts have random
 	// lengths but a controlled duty cycle.
 	Bursty
 	// Diurnal arrivals: a piecewise non-homogeneous Poisson process whose
-	// rate follows a repeating trace (a compressed "day"), normalized so
-	// the long-run mean rate is RateQPS. Models the daily swell and ebb a
-	// production service sees.
+	// rate follows a repeating trace (diurnalTrace, a compressed "day"),
+	// normalized so the long-run mean rate is RateQPS. Models the daily
+	// swell and ebb a production service sees.
 	Diurnal
 )
 
@@ -68,60 +68,44 @@ func ParseArrivalKind(s string) (ArrivalKind, error) {
 }
 
 // ArrivalSpec describes one arrival process. RateQPS is the long-run mean
-// offered load for every kind; the remaining fields shape its short-term
-// structure and have working defaults (see withDefaults).
+// offered load for every kind; each kind's short-term shape is fixed (see
+// the bursty and diurnal constants below).
 type ArrivalSpec struct {
 	Kind    ArrivalKind `json:"kind"`
 	RateQPS float64     `json:"rate_qps"`
-
-	// Bursty (MMPP on-off) shape. BurstFactor is the on-state rate
-	// multiplier (default 4); OnFraction the long-run fraction of time
-	// spent on (default 0.25, so the off-state rate stays non-negative);
-	// CycleMean the mean on+off cycle length (default 2s). The constraint
-	// BurstFactor*OnFraction <= 1 keeps the off-state rate >= 0.
-	BurstFactor float64      `json:"burst_factor,omitempty"`
-	OnFraction  float64      `json:"on_fraction,omitempty"`
-	CycleMean   sim.Duration `json:"cycle_mean,omitempty"`
-
-	// Diurnal shape. Period is the length of one trace cycle (default
-	// 60 simulated seconds — a compressed day); Trace the per-slot relative
-	// rates (default DefaultDiurnalTrace). The trace is normalized, so only
-	// its shape matters.
-	Period sim.Duration `json:"period,omitempty"`
-	Trace  []float64    `json:"trace,omitempty"`
 }
 
-// DefaultDiurnalTrace is a 24-slot "hour of day" load curve: a deep night
-// trough, a morning ramp, a midday plateau, and an evening peak — the shape
-// interactive services see, compressed into one Period.
-func DefaultDiurnalTrace() []float64 {
-	return []float64{
-		0.2, 0.15, 0.1, 0.1, 0.15, 0.3, // night trough
-		0.5, 0.9, 1.3, 1.5, 1.5, 1.4, // morning ramp to midday
-		1.3, 1.3, 1.4, 1.5, 1.6, 1.8, // afternoon build
-		2.0, 1.9, 1.6, 1.2, 0.8, 0.4, // evening peak and wind-down
-	}
+// The bursty (MMPP on-off) shape: the on state runs at burstFactor times the
+// mean rate for onFraction of the time, over a mean on+off cycle of
+// cycleMean. burstFactor*onFraction <= 1 keeps the off-state rate >= 0.
+const (
+	burstFactor = 4
+	onFraction  = 0.25
+	cycleMean   = 2 * sim.Second
+)
+
+// diurnalPeriod is the length of one diurnal trace cycle: 60 simulated
+// seconds, a compressed day.
+const diurnalPeriod = 60 * sim.Second
+
+// diurnalTrace is a 24-slot "hour of day" load curve: a deep night trough,
+// a morning ramp, a midday plateau, and an evening peak — the shape
+// interactive services see, compressed into one diurnalPeriod. Only its
+// shape matters: diurnalNorm scales it to a mean of 1.
+var diurnalTrace = [...]float64{
+	0.2, 0.15, 0.1, 0.1, 0.15, 0.3, // night trough
+	0.5, 0.9, 1.3, 1.5, 1.5, 1.4, // morning ramp to midday
+	1.3, 1.3, 1.4, 1.5, 1.6, 1.8, // afternoon build
+	2.0, 1.9, 1.6, 1.2, 0.8, 0.4, // evening peak and wind-down
 }
 
-// withDefaults completes the spec's shape parameters.
-func (s ArrivalSpec) withDefaults() ArrivalSpec {
-	if s.BurstFactor <= 0 {
-		s.BurstFactor = 4
+var diurnalNorm = func() float64 {
+	var sum float64
+	for _, v := range diurnalTrace {
+		sum += v
 	}
-	if s.OnFraction <= 0 {
-		s.OnFraction = 0.25
-	}
-	if s.CycleMean <= 0 {
-		s.CycleMean = 2 * sim.Second
-	}
-	if s.Period <= 0 {
-		s.Period = 60 * sim.Second
-	}
-	if len(s.Trace) == 0 {
-		s.Trace = DefaultDiurnalTrace()
-	}
-	return s
-}
+	return float64(len(diurnalTrace)) / sum
+}()
 
 // Validate rejects specs that cannot produce a well-defined process.
 func (s ArrivalSpec) Validate() error {
@@ -130,28 +114,6 @@ func (s ArrivalSpec) Validate() error {
 	}
 	if s.RateQPS <= 0 {
 		return fmt.Errorf("serve: arrival rate must be positive, got %g", s.RateQPS)
-	}
-	d := s.withDefaults()
-	if d.Kind == Bursty {
-		if d.OnFraction >= 1 {
-			return fmt.Errorf("serve: bursty on-fraction %g must be < 1", d.OnFraction)
-		}
-		if d.BurstFactor*d.OnFraction > 1 {
-			return fmt.Errorf("serve: bursty burst-factor %g x on-fraction %g exceeds 1 "+
-				"(off-state rate would be negative)", d.BurstFactor, d.OnFraction)
-		}
-	}
-	if d.Kind == Diurnal {
-		var sum float64
-		for i, v := range d.Trace {
-			if v < 0 {
-				return fmt.Errorf("serve: diurnal trace slot %d is negative (%g)", i, v)
-			}
-			sum += v
-		}
-		if sum <= 0 {
-			return fmt.Errorf("serve: diurnal trace is identically zero")
-		}
 	}
 	return nil
 }
@@ -171,9 +133,8 @@ type Arrivals struct {
 	dwellLeft float64
 
 	// Diurnal state: the process's own elapsed clock (advanced by every
-	// returned gap) and the normalization factor making the trace mean 1.
-	clock     float64
-	traceNorm float64
+	// returned gap).
+	clock float64
 }
 
 // NewArrivals builds the generator. The stream should be dedicated (e.g.
@@ -183,20 +144,12 @@ func NewArrivals(spec ArrivalSpec, src *rng.Source) (*Arrivals, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	spec = spec.withDefaults()
 	a := &Arrivals{spec: spec, src: src}
 	if spec.Kind == Bursty {
 		// Start off, mid-dwell, so the first burst is not synchronized with
 		// the start of the run.
 		a.on = false
-		a.dwellLeft = a.offDwellMean()
-	}
-	if spec.Kind == Diurnal {
-		var sum float64
-		for _, v := range spec.Trace {
-			sum += v
-		}
-		a.traceNorm = float64(len(spec.Trace)) / sum
+		a.dwellLeft = offDwellMean
 	}
 	return a, nil
 }
@@ -207,22 +160,20 @@ func (a *Arrivals) Kind() ArrivalKind { return a.spec.Kind }
 // RateQPS reports the long-run mean offered load.
 func (a *Arrivals) RateQPS() float64 { return a.spec.RateQPS }
 
-func (a *Arrivals) onDwellMean() float64 {
-	return float64(a.spec.CycleMean) * a.spec.OnFraction
-}
-
-func (a *Arrivals) offDwellMean() float64 {
-	return float64(a.spec.CycleMean) * (1 - a.spec.OnFraction)
-}
+// The bursty process's mean dwell in each state, in nanoseconds.
+const (
+	onDwellMean  = float64(cycleMean) * onFraction
+	offDwellMean = float64(cycleMean) * (1 - onFraction)
+)
 
 // onRate and offRate are the bursty process's state rates in arrivals per
-// nanosecond; their OnFraction-weighted mean is RateQPS.
+// nanosecond; their onFraction-weighted mean is RateQPS.
 func (a *Arrivals) onRate() float64 {
-	return a.spec.RateQPS * a.spec.BurstFactor / 1e9
+	return a.spec.RateQPS * burstFactor / 1e9
 }
 
 func (a *Arrivals) offRate() float64 {
-	residual := a.spec.RateQPS * (1 - a.spec.BurstFactor*a.spec.OnFraction) / (1 - a.spec.OnFraction)
+	residual := a.spec.RateQPS * (1 - burstFactor*onFraction) / (1 - onFraction)
 	return residual / 1e9
 }
 
@@ -265,9 +216,9 @@ func (a *Arrivals) nextBursty() float64 {
 		elapsed += a.dwellLeft
 		a.on = !a.on
 		if a.on {
-			a.dwellLeft = a.src.Exponential(a.onDwellMean())
+			a.dwellLeft = a.src.Exponential(onDwellMean)
 		} else {
-			a.dwellLeft = a.src.Exponential(a.offDwellMean())
+			a.dwellLeft = a.src.Exponential(offDwellMean)
 		}
 	}
 }
@@ -278,8 +229,8 @@ func (a *Arrivals) nextBursty() float64 {
 // the next slot (the standard thinning-free construction for piecewise
 // NHPPs, which keeps the process exact slot by slot).
 func (a *Arrivals) nextDiurnal() float64 {
-	period := float64(a.spec.Period)
-	slotLen := period / float64(len(a.spec.Trace))
+	period := float64(diurnalPeriod)
+	slotLen := period / float64(len(diurnalTrace))
 	elapsed := 0.0
 	for {
 		pos := a.clock
@@ -287,12 +238,12 @@ func (a *Arrivals) nextDiurnal() float64 {
 			pos -= period
 		}
 		slot := int(pos / slotLen)
-		if slot >= len(a.spec.Trace) { // guard the pos == period float edge
-			slot = len(a.spec.Trace) - 1
+		if slot >= len(diurnalTrace) { // guard the pos == period float edge
+			slot = len(diurnalTrace) - 1
 		}
 		slotEnd := float64(slot+1) * slotLen
 		left := slotEnd - pos
-		rate := a.spec.RateQPS * a.spec.Trace[slot] * a.traceNorm / 1e9
+		rate := a.spec.RateQPS * diurnalTrace[slot] * diurnalNorm / 1e9
 		if rate > 0 {
 			candidate := a.src.Exponential(1 / rate)
 			if candidate <= left {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 func TestArrivalKindStringAndParse(t *testing.T) {
@@ -37,11 +36,7 @@ func TestArrivalSpecValidate(t *testing.T) {
 		{"negative rate", ArrivalSpec{Kind: Poisson, RateQPS: -1}, false},
 		{"bad kind", ArrivalSpec{Kind: ArrivalKind(7), RateQPS: 1}, false},
 		{"bursty ok", ArrivalSpec{Kind: Bursty, RateQPS: 10}, true},
-		{"bursty overdriven", ArrivalSpec{Kind: Bursty, RateQPS: 10, BurstFactor: 8, OnFraction: 0.5}, false},
-		{"bursty on-fraction 1", ArrivalSpec{Kind: Bursty, RateQPS: 10, BurstFactor: 0.5, OnFraction: 1}, false},
 		{"diurnal ok", ArrivalSpec{Kind: Diurnal, RateQPS: 10}, true},
-		{"diurnal negative slot", ArrivalSpec{Kind: Diurnal, RateQPS: 10, Trace: []float64{1, -1}}, false},
-		{"diurnal zero trace", ArrivalSpec{Kind: Diurnal, RateQPS: 10, Trace: []float64{0, 0}}, false},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
@@ -77,12 +72,12 @@ func meanRate(t *testing.T, spec ArrivalSpec, n int) float64 {
 func TestArrivalMeanRates(t *testing.T) {
 	for _, spec := range []ArrivalSpec{
 		{Kind: Poisson, RateQPS: 500},
-		// Short cycles give enough independent on/off blocks for the 5%
-		// tolerance; the long-cycle default would need far more samples.
-		{Kind: Bursty, RateQPS: 500, CycleMean: 100 * sim.Millisecond},
-		{Kind: Bursty, RateQPS: 500, BurstFactor: 2, OnFraction: 0.5, CycleMean: 50 * sim.Millisecond},
+		// The bursty estimate's error shrinks with the number of on/off
+		// cycles drawn, not of arrivals: at 25 qps a 2 s cycle holds 50
+		// arrivals, so the 200000 gaps span about 4000 cycles. At 500 qps
+		// they would span 200, too few for the 5% tolerance.
+		{Kind: Bursty, RateQPS: 25},
 		{Kind: Diurnal, RateQPS: 500},
-		{Kind: Diurnal, RateQPS: 500, Period: 10 * sim.Second, Trace: []float64{1, 3, 1, 0.5}},
 	} {
 		got := meanRate(t, spec, 200000)
 		if math.Abs(got-spec.RateQPS)/spec.RateQPS > 0.05 {
@@ -116,32 +111,36 @@ func TestBurstyIsBurstier(t *testing.T) {
 	}
 }
 
-// The diurnal process must track its trace: the peak slot sees more
-// arrivals than the trough slot.
+// The diurnal process must track its trace: over whole periods each slot
+// takes its share of the trace's total weight, the peak slot 20 times the
+// trough slots'.
 func TestDiurnalFollowsTrace(t *testing.T) {
-	spec := ArrivalSpec{
-		Kind: Diurnal, RateQPS: 500,
-		Period: 4 * sim.Second,
-		Trace:  []float64{0.2, 1.8, 1.8, 0.2},
-	}
+	const periods = 10
+	spec := ArrivalSpec{Kind: Diurnal, RateQPS: 500}
 	a, err := NewArrivals(spec, rng.NewSource("arr", 11))
 	if err != nil {
 		t.Fatalf("NewArrivals: %v", err)
 	}
-	counts := make([]int, len(spec.Trace))
-	slotLen := float64(spec.Period) / float64(len(spec.Trace))
-	var clock float64
-	for i := 0; i < 100000; i++ {
-		clock += float64(a.Next())
-		pos := math.Mod(clock, float64(spec.Period))
-		slot := int(pos / slotLen)
-		if slot >= len(counts) {
-			slot = len(counts) - 1
-		}
+	counts := make([]int, len(diurnalTrace))
+	slotLen := float64(diurnalPeriod) / float64(len(diurnalTrace))
+	total := 0
+	for clock := float64(a.Next()); clock < periods*float64(diurnalPeriod); clock += float64(a.Next()) {
+		pos := math.Mod(clock, float64(diurnalPeriod))
+		slot := min(int(pos/slotLen), len(counts)-1)
 		counts[slot]++
+		total++
 	}
-	if counts[1] < 5*counts[0] || counts[2] < 5*counts[3] {
-		t.Fatalf("diurnal counts do not follow 0.2/1.8 trace: %v", counts)
+	var weight float64
+	for _, v := range diurnalTrace {
+		weight += v
+	}
+	// The trough slot expects about 1200 arrivals, so 15% is over four
+	// standard deviations.
+	for i, v := range diurnalTrace {
+		want := float64(total) * v / weight
+		if math.Abs(float64(counts[i])-want)/want > 0.15 {
+			t.Errorf("slot %d: %d arrivals, want %.0f +/- 15%% (trace weight %g)", i, counts[i], want, v)
+		}
 	}
 }
 

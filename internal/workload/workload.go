@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/hw"
+	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/storage"
 )
@@ -19,7 +20,7 @@ import (
 type Class struct {
 	Name      string
 	Attr      int
-	Access    exec.AccessKind
+	Access    plan.Access
 	Tuples    int // result cardinality (predicate width on the unique attrs)
 	Frequency float64
 }
@@ -59,19 +60,19 @@ func (m Mix) WithHotSpot(hotProb, hotFrac float64) Mix {
 func classQA(low bool, card int) Class {
 	if low {
 		return Class{Name: "QA-low", Attr: storage.Unique1,
-			Access: exec.AccessNonClustered, Tuples: 1, Frequency: 0.5}
+			Access: plan.AccessNonClustered, Tuples: 1, Frequency: 0.5}
 	}
 	return Class{Name: "QA-moderate", Attr: storage.Unique1,
-		Access: exec.AccessNonClustered, Tuples: minInt(30, card), Frequency: 0.5}
+		Access: plan.AccessNonClustered, Tuples: minInt(30, card), Frequency: 0.5}
 }
 
 func classQB(low bool, card int) Class {
 	if low {
 		return Class{Name: "QB-low", Attr: storage.Unique2,
-			Access: exec.AccessClustered, Tuples: minInt(10, card), Frequency: 0.5}
+			Access: plan.AccessClustered, Tuples: minInt(10, card), Frequency: 0.5}
 	}
 	return Class{Name: "QB-moderate", Attr: storage.Unique2,
-		Access: exec.AccessClustered, Tuples: minInt(300, card), Frequency: 0.5}
+		Access: plan.AccessClustered, Tuples: minInt(300, card), Frequency: 0.5}
 }
 
 func minInt(a, b int) int {
@@ -113,22 +114,22 @@ func ModerateModerate(card int) Mix {
 // AccessChooser returns the access-method chooser for this mix (non-
 // clustered on A, clustered on B, per Section 6).
 func (m Mix) AccessChooser() exec.AccessChooser {
-	byAttr := make(map[int]exec.AccessKind, len(m.Classes))
+	byAttr := make(map[int]plan.Access, len(m.Classes))
 	for _, c := range m.Classes {
 		byAttr[c.Attr] = c.Access
 	}
-	return func(pred core.Predicate) exec.AccessKind {
+	return func(pred core.Predicate) plan.Access {
 		if k, ok := byAttr[pred.Attr]; ok {
 			return k
 		}
 		if pred.Attr == storage.Unique2 {
-			return exec.AccessClustered
+			return plan.AccessClustered
 		}
 		if pred.Attr == storage.Unique1 {
-			return exec.AccessNonClustered
+			return plan.AccessNonClustered
 		}
 		// No index covers the attribute: full sequential scan.
-		return exec.AccessSeqScan
+		return plan.AccessSeqScan
 	}
 }
 
@@ -182,7 +183,7 @@ func EstimateSpecs(m Mix, card int, hwp hw.Params, costs exec.Costs) []core.Quer
 		var diskMS, cpuMS float64
 		pages := hwp.PagesForTuples(c.Tuples)
 		switch c.Access {
-		case exec.AccessNonClustered:
+		case plan.AccessNonClustered:
 			diskMS = float64(c.Tuples) * randomMS
 			cpuMS = float64(c.Tuples) * (hwp.InstrTime(hwp.ReadPageInstr) + hwp.InstrTime(hwp.XferPageInstr)).Milliseconds()
 		default: // clustered

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/hw"
+	"repro/internal/plan"
 	"repro/internal/rng"
 	"repro/internal/storage"
 )
@@ -28,10 +29,10 @@ func TestMixDefinitionsMatchSection6(t *testing.T) {
 			t.Fatalf("%s: %d classes", c.mix.Name, len(c.mix.Classes))
 		}
 		qa, qb := c.mix.Classes[0], c.mix.Classes[1]
-		if qa.Attr != storage.Unique1 || qa.Access != exec.AccessNonClustered {
+		if qa.Attr != storage.Unique1 || qa.Access != plan.AccessNonClustered {
 			t.Fatalf("%s: QA misconfigured: %+v", c.mix.Name, qa)
 		}
-		if qb.Attr != storage.Unique2 || qb.Access != exec.AccessClustered {
+		if qb.Attr != storage.Unique2 || qb.Access != plan.AccessClustered {
 			t.Fatalf("%s: QB misconfigured: %+v", c.mix.Name, qb)
 		}
 		if qa.Tuples != c.qaTuples || qb.Tuples != c.qbTuples {
@@ -110,13 +111,13 @@ func TestSampleFrequencies(t *testing.T) {
 func TestAccessChooser(t *testing.T) {
 	m := LowLow(1000)
 	choose := m.AccessChooser()
-	if choose(core.Predicate{Attr: storage.Unique1}) != exec.AccessNonClustered {
+	if choose(core.Predicate{Attr: storage.Unique1}) != plan.AccessNonClustered {
 		t.Fatal("A should use the non-clustered index")
 	}
-	if choose(core.Predicate{Attr: storage.Unique2}) != exec.AccessClustered {
+	if choose(core.Predicate{Attr: storage.Unique2}) != plan.AccessClustered {
 		t.Fatal("B should use the clustered index")
 	}
-	if choose(core.Predicate{Attr: storage.Ten}) != exec.AccessSeqScan {
+	if choose(core.Predicate{Attr: storage.Ten}) != plan.AccessSeqScan {
 		t.Fatal("non-indexed attributes must fall back to a sequential scan")
 	}
 }
