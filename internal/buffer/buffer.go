@@ -11,6 +11,9 @@
 // table. A page takes a frame only once its read has succeeded; reads in
 // flight are kept apart, each with a latch from the pool's free list, so a
 // hit, a miss and a piggybacked wait allocate nothing once the pool is warm.
+//
+// A read runs in step form (PageRead), for any hw.Waiter: an operator handler
+// or, through ReadHeat, a process.
 package buffer
 
 import (
@@ -62,8 +65,8 @@ type inflightRead struct {
 // before its waiters run, and they would read the later read's state.
 type latch struct {
 	err     error
-	waiters []*sim.Proc // parked piggybackers, in arrival order
-	pending int         // waiters that have not yet taken err
+	waiters []sim.Handler // piggybackers, in arrival order
+	pending int           // waiters that have not yet taken err
 }
 
 // NewPool creates a pool of the given capacity over the node's disk.
@@ -99,10 +102,35 @@ func (b *Pool) Read(p *sim.Proc, physPage int) error {
 // so per-fragment misses sum to the disk's read totals when every caller
 // attributes.
 func (b *Pool) ReadHeat(p *sim.Proc, physPage int, h *obs.FragHeat) error {
+	var r PageRead
+	for done := r.Start(b, p, physPage, h); !done; done = r.Step() {
+		p.Park()
+	}
+	return r.Err()
+}
+
+// PageRead is ReadHeat in step form, in a record its caller owns. Start begins
+// the read for a Waiter: a hit is done at once, a miss issues the disk
+// read under a latch, and a read of a page already in flight piggybacks on
+// its latch. Each wait ends by scheduling the Waiter, which calls Step in
+// that event, and both report whether the read is done; Err is then its
+// outcome.
+type PageRead struct {
+	b     *Pool
+	page  int
+	latch *latch // the latch the miss armed, or the one the piggyback waits on
+	piggy bool   // waiting on another read's latch
+	disk  hw.DiskRead
+	err   error
+}
+
+// Start begins reading physPage for w, attributing it to h (nil = off).
+func (r *PageRead) Start(b *Pool, w hw.Waiter, physPage int, h *obs.FragHeat) bool {
+	*r = PageRead{b: b, page: physPage}
 	if b.capacity == 0 {
 		b.misses++
 		h.BufferMiss()
-		return b.disk.ReadHeat(p, physPage, h)
+		return r.diskStarted(w, h)
 	}
 	if _, f := b.lookup(physPage); f >= 0 {
 		b.hits++
@@ -111,36 +139,83 @@ func (b *Pool) ReadHeat(p *sim.Proc, physPage int, h *obs.FragHeat) error {
 			b.unlink(f)
 			b.pushFront(f)
 		}
-		return nil
+		return true
 	}
-	for _, r := range b.inflight {
-		if r.page == physPage {
-			// Another process is already reading this page; piggyback on
+	for _, in := range b.inflight {
+		if in.page == physPage {
+			// Another reader is already reading this page; piggyback on
 			// it and share its outcome.
 			b.hits++
 			h.BufferHit()
-			return b.wait(p, r.latch)
+			r.latch, r.piggy = in.latch, true
+			in.latch.pending++
+			in.latch.waiters = append(in.latch.waiters, w)
+			return false
 		}
 	}
 	b.misses++
 	h.BufferMiss()
-	l := b.arm(physPage)
-	err := b.disk.ReadHeat(p, physPage, h)
-	b.disarm(physPage)
-	if err == nil {
-		b.insert(physPage)
+	r.latch = b.arm(physPage)
+	return r.diskStarted(w, h)
+}
+
+// diskStarted issues the disk read and reports whether it is done, as it
+// is when the disk rejects it at once.
+func (r *PageRead) diskStarted(w hw.Waiter, h *obs.FragHeat) bool {
+	if !r.disk.Start(r.b.disk, w, r.page, h) {
+		return false
 	}
-	l.err = err
+	r.finish()
+	return true
+}
+
+// Step continues the read in the event that ended its wait.
+func (r *PageRead) Step() bool {
+	if r.piggy {
+		// The read we joined has finished; the last waiter to take its
+		// outcome puts the latch back on the free list.
+		l := r.latch
+		r.err = l.err
+		l.pending--
+		if l.pending == 0 {
+			r.b.free = append(r.b.free, l)
+		}
+		return true
+	}
+	if !r.disk.Step() {
+		return false
+	}
+	r.finish()
+	return true
+}
+
+// finish completes the read with the disk's outcome: a miss makes the
+// page resident on success, hands the outcome to its piggybackers and
+// wakes them in the order they joined, and frees its latch unless a
+// waiter has yet to take the outcome.
+func (r *PageRead) finish() {
+	b, l := r.b, r.latch
+	r.err = r.disk.Err()
+	if l == nil {
+		return // a pass-through read
+	}
+	b.disarm(r.page)
+	if r.err == nil {
+		b.insert(r.page)
+	}
+	l.err = r.err
 	for i, w := range l.waiters {
-		b.eng.Wake(w)
+		b.eng.ScheduleHandler(0, w)
 		l.waiters[i] = nil
 	}
 	l.waiters = l.waiters[:0]
 	if l.pending == 0 {
 		b.free = append(b.free, l)
 	}
-	return err
 }
+
+// Err reports the outcome of a read that is done.
+func (r *PageRead) Err() error { return r.err }
 
 // arm registers a read of physPage in flight under a free latch.
 func (b *Pool) arm(physPage int) *latch {
@@ -167,20 +242,6 @@ func (b *Pool) disarm(physPage int) {
 			return
 		}
 	}
-}
-
-// wait parks p until l's read finishes and returns its error. The last
-// waiter to resume puts the latch back on the free list.
-func (b *Pool) wait(p *sim.Proc, l *latch) error {
-	l.pending++
-	l.waiters = append(l.waiters, p)
-	p.Park()
-	err := l.err
-	l.pending--
-	if l.pending == 0 {
-		b.free = append(b.free, l)
-	}
-	return err
 }
 
 // insert makes a page that is not resident the most recent, evicting the

@@ -238,26 +238,36 @@ func (n *Node) ResetStats() {
 // operator started (epoch mismatch) or is down now: a crash fail-silences
 // in-flight work.
 func (n *Node) send(p *sim.Proc, epoch int, msg hw.Message) {
-	if n.down || n.epoch != epoch {
+	if n.silenced(epoch) {
 		return
 	}
 	n.net.Send(p, n.CPU, msg)
 }
 
+// silenced reports whether an operator started in the crash epoch epoch
+// must suppress its replies.
+func (n *Node) silenced(epoch int) bool { return n.down || n.epoch != epoch }
+
 // sendError reports an operator failure to the scheduler.
 func (n *Node) sendError(p *sim.Proc, epoch int, req int64, replyTo, attempt int, err error) {
+	n.send(p, epoch, n.errorReply(req, replyTo, attempt, err))
+}
+
+// errorReply counts an operator failure and returns its report to the
+// scheduler.
+func (n *Node) errorReply(req int64, replyTo, attempt int, err error) hw.Message {
 	n.OpErrors++
-	n.send(p, epoch, hw.Message{
+	return hw.Message{
 		From: n.ID, To: replyTo, Bytes: controlBytes,
 		Payload: opError{
 			QueryID: req, Node: n.ID, Attempt: attempt,
 			Transient: errors.Is(err, hw.ErrDiskIO), Msg: err.Error(),
 		},
-	})
+	}
 }
 
 // Start installs the node's Operator Manager: the consumer handler of the
-// node's inbox, which starts one operator process per incoming request, so
+// node's inbox, which starts one operator per incoming request, so
 // concurrent queries contend for the node's CPU and disk exactly as on the
 // real machine, and feeds join traffic to the query's join operator. It
 // runs in the event that delivers a request, with no process of its own.
@@ -274,7 +284,9 @@ func (o *opManager) HandleEvent() {
 	inbox := n.net.Inbox(n.ID)
 	for m, ok := inbox.Take(); ok; m, ok = inbox.Take() {
 		switch req := m.Payload.(type) {
-		case startOp, batchOp, auxLookup, joinScan:
+		case startOp, auxLookup:
+			n.eng.ScheduleHandler(0, n.newOperator(m.Payload, nil))
+		case batchOp, joinScan:
 			n.spawnOperator(m.Payload, nil)
 		case joinBatch:
 			n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Scanners, m.Payload)
@@ -291,126 +303,6 @@ func (o *opManager) HandleEvent() {
 
 // Name names the Operator Manager in the run error of its panic.
 func (o *opManager) Name() string { return fmt.Sprintf("node%d.opmgr", o.ID) }
-
-// operator is the record an operator process runs from: the request that
-// started it, or the join worker it serves. Records come from the node's
-// free list and return to it when the operator finishes, so starting an
-// operator allocates its sim.Proc and nothing else: no closure, and no
-// name until something reads one.
-type operator struct {
-	n    *Node
-	req  any         // startOp, batchOp, auxLookup or joinScan; nil for a join operator
-	join *joinWorker // the join operator's worker
-	next *operator   // free-list link
-}
-
-// spawnOperator starts an operator process for the request req, or for
-// the join worker w when req is nil.
-func (n *Node) spawnOperator(req any, w *joinWorker) {
-	op := n.freeOps
-	if op != nil {
-		n.freeOps, op.next = op.next, nil
-	} else {
-		op = &operator{n: n}
-	}
-	op.req, op.join = req, w
-	n.eng.SpawnBody(op)
-}
-
-// Run executes the operator, then returns its record to the free list.
-func (op *operator) Run(p *sim.Proc) {
-	n := op.n
-	switch req := op.req.(type) {
-	case startOp:
-		n.runSelect(p, req)
-	case batchOp:
-		n.runSharedBatch(p, req)
-	case auxLookup:
-		n.runAuxLookup(p, req)
-	case joinScan:
-		n.runJoinScan(p, req)
-	default:
-		n.runJoinOperator(p, op.join)
-	}
-	op.req, op.join = nil, nil
-	op.next, n.freeOps = n.freeOps, op
-}
-
-// Name formats the operator's process name.
-func (op *operator) Name() string {
-	id := op.n.ID
-	switch req := op.req.(type) {
-	case startOp:
-		if req.Agg != nil {
-			return fmt.Sprintf("node%d.agg.q%d", id, req.QueryID)
-		}
-		return fmt.Sprintf("node%d.op.q%d", id, req.QueryID)
-	case batchOp:
-		return fmt.Sprintf("node%d.sharedop", id)
-	case auxLookup:
-		return fmt.Sprintf("node%d.aux.q%d", id, req.QueryID)
-	case joinScan:
-		return fmt.Sprintf("node%d.joinscan.q%d", id, req.QueryID)
-	default:
-		return fmt.Sprintf("node%d.joinop.q%d", id, op.join.qid)
-	}
-}
-
-// runSelect executes one selection operator: index traversal and tuple
-// fetches against the local (or backup) fragment, then ships the qualifying
-// tuples to the scheduler — or, for an aggregate's operator, folds them
-// into a partial (JoinProbeInstr per tuple) and ships a control message.
-// The final result message doubles as the completion signal; an access
-// error becomes an opError report instead of a process crash.
-func (n *Node) runSelect(p *sim.Proc, req startOp) {
-	p.SetQID(req.QueryID)
-	epoch := n.epoch
-	span := n.eng.StartSpan()
-	role := req.Role
-	fspan := n.eng.StartSpan()
-	hold, err := n.Resolve(req.Relation, role, req.Epoch)
-	var acc storage.Access
-	if err == nil {
-		acc, err = accessFor(hold.Frag, req.Access, req.Pred, req.TIDs)
-	}
-	if err == nil {
-		err = n.chargeAccess(p, acc, hold.Heat)
-	}
-	if err != nil {
-		n.sendError(p, epoch, req.QueryID, req.ReplyTo, req.Attempt, err)
-		if span.Active() {
-			span.End(n.ID, "op", "select "+req.Access.String()+" failed", req.QueryID, err.Error())
-		}
-		return
-	}
-	n.OpsExecuted++
-
-	bytes := controlBytes
-	var value int64
-	if req.Agg != nil {
-		for i := 0; i < acc.N; i++ {
-			n.CPU.Execute(p, n.costs.JoinProbeInstr) // per-tuple aggregation work
-		}
-		value = req.Agg.partial(acc)
-	} else {
-		n.TuplesShipped += int64(acc.N)
-		bytes += n.params.TupleBytes(acc.N)
-	}
-	hold.Heat.Account(len(acc.IndexPages), acc.NumDataPages(), int64(bytes), role == Backup)
-	if fspan.Active() {
-		fspan.End(n.ID, "frag", obs.FragID{Relation: req.Relation, Kind: role.Kind()}.Label(),
-			req.QueryID, fmt.Sprintf("%d pages, %d tuples", acc.PageCount(), acc.N))
-	}
-	n.send(p, epoch, hw.Message{
-		From: n.ID, To: req.ReplyTo, Bytes: bytes,
-		Payload: opResult{QueryID: req.QueryID, Node: n.ID, Tuples: acc.N,
-			Value: value, Attempt: req.Attempt},
-	})
-	if span.Active() {
-		span.End(n.ID, "op", "select "+req.Access.String(), req.QueryID,
-			fmt.Sprintf("%d tuples", acc.N))
-	}
-}
 
 // accessFor runs one access method against a resolved fragment.
 func accessFor(frag *storage.Fragment, kind plan.Access, pred core.Predicate, tids []int64) (storage.Access, error) {
@@ -511,59 +403,6 @@ func (n *Node) runSharedBatch(p *sim.Proc, req batchOp) {
 	if span.Active() {
 		span.End(n.ID, "op", "shared select "+req.Access.String(), 0,
 			fmt.Sprintf("%d members, %d pages", len(req.Members), idxPages+dataPages))
-	}
-}
-
-// runAuxLookup executes BERD's first step: search the local fragment of the
-// auxiliary relation and return the home processors of qualifying tuples.
-func (n *Node) runAuxLookup(p *sim.Proc, req auxLookup) {
-	p.SetQID(req.QueryID)
-	epoch := n.epoch
-	span := n.eng.StartSpan()
-	role := req.Role
-	hold, err := n.Resolve(req.Relation, role, req.Epoch)
-	var aux *storage.AuxFragment
-	if err == nil {
-		if aux = hold.Aux[req.Pred.Attr]; aux == nil {
-			err = fmt.Errorf("exec: node %d has no %s aux relation for %q attr %d at epoch %d",
-				n.ID, role, req.Relation, req.Pred.Attr, req.Epoch)
-		}
-	}
-	fspan := n.eng.StartSpan()
-	var byProc [][]int64
-	var entries int
-	var pages []int
-	if err == nil {
-		byProc, entries, pages = aux.Lookup(req.Pred.Lo, req.Pred.Hi)
-		for _, pg := range pages {
-			if err = n.Pool.ReadHeat(p, pg, hold.AuxHeat); err != nil {
-				break
-			}
-			n.CPU.Execute(p, n.costs.IndexPageInstr)
-		}
-	}
-	if err != nil {
-		n.sendError(p, epoch, req.QueryID, req.ReplyTo, req.Attempt, err)
-		if span.Active() {
-			span.End(n.ID, "op", "aux-lookup failed", req.QueryID, err.Error())
-		}
-		return
-	}
-	n.OpsExecuted++
-	bytes := entries*auxEntryBytes + controlBytes
-	hold.AuxHeat.Account(len(pages), 0, int64(bytes), role == Backup)
-	if fspan.Active() {
-		fspan.End(n.ID, "frag", obs.FragID{Relation: req.Relation, Kind: obs.FragAux}.Label(),
-			req.QueryID, fmt.Sprintf("%d pages, %d tuples", len(pages), 0))
-	}
-	n.send(p, epoch, hw.Message{
-		From: n.ID, To: req.ReplyTo, Bytes: bytes,
-		Payload: auxResult{QueryID: req.QueryID, Node: n.ID, TIDsByProc: byProc,
-			Entries: entries, Attempt: req.Attempt},
-	})
-	if span.Active() {
-		span.End(n.ID, "op", "aux-lookup", req.QueryID,
-			fmt.Sprintf("%d entries", entries))
 	}
 }
 

@@ -26,8 +26,8 @@ var ErrDiskIO = errors.New("transient disk I/O error")
 //
 // After the disk arm finishes a read, the page sits in the I/O channel's
 // FIFO buffer; moving it to memory costs XferPageInstr CPU instructions at
-// transfer priority, charged to the requesting process by Read. Writes pay
-// the memory->FIFO transfer before the arm starts.
+// transfer priority, charged to the requester by the read. Writes pay the
+// memory->FIFO transfer before the arm starts.
 type Disk struct {
 	eng    *sim.Engine
 	name   string
@@ -51,15 +51,16 @@ type Disk struct {
 
 	// Fault-injection state. All fields stay at their zero values unless a
 	// fault.Injector drives them, so the healthy hot path costs one branch.
-	failed     bool                // fail-stop: reject everything until Repair
-	aborted    bool                // Fail hit the in-flight transfer
-	failNext   int                 // next N reads fail with a transient error
-	degrade    float64             // latency multiplier; <=1 means nominal
-	pendingErr map[*sim.Proc]error // error to deliver to a parked requester
+	failed   bool    // fail-stop: reject everything until Repair
+	aborted  bool    // Fail hit the in-flight transfer
+	failNext int     // next N reads fail with a transient error
+	degrade  float64 // latency multiplier; <=1 means nominal
 }
 
+// diskReq is one queued or in-flight request: the Waiter to schedule when
+// the arm finishes it or Fail errors it out, and what the arm needs.
 type diskReq struct {
-	p        *sim.Proc
+	w        Waiter
 	physPage int
 	write    bool
 	seq      uint64
@@ -89,23 +90,65 @@ func (d *Disk) SetNode(node int) { d.node = node }
 // queue wait (arrival to arm start) is charged to h when the arm picks it
 // up; h may be nil.
 func (d *Disk) ReadHeat(p *sim.Proc, physPage int, h *obs.FragHeat) error {
-	if err := d.access(p, physPage, false, h); err != nil {
-		return err
+	var r DiskRead
+	for done := r.Start(d, p, physPage, h); !done; done = r.Step() {
+		p.Park()
 	}
-	// Page is in the channel FIFO; move it to memory on the CPU.
-	d.cpu.ExecuteTransfer(p, d.params.XferPageInstr)
-	return nil
+	return r.Err()
 }
+
+// DiskRead is ReadHeat in step form, in a record its caller owns: the
+// arm's queue wait and transfer, then the page's FIFO transfer on the node
+// CPU at transfer priority. Start issues the read for a Waiter, each wait
+// ends by scheduling the Waiter, which calls Step in that event, and both
+// report whether the read is done; Err is then its outcome.
+type DiskRead struct {
+	d    *Disk
+	w    Waiter
+	xfer bool // the arm is done and the FIFO transfer is in service
+	err  error
+}
+
+// Start issues the read of physPage for w, attributing its queue wait to
+// h (nil = off). It reports true only when the read fails at once.
+func (r *DiskRead) Start(d *Disk, w Waiter, physPage int, h *obs.FragHeat) bool {
+	*r = DiskRead{d: d, w: w}
+	r.err = d.enqueue(w, physPage, false, h)
+	return r.err != nil
+}
+
+// Step continues the read in the event that ended its wait: after the
+// arm, it takes a failure from the Waiter's error slot or starts the FIFO
+// transfer; after the transfer, the read is done.
+func (r *DiskRead) Step() bool {
+	if r.xfer {
+		return true
+	}
+	if r.err = takeErr(r.w); r.err != nil {
+		return true
+	}
+	r.xfer = true
+	return !r.d.cpu.Charge(r.w, r.d.params.XferPageInstr, PrioTransfer)
+}
+
+// Err reports the outcome of a read that is done.
+func (r *DiskRead) Err() error { return r.err }
 
 // Write stores the physical page from memory, blocking the caller until the
 // arm completes (synchronous, durable write).
 func (d *Disk) Write(p *sim.Proc, physPage int) error {
 	// Move memory -> channel FIFO first, then run the arm.
 	d.cpu.ExecuteTransfer(p, d.params.XferPageInstr)
-	return d.access(p, physPage, true, nil)
+	if err := d.enqueue(p, physPage, true, nil); err != nil {
+		return err
+	}
+	p.Park() // woken when our transfer completes (or the disk dies under us)
+	return takeErr(p)
 }
 
-func (d *Disk) access(p *sim.Proc, physPage int, write bool, h *obs.FragHeat) error {
+// enqueue queues a request for w, starting the arm on an idle disk, or
+// returns the error that rejects it at once.
+func (d *Disk) enqueue(w Waiter, physPage int, write bool, h *obs.FragHeat) error {
 	if physPage < 0 || physPage >= d.params.PagesPerDisk() {
 		return fmt.Errorf("hw: %s: physical page %d out of range [0,%d)",
 			d.name, physPage, d.params.PagesPerDisk())
@@ -119,32 +162,30 @@ func (d *Disk) access(p *sim.Proc, physPage int, write bool, h *obs.FragHeat) er
 	}
 	d.nextSeq++
 	d.queue = append(d.queue, diskReq{
-		p: p, physPage: physPage, write: write, seq: d.nextSeq,
-		arrived: d.eng.Now(), qid: p.QID(), heat: h,
+		w: w, physPage: physPage, write: write, seq: d.nextSeq,
+		arrived: d.eng.Now(), qid: w.QID(), heat: h,
 	})
 	if !d.busy {
 		d.busy = true
 		d.clock.Start(d.eng.Now())
 		d.startNext()
 	}
-	p.Park() // woken when our transfer completes (or the disk dies under us)
-	if d.pendingErr != nil {
-		if err, ok := d.pendingErr[p]; ok {
-			delete(d.pendingErr, p)
-			return err
-		}
-	}
 	return nil
 }
 
-// failRequest records an error for a parked requester and wakes it; the
-// requester finds the error in pendingErr when it resumes inside access.
-func (d *Disk) failRequest(p *sim.Proc, err error) {
-	if d.pendingErr == nil {
-		d.pendingErr = make(map[*sim.Proc]error)
-	}
-	d.pendingErr[p] = err
-	d.eng.Wake(p)
+// takeErr empties w's error slot and returns what it held.
+func takeErr(w Waiter) error {
+	slot := w.ErrSlot()
+	err := *slot
+	*slot = nil
+	return err
+}
+
+// failRequest puts an error in a waiting requester's error slot and
+// schedules it, as the end of its wait.
+func (d *Disk) failRequest(req *diskReq, err error) {
+	*req.w.ErrSlot() = err
+	d.eng.ScheduleHandler(0, req.w)
 }
 
 // Fail makes the disk fail-stop: every queued request errors out now, the
@@ -157,9 +198,11 @@ func (d *Disk) Fail() {
 	}
 	d.failed = true
 	d.aborted = d.busy
-	for _, req := range d.queue {
-		d.failRequest(req.p, fmt.Errorf("hw: %s: %s p%d: %w",
+	for i := range d.queue {
+		req := &d.queue[i]
+		d.failRequest(req, fmt.Errorf("hw: %s: %s p%d: %w",
 			d.name, verb(req.write), req.physPage, ErrDiskFailed))
+		*req = diskReq{}
 	}
 	d.queue = d.queue[:0]
 }
@@ -194,9 +237,13 @@ func (d *Disk) SetLatencyFactor(f float64) {
 // its completion, so a transfer allocates no per-request closure.
 func (d *Disk) startNext() {
 	idx := d.pickElevator()
-	req := d.queue[idx]
-	d.queue = append(d.queue[:idx], d.queue[idx+1:]...)
+	d.cur = d.queue[idx]
+	last := len(d.queue) - 1
+	copy(d.queue[idx:], d.queue[idx+1:])
+	d.queue[last] = diskReq{}
+	d.queue = d.queue[:last]
 
+	req := &d.cur
 	t := d.stretch(d.serviceTime(req.physPage))
 	req.heat.DiskWait(int64(d.eng.Now() - req.arrived))
 	d.headCyl = d.params.Cylinder(req.physPage)
@@ -204,17 +251,17 @@ func (d *Disk) startNext() {
 	if !req.write {
 		d.reads++
 	}
-	d.cur = req
 	d.curSpan = d.eng.StartSpan()
 	d.eng.ScheduleHandler(t, d)
 }
 
 // HandleEvent completes the in-flight transfer: it emits the transfer's
-// trace span, wakes the owner (with ErrDiskFailed when Fail aborted the
-// transfer), and starts the next queued request. It implements the
-// engine's Handler interface and is not meant to be called directly.
+// trace span, schedules the requester (with ErrDiskFailed in its error
+// slot when Fail aborted the transfer), and starts the next queued
+// request. It implements the engine's Handler interface and is not meant
+// to be called directly.
 func (d *Disk) HandleEvent() {
-	req := d.cur
+	req := &d.cur
 	if d.curSpan.Active() {
 		d.curSpan.End(d.node, "disk",
 			fmt.Sprintf("%s p%d", verb(req.write), req.physPage), req.qid,
@@ -225,10 +272,10 @@ func (d *Disk) HandleEvent() {
 		// requester gets an error instead of its page. Fail flushed the
 		// queue, so it holds only requests made after a Repair.
 		d.aborted = false
-		d.failRequest(req.p, fmt.Errorf("hw: %s: %s p%d: %w",
+		d.failRequest(req, fmt.Errorf("hw: %s: %s p%d: %w",
 			d.name, verb(req.write), req.physPage, ErrDiskFailed))
 	} else {
-		d.eng.Wake(req.p)
+		d.eng.ScheduleHandler(0, req.w)
 	}
 	if len(d.queue) > 0 {
 		d.startNext()
@@ -253,7 +300,8 @@ func (d *Disk) pickElevator() int {
 	best := -1
 	pick := func(up bool) int {
 		chosen, chosenCyl := -1, 0
-		for i, r := range d.queue {
+		for i := range d.queue {
+			r := &d.queue[i]
 			c := d.params.Cylinder(r.physPage)
 			if up && c < d.headCyl || !up && c > d.headCyl {
 				continue

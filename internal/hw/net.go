@@ -54,7 +54,7 @@ func (c *NIC) HandleEvent() {
 	for m, ok := c.rx.Take(); ok; m, ok = c.rx.Take() {
 		if cost := c.recvCost(m.Bytes); cost > 0 {
 			c.inCPU, c.cur = true, m
-			c.cpu.fac.Request(c, cost, PrioTransfer)
+			c.cpu.fac.Request(c, cost, PrioTransfer, 0)
 			return
 		}
 		c.inbox.Put(m)
@@ -163,53 +163,102 @@ func NewNetwork(e *sim.Engine, params Params, cpus []*CPU) *Network {
 // MaxPacket are split into maximal packets, each paying full per-packet
 // costs (Table 2 caps packets at 8 KB).
 func (n *Network) Send(p *sim.Proc, cpu *CPU, msg Message) {
+	var s Send
+	for done := s.Start(n, p, cpu, msg); !done; done = s.Step() {
+		p.Park()
+	}
+}
+
+// Send is Network.Send in step form, in a record its caller owns. Each
+// packet pays the sender-side protocol cost on the node CPU (or, from an
+// uncharged coordination endpoint, as a pure delay), then its
+// transmission through the outgoing NIC. Start begins the first packet
+// for a Waiter, each wait ends by scheduling the Waiter, which calls Step
+// in that event, and both report whether the message is sent.
+type Send struct {
+	n         *Network
+	w         Waiter
+	cpu       *CPU
+	msg       Message
+	remaining int  // bytes not yet in a packet
+	chunk     int  // the current packet's bytes
+	onWire    bool // the current packet is being transmitted
+}
+
+// Start begins sending msg for w, charging cpu (nil for an uncharged
+// endpoint).
+func (s *Send) Start(n *Network, w Waiter, cpu *CPU, msg Message) bool {
 	if msg.To < 0 || msg.To >= len(n.nics) || msg.From < 0 || msg.From >= len(n.nics) {
 		panic(fmt.Sprintf("hw: message endpoints out of range: %d -> %d", msg.From, msg.To))
 	}
 	if msg.Bytes <= 0 {
 		panic(fmt.Sprintf("hw: message must have positive size, got %d", msg.Bytes))
 	}
-	src := n.nics[msg.From]
-	remaining := msg.Bytes
-	for remaining > 0 {
-		chunk := remaining
-		if chunk > n.params.MaxPacket {
-			chunk = n.params.MaxPacket
-		}
-		remaining -= chunk
-		last := remaining == 0
-		// Sender protocol processing on the node CPU (or a pure delay for
-		// an uncharged coordination endpoint), then transmission serialized
-		// through the outgoing NIC.
-		if cpu != nil {
-			cpu.ExecuteTime(p, n.params.MsgCost(chunk), PrioNormal)
-		} else {
-			p.Hold(n.params.MsgCost(chunk))
-		}
-		src.out.Use(p, n.params.WireTime(chunk))
-		src.sent++
-		if n.eng.Tracing() {
-			n.eng.EmitNow(obs.TraceEvent{
-				Node: msg.From, Kind: obs.KindInstant, Category: "net",
-				Name:    fmt.Sprintf("packet %dB -> %d", chunk, msg.To),
-				QueryID: p.QID(),
-			})
-		}
-		if last {
-			// Deliver the logical message with the final packet. Fault
-			// injection acts here, on the whole logical message: a drop
-			// loses the payload after the wire cost is paid, a duplication
-			// hands the receiver the same payload twice.
-			copies := 1
-			if n.faults != nil {
-				copies = n.faults.deliveries(msg.To)
-			}
-			for c := 0; c < copies; c++ {
-				n.nics[msg.To].rx.Put(Message{From: msg.From, To: msg.To, Bytes: chunk, Payload: msg.Payload})
-			}
-		} else {
-			n.nics[msg.To].rx.Put(Message{From: msg.From, To: msg.To, Bytes: chunk})
-		}
+	s.n, s.w, s.cpu, s.msg, s.remaining = n, w, cpu, msg, msg.Bytes
+	return s.packet()
+}
+
+// Step continues the send in the event that ended its wait: the packet's
+// protocol cost is paid, so it goes on the wire, or it has been
+// transmitted, so it is delivered and the next packet starts.
+func (s *Send) Step() bool {
+	if !s.onWire {
+		return s.transmit()
+	}
+	s.deliver()
+	if s.remaining == 0 {
+		return true
+	}
+	return s.packet()
+}
+
+// packet starts the next packet's sender-side protocol processing.
+func (s *Send) packet() bool {
+	s.chunk = min(s.remaining, s.n.params.MaxPacket)
+	s.remaining -= s.chunk
+	s.onWire = false
+	cost := s.n.params.MsgCost(s.chunk)
+	switch {
+	case s.cpu == nil:
+		s.n.eng.ScheduleHandler(cost, s.w)
+	case !s.cpu.chargeTime(s.w, cost, PrioNormal):
+		return s.transmit()
+	}
+	return false
+}
+
+// transmit puts the packet on the outgoing NIC, serialized behind the
+// node's earlier packets.
+func (s *Send) transmit() bool {
+	s.onWire = true
+	s.n.nics[s.msg.From].out.Request(s.w, s.n.params.WireTime(s.chunk), 0, s.w.QID())
+	return false
+}
+
+// deliver hands the transmitted packet to the receiver. The final packet
+// carries the logical message, and fault injection acts on it whole: a
+// drop loses the payload after the wire cost is paid, a duplication hands
+// the receiver the same payload twice.
+func (s *Send) deliver() {
+	n, msg := s.n, s.msg
+	n.nics[msg.From].sent++
+	if n.eng.Tracing() {
+		n.eng.EmitNow(obs.TraceEvent{
+			Node: msg.From, Kind: obs.KindInstant, Category: "net",
+			Name:    fmt.Sprintf("packet %dB -> %d", s.chunk, msg.To),
+			QueryID: s.w.QID(),
+		})
+	}
+	if s.remaining > 0 {
+		n.nics[msg.To].rx.Put(Message{From: msg.From, To: msg.To, Bytes: s.chunk})
+		return
+	}
+	copies := 1
+	if n.faults != nil {
+		copies = n.faults.deliveries(msg.To)
+	}
+	for c := 0; c < copies; c++ {
+		n.nics[msg.To].rx.Put(Message{From: msg.From, To: msg.To, Bytes: s.chunk, Payload: msg.Payload})
 	}
 }
 

@@ -115,7 +115,7 @@ func TestFacilitySteadyStateAllocs(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		e.Spawn("w", func(p *Proc) {
 			for i := 0; i < rounds; i++ {
-				f.Use(p, Microsecond)
+				f.UsePriority(p, Microsecond, 0)
 			}
 			done++
 		})

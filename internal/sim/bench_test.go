@@ -27,7 +27,7 @@ func BenchmarkFacilityContention(b *testing.B) {
 	for w := 0; w < 16; w++ {
 		e.Spawn("w", func(p *Proc) {
 			for i := 0; i < per; i++ {
-				f.Use(p, Microsecond)
+				f.UsePriority(p, Microsecond, 0)
 			}
 		})
 	}

@@ -39,11 +39,11 @@ func TestCloseUnwindsEveryProcess(t *testing.T) {
 	})
 	e.Spawn("holder", func(p *Proc) {
 		defer func() { unwound++ }()
-		f.Use(p, Second) // holds the facility at Close
+		f.UsePriority(p, Second, 0) // holds the facility at Close
 	})
 	e.Spawn("waiter", func(p *Proc) {
 		defer func() { unwound++ }()
-		f.Use(p, Millisecond) // queued behind the holder
+		f.UsePriority(p, Millisecond, 0) // queued behind the holder
 		waiterServed++
 	})
 	e.SpawnAt(Time(Second), "unstarted", func(p *Proc) { lateRan++ })

@@ -117,7 +117,7 @@ func (c *handlerConsumer) HandleEvent() {
 		}
 		if c.mode == consumeCharge {
 			c.cur, c.charging = v, true
-			c.f.Request(c, chargeOf(v), v%2)
+			c.f.Request(c, chargeOf(v), v%2, 0)
 			return
 		}
 		c.logf("consumed %d", v)

@@ -462,6 +462,7 @@ type Proc struct {
 	finished bool   // body has returned (normally, by panic, or by Close)
 	slot     int32  // index in the engine's live-process set
 	qid      int64  // query the process is currently working for (0 = none)
+	err      error  // error slot of the step form the process waits in
 }
 
 // Body is a process body held in a typed record instead of a closure. The
@@ -503,6 +504,11 @@ func (p *Proc) SetQID(id int64) { p.qid = id }
 
 // QID reports the process's current query tag (0 = none).
 func (p *Proc) QID() int64 { return p.qid }
+
+// ErrSlot is the process's error slot: a wait of a resumable step form
+// the process blocks in (hw.Waiter) that fails after it began puts its
+// error there before waking the process.
+func (p *Proc) ErrSlot() *error { return &p.err }
 
 // Spawn creates a process that begins executing fn at the current time
 // (after already-scheduled events at this timestamp).

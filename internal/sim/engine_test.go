@@ -267,7 +267,7 @@ func TestTraceSink(t *testing.T) {
 	}
 	f := NewFacility(e, "cpu")
 	e.Spawn("p", func(p *Proc) {
-		f.Use(p, Millisecond)
+		f.UsePriority(p, Millisecond, 0)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestDeterministicReplay(t *testing.T) {
 			i := i
 			e.Spawn("w", func(p *Proc) {
 				p.Hold(Duration(i) * Millisecond)
-				f.Use(p, 2*Millisecond)
+				f.UsePriority(p, 2*Millisecond, 0)
 				mb.Put(i)
 				log = append(log, p.Now())
 			})

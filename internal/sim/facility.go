@@ -13,14 +13,14 @@ import (
 // transfers to/from the disk's FIFO buffer", which we map to a high-priority
 // class) and the FCFS network interfaces.
 //
-// Every request names the Handler to schedule when its service completes:
-// the requesting process itself (UsePriority), or a component that
-// requests service for itself (Request). The wait queue is an intrusive
-// singly-linked list of pooled request nodes, and the facility is the
-// Handler of its own service completion, so steady-state operation
-// allocates nothing: nodes recycle through a per-facility free list and
-// the single in-service request lives in a struct field instead of a
-// per-completion closure.
+// Every request names the Handler to schedule when its service completes
+// and the query it is for: the requesting process itself (UsePriority), or
+// a handler that requests service for itself (Request). The wait queue is
+// an intrusive singly-linked list of pooled request nodes, and the
+// facility is the Handler of its own service completion, so steady-state
+// operation allocates nothing: nodes recycle through a per-facility free
+// list and the single in-service request lives in a struct field instead
+// of a per-completion closure.
 type Facility struct {
 	eng  *Engine
 	name string
@@ -65,29 +65,20 @@ func (f *Facility) SetMeta(node int, category string) {
 	f.category = category
 }
 
-// Use requests service time from the facility at default priority and blocks
-// the calling process until the service completes.
-func (f *Facility) Use(p *Proc, service Duration) { f.UsePriority(p, service, 0) }
-
 // UsePriority requests service at the given priority on behalf of p,
 // tagged with p's query, and parks p until the service completes. Larger
 // priorities are served first; ties are FCFS.
 func (f *Facility) UsePriority(p *Proc, service Duration, prio int) {
-	f.request(p, service, prio, p.qid)
+	f.Request(p, service, prio, p.qid)
 	p.Park() // woken when our service completes
 }
 
-// Request asks for service at the given priority on behalf of h: it queues
-// and is served exactly like UsePriority, and when the service completes,
-// h runs as an event at that instant, where a requesting process would
-// resume. The request carries no query tag, and its span is named by h
-// (see Namer).
-func (f *Facility) Request(h Handler, service Duration, prio int) {
-	f.request(h, service, prio, 0)
-}
-
-// request queues h's request, or serves it at once on an idle facility.
-func (f *Facility) request(h Handler, service Duration, prio int, qid int64) {
+// Request asks for service at the given priority on behalf of h, for the
+// query qid (0 for none): it queues, or is served at once on an idle
+// facility, and when the service completes, h runs as an event at that
+// instant, where a requesting process would resume. Its span is named by h
+// (see Namer) and carries qid.
+func (f *Facility) Request(h Handler, service Duration, prio int, qid int64) {
 	if service < 0 {
 		panic(fmt.Sprintf("sim: facility %s: negative service time", f.name))
 	}

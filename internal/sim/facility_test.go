@@ -11,7 +11,7 @@ func TestFacilityFCFS(t *testing.T) {
 	var doneAt []Time
 	for i := 0; i < 3; i++ {
 		e.Spawn("p", func(p *Proc) {
-			f.Use(p, 10*Millisecond)
+			f.UsePriority(p, 10*Millisecond, 0)
 			doneAt = append(doneAt, p.Now())
 		})
 	}
@@ -34,12 +34,12 @@ func TestFacilityPriorityJumpsQueue(t *testing.T) {
 	// At t=2ms "urgent" queues with priority 1 and must be served before
 	// "normal" despite arriving later (head-of-line priority).
 	e.Spawn("long", func(p *Proc) {
-		f.Use(p, 10*Millisecond)
+		f.UsePriority(p, 10*Millisecond, 0)
 		order = append(order, "long")
 	})
 	e.Spawn("normal", func(p *Proc) {
 		p.Hold(Millisecond)
-		f.Use(p, Millisecond)
+		f.UsePriority(p, Millisecond, 0)
 		order = append(order, "normal")
 	})
 	e.Spawn("urgent", func(p *Proc) {
@@ -63,7 +63,7 @@ func TestFacilityPriorityIsNonPreemptive(t *testing.T) {
 	f := NewFacility(e, "cpu")
 	var longDone Time
 	e.Spawn("long", func(p *Proc) {
-		f.Use(p, 10*Millisecond)
+		f.UsePriority(p, 10*Millisecond, 0)
 		longDone = p.Now()
 	})
 	e.Spawn("urgent", func(p *Proc) {
@@ -82,7 +82,7 @@ func TestFacilityFIFOWithinPriority(t *testing.T) {
 	e := New()
 	f := NewFacility(e, "cpu")
 	var order []int
-	e.Spawn("blocker", func(p *Proc) { f.Use(p, 5*Millisecond) })
+	e.Spawn("blocker", func(p *Proc) { f.UsePriority(p, 5*Millisecond, 0) })
 	for i := 0; i < 4; i++ {
 		i := i
 		e.Spawn("w", func(p *Proc) {
@@ -105,8 +105,8 @@ func TestFacilityUtilization(t *testing.T) {
 	e := New()
 	f := NewFacility(e, "disk")
 	e.Spawn("p", func(p *Proc) {
-		f.Use(p, 10*Millisecond) // busy [0,10)
-		p.Hold(10 * Millisecond) // idle [10,20)
+		f.UsePriority(p, 10*Millisecond, 0) // busy [0,10)
+		p.Hold(10 * Millisecond)            // idle [10,20)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -120,8 +120,8 @@ func TestFacilityWaitAccounting(t *testing.T) {
 	e := New()
 	f := NewFacility(e, "f")
 	var aDone, bDone Time
-	e.Spawn("a", func(p *Proc) { f.Use(p, 4*Millisecond); aDone = p.Now() })
-	e.Spawn("b", func(p *Proc) { f.Use(p, 4*Millisecond); bDone = p.Now() }) // waits 4ms
+	e.Spawn("a", func(p *Proc) { f.UsePriority(p, 4*Millisecond, 0); aDone = p.Now() })
+	e.Spawn("b", func(p *Proc) { f.UsePriority(p, 4*Millisecond, 0); bDone = p.Now() }) // waits 4ms
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFacilityResetStats(t *testing.T) {
 	e := New()
 	f := NewFacility(e, "f")
 	e.Spawn("p", func(p *Proc) {
-		f.Use(p, 10*Millisecond)
+		f.UsePriority(p, 10*Millisecond, 0)
 		f.ResetStats()
 		p.Hold(10 * Millisecond)
 	})
@@ -155,7 +155,7 @@ func TestFacilityResetStats(t *testing.T) {
 func TestFacilityNegativeServicePanics(t *testing.T) {
 	e := New()
 	f := NewFacility(e, "f")
-	e.Spawn("p", func(p *Proc) { f.Use(p, -1) })
+	e.Spawn("p", func(p *Proc) { f.UsePriority(p, -1, 0) })
 	if err := e.Run(); err == nil {
 		t.Fatal("negative service should surface as error")
 	}

@@ -257,7 +257,7 @@ func (r *scriptRun) act(p *Proc, name string, ops []kernelOp, tok orderToken) {
 			r.f.UsePriority(p, Duration(op.arg%4+1)*5*Microsecond, op.arg%2)
 		case kRequest:
 			h := &scriptHandler{r: r, name: fmt.Sprintf("%s.req%d", name, step)}
-			r.f.Request(h, Duration(op.arg%4+1)*5*Microsecond, op.arg%2)
+			r.f.Request(h, Duration(op.arg%4+1)*5*Microsecond, op.arg%2, 0)
 		case kSchedule:
 			cb := r.track(d)
 			e.Schedule(d, func() {
