@@ -19,10 +19,11 @@ var (
 
 // TestOperatorDispatchAllocs guards the per-operator cost of the Operator
 // Manager: one startOp, from its delivery into the node's inbox until its
-// reply reaches the query's mailbox on the host, may allocate what its
-// access method allocates and the boxing of its reply's payload into the
-// hw.Message, each measured here, and nothing else: no sim.Proc (the
-// operator is a handler), no closure, no name, no per-message relay state.
+// reply reaches the query collector's reply queue on the host, may
+// allocate what its access method allocates and the boxing of its reply's
+// payload into the hw.Message, each measured here, and nothing else: no
+// sim.Proc (the operator is a handler), no closure, no name, no
+// per-message relay state.
 func TestOperatorDispatchAllocs(t *testing.T) {
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
 	r := newRig(t, core.NewRangeForRelation(rel, storage.Unique1, 2))
@@ -31,8 +32,8 @@ func TestOperatorDispatchAllocs(t *testing.T) {
 	msg := hw.Message{From: r.host.ID, To: 0, Bytes: controlBytes, Payload: startOp{
 		QueryID: qid, Relation: rel.Name, Pred: pred, Access: plan.AccessClustered, ReplyTo: r.host.ID,
 	}}
-	replies := sim.NewMailbox[any](r.eng, "replies")
-	r.host.pending[qid] = replies
+	col := &collector{mb: sim.NewMailbox[any](r.eng, "host.replies")}
+	r.host.pending[qid] = col
 	inbox := r.net.Inbox(0)
 	tuples := 0
 	deliver := func() {
@@ -40,7 +41,7 @@ func TestOperatorDispatchAllocs(t *testing.T) {
 		if err := r.eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		reply, ok := replies.Take()
+		reply, ok := col.mb.Take()
 		if !ok {
 			t.Fatal("the operator sent no reply")
 		}

@@ -84,7 +84,7 @@ func (a *aggregate) fold(acc, x int64, first bool) int64 {
 }
 
 // partial folds one operator's qualifying tuples, read in place.
-func (a *aggregate) partial(acc storage.Access) int64 {
+func (a *aggregate) partial(acc *storage.Access) int64 {
 	var v int64
 	for i := 0; i < acc.N; i++ {
 		x := int64(1) // COUNT counts tuples

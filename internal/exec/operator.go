@@ -268,7 +268,7 @@ func (op *operator) reply() {
 	op.step = opTransmit
 	switch req := op.req.(type) {
 	case startOp:
-		acc := op.acc
+		acc := &op.acc
 		bytes := controlBytes
 		var value int64
 		if req.Agg != nil {

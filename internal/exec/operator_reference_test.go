@@ -454,7 +454,7 @@ func refRunSelect(n *Node, pool *refPool, p *sim.Proc, req startOp) {
 		for i := 0; i < acc.N; i++ {
 			n.CPU.Execute(p, n.costs.JoinProbeInstr)
 		}
-		value = req.Agg.partial(acc)
+		value = req.Agg.partial(&acc)
 	} else {
 		n.TuplesShipped += int64(acc.N)
 		bytes += n.params.TupleBytes(acc.N)

@@ -76,7 +76,7 @@ func DefaultParams() Params {
 }
 
 // Validate reports an error for configurations the model cannot run.
-func (p Params) Validate() error {
+func (p *Params) Validate() error {
 	switch {
 	case p.MIPS <= 0:
 		return fmt.Errorf("hw: MIPS must be positive, got %g", p.MIPS)
@@ -101,7 +101,7 @@ func (p Params) Validate() error {
 
 // InstrTime converts an instruction count to simulated time at this CPU's
 // MIPS rating.
-func (p Params) InstrTime(instr int) sim.Duration {
+func (p *Params) InstrTime(instr int) sim.Duration {
 	return sim.Duration(float64(instr)/p.MIPS*1000 + 0.5) // instr/MIPS µs -> ns
 }
 
@@ -109,7 +109,7 @@ func (p Params) InstrTime(instr int) sim.Duration {
 // linearly interpolated between the Table 2 anchor points (0.6 ms at 100
 // bytes, 5.6 ms at 8192 bytes) and extrapolated below 100 bytes with the
 // same slope, floored at a quarter of the 100-byte cost.
-func (p Params) MsgCost(bytes int) sim.Duration {
+func (p *Params) MsgCost(bytes int) sim.Duration {
 	slope := (p.Send8KBMS - p.Send100BMS) / float64(p.MaxPacket-100)
 	ms := p.Send100BMS + slope*float64(bytes-100)
 	if min := p.Send100BMS / 4; ms < min {
@@ -119,18 +119,18 @@ func (p Params) MsgCost(bytes int) sim.Duration {
 }
 
 // WireTime returns the NIC transmission time for a message of the given size.
-func (p Params) WireTime(bytes int) sim.Duration {
+func (p *Params) WireTime(bytes int) sim.Duration {
 	return sim.Duration(float64(bytes)/(p.WireMBps*1024*1024)*1e9 + 0.5)
 }
 
 // PageTransferTime returns the disk-arm transfer time for one page.
-func (p Params) PageTransferTime() sim.Duration {
+func (p *Params) PageTransferTime() sim.Duration {
 	return sim.Duration(float64(p.PageSize)/(p.TransferMBps*1024*1024)*1e9 + 0.5)
 }
 
 // SeekTime returns the arm movement time across dist cylinders, including
 // head settle; zero for dist == 0 (no arm movement).
-func (p Params) SeekTime(dist int) sim.Duration {
+func (p *Params) SeekTime(dist int) sim.Duration {
 	if dist <= 0 {
 		return 0
 	}
@@ -139,16 +139,16 @@ func (p Params) SeekTime(dist int) sim.Duration {
 }
 
 // PagesPerDisk reports the disk capacity in pages.
-func (p Params) PagesPerDisk() int { return p.Cylinders * p.PagesPerCylinder }
+func (p *Params) PagesPerDisk() int { return p.Cylinders * p.PagesPerCylinder }
 
 // Cylinder maps a physical page number to its cylinder.
-func (p Params) Cylinder(physPage int) int { return physPage / p.PagesPerCylinder }
+func (p *Params) Cylinder(physPage int) int { return physPage / p.PagesPerCylinder }
 
 // TupleBytes returns the wire size of n tuples.
-func (p Params) TupleBytes(n int) int { return n * p.TupleSize }
+func (p *Params) TupleBytes(n int) int { return n * p.TupleSize }
 
 // PagesForTuples returns the number of data pages n contiguous tuples occupy.
-func (p Params) PagesForTuples(n int) int {
+func (p *Params) PagesForTuples(n int) int {
 	if n <= 0 {
 		return 0
 	}
@@ -157,7 +157,7 @@ func (p Params) PagesForTuples(n int) int {
 
 // PacketsForTuples returns the number of network packets needed to ship n
 // tuples at TuplesPerPacket per packet; zero tuples still need zero packets.
-func (p Params) PacketsForTuples(n int) int {
+func (p *Params) PacketsForTuples(n int) int {
 	if n <= 0 {
 		return 0
 	}

@@ -12,13 +12,22 @@ import (
 // shape every message relay of the machine model had. The consumer under
 // test, attached by attachConsumer, must reproduce it exactly: the same
 // global order of everything logged, at the same instants, in the same
-// events, with one event fewer per run for each spawn event it saves.
+// events, with one event fewer per run for each spawn event it saves. In
+// timed mode the reference waits with GetTimeout, as the host's query
+// collector did, and the consumer under test with TakeTimeout.
 
 // What the consumer does with each message.
 const (
 	consumeRelay  = iota // log it, as an inbox dispatcher forwards a message
 	consumeCharge        // serve it on a facility first, as a NIC receiver charges its CPU
+	consumeTimed         // wait for it with a timeout, as the query collector waits for replies
 )
+
+// timeoutOf is the timeout of a timed consumer's k-th wait: none, as a
+// collector waits with neither an operator timeout nor a deadline, or a
+// few multiples of the actors' 10µs steps, so timeouts and puts share
+// instants.
+func timeoutOf(k int) Duration { return Duration(k%4) * 10 * Microsecond }
 
 // Script operations of the actor processes.
 const (
@@ -56,7 +65,7 @@ func decodeConsumerScript(data []byte) consumerScript {
 	if len(data) < 2 {
 		data = append(data, 0, 0)
 	}
-	s.mode = int(data[0]) % 2
+	s.mode = int(data[0]) % 3
 	s.procs = make([][]consumerOp, 1+int(data[1])%4)
 	for i, b := range data[2:] {
 		w := i % len(s.procs)
@@ -72,9 +81,19 @@ func chargeOf(v int) Duration { return Duration(v%4+1) * 5 * Microsecond }
 // spawn events it scheduled. logf records a line of the run's log.
 type consumerAttacher func(e *Engine, mb *Mailbox[int], f *Facility, mode int, logf func(string, ...any)) int
 
-// attachProcessConsumer is the reference: a process looping on Get.
+// attachProcessConsumer is the reference: a process looping on Get, or on
+// GetTimeout in timed mode.
 func attachProcessConsumer(e *Engine, mb *Mailbox[int], f *Facility, mode int, logf func(string, ...any)) int {
 	e.Spawn("consumer", func(p *Proc) {
+		for k := 0; mode == consumeTimed; k++ {
+			if d := timeoutOf(k); d == 0 {
+				logf("consumed %d", mb.Get(p))
+			} else if v, ok := mb.GetTimeout(p, d); ok {
+				logf("consumed %d", v)
+			} else {
+				logf("timeout %d", k)
+			}
+		}
 		for {
 			v := mb.Get(p)
 			if mode == consumeCharge {
@@ -87,10 +106,39 @@ func attachProcessConsumer(e *Engine, mb *Mailbox[int], f *Facility, mode int, l
 }
 
 // attachConsumer installs the consumer under test: a handler consuming
-// the mailbox, which in charge mode requests the facility for itself.
+// the mailbox, which in charge mode requests the facility for itself. In
+// timed mode the handler starts in an event of its own, where the
+// reference process starts.
 func attachConsumer(e *Engine, mb *Mailbox[int], f *Facility, mode int, logf func(string, ...any)) int {
+	if mode == consumeTimed {
+		e.ScheduleHandler(0, &timedConsumer{mb: mb, logf: logf})
+		return 1
+	}
 	mb.Consume(&handlerConsumer{mb: mb, f: f, mode: mode, logf: logf})
 	return 0
+}
+
+// timedConsumer waits for each message with TakeTimeout, under the
+// reference's timeouts.
+type timedConsumer struct {
+	mb   *Mailbox[int]
+	logf func(string, ...any)
+	k    int // the wait in progress
+}
+
+func (c *timedConsumer) HandleEvent() {
+	for {
+		v, ok, done := c.mb.TakeTimeout(c, timeoutOf(c.k))
+		if !done {
+			return
+		}
+		if ok {
+			c.logf("consumed %d", v)
+		} else {
+			c.logf("timeout %d", c.k)
+		}
+		c.k++
+	}
 }
 
 // handlerConsumer drains its mailbox in one event. In charge mode it stops
@@ -199,15 +247,17 @@ func logLine(log []string, i int) string {
 // TestMailboxConsumerMatchesProcess drives the consumer under test and the
 // reference through the same random scripts: puts from processes and from
 // callbacks at the same instant, backlogs, other events on the ready ring,
-// facility requests at both priorities and drop mode.
+// facility requests at both priorities and drop mode, and, for the timed
+// consumer, timeouts that expire alone, that lose to a put in the same
+// instant, and that fire stale after a put won.
 func TestMailboxConsumerMatchesProcess(t *testing.T) {
 	src := rng.NewFactory(13).Stream("scripts")
-	for n := 0; n < 1500; n++ {
+	for n := 0; n < 2250; n++ {
 		data := make([]byte, 2+src.Intn(60))
 		for i := range data {
 			data[i] = byte(src.Intn(256))
 		}
-		data[0] = byte(n % 2) // both modes, evenly
+		data[0] = byte(n % 3) // every mode, evenly
 		checkConsumerScript(t, decodeConsumerScript(data))
 	}
 }
@@ -218,6 +268,7 @@ func FuzzMailboxConsumer(f *testing.F) {
 	f.Add([]byte{0, 3, 8, 0x18, 0x28, 10, 10, 0, 0x0d, 0, 0x1d, 0})
 	f.Add([]byte{1, 1, 4, 6, 0x16, 0x0f, 0})
 	f.Add(bytes.Repeat([]byte{1, 3, 0x4b, 4, 0x28, 0x36, 0x0d, 0x1d, 0x1a, 0x05}, 3))
+	f.Add([]byte{2, 2, 0x17, 0x09, 0x27, 0x00, 0x17, 0x19, 0x00, 0x0b})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 200 {
 			data = data[:200]

@@ -486,8 +486,12 @@ func (p *Proc) Name() string {
 
 // HandleEvent resumes the process, which is the Handler of its own
 // wake-ups: it switches into p's coroutine and returns when p next yields
-// (holds, parks or finishes). It implements the engine's Handler interface
-// and is not meant to be called directly.
+// (holds, parks or finishes). It implements the engine's Handler interface.
+// Besides the engine, only a handler that a parked process waits on calls
+// it, to resume the process inside the handler's own event, as a wake-up
+// would one event later: the query collector resumes the terminal parked
+// in Submit so. That handler must not touch the state it shares with the
+// process afterwards.
 func (p *Proc) HandleEvent() {
 	p.eng.stats.Switches++
 	p.co.next()

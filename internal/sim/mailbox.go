@@ -7,7 +7,8 @@ import "fmt"
 // consumer processes may Get. Messages are delivered in Put order and each
 // message wakes at most one waiting consumer. Instead of processes, one
 // Handler may consume the mailbox (Consume), as a relay that only passes
-// messages on does without a coroutine switch per message.
+// messages on does without a coroutine switch per message, or wait on it
+// with a timeout (TakeTimeout), as the host's query collector does.
 //
 // Messages and waiting consumers live in power-of-two ring buffers, so the
 // steady state allocates nothing and Get is O(1) instead of the O(n) slice
@@ -32,6 +33,14 @@ type Mailbox[T any] struct {
 	// waits for the next Put, as a consumer process parked in Get would.
 	consumer Handler
 	armed    bool
+
+	// TakeTimeout waits: the consumer is set while one is in progress,
+	// waits numbers them, so a timer knows whether the wait that armed it
+	// is still the live one, and expired records that the live one's timer
+	// fired. timers holds fired timer records for reuse.
+	waits   uint64
+	expired bool
+	timers  *mailboxTimer[T]
 
 	dropping bool
 }
@@ -220,6 +229,64 @@ func (m *Mailbox[T]) GetTimeout(p *Proc, d Duration) (T, bool) {
 	}
 	var zero T
 	return zero, false
+}
+
+// TakeTimeout is GetTimeout in step form, for a handler h that is the
+// mailbox's only consumer while it waits. It returns the oldest message
+// with ok and done true when one is queued. On an empty mailbox it arms
+// h, which runs at the first Put, in the event where Put would wake a
+// process parked in GetTimeout, or, when d > 0 and no Put comes first,
+// d from now, in the event where GetTimeout's timer would wake it; done
+// is false. Called again from that event, it returns the message (a
+// message that lands in the instant the wait times out wins), or ok false
+// and done true on a timeout. The timer is scheduled with the draw
+// GetTimeout's makes, and after a Put has won it still fires, as a no-op
+// event. d = 0 waits with no timer, as Get does.
+func (m *Mailbox[T]) TakeTimeout(h Handler, d Duration) (v T, ok, done bool) {
+	switch {
+	case m.count > 0:
+		v, ok = m.pop(), true
+	case !m.expired:
+		// A handler that a Put woke for a message drop mode then discarded
+		// waits on under the same timer, as GetTimeout parks again.
+		if m.consumer == nil {
+			m.waits++
+			if d > 0 {
+				t := m.timers
+				if t != nil {
+					m.timers = t.next
+				} else {
+					t = &mailboxTimer[T]{m: m}
+				}
+				t.wait = m.waits
+				m.eng.ScheduleHandler(d, t)
+			}
+		}
+		m.consumer, m.armed = h, true
+		return v, false, false
+	}
+	m.consumer, m.expired = nil, false
+	return v, ok, true
+}
+
+// mailboxTimer is the timer of one TakeTimeout wait.
+type mailboxTimer[T any] struct {
+	m    *Mailbox[T]
+	wait uint64 // the wait that armed it
+	next *mailboxTimer[T]
+}
+
+// HandleEvent expires the wait that armed the timer if its handler still
+// waits in it, scheduling the handler as GetTimeout's timer wakes its
+// process, and returns the record for reuse. It implements Handler and is
+// not meant to be called directly.
+func (t *mailboxTimer[T]) HandleEvent() {
+	m := t.m
+	if m.armed && m.waits == t.wait {
+		m.armed, m.expired = false, true
+		m.eng.ScheduleHandler(0, m.consumer)
+	}
+	t.next, m.timers = m.timers, t
 }
 
 // pop removes the ring head. Must only be called when count > 0.

@@ -63,7 +63,7 @@ type Access struct {
 }
 
 // slot returns the i-th qualifying slot, 0 <= i < N.
-func (a Access) slot(i int) int {
+func (a *Access) slot(i int) int {
 	if a.Slots != nil {
 		return a.Slots[i]
 	}
@@ -72,10 +72,10 @@ func (a Access) slot(i int) int {
 
 // Tuple returns the i-th qualifying tuple in place in the relation;
 // callers must not modify it.
-func (a Access) Tuple(i int) *Tuple { return a.frag.Tuple(a.slot(i)) }
+func (a *Access) Tuple(i int) *Tuple { return a.frag.Tuple(a.slot(i)) }
 
 // NumDataPages is the number of data page requests, repeats included.
-func (a Access) NumDataPages() int {
+func (a *Access) NumDataPages() int {
 	switch {
 	case a.scan:
 		return a.frag.dataPages
@@ -86,7 +86,7 @@ func (a Access) NumDataPages() int {
 }
 
 // DataPage returns the i-th data page request, 0 <= i < NumDataPages().
-func (a Access) DataPage(i int) int {
+func (a *Access) DataPage(i int) int {
 	switch {
 	case a.scan:
 		return a.frag.dataBase + i
@@ -98,7 +98,7 @@ func (a Access) DataPage(i int) int {
 
 // PageCount is the total pages this access touches as the buffer pool
 // sees them — index plus data, repeats included.
-func (a Access) PageCount() int { return len(a.IndexPages) + a.NumDataPages() }
+func (a *Access) PageCount() int { return len(a.IndexPages) + a.NumDataPages() }
 
 // Index is one B+-tree over a fragment's attribute.
 type Index struct {
