@@ -272,8 +272,9 @@ func sortByWeightDesc(order []int, weights []int) {
 //
 // Each iteration scans the slice pairs in the order dimension, then i, then
 // j > i, and applies the first pair with the strictly lowest score. Scoring
-// is incremental (see swapTable), with exact integer arithmetic as long as
-// the absolute cell counts sum below 2^30.
+// is incremental (see swapTable), with exact integer arithmetic; the
+// absolute cell counts must sum below 2^30, and Rebalance panics if they
+// do not.
 func Rebalance(owners []int, dims []int, counts []int, p, maxIters int) int {
 	if len(owners) != len(counts) {
 		panic("core: owners/counts length mismatch")
@@ -293,6 +294,9 @@ func Rebalance(owners []int, dims []int, counts []int, p, maxIters int) int {
 	return swaps
 }
 
+// maxRebalanceCount bounds the sum of Rebalance's absolute cell counts.
+const maxRebalanceCount = 1 << 30
+
 // swapTable scores slice swaps for Rebalance. Swapping slices i and j of a
 // dimension moves, at every rest coordinate r, cell (i,r)'s count from its
 // owner to (j,r)'s owner and back, so the pair's per-processor load delta
@@ -304,7 +308,9 @@ func Rebalance(owners []int, dims []int, counts []int, p, maxIters int) int {
 // with both δ·l and Σδ² cached per pair. Applying a swap changes the
 // owners of the cells of two slices; a cell x sits in one slice per
 // dimension, and an owner change of x alters only the δ of the pairs that
-// include that slice, in two entries each (see setOwner). The swap also
+// include that slice, in two entries each (see setOwner). The entries are
+// int32, half the table int64 entries would take: each is a signed sum of
+// cell counts, which Rebalance bounds below 2^30. The swap also
 // moves the loads of a few processors, which the next scan folds into
 // every pair's δ·l (see best).
 type swapTable struct {
@@ -315,7 +321,7 @@ type swapTable struct {
 	strides              []int   // row-major stride of each dimension
 	first                []int   // first pair index of each dimension; the last entry is the pair count
 	pairs                int
-	delta                []int64 // delta[q*pairs+k]: processor q's load change if pair k swaps
+	delta                []int32 // delta[q*pairs+k]: processor q's load change if pair k swaps
 	sq                   []int64 // sq[k] = Σ_q delta[q*pairs+k]²
 	dot                  []int64 // dot[k] = Σ_q delta[q*pairs+k]·synced[q]
 }
@@ -339,12 +345,20 @@ func newSwapTable(owners, dims, counts []int, p int) *swapTable {
 	if cells != len(owners) {
 		panic(fmt.Sprintf("core: %d owners for directory dimensions %v", len(owners), dims))
 	}
+	// Every δ_q is a signed sum of cell counts, so this bound keeps the
+	// table's int32 entries exact.
+	total := 0
+	for _, c := range counts {
+		if total += max(c, -c); total >= maxRebalanceCount {
+			panic("core: Rebalance needs cell counts whose absolute values sum below 2^30")
+		}
+	}
 	for d, n := range dims {
 		t.first[d+1] = t.first[d] + n*(n-1)/2
 	}
 	pairs := t.first[len(dims)]
 	t.pairs = pairs
-	t.delta = make([]int64, p*pairs)
+	t.delta = make([]int32, p*pairs)
 	t.sq = make([]int64, pairs)
 	t.dot = make([]int64, pairs)
 	for x, o := range owners {
@@ -375,7 +389,7 @@ func newSwapTable(owners, dims, counts []int, p int) *swapTable {
 					row[ob[r]] -= w
 				}
 				for q, v := range row {
-					t.delta[q*pairs+k] = v
+					t.delta[q*pairs+k] = int32(v)
 					t.sq[k] += v * v
 					t.dot[k] += v * t.loads[q]
 				}
@@ -398,7 +412,7 @@ func (t *swapTable) best() int {
 		if by := l - t.synced[q]; by != 0 {
 			dot := t.dot
 			for k, v := range t.delta[q*t.pairs : (q+1)*t.pairs] {
-				dot[k] += v * by
+				dot[k] += int64(v) * by
 			}
 			t.synced[q] = l
 		}
@@ -442,16 +456,20 @@ func (t *swapTable) swap(k int) {
 	}
 }
 
-// setOwner moves cell x to processor v, patching the loads and every pair
-// that includes x's slice in some dimension. For such a pair, x's term at
-// its rest coordinate is w = count(partner) - count(x) on x's owner (the
-// partner's term does not depend on x's owner), so moving x from u to v
-// subtracts w from δ_u and adds it to δ_v.
+// setOwner moves cell x to processor v, which is not its owner, patching
+// the loads and every pair that includes x's slice in some dimension. For
+// such a pair, x's term at its rest coordinate is w = count(partner) -
+// count(x) on x's owner (the partner's term does not depend on x's owner),
+// so moving x from u to v subtracts w from δ_u and adds it to δ_v. That
+// changes the pair's Σδ² by 2w(δ_v - δ_u + w) and its δ·l by
+// w(l_v - l_u), at the synced loads.
 func (t *swapTable) setOwner(x, v int) {
 	u, c := t.owners[x], t.counts[x]
 	t.owners[x] = v
 	t.loads[u] -= int64(c)
 	t.loads[v] += int64(c)
+	du, dv := t.delta[u*t.pairs:(u+1)*t.pairs], t.delta[v*t.pairs:(v+1)*t.pairs]
+	dl := t.synced[v] - t.synced[u]
 	for d, n := range t.dims {
 		s := t.strides[d]
 		a := x / s % n
@@ -462,18 +480,10 @@ func (t *swapTable) setOwner(x, v int) {
 				continue // also skips b == a, where y == x
 			}
 			k := t.pair(d, min(a, b), max(a, b))
-			t.bump(k, u, -w)
-			t.bump(k, v, w)
+			ou, ov := int64(du[k]), int64(dv[k])
+			du[k], dv[k] = int32(ou-w), int32(ov+w)
+			t.sq[k] += 2 * w * (ov - ou + w)
+			t.dot[k] += w * dl
 		}
 	}
-}
-
-// bump adds w to pair k's delta for processor q, keeping sq[k] and dot[k]
-// current.
-func (t *swapTable) bump(k, q int, w int64) {
-	i := q*t.pairs + k
-	old := t.delta[i]
-	t.delta[i] = old + w
-	t.sq[k] += w * (2*old + w)
-	t.dot[k] += w * t.synced[q]
 }

@@ -254,6 +254,29 @@ func TestRebalanceMismatchedLengthsPanics(t *testing.T) {
 	}
 }
 
+// The swap table holds each pair's per-processor load change in an int32,
+// exact while the absolute cell counts sum below 2^30: Rebalance accepts
+// a directory just under the bound, scoring it like the reference, and
+// panics at it, negative counts included.
+func TestRebalanceCountBound(t *testing.T) {
+	under := []int{1 << 29, 1<<29 - 1, 0, 0}
+	checkRebalanceMatchesReference(t, []int{2, 2}, 2, under, []int{0, 0, 0, 1}, 10)
+	for i, counts := range [][]int{
+		{1 << 29, 1 << 29, 0, 0},
+		{1 << 29, -(1 << 29), 0, 0},
+		{0, 0, 0, 1 << 30},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d: counts %v did not panic", i, counts)
+				}
+			}()
+			Rebalance([]int{0, 0, 0, 1}, []int{2, 2}, counts, 2, 10)
+		}()
+	}
+}
+
 // rebalanceReference is the original, non-incremental Rebalance: every
 // iteration rescans every slice pair of every dimension against every cell.
 // Rebalance must reproduce its swap sequence exactly.

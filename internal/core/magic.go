@@ -102,6 +102,9 @@ func BuildMAGIC(rel *storage.Relation, attrs []int, queries []QuerySpec, pp Plan
 		j := (i * stride) % n
 		grid.Insert(points[j*k:(j+1)*k], i)
 	}
+	// The placement keeps the directory for routing, not the points: a
+	// scenario holds every placement it builds until it ends.
+	grid.Seal()
 
 	// Assignment (Section 3.4).
 	dims := grid.Dims()

@@ -29,14 +29,34 @@ func buildTestMAGIC(t *testing.T, n, corrWindow, p int, opts *MagicOptions) (*st
 	return rel, m
 }
 
+// checkMAGICGrid validates the sealed grid's structure and, since Seal
+// dropped the grid's own copy of the points, checks against the relation
+// that every tuple sits in exactly the cell it locates to: BuildMAGIC
+// inserts tuple (i*stride) mod n as id i.
+func checkMAGICGrid(t *testing.T, rel *storage.Relation, m *MAGICPlacement) {
+	t.Helper()
+	g := m.Grid()
+	if err := g.Validate(); err != nil {
+		t.Fatalf("grid invalid: %v", err)
+	}
+	n := len(rel.Tuples)
+	stride := coprimeStride(n)
+	for flat := 0; flat < g.NumCells(); flat++ {
+		for _, id := range g.Cell(flat) {
+			tu := &rel.Tuples[id*stride%n]
+			if got := g.CellOf(tu.Attrs[:], m.Attrs()); got != flat {
+				t.Fatalf("tuple %d stored in cell %d but locates to %d", id*stride%n, flat, got)
+			}
+		}
+	}
+}
+
 func TestBuildMAGICBasics(t *testing.T) {
 	rel, m := buildTestMAGIC(t, 10000, 0, 32, nil)
 	if m.Name() != "magic" || m.Processors() != 32 {
 		t.Fatal("metadata wrong")
 	}
-	if err := m.Grid().Validate(); err != nil {
-		t.Fatalf("grid invalid: %v", err)
-	}
+	checkMAGICGrid(t, rel, m)
 	dims := m.Dims()
 	if len(dims) != 2 || dims[0] < 2 || dims[1] < 2 {
 		t.Fatalf("directory dims = %v", dims)
@@ -238,9 +258,7 @@ func TestMAGICThreeAttributes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Grid().Validate(); err != nil {
-		t.Fatal(err)
-	}
+	checkMAGICGrid(t, rel, m)
 	if got := len(m.Dims()); got != 3 {
 		t.Fatalf("dims = %v", m.Dims())
 	}

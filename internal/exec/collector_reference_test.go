@@ -730,7 +730,7 @@ func (col *refCollector) dispatch(c *call) {
 	if col.aux {
 		h.net.Send(col.p, nil, hw.Message{
 			From: h.ID, To: c.target, Bytes: controlBytes,
-			Payload: auxLookup{QueryID: col.qid, Relation: col.relation, Pred: col.pred,
+			Payload: &auxLookup{QueryID: col.qid, Relation: col.relation, Pred: col.pred,
 				ReplyTo: h.ID, Attempt: c.attempt, Role: c.role, Epoch: col.epoch},
 		})
 		return
@@ -739,7 +739,7 @@ func (col *refCollector) dispatch(c *call) {
 		h.Shared.enqueue(c.target, col.relation, col.pred, col.kind, col.qid, c.attempt, c.role, col.epoch)
 		return
 	}
-	op := startOp{QueryID: col.qid, Relation: col.relation, Pred: col.pred, ReplyTo: h.ID,
+	op := &startOp{QueryID: col.qid, Relation: col.relation, Pred: col.pred, ReplyTo: h.ID,
 		Access: col.kind, Attempt: c.attempt, Role: c.role, Epoch: col.epoch, Agg: col.agg}
 	if col.fetchTIDs {
 		op.Access = plan.AccessTIDFetch

@@ -29,7 +29,7 @@ func TestOperatorDispatchAllocs(t *testing.T) {
 	r := newRig(t, core.NewRangeForRelation(rel, storage.Unique1, 2))
 	pred := core.Predicate{Attr: storage.Unique2, Lo: 0, Hi: 49}
 	qid := int64(7)
-	msg := hw.Message{From: r.host.ID, To: 0, Bytes: controlBytes, Payload: startOp{
+	msg := hw.Message{From: r.host.ID, To: 0, Bytes: controlBytes, Payload: &startOp{
 		QueryID: qid, Relation: rel.Name, Pred: pred, Access: plan.AccessClustered, ReplyTo: r.host.ID,
 	}}
 	col := &collector{mb: sim.NewMailbox[any](r.eng, "host.replies")}

@@ -111,7 +111,7 @@ func (n *Node) routeJoinMsg(qid int64, replyTo int, scanners int, msg any) {
 		w = &joinWorker{qid: qid, replyTo: replyTo, scanners: scanners,
 			inbox: sim.NewMailboxLabel[any](n.eng, sim.Labelf("node%d.join.q%d", int64(n.ID), qid))}
 		n.joins[qid] = w
-		n.spawnOperator(nil, w)
+		n.spawnOperator(w)
 	}
 	w.inbox.Put(msg)
 }

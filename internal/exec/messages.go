@@ -20,7 +20,9 @@ const controlBytes = 100
 // (value + TID + processor).
 const auxEntryBytes = 16
 
-// startOp asks a node's Operator Manager to run a selection fragment.
+// startOp asks a node's Operator Manager to run a selection fragment. It
+// travels by pointer, and the operator reads it in place; no one writes
+// it once it is sent, so a duplicated message may share it.
 type startOp struct {
 	QueryID  int64
 	Relation string
@@ -108,7 +110,8 @@ type opError struct {
 	Msg       string
 }
 
-// auxLookup asks a node to search its fragment of a BERD auxiliary relation.
+// auxLookup asks a node to search its fragment of a BERD auxiliary
+// relation. It travels by pointer, as startOp does.
 type auxLookup struct {
 	QueryID  int64
 	Relation string

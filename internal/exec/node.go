@@ -284,10 +284,16 @@ func (o *opManager) HandleEvent() {
 	inbox := n.net.Inbox(n.ID)
 	for m, ok := inbox.Take(); ok; m, ok = inbox.Take() {
 		switch req := m.Payload.(type) {
-		case startOp, auxLookup:
-			n.eng.ScheduleHandler(0, n.newOperator(m.Payload, nil))
+		case *startOp:
+			op := n.newOperator()
+			op.sel = req
+			n.eng.ScheduleHandler(0, op)
+		case *auxLookup:
+			op := n.newOperator()
+			op.aux = req
+			n.eng.ScheduleHandler(0, op)
 		case batchOp, joinScan:
-			n.spawnOperator(m.Payload, nil)
+			n.spawnOperator(m.Payload)
 		case joinBatch:
 			n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Scanners, m.Payload)
 		case joinEnd:

@@ -12,17 +12,21 @@ import (
 
 // operator is the record an operator runs from: the request that started
 // it, or the join worker it serves. A selection's, an aggregate's and an
-// aux lookup's operator is a handler that runs in steps (HandleEvent), with
-// no coroutine; the shared-scan, join-scan and join operators are processes
-// whose body is the record (Run). Records come from the node's free list
-// and return to it when the operator finishes, so starting a handler
-// operator allocates nothing, starting a process allocates its sim.Proc,
-// and no name is formatted until something reads one.
+// aux lookup's operator is a handler that runs in steps (HandleEvent),
+// with no coroutine; its request arrives by pointer, the Operator Manager
+// unpacks it into its typed field once, when it starts the record, and
+// every step reads it in place. The shared-scan, join-scan and join
+// operators are processes whose body is the record (Run). Records come
+// from the node's free list and return to it when the operator finishes,
+// so starting a handler operator allocates nothing, starting a process
+// allocates its sim.Proc, and no name is formatted until something reads
+// one.
 type operator struct {
 	n    *Node
-	req  any         // startOp, batchOp, auxLookup or joinScan; nil for a join operator
-	join *joinWorker // the join operator's worker
-	next *operator   // free-list link
+	sel  *startOp   // a selection's or an aggregate's request
+	aux  *auxLookup // an aux lookup's request
+	req  any        // a process operator's batchOp or joinScan, or a join operator's *joinWorker
+	next *operator  // free-list link
 
 	// A handler operator's state between the events it runs in.
 	step    opStep
@@ -58,23 +62,23 @@ const (
 	opEnd                    // close the spans and retire
 )
 
-// newOperator takes a record from the node's free list for the request
-// req, or for the join worker w when req is nil.
-func (n *Node) newOperator(req any, w *joinWorker) *operator {
+// newOperator takes a record from the node's free list.
+func (n *Node) newOperator() *operator {
 	op := n.freeOps
 	if op != nil {
 		n.freeOps, op.next = op.next, nil
 	} else {
 		op = &operator{n: n}
 	}
-	op.req, op.join = req, w
 	return op
 }
 
-// spawnOperator starts an operator process for the request req, or for
-// the join worker w when req is nil.
-func (n *Node) spawnOperator(req any, w *joinWorker) {
-	n.eng.SpawnBody(n.newOperator(req, w))
+// spawnOperator starts an operator process for req: a batchOp, a joinScan
+// or a join operator's *joinWorker.
+func (n *Node) spawnOperator(req any) {
+	op := n.newOperator()
+	op.req = req
+	n.eng.SpawnBody(op)
 }
 
 // retire clears the record and returns it to the free list.
@@ -92,8 +96,8 @@ func (op *operator) Run(p *sim.Proc) {
 		n.runSharedBatch(p, req)
 	case joinScan:
 		n.runJoinScan(p, req)
-	default:
-		n.runJoinOperator(p, op.join)
+	case *joinWorker:
+		n.runJoinOperator(p, req)
 	}
 	op.retire()
 }
@@ -101,20 +105,22 @@ func (op *operator) Run(p *sim.Proc) {
 // Name formats the operator's name, which its spans and a panic report.
 func (op *operator) Name() string {
 	id := op.n.ID
-	switch req := op.req.(type) {
-	case startOp:
-		if req.Agg != nil {
-			return fmt.Sprintf("node%d.agg.q%d", id, req.QueryID)
+	switch {
+	case op.sel != nil:
+		if op.sel.Agg != nil {
+			return fmt.Sprintf("node%d.agg.q%d", id, op.sel.QueryID)
 		}
-		return fmt.Sprintf("node%d.op.q%d", id, req.QueryID)
+		return fmt.Sprintf("node%d.op.q%d", id, op.sel.QueryID)
+	case op.aux != nil:
+		return fmt.Sprintf("node%d.aux.q%d", id, op.aux.QueryID)
+	}
+	switch req := op.req.(type) {
 	case batchOp:
 		return fmt.Sprintf("node%d.sharedop", id)
-	case auxLookup:
-		return fmt.Sprintf("node%d.aux.q%d", id, req.QueryID)
 	case joinScan:
 		return fmt.Sprintf("node%d.joinscan.q%d", id, req.QueryID)
 	default:
-		return fmt.Sprintf("node%d.joinop.q%d", id, op.join.qid)
+		return fmt.Sprintf("node%d.joinop.q%d", id, req.(*joinWorker).qid)
 	}
 }
 
@@ -202,8 +208,9 @@ func (op *operator) begin() {
 	op.epoch = n.epoch
 	op.span = n.eng.StartSpan()
 	op.step = opPage
-	switch req := op.req.(type) {
-	case startOp:
+	switch {
+	case op.sel != nil:
+		req := op.sel
 		op.qid, op.agg = req.QueryID, req.Agg
 		op.fspan = n.eng.StartSpan()
 		hold, err := n.Resolve(req.Relation, req.Role, req.Epoch)
@@ -215,7 +222,8 @@ func (op *operator) begin() {
 			return
 		}
 		op.heat = hold.Heat
-	case auxLookup:
+	case op.aux != nil:
+		req := op.aux
 		op.qid = req.QueryID
 		hold, err := n.Resolve(req.Relation, req.Role, req.Epoch)
 		var aux *storage.AuxFragment
@@ -266,9 +274,9 @@ func (op *operator) pagesRead() {
 func (op *operator) reply() {
 	n := op.n
 	op.step = opTransmit
-	switch req := op.req.(type) {
-	case startOp:
-		acc := &op.acc
+	switch {
+	case op.sel != nil:
+		req, acc := op.sel, &op.acc
 		bytes := controlBytes
 		var value int64
 		if req.Agg != nil {
@@ -285,7 +293,8 @@ func (op *operator) reply() {
 		op.msg = hw.Message{From: n.ID, To: req.ReplyTo, Bytes: bytes,
 			Payload: opResult{QueryID: req.QueryID, Node: n.ID, Tuples: acc.N,
 				Value: value, Attempt: req.Attempt}}
-	case auxLookup:
+	case op.aux != nil:
+		req := op.aux
 		bytes := op.entries*auxEntryBytes + controlBytes
 		pages := len(op.acc.IndexPages)
 		op.heat.Account(pages, 0, int64(bytes), req.Role == Backup)
@@ -303,11 +312,11 @@ func (op *operator) reply() {
 // instead of an answer.
 func (op *operator) fail(err error) {
 	op.failed, op.step = err, opTransmit
-	switch req := op.req.(type) {
-	case startOp:
-		op.msg = op.n.errorReply(req.QueryID, req.ReplyTo, req.Attempt, err)
-	case auxLookup:
-		op.msg = op.n.errorReply(req.QueryID, req.ReplyTo, req.Attempt, err)
+	switch {
+	case op.sel != nil:
+		op.msg = op.n.errorReply(op.sel.QueryID, op.sel.ReplyTo, op.sel.Attempt, err)
+	case op.aux != nil:
+		op.msg = op.n.errorReply(op.aux.QueryID, op.aux.ReplyTo, op.aux.Attempt, err)
 	}
 }
 
@@ -316,10 +325,10 @@ func (op *operator) end() {
 	n := op.n
 	if op.span.Active() {
 		name, detail := "", ""
-		switch req := op.req.(type) {
-		case startOp:
-			name, detail = "select "+req.Access.String(), fmt.Sprintf("%d tuples", op.acc.N)
-		case auxLookup:
+		switch {
+		case op.sel != nil:
+			name, detail = "select "+op.sel.Access.String(), fmt.Sprintf("%d tuples", op.acc.N)
+		case op.aux != nil:
 			name, detail = "aux-lookup", fmt.Sprintf("%d entries", op.entries)
 		}
 		if op.failed != nil {

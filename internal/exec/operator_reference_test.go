@@ -211,9 +211,9 @@ func (r *opRig) act(i int, a opAction) {
 		role = Backup // no backup is attached: the operator reports an error
 	}
 	r.logf("act %d kind=%d node=%d pred=%v role=%v arg=%d", i, a.kind, a.node, pred, role, a.arg)
-	sel := func(access plan.Access, pred core.Predicate) startOp {
+	sel := func(access plan.Access, pred core.Predicate) *startOp {
 		r.qid++
-		return startOp{QueryID: r.qid, Relation: r.rel.Name, Pred: pred, Access: access,
+		return &startOp{QueryID: r.qid, Relation: r.rel.Name, Pred: pred, Access: access,
 			ReplyTo: refHost, Attempt: a.arg, Role: role}
 	}
 	switch a.kind {
@@ -239,7 +239,7 @@ func (r *opRig) act(i int, a opAction) {
 		r.deliver(a.node, op)
 	case actAux:
 		r.qid++
-		r.deliver(a.node, auxLookup{QueryID: r.qid, Relation: r.rel.Name, Pred: pred,
+		r.deliver(a.node, &auxLookup{QueryID: r.qid, Relation: r.rel.Name, Pred: pred,
 			ReplyTo: refHost, Attempt: a.arg, Role: role})
 	case actBurst:
 		op := sel(plan.AccessClustered, pred)
@@ -365,7 +365,7 @@ func (m *refManager) HandleEvent() {
 	inbox := m.n.net.Inbox(m.n.ID)
 	for msg, ok := inbox.Take(); ok; msg, ok = inbox.Take() {
 		switch msg.Payload.(type) {
-		case startOp, auxLookup:
+		case *startOp, *auxLookup:
 			m.n.eng.SpawnBody(&refOperator{n: m.n, pool: m.pool, req: msg.Payload})
 		default:
 			panic(fmt.Sprintf("reference: unexpected message %T", msg.Payload))
@@ -382,10 +382,10 @@ type refOperator struct {
 
 func (op *refOperator) Run(p *sim.Proc) {
 	switch req := op.req.(type) {
-	case startOp:
-		refRunSelect(op.n, op.pool, p, req)
-	case auxLookup:
-		refRunAuxLookup(op.n, op.pool, p, req)
+	case *startOp:
+		refRunSelect(op.n, op.pool, p, *req)
+	case *auxLookup:
+		refRunAuxLookup(op.n, op.pool, p, *req)
 	}
 }
 
@@ -393,13 +393,13 @@ func (op *refOperator) Run(p *sim.Proc) {
 func (op *refOperator) Name() string {
 	id := op.n.ID
 	switch req := op.req.(type) {
-	case startOp:
+	case *startOp:
 		if req.Agg != nil {
 			return fmt.Sprintf("node%d.agg.q%d", id, req.QueryID)
 		}
 		return fmt.Sprintf("node%d.op.q%d", id, req.QueryID)
 	default:
-		return fmt.Sprintf("node%d.aux.q%d", id, req.(auxLookup).QueryID)
+		return fmt.Sprintf("node%d.aux.q%d", id, req.(*auxLookup).QueryID)
 	}
 }
 

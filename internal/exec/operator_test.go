@@ -22,9 +22,9 @@ func TestSelectionOperatorMakesNoSwitches(t *testing.T) {
 	defer r.eng.Close()
 	before := r.eng.Stats()
 	pred := core.Predicate{Attr: storage.Unique2, Lo: 10, Hi: 40}
-	r.deliver(0, startOp{QueryID: 1, Relation: r.rel.Name, Pred: pred,
+	r.deliver(0, &startOp{QueryID: 1, Relation: r.rel.Name, Pred: pred,
 		Access: plan.AccessClustered, ReplyTo: refHost})
-	r.deliver(0, auxLookup{QueryID: 2, Relation: r.rel.Name, Pred: pred, ReplyTo: refHost})
+	r.deliver(0, &auxLookup{QueryID: 2, Relation: r.rel.Name, Pred: pred, ReplyTo: refHost})
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
 	}

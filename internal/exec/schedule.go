@@ -560,13 +560,13 @@ func (col *collector) dispatch(c *call) bool {
 	msg := hw.Message{From: h.ID, To: c.target, Bytes: controlBytes}
 	switch {
 	case col.aux:
-		msg.Payload = auxLookup{QueryID: col.qid, Relation: col.relation, Pred: col.pred,
+		msg.Payload = &auxLookup{QueryID: col.qid, Relation: col.relation, Pred: col.pred,
 			ReplyTo: h.ID, Attempt: c.attempt, Role: c.role, Epoch: col.epoch}
 	case col.share:
 		h.Shared.enqueue(c.target, col.relation, col.pred, col.kind, col.qid, c.attempt, c.role, col.epoch)
 		return false
 	default:
-		op := startOp{QueryID: col.qid, Relation: col.relation, Pred: col.pred, ReplyTo: h.ID,
+		op := &startOp{QueryID: col.qid, Relation: col.relation, Pred: col.pred, ReplyTo: h.ID,
 			Access: col.kind, Attempt: c.attempt, Role: c.role, Epoch: col.epoch, Agg: col.agg}
 		if col.fetchTIDs {
 			op.Access = plan.AccessTIDFetch

@@ -6,14 +6,15 @@ package experiments
 // tagged variants x a load axis on the simulated Gamma machine, and
 // RunScenario is the one place that turns that cross product into harness
 // jobs and back into results. Expensive immutable inputs are built once,
-// serially, before any job runs: one storage.GenerateWisconsin per
-// distinct (cardinality, correlation window, seed) and one BuildPlacement
-// per (figure, strategy, machine size). Storage images are laid out
-// lazily and shared: the jobs of one (relation, placement, layout-shaping
-// config) key share one gamma.Image, which the key's first job lays out
-// and its last job drops. Every job builds its own gamma machine over
-// those shared read-only inputs and uses the scenario seed, so output is
-// byte-identical whatever the worker count.
+// before any measured job runs: one storage.GenerateWisconsin per
+// distinct (cardinality, correlation window, seed), serially, then one
+// BuildPlacement per (figure, strategy, machine size), as jobs on the
+// worker pool. Storage images are laid out lazily and shared: the jobs of
+// one (relation, placement, layout-shaping config) key share one
+// gamma.Image, which the key's first job lays out and its last job drops.
+// Every job builds its own gamma machine over those shared read-only
+// inputs and uses the scenario seed, so output is byte-identical whatever
+// the worker count.
 
 import (
 	"errors"
@@ -154,6 +155,11 @@ type planKey struct {
 	config   *gamma.Config
 }
 
+// planKeyOf is the key of figure fi's placement for strategy name under o.
+func planKeyOf(fi int, name string, o Options) planKey {
+	return planKey{fi, name, o.Processors, o.Config}
+}
+
 // imageKey identifies one storage image: the fields of a job's relation,
 // placement and config that shape it. Variants that differ only in faults,
 // sharing, telemetry or heat share one.
@@ -166,7 +172,7 @@ type imageKey struct {
 }
 
 // imageEntry is one storage image shared by the jobs of its key. The
-// serial build phase only counts the jobs; the first job to acquire the
+// build phase only counts the jobs; the first job to acquire the
 // entry lays the image out (concurrent first users wait for that one
 // layout, and a layout error or panic reaches them all), and the last
 // release drops it, so about one image per worker stays alive.
@@ -209,10 +215,11 @@ func (e *imageEntry) release() {
 // scenario on the harness worker pool and reassembles the results in
 // canonical order (figures as given, strategies in figure order, variants
 // in sweep order, loads in sweep order) regardless of completion order.
-// Placement-construction errors abort the scenario before any job runs;
-// job failures (errors, panics, timeouts) become manifest failure records,
-// the surviving points are returned, and the combined failure surfaces as
-// the returned error.
+// A placement build that fails or panics aborts the scenario before any
+// measured job runs, with the first failing build's error in that order;
+// the returned manifest is the measured jobs' alone. Job failures (errors,
+// panics, timeouts) become manifest failure records, the surviving points
+// are returned, and the combined failure surfaces as the returned error.
 func RunScenario(sc Scenario, copts CampaignOptions) (ScenarioResult, error) {
 	sc.Options = sc.Options.withDefaults()
 	if sc.Open != nil {
@@ -242,27 +249,24 @@ func RunScenario(sc Scenario, copts CampaignOptions) (ScenarioResult, error) {
 		return out
 	}
 
-	// Build phase, serial: everything built here is read-only for the rest
-	// of the scenario. Storage images are not laid out here, only keyed:
+	// Build phase: everything built here is read-only for the rest of the
+	// scenario. The relations are generated serially, then the placements
+	// are built as jobs on the pool, before any measured job (see
+	// buildPlacements). Storage images are not laid out here, only keyed:
 	// the jobs lay each out on first use and drop it after the last, so
 	// images never pile up before the pool starts.
 	rels := map[relKey]*storage.Relation{}
-	plans := map[planKey]core.Placement{}
-	images := map[imageKey]*imageEntry{}
-	plan := func(fi int, name string, rel *storage.Relation, mix workload.Mix, o Options) (core.Placement, error) {
-		key := planKey{fi, name, o.Processors, o.Config}
-		if pl, ok := plans[key]; ok {
-			return pl, nil
+	figRels := make([]*storage.Relation, len(sc.Figures))
+	mixes := make([]workload.Mix, len(sc.Figures))
+	var builds []placementBuild
+	requested := map[planKey]bool{}
+	request := func(fi int, name string, o Options) {
+		key := planKeyOf(fi, name, o)
+		if !requested[key] {
+			requested[key] = true
+			builds = append(builds, placementBuild{key, figRels[fi], mixes[fi], o})
 		}
-		pl, err := BuildPlacement(name, rel, mix, o)
-		if err != nil {
-			return nil, fmt.Errorf("figure %s: %w", sc.Figures[fi].ID, err)
-		}
-		plans[key] = pl
-		return pl, nil
 	}
-	out := ScenarioResult{Scenario: sc}
-	var jobs []harness.Job
 	for fi, fig := range sc.Figures {
 		card := sc.Options.Cardinality
 		key := relKey{card, fig.Correlation.window(card), sc.Options.Seed}
@@ -273,27 +277,46 @@ func RunScenario(sc Scenario, copts CampaignOptions) (ScenarioResult, error) {
 			})
 			rels[key] = rel
 		}
-		mix := fig.Mix(card)
+		figRels[fi], mixes[fi] = rel, fig.Mix(card)
+		for _, name := range fig.Strategies {
+			request(fi, name, sc.Options)
+		}
+		for _, name := range fig.Strategies {
+			for _, v := range sc.Sweep {
+				request(fi, name, v.Options)
+			}
+		}
+	}
+	plans, err := sc.buildPlacements(builds, copts.Workers)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	plan := func(fi int, name string, o Options) core.Placement {
+		pl, ok := plans[planKeyOf(fi, name, o)]
+		if !ok {
+			panic(fmt.Sprintf("experiments: figure %s: no %s placement at %d processors was built",
+				sc.Figures[fi].ID, name, o.Processors))
+		}
+		return pl
+	}
+	images := map[imageKey]*imageEntry{}
+	out := ScenarioResult{Scenario: sc}
+	var jobs []harness.Job
+	for fi, fig := range sc.Figures {
+		rel, mix := figRels[fi], mixes[fi]
 		runMix := mix
 		if sc.Mix != nil {
 			runMix = sc.Mix(mix)
 		}
 		sf := ScenarioFigure{Figure: fig}
 		for _, name := range fig.Strategies {
-			pl, err := plan(fi, name, rel, mix, sc.Options)
-			if err != nil {
-				return ScenarioResult{}, err
-			}
-			if note := magicNote(pl); note != "" {
+			if note := magicNote(plan(fi, name, sc.Options)); note != "" {
 				sf.Notes = append(sf.Notes, note)
 			}
 		}
 		for _, name := range fig.Strategies {
 			for vi, v := range sc.Sweep {
-				pl, err := plan(fi, name, rel, mix, v.Options)
-				if err != nil {
-					return ScenarioResult{}, err
-				}
+				pl := plan(fi, name, v.Options)
 				cfg := ConfigFor(v.Options)
 				if sc.Elastic != nil {
 					// Each transition rebuilds this strategy's placement at
@@ -378,6 +401,52 @@ func RunScenario(sc Scenario, copts CampaignOptions) (ScenarioResult, error) {
 		}
 	}
 	return out, manifest.Err()
+}
+
+// placementBuild is one placement the scenario needs: its key, and the
+// relation, planning mix and options it is built from.
+type placementBuild struct {
+	key planKey
+	rel *storage.Relation
+	mix workload.Mix
+	o   Options
+}
+
+// buildPlacements builds the placements as jobs on a pool of the given
+// size, with no timeout and no progress lines, and returns them by key.
+// The builds are in the order the scenario first asks for each key, which
+// one worker keeps. If any build fails, no placement is returned, and the
+// error is that of the first failing build in that order, as a serial
+// loop would return it: a build's error, or its recovered panic.
+func (sc Scenario) buildPlacements(builds []placementBuild, workers int) (map[planKey]core.Placement, error) {
+	errs := make([]error, len(builds))
+	jobs := make([]harness.Job, len(builds))
+	for i, b := range builds {
+		jobs[i] = harness.Job{
+			ID: path.Join("fig"+sc.Figures[b.key.fig].ID, b.key.strategy, "placement"),
+			Run: func() (any, error) {
+				pl, err := BuildPlacement(b.key.strategy, b.rel, b.mix, b.o)
+				errs[i] = err
+				return pl, err
+			},
+		}
+	}
+	values, manifest, err := harness.Execute(jobs, harness.Options{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	plans := make(map[planKey]core.Placement, len(builds))
+	for i, rep := range manifest.Reports {
+		if rep.Failed() {
+			err := errs[i]
+			if err == nil { // the build panicked
+				err = errors.New(rep.Error)
+			}
+			return nil, fmt.Errorf("figure %s: %w", sc.Figures[builds[i].key.fig].ID, err)
+		}
+		plans[builds[i].key] = values[i].(core.Placement)
+	}
+	return plans, nil
 }
 
 // jobValue is what a scenario job hands back through the harness.

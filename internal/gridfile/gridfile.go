@@ -30,8 +30,9 @@ type Grid struct {
 	splits   []int     // splits performed per dimension
 	total    int       // total splits
 	inserted int
-	overflow int // cells left over capacity because no dimension could split
-	maxCells int // directory-size cap; 0 = unlimited
+	overflow int  // cells left over capacity because no dimension could split
+	maxCells int  // directory-size cap; 0 = unlimited
+	sealed   bool // the insertion phase is over (Seal)
 }
 
 // New creates an empty grid. capacity is the fragment cardinality FC;
@@ -106,9 +107,21 @@ func (g *Grid) Bounds(dim int) (lo, hi int64) { return g.bounds[dim][0], g.bound
 // reallocate the point store.
 func (g *Grid) Grow(n int) { g.points = slices.Grow(g.points, n*g.k) }
 
+// Seal ends the insertion phase. It drops the point store and the split
+// scratch, which only insertion reads, so a finished directory keeps just
+// its scales and cells: lookups, coverage and cell counts answer as
+// before. Insert panics after Seal, and Validate can no longer check which
+// cell each point locates to.
+func (g *Grid) Seal() {
+	g.points, g.right, g.sealed = nil, nil, true
+}
+
 // Insert adds a point with a dense id (0,1,2,... in insertion order),
 // splitting slices as cells overflow.
 func (g *Grid) Insert(point []int64, id int) {
+	if g.sealed {
+		panic("gridfile: Insert after Seal")
+	}
 	if len(point) != g.k {
 		panic(fmt.Sprintf("gridfile: point has %d dims, grid has %d", len(point), g.k))
 	}
@@ -340,7 +353,7 @@ func (g *Grid) eachCovering(ranges [][2]int64, d, base int, fn func(flat int)) {
 
 // Validate checks structural invariants: scales sorted and in bounds, cell
 // array size consistent with dims, every tuple in exactly the cell its point
-// locates to, and total tuples preserved.
+// locates to (until Seal drops the points), and total tuples preserved.
 func (g *Grid) Validate() error {
 	expect := 1
 	for d, n := range g.dims {
@@ -367,6 +380,9 @@ func (g *Grid) Validate() error {
 	count := 0
 	for flat, ids := range g.cells {
 		for _, id := range ids {
+			if g.sealed {
+				break // the points are gone
+			}
 			if got := g.cellOf(g.points[id*g.k : (id+1)*g.k]); got != flat {
 				return fmt.Errorf("gridfile: tuple %d stored in cell %d but locates to %d",
 					id, flat, got)

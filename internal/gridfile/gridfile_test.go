@@ -3,6 +3,7 @@ package gridfile
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -20,6 +21,44 @@ func uniformGrid(t *testing.T, n, capacity int, weights []float64) *Grid {
 		t.Fatalf("invalid grid: %v", err)
 	}
 	return g
+}
+
+// Sealing drops the points but not the directory: every lookup, coverage
+// query and count answers as before, Validate still passes, and a later
+// Insert panics.
+func TestSealKeepsDirectory(t *testing.T) {
+	g := uniformGrid(t, 500, 8, []float64{1, 2})
+	type answers struct {
+		cells, overflow int
+		dims            []int
+		locate, cover   []int
+		counts          []int
+	}
+	read := func() answers {
+		a := answers{cells: g.NumCells(), overflow: g.OverflowCells(), dims: g.Dims()}
+		for v := int64(0); v < 500; v += 37 {
+			a.locate = append(a.locate, g.CellOf([]int64{v, 499 - v}, []int{0, 1}))
+			a.cover = append(a.cover, g.CellsCovering([][2]int64{{v, v + 60}, {0, 499}})...)
+		}
+		for flat := 0; flat < g.NumCells(); flat++ {
+			a.counts = append(a.counts, g.CellCount(flat))
+		}
+		return a
+	}
+	before := read()
+	g.Seal()
+	if after := read(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("sealing changed the directory's answers:\n%+v\nwant\n%+v", after, before)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("sealed grid invalid: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Insert after Seal did not panic")
+		}
+	}()
+	g.Insert([]int64{1, 1}, g.Inserted())
 }
 
 func TestInsertAndLocate(t *testing.T) {

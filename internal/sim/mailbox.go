@@ -208,15 +208,20 @@ func (m *Mailbox[T]) GetTimeout(p *Proc, d Duration) (T, bool) {
 	timedOut := false
 	armed := true
 	m.eng.Schedule(d, func() {
-		// Fire only while this call is still blocked (a call that returned
-		// early on a message disarms the timer — otherwise the stale timer
-		// would pull p out of a later GetTimeout's waiter slot and eat that
-		// call's wake-up) and only if p is still parked in this mailbox's
-		// waiter ring. Removing it before waking means a concurrent Put can
-		// no longer pop (and wake) the same slot — exactly one waker wins.
-		if armed && m.removeWaiter(p) {
+		// Expire only the call that scheduled the timer: one that returned
+		// early on a message disarms it, or the stale timer would pull p out
+		// of a later GetTimeout's waiter slot and eat that call's wake-up.
+		// Wake p only if it is still parked in this mailbox's waiter ring.
+		// Removing it before waking means a concurrent Put can no longer pop
+		// (and wake) the same slot, so exactly one waker wins. A p that a
+		// Put already woke is due to resume: it takes the message if one is
+		// still queued, and times out if another consumer or drop mode took
+		// it.
+		if armed {
 			timedOut = true
-			m.eng.Wake(p)
+			if m.removeWaiter(p) {
+				m.eng.Wake(p)
+			}
 		}
 	})
 	for m.count == 0 && !timedOut {
@@ -276,15 +281,20 @@ type mailboxTimer[T any] struct {
 	next *mailboxTimer[T]
 }
 
-// HandleEvent expires the wait that armed the timer if its handler still
-// waits in it, scheduling the handler as GetTimeout's timer wakes its
-// process, and returns the record for reuse. It implements Handler and is
+// HandleEvent expires the wait that armed the timer if it is still in
+// progress and returns the record for reuse. A handler still armed in the
+// wait is scheduled, as GetTimeout's timer wakes its process; one a Put
+// already scheduled takes the message when it runs if one is still queued,
+// and times out if drop mode discarded it. It implements Handler and is
 // not meant to be called directly.
 func (t *mailboxTimer[T]) HandleEvent() {
 	m := t.m
-	if m.armed && m.waits == t.wait {
-		m.armed, m.expired = false, true
-		m.eng.ScheduleHandler(0, m.consumer)
+	if m.consumer != nil && m.waits == t.wait {
+		m.expired = true
+		if m.armed {
+			m.armed = false
+			m.eng.ScheduleHandler(0, m.consumer)
+		}
 	}
 	t.next, m.timers = m.timers, t
 }

@@ -114,6 +114,80 @@ func TestGetTimeoutStaleTimerDoesNotStealLaterWait(t *testing.T) {
 	}
 }
 
+// putThenDrop puts a message at 5ms and enters drop mode in the same
+// event, which is scheduled before any wait starts, so it runs ahead of a
+// 5ms timeout timer: the Put wakes the waiter, drop mode discards the
+// message before the waiter resumes, and the timer fires in between. At
+// 9ms drop mode ends and a second message arrives.
+func putThenDrop(e *Engine, mb *Mailbox[int]) {
+	e.Schedule(5*Millisecond, func() {
+		mb.Put(1)
+		mb.SetDrop(true)
+	})
+	e.Schedule(9*Millisecond, func() {
+		mb.SetDrop(false)
+		mb.Put(2)
+	})
+}
+
+// A GetTimeout woken by a Put whose message is gone by the time it resumes
+// must still time out at its deadline: its timer fired while it was
+// outside the waiter ring, and used to do nothing, so the call parked
+// again with no timer and took the next Put's message.
+func TestGetTimeoutWokenForDroppedMessageTimesOut(t *testing.T) {
+	e := New()
+	mb := NewMailbox[int](e, "mb")
+	putThenDrop(e, mb)
+	var got int
+	var ok bool
+	var when Time
+	e.Spawn("reader", func(p *Proc) {
+		got, ok = mb.GetTimeout(p, 5*Millisecond)
+		when = p.Now()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ok || when != 5*Time(Millisecond) {
+		t.Fatalf("GetTimeout = (%d, %v) at %v, want a timeout at the 5ms deadline", got, ok, when)
+	}
+}
+
+// takeWaiter is a handler that waits once with TakeTimeout.
+type takeWaiter struct {
+	e    *Engine
+	mb   *Mailbox[int]
+	d    Duration
+	got  int
+	ok   bool
+	done bool
+	when Time
+}
+
+func (w *takeWaiter) HandleEvent() {
+	if v, ok, done := w.mb.TakeTimeout(w, w.d); done {
+		w.got, w.ok, w.done, w.when = v, ok, true, w.e.Now()
+	}
+}
+
+// TakeTimeout's form of TestGetTimeoutWokenForDroppedMessageTimesOut: a
+// handler a Put scheduled must still time out at its deadline when drop
+// mode discards the message before it runs.
+func TestTakeTimeoutWokenForDroppedMessageTimesOut(t *testing.T) {
+	e := New()
+	mb := NewMailbox[int](e, "mb")
+	putThenDrop(e, mb)
+	w := &takeWaiter{e: e, mb: mb, d: 5 * Millisecond}
+	e.ScheduleHandler(0, w)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !w.done || w.ok || w.when != 5*Time(Millisecond) {
+		t.Fatalf("TakeTimeout = (%d, %v, done %v) at %v, want a timeout at the 5ms deadline",
+			w.got, w.ok, w.done, w.when)
+	}
+}
+
 // A label formats like fmt.Sprintf, and only when read.
 func TestMailboxLabel(t *testing.T) {
 	e := New()
