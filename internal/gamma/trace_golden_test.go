@@ -25,6 +25,7 @@ const (
 	selectionTraceGolden = "testdata/selection_trace.golden"
 	joinTraceGolden      = "testdata/join_trace.golden"
 	aggregateTraceGolden = "testdata/aggregate_trace.golden"
+	sharedTraceGolden    = "testdata/shared_scan_trace.golden"
 )
 
 // tracedQuery is one plan a golden trace runs on a cold machine.
@@ -41,36 +42,18 @@ type tracedQuery struct {
 // cardinality and value for joins and aggregates.
 func traceQueries(t *testing.T, queries func(rel *storage.Relation, mix workload.Mix) []tracedQuery) []byte {
 	t.Helper()
-	cfg := DefaultConfig()
-	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 2000, Seed: 11})
-	mix := workload.LowLow(rel.Cardinality())
-	machines := []struct {
-		name string
-		m    *Machine
-	}{
-		{"range", buildRange(t, rel, cfg)},
-		{"berd", buildBERD(t, rel, cfg)},
-		{"magic", buildMAGIC(t, rel, cfg, mix)},
-	}
+	rel, mix, machines := goldenMachines(t, DefaultConfig())
 	var out bytes.Buffer
 	for _, mc := range machines {
 		for _, q := range queries(rel, mix) {
 			m := mc.m
-			m.Reset()
-			fmt.Fprintf(&out, "=== %s %s ===\n", mc.name, q.label)
-			sink := obs.NewJSONLSink(&out)
-			m.Eng.SetSink(sink)
+			sink := startTrace(&out, m, mc.name+" "+q.label)
 			var res exec.QueryResult
 			m.Eng.Spawn("probe", func(p *sim.Proc) {
 				res = m.Host.Submit(p, q.plan)
 				m.Eng.Stop()
 			})
-			if err := m.Eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
-				t.Fatal(err)
-			}
-			if err := sink.Err(); err != nil {
-				t.Fatal(err)
-			}
+			runTraced(t, m, sink)
 			if res.Tuples != q.tuples {
 				t.Fatalf("%s %s: %d tuples, want %d", mc.name, q.label, res.Tuples, q.tuples)
 			}
@@ -86,6 +69,47 @@ func traceQueries(t *testing.T, queries func(rel *storage.Relation, mix workload
 		}
 	}
 	return out.Bytes()
+}
+
+// namedMachine is one golden machine and the strategy name its sections
+// carry.
+type namedMachine struct {
+	name string
+	m    *Machine
+}
+
+// goldenMachines builds the cold 2000-tuple, 8-processor golden machines
+// (range, BERD and MAGIC) under cfg.
+func goldenMachines(t *testing.T, cfg Config) (*storage.Relation, workload.Mix, []namedMachine) {
+	t.Helper()
+	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 2000, Seed: 11})
+	mix := workload.LowLow(rel.Cardinality())
+	return rel, mix, []namedMachine{
+		{"range", buildRange(t, rel, cfg)},
+		{"berd", buildBERD(t, rel, cfg)},
+		{"magic", buildMAGIC(t, rel, cfg, mix)},
+	}
+}
+
+// startTrace resets m to a cold machine and writes its JSONL trace into
+// out under a section header.
+func startTrace(out *bytes.Buffer, m *Machine, header string) *obs.JSONLSink {
+	m.Reset()
+	fmt.Fprintf(out, "=== %s ===\n", header)
+	sink := obs.NewJSONLSink(out)
+	m.Eng.SetSink(sink)
+	return sink
+}
+
+// runTraced runs m until its probes stop it.
+func runTraced(t *testing.T, m *Machine, sink *obs.JSONLSink) {
+	t.Helper()
+	if err := m.Eng.RunUntil(sim.Time(60 * sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // selectionTrace runs one selection per attribute (A = unique1,
@@ -126,6 +150,50 @@ func aggregateTrace(t *testing.T) []byte {
 	})
 }
 
+// sharedScanTrace arms shared scans and submits three overlapping unique1
+// selections at once. Their scans hit the same fragments with the same
+// access method inside one batching window, so each fragment serves them
+// with one batch: one disk pass for the union of their pages, then one
+// reply per member, in admission order.
+func sharedScanTrace(t *testing.T) []byte {
+	cfg := DefaultConfig()
+	cfg.Sharing = &SharingSpec{}
+	rel, mix, machines := goldenMachines(t, cfg)
+	preds := []core.Predicate{
+		{Attr: storage.Unique1, Lo: 1000, Hi: 1029},
+		{Attr: storage.Unique1, Lo: 1010, Hi: 1039},
+		{Attr: storage.Unique1, Lo: 1020, Hi: 1049},
+	}
+	var out bytes.Buffer
+	for _, mc := range machines {
+		m := mc.m
+		sink := startTrace(&out, m, mc.name+" shared scan of 3 selections")
+		res := make([]exec.QueryResult, len(preds))
+		left := len(preds)
+		for i, pred := range preds {
+			q := plan.Select(rel.Name, pred, mix.AccessChooser()(pred))
+			m.Eng.Spawn(fmt.Sprintf("probe%d", i), func(p *sim.Proc) {
+				res[i] = m.Host.Submit(p, q)
+				if left--; left == 0 {
+					m.Eng.Stop()
+				}
+			})
+		}
+		runTraced(t, m, sink)
+		for i, r := range res {
+			if r.Tuples != 30 {
+				t.Fatalf("%s %v: %d tuples, want 30", mc.name, preds[i], r.Tuples)
+			}
+			fmt.Fprintf(&out, "%v served by:\n", preds[i])
+			for _, op := range r.ServedBy {
+				fmt.Fprintf(&out, "  %s\n", op)
+			}
+		}
+		fmt.Fprintf(&out, "sharing: %v\n", m.sharingStats())
+	}
+	return out.Bytes()
+}
+
 // TestSelectionTraceGolden pins the complete fault-free selection
 // schedule — every span and instant the scheduler, network, CPUs, disks
 // and buffer pools emit, with names, details and timestamps — against a
@@ -144,6 +212,13 @@ func TestJoinTraceGolden(t *testing.T) {
 // way.
 func TestAggregateTraceGolden(t *testing.T) {
 	checkTraceGolden(t, aggregateTraceGolden, aggregateTrace(t))
+}
+
+// TestSharedScanTraceGolden pins the fault-free schedule of a shared-scan
+// batch the same way: the host's window flush, the batch's deduplicated
+// page reads and its per-member replies.
+func TestSharedScanTraceGolden(t *testing.T) {
+	checkTraceGolden(t, sharedTraceGolden, sharedScanTrace(t))
 }
 
 // checkTraceGolden fails at the first line where got departs from the
