@@ -728,7 +728,7 @@ func (col *refCollector) run(primaries []int) (Outcome, error) {
 func (col *refCollector) dispatch(c *call) {
 	h := col.h
 	if col.aux {
-		h.net.Send(col.p, nil, hw.Message{
+		netSend(col.p, h.net, nil, hw.Message{
 			From: h.ID, To: c.target, Bytes: controlBytes,
 			Payload: &auxLookup{QueryID: col.qid, Relation: col.relation, Pred: col.pred,
 				ReplyTo: h.ID, Attempt: c.attempt, Role: c.role, Epoch: col.epoch},
@@ -745,7 +745,7 @@ func (col *refCollector) dispatch(c *call) {
 		op.Access = plan.AccessTIDFetch
 		op.TIDs = col.tidsByProc[c.primary]
 	}
-	h.net.Send(col.p, nil, hw.Message{
+	netSend(col.p, h.net, nil, hw.Message{
 		From: h.ID, To: c.target, Bytes: controlBytes, Payload: op,
 	})
 }
@@ -909,9 +909,9 @@ func (rh *refScheduler) join(p *sim.Proc, attr int, build, probe joinInput) Quer
 		for slot := 0; slot < slots; slot++ {
 			target := physOf(col.topo, slot)
 			col.use(target)
-			h.net.Send(p, nil, hw.Message{
+			netSend(p, h.net, nil, hw.Message{
 				From: h.ID, To: target, Bytes: controlBytes,
-				Payload: joinScan{
+				Payload: &joinScan{
 					QueryID: col.qid, Relation: in.relation, Attr: attr, Phase: joinPhase(phase),
 					Pred: in.pred, Local: local, Slots: slots, Topo: col.topo, Epoch: col.epoch,
 					ReplyTo: h.ID,

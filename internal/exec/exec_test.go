@@ -190,7 +190,7 @@ func TestNodePanicsOnUnknownMessage(t *testing.T) {
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
 	r := newRig(t, core.NewRangeForRelation(rel, storage.Unique1, 2))
 	r.eng.Spawn("rogue", func(p *sim.Proc) {
-		r.net.Send(p, nil, hw.Message{From: 2, To: 0, Bytes: 100, Payload: "garbage"})
+		netSend(p, r.net, nil, hw.Message{From: 2, To: 0, Bytes: 100, Payload: "garbage"})
 	})
 	if err := r.eng.RunUntil(sim.Time(10 * sim.Second)); err == nil {
 		t.Fatal("unknown message type should surface as an error")
@@ -201,7 +201,7 @@ func TestHostPanicsOnUnknownQueryResult(t *testing.T) {
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 200, Seed: 9})
 	r := newRig(t, core.NewRangeForRelation(rel, storage.Unique1, 2))
 	r.eng.Spawn("rogue", func(p *sim.Proc) {
-		r.net.Send(p, nil, hw.Message{From: 0, To: 2, Bytes: 100,
+		netSend(p, r.net, nil, hw.Message{From: 0, To: 2, Bytes: 100,
 			Payload: opResult{QueryID: 777, Node: 0}})
 	})
 	if err := r.eng.RunUntil(sim.Time(10 * sim.Second)); err == nil {

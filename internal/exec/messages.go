@@ -150,7 +150,7 @@ const batchMemberBytes = 24
 // batchOp asks a node to run one shared scan for a predicate group: the
 // union of the members' page sets is read once, per-member qualification
 // CPU is charged in full, and each member receives its own opResult, in
-// admission order.
+// admission order. It travels by pointer, as startOp does.
 type batchOp struct {
 	Relation string
 	Access   plan.Access

@@ -377,7 +377,7 @@ func (col *collector) HandleEvent() {
 			col.i++
 			if !col.send.Start(h.net, col, nil, hw.Message{
 				From: h.ID, To: target, Bytes: controlBytes,
-				Payload: joinScan{
+				Payload: &joinScan{
 					QueryID: col.qid, Relation: col.inputs[phase].relation, Attr: col.attr, Phase: joinPhase(phase),
 					Pred: col.inputs[phase].pred, Local: col.local, Slots: col.slots, Topo: col.topo, Epoch: col.epoch,
 					ReplyTo: h.ID,

@@ -55,6 +55,13 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 	loader := m.Nodes[0]
 	done := false
 	var simErr error
+	// execute charges instr on cpu for the process p and parks p through
+	// queueing and service.
+	execute := func(p *sim.Proc, cpu *hw.CPU, instr int) {
+		if cpu.Charge(p, instr, hw.PrioNormal) {
+			p.Park()
+		}
+	}
 
 	eng.Spawn("loader", func(p *sim.Proc) {
 		defer func() { done = true }()
@@ -66,7 +73,7 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 					simErr = err
 					return
 				}
-				loader.CPU.Execute(p, params.ReadPageInstr)
+				execute(p, loader.CPU, params.ReadPageInstr)
 			}
 		}
 		// Placement pass: scan again, ship each node its tuples in full
@@ -76,7 +83,7 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 				simErr = err
 				return
 			}
-			loader.CPU.Execute(p, params.ReadPageInstr)
+			execute(p, loader.CPU, params.ReadPageInstr)
 		}
 		// Shipping: every tuple crosses the network to its home (tuples
 		// landing on node 0 stay local). Modeled as the bulk packet count
@@ -91,7 +98,10 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 			}
 			// Payload-free bulk transfer: the receiving node's operator
 			// manager ignores fragments without a payload.
-			m.Net.Send(p, loader.CPU, hw.Message{From: 0, To: node, Bytes: bytes})
+			var s hw.Send
+			for done := s.Start(m.Net, p, loader.CPU, hw.Message{From: 0, To: node, Bytes: bytes}); !done; done = s.Step() {
+				p.Park()
+			}
 		}
 		// Each node writes its data, index and auxiliary pages. The writes
 		// proceed in parallel across nodes; the loader parks until the last
@@ -114,7 +124,7 @@ func (m *Machine) SimulateLoad() (LoadResult, error) {
 					}
 				}()
 				for pg := 0; pg < pages; pg++ {
-					node.CPU.Execute(wp, params.WritePageInstr)
+					execute(wp, node.CPU, params.WritePageInstr)
 					if err := node.Disk.Write(wp, pg); err != nil {
 						simErr = err
 						return

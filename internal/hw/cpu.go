@@ -48,28 +48,18 @@ func NewCPU(e *sim.Engine, name string, params Params) *CPU {
 // that node's "cpu" track.
 func (c *CPU) SetNode(node int) { c.fac.SetMeta(node, "cpu") }
 
-// Execute charges instr instructions at normal priority, blocking the caller
-// through queueing and service.
-func (c *CPU) Execute(p *sim.Proc, instr int) {
-	c.run(p, instr, PrioNormal)
-}
-
 // ExecuteTransfer charges instr instructions at transfer (head-of-line)
-// priority, modeling the paper's interrupt-driven byte transfers.
+// priority, modeling the paper's interrupt-driven byte transfers, and
+// blocks the caller through queueing and service.
 func (c *CPU) ExecuteTransfer(p *sim.Proc, instr int) {
-	c.run(p, instr, PrioTransfer)
-}
-
-func (c *CPU) run(p *sim.Proc, instr, prio int) {
 	if d, ok := c.service(instr); ok {
-		c.fac.UsePriority(p, d, prio)
+		c.fac.UsePriority(p, d, PrioTransfer)
 	}
 }
 
-// Charge is Execute in step form: it requests instr instructions at prio
-// on w's behalf, tagged with w's query, and reports whether w must wait.
-// If so, w runs when the service completes. Zero instructions cost
-// nothing and schedule nothing.
+// Charge requests instr instructions at prio on w's behalf, tagged with
+// w's query, and reports whether w must wait. If so, w runs when the
+// service completes. Zero instructions cost nothing and schedule nothing.
 func (c *CPU) Charge(w Waiter, instr, prio int) bool {
 	d, ok := c.service(instr)
 	if ok {

@@ -8,6 +8,23 @@ import (
 	"repro/internal/sim"
 )
 
+// execute charges instr on cpu for the process p at normal priority,
+// parking p through queueing and service.
+func execute(p *sim.Proc, cpu *CPU, instr int) {
+	if cpu.Charge(p, instr, PrioNormal) {
+		p.Park()
+	}
+}
+
+// send transmits msg for the process p, parking p through each packet's
+// protocol cost and wire time.
+func send(p *sim.Proc, n *Network, cpu *CPU, msg Message) {
+	var s Send
+	for done := s.Start(n, p, cpu, msg); !done; done = s.Step() {
+		p.Park()
+	}
+}
+
 func testRig(t *testing.T) (*sim.Engine, Params, *CPU, *Disk) {
 	t.Helper()
 	e := sim.New()
@@ -21,7 +38,7 @@ func TestCPUExecuteCharge(t *testing.T) {
 	e, p, cpu, _ := testRig(t)
 	var done sim.Time
 	e.Spawn("p", func(pr *sim.Proc) {
-		cpu.Execute(pr, 3000) // 1ms at 3 MIPS
+		execute(pr, cpu, 3000) // 1ms at 3 MIPS
 		done = pr.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -38,7 +55,7 @@ func TestCPUExecuteCharge(t *testing.T) {
 func TestCPUZeroInstrIsFree(t *testing.T) {
 	e, _, cpu, _ := testRig(t)
 	e.Spawn("p", func(pr *sim.Proc) {
-		cpu.Execute(pr, 0)
+		execute(pr, cpu, 0)
 		if pr.Now() != 0 {
 			t.Error("zero instructions consumed time")
 		}
@@ -50,7 +67,7 @@ func TestCPUZeroInstrIsFree(t *testing.T) {
 
 func TestCPUNegativeInstrPanics(t *testing.T) {
 	e, _, cpu, _ := testRig(t)
-	e.Spawn("p", func(pr *sim.Proc) { cpu.Execute(pr, -1) })
+	e.Spawn("p", func(pr *sim.Proc) { execute(pr, cpu, -1) })
 	if err := e.Run(); err == nil {
 		t.Fatal("negative instruction count should error")
 	}
@@ -60,12 +77,12 @@ func TestCPUTransferPriorityServedFirst(t *testing.T) {
 	e, _, cpu, _ := testRig(t)
 	var order []string
 	e.Spawn("op1", func(pr *sim.Proc) {
-		cpu.Execute(pr, 30000) // 10ms, occupies server
+		execute(pr, cpu, 30000) // 10ms, occupies server
 		order = append(order, "op1")
 	})
 	e.Spawn("op2", func(pr *sim.Proc) {
 		pr.Hold(sim.Millisecond)
-		cpu.Execute(pr, 3000)
+		execute(pr, cpu, 3000)
 		order = append(order, "op2")
 	})
 	e.Spawn("xfer", func(pr *sim.Proc) {
@@ -248,7 +265,7 @@ func TestNetworkDeliversPayload(t *testing.T) {
 	e, _, cpus, net := buildNet(t, 2)
 	var got any
 	e.Spawn("sender", func(pr *sim.Proc) {
-		net.Send(pr, cpus[0], Message{From: 0, To: 1, Bytes: 100, Payload: "hello"})
+		send(pr, net, cpus[0], Message{From: 0, To: 1, Bytes: 100, Payload: "hello"})
 	})
 	e.Spawn("receiver", func(pr *sim.Proc) {
 		m := net.Inbox(1).Get(pr)
@@ -270,7 +287,7 @@ func TestNetworkSplitsOversizeMessages(t *testing.T) {
 	payloads := 0
 	fragments := 0
 	e.Spawn("sender", func(pr *sim.Proc) {
-		net.Send(pr, cpus[0], Message{From: 0, To: 1, Bytes: p.MaxPacket*2 + 100, Payload: "tail"})
+		send(pr, net, cpus[0], Message{From: 0, To: 1, Bytes: p.MaxPacket*2 + 100, Payload: "tail"})
 	})
 	e.Spawn("receiver", func(pr *sim.Proc) {
 		for i := 0; i < 3; i++ {
@@ -300,7 +317,7 @@ func TestNetworkSenderPaysCPU(t *testing.T) {
 	var elapsed sim.Duration
 	e.Spawn("sender", func(pr *sim.Proc) {
 		start := pr.Now()
-		net.Send(pr, cpus[0], Message{From: 0, To: 1, Bytes: 100, Payload: 1})
+		send(pr, net, cpus[0], Message{From: 0, To: 1, Bytes: 100, Payload: 1})
 		elapsed = sim.Duration(pr.Now() - start)
 	})
 	if err := e.Run(); err != nil {
@@ -316,7 +333,7 @@ func TestNetworkSenderPaysCPU(t *testing.T) {
 func TestNetworkReceiverChargedAtTransferPriority(t *testing.T) {
 	e, p, cpus, net := buildNet(t, 2)
 	e.Spawn("sender", func(pr *sim.Proc) {
-		net.Send(pr, cpus[0], Message{From: 0, To: 1, Bytes: 100, Payload: 1})
+		send(pr, net, cpus[0], Message{From: 0, To: 1, Bytes: 100, Payload: 1})
 	})
 	e.Spawn("receiver", func(pr *sim.Proc) {
 		net.Inbox(1).Get(pr)
@@ -334,7 +351,7 @@ func TestNetworkReceiverChargedAtTransferPriority(t *testing.T) {
 func TestNetworkBadEndpointsPanic(t *testing.T) {
 	e, _, cpus, net := buildNet(t, 2)
 	e.Spawn("sender", func(pr *sim.Proc) {
-		net.Send(pr, cpus[0], Message{From: 0, To: 5, Bytes: 100})
+		send(pr, net, cpus[0], Message{From: 0, To: 5, Bytes: 100})
 	})
 	if err := e.Run(); err == nil {
 		t.Fatal("bad destination should error")
@@ -344,7 +361,7 @@ func TestNetworkBadEndpointsPanic(t *testing.T) {
 func TestNetworkZeroBytesPanics(t *testing.T) {
 	e, _, cpus, net := buildNet(t, 2)
 	e.Spawn("sender", func(pr *sim.Proc) {
-		net.Send(pr, cpus[0], Message{From: 0, To: 1, Bytes: 0})
+		send(pr, net, cpus[0], Message{From: 0, To: 1, Bytes: 0})
 	})
 	if err := e.Run(); err == nil {
 		t.Fatal("zero-byte message should error")

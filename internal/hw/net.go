@@ -158,19 +158,10 @@ func NewNetwork(e *sim.Engine, params Params, cpus []*CPU) *Network {
 	return n
 }
 
-// Send transmits msg, blocking the sending process for the sender-side CPU
-// protocol cost and the NIC transmission time. Messages larger than
-// MaxPacket are split into maximal packets, each paying full per-packet
-// costs (Table 2 caps packets at 8 KB).
-func (n *Network) Send(p *sim.Proc, cpu *CPU, msg Message) {
-	var s Send
-	for done := s.Start(n, p, cpu, msg); !done; done = s.Step() {
-		p.Park()
-	}
-}
-
-// Send is Network.Send in step form, in a record its caller owns. Each
-// packet pays the sender-side protocol cost on the node CPU (or, from an
+// Send transmits one message over the network, in steps, from a record
+// its caller owns. Messages larger than MaxPacket are split into maximal
+// packets, each paying full per-packet costs (Table 2 caps packets at
+// 8 KB): the sender-side protocol cost on the node CPU (or, from an
 // uncharged coordination endpoint, as a pure delay), then its
 // transmission through the outgoing NIC. Start begins the first packet
 // for a Waiter, each wait ends by scheduling the Waiter, which calls Step

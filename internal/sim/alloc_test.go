@@ -158,36 +158,6 @@ func TestSpawnAllocs(t *testing.T) {
 	}
 }
 
-// countedBody is a process record that counts how often it is named.
-type countedBody struct{ named int }
-
-func (b *countedBody) Run(p *Proc)  {}
-func (b *countedBody) Name() string { b.named++; return "body" }
-
-// Spawning from a record costs the Proc alone, like Spawn, and formats no
-// name: nothing reads it.
-func TestSpawnBodyAllocs(t *testing.T) {
-	e := New()
-	b := &countedBody{}
-	for i := 0; i < 100; i++ {
-		e.SpawnBody(b)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		e.SpawnBody(b)
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 1 {
-		t.Fatalf("SpawnBody+Run allocates %v per op, want <= 1", n)
-	}
-	if b.named != 0 {
-		t.Fatalf("record named %d times, want 0", b.named)
-	}
-}
-
 // A Put that schedules a mailbox's consumer handler, and the handler's
 // drain, allocate nothing once the rings have grown.
 func TestConsumerAllocs(t *testing.T) {

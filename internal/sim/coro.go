@@ -18,14 +18,14 @@ import (
 type coro struct {
 	eng   *Engine
 	p     *Proc       // the process whose body runs at the next resume
-	fn    func(*Proc) // its body, or nil to run p's Body
+	fn    func(*Proc) // its body
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
 }
 
-// coroFor returns a coroutine for p to run fn (or p's Body, when fn is nil)
-// on: an idle one when the pool has one, else a new one.
+// coroFor returns a coroutine for p to run fn on: an idle one when the pool
+// has one, else a new one.
 func (e *Engine) coroFor(p *Proc, fn func(*Proc)) *coro {
 	var c *coro
 	if n := len(e.idle) - 1; n >= 0 {
@@ -71,11 +71,7 @@ func (c *coro) run() {
 			e.fail(fmt.Errorf("sim: process %q %w: %v\n%s", p.Name(), ErrPanicked, r, debug.Stack()))
 		}
 	}()
-	switch {
-	case p.killed:
-	case fn != nil:
+	if !p.killed {
 		fn(p)
-	default:
-		p.body.Run(p)
 	}
 }

@@ -86,7 +86,7 @@ func (f funcHandler) HandleEvent() { f() }
 
 // Namer reports a name formatted only when something reads it. A handler
 // may implement it to name itself in the run error of its panic and on the
-// span of a facility request made for it; a Body must.
+// span of a facility request made for it.
 type Namer interface {
 	Name() string
 }
@@ -455,8 +455,7 @@ func (e *Engine) RunUntil(deadline Time) (err error) {
 // called from the process's own body.
 type Proc struct {
 	eng      *Engine
-	name     string // the Spawn name; unused when body is set
-	body     Body   // the record a SpawnBody process runs, which names it
+	name     string // the Spawn name
 	co       *coro  // the coroutine running the body
 	killed   bool   // Close is retiring it; unwind at next resume
 	finished bool   // body has returned (normally, by panic, or by Close)
@@ -465,24 +464,8 @@ type Proc struct {
 	err      error  // error slot of the step form the process waits in
 }
 
-// Body is a process body held in a typed record instead of a closure. The
-// record carries the process's arguments, so spawning it captures nothing,
-// and its Name formats the process name only when something reads it: a
-// panic message, or a facility span while tracing. A record may be reused
-// once Run returns, so Name is read only while the process lives.
-type Body interface {
-	Namer
-	Run(p *Proc)
-}
-
-// Name reports the process name: the name given at Spawn, or the Name of
-// a SpawnBody process's record, formatted now.
-func (p *Proc) Name() string {
-	if p.body != nil {
-		return p.body.Name()
-	}
-	return p.name
-}
+// Name reports the process name given at Spawn.
+func (p *Proc) Name() string { return p.name }
 
 // HandleEvent resumes the process, which is the Handler of its own
 // wake-ups: it switches into p's coroutine and returns when p next yields
@@ -520,26 +503,15 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(e.now, name, fn)
 }
 
-// SpawnAt creates a process that begins executing fn at time t. A process
-// that Close retires before its first resume never runs fn.
+// SpawnAt creates a process that begins executing fn at time t: it enters
+// the live-process set on a pooled coroutine and its first resume is
+// scheduled. A process that Close retires before its first resume never
+// runs fn.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	return e.spawn(t, &Proc{eng: e, name: name}, fn)
-}
-
-// SpawnBody creates a process that begins running b.Run at the current
-// time, like Spawn, from a record instead of a closure: the process
-// allocates nothing but its Proc, and its name is formatted only when read.
-func (e *Engine) SpawnBody(b Body) *Proc {
-	return e.spawn(e.now, &Proc{eng: e, body: b}, nil)
-}
-
-// spawn enters p into the live-process set on a pooled coroutine that runs
-// fn, or p's body when fn is nil, and schedules its first resume at t.
-func (e *Engine) spawn(t Time, p *Proc, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panic("sim: Spawn on a closed engine")
 	}
-	p.slot = int32(len(e.procs))
+	p := &Proc{eng: e, name: name, slot: int32(len(e.procs))}
 	p.co = e.coroFor(p, fn)
 	e.procs = append(e.procs, p)
 	e.stats.Spawns++

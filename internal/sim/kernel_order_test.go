@@ -20,7 +20,7 @@ import (
 var updateKernelOrder = flag.Bool("update-kernel", false, "rewrite testdata/kernel_order.golden from the current event order")
 
 // The kernel-order scripts drive every way of scheduling an event through
-// one engine: process spawns (Spawn, SpawnBody, SpawnAt), holds (self
+// one engine: process spawns (Spawn, SpawnAt), holds (self
 // resumes included), Park and Wake, facility use at both priorities in one
 // queue with handler requests, callbacks, scheduled handlers, mailbox Get,
 // GetTimeout and a consumer handler, RunUntil horizons and a Close in the
@@ -39,7 +39,7 @@ const (
 	kPut                    // put a message on the Get mailbox (even arg) or the consumed one
 	kGet                    // Get from the Get mailbox
 	kGetTimeout             // GetTimeout on the Get mailbox, timing out after (arg+1)·5µs
-	kSpawn                  // spawn a child holding arg·5µs: by Spawn, SpawnBody or SpawnAt arg·5µs later
+	kSpawn                  // spawn a child holding arg·5µs: by Spawn (arg%3 < 2) or SpawnAt arg·5µs later
 )
 
 // kernelOpKinds maps a script byte's low nibble to an operation.
@@ -50,13 +50,12 @@ var kernelOpKinds = [16]int{
 
 type kernelOp struct{ kind, arg int }
 
-// kernelScript is one run: each actor's operations, which actors spawn
-// from a record (SpawnBody), whether a trace sink logs the facility's
-// spans, and the RunUntil horizons: rounds steps of step each, then either
-// a Close with events still pending or a Run to the end and a Close.
+// kernelScript is one run: each actor's operations, whether a trace sink
+// logs the facility's spans, and the RunUntil horizons: rounds steps of
+// step each, then either a Close with events still pending or a Run to
+// the end and a Close.
 type kernelScript struct {
 	actors   [][]kernelOp
-	bodies   byte
 	trace    bool
 	step     Duration
 	rounds   int
@@ -64,8 +63,9 @@ type kernelScript struct {
 }
 
 // decodeKernelScript turns arbitrary bytes into a script: the first byte
-// gives the actor count (1–5), the second which actors spawn from a
-// record, the third the horizons, Close and tracing, and each later byte
+// gives the actor count (1–5), the second is unused (it chose the actors
+// a process record spawned, when the kernel had those), the third the
+// horizons, Close and tracing, and each later byte
 // is the next operation of the actors in turn (low nibble the kind, high
 // nibble the argument).
 func decodeKernelScript(data []byte) kernelScript {
@@ -74,7 +74,6 @@ func decodeKernelScript(data []byte) kernelScript {
 	}
 	s := kernelScript{
 		actors:   make([][]kernelOp, 1+int(data[0])%5),
-		bodies:   data[1],
 		step:     Duration(data[2]&7+1) * 40 * Microsecond,
 		rounds:   1 + int(data[2]>>3)&3,
 		closeMid: data[2]&0x20 != 0,
@@ -180,24 +179,10 @@ func (c *scriptConsumer) HandleEvent() {
 	}
 }
 
-// scriptBody is an actor spawned from a record.
-type scriptBody struct {
-	r    *scriptRun
-	name string
-	ops  []kernelOp
-	tok  orderToken
-}
-
-func (b *scriptBody) Name() string { return b.name }
-func (b *scriptBody) Run(p *Proc)  { b.r.act(p, b.name, b.ops, b.tok) }
-
-// spawn starts an actor at t: from a record when body is set, else from a
-// closure.
-func (r *scriptRun) spawn(t Time, name string, ops []kernelOp, body bool) {
+// spawn starts an actor at t.
+func (r *scriptRun) spawn(t Time, name string, ops []kernelOp) {
 	tok := r.track(Duration(t - r.e.Now()))
 	switch {
-	case body && t == r.e.Now():
-		r.e.SpawnBody(&scriptBody{r: r, name: name, ops: ops, tok: tok})
 	case t == r.e.Now():
 		r.e.Spawn(name, func(p *Proc) { r.act(p, name, ops, tok) })
 	default:
@@ -284,13 +269,10 @@ func (r *scriptRun) act(p *Proc, name string, ops []kernelOp, tok orderToken) {
 		case kSpawn:
 			child := []kernelOp{{kind: kHold, arg: op.arg}}
 			cname := fmt.Sprintf("%s.c%d", name, step)
-			switch op.arg % 3 {
-			case 0:
-				r.spawn(e.Now(), cname, child, false)
-			case 1:
-				r.spawn(e.Now(), cname, child, true)
-			default:
-				r.spawn(e.Now()+Time(d), cname, child, false)
+			if op.arg%3 < 2 {
+				r.spawn(e.Now(), cname, child)
+			} else {
+				r.spawn(e.Now()+Time(d), cname, child)
 			}
 		}
 		r.logf(name, "op %d kind=%d arg=%d", step, op.kind, op.arg)
@@ -319,7 +301,7 @@ func runKernelScript(s kernelScript) (log []string, violation string) {
 	}
 	r.mbTake.Consume(&scriptConsumer{r: r})
 	for i, ops := range s.actors {
-		r.spawn(0, fmt.Sprintf("a%d", i), ops, s.bodies>>i&1 == 1)
+		r.spawn(0, fmt.Sprintf("a%d", i), ops)
 	}
 	for i := 1; i <= s.rounds; i++ {
 		r.horizon = Time(i) * Time(s.step)
