@@ -33,9 +33,9 @@ const (
 	DiskRepair
 	// DiskTransient makes the disk's next Count reads fail once each.
 	DiskTransient
-	// DiskDegrade multiplies the disk's mechanism time by Factor (for Dur,
-	// if set; Factor <= 1 restores nominal service).
-	DiskDegrade
+	// Kind 3 is unused: JSON archives store a kind as its number, so the
+	// kinds after it keep their values.
+	_
 	// NodeCrash fail-silences a node: its inbox drops traffic and in-flight
 	// operators' replies are suppressed, until NodeRestart.
 	NodeCrash
@@ -53,7 +53,6 @@ var kindNames = [...]string{
 	DiskFail:      "disk-fail",
 	DiskRepair:    "disk-repair",
 	DiskTransient: "disk-transient",
-	DiskDegrade:   "disk-degrade",
 	NodeCrash:     "node-crash",
 	NodeRestart:   "node-restart",
 	NetDrop:       "net-drop",
@@ -61,11 +60,14 @@ var kindNames = [...]string{
 }
 
 func (k Kind) String() string {
-	if k < 0 || int(k) >= len(kindNames) {
+	if !k.known() {
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
 	return kindNames[k]
 }
+
+// known reports whether k names a fault kind.
+func (k Kind) known() bool { return k >= 0 && int(k) < len(kindNames) && kindNames[k] != "" }
 
 // Event is one scheduled fault.
 type Event struct {
@@ -74,11 +76,9 @@ type Event struct {
 	Node int          `json:"node"`
 	// Count sizes DiskTransient/NetDrop/NetDup bursts (default 1).
 	Count int `json:"count,omitempty"`
-	// Factor is the DiskDegrade latency multiplier (default 4).
-	Factor float64 `json:"factor,omitempty"`
-	// Dur bounds window kinds: a DiskFail/NodeCrash/DiskDegrade with Dur > 0
-	// schedules its own repair/restart/restore Dur later. Dur == 0 means
-	// the condition holds for the rest of the run.
+	// Dur bounds window kinds: a DiskFail/NodeCrash with Dur > 0 schedules
+	// its own repair/restart Dur later. Dur == 0 means the condition holds
+	// for the rest of the run.
 	Dur sim.Duration `json:"dur,omitempty"`
 }
 
@@ -87,13 +87,6 @@ func (e Event) count() int {
 		return 1
 	}
 	return e.Count
-}
-
-func (e Event) factor() float64 {
-	if e.Factor <= 0 {
-		return 4
-	}
-	return e.Factor
 }
 
 // Spec is a complete fault schedule for one run.
@@ -121,7 +114,7 @@ func (s *Spec) Validate(nodes int) error {
 		if ev.At < 0 {
 			return fmt.Errorf("fault: event %d: negative offset %v", i, ev.At)
 		}
-		if ev.Kind < 0 || int(ev.Kind) >= len(kindNames) {
+		if !ev.Kind.known() {
 			return fmt.Errorf("fault: event %d: unknown kind %d", i, int(ev.Kind))
 		}
 		if ev.Node < 0 || ev.Node >= nodes {
@@ -180,7 +173,6 @@ type DiskTarget interface {
 	Fail()
 	Repair()
 	FailNextReads(n int)
-	SetLatencyFactor(f float64)
 }
 
 // NodeTarget is the node surface the injector drives; exec.Node satisfies
@@ -292,17 +284,6 @@ func (in *Injector) apply(ev Event) {
 			d.FailNextReads(ev.count())
 		}
 		detail = fmt.Sprintf("next %d reads", ev.count())
-	case DiskDegrade:
-		f := ev.factor()
-		if d := in.disk(ev.Node); d != nil {
-			d.SetLatencyFactor(f)
-		}
-		detail = fmt.Sprintf("x%.2g", f)
-		if ev.Dur > 0 && f > 1 {
-			restore := Event{At: ev.Dur, Kind: DiskDegrade, Node: ev.Node, Factor: 1}
-			in.eng.Schedule(ev.Dur, func() { in.apply(restore) })
-			detail += fmt.Sprintf(" for %v", ev.Dur)
-		}
 	case NodeCrash:
 		if n := in.node(ev.Node); n != nil {
 			n.Crash()

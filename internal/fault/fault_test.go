@@ -15,9 +15,6 @@ type fakeDisk struct{ calls []string }
 func (d *fakeDisk) Fail()               { d.calls = append(d.calls, "fail") }
 func (d *fakeDisk) Repair()             { d.calls = append(d.calls, "repair") }
 func (d *fakeDisk) FailNextReads(n int) { d.calls = append(d.calls, fmt.Sprintf("transient(%d)", n)) }
-func (d *fakeDisk) SetLatencyFactor(f float64) {
-	d.calls = append(d.calls, fmt.Sprintf("degrade(%g)", f))
-}
 
 type fakeNode struct{ calls []string }
 
@@ -93,7 +90,6 @@ func TestInjectorWindowEventsRestore(t *testing.T) {
 	spec := Spec{Events: []Event{
 		{At: sim.Millisecond, Kind: DiskFail, Node: 0, Dur: 2 * sim.Millisecond},
 		{At: sim.Millisecond, Kind: NodeCrash, Node: 1, Dur: 3 * sim.Millisecond},
-		{At: sim.Millisecond, Kind: DiskDegrade, Node: 1, Factor: 4, Dur: 2 * sim.Millisecond},
 	}}
 	view, disks, nodes, _, log, err := rig(spec, 1)
 	if err != nil {
@@ -105,14 +101,11 @@ func TestInjectorWindowEventsRestore(t *testing.T) {
 	if got := nodes[1].calls; !reflect.DeepEqual(got, []string{"crash", "restart"}) {
 		t.Fatalf("node 1 calls = %v", got)
 	}
-	if got := disks[1].calls; !reflect.DeepEqual(got, []string{"degrade(4)", "degrade(1)"}) {
-		t.Fatalf("disk 1 calls = %v", got)
-	}
 	if !view.Available(0) || !view.Available(1) {
 		t.Fatal("view should recover after the windows close")
 	}
-	if len(log) != 6 {
-		t.Fatalf("log has %d records, want 6 (3 faults + 3 restores)", len(log))
+	if len(log) != 4 {
+		t.Fatalf("log has %d records, want 4 (2 faults + 2 restores)", len(log))
 	}
 }
 

@@ -51,10 +51,9 @@ type Disk struct {
 
 	// Fault-injection state. All fields stay at their zero values unless a
 	// fault.Injector drives them, so the healthy hot path costs one branch.
-	failed   bool    // fail-stop: reject everything until Repair
-	aborted  bool    // Fail hit the in-flight transfer
-	failNext int     // next N reads fail with a transient error
-	degrade  float64 // latency multiplier; <=1 means nominal
+	failed   bool // fail-stop: reject everything until Repair
+	aborted  bool // Fail hit the in-flight transfer
+	failNext int  // next N reads fail with a transient error
 }
 
 // diskReq is one queued or in-flight request: the Waiter to schedule when
@@ -220,17 +219,6 @@ func (d *Disk) FailNextReads(n int) {
 	}
 }
 
-// SetLatencyFactor scales every subsequent request's mechanism time by f,
-// modeling a degraded drive (vibration, remapped sectors, thermal
-// throttling). f <= 1 restores nominal service.
-func (d *Disk) SetLatencyFactor(f float64) {
-	if f <= 1 {
-		d.degrade = 0
-		return
-	}
-	d.degrade = f
-}
-
 // startNext picks the next request per the elevator policy and runs it.
 // Must only be called while busy with a non-empty queue. The in-flight
 // request lives in d.cur and the disk schedules itself as the Handler of
@@ -244,7 +232,7 @@ func (d *Disk) startNext() {
 	d.queue = d.queue[:last]
 
 	req := &d.cur
-	t := d.stretch(d.serviceTime(req.physPage))
+	t := d.serviceTime(req.physPage)
 	req.heat.DiskWait(int64(d.eng.Now() - req.arrived))
 	d.headCyl = d.params.Cylinder(req.physPage)
 	d.lastPage = req.physPage
@@ -342,14 +330,6 @@ func (d *Disk) serviceTime(physPage int) sim.Duration {
 	seek := d.params.SeekTime(abs(d.params.Cylinder(physPage) - d.headCyl))
 	rot := sim.Milliseconds(d.lat.Uniform(0, d.params.MaxLatencyMS))
 	return seek + rot + d.params.PageTransferTime()
-}
-
-// stretch applies the injected latency-degradation factor, if any.
-func (d *Disk) stretch(t sim.Duration) sim.Duration {
-	if d.degrade > 1 {
-		return sim.Duration(float64(t) * d.degrade)
-	}
-	return t
 }
 
 func abs(x int) int {

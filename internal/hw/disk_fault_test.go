@@ -127,31 +127,3 @@ func TestDiskFailNextReadsTransient(t *testing.T) {
 		t.Fatalf("reads = %d, want 1 (transient failures must not count)", disk.Reads())
 	}
 }
-
-func TestDiskLatencyFactorStretchesService(t *testing.T) {
-	timeRead := func(factor float64) sim.Duration {
-		e, _, _, disk := testRig(t)
-		disk.SetLatencyFactor(factor)
-		var elapsed sim.Duration
-		e.Spawn("p", func(pr *sim.Proc) {
-			start := pr.Now()
-			if err := disk.ReadHeat(pr, 0, nil); err != nil {
-				t.Fatal(err)
-			}
-			elapsed = sim.Duration(pr.Now() - start)
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return elapsed
-	}
-	nominal := timeRead(1)
-	degraded := timeRead(4)
-	if degraded <= nominal {
-		t.Fatalf("degraded read (%v) not slower than nominal (%v)", degraded, nominal)
-	}
-	if restored := timeRead(0.5); restored != nominal {
-		// Factors <= 1 restore nominal service; they never speed the disk up.
-		t.Fatalf("factor 0.5 read %v, want nominal %v", restored, nominal)
-	}
-}
