@@ -13,6 +13,8 @@ package rng
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 )
 
 // Source is a named, seeded random stream. It is a thin wrapper around
@@ -37,14 +39,14 @@ func NewFactory(seed int64) *Factory {
 
 // Stream returns a new independent stream. Streams are derived from the root
 // seed and a per-factory counter mixed through SplitMix64, so distinct calls
-// never share state and the derivation is stable across runs.
+// on one factory never share a seed and the derivation is stable across runs.
+// Two factories with the same root derive the same seed sequence: the i-th
+// stream of each draws exactly the same numbers, whatever their names. Give
+// factories that must not correlate distinct roots (gamma's serveSeedTag).
 func (f *Factory) Stream(name string) *Source {
 	f.next++
 	seed := splitmix64(uint64(f.root) ^ splitmix64(uint64(f.next)))
-	return &Source{
-		name: name,
-		rnd:  rand.New(rand.NewSource(int64(seed))),
-	}
+	return &Source{name: name, rnd: rand.New(seeded(int64(seed)))}
 }
 
 // splitmix64 is the standard SplitMix64 finalizer, used only to decorrelate
@@ -59,7 +61,47 @@ func splitmix64(x uint64) uint64 {
 // NewSource returns a standalone stream seeded directly. Prefer Factory for
 // experiment code; this exists for tests and tools.
 func NewSource(name string, seed int64) *Source {
-	return &Source{name: name, rnd: rand.New(rand.NewSource(seed))}
+	return &Source{name: name, rnd: rand.New(seeded(seed))}
+}
+
+// memoCap bounds the seeded-state memo. An entry holds one pristine
+// math/rand state (about 5 KB), so a full memo holds about 5.5 MB. The
+// paper-scale campaign at one experiment seed uses 83 distinct seeds. Once
+// full, new seeds are seeded directly and not kept, so a seed sweep cannot
+// grow it.
+const memoCap = 1024
+
+// memo maps a seed to the state rand.NewSource(seed) starts in. Nothing ever
+// draws from a memoized state: every stream gets its own copy. Seeding runs
+// math/rand's ~1,800-step initialisation, about ten times the cost of
+// copying the state, and a campaign asks for the same few seeds thousands
+// of times (each machine's disks and terminals, every job).
+var memo = struct {
+	sync.Mutex
+	states map[int64]rand.Source
+}{states: map[int64]rand.Source{}}
+
+// seeded returns a fresh generator in the state rand.NewSource(seed) starts
+// in, so it draws exactly what rand.NewSource(seed) would. It is safe for
+// concurrent use.
+func seeded(seed int64) rand.Source {
+	memo.Lock()
+	pristine, ok := memo.states[seed]
+	memo.Unlock()
+	if !ok {
+		pristine = rand.NewSource(seed)
+		memo.Lock()
+		if len(memo.states) < memoCap {
+			memo.states[seed] = pristine
+		}
+		memo.Unlock()
+	}
+	// The source is a pointer to math/rand's unexported generator struct;
+	// copy the struct it points to.
+	state := reflect.ValueOf(pristine).Elem()
+	fresh := reflect.New(state.Type())
+	fresh.Elem().Set(state)
+	return fresh.Interface().(rand.Source)
 }
 
 // Name reports the stream's name (used in traces and error messages).
