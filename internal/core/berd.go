@@ -130,11 +130,7 @@ func (b *BERDPlacement) Route(pred Predicate) Route {
 	}
 	if cuts, ok := b.auxCuts[pred.Attr]; ok {
 		from, to := bucketRange(cuts, pred.Lo, pred.Hi)
-		aux := make([]int, 0, to-from+1)
-		for i := from; i <= to; i++ {
-			aux = append(aux, i)
-		}
-		return Route{Aux: aux}
+		return Route{Aux: span(from, to)}
 	}
 	return Route{Participants: allProcessors(b.p)}
 }

@@ -31,7 +31,9 @@ func (p Predicate) String() string {
 type Route struct {
 	// Participants are the processors the query is sent to directly. For a
 	// BERD two-step query this is empty; the processors are discovered by
-	// consulting the auxiliary relation at runtime.
+	// consulting the auxiliary relation at runtime. Routes may share the
+	// storage of Participants and Aux: read them, or append to them, but
+	// do not write their elements.
 	Participants []int
 	// Aux, when non-empty, lists the processors holding the relevant
 	// fragments of the auxiliary relation (BERD's first step).
@@ -57,10 +59,28 @@ type Placement interface {
 }
 
 // allProcessors returns [0, 1, ..., p-1].
-func allProcessors(p int) []int {
-	out := make([]int, p)
-	for i := range out {
-		out[i] = i
+func allProcessors(p int) []int { return span(0, p-1) }
+
+// processors is [0, 1, ..., 1023]: the window of it span returns is what
+// most routes list, so routing allocates no list for machines of up to
+// 1024 processors.
+var processors = func() []int {
+	s := make([]int, 1024)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}()
+
+// span returns [from, from+1, ..., to]: a window of processors, capped at
+// its length so that appending to it copies, or a new list past its end.
+func span(from, to int) []int {
+	if to < len(processors) {
+		return processors[from : to+1 : to+1]
+	}
+	out := make([]int, 0, to-from+1)
+	for i := from; i <= to; i++ {
+		out = append(out, i)
 	}
 	return out
 }
@@ -145,11 +165,7 @@ func (r *RangePlacement) Route(pred Predicate) Route {
 		return Route{Participants: allProcessors(r.p)}
 	}
 	from, to := bucketRange(r.cuts, pred.Lo, pred.Hi)
-	out := make([]int, 0, to-from+1)
-	for i := from; i <= to; i++ {
-		out = append(out, i)
-	}
-	return Route{Participants: out}
+	return Route{Participants: span(from, to)}
 }
 
 // HashPlacement is single-attribute hash declustering: exact-match
@@ -183,7 +199,8 @@ func (h *HashPlacement) HomeOf(t storage.Tuple) int {
 // Route implements Placement.
 func (h *HashPlacement) Route(pred Predicate) Route {
 	if pred.Attr == h.attr && pred.Equality() {
-		return Route{Participants: []int{int(hash64(uint64(pred.Lo)) % uint64(h.p))}}
+		home := int(hash64(uint64(pred.Lo)) % uint64(h.p))
+		return Route{Participants: span(home, home)}
 	}
 	return Route{Participants: allProcessors(h.p)}
 }

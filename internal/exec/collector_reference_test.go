@@ -279,7 +279,8 @@ func (c *colReplyLog) HandleEvent() {
 
 // logReply logs a reply delivered to the host.
 func (r *colRig) logReply(m hw.Message) {
-	r.logf("reply %d->%d %dB %T%+v orphans=%d", m.From, m.To, m.Bytes, m.Payload, m.Payload, r.host.Orphans)
+	reply := replyForm(m.Payload)
+	r.logf("reply %d->%d %dB %T%+v orphans=%d", m.From, m.To, m.Bytes, reply, reply, r.host.Orphans)
 }
 
 // query returns the plan of a query action.
@@ -500,7 +501,10 @@ func (d *refDispatch) HandleEvent() {
 	for m, ok := inbox.Take(); ok; m, ok = inbox.Take() {
 		d.r.logReply(m)
 		var qid int64
-		switch r := m.Payload.(type) {
+		reply := replyForm(m.Payload)
+		switch r := reply.(type) {
+		case selResult:
+			qid = r.QueryID
 		case opResult:
 			qid = r.QueryID
 		case opError:
@@ -522,7 +526,7 @@ func (d *refDispatch) HandleEvent() {
 			}
 			panic(fmt.Sprintf("reference: result for unknown query %d", qid))
 		}
-		mb.Put(m.Payload)
+		mb.Put(reply)
 	}
 }
 
@@ -757,10 +761,15 @@ func (col *refCollector) accept(c *call, msg any) {
 			Fragment: c.primary, Node: c.target, Backup: c.role == Backup, Aux: true,
 		})
 		col.mergeAux(r.TIDsByProc)
-	case opResult:
+	case selResult:
 		if col.agg != nil && r.Tuples > 0 {
 			col.res.Value = col.agg.fold(col.res.Value, r.Value, col.res.Tuples == 0)
 		}
+		col.res.Tuples += r.Tuples
+		col.res.ServedBy = append(col.res.ServedBy, ServedOp{
+			Fragment: c.primary, Node: c.target, Backup: c.role == Backup, Tuples: r.Tuples,
+		})
+	case opResult:
 		col.res.Tuples += r.Tuples
 		col.res.ServedBy = append(col.res.ServedBy, ServedOp{
 			Fragment: c.primary, Node: c.target, Backup: c.role == Backup, Tuples: r.Tuples,

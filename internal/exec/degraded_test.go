@@ -272,3 +272,46 @@ func TestDegradedAbsorbsDuplicatedReplies(t *testing.T) {
 		t.Fatal("duplicated replies should surface as orphans")
 	}
 }
+
+// Duplicated requests (DupNext on a node) start two operators on one
+// request record, and duplicated replies bring a record back twice. The
+// record counts every holder, so each query counts its tuples once, and
+// once the machine is quiet every record the host took is back on its
+// free list, exactly once.
+func TestDuplicatedMessagesRecycleRecords(t *testing.T) {
+	r := newDegradedRig(t)
+	r.net.DupNext(0, 3)
+	r.net.DupNext(1, 3)
+	r.net.DupNext(2, 6)
+	var results []QueryResult
+	r.eng.Spawn("probe", func(p *sim.Proc) {
+		for i := 0; i < 4; i++ {
+			results = append(results, r.host.Submit(p, selectOn(r.rel.Name, bothNodes)))
+		}
+	})
+	if err := r.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 4 {
+		t.Fatalf("%d of 4 queries finished", len(results))
+	}
+	for i, res := range results {
+		if res.Tuples != 20 || !res.Outcome.Succeeded() {
+			t.Fatalf("query %d: %d tuples, outcome %v (%v), want 20 once", i, res.Tuples, res.Outcome, res.Err)
+		}
+	}
+	if r.host.Orphans == 0 {
+		t.Fatal("no duplicate reached the host")
+	}
+	h := r.host
+	if len(h.sels) == 0 || len(h.freeSel) != len(h.sels) {
+		t.Fatalf("%d of the host's %d request records are free", len(h.freeSel), len(h.sels))
+	}
+	free := map[*startOp]bool{}
+	for _, rec := range h.freeSel {
+		if free[rec] || rec.holds.n != 0 {
+			t.Fatalf("a request record is free twice, or still held (%d holds)", rec.holds.n)
+		}
+		free[rec] = true
+	}
+}

@@ -197,6 +197,10 @@ type Host struct {
 	nextAttempt int
 	pending     map[int64]*collector // queries in flight
 	freeCols    *collector           // collector records not in use
+	freeSel     []*startOp           // request records not in use
+	freeAux     []*auxLookup
+	sels        []*startOp               // every selection request record the host has taken
+	aggs        map[aggregate]*aggregate // the aggregates requests refer to, one of each
 
 	// Stats.
 	QueriesRun int64
@@ -270,15 +274,18 @@ func (d *hostDispatch) HandleEvent() {
 	}
 }
 
-// deliver forwards one reply to its query's collector.
+// deliver forwards one reply to its query's collector; an orphan releases
+// the request record it came back in.
 func (h *Host) deliver(payload any) {
 	var qid int64
 	switch r := payload.(type) {
+	case *startOp:
+		qid = r.QueryID
+	case *auxLookup:
+		qid = r.QueryID
 	case opResult:
 		qid = r.QueryID
 	case opError:
-		qid = r.QueryID
-	case auxResult:
 		qid = r.QueryID
 	case joinDone:
 		qid = r.QueryID
@@ -294,6 +301,7 @@ func (h *Host) deliver(payload any) {
 			// finished (or abandoned) — expected under timeouts, crashes
 			// and message duplication.
 			h.Orphans++
+			release(payload)
 			return
 		}
 		panic(fmt.Sprintf("exec: host: result for unknown query %d", qid))
@@ -308,6 +316,21 @@ func (d *hostDispatch) Name() string { return "host.dispatch" }
 // the workload defines it (Section 6: non-clustered index on A, clustered
 // index on B).
 type AccessChooser func(pred core.Predicate) plan.Access
+
+// aggregateOf returns the host's one descriptor of fn over attr, which
+// every request for it refers to.
+func (h *Host) aggregateOf(fn plan.AggFn, attr int) *aggregate {
+	k := aggregate{fn: fn, attr: attr}
+	a := h.aggs[k]
+	if a == nil {
+		if h.aggs == nil {
+			h.aggs = make(map[aggregate]*aggregate)
+		}
+		a = &aggregate{fn: fn, attr: attr}
+		h.aggs[k] = a
+	}
+	return a
+}
 
 // fullDomain is the predicate a bare (predicate-free) Scan leaf executes:
 // every tuple of the relation qualifies.
@@ -348,7 +371,7 @@ func (h *Host) Submit(p *sim.Proc, n *plan.Node) QueryResult {
 	switch n.Kind {
 	case plan.KindAggregate:
 		relation, pred, kind := h.resolveSelection(n.Inputs[0])
-		col = h.schedule(p, relation, pred, kind, &aggregate{fn: n.Fn, attr: n.Attr})
+		col = h.schedule(p, relation, pred, kind, h.aggregateOf(n.Fn, n.Attr))
 	case plan.KindJoin:
 		buildRel, buildPred, _ := h.resolveSelection(n.Inputs[0])
 		probeRel, probePred, _ := h.resolveSelection(n.Inputs[1])

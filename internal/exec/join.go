@@ -76,12 +76,16 @@ type joinBatch struct {
 	Scanners int
 }
 
-// joinEnd signals that one scanner has finished a phase.
+// joinEnd signals that one scanner has finished a phase. An aborted end
+// stands for the batches and the end of a scanner that failed: it has
+// reported the failure to the scheduler, which fails the query, so the
+// join operators retire without replying.
 type joinEnd struct {
 	QueryID  int64
 	Phase    joinPhase
 	ReplyTo  int
 	Scanners int
+	Aborted  bool
 }
 
 // joinDone reports one join operator's matches to the scheduler.
@@ -108,6 +112,7 @@ type joinWorker struct {
 	table                         map[int64]int
 	pending                       []joinBatch
 	buildEnds, probeEnds, matches int
+	aborted                       bool // a scanner failed: no reply
 }
 
 // routeJoinMsg delivers a join message to the query's worker, creating it
@@ -118,6 +123,9 @@ func (n *Node) routeJoinMsg(qid int64, replyTo int, scanners int, msg any) {
 	if w == nil {
 		w = &joinWorker{qid: qid, replyTo: replyTo, scanners: scanners, table: make(map[int64]int),
 			inbox: sim.NewMailboxLabel[any](n.eng, sim.Labelf("node%d.join.q%d", int64(n.ID), qid))}
+		if n.joins == nil {
+			n.joins = make(map[int64]*joinWorker)
+		}
 		n.joins[qid] = w
 		op := n.newOperator()
 		op.join = w
@@ -149,6 +157,7 @@ func (w *joinWorker) take(msg any, costs Costs) (keys, instr int) {
 		}
 		w.pending = append(w.pending, m)
 	case joinEnd:
+		w.aborted = w.aborted || m.Aborted
 		if m.Phase == phaseProbe {
 			w.probeEnds++
 			break
@@ -178,26 +187,49 @@ func (w *joinWorker) probe(keys []int64) int {
 // read in place, through the split table: hash on the join attribute
 // modulo the number of join operators, onto the physical node of the
 // receiving operator's slot, or the scanning node when the join is local.
+// It counts each node's keys, then scatters them, in scan order, into one
+// new array cut into a list per node, which travels in that node's batch.
 func (op *operator) split() {
 	n, req := op.n, op.scan
+	dstOf := func(i int) int {
+		if req.Local {
+			return n.ID
+		}
+		return physOf(req.Topo, core.JoinBucket(op.acc.Tuple(i).Attrs[req.Attr], req.Slots))
+	}
+	var small [64]int // the counts of up to 64 nodes, off the heap
+	ends := small[:0]
 	for i := 0; i < op.acc.N; i++ {
-		key := op.acc.Tuple(i).Attrs[req.Attr]
-		dst := n.ID
-		if !req.Local {
-			dst = physOf(req.Topo, core.JoinBucket(key, req.Slots))
+		dst := dstOf(i)
+		for dst >= len(ends) {
+			ends = append(ends, 0)
 		}
-		if dst >= len(op.byProc) {
-			op.byProc = append(op.byProc, make([][]int64, dst+1-len(op.byProc))...)
-		}
-		op.byProc[dst] = append(op.byProc[dst], key)
+		ends[dst]++
+	}
+	start := 0
+	for dst, k := range ends {
+		ends[dst] = start // the list's start until the scatter moves it on
+		start += k
+	}
+	keys := make([]int64, op.acc.N)
+	for i := 0; i < op.acc.N; i++ {
+		dst := dstOf(i)
+		keys[ends[dst]] = op.acc.Tuple(i).Attrs[req.Attr]
+		ends[dst]++
+	}
+	start = 0
+	for _, end := range ends {
+		op.byProc = append(op.byProc, keys[start:end:end])
+		start = end
 	}
 }
 
 // route moves a join scan on to its next message: its split batches in
-// node order, then an end-of-stream marker for every join operator.
-// Those for the node's own join operator are delivered on the spot, with
-// no network. It makes the next one to send msg, or reports false when
-// none is left. A crash silences the scan's remaining sends.
+// node order, then an end-of-stream marker for every join operator, which
+// is aborted when the scan failed (and split nothing). Those for the
+// node's own join operator are delivered on the spot, with no network. It
+// makes the next one to send msg, or reports false when none is left. A
+// crash silences the scan's remaining sends.
 func (op *operator) route() bool {
 	n, req := op.n, op.scan
 	for ; op.i < len(op.byProc)+req.Slots; op.i++ {
@@ -215,7 +247,7 @@ func (op *operator) route() bool {
 		} else {
 			dst, bytes = physOf(req.Topo, op.i-len(op.byProc)), controlBytes
 			payload = joinEnd{QueryID: req.QueryID, Phase: req.Phase,
-				ReplyTo: req.ReplyTo, Scanners: req.Slots}
+				ReplyTo: req.ReplyTo, Scanners: req.Slots, Aborted: op.failed != nil}
 		}
 		if dst == n.ID {
 			n.routeJoinMsg(req.QueryID, req.ReplyTo, req.Slots, payload)

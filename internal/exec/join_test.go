@@ -15,10 +15,11 @@ import (
 // joinRig builds a machine with two relations ("wisconsin" as R and a
 // second instance "s" as S) on nodes 0..p-1 plus the host.
 type joinRig struct {
-	eng  *sim.Engine
-	net  *hw.Network
-	host *Host
-	r, s *storage.Relation
+	eng   *sim.Engine
+	net   *hw.Network
+	host  *Host
+	nodes []*Node
+	r, s  *storage.Relation
 }
 
 func newJoinRig(t *testing.T, p int, rPl, sPl core.Placement) *joinRig {
@@ -59,6 +60,7 @@ func newJoinRig(t *testing.T, p int, rPl, sPl core.Placement) *joinRig {
 			n.Attach(0, pair.rel.Name, Primary, Holding{Frag: frag})
 		}
 		n.Start()
+		rig.nodes = append(rig.nodes, n)
 	}
 	rig.host = NewHost(eng, p, params, net, costs)
 	rig.host.AddRelation("r", rPl)
@@ -133,6 +135,32 @@ func TestRepartitionedJoinCorrect(t *testing.T) {
 	}
 	if res.ResponseMS() <= 0 {
 		t.Fatal("no simulated time elapsed")
+	}
+}
+
+// A join whose scan fails reports the failure once, and its aborted end
+// markers retire every join operator of the query without a reply: once
+// the machine is quiet, no node still holds one.
+func TestFailedJoinScanRetiresJoinOperators(t *testing.T) {
+	r := storage.GenerateWisconsin(storage.GenSpec{Name: "r", Cardinality: 300, Seed: 9})
+	s := storage.GenerateWisconsin(storage.GenSpec{Name: "s", Cardinality: 120, Seed: 10})
+	rig := newJoinRig(t, 2, core.NewRangeForRelation(r, storage.Unique1, 2), core.NewRangeForRelation(s, storage.Unique2, 2))
+	rig.nodes[1].Disk.FailNextReads(1)
+	var res QueryResult
+	rig.eng.Spawn("probe", func(p *sim.Proc) { res = rig.host.Submit(p, joinSR) })
+	if err := rig.eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != OutcomeFailed {
+		t.Fatalf("outcome = %v (%v), want failed", res.Outcome, res.Err)
+	}
+	for i, n := range rig.nodes {
+		if len(n.joins) > 0 {
+			t.Errorf("node%d still holds %d join operators", i, len(n.joins))
+		}
+	}
+	if rig.host.Orphans != 0 {
+		t.Errorf("the failed join left %d orphaned replies, want none", rig.host.Orphans)
 	}
 }
 

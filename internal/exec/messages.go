@@ -21,8 +21,12 @@ const controlBytes = 100
 const auxEntryBytes = 16
 
 // startOp asks a node's Operator Manager to run a selection fragment. It
-// travels by pointer, and the operator reads it in place; no one writes
-// it once it is sent, so a duplicated message may share it.
+// is a record from the host's free list and travels by pointer: the
+// operator reads the request in place, searches into the record's lists,
+// writes its answer into the reply fields, and sends the record back as
+// its reply. A duplicated request starts two operators on one record, and
+// both write the same lists and answer, each within one event: they
+// follow from the request and the node's read-only fragments.
 type startOp struct {
 	QueryID  int64
 	Relation string
@@ -45,17 +49,63 @@ type startOp struct {
 	// Agg, when set, makes the operator an aggregate's: it folds its
 	// qualifying tuples into a partial and ships only that.
 	Agg *aggregate
+
+	// The reply: the node that answered, its qualifying tuples and, for an
+	// aggregate, their partial.
+	Node   int
+	Tuples int
+	Value  int64
+
+	bufs storage.Buffers // the page and slot lists of the operator's search
+	holds
 }
 
-// opResult carries an operator's qualifying tuples (or, for an aggregate,
-// their partial) back to the scheduler; its arrival also serves as the
-// operator's completion signal.
+// opResult carries a shared-scan batch member's qualifying tuples back to
+// the scheduler; its arrival also serves as the member's completion
+// signal. A lone operator replies with its request record instead.
 type opResult struct {
 	QueryID int64
 	Node    int
 	Tuples  int
-	Value   int64 // the aggregate's partial over Tuples (aggregates only)
-	Attempt int   // echoes startOp.Attempt
+	Attempt int // echoes batchMember.Attempt
+}
+
+// holds counts what holds a request record from a host's free list: the
+// collector that dispatched it, each copy of it or of its reply in flight
+// or queued, and each operator running from it. The last release returns
+// the record to its host h; a record made elsewhere (h nil) is never
+// reused. A copy the interconnect drops never releases its hold, and the
+// record is left to the garbage collector.
+type holds struct {
+	h *Host
+	n int32
+}
+
+// Dup counts the extra copy a duplicating fault delivers (hw.Duplicable).
+func (c *holds) Dup() { c.n++ }
+
+// hold counts one more holder.
+func (c *holds) hold() { c.n++ }
+
+// drop releases one hold and reports whether it was the last on a record
+// the host reuses.
+func (c *holds) drop() bool {
+	c.n--
+	return c.n == 0 && c.h != nil
+}
+
+// pooled is a request record from a host's free list: a startOp or an
+// auxLookup.
+type pooled interface {
+	hold()
+	release()
+}
+
+// release drops one hold on a payload that is a request record.
+func release(payload any) {
+	if r, ok := payload.(pooled); ok {
+		r.release()
+	}
 }
 
 // aggregate is the function an Aggregate plan applies to its selection.
@@ -111,7 +161,9 @@ type opError struct {
 }
 
 // auxLookup asks a node to search its fragment of a BERD auxiliary
-// relation. It travels by pointer, as startOp does.
+// relation. It is a record from the host's free list and travels, and
+// comes back as its reply, as startOp does; its operator's lookup fills
+// the reply's lists in the record's own buffers.
 type auxLookup struct {
 	QueryID  int64
 	Relation string
@@ -120,17 +172,64 @@ type auxLookup struct {
 	Attempt  int
 	Role     Role
 	Epoch    int // placement generation, as startOp.Epoch
+
+	// The reply: the node that answered, and the home processors (and
+	// TIDs) of its qualifying entries, grouped as
+	// storage.AuxFragment.Lookup groups them.
+	Node    int
+	byProc  [][]int64
+	entries int
+	bufs    storage.Buffers
+
+	holds
 }
 
-// auxResult returns the home processors (and TIDs) of qualifying tuples.
-type auxResult struct {
-	QueryID int64
-	Node    int
-	// TIDsByProc lists, per home processor, the qualifying TIDs stored
-	// there (storage.AuxFragment.Lookup's grouping).
-	TIDsByProc [][]int64
-	Entries    int
-	Attempt    int // echoes auxLookup.Attempt
+// newStartOp returns a request record from the host's free list, or a
+// spare or new one, held by its collector and by the message about to
+// carry it.
+func (h *Host) newStartOp() *startOp {
+	var r *startOp
+	if n := len(h.freeSel); n > 0 {
+		r, h.freeSel = h.freeSel[n-1], h.freeSel[:n-1]
+	} else {
+		r = spareSels.take()
+		h.sels = append(h.sels, r)
+	}
+	r.holds = holds{h: h, n: 2}
+	return r
+}
+
+// release drops one hold; the last clears the record, keeping its TID
+// list's storage and its buffers, and returns it to the host.
+func (r *startOp) release() {
+	if r.drop() {
+		h := r.h
+		*r = startOp{TIDs: r.TIDs[:0], bufs: r.bufs}
+		h.freeSel = append(h.freeSel, r)
+	}
+}
+
+// newAuxLookup returns a request record from the host's free list, or a
+// new one, held by its collector and by the message about to carry it.
+func (h *Host) newAuxLookup() *auxLookup {
+	var r *auxLookup
+	if n := len(h.freeAux); n > 0 {
+		r, h.freeAux = h.freeAux[n-1], h.freeAux[:n-1]
+	} else {
+		r = &auxLookup{}
+	}
+	r.holds = holds{h: h, n: 2}
+	return r
+}
+
+// release drops one hold; the last clears the record, keeping its
+// buffers, and returns it to the host.
+func (r *auxLookup) release() {
+	if r.drop() {
+		h := r.h
+		*r = auxLookup{bufs: r.bufs}
+		h.freeAux = append(h.freeAux, r)
+	}
 }
 
 // batchMember is one query's share of a predicate-grouped shared-scan
@@ -161,11 +260,3 @@ type batchOp struct {
 	Role  Role
 	Epoch int
 }
-
-// attemptTagged is implemented by result messages that echo their dispatch
-// attempt, letting the scheduler's collector drop stale and duplicated
-// replies.
-type attemptTagged interface{ attemptID() int }
-
-func (r opResult) attemptID() int  { return r.Attempt }
-func (r auxResult) attemptID() int { return r.Attempt }

@@ -107,6 +107,7 @@ type Node struct {
 
 	joins   map[int64]*joinWorker // live join operators by query
 	freeOps *operator             // operator records not in use
+	ops     []*operator           // every operator record the node has taken
 
 	// Placement generations (elastic membership). gen numbers the serving
 	// generation; previous keeps the one before it so queries planned
@@ -138,7 +139,6 @@ func NewNode(eng *sim.Engine, id int, params hw.Params, costs Costs, net *hw.Net
 	cpu *hw.CPU, disk *hw.Disk, pool *buffer.Pool) *Node {
 	return &Node{
 		ID: id, CPU: cpu, Disk: disk, Pool: pool,
-		joins:  make(map[int64]*joinWorker),
 		params: params, costs: costs, net: net, eng: eng,
 	}
 }
@@ -303,17 +303,18 @@ func (o *opManager) HandleEvent() {
 // Name names the Operator Manager in the run error of its panic.
 func (o *opManager) Name() string { return fmt.Sprintf("node%d.opmgr", o.ID) }
 
-// accessFor runs one access method against a resolved fragment.
-func accessFor(frag *storage.Fragment, kind plan.Access, pred core.Predicate, tids []int64) (storage.Access, error) {
+// accessFor runs one access method against a resolved fragment, filling
+// buf's lists.
+func accessFor(frag *storage.Fragment, kind plan.Access, pred core.Predicate, tids []int64, buf *storage.Buffers) (storage.Access, error) {
 	switch kind {
 	case plan.AccessClustered:
-		return frag.SearchClustered(pred.Lo, pred.Hi)
+		return frag.SearchClustered(pred.Lo, pred.Hi, buf)
 	case plan.AccessNonClustered:
-		return frag.SearchNonClustered(pred.Attr, pred.Lo, pred.Hi)
+		return frag.SearchNonClustered(pred.Attr, pred.Lo, pred.Hi, buf)
 	case plan.AccessTIDFetch:
-		return frag.FetchTIDs(tids)
+		return frag.FetchTIDs(tids, buf)
 	case plan.AccessSeqScan:
-		return frag.Scan(pred.Attr, pred.Lo, pred.Hi), nil
+		return frag.Scan(pred.Attr, pred.Lo, pred.Hi, buf), nil
 	default:
 		return storage.Access{}, fmt.Errorf("exec: unknown access kind %v", kind)
 	}

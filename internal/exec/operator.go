@@ -17,9 +17,10 @@ import (
 // an aggregate's startOp, an aux lookup, a shared-scan batch (with its disk
 // pass) or a join scan. A join operator runs from its query's joinWorker
 // instead, whose mailbox feeds it. Records come from the node's free list
-// and return to it when the operator finishes, so starting an operator
-// other than a batch allocates nothing, and no name is formatted until
-// something reads one.
+// and return to it when the operator finishes, and a selection's or an aux
+// lookup's search fills lists its request record keeps, so starting and
+// running an operator other than a batch or a join allocates nothing once
+// the machine is warm, and no name is formatted until something reads one.
 type operator struct {
 	n     *Node
 	sel   *startOp    // a selection's or an aggregate's request
@@ -38,8 +39,7 @@ type operator struct {
 	fspan   sim.Span
 	heat    *obs.FragHeat  // the fragment its page reads are attributed to
 	acc     storage.Access // the pages to read (a batch's current member's), and the qualifying tuples
-	byProc  [][]int64      // an aux lookup's answer, or a join scan's split keys, by processor
-	entries int            // an aux lookup's qualifying entries
+	byProc  [][]int64      // a join scan's split keys, by processor
 	// i is the next page to read, then the tuples left to charge, then a
 	// join scan's next message.
 	i      int
@@ -65,21 +65,25 @@ const (
 	opEnd                    // close the spans and retire
 )
 
-// newOperator takes a record from the node's free list.
+// newOperator takes a record from the node's free list, or a spare or
+// new one.
 func (n *Node) newOperator() *operator {
 	op := n.freeOps
 	if op != nil {
 		n.freeOps, op.next = op.next, nil
-	} else {
-		op = &operator{n: n}
+		return op
 	}
+	op = spareOps.take()
+	op.n = n
+	n.ops = append(n.ops, op)
 	return op
 }
 
-// retire clears the record and returns it to the free list.
+// retire clears the record, keeping the storage of its split lists, and
+// returns it to the free list.
 func (op *operator) retire() {
 	n := op.n
-	*op = operator{n: n, next: n.freeOps}
+	*op = operator{n: n, next: n.freeOps, byProc: op.byProc[:0]}
 	n.freeOps = op
 }
 
@@ -175,10 +179,16 @@ func (op *operator) HandleEvent() {
 			}
 		case opTransmit:
 			// A crash after the operator started, or a node that is down
-			// now, fail-silences its reply.
-			if !n.silenced(op.epoch) && !op.send.Start(n.net, op, n.CPU, op.msg) {
-				op.step = opSend
-				return
+			// now, fail-silences its reply. A reply in its request record
+			// holds the record while it travels.
+			if !n.silenced(op.epoch) {
+				if r, ok := op.msg.Payload.(pooled); ok {
+					r.hold()
+				}
+				if !op.send.Start(n.net, op, n.CPU, op.msg) {
+					op.step = opSend
+					return
+				}
 			}
 			op.sent()
 		case opSend:
@@ -218,7 +228,7 @@ func (op *operator) begin() {
 		op.fspan = n.eng.StartSpan()
 		hold, err := n.Resolve(req.Relation, req.Role, req.Epoch)
 		if err == nil {
-			op.acc, err = accessFor(hold.Frag, req.Access, req.Pred, req.TIDs)
+			op.acc, err = accessFor(hold.Frag, req.Access, req.Pred, req.TIDs, &req.bufs)
 		}
 		if err != nil {
 			op.fail(err)
@@ -242,7 +252,7 @@ func (op *operator) begin() {
 			op.fail(err)
 			return
 		}
-		op.byProc, op.entries, op.acc.IndexPages = aux.Lookup(req.Pred.Lo, req.Pred.Hi)
+		req.byProc, req.entries, op.acc.IndexPages = aux.Lookup(req.Pred.Lo, req.Pred.Hi, &req.bufs)
 		op.heat = hold.AuxHeat
 	case op.batch != nil:
 		op.span = n.eng.StartSpan()
@@ -255,7 +265,7 @@ func (op *operator) begin() {
 			op.fail(err)
 			return
 		}
-		op.acc = hold.Frag.Scan(req.Pred.Attr, req.Pred.Lo, req.Pred.Hi)
+		op.acc = hold.Frag.Scan(req.Pred.Attr, req.Pred.Lo, req.Pred.Hi, nil)
 		op.heat = hold.Heat
 	default:
 		op.qid, op.step = op.join.qid, opTake
@@ -313,8 +323,10 @@ func (op *operator) chargeTuples(k, instr int) {
 	op.i, op.instr, op.step = k, instr, opTuples
 }
 
-// reply accounts the answer and makes it the message to send. A join scan
-// sends its split batches and end-of-stream markers instead.
+// reply accounts the answer and makes it the message to send: a
+// selection's or an aux lookup's request record, with the answer written
+// in. A join scan sends its split batches and end-of-stream markers
+// instead.
 func (op *operator) reply() {
 	n := op.n
 	op.step = opTransmit
@@ -334,27 +346,29 @@ func (op *operator) reply() {
 			op.fspan.End(n.ID, "frag", obs.FragID{Relation: req.Relation, Kind: req.Role.Kind()}.Label(),
 				req.QueryID, fmt.Sprintf("%d pages, %d tuples", acc.PageCount(), acc.N))
 		}
-		op.msg = hw.Message{From: n.ID, To: req.ReplyTo, Bytes: bytes,
-			Payload: opResult{QueryID: req.QueryID, Node: n.ID, Tuples: acc.N,
-				Value: value, Attempt: req.Attempt}}
+		req.Node, req.Tuples, req.Value = n.ID, acc.N, value
+		op.msg = hw.Message{From: n.ID, To: req.ReplyTo, Bytes: bytes, Payload: req}
 	case op.aux != nil:
 		req := op.aux
-		bytes := op.entries*auxEntryBytes + controlBytes
+		bytes := req.entries*auxEntryBytes + controlBytes
 		pages := len(op.acc.IndexPages)
 		op.heat.Account(pages, 0, int64(bytes), req.Role == Backup)
 		if op.fspan.Active() {
 			op.fspan.End(n.ID, "frag", obs.FragID{Relation: req.Relation, Kind: obs.FragAux}.Label(),
 				req.QueryID, fmt.Sprintf("%d pages, %d tuples", pages, 0))
 		}
-		op.msg = hw.Message{From: n.ID, To: req.ReplyTo, Bytes: bytes,
-			Payload: auxResult{QueryID: req.QueryID, Node: n.ID, TIDsByProc: op.byProc,
-				Entries: op.entries, Attempt: req.Attempt}}
+		req.Node = n.ID
+		op.msg = hw.Message{From: n.ID, To: req.ReplyTo, Bytes: bytes, Payload: req}
 	case op.scan != nil:
 		if !op.route() {
 			op.step = opEnd
 		}
 	default:
 		w := op.join
+		if w.aborted {
+			op.step = opEnd
+			return
+		}
 		n.OpsExecuted++
 		// Ship the result (matched pairs) with the completion report.
 		op.msg = hw.Message{From: n.ID, To: w.replyTo, Bytes: w.matches*2*n.params.TupleSize + controlBytes,
@@ -363,8 +377,8 @@ func (op *operator) reply() {
 }
 
 // sent goes on once a message is sent, or silenced: a batch answers its
-// next member, a join scan sends its next message, and anything else
-// ends.
+// next member, a join scan sends its next message (after its error
+// report, its aborted end markers), and anything else ends.
 func (op *operator) sent() {
 	op.step = opEnd
 	switch {
@@ -374,7 +388,7 @@ func (op *operator) sent() {
 			op.answer()
 		}
 	case op.scan != nil:
-		if op.failed == nil && op.route() {
+		if op.route() {
 			op.step = opTransmit
 		}
 	}
@@ -395,12 +409,13 @@ func (op *operator) fail(err error) {
 		op.answer()
 	case op.scan != nil:
 		op.msg = n.errorReply(op.scan.QueryID, op.scan.ReplyTo, 0, err)
+		op.i = 0 // route's first end marker
 	}
 }
 
-// end closes the operator's span and retires its record. A batch accounts
-// its disk pass to the fragment's heat, and a join leaves the node's live
-// joins.
+// end closes the operator's span, releases its request record and
+// retires its own. A batch accounts its disk pass to the fragment's heat,
+// and a join leaves the node's live joins.
 func (op *operator) end() {
 	n := op.n
 	switch {
@@ -416,7 +431,7 @@ func (op *operator) end() {
 		case op.sel != nil:
 			name, detail = "select "+op.sel.Access.String(), fmt.Sprintf("%d tuples", op.acc.N)
 		case op.aux != nil:
-			name, detail = "aux-lookup", fmt.Sprintf("%d entries", op.entries)
+			name, detail = "aux-lookup", fmt.Sprintf("%d entries", op.aux.entries)
 		case op.batch != nil:
 			b := op.batch
 			name = "shared select " + b.req.Access.String()
@@ -426,6 +441,12 @@ func (op *operator) end() {
 			name, detail = name+" failed", op.failed.Error()
 		}
 		op.span.End(n.ID, "op", name, op.qid, detail)
+	}
+	switch {
+	case op.sel != nil:
+		op.sel.release()
+	case op.aux != nil:
+		op.aux.release()
 	}
 	op.retire()
 }

@@ -5,6 +5,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -199,8 +200,48 @@ func (c *replyLog) HandleEvent() {
 		case joinDone:
 			r.joins++
 		}
-		r.logf("reply %d->%d %dB %T%+v", m.From, m.To, m.Bytes, m.Payload, m.Payload)
+		reply := replyForm(m.Payload)
+		r.logf("reply %d->%d %dB %T%+v", m.From, m.To, m.Bytes, reply, reply)
 	}
+}
+
+// selResult and auxResult are the replies the reference operators send: a
+// selection's and an aux lookup's answer, which the operators send back in
+// their request records instead.
+type selResult struct {
+	QueryID int64
+	Node    int
+	Tuples  int
+	Value   int64
+	Attempt int
+}
+
+type auxResult struct {
+	QueryID    int64
+	Node       int
+	TIDsByProc [][]int64
+	Entries    int
+	Attempt    int
+}
+
+// attemptTagged is a reply that echoes its dispatch attempt.
+type attemptTagged interface{ attemptID() int }
+
+func (r selResult) attemptID() int { return r.Attempt }
+func (r auxResult) attemptID() int { return r.Attempt }
+func (r opResult) attemptID() int  { return r.Attempt }
+
+// replyForm returns a reply in the reference operators' form: a request
+// record that came back with its operator's answer becomes the selResult
+// or auxResult that answer stands for, and any other payload is itself.
+func replyForm(payload any) any {
+	switch r := payload.(type) {
+	case *startOp:
+		return selResult{QueryID: r.QueryID, Node: r.Node, Tuples: r.Tuples, Value: r.Value, Attempt: r.Attempt}
+	case *auxLookup:
+		return auxResult{QueryID: r.QueryID, Node: r.Node, TIDsByProc: r.byProc, Entries: r.entries, Attempt: r.Attempt}
+	}
+	return payload
 }
 
 // deliver puts req in the node's inbox, where the Operator Manager (or
@@ -328,6 +369,15 @@ func runOpScript(t testing.TB, s opScript, reference bool) *opRig {
 			i, n.OpsExecuted, n.TuplesShipped, n.OpErrors, n.Disk.Reads(), hits, misses)
 	}
 	r.log = append(r.log, fmt.Sprintf("events=%d", r.eng.Stats().Events))
+	// A failed read or disk fails a join's scan, whose aborted end markers
+	// retire every join operator of the query; only a crash, which
+	// silences a scan, may leave one waiting.
+	crashed := slices.ContainsFunc(s.actions, func(a opAction) bool { return a.kind == actCrash })
+	for i, n := range r.nodes {
+		if len(n.joins) > 0 && !crashed {
+			t.Fatalf("node%d still holds %d join operators after the run (reference %t)", i, len(n.joins), reference)
+		}
+	}
 	return r
 }
 
@@ -519,7 +569,7 @@ func refRunSelect(n *Node, pool *refPool, p *sim.Proc, req startOp) {
 	hold, err := n.Resolve(req.Relation, role, req.Epoch)
 	var acc storage.Access
 	if err == nil {
-		acc, err = accessFor(hold.Frag, req.Access, req.Pred, req.TIDs)
+		acc, err = accessFor(hold.Frag, req.Access, req.Pred, req.TIDs, nil)
 	}
 	if err == nil {
 		err = refChargeAccess(n, pool, p, acc, hold.Heat)
@@ -551,7 +601,7 @@ func refRunSelect(n *Node, pool *refPool, p *sim.Proc, req startOp) {
 	}
 	refSend(n, p, epoch, hw.Message{
 		From: n.ID, To: req.ReplyTo, Bytes: bytes,
-		Payload: opResult{QueryID: req.QueryID, Node: n.ID, Tuples: acc.N,
+		Payload: selResult{QueryID: req.QueryID, Node: n.ID, Tuples: acc.N,
 			Value: value, Attempt: req.Attempt},
 	})
 	if span.Active() {
@@ -579,7 +629,7 @@ func refRunAuxLookup(n *Node, pool *refPool, p *sim.Proc, req auxLookup) {
 	var entries int
 	var pages []int
 	if err == nil {
-		byProc, entries, pages = aux.Lookup(req.Pred.Lo, req.Pred.Hi)
+		byProc, entries, pages = aux.Lookup(req.Pred.Lo, req.Pred.Hi, nil)
 		for _, pg := range pages {
 			if err = pool.ReadHeat(p, pg, hold.AuxHeat); err != nil {
 				break
@@ -725,7 +775,7 @@ func refRunSharedBatch(n *Node, pool *refPool, p *sim.Proc, req batchOp) {
 	h := hold.Heat
 	accs := make([]storage.Access, len(req.Members))
 	for i, m := range req.Members {
-		if accs[i], err = accessFor(hold.Frag, req.Access, m.Pred, nil); err != nil {
+		if accs[i], err = accessFor(hold.Frag, req.Access, m.Pred, nil, nil); err != nil {
 			fail(err)
 			return
 		}
@@ -789,6 +839,9 @@ func refRouteJoinMsg(n *Node, qid int64, replyTo int, scanners int, msg any) {
 	if w == nil {
 		w = &joinWorker{qid: qid, replyTo: replyTo, scanners: scanners,
 			inbox: sim.NewMailboxLabel[any](n.eng, sim.Labelf("node%d.join.q%d", int64(n.ID), qid))}
+		if n.joins == nil {
+			n.joins = make(map[int64]*joinWorker)
+		}
 		n.joins[qid] = w
 		n.eng.Spawn(fmt.Sprintf("node%d.joinop.q%d", n.ID, qid), func(p *sim.Proc) {
 			refRunJoinOperator(n, p, w)
@@ -807,11 +860,12 @@ func refRunJoinScan(n *Node, pool *refPool, p *sim.Proc, req joinScan) {
 	hold, err := n.Resolve(req.Relation, Primary, req.Epoch)
 	var acc storage.Access
 	if err == nil {
-		acc = hold.Frag.Scan(req.Pred.Attr, req.Pred.Lo, req.Pred.Hi)
+		acc = hold.Frag.Scan(req.Pred.Attr, req.Pred.Lo, req.Pred.Hi, nil)
 		err = refChargeAccess(n, pool, p, acc, hold.Heat)
 	}
 	if err != nil {
 		refSendError(n, p, epoch, req.QueryID, req.ReplyTo, 0, err)
+		refSendEnds(n, p, epoch, req, true)
 		return
 	}
 	hold.Heat.Account(len(acc.IndexPages), acc.NumDataPages(), 0, false)
@@ -847,9 +901,15 @@ func refRunJoinScan(n *Node, pool *refPool, p *sim.Proc, req joinScan) {
 			Payload: batch,
 		})
 	}
+	refSendEnds(n, p, epoch, req, false)
+}
+
+// refSendEnds sends every join operator the scan's end-of-stream marker,
+// aborted when the scan failed.
+func refSendEnds(n *Node, p *sim.Proc, epoch int, req joinScan, aborted bool) {
 	for slot := 0; slot < req.Slots; slot++ {
 		end := joinEnd{QueryID: req.QueryID, Phase: req.Phase,
-			ReplyTo: req.ReplyTo, Scanners: req.Slots}
+			ReplyTo: req.ReplyTo, Scanners: req.Slots, Aborted: aborted}
 		dst := physOf(req.Topo, slot)
 		if dst == n.ID {
 			refRouteJoinMsg(n, req.QueryID, req.ReplyTo, req.Slots, end)
@@ -873,7 +933,7 @@ func refRunJoinOperator(n *Node, p *sim.Proc, w *joinWorker) {
 	var pendingProbe []joinBatch
 	buildEnds, probeEnds := 0, 0
 	matches := 0
-	built := false
+	built, aborted := false, false
 
 	probe := func(b joinBatch) {
 		for _, key := range b.Keys {
@@ -896,6 +956,7 @@ func refRunJoinOperator(n *Node, p *sim.Proc, w *joinWorker) {
 				pendingProbe = append(pendingProbe, m)
 			}
 		case joinEnd:
+			aborted = aborted || m.Aborted
 			if m.Phase == phaseBuild {
 				buildEnds++
 				if buildEnds == scanners {
@@ -911,6 +972,10 @@ func refRunJoinOperator(n *Node, p *sim.Proc, w *joinWorker) {
 		default:
 			panic(fmt.Sprintf("exec: join operator got %T", m))
 		}
+	}
+	if aborted {
+		delete(n.joins, qid)
+		return
 	}
 	n.OpsExecuted++
 	bytes := matches*2*n.params.TupleSize + controlBytes

@@ -124,12 +124,16 @@ type collector struct {
 	aux       bool           // the current phase is BERD's auxiliary step
 	share     bool           // selection operators ride shared-scan batches
 	agg       *aggregate     // non-nil: the operators fold partial aggregates
-	// tidsByProc collects BERD's auxiliary answer: the qualifying TIDs
-	// per home processor (nil without an auxiliary step). fetchTIDs sends
-	// each operator its processor's list to fetch by TID.
+	// homes collects BERD's auxiliary answer: a bitset of the home
+	// processors of qualifying tuples. Under BERDFetchByTID, tidsByProc
+	// also collects their TIDs per processor, copied into lists the record
+	// keeps across queries, and fetchTIDs sends each operator its
+	// processor's list to fetch by TID.
+	homes      []uint64
 	tidsByProc [][]int64
 	fetchTIDs  bool
 	phaseSpan  sim.Span // the current phase's
+	parts      []int    // the operator phase's participants, when the route does not list them
 
 	// A join's inputs, its slot count, and whether it runs node-locally.
 	inputs [2]joinInput
@@ -137,13 +141,15 @@ type collector struct {
 	slots  int
 	local  bool
 
-	calls      []call   // the current phase's operators
-	i          int      // the call being dispatched or retried; a join's next request
-	remaining  int      // operators yet to report
-	redispatch bool     // the retry of calls[i] is part of an operator-timeout redispatch
-	failure    opError  // the error report whose retry is under way
-	used       []uint64 // bitset of the physical nodes that did work
-	reported   []uint64 // bitset of the nodes whose join operator reported
+	calls      []call     // the current phase's operators
+	auxServed  []ServedOp // the aux lookups' attributions, until the operator phase sizes ServedBy
+	held       []pooled   // the request records dispatched, which the collector holds until the query is over
+	i          int        // the call being dispatched or retried; a join's next request
+	remaining  int        // operators yet to report
+	redispatch bool       // the retry of calls[i] is part of an operator-timeout redispatch
+	failure    opError    // the error report whose retry is under way
+	used       []uint64   // bitset of the physical nodes that did work
+	reported   []uint64   // bitset of the nodes whose join operator reported
 	retries    int
 	res        QueryResult
 	span       sim.Span // the query span, ended by finish
@@ -410,10 +416,11 @@ func (col *collector) openPhase() {
 	participants := route.Participants
 	switch {
 	case len(route.Aux) > 0 && col.agg != nil:
-		participants = make([]int, col.placement.Processors())
-		for i := range participants {
-			participants[i] = i
+		participants = col.parts[:0]
+		for i := range col.placement.Processors() {
+			participants = append(participants, i)
 		}
+		col.parts = participants
 	case len(route.Aux) > 0:
 		// BERD two-step: consult the auxiliary relation first.
 		col.phaseSpan = col.h.eng.StartSpan()
@@ -426,18 +433,23 @@ func (col *collector) openPhase() {
 }
 
 // operators opens the operator phase: one operator per participant,
-// collected under the policy.
+// collected under the policy. It sizes the result's ServedBy once, for
+// the aux lookups that answered and the operators.
 func (col *collector) operators(participants []int) {
+	if n := len(col.auxServed) + len(participants); n > 0 {
+		col.res.ServedBy = append(make([]ServedOp, 0, n), col.auxServed...)
+	}
 	col.phaseSpan = col.h.eng.StartSpan()
 	col.share = col.h.Shared != nil && col.agg == nil && !col.fetchTIDs
 	col.run(participants)
 }
 
 // run opens a phase of one call per primary slot: dispatch each, then
-// collect.
+// collect. The record's lists grow, if they must, to the phase's size at
+// once.
 func (col *collector) run(primaries []int) {
-	col.res.ServedBy = slices.Grow(col.res.ServedBy, len(primaries))
-	col.calls = col.calls[:0]
+	col.calls = slices.Grow(col.calls[:0], len(primaries))
+	col.held = slices.Grow(col.held, len(primaries))
 	for _, slot := range primaries {
 		col.calls = append(col.calls, call{primary: slot, target: -1})
 	}
@@ -488,17 +500,39 @@ func (col *collector) collect() (waits bool) {
 			}
 			col.i, col.redispatch, col.failure, col.step = i, false, r, colRetry
 			return false
-		case attemptTagged:
-			i := col.live(r.attemptID())
-			if i < 0 {
-				col.h.Orphans++ // late reply for a superseded attempt, or a duplicate
-				continue
+		case *startOp: // a lone operator's answer, in its request record
+			if c := col.answered(r.Attempt); c != nil {
+				col.accept(c, r.Tuples, r.Value)
 			}
-			col.calls[i].done = true
-			col.remaining--
-			col.accept(&col.calls[i], msg)
+			r.release()
+		case opResult: // a shared-scan batch member's answer
+			if c := col.answered(r.Attempt); c != nil {
+				col.accept(c, r.Tuples, 0)
+			}
+		case *auxLookup: // an aux lookup's answer, in its request record
+			if c := col.answered(r.Attempt); c != nil {
+				col.auxServed = append(col.auxServed, ServedOp{
+					Fragment: c.primary, Node: c.target, Backup: c.role == Backup, Aux: true,
+				})
+				col.mergeAux(r.byProc)
+			}
+			r.release()
 		}
 	}
+}
+
+// answered marks done the call whose live attempt a reply answers and
+// returns it, or counts the reply an orphan and returns nil: a late reply
+// for a superseded attempt, or a duplicate.
+func (col *collector) answered(attempt int) *call {
+	i := col.live(attempt)
+	if i < 0 {
+		col.h.Orphans++
+		return nil
+	}
+	col.calls[i].done = true
+	col.remaining--
+	return &col.calls[i]
 }
 
 // retryFailure is why a call's redispatch failed: its budget is spent or
@@ -535,12 +569,13 @@ func (col *collector) closePhase() {
 	}
 	col.aux = false
 	col.fetchTIDs = col.h.BERDFetchByTID
-	participants := make([]int, 0, len(col.tidsByProc))
-	for proc, tids := range col.tidsByProc {
-		if len(tids) > 0 {
+	participants := col.parts[:0]
+	for proc := range len(col.homes) * 64 {
+		if hasBit(col.homes, proc) {
 			participants = append(participants, proc)
 		}
 	}
+	col.parts = participants
 	if col.phaseSpan.Active() {
 		col.phaseSpan.End(obs.NoNode, "query", fmt.Sprintf("q%d aux phase", col.qid), col.qid,
 			fmt.Sprintf("%d aux nodes -> %d operators", col.res.AuxProcessors, len(participants)))
@@ -550,69 +585,74 @@ func (col *collector) closePhase() {
 
 // dispatch starts the request for c's current (target, attempt, role)
 // state — an auxiliary lookup, a shared-scan batch member, or a lone
-// operator — and reports whether its send waits. TID-fetch operators carry
-// per-node TID lists and are never batched; every other attempt rides a
-// batch keyed by its replica role and epoch, and the attempt tag echoed in
-// the batched reply lets collect drop stale batch replies exactly as for
-// lone operators.
+// operator — and reports whether its send waits. A lone operator's or an
+// aux lookup's request is a record from the host's free list, which the
+// collector holds until the query is over. TID-fetch operators carry
+// per-node TID lists, copied into the record, and are never batched; every
+// other attempt rides a batch keyed by its replica role and epoch, and the
+// attempt tag echoed in the batched reply lets collect drop stale batch
+// replies exactly as for lone operators.
 func (col *collector) dispatch(c *call) bool {
 	h := col.h
 	msg := hw.Message{From: h.ID, To: c.target, Bytes: controlBytes}
 	switch {
 	case col.aux:
-		msg.Payload = &auxLookup{QueryID: col.qid, Relation: col.relation, Pred: col.pred,
-			ReplyTo: h.ID, Attempt: c.attempt, Role: c.role, Epoch: col.epoch}
+		req := h.newAuxLookup()
+		*req = auxLookup{QueryID: col.qid, Relation: col.relation, Pred: col.pred,
+			ReplyTo: h.ID, Attempt: c.attempt, Role: c.role, Epoch: col.epoch,
+			bufs: req.bufs, holds: req.holds}
+		col.held = append(col.held, req)
+		msg.Payload = req
 	case col.share:
 		h.Shared.enqueue(c.target, col.relation, col.pred, col.kind, col.qid, c.attempt, c.role, col.epoch)
 		return false
 	default:
-		op := &startOp{QueryID: col.qid, Relation: col.relation, Pred: col.pred, ReplyTo: h.ID,
-			Access: col.kind, Attempt: c.attempt, Role: c.role, Epoch: col.epoch, Agg: col.agg}
+		req := h.newStartOp()
+		*req = startOp{QueryID: col.qid, Relation: col.relation, Pred: col.pred, ReplyTo: h.ID,
+			Access: col.kind, Attempt: c.attempt, Role: c.role, Epoch: col.epoch, Agg: col.agg,
+			TIDs: req.TIDs, bufs: req.bufs, holds: req.holds}
 		if col.fetchTIDs {
-			op.Access = plan.AccessTIDFetch
-			op.TIDs = col.tidsByProc[c.primary]
+			req.Access = plan.AccessTIDFetch
+			req.TIDs = append(req.TIDs, col.tidsByProc[c.primary]...)
 		}
-		msg.Payload = op
+		col.held = append(col.held, req)
+		msg.Payload = req
 	}
 	return !col.send.Start(h.net, col, nil, msg)
 }
 
-// accept folds a matched success reply into the query result.
-func (col *collector) accept(c *call, msg any) {
-	switch r := msg.(type) {
-	case auxResult:
-		col.res.ServedBy = append(col.res.ServedBy, ServedOp{
-			Fragment: c.primary, Node: c.target, Backup: c.role == Backup, Aux: true,
-		})
-		col.mergeAux(r.TIDsByProc)
-	case opResult:
-		if col.agg != nil && r.Tuples > 0 {
-			col.res.Value = col.agg.fold(col.res.Value, r.Value, col.res.Tuples == 0)
-		}
-		col.res.Tuples += r.Tuples
-		col.res.ServedBy = append(col.res.ServedBy, ServedOp{
-			Fragment: c.primary, Node: c.target, Backup: c.role == Backup, Tuples: r.Tuples,
-		})
+// accept folds a matched selection reply into the query result.
+func (col *collector) accept(c *call, tuples int, value int64) {
+	if col.agg != nil && tuples > 0 {
+		col.res.Value = col.agg.fold(col.res.Value, value, col.res.Tuples == 0)
 	}
+	col.res.Tuples += tuples
+	col.res.ServedBy = append(col.res.ServedBy, ServedOp{
+		Fragment: c.primary, Node: c.target, Backup: c.role == Backup, Tuples: tuples,
+	})
 }
 
-// mergeAux folds one auxiliary answer into tidsByProc. The first answer is
-// taken over, not copied, and so is each processor's first list: Lookup
-// caps each list at its length, so appending a later answer for the same
-// processor copies it first.
+// mergeAux folds one auxiliary answer into homes and, when the second
+// step fetches by TID, appends its lists to tidsByProc's, which the
+// collector record keeps across queries: the answer lives in its request
+// record, which is reused once the query is over.
 func (col *collector) mergeAux(byProc [][]int64) {
-	if col.tidsByProc == nil {
-		col.tidsByProc = byProc
+	for proc, tids := range byProc {
+		if len(tids) > 0 {
+			col.homes = setBit(col.homes, proc)
+		}
+	}
+	if !col.h.BERDFetchByTID {
 		return
 	}
-	if n := len(byProc); n > len(col.tidsByProc) {
-		col.tidsByProc = append(col.tidsByProc, make([][]int64, n-len(col.tidsByProc))...)
+	if n, have := len(byProc), len(col.tidsByProc); n > have {
+		col.tidsByProc = slices.Grow(col.tidsByProc, n-have)[:n]
+		for proc := have; proc < n; proc++ {
+			col.tidsByProc[proc] = col.tidsByProc[proc][:0]
+		}
 	}
 	for proc, tids := range byProc {
-		if have := col.tidsByProc[proc]; have != nil {
-			tids = append(have, tids...)
-		}
-		col.tidsByProc[proc] = tids
+		col.tidsByProc[proc] = append(col.tidsByProc[proc], tids...)
 	}
 }
 
@@ -658,6 +698,7 @@ func (h *Host) begin(p *sim.Proc, relation string, pred core.Predicate, step col
 	*col = collector{
 		h: h, d: d, p: p, mb: col.mb, step: step, topo: h.topo, epoch: h.epoch,
 		qid: qid, relation: relation, pred: pred,
+		homes: col.homes[:0], tidsByProc: col.tidsByProc[:0], parts: col.parts, held: col.held, auxServed: col.auxServed[:0],
 		calls: col.calls[:0], used: col.used[:0], reported: col.reported[:0],
 		res:  QueryResult{ID: qid, Pred: pred, Submitted: h.eng.Now()},
 		span: h.eng.StartSpan(),
@@ -689,6 +730,9 @@ func (col *collector) finish(outcome Outcome, err error) {
 	res.Outcome = outcome
 	res.Err = err
 	res.Retries = col.retries
+	if col.aux && len(col.auxServed) > 0 {
+		res.ServedBy = slices.Clone(col.auxServed) // it ended in the aux phase
+	}
 	for _, w := range col.used {
 		res.ProcessorsUsed += bits.OnesCount64(w)
 	}
@@ -707,12 +751,19 @@ func (col *collector) finish(outcome Outcome, err error) {
 
 // wait parks the submitting process until the collector's final step,
 // then returns the query's result and the record to the free list,
-// dropping any reply still queued for it.
+// dropping any reply still queued for it and its holds on the request
+// records it dispatched.
 func (col *collector) wait() QueryResult {
 	col.p.Park()
 	res := col.res
-	for _, ok := col.mb.Take(); ok; _, ok = col.mb.Take() {
+	for m, ok := col.mb.Take(); ok; m, ok = col.mb.Take() {
+		release(m)
 	}
+	for _, r := range col.held {
+		r.release()
+	}
+	clear(col.held)
+	col.held = col.held[:0]
 	h := col.h
 	col.next, h.freeCols = h.freeCols, col
 	return res

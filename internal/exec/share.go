@@ -212,7 +212,7 @@ func (op *operator) resolveBatch() {
 	if err == nil {
 		b.accs = make([]storage.Access, len(req.Members))
 		for i, m := range req.Members {
-			if b.accs[i], err = accessFor(hold.Frag, req.Access, m.Pred, nil); err != nil {
+			if b.accs[i], err = accessFor(hold.Frag, req.Access, m.Pred, nil, nil); err != nil {
 				break
 			}
 		}

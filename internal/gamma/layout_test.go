@@ -456,18 +456,18 @@ func accessTraces(t *testing.T, frag *storage.Fragment, card int64) []accessTrac
 		out = append(out, traceOf(acc))
 		return out[len(out)-1]
 	}
-	all := add(frag.Scan(storage.Unique2, math.MinInt64, math.MaxInt64), nil)
+	all := add(frag.Scan(storage.Unique2, math.MinInt64, math.MaxInt64, nil), nil)
 	for _, r := range probeRanges(card) {
-		add(frag.SearchClustered(r[0], r[1]))
-		add(frag.SearchNonClustered(storage.Unique1, r[0], r[1]))
-		add(frag.Scan(storage.Unique1, r[0], r[1]), nil)
+		add(frag.SearchClustered(r[0], r[1], nil))
+		add(frag.SearchNonClustered(storage.Unique1, r[0], r[1], nil))
+		add(frag.Scan(storage.Unique1, r[0], r[1], nil), nil)
 	}
-	add(frag.Scan(storage.Ten, 3, 3), nil)
+	add(frag.Scan(storage.Ten, 3, 3, nil), nil)
 	tids := make([]int64, 0, len(all.Tuples))
 	for i := len(all.Tuples) - 1; i >= 0; i-- {
 		tids = append(tids, all.Tuples[i].TID)
 	}
-	add(frag.FetchTIDs(tids))
+	add(frag.FetchTIDs(tids, nil))
 	return out
 }
 
@@ -482,7 +482,7 @@ func auxLookups(aux []*storage.AuxFragment, card int64) []auxLookup {
 	var out []auxLookup
 	for _, a := range aux {
 		for _, r := range probeRanges(card) {
-			byProc, n, pages := a.Lookup(r[0], r[1])
+			byProc, n, pages := a.Lookup(r[0], r[1], nil)
 			out = append(out, auxLookup{byProc, n, pages})
 		}
 	}

@@ -127,6 +127,9 @@ type Machine struct {
 	// allocs are the current run's page allocators, one per physical node,
 	// on which elastic transitions stage generations after the image.
 	allocs []*storage.Allocator
+	// streams are the current run's random-stream factories, released when
+	// its engine closes.
+	streams []*rng.Factory
 }
 
 // Build declusters the relation according to the placement, lays out its
@@ -211,14 +214,33 @@ func (m *Machine) Reset() { m.reset() }
 // Close retires the machine's current engine: every process still parked
 // on it (operator managers, NIC receivers, terminals, the host) unwinds and
 // its goroutine exits, so the run's nodes, buffer pools and event pool
-// become garbage. Results already returned by Run, RunServe or
-// SimulateLoad are unaffected. Call it once the machine is no longer
-// needed; Reset, Run and RunServe close the engine they replace
-// themselves. Closing twice is a no-op.
+// become garbage; its operator and selection request records go to
+// exec's spare lists, and the run's random streams return their generator
+// states to rng's free list, for the next machine. Results already returned
+// by Run, RunServe or SimulateLoad are unaffected. Call it once the
+// machine is no longer needed; Reset, Run and RunServe close the engine
+// they replace themselves. Closing twice is a no-op.
 func (m *Machine) Close() {
 	if m.Eng != nil {
 		m.Eng.Close()
+		for _, n := range m.Nodes {
+			n.Release()
+		}
+		m.Host.Release()
 	}
+	for _, f := range m.streams {
+		f.Release()
+	}
+	clear(m.streams)
+	m.streams = m.streams[:0]
+}
+
+// newStreams returns a stream factory rooted at seed whose streams the
+// machine releases when it closes.
+func (m *Machine) newStreams(seed int64) *rng.Factory {
+	f := rng.NewFactory(seed)
+	m.streams = append(m.streams, f)
+	return f
 }
 
 // reset gives the next run a cold, deterministic machine: a new engine,
@@ -240,7 +262,7 @@ func (m *Machine) reset() {
 		pPhys += cfg.Elastic.schedule().Joins()
 	}
 	eng := sim.New()
-	streams := rng.NewFactory(cfg.Seed)
+	streams := m.newStreams(cfg.Seed)
 
 	// Operator nodes carry CPUs; the host endpoint (index pPhys) is an
 	// uncharged coordination module per Figure 7 (nil CPU).

@@ -388,7 +388,7 @@ func TestImageHoldingsLayout(t *testing.T) {
 	for slot, s := range m.img.rels[0].primary {
 		tuples += s.Frag.NumTuples()
 		for _, a := range s.Aux {
-			_, n, _ := a.Lookup(math.MinInt64, math.MaxInt64)
+			_, n, _ := a.Lookup(math.MinInt64, math.MaxInt64, nil)
 			aux += n
 		}
 		b, a := s.Frag.Index(clusteredAttr), s.Frag.Index(nonClusteredAttr)

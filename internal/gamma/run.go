@@ -8,7 +8,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/rebalance"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -134,7 +133,7 @@ func (m *Machine) Run(mix workload.Mix, spec RunSpec) (RunResult, error) {
 	eng := m.Eng
 	access := mix.AccessChooser()
 	card := m.Relation.Cardinality()
-	streams := rng.NewFactory(seed)
+	streams := m.newStreams(seed)
 
 	type classAcc struct {
 		resp  stats.BatchMeans

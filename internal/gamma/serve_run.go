@@ -130,7 +130,7 @@ func (m *Machine) RunServe(mix workload.Mix, spec ServeSpec) (ServeResult, error
 		cfg.BurnBudget = m.Cfg.Telemetry.BurnBudget
 	}
 	win := m.windowSpec(spec.WarmupQueries, spec.MeasureQueries, spec.MaxSimTime)
-	res, err := serve.Run(m.Eng, rng.NewFactory(seed^serveSeedTag), cfg, win, m.Host)
+	res, err := serve.Run(m.Eng, m.newStreams(seed^serveSeedTag), cfg, win, m.Host)
 	if err != nil {
 		return ServeResult{}, err
 	}

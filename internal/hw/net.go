@@ -16,6 +16,10 @@ type Message struct {
 	Payload  any
 }
 
+// Duplicable is a payload that counts the deliveries holding it: the
+// interconnect calls Dup for each extra copy a duplicating fault delivers.
+type Duplicable interface{ Dup() }
+
 // NIC is one node's network interface: a FCFS facility serializing outgoing
 // transmissions plus a receive path that charges the node CPU for each
 // arriving message before delivering it to the node's inbox.
@@ -229,7 +233,7 @@ func (s *Send) transmit() bool {
 // deliver hands the transmitted packet to the receiver. The final packet
 // carries the logical message, and fault injection acts on it whole: a
 // drop loses the payload after the wire cost is paid, a duplication hands
-// the receiver the same payload twice.
+// the receiver the same payload twice, telling a Duplicable payload so.
 func (s *Send) deliver() {
 	n, msg := s.n, s.msg
 	n.nics[msg.From].sent++
@@ -249,6 +253,9 @@ func (s *Send) deliver() {
 		copies = n.faults.deliveries(msg.To)
 	}
 	for c := 0; c < copies; c++ {
+		if d, ok := msg.Payload.(Duplicable); ok && c > 0 {
+			d.Dup()
+		}
 		n.nics[msg.To].rx.Put(Message{From: msg.From, To: msg.To, Bytes: s.chunk, Payload: msg.Payload})
 	}
 }

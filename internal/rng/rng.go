@@ -23,13 +23,16 @@ import (
 // process at a time, which is the only consumer.
 type Source struct {
 	name string
-	rnd  *rand.Rand
+	rnd  *rand.Rand  // nil once the stream is released
+	src  rand.Source // rnd's generator state
 }
 
-// Factory derives independent named streams from one root seed.
+// Factory derives independent named streams from one root seed, and
+// keeps them until Release.
 type Factory struct {
-	root int64
-	next int64
+	root    int64
+	next    int64
+	streams []*Source
 }
 
 // NewFactory returns a stream factory rooted at seed.
@@ -46,7 +49,27 @@ func NewFactory(seed int64) *Factory {
 func (f *Factory) Stream(name string) *Source {
 	f.next++
 	seed := splitmix64(uint64(f.root) ^ splitmix64(uint64(f.next)))
-	return &Source{name: name, rnd: rand.New(seeded(int64(seed)))}
+	s := &Source{name: name}
+	s.rnd, s.src = seeded(int64(seed))
+	f.streams = append(f.streams, s)
+	return s
+}
+
+// Release returns the generator state of every stream the factory has made
+// to the free list, where later streams reuse it, and makes drawing from
+// those streams panic. Call it once nothing draws from them any more: a
+// machine does when it closes.
+func (f *Factory) Release() {
+	free.Lock()
+	for _, s := range f.streams {
+		if len(free.gens) < freeCap {
+			free.gens = append(free.gens, generator{s.rnd, s.src})
+		}
+		s.rnd, s.src = nil, nil
+	}
+	free.Unlock()
+	clear(f.streams)
+	f.streams = f.streams[:0]
 }
 
 // splitmix64 is the standard SplitMix64 finalizer, used only to decorrelate
@@ -61,7 +84,9 @@ func splitmix64(x uint64) uint64 {
 // NewSource returns a standalone stream seeded directly. Prefer Factory for
 // experiment code; this exists for tests and tools.
 func NewSource(name string, seed int64) *Source {
-	return &Source{name: name, rnd: rand.New(seeded(seed))}
+	s := &Source{name: name}
+	s.rnd, s.src = seeded(seed)
+	return s
 }
 
 // memoCap bounds the seeded-state memo. An entry holds one pristine
@@ -81,10 +106,37 @@ var memo = struct {
 	states map[int64]rand.Source
 }{states: map[int64]rand.Source{}}
 
-// seeded returns a fresh generator in the state rand.NewSource(seed) starts
-// in, so it draws exactly what rand.NewSource(seed) would. It is safe for
-// concurrent use.
-func seeded(seed int64) rand.Source {
+// freeCap bounds the free list of released generators. A generator is a
+// math/rand state (5,376 bytes with its allocation size class) and its
+// rand.Rand, so a full list holds about 0.7 MB. A closed job of the
+// paper-scale campaign releases 96 streams (32 disks and 64 terminals),
+// so the list holds what the next job needs; a release that finds it
+// full leaves the rest to the garbage collector. The list stays live
+// between jobs, which raises the heap the collector paces against: a
+// larger bound saved no more allocation in the quick campaign and cost
+// peak RSS.
+const freeCap = 128
+
+// generator is a stream's rand.Rand and the state it draws from.
+type generator struct {
+	rnd *rand.Rand
+	src rand.Source
+}
+
+// free holds the generators of released streams, for seeded to reuse: a
+// state is copied over, not allocated. fresh counts the generators seeded
+// allocated because the list was empty.
+var free = struct {
+	sync.Mutex
+	gens  []generator
+	fresh int64
+}{}
+
+// seeded returns a generator in the state rand.NewSource(seed) starts in,
+// so it draws exactly what rand.NewSource(seed) would: a released one
+// overwritten with that state, or a new one. It is safe for concurrent
+// use.
+func seeded(seed int64) (*rand.Rand, rand.Source) {
 	memo.Lock()
 	pristine, ok := memo.states[seed]
 	memo.Unlock()
@@ -99,35 +151,61 @@ func seeded(seed int64) rand.Source {
 	// The source is a pointer to math/rand's unexported generator struct;
 	// copy the struct it points to.
 	state := reflect.ValueOf(pristine).Elem()
+	free.Lock()
+	if n := len(free.gens); n > 0 {
+		g := free.gens[n-1]
+		free.gens[n-1] = generator{}
+		free.gens = free.gens[:n-1]
+		free.Unlock()
+		reflect.ValueOf(g.src).Elem().Set(state)
+		*g.rnd = *rand.New(g.src) // clears what Read buffered
+		return g.rnd, g.src
+	}
+	free.fresh++
+	free.Unlock()
 	fresh := reflect.New(state.Type())
 	fresh.Elem().Set(state)
-	return fresh.Interface().(rand.Source)
+	src := fresh.Interface().(rand.Source)
+	return rand.New(src), src
+}
+
+// r returns the stream's generator; drawing from a released stream panics.
+func (s *Source) r() *rand.Rand {
+	if s.rnd == nil {
+		s.released()
+	}
+	return s.rnd
+}
+
+// released reports a draw from a released stream, by the stream's name.
+func (s *Source) released() {
+	panic(fmt.Sprintf("rng %s: draw from a released stream", s.name))
 }
 
 // Name reports the stream's name (used in traces and error messages).
 func (s *Source) Name() string { return s.name }
 
 // Float64 returns a uniform value in [0, 1).
-func (s *Source) Float64() float64 { return s.rnd.Float64() }
+func (s *Source) Float64() float64 { return s.r().Float64() }
 
 // Uniform returns a uniform value in [lo, hi).
 func (s *Source) Uniform(lo, hi float64) float64 {
 	if hi < lo {
 		panic(fmt.Sprintf("rng %s: Uniform bounds inverted: [%g, %g)", s.name, lo, hi))
 	}
-	return lo + (hi-lo)*s.rnd.Float64()
+	return lo + (hi-lo)*s.r().Float64()
 }
 
 // Intn returns a uniform integer in [0, n). n must be positive.
-func (s *Source) Intn(n int) int { return s.rnd.Intn(n) }
+func (s *Source) Intn(n int) int { return s.r().Intn(n) }
 
 // Exponential returns an exponentially distributed value with the given mean.
 func (s *Source) Exponential(mean float64) float64 {
-	return s.rnd.ExpFloat64() * mean
+	return s.r().ExpFloat64() * mean
 }
 
 // Shuffle permutes the n elements addressed by swap in place.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rnd.Shuffle(n, swap) }
+func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r().Shuffle(n, swap) }
 
 // Bool returns true with probability p.
-func (s *Source) Bool(p float64) bool { return s.rnd.Float64() < p }
+func (s *Source) Bool(p float64) bool { return s.r().Float64() < p }

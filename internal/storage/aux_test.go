@@ -17,7 +17,7 @@ import (
 // runs into a map of per-processor TID lists.
 func referenceAuxLookup(f *AuxFragment, lo, hi int64) (map[int][]int64, int, []int) {
 	var packed []int64
-	pages := f.Tree.Walk(lo, hi, indexPages(f.Tree), func(run []btree.Entry) {
+	pages := f.Tree.Walk(lo, hi, nil, func(run []btree.Entry) {
 		for _, e := range run {
 			packed = append(packed, e.Val)
 		}
@@ -86,7 +86,7 @@ func TestAuxLookupMatchesSortedReference(t *testing.T) {
 		aux := BuildAux(3, tc.entries, smallLayout(), NewAllocator(1<<20))
 		for _, r := range ranges {
 			t.Run(fmt.Sprintf("%s/[%d,%d]", tc.name, r[0], r[1]), func(t *testing.T) {
-				got, n, pages := aux.Lookup(r[0], r[1])
+				got, n, pages := aux.Lookup(r[0], r[1], nil)
 				want, wantN, wantPages := referenceAuxLookup(aux, r[0], r[1])
 				if n != wantN || !reflect.DeepEqual(pages, wantPages) {
 					t.Fatalf("%d entries, pages %v; want %d, %v", n, pages, wantN, wantPages)

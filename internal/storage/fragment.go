@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/btree"
 )
@@ -229,10 +230,50 @@ func (f *Fragment) DataPageOfSlot(slot int) int {
 	return f.dataBase + slot/f.layout.TuplesPerPage
 }
 
-// indexPages returns an empty page buffer for a walk of t, sized for the
-// descent plus three leaves: on a bulk-loaded (full) tree, any range of up
-// to one leaf's worth of entries fits without growing it.
-func indexPages(t *btree.Tree) []int { return make([]int, 0, t.Height()+2) }
+// Buffers lends the access methods and Lookup the lists they fill: the
+// index pages, the qualifying slots, and an aux lookup's TIDs and their
+// grouping by processor. A caller that passes the same Buffers to every
+// call allocates nothing once the lists have grown to its largest answer;
+// what a call returns aliases them until the next call with them. A nil
+// *Buffers makes every call allocate its own lists.
+type Buffers struct {
+	pages  []int
+	slots  []int
+	tids   []int64
+	byProc [][]int64
+}
+
+// pageList returns an empty page list for a walk of t: the buffer's, or a
+// new one sized for the descent plus three leaves, which on a bulk-loaded
+// (full) tree holds any range of up to one leaf's worth of entries.
+func (b *Buffers) pageList(t *btree.Tree) []int {
+	if b == nil || b.pages == nil {
+		return make([]int, 0, t.Height()+2)
+	}
+	return b.pages[:0]
+}
+
+// slotList returns an empty slot list: the buffer's, or nil.
+func (b *Buffers) slotList() []int {
+	if b == nil {
+		return nil
+	}
+	return b.slots[:0]
+}
+
+// keep records the lists an access filled, so the next call reuses what
+// they grew to.
+func (b *Buffers) keep(acc *Access) {
+	if b == nil {
+		return
+	}
+	if acc.IndexPages != nil {
+		b.pages = acc.IndexPages
+	}
+	if acc.Slots != nil {
+		b.slots = acc.Slots
+	}
+}
 
 // SearchClustered evaluates lo <= ClusteredAttr <= hi through the clustered
 // index: the root-to-leaf path plus the contiguous data pages holding the
@@ -240,34 +281,36 @@ func indexPages(t *btree.Tree) []int { return make([]int, 0, t.Height()+2) }
 // so the qualifying slots form one run and are never listed. An error
 // means the fragment has no clustered index — a routing bug (or a query
 // sent to a replica built without one), which the executor reports as a
-// query failure rather than a crash.
-func (f *Fragment) SearchClustered(lo, hi int64) (Access, error) {
+// query failure rather than a crash. The page list comes from buf.
+func (f *Fragment) SearchClustered(lo, hi int64, buf *Buffers) (Access, error) {
 	idx := f.indexes[f.ClusteredAttr]
 	if idx == nil {
 		return Access{}, fmt.Errorf("storage: node %d: no clustered index", f.Node)
 	}
 	acc := Access{frag: f}
-	acc.IndexPages = idx.Tree.Walk(lo, hi, indexPages(idx.Tree), func(run []btree.Entry) {
+	acc.IndexPages = idx.Tree.Walk(lo, hi, buf.pageList(idx.Tree), func(run []btree.Entry) {
 		if acc.N == 0 {
 			acc.First = int(run[0].Val)
 		}
 		acc.N += len(run)
 	})
+	buf.keep(&acc)
 	return acc, nil
 }
 
 // SearchNonClustered evaluates lo <= attr <= hi through a non-clustered
 // index: the index path plus one data-page access per qualifying tuple, in
 // index order (the pages are effectively random). Errors mean a missing
-// index or an index entry pointing outside the fragment.
-func (f *Fragment) SearchNonClustered(attr int, lo, hi int64) (Access, error) {
+// index or an index entry pointing outside the fragment. The page and
+// slot lists come from buf.
+func (f *Fragment) SearchNonClustered(attr int, lo, hi int64, buf *Buffers) (Access, error) {
 	idx := f.indexes[attr]
 	if idx == nil || idx.Clustered {
 		return Access{}, fmt.Errorf("storage: node %d: no non-clustered index on %s", f.Node, AttrName(attr))
 	}
-	acc := Access{frag: f}
+	acc := Access{frag: f, Slots: buf.slotList()}
 	var err error
-	acc.IndexPages = idx.Tree.Walk(lo, hi, indexPages(idx.Tree), func(run []btree.Entry) {
+	acc.IndexPages = idx.Tree.Walk(lo, hi, buf.pageList(idx.Tree), func(run []btree.Entry) {
 		for _, e := range run {
 			slot, ok := f.slotOfTID(e.Val)
 			if !ok {
@@ -279,6 +322,7 @@ func (f *Fragment) SearchNonClustered(attr int, lo, hi int64) (Access, error) {
 			acc.Slots = append(acc.Slots, slot)
 		}
 	})
+	buf.keep(&acc)
 	if err != nil {
 		return Access{}, err
 	}
@@ -288,33 +332,38 @@ func (f *Fragment) SearchNonClustered(attr int, lo, hi int64) (Access, error) {
 
 // Scan evaluates lo <= attr <= hi with a full sequential scan: every data
 // page is read in order and every tuple filtered. This is the access path
-// for predicates on attributes without an index.
-func (f *Fragment) Scan(attr int, lo, hi int64) Access {
-	acc := Access{frag: f, scan: true}
+// for predicates on attributes without an index. The slot list comes from
+// buf.
+func (f *Fragment) Scan(attr int, lo, hi int64, buf *Buffers) Access {
+	acc := Access{frag: f, scan: true, Slots: buf.slotList()}
 	for slot, r := range f.rows {
 		if v := f.src[r].Attrs[attr]; v >= lo && v <= hi {
 			acc.Slots = append(acc.Slots, slot)
 		}
 	}
+	buf.keep(&acc)
 	acc.N = len(acc.Slots)
 	return acc
 }
 
 // FetchTIDs fetches tuples by TID (BERD's second step): one data-page access
 // per tuple, no index. A TID not on this node is an error — the routing
-// layer must only send a node its own (or its replica's) TIDs.
-func (f *Fragment) FetchTIDs(tids []int64) (Access, error) {
-	acc := Access{frag: f, N: len(tids)}
+// layer must only send a node its own (or its replica's) TIDs. The slot
+// list comes from buf.
+func (f *Fragment) FetchTIDs(tids []int64, buf *Buffers) (Access, error) {
+	acc := Access{frag: f, N: len(tids), Slots: buf.slotList()}
 	if len(tids) > 0 {
-		acc.Slots = make([]int, len(tids))
+		acc.Slots = slices.Grow(acc.Slots, len(tids))
 	}
-	for i, tid := range tids {
+	for _, tid := range tids {
 		slot, ok := f.slotOfTID(tid)
 		if !ok {
+			buf.keep(&acc)
 			return Access{}, fmt.Errorf("storage: node %d: TID %d not in fragment", f.Node, tid)
 		}
-		acc.Slots[i] = slot
+		acc.Slots = append(acc.Slots, slot)
 	}
+	buf.keep(&acc)
 	return acc, nil
 }
 
@@ -353,18 +402,22 @@ func BuildAux(node int, entries []AuxEntry, layout Layout, alloc *Allocator) *Au
 // tidsByProc[proc] lists proc's TIDs in value order, or is nil when none
 // qualify there; the slice ends at the highest processor with one, and is
 // nil when nothing qualifies. The lists share one backing array, each
-// capped at its own length, so appending to one copies it.
-func (f *AuxFragment) Lookup(lo, hi int64) (tidsByProc [][]int64, entries int, pages []int) {
-	var buf [512]int64 // a typical answer is collected without the heap
-	packed := buf[:0]
+// capped at its own length, so appending to one copies it. The page, TID
+// and grouping lists come from buf.
+func (f *AuxFragment) Lookup(lo, hi int64, buf *Buffers) (tidsByProc [][]int64, entries int, pages []int) {
+	var scratch [512]int64 // a typical answer is collected without the heap
+	packed := scratch[:0]
 	procs := 0
-	pages = f.Tree.Walk(lo, hi, indexPages(f.Tree), func(run []btree.Entry) {
+	pages = f.Tree.Walk(lo, hi, buf.pageList(f.Tree), func(run []btree.Entry) {
 		for _, e := range run {
 			packed = append(packed, e.Val)
 			p, _ := unpackAux(e.Val)
 			procs = max(procs, p+1)
 		}
 	})
+	if buf != nil {
+		buf.pages = pages
+	}
 	if len(packed) == 0 {
 		return nil, 0, pages
 	}
@@ -384,19 +437,31 @@ func (f *AuxFragment) Lookup(lo, hi int64) (tidsByProc [][]int64, entries int, p
 		ends[p] = start // the group's start until the scatter moves it on
 		start += n
 	}
-	tids := make([]int64, len(packed))
+	var tids []int64
+	if buf != nil {
+		tids = buf.tids[:0]
+	}
+	tids = slices.Grow(tids, len(packed))[:len(packed)]
 	for _, v := range packed {
 		p, tid := unpackAux(v)
 		tids[ends[p]] = tid
 		ends[p]++
 	}
-	tidsByProc = make([][]int64, procs)
+	if buf != nil {
+		buf.tids = tids
+		tidsByProc = buf.byProc[:0]
+	}
+	tidsByProc = slices.Grow(tidsByProc, procs)[:procs]
 	start = 0
 	for p, end := range ends {
+		tidsByProc[p] = nil
 		if end > start {
 			tidsByProc[p] = tids[start:end:end]
 		}
 		start = end
+	}
+	if buf != nil {
+		buf.byProc = tidsByProc
 	}
 	return tidsByProc, len(packed), pages
 }

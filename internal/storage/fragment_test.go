@@ -79,7 +79,7 @@ func TestFragmentLayoutContiguous(t *testing.T) {
 
 func TestSearchClusteredRange(t *testing.T) {
 	f, _ := buildTestFragment(t, 100)
-	acc := mustAcc(f.SearchClustered(10, 19))
+	acc := mustAcc(f.SearchClustered(10, 19, nil))
 	if acc.N != 10 || acc.First != 10 || acc.Slots != nil {
 		t.Fatalf("matched slots [%d, +%d) listed %v, want the run [10, +10)", acc.First, acc.N, acc.Slots)
 	}
@@ -99,7 +99,7 @@ func TestSearchClusteredRange(t *testing.T) {
 
 func TestSearchClusteredEmptyRange(t *testing.T) {
 	f, _ := buildTestFragment(t, 100)
-	acc := mustAcc(f.SearchClustered(5000, 6000))
+	acc := mustAcc(f.SearchClustered(5000, 6000, nil))
 	if acc.N != 0 || acc.NumDataPages() != 0 {
 		t.Fatal("out-of-range search returned tuples")
 	}
@@ -110,7 +110,7 @@ func TestSearchClusteredEmptyRange(t *testing.T) {
 
 func TestSearchNonClusteredFetchesPerTuple(t *testing.T) {
 	f, _ := buildTestFragment(t, 100)
-	acc := mustAcc(f.SearchNonClustered(Unique1, 0, 9))
+	acc := mustAcc(f.SearchNonClustered(Unique1, 0, 9, nil))
 	if acc.N != 10 || len(acc.Slots) != 10 {
 		t.Fatalf("matched %d tuples in %d slots", acc.N, len(acc.Slots))
 	}
@@ -126,7 +126,7 @@ func TestSearchNonClusteredFetchesPerTuple(t *testing.T) {
 
 func TestSearchNonClusteredSingleTuple(t *testing.T) {
 	f, _ := buildTestFragment(t, 100)
-	acc := mustAcc(f.SearchNonClustered(Unique1, 42, 42))
+	acc := mustAcc(f.SearchNonClustered(Unique1, 42, 42, nil))
 	if acc.N != 1 || acc.Tuple(0).Attrs[Unique1] != 42 {
 		t.Fatalf("equality search returned %v", resolved(acc))
 	}
@@ -134,7 +134,7 @@ func TestSearchNonClusteredSingleTuple(t *testing.T) {
 
 func TestFetchTIDs(t *testing.T) {
 	f, _ := buildTestFragment(t, 100)
-	acc := mustAcc(f.FetchTIDs([]int64{5, 50, 95}))
+	acc := mustAcc(f.FetchTIDs([]int64{5, 50, 95}, nil))
 	if acc.N != 3 || acc.NumDataPages() != 3 {
 		t.Fatalf("fetched %d tuples, %d pages", acc.N, acc.NumDataPages())
 	}
@@ -150,7 +150,7 @@ func TestFetchTIDs(t *testing.T) {
 
 func TestFetchForeignTIDErrors(t *testing.T) {
 	f, _ := buildTestFragment(t, 10)
-	if _, err := f.FetchTIDs([]int64{9999}); err == nil {
+	if _, err := f.FetchTIDs([]int64{9999}, nil); err == nil {
 		t.Fatal("foreign TID did not error")
 	}
 }
@@ -169,7 +169,7 @@ func TestEmptyFragment(t *testing.T) {
 	if f.NumTuples() != 0 || f.dataPages != 0 {
 		t.Fatal("empty fragment has tuples/pages")
 	}
-	acc := mustAcc(f.SearchClustered(0, 10))
+	acc := mustAcc(f.SearchClustered(0, 10, nil))
 	if acc.N != 0 || acc.NumDataPages() != 0 {
 		t.Fatal("empty fragment returned tuples")
 	}
@@ -188,7 +188,7 @@ func TestDuplicateIndexPanics(t *testing.T) {
 func TestMissingIndexErrors(t *testing.T) {
 	alloc := NewAllocator(100)
 	f := BuildFragment(0, nil, nil, nil, Unique2, smallLayout(), alloc)
-	if _, err := f.SearchClustered(0, 1); err == nil {
+	if _, err := f.SearchClustered(0, 1, nil); err == nil {
 		t.Fatal("missing index did not error")
 	}
 }
@@ -226,10 +226,10 @@ func TestAuxFragmentLookup(t *testing.T) {
 		{Value: 25, TID: 250, Proc: 2},
 	}
 	aux := BuildAux(7, entries, smallLayout(), alloc)
-	if _, n, _ := aux.Lookup(math.MinInt64, math.MaxInt64); n != 4 {
+	if _, n, _ := aux.Lookup(math.MinInt64, math.MaxInt64, nil); n != 4 {
 		t.Fatalf("entries = %d", n)
 	}
-	byProc, n, pages := aux.Lookup(15, 27)
+	byProc, n, pages := aux.Lookup(15, 27, nil)
 	if want := [][]int64{nil, nil, {200, 250}}; n != 2 || !reflect.DeepEqual(byProc, want) {
 		t.Fatalf("lookup = %d entries %v, want 2 %v", n, byProc, want)
 	}
@@ -277,7 +277,7 @@ func TestFragmentSortsByClusteredAttr(t *testing.T) {
 
 func TestScan(t *testing.T) {
 	f, _ := buildTestFragment(t, 100)
-	acc := f.Scan(Ten, 3, 3)
+	acc := f.Scan(Ten, 3, 3, nil)
 	pages := dataPages(acc)
 	if len(pages) != f.dataPages {
 		t.Fatalf("scan touched %d pages, want all %d", len(pages), f.dataPages)
@@ -310,7 +310,7 @@ func TestScan(t *testing.T) {
 func TestScanEmptyFragment(t *testing.T) {
 	alloc := NewAllocator(100)
 	f := BuildFragment(0, nil, nil, nil, Unique2, smallLayout(), alloc)
-	acc := f.Scan(Ten, 0, 9)
+	acc := f.Scan(Ten, 0, 9, nil)
 	if acc.N != 0 || acc.NumDataPages() != 0 {
 		t.Fatal("empty fragment scan returned something")
 	}
@@ -379,6 +379,9 @@ func FuzzFragmentBuild(f *testing.F) {
 			t.Fatalf("slot order differs from the stable reference")
 		}
 		pageOf := func(slot int) int { return frag.DataPageOfSlot(slot) }
+		// Every access below fills the same buffers, which each call must
+		// reuse without leaking an earlier call's pages, slots or TIDs.
+		var buf Buffers
 
 		// Clustered: qualifying slots in slot order, each data page once.
 		var wantTuples []Tuple
@@ -391,11 +394,12 @@ func FuzzFragmentBuild(f *testing.F) {
 				}
 			}
 		}
-		acc, err := frag.SearchClustered(qlo, qhi)
+		acc, err := frag.SearchClustered(qlo, qhi, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkAccess(t, "clustered", acc, wantTuples, wantPages)
+		clustered := len(wantTuples)
 
 		// Non-clustered: qualifying slots stably ordered by unique1, one
 		// data page per tuple.
@@ -415,14 +419,14 @@ func FuzzFragmentBuild(f *testing.F) {
 				tids = append(tids, slots[slot].TID)
 			}
 		}
-		acc, err = frag.SearchNonClustered(Unique1, qlo, qhi)
+		acc, err = frag.SearchNonClustered(Unique1, qlo, qhi, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkAccess(t, "non-clustered", acc, wantTuples, wantPages)
 
 		// TID fetch returns the requested tuples in request order.
-		acc, err = frag.FetchTIDs(tids)
+		acc, err = frag.FetchTIDs(tids, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,9 +454,9 @@ func FuzzFragmentBuild(f *testing.F) {
 			bad.indexes = map[int]*Index{Unique1: {Attr: Unique1, Tree: tree}}
 			for i, tid := range probes {
 				want, held := oracle[tid]
-				acc, err := fr.FetchTIDs([]int64{tid})
+				acc, err := fr.FetchTIDs([]int64{tid}, nil)
 				checkLookup(t, "fetch", "not in fragment", tid, acc, err, want, held)
-				acc, err = bad.SearchNonClustered(Unique1, int64(i), int64(i))
+				acc, err = bad.SearchNonClustered(Unique1, int64(i), int64(i), nil)
 				checkLookup(t, "non-clustered", "foreign TID", tid, acc, err, want, held)
 			}
 		}
@@ -472,10 +476,20 @@ func FuzzFragmentBuild(f *testing.F) {
 				wantN++
 			}
 		}
-		byProc, n, _ := aux.Lookup(qlo, qhi)
-		if n != wantN || !reflect.DeepEqual(byProc, wantByProc) {
-			t.Fatalf("aux lookup [%d, %d] = %d entries %v, want %d %v",
-				qlo, qhi, n, byProc, wantN, wantByProc)
+		for pass := 0; pass < 2; pass++ {
+			byProc, n, _ := aux.Lookup(qlo, qhi, &buf)
+			if n != wantN || !reflect.DeepEqual(byProc, wantByProc) {
+				t.Fatalf("aux lookup [%d, %d] pass %d = %d entries %v, want %d %v",
+					qlo, qhi, pass, n, byProc, wantN, wantByProc)
+			}
+		}
+		// The buffers are warm now: the searches still answer the same.
+		acc, err = frag.SearchClustered(qlo, qhi, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acc.N != clustered {
+			t.Fatalf("clustered search on reused buffers found %d tuples, want %d", acc.N, clustered)
 		}
 	})
 }
