@@ -22,6 +22,7 @@ func TestStreamMemoHitAllocs(t *testing.T) {
 	}); n > 1 {
 		t.Errorf("a Stream on a released generator allocates %v per op, want at most 1", n)
 	}
+	emptyFree() // NewSource never releases: a memo hit copies into new state
 	if n := testing.AllocsPerRun(100, func() {
 		NewSource("disk", 42)
 	}); n > 3 {
