@@ -55,6 +55,13 @@ var goldenCases = []struct {
 	{"elastic", []string{"-elastic", "-scale", "quick", "-card", "1000", "-procs", "4",
 		"-lambda", "100", "-measure", "300", "-warmup", "5", "-seed", "7",
 		"-join-at", "200ms", "-leave-at", "900ms", "-parallel", "2"}},
+	// MTBF transient faults on every disk: the injector's per-disk loops.
+	{"mtbf", small("-fig", "8a", "-mpl", "1,4", "-mtbf", "200ms")},
+	// A member crash mid-run: the controller promotes it to a repair task
+	// and the copier drains the dead member's data.
+	{"elastic_kill", []string{"-elastic", "-scale", "quick", "-card", "1000", "-procs", "4",
+		"-lambda", "100", "-measure", "300", "-warmup", "5", "-seed", "7",
+		"-join-at", "200ms", "-leave-at", "900ms", "-parallel", "2", "-kill-node", "1@50ms"}},
 }
 
 // TestGolden runs each case through the command and diffs its stdout
