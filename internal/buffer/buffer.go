@@ -12,8 +12,8 @@
 // flight are kept apart, each with a latch from the pool's free list, so a
 // hit, a miss and a piggybacked wait allocate nothing once the pool is warm.
 //
-// A read runs in step form (PageRead), for any hw.Waiter: an operator handler
-// or, through ReadHeat, a process.
+// A read runs in step form (PageRead), for any hw.Waiter: an operator
+// handler or the rebalance copier.
 package buffer
 
 import (
@@ -86,35 +86,16 @@ func NewPool(e *sim.Engine, capacity int, disk *hw.Disk) *Pool {
 	return b
 }
 
-// Read ensures physPage is in memory, blocking the caller for the disk read
-// on a miss. Hits cost no simulated time (the lookup is folded into the
-// caller's per-page CPU charge). An error means the page did not reach
-// memory — the disk failed or the read hit an injected I/O error — and is
-// delivered to piggybacked waiters too; the page is not marked resident.
-func (b *Pool) Read(p *sim.Proc, physPage int) error {
-	return b.ReadHeat(p, physPage, nil)
-}
-
-// ReadHeat is Read with per-fragment heat attribution: hits (including
-// piggybacked waits, which issue no disk request of their own) and misses
-// are counted on h, and a miss forwards h to the disk so the physical
-// read's queue wait lands on the fragment too. A nil h is exactly Read,
-// so per-fragment misses sum to the disk's read totals when every caller
-// attributes.
-func (b *Pool) ReadHeat(p *sim.Proc, physPage int, h *obs.FragHeat) error {
-	var r PageRead
-	for done := r.Start(b, p, physPage, h); !done; done = r.Step() {
-		p.Park()
-	}
-	return r.Err()
-}
-
-// PageRead is ReadHeat in step form, in a record its caller owns. Start begins
-// the read for a Waiter: a hit is done at once, a miss issues the disk
-// read under a latch, and a read of a page already in flight piggybacks on
-// its latch. Each wait ends by scheduling the Waiter, which calls Step in
-// that event, and both report whether the read is done; Err is then its
-// outcome.
+// PageRead ensures a physical page is in memory, in step form, in a
+// record its caller owns. Start begins the read for a Waiter: a hit is
+// done at once, a miss issues the disk read under a latch, and a read of a
+// page already in flight piggybacks on its latch. Each wait ends by
+// scheduling the Waiter, which calls Step in that event, and both report
+// whether the read is done; Err is then its outcome. Hits cost no
+// simulated time (the lookup is folded into the caller's per-page CPU
+// charge). An error means the page did not reach memory — the disk failed
+// or the read hit an injected I/O error — and is delivered to piggybacked
+// waiters too; the page is not marked resident.
 type PageRead struct {
 	b     *Pool
 	page  int
@@ -124,7 +105,11 @@ type PageRead struct {
 	err   error
 }
 
-// Start begins reading physPage for w, attributing it to h (nil = off).
+// Start begins reading physPage for w, attributing it to h (nil = off):
+// hits (including piggybacked waits, which issue no disk request of their
+// own) and misses are counted on h, and a miss forwards h to the disk so
+// the physical read's queue wait lands on the fragment too. Per-fragment
+// misses sum to the disk's read totals when every caller attributes.
 func (r *PageRead) Start(b *Pool, w hw.Waiter, physPage int, h *obs.FragHeat) bool {
 	*r = PageRead{b: b, page: physPage}
 	if b.capacity == 0 {

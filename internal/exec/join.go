@@ -112,7 +112,8 @@ type joinWorker struct {
 	table                         map[int64]int
 	pending                       []joinBatch
 	buildEnds, probeEnds, matches int
-	aborted                       bool // a scanner failed: no reply
+	aborted                       bool      // a scanner failed, or the host gave up: no reply
+	op                            *operator // the join operator, the inbox's consumer
 }
 
 // routeJoinMsg delivers a join message to the query's worker, creating it
@@ -121,6 +122,9 @@ type joinWorker struct {
 func (n *Node) routeJoinMsg(qid int64, replyTo int, scanners int, msg any) {
 	w := n.joins[qid]
 	if w == nil {
+		if _, gone := n.abandoned[qid]; gone {
+			return
+		}
 		w = &joinWorker{qid: qid, replyTo: replyTo, scanners: scanners, table: make(map[int64]int),
 			inbox: sim.NewMailboxLabel[any](n.eng, sim.Labelf("node%d.join.q%d", int64(n.ID), qid))}
 		if n.joins == nil {
@@ -128,10 +132,31 @@ func (n *Node) routeJoinMsg(qid int64, replyTo int, scanners int, msg any) {
 		}
 		n.joins[qid] = w
 		op := n.newOperator()
-		op.join = w
+		op.join, w.op = w, op
 		w.inbox.Consume(op)
 	}
 	w.inbox.Put(msg)
+}
+
+// abandonJoin retires the node's join operator of a query the host gave
+// up on (it timed out or failed), whose scanners may never all end: an
+// operator waiting for its next message ends at once, in the caller's
+// event, and one in the middle of a step ends when it would take its next
+// message, without replying. Later messages of the query are dropped.
+func (n *Node) abandonJoin(qid int64) {
+	w := n.joins[qid]
+	if w == nil {
+		return
+	}
+	if n.abandoned == nil {
+		n.abandoned = make(map[int64]struct{})
+	}
+	n.abandoned[qid] = struct{}{}
+	w.aborted = true
+	w.buildEnds, w.probeEnds, w.pending = w.scanners, w.scanners, nil
+	if w.inbox.Withdraw(w.op) {
+		w.op.end()
+	}
 }
 
 // done reports whether every scanner has ended both phases.

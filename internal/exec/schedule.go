@@ -91,17 +91,16 @@ type call struct {
 // exponential backoff, chained-replica rerouting, and at-most-once
 // accounting (stale or duplicated replies are dropped by attempt id).
 //
-// It is a sim.Handler that runs the query in steps (HandleEvent), each in
-// the event where a process running the query would resume, so the event
-// order is the process form's: the plan delay, the catalog search, each
-// send, each backoff and each wait for a reply end by scheduling the
-// collector. The submitting process parks once in Submit, and the final
-// step resumes it inside the final event. Records come from the host's
-// free list, each with its reply mailbox, which the host's dispatch feeds.
+// It is a sim.Handler that runs the query in steps (HandleEvent): the
+// plan delay, the catalog search, each send, each backoff and each wait
+// for a reply end by scheduling the collector. The final step hands the
+// result to the submitter inside the final event. Records come from the
+// host's free list, each with its reply mailbox, which the host's
+// dispatch feeds.
 type collector struct {
 	h    *Host
 	d    *Degraded
-	p    *sim.Proc         // the submitting process, parked in Submit
+	s    Submitter         // the query's submitter, which its final step reports to
 	mb   *sim.Mailbox[any] // the query's replies
 	next *collector        // free-list link
 
@@ -143,6 +142,7 @@ type collector struct {
 
 	calls      []call     // the current phase's operators
 	auxServed  []ServedOp // the aux lookups' attributions, until the operator phase sizes ServedBy
+	served     []ServedOp // the list the result's ServedBy borrows, kept across queries
 	held       []pooled   // the request records dispatched, which the collector holds until the query is over
 	i          int        // the call being dispatched or retried; a join's next request
 	remaining  int        // operators yet to report
@@ -174,7 +174,7 @@ const (
 	colJoinSending                // join request i-1 is being sent
 	colJoinCollect                // take join operators' reports until all are in
 	colJoinReply                  // a report or the timeout ends the wait for one
-	colDone                       // the result is final: resume the submitter
+	colDone                       // the result is final: report it to the submitter
 )
 
 // backupOf returns the slot whose node replicates c's fragment, or -1.
@@ -273,9 +273,9 @@ func (col *collector) QID() int64 { return col.qid }
 // ErrSlot is the collector's error slot (hw.Waiter).
 func (col *collector) ErrSlot() *error { return &col.waitErr }
 
-// Name is the submitting process's name, which the collector's spans and
-// a panic report.
-func (col *collector) Name() string { return col.p.Name() }
+// Name is the submitter's name, which the collector's spans and a panic
+// report.
+func (col *collector) Name() string { return col.s.Name() }
 
 // HandleEvent runs the query from the event that ended its last wait to
 // its next wait. A selection or an aggregate localizes its predicate,
@@ -284,9 +284,8 @@ func (col *collector) Name() string { return col.p.Name() }
 // participant, then collects replies, redispatching a call after an
 // operator error or every outstanding call after an operator timeout. A
 // join sends its scans and collects its operators' match counts. The
-// final step resumes the submitting process, inside this event, and
-// leaves the record to it. It implements sim.Handler and is not meant to
-// be called directly.
+// final step reports the result to the submitter, inside this event. It
+// implements sim.Handler and is not meant to be called directly.
 func (col *collector) HandleEvent() {
 	h := col.h
 	for {
@@ -402,7 +401,7 @@ func (col *collector) HandleEvent() {
 				return
 			}
 		case colDone:
-			col.p.HandleEvent()
+			col.complete()
 			return
 		}
 	}
@@ -434,10 +433,11 @@ func (col *collector) openPhase() {
 
 // operators opens the operator phase: one operator per participant,
 // collected under the policy. It sizes the result's ServedBy once, for
-// the aux lookups that answered and the operators.
+// the aux lookups that answered and the operators, in the record's list.
 func (col *collector) operators(participants []int) {
 	if n := len(col.auxServed) + len(participants); n > 0 {
-		col.res.ServedBy = append(make([]ServedOp, 0, n), col.auxServed...)
+		col.served = append(slices.Grow(col.served[:0], n), col.auxServed...)
+		col.res.ServedBy = col.served
 	}
 	col.phaseSpan = col.h.eng.StartSpan()
 	col.share = col.h.Shared != nil && col.agg == nil && !col.fetchTIDs
@@ -682,7 +682,7 @@ func hasBit(set []uint64, i int) bool {
 // rebalance cutover lands mid-query. It then charges the Query Manager's
 // parse-and-plan delay (coordination delay, not CPU contention — see the
 // Host doc comment), after which the collector resumes at step.
-func (h *Host) begin(p *sim.Proc, relation string, pred core.Predicate, step colStep) *collector {
+func (h *Host) begin(s Submitter, relation string, pred core.Predicate, step colStep) *collector {
 	d := h.Degraded
 	if d == nil {
 		d = &faultFree
@@ -696,10 +696,10 @@ func (h *Host) begin(p *sim.Proc, relation string, pred core.Predicate, step col
 		col = &collector{mb: sim.NewMailbox[any](h.eng, "host.replies")}
 	}
 	*col = collector{
-		h: h, d: d, p: p, mb: col.mb, step: step, topo: h.topo, epoch: h.epoch,
+		h: h, d: d, s: s, mb: col.mb, step: step, topo: h.topo, epoch: h.epoch,
 		qid: qid, relation: relation, pred: pred,
 		homes: col.homes[:0], tidsByProc: col.tidsByProc[:0], parts: col.parts, held: col.held, auxServed: col.auxServed[:0],
-		calls: col.calls[:0], used: col.used[:0], reported: col.reported[:0],
+		calls: col.calls[:0], used: col.used[:0], reported: col.reported[:0], served: col.served,
 		res:  QueryResult{ID: qid, Pred: pred, Submitted: h.eng.Now()},
 		span: h.eng.StartSpan(),
 	}
@@ -720,7 +720,7 @@ func (col *collector) startDeadline() {
 // succeeded only through redispatches — and unregisters it: statistics
 // and the query span, whose detail appends the outcome and retry count
 // only when the query did not finish OK on first attempts. The next step
-// resumes the submitter.
+// reports to the submitter.
 func (col *collector) finish(outcome Outcome, err error) {
 	h, res := col.h, &col.res
 	delete(h.pending, col.qid)
@@ -731,7 +731,7 @@ func (col *collector) finish(outcome Outcome, err error) {
 	res.Err = err
 	res.Retries = col.retries
 	if col.aux && len(col.auxServed) > 0 {
-		res.ServedBy = slices.Clone(col.auxServed) // it ended in the aux phase
+		res.ServedBy = col.auxServed // it ended in the aux phase
 	}
 	for _, w := range col.used {
 		res.ProcessorsUsed += bits.OnesCount64(w)
@@ -749,13 +749,14 @@ func (col *collector) finish(outcome Outcome, err error) {
 	col.step = colDone
 }
 
-// wait parks the submitting process until the collector's final step,
-// then returns the query's result and the record to the free list,
-// dropping any reply still queued for it and its holds on the request
-// records it dispatched.
-func (col *collector) wait() QueryResult {
-	col.p.Park()
-	res := col.res
+// complete returns the record to the free list, dropping any reply still
+// queued for it and its holds on the request records it dispatched, and
+// then reports the result to the submitter. The result's ServedBy borrows
+// one of the record's lists, which a next query on the record rewrites
+// no earlier than its operator phase, a later event: it is valid during
+// the call.
+func (col *collector) complete() {
+	res, s := col.res, col.s
 	for m, ok := col.mb.Take(); ok; m, ok = col.mb.Take() {
 		release(m)
 	}
@@ -766,7 +767,7 @@ func (col *collector) wait() QueryResult {
 	col.held = col.held[:0]
 	h := col.h
 	col.next, h.freeCols = h.freeCols, col
-	return res
+	s.QueryDone(res)
 }
 
 // placement looks up a registered relation's placement.
@@ -786,11 +787,10 @@ func (h *Host) placement(relation string) core.Placement {
 // failures and silences are retried with backoff, and requests reroute to
 // chained backups when a replica is down. An aggregate's operators fold
 // partials and never ride a shared-scan batch.
-func (h *Host) schedule(p *sim.Proc, relation string, pred core.Predicate, kind plan.Access, agg *aggregate) *collector {
+func (h *Host) schedule(s Submitter, relation string, pred core.Predicate, kind plan.Access, agg *aggregate) {
 	placement := h.placement(relation)
-	col := h.begin(p, relation, pred, colPlanned)
+	col := h.begin(s, relation, pred, colPlanned)
 	col.kind, col.agg, col.placement = kind, agg, placement
-	return col
 }
 
 // join is the Scheduler for one parallel hash join on attr: it starts a
@@ -801,17 +801,24 @@ func (h *Host) schedule(p *sim.Proc, relation string, pred core.Predicate, kind 
 // through the query's captured topology and epoch. They are not retried or
 // rerouted: a scan's access error fails the query, and a silent node
 // leaves it to the deadline.
-func (h *Host) join(p *sim.Proc, attr int, build, probe joinInput) *collector {
+func (h *Host) join(s Submitter, attr int, build, probe joinInput) {
 	buildPl, probePl := h.placement(build.relation), h.placement(probe.relation)
 	slots := buildPl.Processors()
 	if probePl.Processors() != slots {
 		panic(fmt.Sprintf("exec: join inputs declustered over %d and %d processors",
 			slots, probePl.Processors()))
 	}
-	col := h.begin(p, build.relation, core.Predicate{}, colJoinPlanned)
+	col := h.begin(s, build.relation, core.Predicate{}, colJoinPlanned)
 	col.inputs, col.attr, col.slots = [2]joinInput{build, probe}, attr, slots
 	col.local = Colocated(buildPl, probePl, attr)
-	return col
+}
+
+// abandonJoin retires the join operators of a join the host gave up on,
+// on every node.
+func (h *Host) abandonJoin(qid int64) {
+	for _, n := range h.Nodes {
+		n.abandonJoin(qid)
+	}
 }
 
 // joinInput is one side of a join: a relation and the predicate its scan
@@ -825,6 +832,8 @@ type joinInput struct {
 // slot, until all are in, the deadline passes, a scan fails, or the
 // collector must wait for the next report, which it reports. An operator
 // timeout only rechecks the deadline: the join has nothing to redispatch.
+// A join that times out or fails retires its join operators on every
+// node: a crashed scanner would leave them waiting for its end markers.
 func (col *collector) collectJoin() (waits bool) {
 	for {
 		if col.step == colJoinCollect {
@@ -835,6 +844,7 @@ func (col *collector) collectJoin() (waits bool) {
 			if col.pastDeadline() {
 				col.finish(OutcomeTimedOut, fmt.Errorf("exec: query deadline exceeded with %d join operators outstanding",
 					col.remaining))
+				col.h.abandonJoin(col.qid)
 				return false
 			}
 		}
@@ -850,6 +860,7 @@ func (col *collector) collectJoin() (waits bool) {
 		switch r := msg.(type) {
 		case opError:
 			col.finish(OutcomeFailed, fmt.Errorf("exec: join scan on node %d failed: %s", r.Node, r.Msg))
+			col.h.abandonJoin(col.qid)
 			return false
 		case joinDone:
 			if hasBit(col.reported, r.Node) {

@@ -17,7 +17,7 @@ type WindowSpec struct {
 	// creation, in case completions cannot reach the target.
 	MaxSimTime sim.Duration
 	// Telemetry, when non-nil, is sampled every window of simulated time by
-	// the driver SpawnSampler starts, and rebased at the warm-up boundary.
+	// the driver StartSampler starts, and rebased at the warm-up boundary.
 	Telemetry *obs.Sampler
 
 	// At the warm-up boundary the window resets every cumulative source in
@@ -93,30 +93,31 @@ func (w *Window) openNow() {
 
 func (w *Window) target() int { return w.spec.WarmupQueries + w.spec.MeasureQueries }
 
-// SpawnSampler starts the sampler driver when telemetry is armed: one
-// process that holds one sampling window of simulated time per iteration,
-// samples every probe, then runs AfterSample. Spawn order breaks ties
-// between events at equal times, so each run shape spawns it at a fixed
-// point among its own processes.
-func (w *Window) SpawnSampler() {
+// StartSampler starts the sampler driver when telemetry is armed: a
+// handler whose every event after its first samples every probe and
+// runs AfterSample, and whose every event schedules the next one a
+// sampling window later. Scheduling order breaks ties between events at
+// equal times, so each run shape starts it at a fixed point among its
+// own actors.
+func (w *Window) StartSampler() {
 	ts := w.spec.Telemetry
 	if ts == nil {
 		return
 	}
 	eng, after := w.eng, w.spec.AfterSample
 	window := sim.Duration(ts.WindowNS())
-	eng.Spawn("obs.sampler", func(p *sim.Proc) {
-		for {
-			p.Hold(window)
-			if eng.Stopped() {
-				return
-			}
-			ts.Sample(int64(p.Now()))
-			if after != nil {
-				after(p.Now())
-			}
+	var tick func()
+	tick = func() {
+		if eng.Stopped() {
+			return
 		}
-	})
+		ts.Sample(int64(eng.Now()))
+		if after != nil {
+			after(eng.Now())
+		}
+		eng.Schedule(window, tick)
+	}
+	eng.Schedule(0, func() { eng.Schedule(window, tick) })
 }
 
 // Run drives the engine until the window closes or MaxSimTime has passed

@@ -18,19 +18,27 @@ const (
 )
 
 // Waiter is what the hardware's resumable step forms (CPU.Charge,
-// DiskRead, Send, and the buffer pool's read above them) run for: a
-// sim.Handler that each wait schedules when it ends, at the instant a
-// process blocked in the same request would resume. It carries the query
-// its requests are tagged with and an error slot, where a wait that fails
-// after it began (a disk that fail-stops under a queued read) puts its
-// error before scheduling it. A *sim.Proc is a Waiter: each blocking call
-// starts its step form for the process, then parks it and steps until the
-// form is done.
+// DiskRead, DiskWrite, Send, and the buffer pool's read above them) run
+// for: a sim.Handler that each wait schedules when it ends. It carries the
+// query its requests are tagged with and an error slot, where a wait that
+// fails after it began (a disk that fail-stops under a queued read) puts
+// its error before scheduling it.
 type Waiter interface {
 	sim.Handler
 	QID() int64
 	ErrSlot() *error
 }
+
+// Background is the Waiter state of a handler that serves no query, such
+// as a rebalance copy or a load: its requests carry query 0, and it keeps
+// the error slot. A handler embeds it to implement QID and ErrSlot.
+type Background struct{ err error }
+
+// QID reports that the handler serves no query.
+func (b *Background) QID() int64 { return 0 }
+
+// ErrSlot is the handler's error slot.
+func (b *Background) ErrSlot() *error { return &b.err }
 
 // CPU is one node's processor: a 3 MIPS FCFS facility with a transfer
 // priority class.
@@ -47,15 +55,6 @@ func NewCPU(e *sim.Engine, name string, params Params) *CPU {
 // SetNode records the node id for observability: CPU service spans land on
 // that node's "cpu" track.
 func (c *CPU) SetNode(node int) { c.fac.SetMeta(node, "cpu") }
-
-// ExecuteTransfer charges instr instructions at transfer (head-of-line)
-// priority, modeling the paper's interrupt-driven byte transfers, and
-// blocks the caller through queueing and service.
-func (c *CPU) ExecuteTransfer(p *sim.Proc, instr int) {
-	if d, ok := c.service(instr); ok {
-		c.fac.UsePriority(p, d, PrioTransfer)
-	}
-}
 
 // Charge requests instr instructions at prio on w's behalf, tagged with
 // w's query, and reports whether w must wait. If so, w runs when the

@@ -82,25 +82,14 @@ func NewDisk(e *sim.Engine, name string, params Params, cpu *CPU, lat *rng.Sourc
 // SetNode records the node id for observability tracks.
 func (d *Disk) SetNode(node int) { d.node = node }
 
-// ReadHeat fetches the physical page into memory, blocking the caller for
-// queue, mechanism, and FIFO-transfer time. An error means the page never
-// reached memory: the disk is failed, the read was hit by an injected
-// transient error, or the page address is out of range. The request's
-// queue wait (arrival to arm start) is charged to h when the arm picks it
-// up; h may be nil.
-func (d *Disk) ReadHeat(p *sim.Proc, physPage int, h *obs.FragHeat) error {
-	var r DiskRead
-	for done := r.Start(d, p, physPage, h); !done; done = r.Step() {
-		p.Park()
-	}
-	return r.Err()
-}
-
-// DiskRead is ReadHeat in step form, in a record its caller owns: the
-// arm's queue wait and transfer, then the page's FIFO transfer on the node
-// CPU at transfer priority. Start issues the read for a Waiter, each wait
-// ends by scheduling the Waiter, which calls Step in that event, and both
-// report whether the read is done; Err is then its outcome.
+// DiskRead fetches a physical page into memory, in step form, in a record
+// its caller owns: the arm's queue wait and transfer, then the page's FIFO
+// transfer on the node CPU at transfer priority. Start issues the read for
+// a Waiter, each wait ends by scheduling the Waiter, which calls Step in
+// that event, and both report whether the read is done; Err is then its
+// outcome. An error means the page never reached memory: the disk is
+// failed, the read was hit by an injected transient error, or the page
+// address is out of range.
 type DiskRead struct {
 	d    *Disk
 	w    Waiter
@@ -108,8 +97,8 @@ type DiskRead struct {
 	err  error
 }
 
-// Start issues the read of physPage for w, attributing its queue wait to
-// h (nil = off). It reports true only when the read fails at once.
+// Start issues the read of physPage for w, attributing its queue wait
+// (arrival to arm start) to h (nil = off). It reports true only when the read fails at once.
 func (r *DiskRead) Start(d *Disk, w Waiter, physPage int, h *obs.FragHeat) bool {
 	*r = DiskRead{d: d, w: w}
 	r.err = d.enqueue(w, physPage, false, h)
@@ -133,17 +122,43 @@ func (r *DiskRead) Step() bool {
 // Err reports the outcome of a read that is done.
 func (r *DiskRead) Err() error { return r.err }
 
-// Write stores the physical page from memory, blocking the caller until the
-// arm completes (synchronous, durable write).
-func (d *Disk) Write(p *sim.Proc, physPage int) error {
-	// Move memory -> channel FIFO first, then run the arm.
-	d.cpu.ExecuteTransfer(p, d.params.XferPageInstr)
-	if err := d.enqueue(p, physPage, true, nil); err != nil {
-		return err
-	}
-	p.Park() // woken when our transfer completes (or the disk dies under us)
-	return takeErr(p)
+// DiskWrite stores a physical page from memory, in step form, in a record
+// its caller owns: the memory-to-FIFO transfer on the node CPU at transfer
+// priority first, then the arm's queue wait and transfer (a synchronous,
+// durable write). Start and Step report whether the write is done, as
+// DiskRead's do; Err is then its outcome.
+type DiskWrite struct {
+	d    *Disk
+	w    Waiter
+	page int
+	arm  bool // the FIFO transfer is over and the arm has the request
+	err  error
 }
+
+// Start begins the write of physPage for w.
+func (r *DiskWrite) Start(d *Disk, w Waiter, physPage int) bool {
+	*r = DiskWrite{d: d, w: w, page: physPage}
+	if d.cpu.Charge(w, d.params.XferPageInstr, PrioTransfer) {
+		return false
+	}
+	return r.Step()
+}
+
+// Step continues the write in the event that ended its wait: after the
+// FIFO transfer it queues the request at the arm, and after the arm it
+// takes the outcome from the Waiter's error slot.
+func (r *DiskWrite) Step() bool {
+	if r.arm {
+		r.err = takeErr(r.w)
+		return true
+	}
+	r.arm = true
+	r.err = r.d.enqueue(r.w, r.page, true, nil)
+	return r.err != nil
+}
+
+// Err reports the outcome of a write that is done.
+func (r *DiskWrite) Err() error { return r.err }
 
 // enqueue queues a request for w, starting the arm on an idle disk, or
 // returns the error that rejects it at once.

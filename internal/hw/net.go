@@ -24,12 +24,11 @@ type Duplicable interface{ Dup() }
 // transmissions plus a receive path that charges the node CPU for each
 // arriving message before delivering it to the node's inbox.
 //
-// The receive path is a handler consuming the rx mailbox, not a process:
-// idle, an arrival schedules it at the current instant; it then requests
-// the CPU for the oldest message and, when that service completes,
-// delivers the message and goes on with the next, or delivers at once
-// when the message costs no CPU, until rx is empty. Each step runs in the
-// event where a receive process looping on rx would have run.
+// The receive path is a handler consuming the rx mailbox: idle, an
+// arrival schedules it at the current instant; it then requests the CPU
+// for the oldest message and, when that service completes, delivers the
+// message and goes on with the next, or delivers at once when the message
+// costs no CPU, until rx is empty.
 type NIC struct {
 	node  int
 	net   *Network
@@ -140,7 +139,7 @@ func (f *netFaults) deliveries(node int) int {
 // A nil entry in cpus marks an uncharged endpoint: the paper's Figure 7
 // gives CPUs to operator nodes only, while the Query Manager, Scheduler and
 // System Catalog are stand-alone coordination modules. Messages sent from a
-// nil-CPU endpoint delay the sending process for the protocol cost but
+// nil-CPU endpoint delay the sender for the protocol cost but
 // contend for no processor, and arriving messages are delivered without a
 // receive-interrupt charge.
 func NewNetwork(e *sim.Engine, params Params, cpus []*CPU) *Network {

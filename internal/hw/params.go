@@ -1,6 +1,6 @@
 // Package hw models the hardware of one Gamma node — CPU, disk, and network
 // interface — plus the fully connected interconnect, exactly as laid out in
-// Figure 7 and Table 2 of the paper. Components are simulation processes and
+// Figure 7 and Table 2 of the paper. Components are simulation handlers and
 // facilities on an internal/sim engine.
 package hw
 

@@ -12,15 +12,29 @@ import (
 )
 
 // fakeBackend executes every query as a fixed simulated service time.
+// runServe gives it the run's engine.
 type fakeBackend struct {
+	eng     *sim.Engine
 	service sim.Duration
 	outcome exec.Outcome
 }
 
-func (b *fakeBackend) Submit(p *sim.Proc, n *plan.Node) exec.QueryResult {
-	start := p.Now()
-	p.Hold(b.service)
-	return exec.QueryResult{Pred: n.Pred, Submitted: start, Completed: p.Now(), Outcome: b.outcome}
+func (b *fakeBackend) Submit(s exec.Submitter, n *plan.Node) {
+	q := &fakeQuery{eng: b.eng, s: s,
+		res: exec.QueryResult{Pred: n.Pred, Submitted: b.eng.Now(), Outcome: b.outcome}}
+	b.eng.ScheduleHandler(b.service, q)
+}
+
+// fakeQuery completes one query when its service time is over.
+type fakeQuery struct {
+	eng *sim.Engine
+	s   exec.Submitter
+	res exec.QueryResult
+}
+
+func (q *fakeQuery) HandleEvent() {
+	q.res.Completed = q.eng.Now()
+	q.s.QueryDone(q.res)
 }
 
 // pointQueries samples uniform point selections labelled class.
@@ -51,6 +65,9 @@ func testWindow() exec.WindowSpec {
 func runServe(t *testing.T, seed int64, cfg Config, win exec.WindowSpec, backend Executor) Result {
 	t.Helper()
 	eng := sim.New()
+	if fb, ok := backend.(*fakeBackend); ok {
+		fb.eng = eng
+	}
 	res, err := Run(eng, rng.NewFactory(seed), cfg, win, backend)
 	if err != nil {
 		t.Fatalf("Run: %v", err)

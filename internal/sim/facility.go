@@ -14,8 +14,7 @@ import (
 // class) and the FCFS network interfaces.
 //
 // Every request names the Handler to schedule when its service completes
-// and the query it is for: the requesting process itself (UsePriority), or
-// a handler that requests service for itself (Request). The wait queue is
+// and the query it is for. The wait queue is
 // an intrusive singly-linked list of pooled request nodes, and the
 // facility is the Handler of its own service completion, so steady-state
 // operation allocates nothing: nodes recycle through a per-facility free
@@ -65,18 +64,10 @@ func (f *Facility) SetMeta(node int, category string) {
 	f.category = category
 }
 
-// UsePriority requests service at the given priority on behalf of p,
-// tagged with p's query, and parks p until the service completes. Larger
-// priorities are served first; ties are FCFS.
-func (f *Facility) UsePriority(p *Proc, service Duration, prio int) {
-	f.Request(p, service, prio, p.qid)
-	p.Park() // woken when our service completes
-}
-
 // Request asks for service at the given priority on behalf of h, for the
 // query qid (0 for none): it queues, or is served at once on an idle
 // facility, and when the service completes, h runs as an event at that
-// instant, where a requesting process would resume. Its span is named by h
+// instant. Its span is named by h
 // (see Namer) and carries qid.
 func (f *Facility) Request(h Handler, service Duration, prio int, qid int64) {
 	if service < 0 {
@@ -161,7 +152,7 @@ func (f *Facility) serve(req *facRequest) {
 }
 
 // HandleEvent completes the in-service request: it schedules the
-// request's handler at this instant (for a process, its wake-up), recycles
+// request's handler at this instant, recycles
 // the request node, and starts the next queued request. It implements the
 // engine's Handler interface and is not meant to be called directly.
 func (f *Facility) HandleEvent() {

@@ -7,7 +7,7 @@ import "repro/internal/obs"
 // single nil check with no allocation and no timestamp capture; emission
 // costs — string formatting above all — are only paid when Active reports
 // true. Span is a value: store it in a struct field or a local, never share
-// it across processes.
+// it across handlers.
 type Span struct {
 	eng   *Engine
 	start Time
