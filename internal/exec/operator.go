@@ -11,7 +11,7 @@ import (
 )
 
 // operator is the record one operator runs from. Every operator is a
-// handler that runs in steps (HandleEvent), with no coroutine. Its request
+// handler that runs in steps (HandleEvent). Its request
 // arrives by pointer, the Operator Manager sets its typed field once, when
 // it starts the record, and every step reads it in place: a selection's or
 // an aggregate's startOp, an aux lookup, a shared-scan batch (with its disk

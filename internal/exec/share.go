@@ -78,8 +78,7 @@ type shareKey struct {
 
 // shareBatch is one open predicate group awaiting its window flush. It is
 // also the handler that flushes it: started when the group opens, it holds
-// the group open for the window, then closes it and sends it to the node,
-// each step in the event where a flush process would have resumed.
+// the group open for the window, then closes it and sends it to the node.
 type shareBatch struct {
 	s       *SharedScans
 	key     shareKey
