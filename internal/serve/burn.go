@@ -32,8 +32,8 @@ type BurnStats struct {
 const DefaultBurnBudget = 0.1
 
 // burnEval accumulates BurnStats from per-window tracker deltas. It runs
-// on the simulation goroutine (the telemetry driver process), so it needs
-// no locking.
+// on the simulation goroutine (the telemetry driver), so it needs no
+// locking.
 type burnEval struct {
 	budget        float64
 	prevCompleted int64
