@@ -48,7 +48,7 @@ func main() {
 	byProc := map[int][]storage.Tuple{}
 	homes := make([]int32, len(rel.Tuples))
 	for i, t := range rel.Tuples {
-		p := berd.HomeOf(t)
+		p := berd.HomeOf(&t)
 		homes[i] = int32(p)
 		byProc[p] = append(byProc[p], t)
 	}

@@ -52,7 +52,7 @@ func main() {
 		homes := map[int]bool{}
 		for _, t := range rel.Tuples {
 			if v := t.Attrs[ageAttr]; v >= 10000 && v < 10010 {
-				homes[berd.HomeOf(t)] = true
+				homes[berd.HomeOf(&t)] = true
 			}
 		}
 		fmt.Printf("  %-12s -> %d distinct processors (plus 1 auxiliary fragment)\n",

@@ -7,12 +7,10 @@ import (
 	"testing"
 )
 
-// TestSortEntriesAllocs guards the radix sort the storage layout runs on
-// every index and auxiliary build. Its only allocation is the scratch
-// buffer, which the pool hands back on the next call, so once one call has
-// filled the pool a sort allocates nothing: not when fewer than two entries
-// or all-equal keys leave no pass to make, and not when three or eight
-// bytes each need one.
+// TestSortEntriesAllocs guards the radix sort a relation order is built
+// with. Its only allocation is the scratch buffer: none when fewer than two
+// entries or all-equal keys leave no pass to make, and one when three or
+// eight bytes each need a pass.
 func TestSortEntriesAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	keyed := func(n int, key func(i int) int64) []Entry {
@@ -23,15 +21,16 @@ func TestSortEntriesAllocs(t *testing.T) {
 		return es
 	}
 	cases := []struct {
-		name  string
-		input []Entry
+		name   string
+		input  []Entry
+		allocs float64
 	}{
-		{"empty", nil},
-		{"one", keyed(1, func(int) int64 { return 3 })},
-		{"all equal", keyed(500, func(int) int64 { return 3 })},
-		{"two", keyed(2, func(i int) int64 { return int64(1 - i) })},
-		{"wisconsin", keyed(3125, func(int) int64 { return rng.Int63n(100000) })},
-		{"wide", keyed(1000, func(int) int64 { return int64(rng.Uint64()) })},
+		{"empty", nil, 0},
+		{"one", keyed(1, func(int) int64 { return 3 }), 0},
+		{"all equal", keyed(500, func(int) int64 { return 3 }), 0},
+		{"two", keyed(2, func(i int) int64 { return int64(1 - i) }), 1},
+		{"wisconsin", keyed(3125, func(int) int64 { return rng.Int63n(100000) }), 1},
+		{"wide", keyed(1000, func(int) int64 { return int64(rng.Uint64()) }), 1},
 	}
 	for _, c := range cases {
 		work := make([]Entry, len(c.input))
@@ -39,9 +38,9 @@ func TestSortEntriesAllocs(t *testing.T) {
 			copy(work, c.input)
 			SortEntries(work)
 		})
-		if allocs > 0 {
-			t.Errorf("%s: SortEntries of %d entries allocates %.1f/op, want 0 once the pool holds a buffer",
-				c.name, len(c.input), allocs)
+		if allocs != c.allocs {
+			t.Errorf("%s: SortEntries of %d entries allocates %.1f/op, want %.0f",
+				c.name, len(c.input), allocs, c.allocs)
 		}
 	}
 }

@@ -75,6 +75,15 @@ func Bulk(fanout, leafCap int, entries []Entry, allocRun func(pages int) int) *T
 	return t
 }
 
+// Rebase returns a tree over t's entries on a fresh run of pages from
+// one allocRun(t.Pages()) call: the same shape, sharing t's entries and
+// separators, which neither tree modifies.
+func (t *Tree) Rebase(allocRun func(pages int) int) *Tree {
+	c := *t
+	c.base = allocRun(t.pages)
+	return &c
+}
+
 // Walk reports a lo <= key <= hi range search. It appends to pages the
 // disk pages the search touches, in access order — the interior pages from
 // the root down, then every leaf scanned left to right — and returns the

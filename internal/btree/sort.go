@@ -1,13 +1,5 @@
 package btree
 
-import "sync"
-
-// scratchPool keeps SortEntries' scratch buffers between calls. A layout
-// sorts the entries of every fragment, index and auxiliary tree in a row,
-// and a fresh buffer per call left enough garbage between collections to
-// raise the paper-scale layout's peak RSS by about 5%.
-var scratchPool sync.Pool // of *[]Entry
-
 // SortEntries sorts entries by Key in ascending order, stably: entries with
 // equal keys keep their input order, exactly as slices.SortStableFunc with
 // cmp.Compare on Key leaves them. It is a least-significant-digit radix sort
@@ -17,8 +9,9 @@ var scratchPool sync.Pool // of *[]Entry
 // 2^24 take three passes. Each pass scatters the entries into their byte's
 // buckets in input order, which is what keeps equal keys in order. The
 // passes alternate between entries and one scratch buffer of len(entries),
-// taken from a pool only when some byte needs a pass; allocating it is the
-// sort's only allocation.
+// allocated only when some byte needs a pass: the sort's only allocation.
+// Each relation order is sorted once (storage.Relation.Order), so the
+// buffer is not kept for a next call.
 func SortEntries(entries []Entry) {
 	n := len(entries)
 	if n < 2 {
@@ -37,7 +30,6 @@ func SortEntries(entries []Entry) {
 		counts[7][byte(k>>56)]++
 	}
 	first := uint64(entries[0].Key) ^ 1<<63
-	var buf *[]Entry
 	src, dst := entries, []Entry(nil)
 	for b := range counts {
 		shift := uint(8 * b)
@@ -45,15 +37,8 @@ func SortEntries(entries []Entry) {
 		if c[byte(first>>shift)] == n {
 			continue // every key has this byte
 		}
-		if buf == nil {
-			buf, _ = scratchPool.Get().(*[]Entry)
-			if buf == nil {
-				buf = new([]Entry)
-			}
-			if cap(*buf) < n {
-				*buf = make([]Entry, n)
-			}
-			dst = (*buf)[:n]
+		if dst == nil {
+			dst = make([]Entry, n)
 		}
 		// Turn the counts into each bucket's first output position.
 		pos := 0
@@ -68,10 +53,7 @@ func SortEntries(entries []Entry) {
 		}
 		src, dst = dst, src
 	}
-	if buf != nil {
-		if &src[0] != &entries[0] {
-			copy(entries, src)
-		}
-		scratchPool.Put(buf)
+	if &src[0] != &entries[0] {
+		copy(entries, src)
 	}
 }

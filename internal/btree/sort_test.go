@@ -68,8 +68,9 @@ func TestSortEntries(t *testing.T) {
 }
 
 // TestSortEntriesConcurrent sorts inputs of different sizes on several
-// goroutines at once, as concurrent image layouts do, so that under -race
-// the shared scratch pool is exercised and no two sorts share a buffer.
+// goroutines at once, as the placements built on the worker pool do when
+// they first ask relations for orders, so that under -race no two sorts
+// share state.
 func TestSortEntriesConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

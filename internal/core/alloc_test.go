@@ -18,7 +18,7 @@ func TestMAGICHomeOfAllocs(t *testing.T) {
 	rel, m := buildTestMAGIC(t, 2000, 0, 8, nil)
 	i := 0
 	if n := testing.AllocsPerRun(200, func() {
-		m.HomeOf(rel.Tuples[i%len(rel.Tuples)])
+		m.HomeOf(&rel.Tuples[i%len(rel.Tuples)])
 		i++
 	}); n != 0 {
 		t.Fatalf("HomeOf allocates %v per tuple, want 0", n)

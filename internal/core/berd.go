@@ -72,7 +72,7 @@ func (b *BERDPlacement) SecondaryAttrs() []int {
 
 // HomeOf implements Placement: tuples live where the primary range
 // partitioning puts them.
-func (b *BERDPlacement) HomeOf(t storage.Tuple) int { return b.primary.HomeOf(t) }
+func (b *BERDPlacement) HomeOf(t *storage.Tuple) int { return b.primary.HomeOf(t) }
 
 // AuxHomeOf returns the processor storing the auxiliary entry for the given
 // secondary-attribute value.
@@ -88,8 +88,8 @@ func (b *BERDPlacement) AuxHomeOf(attr int, value int64) int {
 // attr exactly as Section 2 describes: one entry (value, TID, home
 // processor of the tuple) per tuple, range partitioned on value. homes[i]
 // is the home processor of rel.Tuples[i], as HomeOf gives it. The result
-// holds each processor's entries in relation order, every processor's in
-// one backing array.
+// holds each processor's entries sorted by value, equal values in relation
+// order, every processor's in one backing array.
 func (b *BERDPlacement) AuxAssignments(rel *storage.Relation, attr int, homes []int32) [][]storage.AuxEntry {
 	if len(homes) != len(rel.Tuples) {
 		panic(fmt.Sprintf("core: %d homes for %d tuples", len(homes), len(rel.Tuples)))
@@ -98,25 +98,22 @@ func (b *BERDPlacement) AuxAssignments(rel *storage.Relation, attr int, homes []
 	if !ok {
 		panic(fmt.Sprintf("core: %s is not a secondary attribute", storage.AttrName(attr)))
 	}
-	// Count each processor's entries in starts[q+1]; the prefix sums make
-	// starts[q] the first of processor q's entries.
-	starts := make([]int, b.p+1)
-	for i := range rel.Tuples {
-		starts[bucketOf(cuts, rel.Tuples[i].Attrs[attr])+1]++
-	}
-	for q := 1; q <= b.p; q++ {
-		starts[q] += starts[q-1]
-	}
+	// The relation's order on attr lists the entries by value, so each
+	// processor's entries are one run of it: processor q's end before the
+	// first value not below cuts[q].
 	out := make([][]storage.AuxEntry, b.p)
 	entries := make([]storage.AuxEntry, len(rel.Tuples))
-	for q := range out {
-		out[q] = entries[starts[q]:starts[q]:starts[q+1]]
-	}
-	for i := range rel.Tuples {
-		t := &rel.Tuples[i]
+	q, start := 0, 0
+	for i, row := range rel.Order(attr) {
+		t := &rel.Tuples[row]
 		v := t.Attrs[attr]
-		q := bucketOf(cuts, v)
-		out[q] = append(out[q], storage.AuxEntry{Value: v, TID: t.TID, Proc: int(homes[i])})
+		for ; q < len(cuts) && v >= cuts[q]; q++ {
+			out[q], start = entries[start:i:i], i
+		}
+		entries[i] = storage.AuxEntry{Value: v, TID: t.TID, Proc: int(homes[row])}
+	}
+	for ; q < b.p; q++ {
+		out[q], start = entries[start:len(entries):len(entries)], len(entries)
 	}
 	return out
 }

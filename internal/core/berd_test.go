@@ -82,7 +82,7 @@ func TestBERDAuxAssignmentsComplete(t *testing.T) {
 	rel, b := testBERD(t, 1000, 0, 8)
 	homes := make([]int32, rel.Cardinality())
 	for i, tup := range rel.Tuples {
-		homes[i] = int32(b.HomeOf(tup))
+		homes[i] = int32(b.HomeOf(&tup))
 	}
 	perProc := b.AuxAssignments(rel, storage.Unique2, homes)
 	if len(perProc) != 8 {
@@ -101,9 +101,9 @@ func TestBERDAuxAssignmentsComplete(t *testing.T) {
 				t.Fatalf("aux node %d: TID %d after %d", node, e.TID, entries[i-1].TID)
 			}
 			// The recorded home processor must match the placement.
-			if e.Proc != b.HomeOf(rel.Tuples[e.TID]) {
+			if e.Proc != b.HomeOf(&rel.Tuples[e.TID]) {
 				t.Fatalf("aux entry for TID %d records proc %d, tuple lives on %d",
-					e.TID, e.Proc, b.HomeOf(rel.Tuples[e.TID]))
+					e.TID, e.Proc, b.HomeOf(&rel.Tuples[e.TID]))
 			}
 		}
 	}
@@ -128,7 +128,7 @@ func TestBERDCorrelationLocalizesSecondaryQueries(t *testing.T) {
 		for _, tup := range rel.Tuples {
 			v := tup.Attrs[storage.Unique2]
 			if v >= 1000 && v < 1010 { // 10-tuple secondary range
-				procs[b.HomeOf(tup)] = true
+				procs[b.HomeOf(&tup)] = true
 			}
 		}
 		return len(procs)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/btree"
 	"repro/internal/storage"
 )
 
@@ -53,7 +52,7 @@ type Placement interface {
 	// Processors reports the machine size the placement was built for.
 	Processors() int
 	// HomeOf returns the processor that stores the tuple.
-	HomeOf(t storage.Tuple) int
+	HomeOf(t *storage.Tuple) int
 	// Route localizes a predicate.
 	Route(pred Predicate) Route
 }
@@ -90,20 +89,16 @@ func span(from, to int) []int {
 // number of tuples — how a database administrator would range-partition a
 // relation with a known distribution. Bucket i holds values in
 // [cuts[i-1], cuts[i]). Cut i is the (i*n/P)-th smallest of the n values,
-// read off one radix sort of them.
+// read off the relation's order on attr.
 func QuantileCuts(rel *storage.Relation, attr, p int) []int64 {
 	if p <= 0 {
 		panic(fmt.Sprintf("core: cannot cut into %d buckets", p))
 	}
 	n := rel.Cardinality()
-	vals := make([]btree.Entry, n)
-	for i := range rel.Tuples {
-		vals[i].Key = rel.Tuples[i].Attrs[attr]
-	}
-	btree.SortEntries(vals)
+	order := rel.Order(attr)
 	cuts := make([]int64, p-1)
 	for i := 1; i < p; i++ {
-		cuts[i-1] = vals[i*n/p].Key
+		cuts[i-1] = rel.Tuples[order[i*n/p]].Attrs[attr]
 	}
 	return cuts
 }
@@ -154,7 +149,7 @@ func (r *RangePlacement) Name() string { return "range" }
 func (r *RangePlacement) Processors() int { return r.p }
 
 // HomeOf implements Placement.
-func (r *RangePlacement) HomeOf(t storage.Tuple) int {
+func (r *RangePlacement) HomeOf(t *storage.Tuple) int {
 	return bucketOf(r.cuts, t.Attrs[r.attr])
 }
 
@@ -192,7 +187,7 @@ func (h *HashPlacement) Name() string { return "hash" }
 func (h *HashPlacement) Processors() int { return h.p }
 
 // HomeOf implements Placement.
-func (h *HashPlacement) HomeOf(t storage.Tuple) int {
+func (h *HashPlacement) HomeOf(t *storage.Tuple) int {
 	return int(hash64(uint64(t.Attrs[h.attr])) % uint64(h.p))
 }
 

@@ -114,7 +114,7 @@ func TestRangePlacementHomeMatchesRouting(t *testing.T) {
 	rel := testRelation(t, 1000, 0)
 	r := NewRangeForRelation(rel, storage.Unique1, 8)
 	for _, tup := range rel.Tuples[:100] {
-		home := r.HomeOf(tup)
+		home := r.HomeOf(&tup)
 		route := r.Route(Predicate{Attr: storage.Unique1, Lo: tup.Attrs[storage.Unique1], Hi: tup.Attrs[storage.Unique1]})
 		if len(route.Participants) != 1 || route.Participants[0] != home {
 			t.Fatalf("tuple %d: home %d but routed to %v", tup.TID, home, route.Participants)
@@ -162,7 +162,7 @@ func TestHashHomeMatchesEqualityRoute(t *testing.T) {
 	h := NewHash(storage.Unique1, 8)
 	for _, tup := range rel.Tuples[:50] {
 		route := h.Route(Predicate{Attr: storage.Unique1, Lo: tup.Attrs[storage.Unique1], Hi: tup.Attrs[storage.Unique1]})
-		if route.Participants[0] != h.HomeOf(tup) {
+		if route.Participants[0] != h.HomeOf(&tup) {
 			t.Fatal("hash equality route disagrees with HomeOf")
 		}
 	}
@@ -173,7 +173,7 @@ func TestHashSpreadsLoad(t *testing.T) {
 	h := NewHash(storage.Unique1, 8)
 	counts := make([]int, 8)
 	for _, tup := range rel.Tuples {
-		counts[h.HomeOf(tup)]++
+		counts[h.HomeOf(&tup)]++
 	}
 	for i, c := range counts {
 		if c < 700 || c > 1300 {

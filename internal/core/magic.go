@@ -202,7 +202,7 @@ func (m *MAGICPlacement) CellCounts() []int { return m.counts }
 
 // HomeOf implements Placement: the owner of the grid cell the tuple's
 // partitioning-attribute values locate to.
-func (m *MAGICPlacement) HomeOf(t storage.Tuple) int {
+func (m *MAGICPlacement) HomeOf(t *storage.Tuple) int {
 	return m.owners[m.grid.CellOf(t.Attrs[:], m.attrs)]
 }
 

@@ -67,7 +67,7 @@ func TestBuildMAGICBasics(t *testing.T) {
 	// Every tuple's home is a valid processor and all processors hold data.
 	seen := make([]int, 32)
 	for _, tup := range rel.Tuples {
-		seen[m.HomeOf(tup)]++
+		seen[m.HomeOf(&tup)]++
 	}
 	for p, c := range seen {
 		if c == 0 {
@@ -119,9 +119,9 @@ func TestMAGICRoutingSound(t *testing.T) {
 		}
 		for _, tup := range rel.Tuples {
 			v := tup.Attrs[pred.Attr]
-			if v >= pred.Lo && v <= pred.Hi && !parts[m.HomeOf(tup)] {
+			if v >= pred.Lo && v <= pred.Hi && !parts[m.HomeOf(&tup)] {
 				t.Fatalf("pred %v: tuple %d on processor %d not routed to",
-					pred, tup.TID, m.HomeOf(tup))
+					pred, tup.TID, m.HomeOf(&tup))
 			}
 		}
 	}
@@ -281,7 +281,7 @@ func TestMAGICThreeAttributes(t *testing.T) {
 		parts[p] = true
 	}
 	for _, tup := range rel.Tuples {
-		if tup.Attrs[storage.OnePercent] == 7 && !parts[m.HomeOf(tup)] {
+		if tup.Attrs[storage.OnePercent] == 7 && !parts[m.HomeOf(&tup)] {
 			t.Fatalf("tuple %d with onePercent=7 on unrouted processor", tup.TID)
 		}
 	}

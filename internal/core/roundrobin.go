@@ -31,7 +31,7 @@ func (r *RoundRobinPlacement) Name() string { return "roundrobin" }
 func (r *RoundRobinPlacement) Processors() int { return r.p }
 
 // HomeOf implements Placement: tuple i goes to processor i mod P.
-func (r *RoundRobinPlacement) HomeOf(t storage.Tuple) int {
+func (r *RoundRobinPlacement) HomeOf(t *storage.Tuple) int {
 	return int(t.TID % int64(r.p))
 }
 

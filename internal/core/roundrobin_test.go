@@ -14,7 +14,7 @@ func TestRoundRobinPlacement(t *testing.T) {
 	}
 	counts := make([]int, 8)
 	for _, tup := range rel.Tuples {
-		counts[rr.HomeOf(tup)]++
+		counts[rr.HomeOf(&tup)]++
 	}
 	for i, c := range counts {
 		if c != 125 {
@@ -52,7 +52,7 @@ func TestMAGICRouteConjunct(t *testing.T) {
 	if len(route.Participants) != 1 {
 		t.Fatalf("conjunctive point query routed to %d processors", len(route.Participants))
 	}
-	if route.Participants[0] != m.HomeOf(tup) {
+	if route.Participants[0] != m.HomeOf(&tup) {
 		t.Fatal("conjunctive route missed the tuple's home")
 	}
 	// The conjunction must cover no more cells than either single
@@ -77,9 +77,9 @@ func TestMAGICRouteConjunctSoundness(t *testing.T) {
 	}
 	for _, tup := range rel.Tuples {
 		a, b := tup.Attrs[storage.Unique1], tup.Attrs[storage.Unique2]
-		if a >= 1000 && a <= 1500 && b >= 2000 && b <= 2600 && !parts[m.HomeOf(tup)] {
+		if a >= 1000 && a <= 1500 && b >= 2000 && b <= 2600 && !parts[m.HomeOf(&tup)] {
 			t.Fatalf("tuple %d matching the conjunction lives on unrouted processor %d",
-				tup.TID, m.HomeOf(tup))
+				tup.TID, m.HomeOf(&tup))
 		}
 	}
 }

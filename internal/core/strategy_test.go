@@ -72,8 +72,8 @@ func TestRegistryRelationFreeStrategies(t *testing.T) {
 	for v := int64(0); v < 100; v++ {
 		tp := storage.Tuple{}
 		tp.Attrs[storage.Unique1] = v
-		if hash.HomeOf(tp) != direct.HomeOf(tp) {
-			t.Fatalf("hash HomeOf(%d) = %d, direct = %d", v, hash.HomeOf(tp), direct.HomeOf(tp))
+		if hash.HomeOf(&tp) != direct.HomeOf(&tp) {
+			t.Fatalf("hash HomeOf(%d) = %d, direct = %d", v, hash.HomeOf(&tp), direct.HomeOf(&tp))
 		}
 	}
 	if rr.Processors() != 8 || hash.Processors() != 8 {

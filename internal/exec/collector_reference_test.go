@@ -168,14 +168,12 @@ func (s searched) Route(pred core.Predicate) core.Route {
 func colFragment(rel *storage.Relation, pl core.Placement, slot int, alloc *storage.Allocator) *storage.Fragment {
 	var rows []int32
 	for row, tup := range rel.Tuples {
-		if pl.HomeOf(tup) == slot {
+		if pl.HomeOf(&tup) == slot {
 			rows = append(rows, int32(row))
 		}
 	}
 	layout := storage.Layout{TuplesPerPage: 8, IndexFanout: 8, IndexLeafCap: 8}
-	frag := storage.BuildFragment(slot, rel.Tuples, rows, make([]int32, len(rel.Tuples)), storage.Unique2, layout, alloc)
-	frag.AddIndex(storage.Unique2, alloc)
-	frag.AddIndex(storage.Unique1, alloc)
+	frag := indexedFragment(slot, rel.Tuples, rows, layout, alloc)
 	return frag
 }
 
@@ -203,7 +201,7 @@ func newColRig(s colScript, reference bool) *colRig {
 	sPl := core.NewHash(storage.Unique1, colRigNodes)
 	homes := make([]int32, len(w.Tuples))
 	for i, tup := range w.Tuples {
-		homes[i] = int32(berd.HomeOf(tup))
+		homes[i] = int32(berd.HomeOf(&tup))
 	}
 	auxBySlot := berd.AuxAssignments(w, storage.Unique2, homes)
 	r := &colRig{eng: eng, net: net, w: w, view: fault.NewView(colRigNodes)}

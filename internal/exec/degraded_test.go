@@ -47,7 +47,7 @@ func newDegradedRig(t *testing.T) *degradedRig {
 
 	byHome := make([][]int32, rigNodes)
 	for row, tup := range rel.Tuples {
-		h := placement.HomeOf(tup)
+		h := placement.HomeOf(&tup)
 		byHome[h] = append(byHome[h], int32(row))
 	}
 	allocs := make([]*storage.Allocator, rigNodes)
@@ -56,9 +56,7 @@ func newDegradedRig(t *testing.T) *degradedRig {
 		pool := buffer.NewPool(eng, 16, disk)
 		n := NewNode(eng, i, params, costs, net, cpus[i], disk, pool)
 		allocs[i] = storage.NewAllocator(10000)
-		frag := storage.BuildFragment(i, rel.Tuples, byHome[i], make([]int32, len(rel.Tuples)), storage.Unique2, layout, allocs[i])
-		frag.AddIndex(storage.Unique2, allocs[i])
-		frag.AddIndex(storage.Unique1, allocs[i])
+		frag := indexedFragment(i, rel.Tuples, byHome[i], layout, allocs[i])
 		n.Attach(0, rel.Name, Primary, Holding{Frag: frag})
 		r.nodes = append(r.nodes, n)
 		r.disks = append(r.disks, disk)
@@ -68,9 +66,7 @@ func newDegradedRig(t *testing.T) *degradedRig {
 	// the primary home.
 	for i := 0; i < rigNodes; i++ {
 		b := core.ChainBackup(i, rigNodes)
-		frag := storage.BuildFragment(i, rel.Tuples, byHome[i], make([]int32, len(rel.Tuples)), storage.Unique2, layout, allocs[b])
-		frag.AddIndex(storage.Unique2, allocs[b])
-		frag.AddIndex(storage.Unique1, allocs[b])
+		frag := indexedFragment(i, rel.Tuples, byHome[i], layout, allocs[b])
 		r.nodes[b].Attach(0, rel.Name, Backup, Holding{Frag: frag})
 	}
 	for _, n := range r.nodes {

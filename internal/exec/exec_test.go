@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"repro/internal/buffer"
@@ -50,14 +52,12 @@ func newRig(t testing.TB, placement core.Placement) *rig {
 		n := NewNode(eng, i, params, costs, net, cpus[i], disk, pool)
 		var rows []int32
 		for row, tup := range rel.Tuples {
-			if placement.HomeOf(tup) == i {
+			if placement.HomeOf(&tup) == i {
 				rows = append(rows, int32(row))
 			}
 		}
 		alloc := storage.NewAllocator(10000)
-		frag := storage.BuildFragment(i, rel.Tuples, rows, make([]int32, len(rel.Tuples)), storage.Unique2, layout, alloc)
-		frag.AddIndex(storage.Unique2, alloc)
-		frag.AddIndex(storage.Unique1, alloc)
+		frag := indexedFragment(i, rel.Tuples, rows, layout, alloc)
 		n.Attach(0, rel.Name, Primary, Holding{Frag: frag})
 		n.Start()
 		r.nodes = append(r.nodes, n)
@@ -66,6 +66,20 @@ func newRig(t testing.TB, placement core.Placement) *rig {
 	r.host.AddRelation(rel.Name, placement)
 	r.host.Start()
 	return r
+}
+
+// indexedFragment builds slot's fragment over src[r], r in rows, which
+// must be in unique2 order, with a TID index of its own, the clustered
+// index on unique2 and a non-clustered index on unique1.
+func indexedFragment(slot int, src []storage.Tuple, rows []int32, layout storage.Layout, alloc *storage.Allocator) *storage.Fragment {
+	frag := storage.BuildFragment(slot, src, rows, make([]int32, len(src)), storage.Unique2, layout, alloc)
+	frag.AddIndex(storage.Unique2, nil, alloc)
+	byKey := slices.Clone(rows)
+	slices.SortStableFunc(byKey, func(a, b int32) int {
+		return cmp.Compare(src[a].Attrs[storage.Unique1], src[b].Attrs[storage.Unique1])
+	})
+	frag.AddIndex(storage.Unique1, byKey, alloc)
+	return frag
 }
 
 func chooser(pred core.Predicate) plan.Access {

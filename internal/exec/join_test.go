@@ -50,14 +50,12 @@ func newJoinRig(t *testing.T, p int, rPl, sPl core.Placement) *joinRig {
 		}{{r, rPl}, {s, sPl}} {
 			var rows []int32
 			for row, tup := range pair.rel.Tuples {
-				if pair.pl.HomeOf(tup) == i {
+				if pair.pl.HomeOf(&tup) == i {
 					rows = append(rows, int32(row))
 				}
 			}
 			alloc := storage.NewAllocator(10000)
-			frag := storage.BuildFragment(i, pair.rel.Tuples, rows, make([]int32, len(pair.rel.Tuples)), storage.Unique2, layout, alloc)
-			frag.AddIndex(storage.Unique2, alloc)
-			frag.AddIndex(storage.Unique1, alloc)
+			frag := indexedFragment(i, pair.rel.Tuples, rows, layout, alloc)
 			n.Attach(0, pair.rel.Name, Primary, Holding{Frag: frag})
 		}
 		n.Start()

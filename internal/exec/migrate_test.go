@@ -47,7 +47,7 @@ func newMigrateRig(t *testing.T) *migrateRig {
 
 	bySlot := make([][]int32, 2)
 	for row, tup := range rel.Tuples {
-		h := placement.HomeOf(tup)
+		h := placement.HomeOf(&tup)
 		bySlot[h] = append(bySlot[h], int32(row))
 	}
 	allocs := make([]*storage.Allocator, nodes)
@@ -59,9 +59,7 @@ func newMigrateRig(t *testing.T) *migrateRig {
 		r.nodes = append(r.nodes, n)
 	}
 	build := func(slot, phys int) *storage.Fragment {
-		frag := storage.BuildFragment(slot, rel.Tuples, bySlot[slot], make([]int32, len(rel.Tuples)), storage.Unique2, layout, allocs[phys])
-		frag.AddIndex(storage.Unique2, allocs[phys])
-		frag.AddIndex(storage.Unique1, allocs[phys])
+		frag := indexedFragment(slot, rel.Tuples, bySlot[slot], layout, allocs[phys])
 		return frag
 	}
 	// attach gives node phys slot's fragment in generation gen, charging

@@ -152,7 +152,7 @@ func newOpRig(s opScript, reference bool) *opRig {
 	for _, tup := range rel.Tuples {
 		v := tup.Attrs[storage.Unique2]
 		k := int(v) * opRigNodes / len(rel.Tuples)
-		auxEntries[k] = append(auxEntries[k], storage.AuxEntry{Value: v, TID: tup.TID, Proc: place.HomeOf(tup)})
+		auxEntries[k] = append(auxEntries[k], storage.AuxEntry{Value: v, TID: tup.TID, Proc: place.HomeOf(&tup)})
 	}
 	for i := 0; i < opRigNodes; i++ {
 		disk := hw.NewDisk(eng, fmt.Sprintf("disk%d", i), params, cpus[i], streams.Stream("lat"))
@@ -161,14 +161,12 @@ func newOpRig(s opScript, reference bool) *opRig {
 		n := NewNode(eng, i, params, DefaultCosts(), net, cpus[i], disk, pool)
 		var rows []int32
 		for row, tup := range rel.Tuples {
-			if place.HomeOf(tup) == i {
+			if place.HomeOf(&tup) == i {
 				rows = append(rows, int32(row))
 			}
 		}
 		alloc := storage.NewAllocator(10000)
-		frag := storage.BuildFragment(i, rel.Tuples, rows, make([]int32, len(rel.Tuples)), storage.Unique2, layout, alloc)
-		frag.AddIndex(storage.Unique2, alloc)
-		frag.AddIndex(storage.Unique1, alloc)
+		frag := indexedFragment(i, rel.Tuples, rows, layout, alloc)
 		aux := storage.BuildAux(i, auxEntries[i], layout, alloc)
 		n.Attach(0, rel.Name, Primary, Holding{Frag: frag, Aux: map[int]*storage.AuxFragment{storage.Unique2: aux}})
 		if reference {
@@ -284,7 +282,7 @@ func (r *opRig) act(i int, a opAction) {
 	case actTIDFetch:
 		op := sel(plan.AccessTIDFetch, pred)
 		for tid := a.lo; tid < a.lo+a.width && tid < int64(len(r.rel.Tuples)); tid++ {
-			home := r.place.HomeOf(r.rel.Tuples[tid])
+			home := r.place.HomeOf(&r.rel.Tuples[tid])
 			if home == a.node || a.arg == 2 && tid%7 == 0 {
 				op.TIDs = append(op.TIDs, tid) // a foreign TID fails the fetch
 			}

@@ -100,7 +100,7 @@ func TestRegistryGoldenAgainstDirectConstruction(t *testing.T) {
 					direct.Name(), direct.Processors())
 			}
 			for i := range rel.Tuples {
-				if g, w := viaRegistry.HomeOf(rel.Tuples[i]), direct.HomeOf(rel.Tuples[i]); g != w {
+				if g, w := viaRegistry.HomeOf(&rel.Tuples[i]), direct.HomeOf(&rel.Tuples[i]); g != w {
 					t.Fatalf("fig %s/%s: HomeOf(tuple %d) = %d, direct = %d",
 						fig.ID, name, i, g, w)
 				}

@@ -188,7 +188,7 @@ func TestElasticPostRebalanceMatchesFromScratch(t *testing.T) {
 	}
 	want := make(map[int][]int64) // slot -> sorted TIDs
 	for _, tup := range rel.Tuples {
-		h := fresh.HomeOf(tup)
+		h := fresh.HomeOf(&tup)
 		want[h] = append(want[h], tup.TID)
 	}
 	for slot, phys := range members {

@@ -71,18 +71,22 @@ type holdings struct {
 // AddRelation lay the image out here, and elastic staging every later
 // generation.
 //
-// No tuple is copied. One pass calls HomeOf once per tuple and counts the
-// slots' tuples; a second scatters the row numbers into one shared list,
-// each slot's run in relation order, which BuildFragment sorts in place
-// into the slot's row list. Every fragment of the generation, replicas
-// included, shares one TID index, and a replica shares its primary's row
-// list. BERD's auxiliary entries take the homes of the same pass.
+// No tuple is copied and no fragment sorts. One pass calls HomeOf once
+// per tuple and counts the slots' tuples. Then a stable scatter of the
+// relation's order on the clustered attribute gives every slot its rows
+// in slot order, one shared list, and a scatter of its order on the
+// non-clustered attribute then the clustered one gives every slot its
+// index entries in key order, equal keys in slot order. BERD's auxiliary
+// entries come in value order from AuxAssignments, with the homes of the
+// same pass. Every fragment of the generation shares one TID index, and a
+// replica shares its primary's row list and index and auxiliary entries:
+// only its pages differ.
 func (img *Image) layOut(rel *storage.Relation, placement core.Placement, allocs []*storage.Allocator, slotNode []int) (holdings, error) {
 	p := placement.Processors()
 	homes := make([]int32, len(rel.Tuples))
 	starts := make([]int, p+1) // slot i's rows are rows[starts[i]:starts[i+1]]
 	for i := range rel.Tuples {
-		home := placement.HomeOf(rel.Tuples[i])
+		home := placement.HomeOf(&rel.Tuples[i])
 		if home < 0 || home >= p {
 			return holdings{}, fmt.Errorf("gamma: placement sent tuple %d to processor %d of %d",
 				rel.Tuples[i].TID, home, p)
@@ -93,14 +97,24 @@ func (img *Image) layOut(rel *storage.Relation, placement core.Placement, allocs
 	for i := 1; i <= p; i++ {
 		starts[i] += starts[i-1]
 	}
-	rows := make([]int32, len(rel.Tuples))
-	slotRows := make([][]int32, p)
-	for i := range slotRows {
-		slotRows[i] = rows[starts[i]:starts[i]:starts[i+1]]
+	// scatter splits order into the slots' runs of one list, each slot's
+	// rows in order's order.
+	scatter := func(order []int32) [][]int32 {
+		rows := make([]int32, len(order))
+		next := slices.Clone(starts[:p])
+		for _, r := range order {
+			h := homes[r]
+			rows[next[h]] = r
+			next[h]++
+		}
+		slotRows := make([][]int32, p)
+		for i := range slotRows {
+			slotRows[i] = rows[starts[i]:starts[i+1]:starts[i+1]]
+		}
+		return slotRows
 	}
-	for i, home := range homes {
-		slotRows[home] = append(slotRows[home], int32(i))
-	}
+	slotRows := scatter(rel.Order(clusteredAttr))
+	byKey := scatter(rel.OrderThen(nonClusteredAttr, clusteredAttr))
 	var auxAttrs []int
 	var aux [][][]storage.AuxEntry // by auxAttrs index, then slot
 	if berd, ok := placement.(*core.BERDPlacement); ok {
@@ -109,29 +123,35 @@ func (img *Image) layOut(rel *storage.Relation, placement core.Placement, allocs
 			aux = append(aux, berd.AuxAssignments(rel, attr, homes))
 		}
 	}
-	tidSlot := make([]int32, len(rel.Tuples))
-	build := func(slot int, alloc *storage.Allocator) exec.Holding {
-		frag := storage.BuildFragment(slot, rel.Tuples, slotRows[slot], tidSlot, clusteredAttr, img.layout, alloc)
-		frag.AddIndex(clusteredAttr, alloc)
-		frag.AddIndex(nonClusteredAttr, alloc)
-		s := exec.Holding{Frag: frag}
-		if len(auxAttrs) > 0 {
-			s.Aux = make(map[int]*storage.AuxFragment, len(auxAttrs))
+	auxMap := func() map[int]*storage.AuxFragment {
+		if len(auxAttrs) == 0 {
+			return nil
 		}
-		for j, attr := range auxAttrs {
-			s.Aux[attr] = storage.BuildAux(slot, aux[j][slot], img.layout, alloc)
-		}
-		return s
+		return make(map[int]*storage.AuxFragment, len(auxAttrs))
 	}
+	tidSlot := make([]int32, len(rel.Tuples))
 	h := holdings{primary: make([]exec.Holding, p)}
 	for i := range h.primary {
-		h.primary[i] = build(i, allocs[slotNode[i]])
+		alloc := allocs[slotNode[i]]
+		frag := storage.BuildFragment(i, rel.Tuples, slotRows[i], tidSlot, clusteredAttr, img.layout, alloc)
+		frag.AddIndex(clusteredAttr, nil, alloc)
+		frag.AddIndex(nonClusteredAttr, byKey[i], alloc)
+		h.primary[i] = exec.Holding{Frag: frag, Aux: auxMap()}
+		for j, attr := range auxAttrs {
+			h.primary[i].Aux[attr] = storage.BuildAux(i, aux[j][i], img.layout, alloc)
+		}
 	}
 	if img.chained {
 		h.backup = make([]exec.Holding, p)
-		for i := range h.backup {
-			if b := core.ChainBackup(i, p); b >= 0 {
-				h.backup[i] = build(i, allocs[slotNode[b]])
+		for i, s := range h.primary {
+			b := core.ChainBackup(i, p)
+			if b < 0 {
+				continue
+			}
+			alloc := allocs[slotNode[b]]
+			h.backup[i] = exec.Holding{Frag: s.Frag.Replica(alloc), Aux: auxMap()}
+			for _, attr := range auxAttrs {
+				h.backup[i].Aux[attr] = s.Aux[attr].Replica(alloc)
 			}
 		}
 	}

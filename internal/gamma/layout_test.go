@@ -1,6 +1,7 @@
 package gamma
 
 import (
+	"cmp"
 	"math"
 	"reflect"
 	"slices"
@@ -93,7 +94,7 @@ func referenceHoldings(cfg Config, marks, slotNode []int, rels []*storage.Relati
 		p := pl.Processors()
 		fragRows := make(map[int][]int32, p)
 		for row, tup := range rel.Tuples {
-			h := pl.HomeOf(tup)
+			h := pl.HomeOf(&tup)
 			fragRows[h] = append(fragRows[h], int32(row))
 		}
 		var attrs []int
@@ -105,20 +106,31 @@ func referenceHoldings(cfg Config, marks, slotNode []int, rels []*storage.Relati
 				for _, tup := range rel.Tuples {
 					v := tup.Attrs[attr]
 					q := berd.AuxHomeOf(attr, v)
-					perProc[q] = append(perProc[q], storage.AuxEntry{Value: v, TID: tup.TID, Proc: pl.HomeOf(tup)})
+					perProc[q] = append(perProc[q], storage.AuxEntry{Value: v, TID: tup.TID, Proc: pl.HomeOf(&tup)})
 				}
 				auxByAttr[attr] = perProc
 			}
 		}
+		byAttr := func(attr int) func(a, b int32) int {
+			return func(a, b int32) int { return cmp.Compare(rel.Tuples[a].Attrs[attr], rel.Tuples[b].Attrs[attr]) }
+		}
 		build := func(slot int, alloc *storage.Allocator) referenceHolding {
-			// Each fragment gets its own row list and TID index.
+			// Each fragment gets its own row list and TID index, and sorts
+			// its own input stably: the rows by unique2, the non-clustered
+			// index's rows, in slot order, by unique1, and the auxiliary
+			// entries, in relation order, by value.
 			rows := slices.Clone(fragRows[slot])
+			slices.SortStableFunc(rows, byAttr(storage.Unique2))
 			frag := storage.BuildFragment(slot, rel.Tuples, rows, make([]int32, len(rel.Tuples)), storage.Unique2, cfg.Layout, alloc)
-			frag.AddIndex(storage.Unique2, alloc)
-			frag.AddIndex(storage.Unique1, alloc)
+			frag.AddIndex(storage.Unique2, nil, alloc)
+			byKey := slices.Clone(rows)
+			slices.SortStableFunc(byKey, byAttr(storage.Unique1))
+			frag.AddIndex(storage.Unique1, byKey, alloc)
 			var aux []*storage.AuxFragment
 			for _, attr := range attrs {
-				aux = append(aux, storage.BuildAux(slot, auxByAttr[attr][slot], cfg.Layout, alloc))
+				entries := slices.Clone(auxByAttr[attr][slot])
+				slices.SortStableFunc(entries, func(a, b storage.AuxEntry) int { return cmp.Compare(a.Value, b.Value) })
+				aux = append(aux, storage.BuildAux(slot, entries, cfg.Layout, alloc))
 			}
 			return referenceHolding{frag, aux}
 		}

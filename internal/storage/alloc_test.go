@@ -12,7 +12,7 @@ func TestSearchClusteredAllocs(t *testing.T) {
 	r := GenerateWisconsin(GenSpec{Cardinality: 3000, Seed: 3})
 	alloc := NewAllocator(10000)
 	f := BuildFragment(0, r.Tuples, allRows(len(r.Tuples)), make([]int32, len(r.Tuples)), Unique2, DefaultLayout(), alloc)
-	f.AddIndex(Unique2, alloc)
+	f.AddIndex(Unique2, nil, alloc)
 	allocs := func(lo, hi int64) float64 {
 		acc := mustAcc(f.SearchClustered(lo, hi, nil))
 		if want := int(hi - lo + 1); acc.N != want {
@@ -34,13 +34,13 @@ func TestBuffersAllocs(t *testing.T) {
 	r := GenerateWisconsin(GenSpec{Cardinality: 3000, Seed: 3})
 	alloc := NewAllocator(10000)
 	f := BuildFragment(0, r.Tuples, allRows(len(r.Tuples)), make([]int32, len(r.Tuples)), Unique2, DefaultLayout(), alloc)
-	f.AddIndex(Unique2, alloc)
-	f.AddIndex(Unique1, alloc)
+	f.AddIndex(Unique2, nil, alloc)
+	f.AddIndex(Unique1, byKey(f, Unique1), alloc)
 	entries := make([]AuxEntry, len(r.Tuples))
 	for i, tup := range r.Tuples {
 		entries[i] = AuxEntry{Value: tup.Attrs[Unique1], TID: tup.TID, Proc: i % 8}
 	}
-	aux := BuildAux(0, entries, DefaultLayout(), alloc)
+	aux := BuildAux(0, byValue(entries), DefaultLayout(), alloc)
 	tids := []int64{5, 500, 2999}
 	var buf Buffers
 	search := func() {

@@ -83,7 +83,7 @@ func TestAuxLookupMatchesSortedReference(t *testing.T) {
 	ranges := [][2]int64{{0, -1}, {5, 5}, {0, 11}, {100, 180}, {-50, 10}, {2000, 9000},
 		{math.MinInt64, math.MaxInt64}}
 	for _, tc := range cases {
-		aux := BuildAux(3, tc.entries, smallLayout(), NewAllocator(1<<20))
+		aux := BuildAux(3, byValue(tc.entries), smallLayout(), NewAllocator(1<<20))
 		for _, r := range ranges {
 			t.Run(fmt.Sprintf("%s/[%d,%d]", tc.name, r[0], r[1]), func(t *testing.T) {
 				got, n, pages := aux.Lookup(r[0], r[1], nil)

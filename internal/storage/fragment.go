@@ -122,80 +122,129 @@ type Fragment struct {
 	tidSlot   []int32 // TID -> slot in whichever fragment holds it
 	dataBase  int     // first physical data page
 	dataPages int
-	indexes   map[int]*Index
+	indexes   []*Index // in the order they were added
 }
 
 // BuildFragment lays out the tuples src[r], r in rows, on pages from alloc
-// and returns the fragment. It sorts rows in place, stably by
-// clusteredAttr, and keeps rows and src as the fragment's row list: no
-// tuple is copied, so src must not change while the fragment is in use.
+// and returns the fragment. rows is the slot order and must be sorted by
+// clusteredAttr: BuildFragment checks it in one pass and panics
+// otherwise. It keeps rows and src as the fragment's row list: no tuple
+// is copied, so neither may change while the fragment is in use.
 //
 // tidSlot, of len(src), is the TID index: BuildFragment records each
 // row's slot at tidSlot[TID], so every TID in rows must lie in
 // [0, len(src)) — the Relation contract that a TID is the tuple's
 // position does it. Fragments over disjoint rows of src may share one
-// TID index, and a chain replica built over its primary's rows shares the
-// primary's. Indexes are added with AddIndex. An empty row list is legal
-// and occupies no data pages.
+// TID index, and a Replica shares its fragment's. Indexes are added with
+// AddIndex. An empty row list is legal and occupies no data pages.
 func BuildFragment(node int, src []Tuple, rows, tidSlot []int32, clusteredAttr int, layout Layout, alloc *Allocator) *Fragment {
 	if layout.TuplesPerPage <= 0 {
 		panic("storage: layout.TuplesPerPage must be positive")
 	}
-	order := make([]btree.Entry, len(rows))
-	for i, r := range rows {
-		order[i] = btree.Entry{Key: src[r].Attrs[clusteredAttr], Val: int64(r)}
+	for slot, r := range rows {
+		if slot > 0 && src[r].Attrs[clusteredAttr] < src[rows[slot-1]].Attrs[clusteredAttr] {
+			panic(fmt.Sprintf("storage: node %d: rows not sorted by %s at slot %d", node, AttrName(clusteredAttr), slot))
+		}
+		tidSlot[src[r].TID] = int32(slot)
 	}
-	btree.SortEntries(order)
-	for slot, e := range order {
-		rows[slot] = int32(e.Val)
-		tidSlot[src[e.Val].TID] = int32(slot)
-	}
-	pages := (len(rows) + layout.TuplesPerPage - 1) / layout.TuplesPerPage
-	base := 0
-	if pages > 0 {
-		base = alloc.AllocRun(pages)
-	}
-	return &Fragment{
+	f := &Fragment{
 		Node:          node,
 		ClusteredAttr: clusteredAttr,
 		layout:        layout,
 		src:           src,
 		rows:          rows,
 		tidSlot:       tidSlot,
-		dataBase:      base,
-		dataPages:     pages,
-		indexes:       make(map[int]*Index),
+	}
+	f.allocData(alloc)
+	return f
+}
+
+// allocData gives the fragment its run of data pages from alloc.
+func (f *Fragment) allocData(alloc *Allocator) {
+	f.dataPages = (len(f.rows) + f.layout.TuplesPerPage - 1) / f.layout.TuplesPerPage
+	f.dataBase = 0
+	if f.dataPages > 0 {
+		f.dataBase = alloc.AllocRun(f.dataPages)
 	}
 }
 
-// AddIndex builds a B+-tree on attr. The clustered index (attr ==
-// ClusteredAttr) maps values to slots; a non-clustered index maps values to
-// TIDs. Index pages come from alloc, after the data pages.
-func (f *Fragment) AddIndex(attr int, alloc *Allocator) *Index {
-	if _, dup := f.indexes[attr]; dup {
+// AddIndex builds a B+-tree on attr, its pages from alloc after the data
+// pages. The clustered index (attr == ClusteredAttr) maps values to slots
+// in slot order, and byKey must be nil. A non-clustered index maps values
+// to TIDs: byKey lists the fragment's rows sorted by attr, equal values in
+// slot order, and the tree keeps its entries in that order. AddIndex
+// checks byKey in one pass and panics if it is not such a list.
+func (f *Fragment) AddIndex(attr int, byKey []int32, alloc *Allocator) *Index {
+	if f.Index(attr) != nil {
 		panic(fmt.Sprintf("storage: duplicate index on %s", AttrName(attr)))
 	}
 	clustered := attr == f.ClusteredAttr
-	entries := make([]btree.Entry, len(f.rows))
-	for slot, r := range f.rows {
-		t := &f.src[r]
-		val := int64(slot)
-		if !clustered {
-			val = t.TID
+	var entries []btree.Entry
+	if clustered {
+		if byKey != nil {
+			panic("storage: the clustered index takes its order from the row list")
 		}
-		entries[slot] = btree.Entry{Key: t.Attrs[attr], Val: val}
-	}
-	if !clustered {
-		btree.SortEntries(entries)
+		entries = make([]btree.Entry, len(f.rows))
+		for slot, r := range f.rows {
+			entries[slot] = btree.Entry{Key: f.src[r].Attrs[attr], Val: int64(slot)}
+		}
+	} else {
+		entries = f.keyEntries(attr, byKey)
 	}
 	tree := btree.Bulk(f.layout.IndexFanout, f.layout.IndexLeafCap, entries, alloc.AllocRun)
 	idx := &Index{Attr: attr, Clustered: clustered, Tree: tree}
-	f.indexes[attr] = idx
+	f.indexes = append(f.indexes, idx)
 	return idx
 }
 
+// keyEntries returns a non-clustered index's entries on attr, (value,
+// TID) in byKey's order, and panics unless byKey lists every row of the
+// fragment once, by value and equal values by slot.
+func (f *Fragment) keyEntries(attr int, byKey []int32) []btree.Entry {
+	if len(byKey) != len(f.rows) {
+		panic(fmt.Sprintf("storage: node %d: index on %s over %d rows, fragment has %d",
+			f.Node, AttrName(attr), len(byKey), len(f.rows)))
+	}
+	entries := make([]btree.Entry, len(byKey))
+	prev := -1
+	for i, r := range byKey {
+		t := &f.src[r]
+		slot, ok := f.slotOfTID(t.TID)
+		e := btree.Entry{Key: t.Attrs[attr], Val: t.TID}
+		switch {
+		case !ok || f.rows[slot] != r:
+			panic(fmt.Sprintf("storage: node %d: index on %s lists row %d, not the fragment's", f.Node, AttrName(attr), r))
+		case i > 0 && (e.Key < entries[i-1].Key || e.Key == entries[i-1].Key && slot <= prev):
+			panic(fmt.Sprintf("storage: node %d: index on %s not sorted by value and slot at entry %d", f.Node, AttrName(attr), i))
+		}
+		entries[i], prev = e, slot
+	}
+	return entries
+}
+
+// Replica returns a copy of the fragment laid out on pages from alloc:
+// its data pages, then every index in the order they were added. It
+// shares the fragment's row list, TID index and index entries; only its
+// pages differ.
+func (f *Fragment) Replica(alloc *Allocator) *Fragment {
+	r := *f
+	r.allocData(alloc)
+	r.indexes = make([]*Index, len(f.indexes))
+	for i, ix := range f.indexes {
+		r.indexes[i] = &Index{Attr: ix.Attr, Clustered: ix.Clustered, Tree: ix.Tree.Rebase(alloc.AllocRun)}
+	}
+	return &r
+}
+
 // Index returns the index on attr, or nil.
-func (f *Fragment) Index(attr int) *Index { return f.indexes[attr] }
+func (f *Fragment) Index(attr int) *Index {
+	for _, ix := range f.indexes {
+		if ix.Attr == attr {
+			return ix
+		}
+	}
+	return nil
+}
 
 // NumTuples reports the fragment cardinality.
 func (f *Fragment) NumTuples() int { return len(f.rows) }
@@ -283,7 +332,7 @@ func (b *Buffers) keep(acc *Access) {
 // sent to a replica built without one), which the executor reports as a
 // query failure rather than a crash. The page list comes from buf.
 func (f *Fragment) SearchClustered(lo, hi int64, buf *Buffers) (Access, error) {
-	idx := f.indexes[f.ClusteredAttr]
+	idx := f.Index(f.ClusteredAttr)
 	if idx == nil {
 		return Access{}, fmt.Errorf("storage: node %d: no clustered index", f.Node)
 	}
@@ -304,7 +353,7 @@ func (f *Fragment) SearchClustered(lo, hi int64, buf *Buffers) (Access, error) {
 // index or an index entry pointing outside the fragment. The page and
 // slot lists come from buf.
 func (f *Fragment) SearchNonClustered(attr int, lo, hi int64, buf *Buffers) (Access, error) {
-	idx := f.indexes[attr]
+	idx := f.Index(attr)
 	if idx == nil || idx.Clustered {
 		return Access{}, fmt.Errorf("storage: node %d: no non-clustered index on %s", f.Node, AttrName(attr))
 	}
@@ -386,15 +435,21 @@ type AuxEntry struct {
 	Proc  int // home processor of the original tuple
 }
 
-// BuildAux organizes entries (sorted internally by value) as a B+-tree whose
-// leaf values encode (proc, tid).
+// BuildAux organizes entries, which must be sorted by value, as a B+-tree
+// whose leaf values encode (proc, tid); the tree checks the order in one
+// pass and panics if it is not.
 func BuildAux(node int, entries []AuxEntry, layout Layout, alloc *Allocator) *AuxFragment {
 	bes := make([]btree.Entry, len(entries))
 	for i, e := range entries {
 		bes[i] = btree.Entry{Key: e.Value, Val: packAux(e.Proc, e.TID)}
 	}
-	btree.SortEntries(bes)
 	return &AuxFragment{Node: node, Tree: btree.Bulk(layout.IndexFanout, layout.IndexLeafCap, bes, alloc.AllocRun)}
+}
+
+// Replica returns a copy of the auxiliary fragment on pages from alloc,
+// sharing its entries.
+func (a *AuxFragment) Replica(alloc *Allocator) *AuxFragment {
+	return &AuxFragment{Node: a.Node, Tree: a.Tree.Rebase(alloc.AllocRun)}
 }
 
 // Lookup returns the TIDs of values in [lo, hi] grouped by home processor,

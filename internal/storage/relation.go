@@ -8,7 +8,10 @@ package storage
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
+	"repro/internal/btree"
 	"repro/internal/rng"
 )
 
@@ -55,30 +58,109 @@ type Tuple struct {
 // Relation is the base table before declustering. Tuple i has TID i,
 // and the tuples do not change once the relation is declustered: every
 // fragment reads them in place, and its TID index is a slice by TID.
+// The relation keeps every row order asked of it (Order, OrderThen), so
+// each is sorted once however many placements and layouts read it; a
+// copy of a Relation shares the orders already built.
 type Relation struct {
 	Name   string
 	Tuples []Tuple
+
+	orders map[orderKey]*rowOrder // guarded by ordersMu
 }
+
+// orderKey names an order: by attr, then by then, then by row.
+type orderKey struct{ attr, then int }
+
+// rowOrder is one kept order, built by its first caller.
+type rowOrder struct {
+	once     sync.Once
+	rows     []int32
+	identity bool // rows[i] == i: the tuples already stand in this order
+}
+
+// ordersMu guards every relation's orders map. It is held only to find
+// or add an entry, never while an order is sorted, and it lives outside
+// Relation so that a Relation can still be copied.
+var ordersMu sync.Mutex
 
 // Cardinality reports the number of tuples.
 func (r *Relation) Cardinality() int { return len(r.Tuples) }
 
-// AttrBounds reports the min and max value of an attribute (0,−1 if empty).
+// AttrBounds reports the min and max value of an attribute (0,−1 if
+// empty): the values of the first and last row of Order(attr).
 func (r *Relation) AttrBounds(attr int) (lo, hi int64) {
 	if len(r.Tuples) == 0 {
 		return 0, -1
 	}
-	lo, hi = r.Tuples[0].Attrs[attr], r.Tuples[0].Attrs[attr]
-	for _, t := range r.Tuples {
-		v := t.Attrs[attr]
-		if v < lo {
-			lo = v
+	order := r.Order(attr)
+	return r.Tuples[order[0]].Attrs[attr], r.Tuples[order[len(order)-1]].Attrs[attr]
+}
+
+// Order returns the relation's row numbers sorted by attr, equal values
+// in row order. It is OrderThen(attr, attr).
+func (r *Relation) Order(attr int) []int32 { return r.OrderThen(attr, attr) }
+
+// OrderThen returns the relation's row numbers sorted by attr, equal
+// values by then, and equal pairs in row order. The order is sorted on
+// first use, once however many goroutines ask at the same time, and kept
+// with the relation, which therefore must not change afterwards. Callers
+// must not modify it.
+func (r *Relation) OrderThen(attr, then int) []int32 { return r.order(attr, then).rows }
+
+func (r *Relation) order(attr, then int) *rowOrder {
+	key := orderKey{attr, then}
+	ordersMu.Lock()
+	if r.orders == nil {
+		r.orders = make(map[orderKey]*rowOrder)
+	}
+	o := r.orders[key]
+	if o == nil {
+		o = new(rowOrder)
+		r.orders[key] = o
+	}
+	ordersMu.Unlock()
+	o.once.Do(func() { o.rows, o.identity = r.sortOrder(attr, then) })
+	return o
+}
+
+// sortOrder builds OrderThen(attr, then): a stable sort by attr of
+// then's order. When then's order is row order, that is attr's own order,
+// which it shares.
+func (r *Relation) sortOrder(attr, then int) (rows []int32, identity bool) {
+	if len(r.Tuples) > math.MaxInt32 {
+		panic(fmt.Sprintf("storage: relation %s has %d tuples, more than a row order holds", r.Name, len(r.Tuples)))
+	}
+	rows = make([]int32, len(r.Tuples))
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	if then != attr {
+		base := r.order(then, then)
+		if base.identity {
+			o := r.order(attr, attr)
+			return o.rows, o.identity
 		}
-		if v > hi {
-			hi = v
+		copy(rows, base.rows)
+	}
+	sorted := true
+	for i := 1; i < len(rows) && sorted; i++ {
+		sorted = r.Tuples[rows[i-1]].Attrs[attr] <= r.Tuples[rows[i]].Attrs[attr]
+	}
+	if !sorted {
+		entries := make([]btree.Entry, len(rows))
+		for i, row := range rows {
+			entries[i] = btree.Entry{Key: r.Tuples[row].Attrs[attr], Val: int64(row)}
+		}
+		btree.SortEntries(entries)
+		for i, e := range entries {
+			rows[i] = int32(e.Val)
 		}
 	}
-	return lo, hi
+	identity = true
+	for i, row := range rows {
+		identity = identity && row == int32(i)
+	}
+	return rows, identity
 }
 
 // GenSpec controls Wisconsin relation generation.
