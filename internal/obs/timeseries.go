@@ -71,11 +71,13 @@ type series struct {
 }
 
 // Sampler scrapes registered probes at sim-time window boundaries into
-// fixed-capacity rings: every series samples at the same instants, so the
-// whole set is one aligned table. Sampling is allocation-free (the rings
-// are pre-sized at Register time and overwrite the oldest window when
-// full), and the schedule is driven by whoever calls Sample — in this
-// repo a simulation process holding one window per iteration, so the
+// rings of a fixed capacity: every series samples at the same instants, so
+// the whole set is one aligned table. The rings start at initialRing
+// windows (or the capacity, if smaller) and Sample doubles them up to the
+// capacity as windows arrive, so a short run never pays for the whole
+// capacity; once at the capacity they overwrite the oldest window and
+// Sample allocates nothing. The schedule is driven by whoever calls
+// Sample — here a simulated handler that wakes once per window — so the
 // sample times are simulated time, never wall clock, and the full series
 // is a deterministic function of (seed, config).
 //
@@ -87,11 +89,11 @@ type Sampler struct {
 	windowNS int64
 	capacity int
 
-	lastNS  int64 // time of the previous Sample (rate divisor)
-	head    int   // ring start
-	count   int   // live samples
-	dropped int64 // overwritten samples
-	times   []int64
+	lastNS  int64   // time of the previous Sample (rate divisor)
+	head    int     // ring start; 0 until the rings reach the capacity
+	count   int     // live samples
+	dropped int64   // overwritten samples
+	times   []int64 // as long as every series' vals
 
 	series []*series
 	index  map[string]*series
@@ -105,6 +107,9 @@ const DefaultWindowNS = 250_000_000
 // windows (4 simulated minutes at the default window).
 const DefaultCapacity = 960
 
+// initialRing is the number of windows a sampler's rings start with.
+const initialRing = 64
+
 // NewSampler builds a sampler with the given window (ns of simulated time)
 // and per-series ring capacity; non-positive arguments take the defaults.
 func NewSampler(windowNS int64, capacity int) *Sampler {
@@ -117,7 +122,7 @@ func NewSampler(windowNS int64, capacity int) *Sampler {
 	return &Sampler{
 		windowNS: windowNS,
 		capacity: capacity,
-		times:    make([]int64, capacity),
+		times:    make([]int64, min(capacity, initialRing)),
 		index:    make(map[string]*series),
 	}
 }
@@ -151,7 +156,7 @@ func (s *Sampler) RegisterLabeled(name, labels string, kind SeriesKind, probe Pr
 	if _, dup := s.index[name]; dup {
 		panic(fmt.Sprintf("obs: duplicate series %q", name))
 	}
-	sr := &series{name: name, labels: labels, kind: kind, probe: probe, vals: make([]float64, s.capacity)}
+	sr := &series{name: name, labels: labels, kind: kind, probe: probe, vals: make([]float64, len(s.times))}
 	if kind == SeriesRate {
 		sr.prev = probe()
 	}
@@ -160,8 +165,9 @@ func (s *Sampler) RegisterLabeled(name, labels string, kind SeriesKind, probe Pr
 }
 
 // Sample scrapes every probe at simulated time nowNS and appends one
-// aligned sample per series, overwriting the oldest window when the rings
-// are full. Calls that do not advance time are ignored. Allocation-free.
+// aligned sample per series, growing the rings while they are below the
+// capacity and overwriting the oldest window once they are full at it.
+// Calls that do not advance time are ignored.
 func (s *Sampler) Sample(nowNS int64) {
 	if s == nil {
 		return
@@ -172,7 +178,10 @@ func (s *Sampler) Sample(nowNS int64) {
 	if dt <= 0 {
 		return
 	}
-	slot := (s.head + s.count) % s.capacity
+	if s.count == len(s.times) && s.count < s.capacity {
+		s.grow()
+	}
+	slot := (s.head + s.count) % len(s.times)
 	if s.count == s.capacity {
 		s.head = (s.head + 1) % s.capacity
 		s.dropped++
@@ -197,6 +206,20 @@ func (s *Sampler) Sample(nowNS int64) {
 		sr.vals[slot] = out
 	}
 	s.lastNS = nowNS
+}
+
+// grow doubles the rings, up to the capacity. They are full and do not
+// wrap (head is 0 below the capacity), so every sample keeps its slot.
+func (s *Sampler) grow() {
+	n := min(2*len(s.times), s.capacity)
+	times := make([]int64, n)
+	copy(times, s.times)
+	s.times = times
+	for _, sr := range s.series {
+		vals := make([]float64, n)
+		copy(vals, sr.vals)
+		sr.vals = vals
+	}
 }
 
 // Rebase discards all history and re-primes every rate probe at simulated
@@ -249,7 +272,7 @@ func (s *Sampler) Snapshot() []SeriesData {
 			Points:   make([]SeriesPoint, s.count),
 		}
 		for i := 0; i < s.count; i++ {
-			slot := (s.head + i) % s.capacity
+			slot := (s.head + i) % len(s.times)
 			d.Points[i] = SeriesPoint{TNS: s.times[slot], V: sr.vals[slot]}
 		}
 		out = append(out, d)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -163,6 +164,55 @@ func TestSamplerSampleAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("Sample allocates %.1f/op, want 0", avg)
+	}
+}
+
+// The rings start at 64 windows and double up to the capacity as windows
+// arrive, every sample keeping its place: a sampler of capacity 200 holds
+// the same points as one written straight into the capacity would — 250
+// windows keep the last 200, oldest first, with 50 dropped — including a
+// series registered after the rings first grew, which reads 0 in the
+// windows before it, and a Rebase keeps the grown rings.
+func TestSamplerRingsGrow(t *testing.T) {
+	s := NewSampler(winNS, 200)
+	v := 0.0
+	s.Register("early", SeriesGauge, func() float64 { return v })
+	var lens []int
+	for i := 1; i <= 250; i++ {
+		if i == 70 {
+			s.Register("late", SeriesGauge, func() float64 { return -v })
+		}
+		v = float64(i)
+		s.Sample(int64(i) * winNS)
+		if n := len(s.times); len(lens) == 0 || lens[len(lens)-1] != n {
+			lens = append(lens, n)
+		}
+	}
+	if want := []int{64, 128, 200}; !slices.Equal(lens, want) {
+		t.Fatalf("ring lengths %v, want %v", lens, want)
+	}
+	snap := s.Snapshot()
+	for _, d := range snap {
+		if len(d.Points) != 200 || d.Dropped != 50 {
+			t.Fatalf("%s: %d points, %d dropped; want 200, 50", d.Name, len(d.Points), d.Dropped)
+		}
+		for j, p := range d.Points {
+			want := float64(51 + j)
+			if d.Name == "late" {
+				want = -want
+				if 51+j < 70 {
+					want = 0 // windows sampled before it was registered
+				}
+			}
+			if p.TNS != int64(51+j)*winNS || p.V != want {
+				t.Fatalf("%s point %d = %+v, want t=%d v=%v", d.Name, j, p, int64(51+j)*winNS, want)
+			}
+		}
+	}
+	s.Rebase(300 * winNS)
+	s.Sample(301 * winNS)
+	if len(s.times) != 200 || s.Len() != 1 {
+		t.Fatalf("after a rebase: ring length %d, %d windows; want 200, 1", len(s.times), s.Len())
 	}
 }
 
