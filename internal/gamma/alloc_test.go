@@ -17,11 +17,11 @@ import (
 // is a row list over the relation, so laying out a 20,000-tuple relation
 // on 32 processors allocates fewer bytes than the relation's tuples
 // occupy, which one copy of every tuple alone would. Chain replicas
-// share their primaries' row lists and the generation's TID index and
-// build only their own trees, so they add the primaries' layout less its
-// three per-layout arrays of one int32 a tuple (the homes, the row list
-// and the TID index); replicas that allocated their own row lists or TID
-// index would add at least one such array more. The limit lies halfway.
+// share their primaries' row lists, the generation's TID index and their
+// primaries' index entries, and add only their trees' page runs, so all
+// of them together allocate less than one int32 a tuple; replicas that
+// allocated their own row lists, TID index or entries would add at least
+// that much.
 func TestNewImageAllocs(t *testing.T) {
 	rel := storage.GenerateWisconsin(storage.GenSpec{Cardinality: 20000, Seed: 3})
 	n := int64(len(rel.Tuples))
@@ -34,17 +34,17 @@ func TestNewImageAllocs(t *testing.T) {
 	cfg.ChainedReplicas = true
 	replicas := imageAllocBytes(t, rel, cfg) - primaries
 	t.Logf("%d tuples: primaries allocate %d bytes, chain replicas %d more", n, primaries, replicas)
-	if limit := primaries - 5*n*int64(unsafe.Sizeof(int32(0)))/2; replicas >= limit {
+	if limit := n * int64(unsafe.Sizeof(int32(0))); replicas >= limit {
 		t.Errorf("chain replicas of %d tuples allocated %d bytes, want fewer than %d",
 			n, replicas, limit)
 	}
 }
 
 // imageAllocBytes reports the bytes a range NewImage of rel under cfg
-// allocates, after a first layout has filled the sort's scratch pool. It
-// measures three layouts with the collector off, so no collection empties
-// the pool mid-layout, and takes the least, which drops what other
-// goroutines of the test binary allocate meanwhile.
+// allocates, after a first layout has built the relation's orders. It
+// measures three layouts with the collector off and takes the least,
+// which drops what other goroutines of the test binary allocate
+// meanwhile.
 func imageAllocBytes(t *testing.T, rel *storage.Relation, cfg Config) int64 {
 	t.Helper()
 	pl := core.NewRangeForRelation(rel, storage.Unique1, 32)
