@@ -1,6 +1,9 @@
 package storage
 
 import (
+	"cmp"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -117,6 +120,91 @@ func TestAttrBounds(t *testing.T) {
 	empty := &Relation{}
 	if lo, hi := empty.AttrBounds(Unique1); lo != 0 || hi != -1 {
 		t.Fatalf("empty bounds = [%d, %d]", lo, hi)
+	}
+}
+
+// shuffledRelation is a relation of n tuples, TID equal to position,
+// whose unique2 and ten repeat and stand in no order.
+func shuffledRelation(n int) *Relation {
+	r := &Relation{Name: "shuffled", Tuples: make([]Tuple, n)}
+	for i := range r.Tuples {
+		t := &r.Tuples[i]
+		t.TID = int64(i)
+		t.Attrs[Unique2] = int64(i*7919) % 97
+		t.Attrs[Ten] = int64(i*31) % 10
+		t.Attrs[Unique1] = -int64(i)
+	}
+	return r
+}
+
+// The kept orders are the stable sorts they stand for: Order by the
+// attribute then row, OrderThen by the attribute, then the second, then
+// row. A relation already in an attribute's order gets the identity, and
+// OrderThen over an identity order is the attribute's own order, shared.
+func TestRelationOrders(t *testing.T) {
+	r := shuffledRelation(500)
+	by := func(attrs ...int) []int32 {
+		rows := allRows(len(r.Tuples))
+		slices.SortStableFunc(rows, func(a, b int32) int {
+			for _, attr := range attrs {
+				if c := cmp.Compare(r.Tuples[a].Attrs[attr], r.Tuples[b].Attrs[attr]); c != 0 {
+					return c
+				}
+			}
+			return 0
+		})
+		return rows
+	}
+	for _, c := range []struct {
+		name string
+		got  []int32
+		want []int32
+	}{
+		{"unique2", r.Order(Unique2), by(Unique2)},
+		{"ten", r.Order(Ten), by(Ten)},
+		{"ten then unique2", r.OrderThen(Ten, Unique2), by(Ten, Unique2)},
+		{"unique2 then ten", r.OrderThen(Unique2, Ten), by(Unique2, Ten)},
+		{"unique1", r.Order(Unique1), by(Unique1)},
+	} {
+		if !slices.Equal(c.got, c.want) {
+			t.Errorf("%s: order %v, want %v", c.name, c.got[:10], c.want[:10])
+		}
+	}
+	if lo, hi := r.AttrBounds(Unique1); lo != -499 || hi != 0 {
+		t.Errorf("unique1 bounds [%d, %d], want [-499, 0]", lo, hi)
+	}
+
+	w := GenerateWisconsin(GenSpec{Cardinality: 300, Seed: 4})
+	if !slices.Equal(w.Order(Unique2), allRows(300)) {
+		t.Error("a relation generated in unique2 order does not get the identity order")
+	}
+	if a, b := w.Order(Unique1), w.OrderThen(Unique1, Unique2); &a[0] != &b[0] {
+		t.Error("OrderThen over the identity order is not the attribute's own order")
+	}
+}
+
+// Goroutines that ask one relation for its orders at the same time, as
+// the placements built on the worker pool do, all get the one order
+// sorted once.
+func TestRelationOrdersConcurrent(t *testing.T) {
+	r := shuffledRelation(2000)
+	const goroutines = 8
+	got := make([][2][]int32, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = [2][]int32{r.OrderThen(Ten, Unique2), r.Order(Unique2)}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for k := range got[g] {
+			if &got[g][k][0] != &got[0][k][0] {
+				t.Fatalf("goroutine %d got its own copy of order %d", g, k)
+			}
+		}
 	}
 }
 
