@@ -220,6 +220,13 @@ func run() int {
 		httpPprof   = flag.String("httppprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		// A stray word ends flag parsing, so the flags after it would be
+		// dropped silently.
+		fmt.Fprintf(os.Stderr, "declusterbench: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -170,6 +170,16 @@ func TestRefusesConflictingFlags(t *testing.T) {
 	}
 }
 
+// A positional argument ends flag parsing, so the flags after it would be
+// dropped: "-csv out -detail" must fail with a usage error, not run
+// without -detail.
+func TestRejectsStrayArguments(t *testing.T) {
+	stdout, stderr, code := execCommand(t, "-scale", "quick", "-fig", "8a", "-csv", "out", "-detail")
+	if code != 2 || len(stdout) != 0 || !strings.Contains(stderr, `unexpected argument "out"`) || !strings.Contains(stderr, "-detail") {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2 and a usage error naming \"out\"", code, stdout, stderr)
+	}
+}
+
 // Each job's manifest detail carries the sim kernel's counters, and like
 // every simulated number they must not depend on the worker count.
 func TestManifestKernelCountersAcrossWorkers(t *testing.T) {

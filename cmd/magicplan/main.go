@@ -41,6 +41,11 @@ func main() {
 		build   = flag.Bool("build", false, "build the directory and report assignment quality")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "magicplan: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	mix, err := mixByName(*mixName, *card)
 	if err != nil {

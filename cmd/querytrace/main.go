@@ -63,6 +63,11 @@ func main() {
 		frags      = flag.Bool("frags", false, "print the per-fragment usage breakdown")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "querytrace: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var attr int
 	switch *attrName {

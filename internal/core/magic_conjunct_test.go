@@ -6,40 +6,6 @@ import (
 	"repro/internal/storage"
 )
 
-func TestRoundRobinPlacement(t *testing.T) {
-	rel := testRelation(t, 1000, 0)
-	rr := NewRoundRobin(8)
-	if rr.Name() != "roundrobin" || rr.Processors() != 8 {
-		t.Fatal("metadata wrong")
-	}
-	counts := make([]int, 8)
-	for _, tup := range rel.Tuples {
-		counts[rr.HomeOf(&tup)]++
-	}
-	for i, c := range counts {
-		if c != 125 {
-			t.Fatalf("node %d holds %d tuples; round-robin must balance perfectly", i, c)
-		}
-	}
-	for _, pred := range []Predicate{
-		{Attr: storage.Unique1, Lo: 5, Hi: 5},
-		{Attr: storage.Unique2, Lo: 0, Hi: 999},
-	} {
-		if got := len(rr.Route(pred).Participants); got != 8 {
-			t.Fatalf("round-robin routed %v to %d processors", pred, got)
-		}
-	}
-}
-
-func TestRoundRobinRejectsBadP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero processors accepted")
-		}
-	}()
-	NewRoundRobin(0)
-}
-
 func TestMAGICRouteConjunct(t *testing.T) {
 	rel, m := buildTestMAGIC(t, 5000, 0, 16, nil)
 	// Point predicates on both partitioning attributes intersect to a

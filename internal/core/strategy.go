@@ -32,7 +32,7 @@ type StrategyParams struct {
 }
 
 // strategies names every strategy BuildStrategy builds, sorted.
-var strategies = []string{"berd", "hash", "magic", "range", "roundrobin"}
+var strategies = []string{"berd", "hash", "magic", "range"}
 
 // BuildStrategy constructs the named strategy. Missing inputs yield an
 // error, never a panic; an unknown name yields an error listing every
@@ -49,8 +49,6 @@ func BuildStrategy(name string, p StrategyParams) (Placement, error) {
 		return NewRangeForRelation(p.Relation, p.PrimaryAttr, p.Processors), nil
 	case "hash":
 		return NewHash(p.PrimaryAttr, p.Processors), nil
-	case "roundrobin":
-		return NewRoundRobin(p.Processors), nil
 	case "berd":
 		return NewBERDForRelation(p.Relation, p.PrimaryAttr, p.SecondaryAttrs, p.Processors), nil
 	case "magic":

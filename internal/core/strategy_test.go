@@ -12,7 +12,7 @@ import (
 // non-positive processor count with an error, not a panic. The list is
 // sorted.
 func TestRegistryShippedStrategies(t *testing.T) {
-	if want := []string{"berd", "hash", "magic", "range", "roundrobin"}; !slices.Equal(strategies, want) {
+	if want := []string{"berd", "hash", "magic", "range"}; !slices.Equal(strategies, want) {
 		t.Fatalf("strategies = %v, want %v", strategies, want)
 	}
 	rel := testRelation(t, 1000, 0)
@@ -64,10 +64,6 @@ func TestRegistryRelationFreeStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := BuildStrategy("roundrobin", StrategyParams{Processors: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
 	direct := NewHash(storage.Unique1, 8)
 	for v := int64(0); v < 100; v++ {
 		tp := storage.Tuple{}
@@ -76,7 +72,7 @@ func TestRegistryRelationFreeStrategies(t *testing.T) {
 			t.Fatalf("hash HomeOf(%d) = %d, direct = %d", v, hash.HomeOf(&tp), direct.HomeOf(&tp))
 		}
 	}
-	if rr.Processors() != 8 || hash.Processors() != 8 {
-		t.Fatalf("processors: rr=%d hash=%d", rr.Processors(), hash.Processors())
+	if hash.Processors() != 8 {
+		t.Fatalf("processors: %d", hash.Processors())
 	}
 }

@@ -57,7 +57,6 @@ const (
 	colDiskFail         // Disk.Fail, then Repair after a delay
 	colCrash            // node Crash, then Restart after a delay
 	colDropHost         // DropNext on the host: replies lost
-	colDupHost          // DupNext on the host: replies twice
 	colDropNode         // DropNext on the node: requests lost
 )
 
@@ -65,7 +64,7 @@ var colActKinds = [16]int{
 	colPrimary, colPrimary, colTwoStep, colTwoStep,
 	colTwoStep, colScanAll, colAggregate, colAggregate,
 	colJoin, colJoin, colFailNext, colDiskFail,
-	colCrash, colDropHost, colDupHost, colDropNode,
+	colCrash, colDropHost, colDropHost, colDropNode,
 }
 
 type colAction struct {
@@ -370,8 +369,6 @@ func (r *colRig) fault(s colScript, i int, a colAction) {
 		})
 	case colDropHost:
 		r.net.DropNext(colRigNodes, 1+a.arg)
-	case colDupHost:
-		r.net.DupNext(colRigNodes, 1+a.arg)
 	case colDropNode:
 		r.net.DropNext(node, 1)
 	}

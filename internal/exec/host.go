@@ -208,7 +208,7 @@ type Host struct {
 
 	// Stats.
 	QueriesRun int64
-	Orphans    int64 // late, duplicate or superseded replies
+	Orphans    int64 // late or superseded replies
 }
 
 // NewHost wires the scheduler node. Relations are attached with
@@ -301,9 +301,8 @@ func (h *Host) deliver(payload any) {
 	col, ok := h.pending[qid]
 	if !ok {
 		if h.Degraded != nil {
-			// Late or duplicated reply for a query the scheduler already
-			// finished (or abandoned) — expected under timeouts, crashes
-			// and message duplication.
+			// Late reply for a query the scheduler already finished (or
+			// abandoned) — expected under timeouts and crashes.
 			h.Orphans++
 			release(payload)
 			return

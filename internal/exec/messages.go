@@ -24,9 +24,7 @@ const auxEntryBytes = 16
 // is a record from the host's free list and travels by pointer: the
 // operator reads the request in place, searches into the record's lists,
 // writes its answer into the reply fields, and sends the record back as
-// its reply. A duplicated request starts two operators on one record, and
-// both write the same lists and answer, each within one event: they
-// follow from the request and the node's read-only fragments.
+// its reply.
 type startOp struct {
 	QueryID  int64
 	Relation string
@@ -34,9 +32,9 @@ type startOp struct {
 	Access   plan.Access
 	TIDs     []int64 // plan.AccessTIDFetch only: the primary fragment's qualifying TIDs
 	ReplyTo  int     // scheduler node
-	// Attempt tags this dispatch for at-most-once accounting under retries
-	// and message duplication: the scheduler's collector matches replies
-	// to their live attempt by it.
+	// Attempt tags this dispatch for at-most-once accounting under retries:
+	// the scheduler's collector matches replies to their live attempt by
+	// it.
 	Attempt int
 	// Role directs the operator at the node's primary fragment or its
 	// chained-declustering backup.
@@ -71,7 +69,7 @@ type opResult struct {
 }
 
 // holds counts what holds a request record from a host's free list: the
-// collector that dispatched it, each copy of it or of its reply in flight
+// collector that dispatched it, the record or its reply while in flight
 // or queued, and each operator running from it. The last release returns
 // the record to its host h; a record made elsewhere (h nil) is never
 // reused. A copy the interconnect drops never releases its hold, and the
@@ -80,9 +78,6 @@ type holds struct {
 	h *Host
 	n int32
 }
-
-// Dup counts the extra copy a duplicating fault delivers (hw.Duplicable).
-func (c *holds) Dup() { c.n++ }
 
 // hold counts one more holder.
 func (c *holds) hold() { c.n++ }

@@ -89,7 +89,7 @@ type call struct {
 // (BERD's auxiliary step, then the selection operators), driven to
 // completion under the host's policy: per-wait timeouts, bounded jittered
 // exponential backoff, chained-replica rerouting, and at-most-once
-// accounting (stale or duplicated replies are dropped by attempt id).
+// accounting (stale replies are dropped by attempt id).
 //
 // It is a sim.Handler that runs the query in steps (HandleEvent): the
 // plan delay, the catalog search, each send, each backoff and each wait
@@ -238,7 +238,7 @@ func (col *collector) backoff(nth int) sim.Duration {
 }
 
 // live returns the index of the call whose outstanding attempt is id, or
-// -1 for a reply to a superseded attempt, a duplicate, or a finished call.
+// -1 for a reply to a superseded attempt or a finished call.
 func (col *collector) live(id int) int {
 	for i := range col.calls {
 		if c := &col.calls[i]; c.attempt == id && !c.done {
@@ -490,7 +490,7 @@ func (col *collector) collect() (waits bool) {
 		case opError:
 			i := col.live(r.Attempt)
 			if i < 0 {
-				col.h.Orphans++ // stale attempt or duplicated error
+				col.h.Orphans++ // stale attempt
 				continue
 			}
 			if !r.Transient {
@@ -523,7 +523,7 @@ func (col *collector) collect() (waits bool) {
 
 // answered marks done the call whose live attempt a reply answers and
 // returns it, or counts the reply an orphan and returns nil: a late reply
-// for a superseded attempt, or a duplicate.
+// for a superseded attempt or a finished call.
 func (col *collector) answered(attempt int) *call {
 	i := col.live(attempt)
 	if i < 0 {
@@ -864,7 +864,7 @@ func (col *collector) collectJoin() (waits bool) {
 			return false
 		case joinDone:
 			if hasBit(col.reported, r.Node) {
-				col.h.Orphans++ // interconnect duplicate
+				col.h.Orphans++ // a second report from one node
 				continue
 			}
 			col.reported = setBit(col.reported, r.Node)

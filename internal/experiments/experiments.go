@@ -51,11 +51,10 @@ func (c Correlation) window(card int) int {
 
 // Strategy names accepted by figures.
 const (
-	StrategyMAGIC      = "magic"
-	StrategyBERD       = "berd"
-	StrategyRange      = "range"
-	StrategyHash       = "hash"
-	StrategyRoundRobin = "roundrobin"
+	StrategyMAGIC = "magic"
+	StrategyBERD  = "berd"
+	StrategyRange = "range"
+	StrategyHash  = "hash"
 )
 
 // Figure is one experiment: a workload mix, a correlation level, and the

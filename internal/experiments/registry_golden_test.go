@@ -24,8 +24,6 @@ func directPlacement(t *testing.T, name string, rel *storage.Relation, mix workl
 		return core.NewRangeForRelation(rel, storage.Unique1, opts.Processors)
 	case StrategyHash:
 		return core.NewHash(storage.Unique1, opts.Processors)
-	case StrategyRoundRobin:
-		return core.NewRoundRobin(opts.Processors)
 	case StrategyBERD:
 		return core.NewBERDForRelation(rel, storage.Unique1, []int{storage.Unique2}, opts.Processors)
 	case StrategyMAGIC:

@@ -1,17 +1,17 @@
 // Package fault is the deterministic fault-injection subsystem. A Spec
-// describes what goes wrong — scheduled fail-stop disks, transient I/O
-// errors, latency degradation, node crash/restart windows, interconnect
-// drop/duplication — and an Injector turns it into ordinary simulation
-// events against the hardware and execution layers, so a run with a fixed
-// seed and spec is exactly reproducible: same fault-event log, same figure
-// output. With no spec armed, nothing in this package touches the
-// simulation and runs stay byte-identical to a fault-free build.
+// describes what goes wrong — scheduled fail-stop disks and node
+// crash/restart windows, and stochastic transient read errors — and an
+// Injector turns it into ordinary simulation events against the hardware
+// and execution layers, so a run with a fixed seed and spec is exactly
+// reproducible: same fault-event log, same figure output. With no spec
+// armed, nothing in this package touches the simulation and runs stay
+// byte-identical to a fault-free build.
 //
 // The package deliberately knows nothing about the concrete hardware or
-// executor types: targets are small interfaces (DiskTarget, NodeTarget,
-// NetTarget) that hw.Disk, exec.Node and hw.Network satisfy, which keeps
-// the dependency arrow pointing from the machine assembly (internal/gamma)
-// into here rather than the other way around.
+// executor types: targets are small interfaces (DiskTarget, NodeTarget)
+// that hw.Disk and exec.Node satisfy, which keeps the dependency arrow
+// pointing from the machine assembly (internal/gamma) into here rather
+// than the other way around.
 package fault
 
 import (
@@ -31,7 +31,8 @@ const (
 	DiskFail Kind = iota
 	// DiskRepair brings a fail-stopped disk back.
 	DiskRepair
-	// DiskTransient makes the disk's next Count reads fail once each.
+	// DiskTransient records a transient read error the MTBF loops inject;
+	// it is not a scheduled kind.
 	DiskTransient
 	// Kind 3 is unused: JSON archives store a kind as its number, so the
 	// kinds after it keep their values.
@@ -42,11 +43,6 @@ const (
 	// NodeRestart brings a crashed node back (losing nothing but the
 	// messages that arrived while it was down).
 	NodeRestart
-	// NetDrop discards the next Count logical messages addressed to Node.
-	NetDrop
-	// NetDup delivers the next Count logical messages addressed to Node
-	// twice.
-	NetDup
 )
 
 var kindNames = [...]string{
@@ -55,8 +51,6 @@ var kindNames = [...]string{
 	DiskTransient: "disk-transient",
 	NodeCrash:     "node-crash",
 	NodeRestart:   "node-restart",
-	NetDrop:       "net-drop",
-	NetDup:        "net-dup",
 }
 
 func (k Kind) String() string {
@@ -74,19 +68,10 @@ type Event struct {
 	At   sim.Duration `json:"at"` // offset from the start of the run
 	Kind Kind         `json:"kind"`
 	Node int          `json:"node"`
-	// Count sizes DiskTransient/NetDrop/NetDup bursts (default 1).
-	Count int `json:"count,omitempty"`
 	// Dur bounds window kinds: a DiskFail/NodeCrash with Dur > 0 schedules
 	// its own repair/restart Dur later. Dur == 0 means the condition holds
 	// for the rest of the run.
 	Dur sim.Duration `json:"dur,omitempty"`
-}
-
-func (e Event) count() int {
-	if e.Count <= 0 {
-		return 1
-	}
-	return e.Count
 }
 
 // Spec is a complete fault schedule for one run.
@@ -116,6 +101,9 @@ func (s *Spec) Validate(nodes int) error {
 		}
 		if !ev.Kind.known() {
 			return fmt.Errorf("fault: event %d: unknown kind %d", i, int(ev.Kind))
+		}
+		if ev.Kind == DiskTransient {
+			return fmt.Errorf("fault: event %d: %v is not a scheduled kind (MTBF injects transients)", i, ev.Kind)
 		}
 		if ev.Node < 0 || ev.Node >= nodes {
 			return fmt.Errorf("fault: event %d: node %d out of range [0,%d)", i, ev.Node, nodes)
@@ -182,20 +170,12 @@ type NodeTarget interface {
 	Restart()
 }
 
-// NetTarget is the interconnect surface the injector drives; hw.Network
-// satisfies it.
-type NetTarget interface {
-	DropNext(node, k int)
-	DupNext(node, k int)
-}
-
 // Targets binds the injector to one machine's concrete components. Nil
-// entries (or a nil Net) make the corresponding event kinds no-ops, which
-// keeps partial test rigs easy to build.
+// entries make the corresponding event kinds no-ops, which keeps partial
+// test rigs easy to build.
 type Targets struct {
 	Disks []DiskTarget
 	Nodes []NodeTarget
-	Net   NetTarget
 }
 
 // Injector applies a Spec to a machine as ordinary simulation events.
@@ -282,11 +262,6 @@ func (in *Injector) apply(ev Event) {
 			d.Repair()
 		}
 		in.view.SetDisk(ev.Node, true)
-	case DiskTransient:
-		if d := in.disk(ev.Node); d != nil {
-			d.FailNextReads(ev.count())
-		}
-		detail = fmt.Sprintf("next %d reads", ev.count())
 	case NodeCrash:
 		if n := in.node(ev.Node); n != nil {
 			n.Crash()
@@ -302,16 +277,6 @@ func (in *Injector) apply(ev Event) {
 			n.Restart()
 		}
 		in.view.SetNode(ev.Node, true)
-	case NetDrop:
-		if in.targets.Net != nil {
-			in.targets.Net.DropNext(ev.Node, ev.count())
-		}
-		detail = fmt.Sprintf("next %d msgs", ev.count())
-	case NetDup:
-		if in.targets.Net != nil {
-			in.targets.Net.DupNext(ev.Node, ev.count())
-		}
-		detail = fmt.Sprintf("next %d msgs", ev.count())
 	}
 	in.record(ev.Kind, ev.Node, detail)
 	if in.OnEvent != nil {

@@ -21,58 +21,43 @@ type fakeNode struct{ calls []string }
 func (n *fakeNode) Crash()   { n.calls = append(n.calls, "crash") }
 func (n *fakeNode) Restart() { n.calls = append(n.calls, "restart") }
 
-type fakeNet struct{ calls []string }
-
-func (n *fakeNet) DropNext(node, k int) {
-	n.calls = append(n.calls, fmt.Sprintf("drop(%d,%d)", node, k))
-}
-func (n *fakeNet) DupNext(node, k int) { n.calls = append(n.calls, fmt.Sprintf("dup(%d,%d)", node, k)) }
-
 // rig builds a 2-node machine of fakes with a run that lasts until the
 // event queue drains (MTBF specs need a clock, so a sentinel keeps the
 // engine alive for a second).
-func rig(spec Spec, seed int64) (*View, []*fakeDisk, []*fakeNode, *fakeNet, []Record, error) {
+func rig(spec Spec, seed int64) (*View, []*fakeDisk, []*fakeNode, []Record, error) {
 	e := sim.New()
 	disks := []*fakeDisk{{}, {}}
 	nodes := []*fakeNode{{}, {}}
-	net := &fakeNet{}
 	view := NewView(2)
 	targets := Targets{
 		Disks: []DiskTarget{disks[0], disks[1]},
 		Nodes: []NodeTarget{nodes[0], nodes[1]},
-		Net:   net,
 	}
 	in := NewInjector(e, spec, view, targets, rng.NewFactory(seed))
 	in.Start()
 	err := e.RunUntil(sim.Time(sim.Second))
-	return view, disks, nodes, net, in.Log(), err
+	return view, disks, nodes, in.Log(), err
 }
 
 func TestInjectorAppliesScheduledEvents(t *testing.T) {
 	spec := Spec{Events: []Event{
 		{At: sim.Millisecond, Kind: DiskFail, Node: 0},
 		{At: 2 * sim.Millisecond, Kind: NodeCrash, Node: 1},
-		{At: 3 * sim.Millisecond, Kind: DiskTransient, Node: 1, Count: 5},
-		{At: 4 * sim.Millisecond, Kind: NetDrop, Node: 0, Count: 2},
-		{At: 5 * sim.Millisecond, Kind: NetDup, Node: 1},
-		{At: 6 * sim.Millisecond, Kind: DiskRepair, Node: 0},
-		{At: 7 * sim.Millisecond, Kind: NodeRestart, Node: 1},
+		{At: 3 * sim.Millisecond, Kind: DiskRepair, Node: 0},
+		{At: 4 * sim.Millisecond, Kind: NodeRestart, Node: 1},
 	}}
-	view, disks, nodes, net, log, err := rig(spec, 1)
+	view, disks, nodes, log, err := rig(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := disks[0].calls; !reflect.DeepEqual(got, []string{"fail", "repair"}) {
 		t.Fatalf("disk 0 calls = %v", got)
 	}
-	if got := disks[1].calls; !reflect.DeepEqual(got, []string{"transient(5)"}) {
+	if got := disks[1].calls; len(got) != 0 {
 		t.Fatalf("disk 1 calls = %v", got)
 	}
 	if got := nodes[1].calls; !reflect.DeepEqual(got, []string{"crash", "restart"}) {
 		t.Fatalf("node 1 calls = %v", got)
-	}
-	if got := net.calls; !reflect.DeepEqual(got, []string{"drop(0,2)", "dup(1,1)"}) {
-		t.Fatalf("net calls = %v", got)
 	}
 	if !view.Available(0) || !view.Available(1) {
 		t.Fatal("view should be fully healthy after repair + restart")
@@ -91,7 +76,7 @@ func TestInjectorWindowEventsRestore(t *testing.T) {
 		{At: sim.Millisecond, Kind: DiskFail, Node: 0, Dur: 2 * sim.Millisecond},
 		{At: sim.Millisecond, Kind: NodeCrash, Node: 1, Dur: 3 * sim.Millisecond},
 	}}
-	view, disks, nodes, _, log, err := rig(spec, 1)
+	view, disks, nodes, log, err := rig(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +101,11 @@ func TestInjectorDeterministicLog(t *testing.T) {
 		Events: []Event{{At: 10 * sim.Millisecond, Kind: DiskFail, Node: 0, Dur: 50 * sim.Millisecond}},
 		MTBF:   20 * sim.Millisecond,
 	}
-	_, _, _, _, log1, err := rig(spec, 7)
+	_, _, _, log1, err := rig(spec, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, log2, err := rig(spec, 7)
+	_, _, _, log2, err := rig(spec, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +115,7 @@ func TestInjectorDeterministicLog(t *testing.T) {
 	if !reflect.DeepEqual(log1, log2) {
 		t.Fatalf("same seed+spec produced different logs:\n%v\n%v", log1, log2)
 	}
-	_, _, _, _, log3, err := rig(spec, 8)
+	_, _, _, log3, err := rig(spec, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,6 +167,26 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// JSON archives store a kind as its number, so kinds 0–5 keep theirs.
+// Scheduling a disk-transient event, or a kind past node-restart (6 and 7
+// were the interconnect's drop and duplication), is an error.
+func TestKindNumbers(t *testing.T) {
+	for k, name := range []string{"disk-fail", "disk-repair", "disk-transient", "kind(3)", "node-crash", "node-restart"} {
+		if got := Kind(k).String(); got != name {
+			t.Errorf("kind %d = %q, want %q", k, got, name)
+		}
+	}
+	if DiskFail != 0 || DiskRepair != 1 || DiskTransient != 2 || NodeCrash != 4 || NodeRestart != 5 {
+		t.Fatal("a fault kind changed its number")
+	}
+	for _, k := range []Kind{DiskTransient, 3, 6, 7} {
+		s := Spec{Events: []Event{{At: sim.Millisecond, Kind: k, Node: 0}}}
+		if err := s.Validate(4); err == nil {
+			t.Errorf("scheduled %v accepted", k)
+		}
+	}
+}
+
 // Nil targets (or out-of-range nodes in partial rigs) make events no-ops
 // rather than panics.
 func TestInjectorToleratesMissingTargets(t *testing.T) {
@@ -190,15 +195,14 @@ func TestInjectorToleratesMissingTargets(t *testing.T) {
 	spec := Spec{Events: []Event{
 		{At: sim.Millisecond, Kind: DiskFail, Node: 3},
 		{At: sim.Millisecond, Kind: NodeCrash, Node: 3},
-		{At: sim.Millisecond, Kind: NetDrop, Node: 3},
 	}}
 	in := NewInjector(e, spec, view, Targets{}, nil)
 	in.Start()
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(in.Log()) != 3 {
-		t.Fatalf("log holds %d records, want 3 (events still logged)", len(in.Log()))
+	if len(in.Log()) != 2 {
+		t.Fatalf("log holds %d records, want 2 (events still logged)", len(in.Log()))
 	}
 	if view.Available(3) {
 		t.Fatal("view must still track the failure")

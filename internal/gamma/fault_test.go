@@ -233,36 +233,3 @@ func TestNodeCrashAggregateAndJoin(t *testing.T) {
 			j.Outcome, j.ResponseMS(), j.Err, deadline)
 	}
 }
-
-// Scheduled interconnect faults take effect on their own: a NetDrop of the
-// messages addressed to a node fails the queries that needed them, and a
-// NetDup of a node's messages makes the host count the duplicated replies
-// as orphans. Both runs must differ from the fault-free one.
-func TestScheduledNetFaultsApply(t *testing.T) {
-	rel := smallRelation(t, 0)
-	mix := workload.LowLow(rel.Cardinality())
-	spec := RunSpec{MPL: 2, WarmupQueries: 5, MeasureQueries: 20}
-	run := func(ev fault.Event) (RunResult, int64) {
-		t.Helper()
-		cfg := DefaultConfig()
-		cfg.Faults = &fault.Spec{Events: []fault.Event{ev}}
-		m := buildRange(t, rel, cfg)
-		defer m.Close()
-		res, err := m.Run(mix, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.FaultLog) != 1 || res.FaultLog[0].Kind != ev.Kind.String() {
-			t.Fatalf("fault log = %v, want one %v", res.FaultLog, ev.Kind)
-		}
-		return res, m.Host.Orphans
-	}
-	drop, _ := run(fault.Event{At: sim.Millisecond, Kind: fault.NetDrop, Node: 0, Count: 20})
-	if drop.Outcomes.OK == int64(spec.MeasureQueries) {
-		t.Errorf("NetDrop of node 0's next 20 messages left every query ok: %s", drop.Outcomes)
-	}
-	dup, orphans := run(fault.Event{At: sim.Millisecond, Kind: fault.NetDup, Node: 0, Count: 20})
-	if orphans == 0 {
-		t.Errorf("NetDup of node 0's next 20 messages left the host without orphans (%s)", dup.Outcomes)
-	}
-}

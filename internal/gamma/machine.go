@@ -336,7 +336,6 @@ func (m *Machine) reset() {
 			targets := fault.Targets{
 				Disks: make([]fault.DiskTarget, pPhys),
 				Nodes: make([]fault.NodeTarget, pPhys),
-				Net:   net,
 			}
 			for i, n := range nodes {
 				targets.Disks[i] = n.Disk

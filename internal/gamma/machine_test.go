@@ -425,7 +425,6 @@ func TestStrategyAgreementProperty(t *testing.T) {
 		core.NewBERDForRelation(rel, storage.Unique1, []int{storage.Unique2}, 8),
 		core.NewRangeForRelation(rel, storage.Unique1, 8),
 		core.NewHash(storage.Unique1, 8),
-		core.NewRoundRobin(8),
 	}
 	machines := make([]*Machine, len(placements))
 	for i, pl := range placements {
@@ -463,25 +462,18 @@ func TestStrategyAgreementProperty(t *testing.T) {
 	}
 }
 
-func TestHashAndRoundRobinMachines(t *testing.T) {
+func TestHashMachine(t *testing.T) {
 	rel := smallRelation(t, 0)
-	cfg := DefaultConfig()
-	mix := workload.LowLow(rel.Cardinality())
-	for _, pl := range []core.Placement{
-		core.NewHash(storage.Unique1, 8),
-		core.NewRoundRobin(8),
-	} {
-		m, err := Build(rel, pl, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := m.Run(mix, RunSpec{MPL: 4, WarmupQueries: 20, MeasureQueries: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.ThroughputQPS <= 0 {
-			t.Fatalf("%s: throughput %g", pl.Name(), res.ThroughputQPS)
-		}
+	m, err := Build(rel, core.NewHash(storage.Unique1, 8), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(workload.LowLow(rel.Cardinality()), RunSpec{MPL: 4, WarmupQueries: 20, MeasureQueries: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ThroughputQPS <= 0 {
+		t.Fatalf("hash: throughput %g", res.ThroughputQPS)
 	}
 }
 

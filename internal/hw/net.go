@@ -16,10 +16,6 @@ type Message struct {
 	Payload  any
 }
 
-// Duplicable is a payload that counts the deliveries holding it: the
-// interconnect calls Dup for each extra copy a duplicating fault delivers.
-type Duplicable interface{ Dup() }
-
 // NIC is one node's network interface: a FCFS facility serializing outgoing
 // transmissions plus a receive path that charges the node CPU for each
 // arriving message before delivering it to the node's inbox.
@@ -85,52 +81,20 @@ type Network struct {
 	params Params
 	nics   []*NIC
 
-	faults *netFaults // nil until the first DropNext or DupNext
+	drop []int // per destination, the next logical messages to lose; nil until the first DropNext
 }
 
-// netFaults holds the interconnect's scheduled faults: per-destination
-// counts of the next logical messages to drop or duplicate. Faults act on
-// whole logical messages at delivery time — the wire and CPU costs are
-// already paid, the receiver just never sees (or sees twice) the payload.
-type netFaults struct {
-	drop, dup []int
-}
-
-// forced returns the fault counts, creating them on first use.
-func (n *Network) forced() *netFaults {
-	if n.faults == nil {
-		n.faults = &netFaults{drop: make([]int, len(n.nics)), dup: make([]int, len(n.nics))}
-	}
-	return n.faults
-}
-
-// DropNext makes the next k logical messages addressed to node vanish after
-// transmission.
+// DropNext makes the next k logical messages addressed to node vanish at
+// delivery: the wire and CPU costs are paid, the receiver never sees the
+// payload. Tests inject lost messages with it.
 func (n *Network) DropNext(node, k int) {
-	if node >= 0 && node < len(n.nics) {
-		n.forced().drop[node] += k
+	if node < 0 || node >= len(n.nics) {
+		return
 	}
-}
-
-// DupNext makes the next k logical messages addressed to node arrive twice.
-func (n *Network) DupNext(node, k int) {
-	if node >= 0 && node < len(n.nics) {
-		n.forced().dup[node] += k
+	if n.drop == nil {
+		n.drop = make([]int, len(n.nics))
 	}
-}
-
-// deliveries decides how many copies of a logical message addressed to node
-// the receiver sees: 1 normally, 0 for a drop, 2 for a duplication.
-func (f *netFaults) deliveries(node int) int {
-	if f.drop[node] > 0 {
-		f.drop[node]--
-		return 0
-	}
-	if f.dup[node] > 0 {
-		f.dup[node]--
-		return 2
-	}
-	return 1
+	n.drop[node] += k
 }
 
 // NewNetwork wires one NIC per CPU. Each NIC's receive path charges
@@ -230,9 +194,8 @@ func (s *Send) transmit() bool {
 }
 
 // deliver hands the transmitted packet to the receiver. The final packet
-// carries the logical message, and fault injection acts on it whole: a
-// drop loses the payload after the wire cost is paid, a duplication hands
-// the receiver the same payload twice, telling a Duplicable payload so.
+// carries the logical message, which DropNext loses whole after the wire
+// cost is paid.
 func (s *Send) deliver() {
 	n, msg := s.n, s.msg
 	n.nics[msg.From].sent++
@@ -247,16 +210,11 @@ func (s *Send) deliver() {
 		n.nics[msg.To].rx.Put(Message{From: msg.From, To: msg.To, Bytes: s.chunk})
 		return
 	}
-	copies := 1
-	if n.faults != nil {
-		copies = n.faults.deliveries(msg.To)
+	if n.drop != nil && n.drop[msg.To] > 0 {
+		n.drop[msg.To]--
+		return
 	}
-	for c := 0; c < copies; c++ {
-		if d, ok := msg.Payload.(Duplicable); ok && c > 0 {
-			d.Dup()
-		}
-		n.nics[msg.To].rx.Put(Message{From: msg.From, To: msg.To, Bytes: s.chunk, Payload: msg.Payload})
-	}
+	n.nics[msg.To].rx.Put(Message{From: msg.From, To: msg.To, Bytes: s.chunk, Payload: msg.Payload})
 }
 
 // Inbox returns the application-level inbox for a node. Messages appear here

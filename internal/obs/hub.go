@@ -61,12 +61,12 @@ func (h *Hub) Runs() []string {
 func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	ids := append([]string(nil), h.order...)
+	sort.Strings(ids) // a stable exposition
 	samplers := make([]*Sampler, len(ids))
 	for i, id := range ids {
 		samplers[i] = h.runs[id]
 	}
 	h.mu.Unlock()
-	sort.Sort(&byID{ids, samplers})
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprintf(w, "# TYPE declusterbench_up gauge\ndeclusterbench_up 1\n")
@@ -78,19 +78,6 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	fmt.Fprintf(w, "# EOF\n")
-}
-
-// byID sorts (ids, samplers) in lockstep by id for a stable exposition.
-type byID struct {
-	ids      []string
-	samplers []*Sampler
-}
-
-func (b *byID) Len() int           { return len(b.ids) }
-func (b *byID) Less(i, j int) bool { return b.ids[i] < b.ids[j] }
-func (b *byID) Swap(i, j int) {
-	b.ids[i], b.ids[j] = b.ids[j], b.ids[i]
-	b.samplers[i], b.samplers[j] = b.samplers[j], b.samplers[i]
 }
 
 // escapeLabel escapes a label value per the exposition format.

@@ -243,16 +243,6 @@ func (s *Sampler) Rebase(nowNS int64) {
 	}
 }
 
-// Len reports the number of live windows (0 on nil).
-func (s *Sampler) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
 // Snapshot copies every series, sorted by name, oldest sample first.
 // Returns nil on a nil sampler.
 func (s *Sampler) Snapshot() []SeriesData {

@@ -8,6 +8,16 @@ import (
 
 const winNS = int64(1e9) // 1s windows keep the rate arithmetic readable
 
+// Len reports the number of live windows (0 on nil).
+func (s *Sampler) Len() int {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.count
+}
+
 func TestSamplerKinds(t *testing.T) {
 	s := NewSampler(winNS, 8)
 	gauge, counter := 0.0, 0.0

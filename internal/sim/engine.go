@@ -158,17 +158,8 @@ func (e *Engine) SetSink(s obs.Sink) { e.sink = s }
 // skip event construction (and its string formatting) when tracing is off.
 func (e *Engine) Tracing() bool { return e.sink != nil }
 
-// Emit sends a trace event to the sink. The caller fills T (span starts
-// may lie in the past; EmitNow stamps the current time). No-op without a
-// sink.
-func (e *Engine) Emit(ev obs.TraceEvent) {
-	if e.sink == nil {
-		return
-	}
-	e.sink.Emit(ev)
-}
-
-// EmitNow sends a trace event stamped with the current simulated time.
+// EmitNow sends a trace event stamped with the current simulated time. It
+// is a no-op without a sink.
 func (e *Engine) EmitNow(ev obs.TraceEvent) {
 	if e.sink == nil {
 		return

@@ -283,8 +283,7 @@ func TestNoSinkNoTrace(t *testing.T) {
 	if e.Tracing() {
 		t.Fatal("Tracing() = true without a sink")
 	}
-	// Emit without a sink must be a safe no-op.
-	e.Emit(obs.TraceEvent{Name: "dropped"})
+	// EmitNow without a sink must be a safe no-op.
 	e.EmitNow(obs.TraceEvent{Name: "dropped"})
 }
 

@@ -195,7 +195,8 @@ func GenerateWisconsin(spec GenSpec) *Relation {
 	r := &Relation{Name: name, Tuples: make([]Tuple, n)}
 	for i := 0; i < n; i++ {
 		u1 := int64(unique1[i])
-		t := Tuple{TID: int64(i)}
+		t := &r.Tuples[i]
+		t.TID = int64(i)
 		t.Attrs[Unique1] = u1
 		t.Attrs[Unique2] = int64(i)
 		t.Attrs[Two] = u1 % 2
@@ -209,7 +210,6 @@ func GenerateWisconsin(spec GenSpec) *Relation {
 		t.Attrs[Unique3] = u1
 		t.Attrs[EvenOnePercent] = (u1 % 100) * 2
 		t.Attrs[OddOnePercent] = (u1%100)*2 + 1
-		r.Tuples[i] = t
 	}
 	return r
 }

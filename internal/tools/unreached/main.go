@@ -1,13 +1,15 @@
-// Command unreached fails when production code under internal/ is linked by
-// no binary.
+// Command unreached fails when production code under internal/ runs in no
+// run of the module's binaries.
 //
 // It builds every main package of the module (cmd/*, examples/*) and the
-// bench module with inlining off, so that a called function keeps its own
-// symbol, and reads the linked function symbols with go tool nm. It then
-// lists every function declared outside _test.go files under internal/ and
-// reports each one that no binary links, unless allowlist.txt names it with
-// a reason. An allowlist entry that is linked again, or names no declared
-// function, is reported too, so the list cannot go stale.
+// bench module with coverage, makes the runs listed in invocations under
+// one GOCOVERDIR and reads the functions that ran with go tool covdata
+// func. It then lists every function declared outside _test.go files under
+// internal/ and reports each one that no run executes, unless allowlist.txt
+// names it with a reason. A function no binary links is absent from the
+// coverage output and counts as not run. An allowlist entry that runs
+// again, or names no declared function, is reported too, so the list
+// cannot go stale.
 //
 // Run it from the module root:
 //
@@ -15,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	_ "embed"
 	"errors"
 	"fmt"
@@ -27,6 +30,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -34,8 +38,42 @@ import (
 var allowlistText string
 
 // selfDir is this tool's directory relative to the module root; its own
-// functions are linked by no binary and are not checked.
+// functions run in no binary and are not checked.
 const selfDir = "internal/tools/unreached"
+
+// invocations are the runs the census makes: a binary built from the
+// module, then its arguments. $TMP in an argument stands for the census's
+// temporary directory, where the runs write their files. They are the CI
+// smoke runs, the flag forms the goldens pin, every example, magicplan's
+// five mixes and two bench workloads.
+var invocations = [][]string{
+	{"declusterbench", "-scale", "quick", "-fig", "8a", "-mpl", "1,4", "-seed", "7", "-json", "$TMP/closed.json", "-manifest", "$TMP/manifest.json"},
+	{"declusterbench", "-scale", "quick", "-fig", "8a", "-mpl", "1,4", "-seed", "7", "-compare", "$TMP/closed.json", "-tolerance", "0"},
+	{"declusterbench", "-scale", "quick", "-fig", "8a", "-mpl", "1,4", "-seed", "7", "-detail", "-node-stats", "-plot"},
+	{"declusterbench", "-scale", "quick", "-fig", "8a", "-mpl", "1,4", "-seed", "7", "-ts-dir", "$TMP/cts"},
+	{"declusterbench", "-scale", "quick", "-fig", "8a", "-mpl", "1,4", "-seed", "7", "-heatmap", "-heatmap-dir", "$TMP/heat"},
+	{"declusterbench", "-scale", "quick", "-fig", "8a", "-mpl", "4", "-kill-disk", "1@2ms"},
+	{"declusterbench", "-scale", "quick", "-fig", "8a", "-mpl", "1,4", "-kill-node", "1@2ms,2@3ms+20ms", "-csv"},
+	{"declusterbench", "-scale", "quick", "-fig", "8a", "-mpl", "4", "-mtbf", "500ms"},
+	{"declusterbench", "-scale", "quick", "-fig", "8a", "-mpl", "4", "-faults", "0,1,2"},
+	{"declusterbench", "-open", "-scale", "quick", "-lambda", "100,400", "-measure", "150", "-warmup", "20", "-seed", "7", "-ts-window", "250ms", "-ts-dir", "$TMP/ts", "-metrics-addr", "127.0.0.1:0", "-metrics-linger", "1ns"},
+	{"declusterbench", "-open", "-scale", "quick", "-lambda", "100,2000", "-measure", "150", "-warmup", "20", "-seed", "7", "-detail", "-heatmap", "-ts-window", "10ms"},
+	{"declusterbench", "-open", "-scale", "quick", "-card", "2000", "-lambda", "200", "-measure", "100", "-arrival", "bursty"},
+	{"declusterbench", "-open", "-scale", "quick", "-card", "2000", "-lambda", "200", "-measure", "100", "-arrival", "diurnal"},
+	{"declusterbench", "-share", "-scale", "quick", "-mpl", "8", "-seed", "7"},
+	{"declusterbench", "-share", "-scale", "quick", "-mpl", "8", "-seed", "7", "-kill-disk", "1@2ms"},
+	{"declusterbench", "-elastic", "-scale", "quick", "-card", "1000", "-procs", "4", "-lambda", "100", "-measure", "300", "-warmup", "5", "-seed", "7", "-join-at", "200ms", "-leave-at", "900ms", "-kill-node", "1@50ms"},
+	{"declusterbench", "-elastic", "-scale", "quick", "-card", "1000", "-procs", "4", "-lambda", "100", "-measure", "300", "-warmup", "5", "-seed", "7", "-join-at", "200ms", "-leave-at", "900ms", "-heatmap", "-kill-disk", "2@50ms+10ms", "-ts-dir", "$TMP/elastic-ts"},
+	{"declusterbench", "-scale", "quick", "-fig", "none", "-scaleout"},
+	{"querytrace", "-critpath", "-frags", "-trace-out", "$TMP/trace.json", "-trace-jsonl", "$TMP/trace.jsonl"},
+	{"querytrace", "-strategy", "hash", "-quiet"},
+	{"magicplan", "-mix", "low-low", "-build"}, {"magicplan", "-mix", "low-low-wider", "-build"},
+	{"magicplan", "-mix", "low-moderate", "-build"}, {"magicplan", "-mix", "moderate-low", "-build"},
+	{"magicplan", "-mix", "moderate-moderate", "-build"},
+	{"berdwalkthrough"}, {"correlated"}, {"join"}, {"planner"}, {"quickstart"}, {"stockmarket"},
+	{"bench", "-workload", "quick-campaign", "-seconds", "0", "-reps", "1", "-trace", "1"},
+	{"bench", "-workload", "open-armed-8a", "-seconds", "0", "-reps", "1", "-trace", "1"},
+}
 
 func main() {
 	if err := run(); err != nil {
@@ -58,13 +96,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	linked, nbin, err := linkedSymbols(root, modPath)
+	ran, err := census(root, modPath)
 	if err != nil {
 		return err
 	}
-	unreached, stale := check(decls, linked, allow)
+	unreached, stale := check(decls, ran, allow)
 	for _, d := range unreached {
-		fmt.Printf("%s: %s is linked by no binary\n", d.pos, d.key)
+		fmt.Printf("%s: %s runs in no invocation\n", d.pos, d.key)
 	}
 	for _, s := range stale {
 		fmt.Printf("allowlist.txt: %s\n", s)
@@ -72,13 +110,15 @@ func run() error {
 	if len(unreached)+len(stale) > 0 {
 		return fmt.Errorf("%d unreached functions, %d stale allowlist entries", len(unreached), len(stale))
 	}
-	fmt.Printf("unreached: %d binaries link every function under internal/ but the %d allowlisted\n", nbin, len(allow))
+	fmt.Printf("unreached: %d runs execute every function under internal/ but the %d allowlisted\n", len(invocations), len(allow))
 	return nil
 }
 
 // decl is one function or method declared in production code. Its key is
 // the package path below internal/, then the receiver's type name for a
-// method, then the function name: "sim.Engine.Run", "rng.New".
+// method, then the function name: "sim.Engine.Run", "rng.New". Its pos is
+// the file below the module root and the line its body opens on, which is
+// how go tool covdata names it: "internal/sim/engine.go:42".
 type decl struct {
 	key string
 	pos string
@@ -137,14 +177,14 @@ func declared(root string) ([]decl, error) {
 		pkg, _ := filepath.Rel(internal, filepath.Dir(path))
 		for _, x := range f.Decls {
 			fn, ok := x.(*ast.FuncDecl)
-			if !ok || fn.Name.Name == "init" || fn.Name.Name == "_" {
+			if !ok || fn.Body == nil || fn.Name.Name == "init" || fn.Name.Name == "_" {
 				continue
 			}
 			key := filepath.ToSlash(pkg) + "."
 			if fn.Recv != nil {
 				key += recvTypeName(fn.Recv.List[0].Type) + "."
 			}
-			p := fset.Position(fn.Pos())
+			p := fset.Position(fn.Body.Lbrace)
 			decls = append(decls, decl{key: key + fn.Name.Name, pos: fmt.Sprintf("%s:%d", filepath.ToSlash(rel), p.Line)})
 		}
 		return nil
@@ -169,19 +209,19 @@ func recvTypeName(e ast.Expr) string {
 	}
 }
 
-// linkedSymbols builds the module's main packages and the bench module with
-// inlining off into a temporary directory and returns the keys of every
-// internal function their binaries link, and how many binaries it read.
-func linkedSymbols(root, modPath string) (map[string]bool, int, error) {
+// census builds the module's main packages and the bench module with
+// coverage into a temporary directory, makes every run in invocations from
+// the module root with one GOCOVERDIR, and returns the positions
+// ("internal/sim/engine.go:42") of the internal functions that ran.
+func census(root, modPath string) (map[string]bool, error) {
 	tmp, err := os.MkdirTemp("", "unreached")
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer os.RemoveAll(tmp)
-
 	out, err := exec.Command("go", "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./...").Output()
 	if err != nil {
-		return nil, 0, fmt.Errorf("go list: %w", err)
+		return nil, fmt.Errorf("go list: %w", err)
 	}
 	var mains []string
 	for _, p := range strings.Fields(string(out)) {
@@ -190,126 +230,84 @@ func linkedSymbols(root, modPath string) (map[string]bool, int, error) {
 		}
 	}
 	if len(mains) == 0 {
-		return nil, 0, errors.New("no main packages found")
+		return nil, errors.New("no main packages found")
 	}
-	builds := []*exec.Cmd{
-		exec.Command("go", append([]string{"build", "-gcflags=all=-l", "-o", tmp + string(filepath.Separator)}, mains...)...),
-		exec.Command("go", "build", "-gcflags=all=-l", "-o", filepath.Join(tmp, "bench"), "."),
+	// A binary writes its counters only when its main package is
+	// instrumented too, so the whole module is; parseCovdata keeps internal/.
+	cover := "-coverpkg=" + modPath + "/..."
+	cmds := []*exec.Cmd{
+		exec.Command("go", append([]string{"build", "-cover", cover, "-o", tmp + string(filepath.Separator)}, mains...)...),
+		exec.Command("go", "build", "-cover", cover, "-o", filepath.Join(tmp, "bench"), "."),
 	}
-	builds[1].Dir = filepath.Join(root, "bench")
-	for _, c := range builds {
-		if msg, err := c.CombinedOutput(); err != nil {
-			return nil, 0, fmt.Errorf("%s: %v\n%s", strings.Join(c.Args, " "), err, msg)
+	cmds[1].Dir = filepath.Join(root, "bench")
+	covDir := filepath.Join(tmp, "cover")
+	if err := os.Mkdir(covDir, 0o755); err != nil {
+		return nil, err
+	}
+	for _, inv := range invocations {
+		c := exec.Command(filepath.Join(tmp, inv[0]))
+		for _, a := range inv[1:] {
+			c.Args = append(c.Args, strings.ReplaceAll(a, "$TMP", tmp))
+		}
+		c.Dir, c.Env = root, append(os.Environ(), "GOCOVERDIR="+covDir)
+		cmds = append(cmds, c)
+	}
+	for _, c := range cmds {
+		var stderr bytes.Buffer
+		c.Stderr = &stderr
+		if err := c.Run(); err != nil {
+			return nil, fmt.Errorf("%s: %v\n%s", strings.Join(c.Args, " "), err, stderr.Bytes())
 		}
 	}
-
-	bins, err := os.ReadDir(tmp)
+	out, err = exec.Command("go", "tool", "covdata", "func", "-i", covDir).Output()
 	if err != nil {
-		return nil, 0, err
+		return nil, fmt.Errorf("go tool covdata func: %w", err)
 	}
-	linked := map[string]bool{}
-	for _, b := range bins {
-		out, err := exec.Command("go", "tool", "nm", filepath.Join(tmp, b.Name())).Output()
-		if err != nil {
-			return nil, 0, fmt.Errorf("go tool nm %s: %w", b.Name(), err)
-		}
-		addNM(linked, string(out), modPath+"/internal/")
-	}
-	return linked, len(bins), nil
+	return parseCovdata(string(out), modPath+"/")
 }
 
-// addNM adds the keys of every text symbol under prefix in go tool nm's
-// output ("address type name"; a name may hold spaces) to linked.
-func addNM(linked map[string]bool, nm, prefix string) {
-	for _, line := range strings.Split(nm, "\n") {
-		f := strings.SplitN(strings.TrimSpace(line), " ", 3)
-		if len(f) < 3 || (f[1] != "T" && f[1] != "t") || !strings.HasPrefix(f[2], prefix) {
+// parseCovdata returns the positions below the module root, "internal/"
+// included, of every internal function with a non-zero percentage in go
+// tool covdata func's output ("repro/internal/sim/engine.go:42:  Run  85.7%").
+// Positions, not names, identify a function: the output names a method by
+// its receiver without type arguments, or a generic type's method by its
+// name alone.
+func parseCovdata(text, prefix string) (map[string]bool, error) {
+	ran := map[string]bool{}
+	for _, line := range strings.Split(text, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || !strings.HasPrefix(f[0], prefix+"internal/") {
 			continue
 		}
-		for _, k := range symbolKeys(strings.TrimPrefix(f[2], prefix)) {
-			linked[k] = true
+		pct, err := strconv.ParseFloat(strings.TrimSuffix(f[len(f)-1], "%"), 64)
+		if err != nil {
+			return nil, fmt.Errorf("covdata line %q: %w", line, err)
+		}
+		if pct > 0 {
+			ran[strings.TrimSuffix(strings.TrimPrefix(f[0], prefix), ":")] = true
 		}
 	}
+	return ran, nil
 }
 
-// symbolKeys gives the declaration keys a linked symbol, its package path
-// below internal/ included, can stand for. Type arguments are dropped, so a
-// generic method named by its shape,
-//
-//	sim.(*Mailbox[go.shape.struct { repro/internal/exec.x int }]).Put,
-//
-// gives sim.Mailbox.Put. A pointer or value receiver gives the same key. A
-// closure (.func1, .gowrap2, a -fm method value) stands for the function it
-// is declared in. Since a symbol's first two name parts are either a type
-// and a method or a function and its closure, both readings are returned;
-// a function and a type never share a name in one package, so only the
-// right one can match a declaration.
-func symbolKeys(sym string) []string {
-	sym = dropBrackets(sym)
-	dot := strings.IndexByte(sym, '.')
-	if dot < 0 {
-		return nil
-	}
-	pkg, name := sym[:dot], sym[dot+1:]
-	if strings.HasPrefix(name, "(") {
-		name = strings.Replace(strings.TrimPrefix(strings.TrimPrefix(name, "("), "*"), ")", "", 1)
-	}
-	parts := strings.Split(name, ".")
-	for i, p := range parts {
-		parts[i], _, _ = strings.Cut(p, "-")
-	}
-	keys := []string{pkg + "." + parts[0]}
-	if len(parts) > 1 {
-		keys = append(keys, pkg+"."+parts[0]+"."+parts[1])
-	}
-	return keys
-}
-
-// dropBrackets removes every bracketed type-argument list, nested brackets
-// and quoted struct tags inside it included.
-func dropBrackets(s string) string {
-	var b strings.Builder
-	depth := 0
-	quoted := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case quoted:
-			if c == '\\' {
-				i++
-			} else if c == '"' {
-				quoted = false
-			}
-		case depth > 0 && c == '"':
-			quoted = true
-		case c == '[':
-			depth++
-		case c == ']':
-			depth--
-		case depth == 0:
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
-
-// check returns the declarations that no binary links and the allowlist
-// does not name, and the allowlist entries that are linked or name no
-// declaration.
-func check(decls []decl, linked map[string]bool, allow map[string]string) (unreached []decl, stale []string) {
-	isDeclared := map[string]bool{}
+// check returns the declarations that no run executes and the allowlist
+// does not name, and the allowlist entries that run or name no declaration.
+// ran holds the positions of the functions that ran.
+func check(decls []decl, ran map[string]bool, allow map[string]string) (unreached []decl, stale []string) {
+	keyRan := map[string]bool{}
 	for _, d := range decls {
-		isDeclared[d.key] = true
-		if !linked[d.key] && allow[d.key] == "" {
+		keyRan[d.key] = ran[d.pos]
+		if !ran[d.pos] && allow[d.key] == "" {
 			unreached = append(unreached, d)
 		}
 	}
 	for k := range allow {
+		r, isDeclared := keyRan[k]
 		switch {
-		case !isDeclared[k]:
+		case !isDeclared:
 			stale = append(stale, k+" is not declared")
-		case linked[k]:
-			stale = append(stale, k+" is linked")
+		case r:
+			stale = append(stale, k+" is run")
 		}
 	}
 	sort.Strings(stale)

@@ -1,104 +1,70 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// nmOutput is go tool nm output in its real shape: the address padded to
-// eight columns, the symbol type, then a name that may hold spaces.
-const nmOutput = `  4a3b20 T repro/internal/sim.(*Engine).RunUntil
-  4a3c40 T repro/internal/stats.Accumulator.Mean
-  4a3d60 T repro/internal/sim.(*Mailbox[go.shape.struct { repro/internal/exec.kind int; repro/internal/exec.body interface {} }]).Put
-  4a3e80 T repro/internal/sim.(*Mailbox[go.shape.struct { F []int "json:\"f]\"" }]).GetTimeout.func1
-  4a3fa0 t repro/internal/gamma.(*Machine).Run.deferwrap1
-  4a40c0 T repro/internal/obs.(*Sampler).Sample-fm
-  4a41e0 T repro/internal/core.bucketOf[go.shape.int64]
-  4a4300 T repro/internal/sim.init.0
-  5c0000 R repro/internal/sim..dict.Mailbox[int]
-  5c1000 D repro/internal/sim.Stray
-         U repro/internal/sim.Unresolved
-  4a4420 T fmt.Sprintf
+// covdataOutput is go tool covdata func output in its real shape: a
+// function's file and the line its body opens on, its name, the share of
+// its statements that ran. A generic type's method is named alone ("Put"),
+// and functions outside internal/ and the total are not checked.
+const covdataOutput = `repro/cmd/querytrace/main.go:50:		main					53.0%
+repro/internal/sim/engine.go:199:		*Engine.release				100.0%
+repro/internal/sim/mailbox.go:63:		Name					0.0%
+repro/internal/sim/mailbox.go:143:		Put					81.8%
+repro/internal/stats/stats.go:12:		Accumulator.Mean			0.0%
+total					(statements)				71.3%
 `
 
-func TestSymbolKeys(t *testing.T) {
-	for _, tc := range []struct {
-		sym  string
-		want []string
-	}{
-		{"sim.NewEngine", []string{"sim.NewEngine"}},
-		// Pointer and value receivers give the same key.
-		{"sim.(*Engine).RunUntil", []string{"sim.Engine", "sim.Engine.RunUntil"}},
-		{"stats.Accumulator.Mean", []string{"stats.Accumulator", "stats.Accumulator.Mean"}},
-		// A generic method is named by the shape of its type argument.
-		{"sim.(*Mailbox[go.shape.struct { repro/internal/exec.kind int; repro/internal/exec.body interface {} }]).Close",
-			[]string{"sim.Mailbox", "sim.Mailbox.Close"}},
-		{"sim.Mailbox[go.shape.int].Len", []string{"sim.Mailbox", "sim.Mailbox.Len"}},
-		{"core.bucketOf[go.shape.int64]", []string{"core.bucketOf"}},
-		// Closures, method values and defer wrappers stand for their function.
-		{"sim.NewEngine.func2", []string{"sim.NewEngine", "sim.NewEngine.func2"}},
-		{"sim.(*Engine).Close.func1.1", []string{"sim.Engine", "sim.Engine.Close"}},
-		{"obs.(*Sampler).Sample-fm", []string{"obs.Sampler", "obs.Sampler.Sample"}},
-		// Nested packages keep their path.
-		{"tools/unreached.check", []string{"tools/unreached.check"}},
-	} {
-		if got := symbolKeys(tc.sym); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("symbolKeys(%q) = %q, want %q", tc.sym, got, tc.want)
-		}
+func TestParseCovdata(t *testing.T) {
+	ran, err := parseCovdata(covdataOutput, "repro/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"internal/sim/engine.go:199": true, "internal/sim/mailbox.go:143": true}
+	if !reflect.DeepEqual(ran, want) {
+		t.Errorf("ran = %v, want %v", ran, want)
+	}
+	if _, err := parseCovdata("repro/internal/sim/engine.go:9:	Run	most%\n", "repro/"); err == nil {
+		t.Error("a malformed percentage was accepted")
 	}
 }
 
-func TestAddNM(t *testing.T) {
-	linked := map[string]bool{}
-	addNM(linked, nmOutput, "repro/internal/")
-	for _, k := range []string{
-		"sim.Engine.RunUntil",
-		"stats.Accumulator.Mean",
-		"sim.Mailbox.Put",
-		"sim.Mailbox.GetTimeout", // a closure inside it, quoted brackets in its shape
-		"gamma.Machine.Run",
-		"obs.Sampler.Sample",
-		"core.bucketOf",
-	} {
-		if !linked[k] {
-			t.Errorf("%s not linked", k)
-		}
-	}
-	// Data symbols, undefined symbols and other modules are not functions
-	// of this module.
-	for _, k := range []string{"sim.Stray", "sim.Unresolved", "sim..dict", "sim.", "fmt.Sprintf"} {
-		if linked[k] {
-			t.Errorf("%s linked", k)
-		}
-	}
-}
-
+// check keys the coverage output by position: a generic method counts as
+// run under its own key, a function at 0.0% or missing from the output
+// (no binary links it) does not, and an allowlisted function that ran is a
+// stale entry.
 func TestCheck(t *testing.T) {
-	linked := map[string]bool{}
-	addNM(linked, nmOutput, "repro/internal/")
+	ran, err := parseCovdata(covdataOutput, "repro/")
+	if err != nil {
+		t.Fatal(err)
+	}
 	decls := []decl{
-		{key: "sim.Engine.RunUntil", pos: "a.go:1"},
-		{key: "sim.Mailbox.Put", pos: "a.go:2"},
-		{key: "sim.Mailbox.Close", pos: "a.go:3"}, // unlinked generic method
-		{key: "sim.Engine.Run", pos: "a.go:4"},    // unlinked, allowlisted
-		{key: "gamma.Machine.Run", pos: "b.go:1"},
-		{key: "gamma.LoadTable", pos: "b.go:2"}, // unlinked
+		{key: "sim.Engine.release", pos: "internal/sim/engine.go:199"},
+		{key: "sim.Mailbox.Put", pos: "internal/sim/mailbox.go:143"},
+		{key: "sim.Mailbox.Name", pos: "internal/sim/mailbox.go:63"},       // 0.0%
+		{key: "stats.Accumulator.Mean", pos: "internal/stats/stats.go:12"}, // 0.0%, allowlisted
+		{key: "gamma.LoadTable", pos: "internal/gamma/load.go:9"},          // absent
 	}
 	allow := map[string]string{
-		"sim.Engine.Run":      "test driver",
-		"sim.Engine.RunUntil": "stale: a binary links it",
-		"hw.Disk.Read":        "stale: no longer declared",
+		"stats.Accumulator.Mean": "test oracle",
+		"sim.Engine.release":     "stale: a run executes it",
+		"hw.Disk.Read":           "stale: no longer declared",
 	}
-	unreached, stale := check(decls, linked, allow)
+	unreached, stale := check(decls, ran, allow)
 	var got []string
 	for _, d := range unreached {
 		got = append(got, d.pos+" "+d.key)
 	}
-	if want := []string{"a.go:3 sim.Mailbox.Close", "b.go:2 gamma.LoadTable"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"internal/sim/mailbox.go:63 sim.Mailbox.Name", "internal/gamma/load.go:9 gamma.LoadTable"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("unreached = %q, want %q", got, want)
 	}
-	if want := []string{"hw.Disk.Read is not declared", "sim.Engine.RunUntil is linked"}; !reflect.DeepEqual(stale, want) {
+	if want := []string{"hw.Disk.Read is not declared", "sim.Engine.release is run"}; !reflect.DeepEqual(stale, want) {
 		t.Errorf("stale = %q, want %q", stale, want)
 	}
 }
@@ -118,9 +84,9 @@ func TestParseAllowlist(t *testing.T) {
 	}
 }
 
-// declared keys the module's own declarations as the symbols name them:
-// a generic type's methods by the type's name, pointer and value receivers
-// alike, and nothing from this tool's directory or test files.
+// declared keys the module's own declarations by package, receiver type
+// and name: a generic type's methods by the type's name, pointer and value
+// receivers alike, and nothing from this tool's directory or test files.
 func TestDeclared(t *testing.T) {
 	decls, err := declared("../../..")
 	if err != nil {
@@ -137,6 +103,19 @@ func TestDeclared(t *testing.T) {
 	}
 	if pos := keys["sim.Mailbox.Put"]; !strings.HasPrefix(pos, "internal/sim/mailbox.go:") {
 		t.Errorf("sim.Mailbox.Put at %q", pos)
+	}
+	// A position is the line the body opens on, also under a signature
+	// that spans lines.
+	for _, k := range []string{"sim.Mailbox.Put", "exec.NewNode"} {
+		file, line, _ := strings.Cut(keys[k], ":")
+		src, err := os.ReadFile(filepath.Join("../../..", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := strconv.Atoi(line)
+		if lines := strings.Split(string(src), "\n"); n < 1 || n > len(lines) || !strings.HasSuffix(lines[n-1], "{") {
+			t.Errorf("%s at %s, a line that opens no body", k, keys[k])
+		}
 	}
 	if pos := keys["buffer.referencePool.ReadHeat"]; pos != "" {
 		t.Errorf("test-only buffer.referencePool.ReadHeat declared at %s", pos)
